@@ -69,9 +69,6 @@ type (
 	CampaignSummary = campaign.Summary
 	// Mode selects how far faulty runs simulate.
 	Mode = campaign.Mode
-	// ForkPolicy selects how per-fault runs fork off the golden prefix
-	// (checkpoint snapshots vs. legacy deep clones).
-	ForkPolicy = campaign.ForkPolicy
 	// Fault is one single-bit transient fault.
 	Fault = fault.Fault
 	// IMM is an ISA Manifestation Model class (Table I).
@@ -120,14 +117,15 @@ type (
 	ForensicRecord = forensics.Record
 
 	// Budget is a study-wide worker pool shared by all concurrently
-	// executing campaigns; see docs/SCHEDULING.md. Runner.RunBudget draws
-	// workers from one, and Study.Budget exposes the study's own.
+	// executing campaigns; see docs/SCHEDULING.md. Runner.RunCampaign
+	// draws workers from RunSpec.Budget, and Study.Budget exposes the
+	// study's own.
 	Budget = campaign.Budget
 )
 
 // NewBudget returns a worker budget of the given size (0 = all CPUs), for
 // running ad-hoc campaigns under a shared concurrency cap via
-// Runner.RunBudget.
+// Runner.RunCampaign (RunSpec.Budget).
 func NewBudget(workers int) *Budget { return campaign.NewBudget(workers) }
 
 // NewExplorer returns an empty forensics explorer, to be set as
@@ -144,16 +142,6 @@ const (
 	ModeExhaustive = campaign.ModeExhaustive
 	ModeHVF        = campaign.ModeHVF
 	ModeAVGI       = campaign.ModeAVGI
-
-	// ForkCursor (the default) advances a per-worker golden cursor once
-	// through its chunk and re-arms a local snapshot per fault with
-	// dirty-delta copies; ForkSnapshot rewinds pooled scratch machines
-	// from shared interval checkpoints; ForkLegacyClone deep-copies a
-	// mother machine per fault. See docs/CHECKPOINTING.md and
-	// docs/PERFORMANCE.md.
-	ForkCursor      = campaign.ForkCursor
-	ForkSnapshot    = campaign.ForkSnapshot
-	ForkLegacyClone = campaign.ForkLegacyClone
 
 	// RawFITPerBit is the raw failure rate used for FIT derating.
 	RawFITPerBit = core.RawFITPerBit

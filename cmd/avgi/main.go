@@ -189,11 +189,6 @@ telemetry (see docs/OBSERVABILITY.md):
   -forensics-sample N  probe every Nth fault (by fault ID) to bound overhead
   -log FMT           stderr log format: text (default) or json
 
-performance (see docs/PERFORMANCE.md):
-  -fork P            cursor (default; per-worker golden cursor with
-                     dirty-delta snapshot/restore), snapshot (shared
-                     checkpoint store), or clone (legacy deep copy)
-
 scheduling (see docs/SCHEDULING.md):
   -workers N         global worker budget; campaigns of one experiment
                      overlap across (structure, workload) pairs and share
@@ -262,10 +257,6 @@ func selectedStructures() []string {
 }
 
 func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avgi.Observer) (*avgi.Study, error) {
-	policy, err := common.ForkPolicy()
-	if err != nil {
-		return nil, err
-	}
 	if common.Resume && common.Journal == "" {
 		return nil, fmt.Errorf("-resume requires -journal DIR")
 	}
@@ -302,8 +293,6 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 		Workers:            workers,
 		SeedBase:           *flagSeed,
 		Obs:                obsv,
-		ForkPolicy:         policy,
-		CheckpointInterval: common.CkptInterval,
 		JournalDir:         common.Journal,
 		Resume:             common.Resume,
 		Fsync:              fsync,

@@ -156,10 +156,6 @@ func run(name string, obsv *avgi.Observer) error {
 		return err
 	}
 	r.Obs = obsv
-	if r.ForkPolicy, err = common.ForkPolicy(); err != nil {
-		return err
-	}
-	r.CheckpointInterval = common.CkptInterval
 	r.EarlyExit = common.EarlyExit
 	if common.Forensics {
 		r.Forensics = avgi.NewExplorer()

@@ -460,7 +460,8 @@ func (s *Study) MultiBitAblation(widths ...int) *Table {
 				defer wg.Done()
 				r := s.Runner(w)
 				faults := r.MultiBitFaultList("RF", s.Cfg.FaultsPerStructure, width, s.Cfg.SeedBase)
-				sums[i] = campaign.Summarize(r.RunBudget(faults, campaign.ModeExhaustive, 0, s.budget))
+				res, _ := r.RunCampaign(campaign.RunSpec{Faults: faults, Mode: campaign.ModeExhaustive, Budget: s.budget})
+				sums[i] = campaign.Summarize(res)
 			}(i, w)
 		}
 		wg.Wait()

@@ -11,20 +11,21 @@
 //   - ModeAVGI: stop at the first deviation or at the structure's
 //     effective-residency-time window, whichever is first (Insight 3).
 //
-// All modes share the same checkpointing acceleration, selected by the
-// runner's ForkPolicy. The default (ForkCursor) exploits the cycle-sorted
-// fault list and contiguous worker chunks: each worker's pooled machine is
-// a golden cursor advancing monotonically once through its chunk's cycle
-// span, re-arming a worker-local snapshot at each injection cycle via
-// dirty-delta copies and rewinding from it after the faulty run — golden
-// replay is amortized to once per chunk and per-fault copy cost scales
-// with the fault window's write footprint, not the machine size.
-// ForkSnapshot records interval checkpoints along the golden run into a
-// shared read-only ckpt.Store and rewinds a pooled scratch machine to the
-// nearest checkpoint per fault (re-simulating up to one interval);
-// ForkLegacyClone keeps the original flow — a per-worker golden "mother"
-// machine with a deep clone per fault. All three are proven byte-identical
-// by differential tests; the non-default policies exist as baselines.
+// All modes share one fault path. How a faulty run is forked off the
+// golden prefix follows from the machine shape (Runner.Cores), never from
+// a user: a single-core campaign exploits the cycle-sorted fault list and
+// contiguous worker chunks — each worker's pooled machine is a golden
+// cursor advancing monotonically once through its chunk's cycle span,
+// re-arming a worker-local snapshot at each injection cycle via dirty-delta
+// copies and rewinding from it after the faulty run, so golden replay is
+// amortized to once per chunk and per-fault copy cost scales with the fault
+// window's write footprint, not the machine size (runCursor; the shared
+// ckpt.Store of interval checkpoints serves only the cursor's initial
+// seek). A cluster campaign advances a per-worker golden cluster and
+// deep-clones it per fault (runCluster). Both end in the same
+// injectAndObserve call. The cursor is proven byte-identical to a serial
+// clone-per-fault reference kept in the package's tests (see
+// docs/CHECKPOINTING.md).
 package campaign
 
 import (
@@ -67,34 +68,6 @@ func (m Mode) String() string {
 		return "avgi"
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// ForkPolicy selects how a faulty run is forked off the golden prefix.
-type ForkPolicy uint8
-
-const (
-	// ForkCursor (the default) advances each worker's pooled machine
-	// monotonically once through its chunk's cycle span, re-arming a
-	// worker-local snapshot per fault with dirty-delta copies.
-	ForkCursor ForkPolicy = iota
-	// ForkSnapshot seeks a shared interval checkpoint and rewinds a
-	// pooled scratch machine in place per fault.
-	ForkSnapshot
-	// ForkLegacyClone deep-copies a per-worker mother machine per fault
-	// (the pre-checkpoint-subsystem flow, kept as a baseline).
-	ForkLegacyClone
-)
-
-func (p ForkPolicy) String() string {
-	switch p {
-	case ForkCursor:
-		return "cursor"
-	case ForkSnapshot:
-		return "snapshot"
-	case ForkLegacyClone:
-		return "clone"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
 // Runaway guard for faulty runs: a corrupted machine can livelock (e.g. a
@@ -193,8 +166,8 @@ type Runner struct {
 	// Cores is the machine shape: 0 or 1 is the single-core Machine, >= 2
 	// the shared-L2 cluster (see cpu.NewCluster). On a cluster, fault
 	// structures carry a core prefix ("c1/RF") and faulty runs fork the
-	// whole cluster by deep clone (the cursor/checkpoint policies are
-	// single-core machinery).
+	// whole cluster by deep clone (the cursor and the checkpoint store
+	// capture single-core machine state).
 	Cores int
 
 	// Golden is the fault-free reference. On a cluster, Cycles is the
@@ -226,14 +199,6 @@ type Runner struct {
 	// machine-stat counters, and live progress events. Nil (the default)
 	// keeps the hot path entirely uninstrumented.
 	Obs *obs.Observer
-
-	// ForkPolicy selects the fork mechanism (default ForkCursor).
-	ForkPolicy ForkPolicy
-
-	// CheckpointInterval is the spacing in cycles between golden-run
-	// checkpoints under ForkCursor/ForkSnapshot; 0 derives it from the
-	// golden length (ckpt.DefaultInterval).
-	CheckpointInterval uint64
 
 	// RunawayFactor overrides DefaultRunawayFactor for the faulty-run
 	// cycle budget; 0 uses the default.
@@ -269,8 +234,8 @@ type Runner struct {
 	// campaigns ignore it.
 	EarlyExit bool
 
-	// ckptOnce lazily records the checkpoint store on first snapshot-mode
-	// Run, so legacy-only and fault-list-only uses never pay for it.
+	// ckptOnce lazily records the checkpoint store on the first single-core
+	// campaign, so cluster and fault-list-only uses never pay for it.
 	ckptOnce sync.Once
 	store    *ckpt.Store
 	pool     *ckpt.Pool
@@ -286,10 +251,11 @@ func (r *Runner) RunawayLimit() uint64 {
 	return r.Golden.Cycles*factor + RunawayGraceCycles
 }
 
-// checkpoints lazily records the shared checkpoint store and fork pool.
+// checkpoints lazily records the shared checkpoint store (spaced at
+// ckpt.DefaultInterval) and fork pool.
 func (r *Runner) checkpoints() (*ckpt.Store, *ckpt.Pool) {
 	r.ckptOnce.Do(func() {
-		r.store = ckpt.Record(r.Cfg, r.Prog, r.Golden.Cycles, r.CheckpointInterval)
+		r.store = ckpt.Record(r.Cfg, r.Prog, r.Golden.Cycles, 0)
 		r.pool = ckpt.NewPool(r.Cfg, r.Prog)
 		if r.Obs.Enabled() && r.Obs.Metrics != nil {
 			lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
@@ -340,9 +306,9 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 
 // NewRunnerCores performs the golden run for an n-core shared-L2 cluster
 // and prepares the campaign state. cores <= 1 delegates to NewRunner (the
-// single-core Machine with its full fork-policy/checkpoint machinery); a
-// cluster runner forks faults by whole-cluster clone and validates targets
-// by core-prefixed name ("c1/RF").
+// single-core Machine, forked by the golden cursor); a cluster runner forks
+// faults by whole-cluster clone and validates targets by core-prefixed name
+// ("c1/RF").
 func NewRunnerCores(cfg cpu.Config, p *asm.Program, cores int) (*Runner, error) {
 	if cores <= 1 {
 		return NewRunner(cfg, p)
@@ -517,19 +483,8 @@ func (r *Runner) assertTemporal(faults []fault.Fault) {
 // otherwise). workers <= 0 uses all CPUs. Results are returned in fault
 // list order and are deterministic regardless of worker count.
 func (r *Runner) Run(faults []fault.Fault, mode Mode, ert uint64, workers int) []Result {
-	return r.RunBudget(faults, mode, ert, NewBudget(workers))
-}
-
-// RunBudget executes a fault list like Run, but draws its workers from a
-// shared Budget instead of a private per-call count. Concurrent campaigns
-// handed the same budget interleave at chunk granularity: a campaign whose
-// tail is draining releases slots that the next campaign's dispatch loop
-// (blocked in Acquire) claims immediately. Results are identical to Run
-// with workers = budget.Cap() — each chunk is a fixed contiguous slice of
-// the (deterministic) fault list, so only scheduling changes, never
-// outcomes.
-func (r *Runner) RunBudget(faults []fault.Fault, mode Mode, ert uint64, budget *Budget) []Result {
-	return r.RunBudgetResume(faults, mode, ert, budget, nil, nil)
+	results, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: mode, Window: ert, Budget: NewBudget(workers)})
+	return results
 }
 
 // ChunkSink receives freshly completed result chunks while a campaign is
@@ -573,9 +528,7 @@ func ChunkSize(n, w int) int {
 	return (n + w - 1) / w
 }
 
-// RunSpec describes one campaign execution for RunCampaign — the
-// superset of the Run/RunBudget/RunBudgetResume parameter lists plus the
-// distributed-claim fields.
+// RunSpec describes one campaign execution for RunCampaign.
 type RunSpec struct {
 	Faults []fault.Fault
 	Mode   Mode
@@ -583,10 +536,17 @@ type RunSpec struct {
 	// (ModeAVGI only; ignored otherwise).
 	Window uint64
 	// Budget bounds this process's worker concurrency; nil runs with a
-	// private all-CPUs budget.
+	// private all-CPUs budget. Concurrent campaigns handed the same budget
+	// interleave at chunk granularity: a campaign whose tail is draining
+	// releases slots that the next campaign's dispatch loop (blocked in
+	// Acquire) claims immediately. Each chunk is a fixed contiguous slice
+	// of the (deterministic) fault list, so sharing a budget changes only
+	// scheduling, never outcomes.
 	Budget *Budget
 	// Prior maps fault-list indices to already-known Results (loaded from
 	// a journal); they are copied into the output instead of re-simulated.
+	// Chunk geometry is identical to a from-scratch run, so a resumed
+	// campaign's results are byte-identical to an uninterrupted one.
 	Prior map[int]Result
 	// Sink, when non-nil, is notified after each chunk of fresh simulation.
 	Sink ChunkSink
@@ -601,37 +561,21 @@ type RunSpec struct {
 	Claimer ChunkClaimer
 }
 
-// RunBudgetResume executes a fault list like RunBudget, resuming a
-// partially completed campaign: prior maps fault-list indices to already
-// known Results (loaded from a journal), which are copied into the output
-// instead of re-simulated. sink, when non-nil, is notified after each
-// chunk of fresh simulation completes. Chunk geometry is identical to a
-// from-scratch run — it depends only on the list length and the budget
-// capacity — so a resumed campaign's results are byte-identical to an
-// uninterrupted one.
-//
-// Each fault is simulated under a panic guard: a panicking injection
-// yields a quarantined Result (Quarantined, Err) instead of killing the
-// process, and the panicking worker discards its possibly corrupted
-// machine state — a pooled snapshot machine is dropped rather than
-// recycled, a legacy mother machine is rebuilt from cycle 0. If more than
-// QuarantineLimit of the freshly simulated faults quarantine, the campaign
-// itself panics with an aggregated error (see DefaultQuarantineLimit).
-func (r *Runner) RunBudgetResume(faults []fault.Fault, mode Mode, ert uint64, budget *Budget, prior map[int]Result, sink ChunkSink) []Result {
-	results, _ := r.RunCampaign(RunSpec{
-		Faults: faults, Mode: mode, Window: ert,
-		Budget: budget, Prior: prior, Sink: sink,
-	})
-	return results
-}
-
 // RunCampaign executes a campaign described by spec — the full-generality
-// entry point underlying Run/RunBudget/RunBudgetResume, and the one the
-// distributed layer drives directly. The second return value counts the
+// entry point underlying Run, and the one the study scheduler and the
+// distributed layer drive directly. The second return value counts the
 // faults skipped because spec.Claimer refused their chunks (another
 // process owns them); their Result slots hold whatever spec.Prior knew, or
 // the zero Result. A distributed driver treats skipped > 0 as "not my
 // work, not finished either" and reloads the journal for the rest.
+//
+// Each fault is simulated under a panic guard: a panicking injection
+// yields a quarantined Result (Quarantined, Err) instead of killing the
+// process, and the panicking worker discards its possibly corrupted
+// machine state — the pooled cursor machine is dropped rather than
+// recycled, a cluster mother is rebuilt from cycle 0. If more than
+// QuarantineLimit of the freshly simulated faults quarantine, the campaign
+// itself panics with an aggregated error (see DefaultQuarantineLimit).
 func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int) {
 	faults, mode, ert, prior, sink := spec.Faults, spec.Mode, spec.Window, spec.Prior, spec.Sink
 	results = make([]Result, len(faults))
@@ -653,15 +597,15 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	ro := r.newRunObs(faults, mode, prior)
 	var store *ckpt.Store
 	var pool *ckpt.Pool
-	if r.Cores <= 1 && r.ForkPolicy != ForkLegacyClone {
+	if r.Cores <= 1 {
 		store, pool = r.checkpoints()
 	}
-	// Contiguous chunks keep each worker's forks advancing monotonically
-	// through its cycle-sorted slice (and, under ForkLegacyClone, its
-	// mother machine strictly forward). Chunk geometry depends only on the
-	// list length and the planned worker count — never on timing — which
-	// is what keeps results byte-identical under any interleaving, across
-	// resumed runs, and across the processes of a distributed campaign.
+	// Contiguous chunks keep each worker's cursor (or cluster mother)
+	// advancing monotonically through its cycle-sorted slice. Chunk
+	// geometry depends only on the list length and the planned worker
+	// count — never on timing — which is what keeps results byte-identical
+	// under any interleaving, across resumed runs, and across the processes
+	// of a distributed campaign.
 	chunk := ChunkSize(len(faults), plan)
 	var skipped [][2]int
 	var wg sync.WaitGroup
@@ -704,7 +648,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		go func(lo, hi int, release func(bool)) {
 			defer wg.Done()
 			defer budget.Release()
-			w := r.newWorker(mode, ert, store, pool, ro)
+			w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool}
 			defer w.close()
 			if ro == nil {
 				for i := lo; i < hi; i++ {
@@ -816,38 +760,40 @@ func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped
 		q, fresh, limit*100, strings.Join(sample, "; ")))
 }
 
-// forkMeta is the per-fault fork telemetry. Under ForkSnapshot, seekCycles
-// is the checkpoint-to-injection re-simulation distance; under ForkCursor,
-// advCycles is the golden distance the cursor advanced for this fault
-// (amortized replay), deltaBytes the volume moved by the dirty-delta
-// snapshot/restore pair, fullSync marks faults that paid a full capture
-// (first fault after a cursor (re)build), and batched marks faults that
-// reused the previous fault's snapshot outright (same injection cycle, no
-// cursor advance, so the restored machine already matches it). Zero under
-// ForkLegacyClone. earlyExit/cyclesSaved carry the window-oracle outcome
-// regardless of policy.
-type forkMeta struct {
-	restored   bool
-	seekCycles uint64
-	cowPages   uint64
-
-	cursor     bool
-	advCycles  uint64
-	deltaBytes uint64
-	fullSync   bool
-	batched    bool
-
+// winMeta is the per-fault window-oracle telemetry: whether the early-exit
+// oracle ended the faulty window, and an estimate of the cycles it saved
+// against the full ERT horizon (capped at the golden halt — a converged
+// machine replays the golden run, so it could never have run further).
+type winMeta struct {
 	earlyExit   bool
 	cyclesSaved uint64
 }
 
-// worker is one dispatch goroutine's simulation state: under
-// ForkCursor/ForkSnapshot a pooled scratch machine rewound per fault,
-// under ForkLegacyClone a golden "mother" machine advancing monotonically
-// and deep-cloned per fault. Machines are acquired lazily so a quarantined
-// worker can discard its poisoned state and transparently pick up a fresh
-// machine for the next fault. The comparator is allocated once per worker
-// and reset per fault.
+// forkMeta is the per-fault fork telemetry of the cursor flow: advCycles
+// is the golden distance the cursor advanced for this fault (amortized
+// replay), deltaBytes the volume moved by the dirty-delta snapshot/restore
+// pair, cowPages the RAM pages the faulty run privatized, fullSync marks
+// faults that paid a full capture (first fault after a cursor (re)build),
+// and batched marks faults that reused the previous fault's snapshot
+// outright (same injection cycle, no cursor advance, so the restored
+// machine already matches it). All zero for cluster faults, which fork by
+// clone.
+type forkMeta struct {
+	cowPages   uint64
+	advCycles  uint64
+	deltaBytes uint64
+	fullSync   bool
+	batched    bool
+	winMeta
+}
+
+// worker is one dispatch goroutine's simulation state: on a single-core
+// runner a pooled machine playing the golden cursor, on a cluster runner a
+// golden "mother" cluster advancing monotonically and deep-cloned per
+// fault. Machines are acquired lazily so a quarantined worker can discard
+// its poisoned state and transparently pick up a fresh machine for the
+// next fault. The comparator is allocated once per worker and reset per
+// fault.
 type worker struct {
 	r     *Runner
 	mode  Mode
@@ -856,20 +802,13 @@ type worker struct {
 	store *ckpt.Store
 	pool  *ckpt.Pool
 
-	m        *cpu.Machine  // ForkCursor/ForkSnapshot: pooled scratch machine
-	mother   *cpu.Machine  // ForkLegacyClone: golden-prefix machine
-	motherCl *cpu.Cluster  // cluster campaigns: golden-prefix cluster
-	csnap    *cpu.Snapshot // ForkCursor: worker-local fault-point snapshot
+	m        *cpu.Machine  // single-core: the pooled golden cursor
+	csnap    *cpu.Snapshot // single-core: worker-local fault-point snapshot
+	motherCl *cpu.Cluster  // cluster: golden-prefix cluster
 	cmp      trace.Comparator
 }
 
-func (r *Runner) newWorker(mode Mode, ert uint64, store *ckpt.Store, pool *ckpt.Pool, ro *runObs) *worker {
-	w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool}
-	w.cmp.Golden = r.Golden.Trace
-	return w
-}
-
-// close recycles the worker's scratch machine. A machine discarded by
+// close recycles the worker's cursor machine. A machine discarded by
 // quarantine is nil here and never re-enters the pool.
 func (w *worker) close() {
 	if w.m != nil {
@@ -879,20 +818,19 @@ func (w *worker) close() {
 }
 
 // discard drops all machine state after a recovered panic: the pooled
-// scratch machine must not be recycled (its invariants may be violated in
-// ways a Restore cannot repair — Restore trusts buffer geometry), a cursor
-// worker's local snapshot may have been captured from the poisoned machine
-// and is dropped with it, and the legacy mother is rebuilt from cycle 0 on
+// cursor machine must not be recycled (its invariants may be violated in
+// ways a Restore cannot repair — Restore trusts buffer geometry), the
+// worker-local snapshot may have been captured from the poisoned machine
+// and is dropped with it, and a cluster mother is rebuilt from cycle 0 on
 // the next fault.
 func (w *worker) discard() {
 	w.m = nil
-	w.mother = nil
-	w.motherCl = nil
 	w.csnap = nil
+	w.motherCl = nil
 }
 
 // runGuarded simulates one fault under the panic guard, converting a panic
-// into a quarantined Result.
+// into a quarantined Result. The fork flow follows from the machine shape.
 func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm forkMeta) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -902,34 +840,18 @@ func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm fork
 			w.discard()
 		}
 	}()
-	res, delta, fm = w.run(f)
-	return
-}
-
-// run simulates one fault under the runner's fork policy.
-func (w *worker) run(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	if w.r.Cores > 1 {
-		// Clusters always fork by whole-cluster clone: the cursor and
-		// checkpoint subsystems capture single-core machine state.
 		return w.runCluster(f)
 	}
-	switch w.r.ForkPolicy {
-	case ForkSnapshot:
-		return w.runSnapshot(f)
-	case ForkLegacyClone:
-		return w.runLegacy(f)
-	default:
-		return w.runCursor(f)
-	}
+	return w.runCursor(f)
 }
 
-// runCursor is the golden-cursor flow: the worker's pooled machine plays
-// the golden run monotonically once across its chunk's cycle span. Per
-// fault it advances to the injection cycle, re-arms the worker-local
-// snapshot with a dirty-delta capture, runs the faulty simulation, and
-// rewinds with a dirty-delta restore — two in-place copies of the fault
-// window's write footprint replace the full-image restore plus up to one
-// interval of golden re-simulation that ForkSnapshot pays per fault.
+// runCursor is the single-core golden-cursor flow: the worker's pooled
+// machine plays the golden run monotonically once across its chunk's cycle
+// span. Per fault it advances to the injection cycle, re-arms the
+// worker-local snapshot with a dirty-delta capture, runs the faulty
+// simulation, and rewinds with a dirty-delta restore — two in-place copies
+// of the fault window's write footprint are the whole per-fault fork cost.
 func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	r := w.r
 	if w.m == nil {
@@ -971,71 +893,33 @@ func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 		batched = true
 	}
 	cowBase := m.Mem.RAM.CowPrivatized()
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
+	res, delta, wm := r.injectAndObserve(m.Run, m, m.Target(f.Structure), f.Structure,
+		r.Golden.Trace, f, w.mode, w.ert, &w.cmp)
 	cow := m.Mem.RAM.CowPrivatized() - cowBase
 	deltaBytes += m.SyncRestore(w.csnap)
 	return res, delta, forkMeta{
-		restored:    true,
-		cowPages:    cow,
-		cursor:      true,
-		advCycles:   adv,
-		deltaBytes:  deltaBytes,
-		fullSync:    fullSync,
-		batched:     batched,
-		earlyExit:   wm.earlyExit,
-		cyclesSaved: wm.cyclesSaved,
+		cowPages:   cow,
+		advCycles:  adv,
+		deltaBytes: deltaBytes,
+		fullSync:   fullSync,
+		batched:    batched,
+		winMeta:    wm,
 	}
 }
 
-// runSnapshot is the shared-checkpoint flow: seek the nearest checkpoint
-// at or before the injection cycle, rewind the pooled scratch machine in
-// place, and re-simulate at most one interval.
-func (w *worker) runSnapshot(f fault.Fault) (Result, cpu.Stats, forkMeta) {
-	r := w.r
-	if w.m == nil {
-		m, reused := w.pool.Get()
-		w.m = m
-		w.ro.poolGet(reused)
-	}
-	m := w.m
-	snap, dist := w.store.Seek(f.Cycle)
-	m.Restore(snap)
-	cowBase := m.Mem.RAM.CowPrivatized()
-	if dist > 0 && m.Status() == cpu.StatusRunning {
-		m.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
-	}
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{
-		restored:    true,
-		seekCycles:  dist,
-		cowPages:    m.Mem.RAM.CowPrivatized() - cowBase,
-		earlyExit:   wm.earlyExit,
-		cyclesSaved: wm.cyclesSaved,
-	}
-}
-
-// runLegacy is the original flow: a private mother machine advances to
-// each injection cycle and is deep-cloned per fault.
-func (w *worker) runLegacy(f fault.Fault) (Result, cpu.Stats, forkMeta) {
-	r := w.r
-	if w.mother == nil {
-		w.mother = cpu.New(r.Cfg, r.Prog)
-	}
-	mother := w.mother
-	if mother.Cycle() < f.Cycle && mother.Status() == cpu.StatusRunning {
-		mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
-	}
-	m := mother.Clone()
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{earlyExit: wm.earlyExit, cyclesSaved: wm.cyclesSaved}
-}
-
-// runCluster is the multi-core flow, shaped like runLegacy: a per-worker
-// golden mother cluster advances monotonically through the chunk's
-// cycle-sorted faults and is deep-cloned per fault (the shared memory spine
-// is cloned once per fault, every core rebound onto it).
+// runCluster is the multi-core flow: a per-worker golden mother cluster
+// advances monotonically through the chunk's cycle-sorted faults and is
+// deep-cloned per fault (the shared memory spine is cloned once per fault,
+// every core rebound onto it). The structure name carries the injected
+// core's prefix ("c1/RF"); the commit comparator watches that core against
+// its own golden trace.
 func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	r := w.r
+	core, base, ok := cpu.SplitCoreTarget(f.Structure)
+	if !ok || core >= r.Cores {
+		panic(fmt.Sprintf("campaign: cluster fault structure %q needs a c<k>/ prefix with k < %d",
+			f.Structure, r.Cores))
+	}
 	if w.motherCl == nil {
 		w.motherCl = cpu.NewCluster(r.Cfg, r.Prog, r.Cores)
 	}
@@ -1044,29 +928,29 @@ func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 		mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
 	}
 	cl := mother.Clone()
-	res, delta := r.injectAndObserveCluster(cl, f, w.mode, w.ert, &w.cmp)
+	m := cl.Core(core)
+	res, delta, _ := r.injectAndObserve(cl.Run, m, m.Target(base), base,
+		r.CoreGolden[core].Trace, f, w.mode, w.ert, &w.cmp)
 	return res, delta, forkMeta{}
 }
 
-// winMeta is the per-fault window-oracle telemetry: whether the early-exit
-// oracle ended the faulty window, and an estimate of the cycles it saved
-// against the full ERT horizon (capped at the golden halt — a converged
-// machine replays the golden run, so it could never have run further).
-type winMeta struct {
-	earlyExit   bool
-	cyclesSaved uint64
-}
-
-// injectAndObserve flips the fault's bits on a machine positioned at the
-// injection cycle and observes the outcome under mode — the half of the
-// per-fault flow shared by all fork policies. cmp is the caller's
-// comparator, reset and rearmed here so a worker allocates one comparator
-// for its whole chunk instead of one per fault. The second return value is
-// the faulty run's own contribution to the machine statistics (post-fork
-// delta), consumed by the telemetry layer.
-func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
+// injectAndObserve is the one routine that flips a fault's bits and
+// classifies the outcome, for single-core and cluster campaigns alike. The
+// caller has positioned the machine at the injection cycle and passes what
+// differs between the shapes as plain arguments: run advances the whole
+// machine (Machine.Run or Cluster.Run — the final-output classification
+// compares everything run returns, which is exactly what lets a fault in
+// c0's shared L2 lines manifest as an SDC or escape in c1's section of a
+// cluster's output); m is the injected core, tg the resolved target, base
+// its structure name without a core prefix, and golden that core's golden
+// commit trace. cmp is the caller's comparator, re-aimed, reset and
+// rearmed here so a worker allocates one comparator for its whole chunk
+// instead of one per fault. The second return value is the injected core's
+// own contribution to the machine statistics (post-fork delta), consumed
+// by the telemetry layer.
+func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Machine, tg cpu.Target, base string,
+	golden []trace.Record, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
 	statsAtFork := m.Stats
-	tg := m.Target(f.Structure)
 	if tg == nil {
 		panic("campaign: unknown structure " + f.Structure)
 	}
@@ -1088,16 +972,21 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	// sync snapshots before, restores after) never observes one. Under
 	// the early-exit oracle every ModeAVGI fault is probed (one probe
 	// serves both the oracle and, when sampled, forensics attribution).
+	// Cluster campaigns ignore EarlyExit — the oracle is proven against the
+	// single-core golden state only; extending it is a change to this one
+	// routine.
 	forens := r.forensicsOn(f)
-	oracle := r.EarlyExit && mode == ModeAVGI
+	oracle := r.EarlyExit && mode == ModeAVGI && r.Cores <= 1
 	var probe *cpu.FaultProbe
 	if forens || oracle {
-		probe = m.ArmProbe(f.Structure, f.Bit, int(width))
+		probe = m.ArmProbe(base, f.Bit, int(width))
 	}
 	if oracle && probe != nil {
 		probe.EnableConvergenceStop()
 	}
 
+	// Reset keeps the Golden slice, so re-aim first.
+	cmp.Golden = golden
 	cmp.Reset()
 	cmp.StartAt(int(m.Stats.Commits))
 	switch mode {
@@ -1108,7 +997,7 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		cmp.StopCycle = f.Cycle + ert
 	}
 	m.SetSink(cmp)
-	res := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
+	res := run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
 
 	var wm winMeta
 	if oracle && res.Status == cpu.StatusStopped && !cmp.Stopped() {
@@ -1196,107 +1085,9 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	return out, statsDelta(m.Stats, statsAtFork), wm
 }
 
-// injectAndObserveCluster is injectAndObserve for a cluster fault: the
-// structure name carries the injected core's prefix ("c1/RF"), the commit
-// comparator watches the injected core against that core's own golden
-// trace, and the final-output classification compares the whole cluster's
-// concatenated output — which is exactly what lets a fault in c0's shared
-// L2 lines manifest as an SDC or escape in c1's section of the output.
-func (r *Runner) injectAndObserveCluster(cl *cpu.Cluster, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats) {
-	core, base, ok := cpu.SplitCoreTarget(f.Structure)
-	if !ok || core >= cl.Cores() {
-		panic(fmt.Sprintf("campaign: cluster fault structure %q needs a c<k>/ prefix with k < %d",
-			f.Structure, cl.Cores()))
-	}
-	m := cl.Core(core)
-	statsAtFork := m.Stats
-	tg := cl.Target(f.Structure)
-	if tg == nil {
-		panic("campaign: unknown structure " + f.Structure)
-	}
-	width := uint64(f.Bits())
-	if f.Bit+width > tg.BitCount() {
-		panic(fmt.Sprintf("campaign: fault %s wraps past the end of %s (%d bits)",
-			f, f.Structure, tg.BitCount()))
-	}
-	for i := uint64(0); i < width; i++ {
-		tg.FlipBit(f.Bit + i)
-	}
-	var probe *cpu.FaultProbe
-	if r.forensicsOn(f) {
-		probe = m.ArmProbe(base, f.Bit, int(width))
-	}
-
-	// The worker's one comparator is re-aimed at the injected core's golden
-	// trace; Reset keeps the Golden slice, so re-aim first.
-	cmp.Golden = r.CoreGolden[core].Trace
-	cmp.Reset()
-	cmp.StartAt(int(m.Stats.Commits))
-	switch mode {
-	case ModeHVF:
-		cmp.StopAtFirst = true
-	case ModeAVGI:
-		cmp.StopAtFirst = true
-		cmp.StopCycle = f.Cycle + ert
-	}
-	cl.SetSink(core, cmp)
-	res := cl.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
-
-	crashed := res.Status == cpu.StatusCrashed || res.Status == cpu.StatusCycleLimit
-	produced := res.Status == cpu.StatusHalted
-	matches := produced && bytes.Equal(res.Output, r.Golden.Output)
-
-	out := Result{
-		Fault:     f,
-		SimCycles: res.Cycles - f.Cycle,
-		Crash:     res.Crash,
-		Runaway:   res.Status == cpu.StatusCycleLimit,
-	}
-	switch {
-	case cmp.Dev.Kind != trace.DevNone:
-		out.Manifested = true
-		if cmp.Dev.Cycle > f.Cycle {
-			out.ManifestLatency = cmp.Dev.Cycle - f.Cycle
-		}
-		out.IMM = imm.Classify(imm.Inputs{Dev: cmp.Dev, Variant: r.Cfg.Variant})
-	case res.Status == cpu.StatusStopped:
-		out.IMM = imm.Benign
-	default:
-		out.IMM = imm.Classify(imm.Inputs{
-			Crashed:        crashed,
-			OutputProduced: produced,
-			OutputMatches:  matches,
-		})
-		if out.IMM == imm.PRE {
-			out.Manifested = true
-			out.ManifestLatency = res.Cycles - f.Cycle
-		}
-	}
-	if mode == ModeExhaustive {
-		out.Effect = imm.FinalEffect(crashed, produced, matches)
-		out.HasEffect = true
-	}
-	if probe != nil {
-		m.ClearProbe()
-		oc := forensics.Outcome{
-			Visible:         out.Manifested,
-			ManifestLatency: out.ManifestLatency,
-			Dev:             cmp.Dev,
-		}
-		if out.IMM == imm.ESC {
-			oc.Visible = true
-			oc.Escaped = true
-			oc.ManifestLatency = out.SimCycles
-		}
-		rec := forensics.Attribute(probe.Facts(), oc)
-		out.Forensics = &rec
-	}
-	return out, statsDelta(m.Stats, statsAtFork)
-}
-
 // forensicsOn reports whether this fault is in the forensics sample. The
 // stride keys off the fault's stable ID, so the sampled set is identical
-// across resumes, fork policies and worker layouts.
+// across resumes, machine shapes and worker layouts.
 func (r *Runner) forensicsOn(f fault.Fault) bool {
 	if r.Forensics == nil {
 		return false

@@ -9,16 +9,36 @@ import (
 	"avgi/internal/fault"
 	"avgi/internal/imm"
 	"avgi/internal/obs"
-	"avgi/internal/prog"
+	"avgi/internal/trace"
 )
 
-// TestForkPolicyDifferential is the correctness bar of the fork-path
-// machinery at the campaign level: the same fault lists run through the
-// cursor path, the snapshot path and the legacy clone path must produce
-// bit-identical results — IMM labels, final effects, manifestation
-// latencies, simulated cycles and crash kinds — on a ≥500-fault RF+L1D
-// campaign, on both machine variants.
-func TestForkPolicyDifferential(t *testing.T) {
+// referenceRun is the obviously-right fault flow the cursor is proven
+// against: one fresh mother machine advanced monotonically through the
+// cycle-sorted list, a deep Clone() per fault, then the production
+// inject/observe routine — serial, no checkpoint store, no pool, no delta
+// sync, no chunking.
+func referenceRun(r *Runner, faults []fault.Fault, mode Mode, ert uint64) []Result {
+	mother := cpu.New(r.Cfg, r.Prog)
+	var cmp trace.Comparator
+	out := make([]Result, len(faults))
+	for i, f := range faults {
+		if mother.Cycle() < f.Cycle && mother.Status() == cpu.StatusRunning {
+			mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
+		}
+		m := mother.Clone()
+		out[i], _, _ = r.injectAndObserve(m.Run, m, m.Target(f.Structure), f.Structure,
+			r.Golden.Trace, f, mode, ert, &cmp)
+	}
+	return out
+}
+
+// TestCursorDifferential is the correctness bar of the fork-path machinery
+// at the campaign level: the same fault lists run through the production
+// cursor path and the clone-per-fault reference must produce bit-identical
+// results — IMM labels, final effects, manifestation latencies, simulated
+// cycles and crash kinds — on a ≥500-fault RF+L1D campaign, on both machine
+// variants.
+func TestCursorDifferential(t *testing.T) {
 	perStructure := 256
 	if testing.Short() {
 		perStructure = 40
@@ -27,27 +47,15 @@ func TestForkPolicyDifferential(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			w, err := prog.ByName("sha")
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewRunner(cfg, w.Build(cfg.Variant))
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newTestRunner(t, cfg, "sha")
 			for _, structure := range []string{"RF", "L1D (Data)"} {
 				faults := r.FaultList(structure, perStructure, 7)
-
-				r.ForkPolicy = ForkLegacyClone
-				legacy := r.Run(faults, ModeExhaustive, 0, 4)
-				for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot} {
-					r.ForkPolicy = policy
-					got := r.Run(faults, ModeExhaustive, 0, 4)
-					for i := range got {
-						if got[i] != legacy[i] {
-							t.Fatalf("%s fault %d diverged under %v:\n  %v %+v\n  clone %+v",
-								structure, i, policy, policy, got[i], legacy[i])
-						}
+				want := referenceRun(r, faults, ModeExhaustive, 0)
+				got := r.Run(faults, ModeExhaustive, 0, 4)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s fault %d diverged:\n  cursor    %+v\n  reference %+v",
+							structure, i, got[i], want[i])
 					}
 				}
 			}
@@ -55,11 +63,11 @@ func TestForkPolicyDifferential(t *testing.T) {
 	}
 }
 
-// TestForkPolicyDifferentialAVGIMode repeats the three-way differential
-// check under the windowed AVGI mode, whose early stops are the most
-// timing-sensitive consumers of the restored state, and under HVF mode,
-// whose stop-at-first-deviation exits mid-window.
-func TestForkPolicyDifferentialAVGIMode(t *testing.T) {
+// TestCursorDifferentialAVGIMode repeats the differential check under the
+// windowed AVGI mode, whose early stops are the most timing-sensitive
+// consumers of the restored state, and under HVF mode, whose
+// stop-at-first-deviation exits mid-window.
+func TestCursorDifferentialAVGIMode(t *testing.T) {
 	r := shaRunner(t)
 	for _, tc := range []struct {
 		mode Mode
@@ -69,47 +77,42 @@ func TestForkPolicyDifferentialAVGIMode(t *testing.T) {
 		{ModeHVF, 0},
 	} {
 		faults := r.FaultList("RF", 60, 3)
-		r.ForkPolicy = ForkLegacyClone
-		legacy := r.Run(faults, tc.mode, tc.ert, 4)
-		for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot} {
-			r.ForkPolicy = policy
-			got := r.Run(faults, tc.mode, tc.ert, 4)
-			for i := range got {
-				if got[i] != legacy[i] {
-					t.Fatalf("%v fault %d diverged under %v: %+v vs clone %+v",
-						tc.mode, i, policy, got[i], legacy[i])
-				}
+		want := referenceRun(r, faults, tc.mode, tc.ert)
+		got := r.Run(faults, tc.mode, tc.ert, 4)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v fault %d diverged: cursor %+v vs reference %+v",
+					tc.mode, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestForkCursorResumeDifferential proves the cursor path stays
-// byte-identical to the legacy clone path across a journal-style resume:
-// prior results covering a whole chunk, chunk heads and scattered
-// mid-chunk faults are handed to RunBudgetResume, so cursor workers skip
-// arbitrary faults inside their chunks, and every freshly simulated result
-// must still equal the uninterrupted clone campaign's.
-func TestForkCursorResumeDifferential(t *testing.T) {
+// TestCursorDifferentialResume proves the cursor path stays byte-identical
+// to the reference across a journal-style resume: prior results covering a
+// whole chunk, chunk heads and scattered mid-chunk faults are handed to
+// RunCampaign, so cursor workers skip arbitrary faults inside their chunks,
+// and every freshly simulated result must still equal the uninterrupted
+// reference campaign's.
+func TestCursorDifferentialResume(t *testing.T) {
 	r := shaRunner(t)
 	faults := r.FaultList("RF", 64, 11)
-	r.ForkPolicy = ForkLegacyClone
-	legacy := r.Run(faults, ModeAVGI, 2000, 4)
+	want := referenceRun(r, faults, ModeAVGI, 2000)
 
-	r.ForkPolicy = ForkCursor
 	// 64 faults / 4 workers = 16-fault chunks: indices 0-15 cover chunk 0
 	// entirely (the allPrior fast path); i%5 scatters holes through the
 	// remaining chunks.
 	prior := make(map[int]Result)
 	for i := range faults {
 		if i < 16 || i%5 == 0 {
-			prior[i] = legacy[i]
+			prior[i] = want[i]
 		}
 	}
-	resumed := r.RunBudgetResume(faults, ModeAVGI, 2000, NewBudget(4), prior, nil)
+	resumed, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: ModeAVGI, Window: 2000,
+		Budget: NewBudget(4), Prior: prior})
 	for i := range resumed {
-		if resumed[i] != legacy[i] {
-			t.Fatalf("fault %d diverged after resume: %+v vs clone %+v", i, resumed[i], legacy[i])
+		if resumed[i] != want[i] {
+			t.Fatalf("fault %d diverged after resume: %+v vs reference %+v", i, resumed[i], want[i])
 		}
 	}
 }
@@ -213,46 +216,17 @@ func TestAssertTemporalRejectsOutOfPopulation(t *testing.T) {
 	r.assertTemporal([]fault.Fault{{Cycle: 1}, {Cycle: 100}})
 }
 
-func TestCheckpointIntervalConfig(t *testing.T) {
-	r := shaRunner(t)
-	r.CheckpointInterval = 2000
-	faults := r.FaultList("RF", 8, 1)
-	r.Run(faults, ModeHVF, 0, 2)
-	if r.store == nil || r.store.Interval() != 2000 {
-		t.Fatalf("store interval = %v, want 2000", r.store.Interval())
-	}
-	want := int(r.Golden.Cycles/2000) + 1
-	if r.store.Count() != want {
-		t.Errorf("checkpoints = %d, want %d", r.store.Count(), want)
-	}
-}
-
-// TestCkptMetricsPublished drives an observed snapshot-mode campaign and
-// checks the checkpoint telemetry lands in the registry.
+// TestCkptMetricsPublished drives an observed campaign and checks the
+// checkpoint-store, pool and copy-on-write telemetry lands in the registry.
 func TestCkptMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
 	r.Obs = obs.New(io.Discard)
-	// Pin the snapshot policy: its per-fault seek/restore accounting is
-	// what this test asserts (the cursor path seeks once per worker).
-	r.ForkPolicy = ForkSnapshot
 
 	const n = 32
 	faults := r.FaultList("RF", n, 1)
 	r.Run(faults, ModeExhaustive, 0, 4)
 
 	lb := map[string]string{"structure": "RF", "workload": "sha", "mode": "exhaustive"}
-	restores := r.Obs.Metrics.Counter("avgi_ckpt_restores_total", "", lb).Value()
-	if restores != n {
-		t.Errorf("restores_total = %d, want %d", restores, n)
-	}
-	var wantSeek uint64
-	for _, f := range faults {
-		_, dist := r.store.Seek(f.Cycle)
-		wantSeek += dist
-	}
-	if got := r.Obs.Metrics.Counter("avgi_ckpt_seek_cycles_total", "", lb).Value(); got != wantSeek {
-		t.Errorf("seek_cycles_total = %d, want %d", got, wantSeek)
-	}
 	if got := r.Obs.Metrics.Counter("avgi_ckpt_cow_pages_total", "", lb).Value(); got == 0 {
 		t.Error("cow_pages_total = 0; faulty runs never privatized a page")
 	}

@@ -105,7 +105,8 @@ func TestEarlyExitJournalResume(t *testing.T) {
 			prior[i] = base[i]
 		}
 	}
-	resumed := r.RunBudgetResume(faults, ModeAVGI, 2000, NewBudget(4), prior, nil)
+	resumed, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: ModeAVGI, Window: 2000,
+		Budget: NewBudget(4), Prior: prior})
 	for i := range resumed {
 		if resumed[i] != base[i] {
 			t.Fatalf("fault %d diverged after resume: %+v vs %+v", i, resumed[i], base[i])
@@ -237,7 +238,6 @@ func TestEarlyExitMetricsPublished(t *testing.T) {
 func TestCursorBatchingSameCycle(t *testing.T) {
 	r := shaRunner(t)
 	r.Obs = obs.New(io.Discard)
-	r.ForkPolicy = ForkCursor
 
 	cyc := r.FaultList("RF", 1, 5)[0].Cycle
 	faults := make([]fault.Fault, 6)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"testing"
 
 	"avgi/internal/cpu"
@@ -12,9 +13,13 @@ import (
 // attribution, the cause counts must partition the campaign total, and the
 // visible cause must coincide exactly with the architectural verdict.
 func TestForensicsCoverageAndPartition(t *testing.T) {
-	r := shaRunner(t)
-	for _, structure := range []string{"RF", "ROB", "LQ", "SQ", "L1D (Data)", "L1D (Tag)", "DTLB"} {
+	single, cluster := shaRunner(t), shaClusterRunner(t, 2)
+	for _, structure := range []string{"RF", "ROB", "LQ", "SQ", "L1D (Data)", "L1D (Tag)", "DTLB", "c0/L2 (Data)"} {
 		t.Run(structure, func(t *testing.T) {
+			r := single
+			if _, _, ok := cpu.SplitCoreTarget(structure); ok {
+				r = cluster
+			}
 			ex := forensics.NewExplorer()
 			r.Forensics = ex
 			r.ForensicsSample = 1
@@ -87,31 +92,33 @@ func TestForensicsSampleStride(t *testing.T) {
 }
 
 // With forensics off the results must be byte-identical to a forensics-on
-// campaign with the attribution stripped, across fork policies: the probe
-// is observation-only and the nil path is untouched.
-func TestForensicsDifferentialAcrossForkPolicies(t *testing.T) {
+// campaign with the attribution stripped — the probe is observation-only
+// and the nil path is untouched — and the attribution records themselves
+// must be identical between the cursor and the clone-per-fault reference.
+func TestCursorDifferentialForensics(t *testing.T) {
 	r := shaRunner(t)
 	fs := r.FaultList("RF", 30, 5)
-	for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot, ForkLegacyClone} {
-		r.ForkPolicy = policy
-		base := r.Run(fs, ModeExhaustive, 0, 2)
+	base := r.Run(fs, ModeExhaustive, 0, 2)
+	if want := referenceRun(r, fs, ModeExhaustive, 0); !reflect.DeepEqual(base, want) {
+		t.Fatal("forensics-off cursor results diverge from the reference")
+	}
 
-		r.Forensics = forensics.NewExplorer()
-		r.ForensicsSample = 1
-		probed := r.Run(fs, ModeExhaustive, 0, 2)
-		r.Forensics = nil
-		r.ForensicsSample = 0
+	r.Forensics = forensics.NewExplorer()
+	r.ForensicsSample = 1
+	probed := r.Run(fs, ModeExhaustive, 0, 2)
+	want := referenceRun(r, fs, ModeExhaustive, 0)
 
-		for i := range base {
-			stripped := probed[i]
-			stripped.Forensics = nil
-			if stripped != base[i] {
-				t.Errorf("policy %v fault %d: results differ\noff: %+v\non:  %+v",
-					policy, i, base[i], probed[i])
-			}
+	for i := range base {
+		if !reflect.DeepEqual(probed[i], want[i]) {
+			t.Errorf("fault %d: forensics-on results differ\ncursor:    %+v\nreference: %+v",
+				i, probed[i], want[i])
+		}
+		stripped := probed[i]
+		stripped.Forensics = nil
+		if stripped != base[i] {
+			t.Errorf("fault %d: results differ\noff: %+v\non:  %+v", i, base[i], probed[i])
 		}
 	}
-	r.ForkPolicy = ForkCursor
 }
 
 // ESC faults (corruption escaping through a dirty line without a commit

@@ -38,17 +38,12 @@ type structAgg struct {
 	exhCycles   uint64
 	stats       cpu.Stats
 
-	// Checkpoint telemetry (ForkCursor/ForkSnapshot runs).
-	restores   uint64
-	seekCycles uint64
+	// Cursor telemetry (single-core runs; zero on clusters).
 	cowPages   uint64
-
-	// Cursor telemetry (ForkCursor runs only).
-	cursorFaults uint64
-	advCycles    uint64
-	deltaBytes   uint64
-	fullSyncs    uint64
-	batched      uint64
+	advCycles  uint64
+	deltaBytes uint64
+	fullSyncs  uint64
+	batched    uint64
 
 	// Window-oracle telemetry (EarlyExit ModeAVGI runs).
 	earlyExits  uint64
@@ -191,21 +186,14 @@ func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result,
 	exh := ro.exhaustiveEstimate(f, res)
 	a.exhCycles += exh
 	addStats(&a.stats, delta)
-	if fm.restored {
-		a.restores++
-		a.seekCycles += fm.seekCycles
-		a.cowPages += fm.cowPages
+	a.cowPages += fm.cowPages
+	a.advCycles += fm.advCycles
+	a.deltaBytes += fm.deltaBytes
+	if fm.fullSync {
+		a.fullSyncs++
 	}
-	if fm.cursor {
-		a.cursorFaults++
-		a.advCycles += fm.advCycles
-		a.deltaBytes += fm.deltaBytes
-		if fm.fullSync {
-			a.fullSyncs++
-		}
-		if fm.batched {
-			a.batched++
-		}
+	if fm.batched {
+		a.batched++
 	}
 	if fm.earlyExit {
 		a.earlyExits++
@@ -274,10 +262,7 @@ func (ro *runObs) merge(local map[string]*structAgg) {
 		dst.simCycles += a.simCycles
 		dst.exhCycles += a.exhCycles
 		addStats(&dst.stats, a.stats)
-		dst.restores += a.restores
-		dst.seekCycles += a.seekCycles
 		dst.cowPages += a.cowPages
-		dst.cursorFaults += a.cursorFaults
 		dst.advCycles += a.advCycles
 		dst.deltaBytes += a.deltaBytes
 		dst.fullSyncs += a.fullSyncs
@@ -326,15 +311,11 @@ func (ro *runObs) finish() {
 			reg.Counter("avgi_flips_masked_total",
 				"bit flips masked at the injection site (free queue slots)", fl).Add(a.stats.FlipsMasked)
 
-			if a.restores > 0 {
-				reg.Counter("avgi_ckpt_restores_total",
-					"scratch-machine rewinds from checkpoint snapshots", lb).Add(a.restores)
-				reg.Counter("avgi_ckpt_seek_cycles_total",
-					"cycles re-simulated between seeked checkpoint and injection", lb).Add(a.seekCycles)
+			// The cursor series exist for faults the cursor actually forked:
+			// single-core, and not quarantined before reaching it.
+			if ro.r.Cores <= 1 && a.faults > a.quarantined {
 				reg.Counter("avgi_ckpt_cow_pages_total",
 					"RAM pages privatized copy-on-write by forked runs", lb).Add(a.cowPages)
-			}
-			if a.cursorFaults > 0 {
 				reg.Counter("avgi_cursor_advance_cycles_total",
 					"golden cycles worker cursors advanced (replay amortized to once per chunk)", lb).Add(a.advCycles)
 				reg.Counter("avgi_cursor_delta_bytes_total",

@@ -24,21 +24,29 @@ func poisonFault(r *Runner, structure string, cycle uint64) fault.Fault {
 	}
 }
 
-// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee under
-// all three fork policies: one panicking fault yields a quarantined Result
-// and a completed campaign, and every other result is byte-identical to a
-// campaign without the poisoned fault.
+// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee on
+// both machine shapes: one panicking fault yields a quarantined Result and
+// a completed campaign, and every other result is byte-identical to a
+// campaign without the poisoned fault — the worker's cursor machine (or
+// cluster mother) is discarded, and the next fault on that worker still
+// classifies as in a clean run.
 func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
-	for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot, ForkLegacyClone} {
-		t.Run(policy.String(), func(t *testing.T) {
-			r := newTestRunner(t, cpu.ConfigA72(), "sha")
-			r.ForkPolicy = policy
-			faults := r.FaultList("RF", 30, 5)
+	for _, tc := range []struct {
+		name      string
+		runner    func(*testing.T) *Runner
+		structure string
+	}{
+		{"cursor", shaRunner, "RF"},
+		{"cluster", func(t *testing.T) *Runner { return shaClusterRunner(t, 2) }, "c1/RF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.runner(t)
+			faults := r.FaultList(tc.structure, 30, 5)
 			clean := r.Run(faults, ModeHVF, 0, 2)
 
 			// Insert the poison mid-list so the same worker chunk
 			// continues past the panic.
-			poison := poisonFault(r, "RF", r.Golden.Cycles/2)
+			poison := poisonFault(r, tc.structure, r.Golden.Cycles/2)
 			mixed := make([]fault.Fault, 0, len(faults)+1)
 			mixed = append(mixed, faults[:15]...)
 			mixed = append(mixed, poison)
@@ -67,11 +75,9 @@ func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
 	}
 }
 
-// TestQuarantineDiscardsPooledMachine checks that a quarantined snapshot
-// worker does not recycle its machine: the fault after the poison on the
-// same worker must still classify exactly as in a clean campaign (proven
-// byte-identically above), and the campaign telemetry must report the
-// quarantine.
+// TestQuarantineTelemetry checks that the campaign telemetry reports the
+// quarantine (that the worker does not recycle its poisoned machine is
+// proven byte-identically above).
 func TestQuarantineTelemetry(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
 	o := obs.New(nil)
@@ -130,12 +136,12 @@ func TestQuarantineLimitDisabled(t *testing.T) {
 	}
 }
 
-// TestRunBudgetNoObserverSnapshotRace drives the fully uninstrumented
-// RunBudget path (nil *runObs) of a ForkSnapshot campaign with several
-// workers — the hot path the telemetry layer promises to leave untouched —
-// and checks determinism across runs. The verify recipe runs this package
-// under -race, which is the actual point of the test.
-func TestRunBudgetNoObserverSnapshotRace(t *testing.T) {
+// TestRunNoObserverRace drives the fully uninstrumented campaign path (nil
+// *runObs) with several workers — the hot path the telemetry layer
+// promises to leave untouched — and checks determinism across runs. The
+// verify recipe runs this package under -race, which is the actual point
+// of the test.
+func TestRunNoObserverRace(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "sha")
 	if r.Obs.Enabled() {
 		t.Fatal("runner must have no observer for this test")
@@ -144,7 +150,7 @@ func TestRunBudgetNoObserverSnapshotRace(t *testing.T) {
 	res1 := r.Run(faults, ModeAVGI, 500, 4)
 	res2 := r.Run(faults, ModeAVGI, 500, 4)
 	if !reflect.DeepEqual(res1, res2) {
-		t.Error("uninstrumented snapshot campaign is not deterministic")
+		t.Error("uninstrumented campaign is not deterministic")
 	}
 	for i, res := range res1 {
 		if res.Quarantined {

@@ -156,17 +156,17 @@ func TestBudgetCarveNoStarvation(t *testing.T) {
 	big.Release()
 }
 
-// TestRunBudgetCarvedByteIdentical runs a campaign under a carved tenant
+// TestRunCampaignCarvedByteIdentical runs a campaign under a carved tenant
 // budget and checks results are byte-identical to a plain serial run —
 // chunk geometry follows the carved cap, and geometry never changes
 // outcomes.
-func TestRunBudgetCarvedByteIdentical(t *testing.T) {
+func TestRunCampaignCarvedByteIdentical(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
 	faults := r.FaultList("RF", 24, 5)
 	serial := r.Run(faults, ModeHVF, 0, 1)
 	global := NewBudget(4)
 	carved := global.Carve(2)
-	got := r.RunBudget(faults, ModeHVF, 0, carved)
+	got, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: ModeHVF, Budget: carved})
 	if !reflect.DeepEqual(serial, got) {
 		t.Error("carved-budget results diverge from serial execution")
 	}
@@ -175,12 +175,12 @@ func TestRunBudgetCarvedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBudgetSharedAcrossCampaigns drives two campaigns of one runner
+// TestRunCampaignSharedBudget drives two campaigns of one runner
 // concurrently through a single shared budget and checks both that the
 // combined worker count never exceeds the budget and that results are
 // byte-identical to plain serial Run calls — the determinism guarantee the
 // study scheduler relies on.
-func TestRunBudgetSharedAcrossCampaigns(t *testing.T) {
+func TestRunCampaignSharedBudget(t *testing.T) {
 	cfg := cpu.ConfigA72()
 	r := newTestRunner(t, cfg, "sha")
 	rf := r.FaultList("RF", 40, 3)
@@ -193,18 +193,18 @@ func TestRunBudgetSharedAcrossCampaigns(t *testing.T) {
 	var concRF, concROB []Result
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); concRF = r.RunBudget(rf, ModeHVF, 0, b) }()
-	go func() { defer wg.Done(); concROB = r.RunBudget(rob, ModeHVF, 0, b) }()
+	go func() { defer wg.Done(); concRF, _ = r.RunCampaign(RunSpec{Faults: rf, Mode: ModeHVF, Budget: b}) }()
+	go func() { defer wg.Done(); concROB, _ = r.RunCampaign(RunSpec{Faults: rob, Mode: ModeHVF, Budget: b}) }()
 	wg.Wait()
 
 	if b.InUse() != 0 {
 		t.Errorf("budget not drained: %d in use", b.InUse())
 	}
 	if !reflect.DeepEqual(serialRF, concRF) {
-		t.Error("RF results diverge between serial Run and shared-budget RunBudget")
+		t.Error("RF results diverge between serial Run and the shared-budget campaign")
 	}
 	if !reflect.DeepEqual(serialROB, concROB) {
-		t.Error("ROB results diverge between serial Run and shared-budget RunBudget")
+		t.Error("ROB results diverge between serial Run and the shared-budget campaign")
 	}
 }
 
@@ -253,6 +253,5 @@ func TestInjectWrappingFaultPanics(t *testing.T) {
 		}
 	}()
 	var cmp trace.Comparator
-	cmp.Golden = r.Golden.Trace
-	r.injectAndObserve(m, wrap, ModeHVF, 0, &cmp)
+	r.injectAndObserve(m.Run, m, m.Target("RF"), "RF", r.Golden.Trace, wrap, ModeHVF, 0, &cmp)
 }

@@ -1,16 +1,19 @@
 // Package ckpt is the checkpoint subsystem of the fault-injection campaign:
 // a read-only Store of interval snapshots recorded along the golden run,
-// and a Pool of reusable scratch machines that workers rewind per fault.
+// and a Pool of reusable machines that campaign workers play the golden
+// cursor on.
 //
 // Together they replace the clone-everything fork model: instead of every
 // worker advancing a private "mother" machine from cycle 0 and deep-copying
 // it per fault, the golden prefix is simulated once while recording a
-// snapshot every Interval cycles; each worker then seeks to the nearest
-// checkpoint at or before a fault's injection cycle, restores a pooled
-// scratch machine in place, and re-simulates at most Interval-1 cycles.
-// This is the checkpoint-accelerated flow of the paper's Section IV.B,
-// where campaign throughput comes from cheap fork/restore rather than
-// faithful per-fault machine construction.
+// snapshot every Interval cycles; each worker then seeks the nearest
+// checkpoint at or before its chunk's first injection cycle, restores a
+// pooled machine in place (re-simulating at most Interval-1 cycles), and
+// from there forks every fault of the chunk off that one machine with
+// dirty-delta copies (campaign's golden cursor). This is the
+// checkpoint-accelerated flow of the paper's Section IV.B, where campaign
+// throughput comes from cheap fork/restore rather than faithful per-fault
+// machine construction.
 package ckpt
 
 import (
@@ -128,8 +131,7 @@ func (p *Pool) Get() (m *cpu.Machine, reused bool) {
 }
 
 // Put returns a machine to the pool for reuse. Delta tracking is switched
-// off so the next user — possibly a different fork policy — never inherits
-// a stale sync lineage.
+// off so the next user never inherits a stale sync lineage.
 func (p *Pool) Put(m *cpu.Machine) {
 	m.SetSink(nil)
 	m.EndDeltaTracking()

@@ -1,7 +1,9 @@
 // Package cliflags holds the flag set and startup helpers shared by the
-// avgi and avgisim commands: campaign tuning (fork policy, checkpoint
-// interval, worker budget), telemetry (progress, metrics endpoint,
-// forensics, log format), durable journalling, and pprof profile capture.
+// avgi and avgisim commands: campaign tuning (worker budget, early exit),
+// telemetry (progress, metrics endpoint, forensics, log format), durable
+// journalling, distributed-fleet membership, and pprof profile capture.
+// How a fault is forked off the golden run is not tunable: it follows from
+// the machine shape (see package campaign).
 // Each command registers these once and adds its own tool-specific flags on
 // top, so the two CLIs cannot drift apart in spelling, defaults or help
 // text for the options they share.
@@ -15,16 +17,13 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"avgi/internal/campaign"
 	"avgi/internal/journal"
 )
 
 // Common is the flag state shared by both commands, populated by Register
 // and read after flag.Parse.
 type Common struct {
-	Fork         string
-	CkptInterval uint64
-	Workers      int
+	Workers int
 
 	CPUProfile string
 	MemProfile string
@@ -53,10 +52,6 @@ type Common struct {
 // all CPUs (0), the avgisim single-shot tool wants 1.
 func Register(fs *flag.FlagSet, workersDefault int) *Common {
 	c := &Common{}
-	fs.StringVar(&c.Fork, "fork", "cursor",
-		"per-fault fork policy: cursor (golden cursor + dirty-delta), snapshot (checkpoint store) or clone (legacy deep copy)")
-	fs.Uint64Var(&c.CkptInterval, "ckpt-interval", 0,
-		"checkpoint spacing in cycles for the cursor/snapshot fork policies (0 = derive from golden length)")
 	fs.IntVar(&c.Workers, "workers", workersDefault,
 		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
 
@@ -189,19 +184,6 @@ func (s *Server) ValidateDist() error {
 		return nil
 	}
 	return fmt.Errorf("unknown -dist-role %q (want coordinator or worker)", s.DistRole)
-}
-
-// ForkPolicy resolves the -fork flag.
-func (c *Common) ForkPolicy() (campaign.ForkPolicy, error) {
-	switch c.Fork {
-	case "cursor":
-		return campaign.ForkCursor, nil
-	case "snapshot":
-		return campaign.ForkSnapshot, nil
-	case "clone":
-		return campaign.ForkLegacyClone, nil
-	}
-	return 0, fmt.Errorf("unknown -fork policy %q (want cursor, snapshot or clone)", c.Fork)
 }
 
 // StartProfiles begins CPU profiling and arms a heap-profile dump per the

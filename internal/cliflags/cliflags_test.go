@@ -2,10 +2,11 @@ package cliflags
 
 import (
 	"flag"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
-
-	"avgi/internal/campaign"
 )
 
 func TestRegisterDefaultsAndParse(t *testing.T) {
@@ -14,43 +15,66 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fork != "cursor" || c.Workers != 3 || c.Log != "text" {
+	if c.Workers != 3 || c.Log != "text" || !c.EarlyExit {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	c = Register(fs, 0)
 	err := fs.Parse([]string{
-		"-fork", "snapshot", "-ckpt-interval", "5000", "-workers", "8",
+		"-workers", "8",
 		"-journal", "/tmp/j", "-resume", "-progress",
 		"-metrics-addr", "localhost:9090", "-forensics", "-log", "json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fork != "snapshot" || c.CkptInterval != 5000 || c.Workers != 8 ||
+	if c.Workers != 8 ||
 		c.Journal != "/tmp/j" || !c.Resume || !c.Progress ||
 		c.MetricsAddr != "localhost:9090" || !c.Forensics || c.Log != "json" {
 		t.Fatalf("parsed values wrong: %+v", c)
 	}
 }
 
-func TestForkPolicy(t *testing.T) {
-	cases := map[string]campaign.ForkPolicy{
-		"cursor":   campaign.ForkCursor,
-		"snapshot": campaign.ForkSnapshot,
-		"clone":    campaign.ForkLegacyClone,
-	}
-	for name, want := range cases {
-		c := &Common{Fork: name}
-		got, err := c.ForkPolicy()
-		if err != nil || got != want {
-			t.Errorf("ForkPolicy(%q) = %v, %v", name, got, err)
+// The fork mechanism follows from the machine shape; the flags that used
+// to select it are gone, not ignored.
+func TestForkFlagsRemoved(t *testing.T) {
+	for _, args := range [][]string{{"-fork", "x"}, {"-ckpt-interval", "1"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs, 0)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("Parse(%v) = %v, want \"flag provided but not defined\"", args, err)
 		}
 	}
-	c := &Common{Fork: "bogus"}
-	if _, err := c.ForkPolicy(); err == nil {
-		t.Error("bogus fork policy accepted")
+}
+
+// TestFlagNamesPinned pins the exact flag surface of both registrars, so
+// adding (or dropping) a knob is a visible one-line diff in review.
+func TestFlagNamesPinned(t *testing.T) {
+	names := func(register func(*flag.FlagSet)) []string {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		register(fs)
+		var out []string
+		fs.VisitAll(func(f *flag.Flag) { out = append(out, f.Name) }) // sorted by name
+		return out
+	}
+	common := names(func(fs *flag.FlagSet) { Register(fs, 0) })
+	if want := []string{
+		"coordinator", "cpuprofile", "dist-owner", "dist-role", "early-exit",
+		"forensics", "fsync", "journal", "lease-ttl", "log", "memprofile",
+		"metrics-addr", "progress", "resume", "workers",
+	}; !reflect.DeepEqual(common, want) {
+		t.Errorf("Register flags:\n got %q\nwant %q", common, want)
+	}
+	server := names(func(fs *flag.FlagSet) { RegisterServer(fs) })
+	if want := []string{
+		"addr", "coordinator", "dist-owner", "dist-role", "drain-timeout",
+		"fsync", "journal", "lease-ttl", "log", "shard-cache",
+		"tenant-workers", "workers",
+	}; !reflect.DeepEqual(server, want) {
+		t.Errorf("RegisterServer flags:\n got %q\nwant %q", server, want)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // the same stop conditions — in the same process, and fails the benchmark
 // if the engine path is more than 5% slower. Comparing the two paths
 // in-process makes the guard portable: it holds on any host regardless of
-// absolute speed, unlike the recorded numbers in BENCH_engine.json.
+// absolute speed (the harness's standing number is engine.run_cycle_ns,
+// bench/README.md).
 //
 //	go test -run='^$' -bench=EngineOverheadGuard ./internal/cpu/
 func BenchmarkEngineOverheadGuard(b *testing.B) {

@@ -10,7 +10,8 @@ import (
 // traversal with an integer modulo per step versus the shipped
 // increment-and-compare. The ROB is walked every cycle by dispatch,
 // writeback, commit and squash, so the div unit's latency shows up
-// directly in golden-run throughput (numbers in BENCH_faultpath.json).
+// directly in golden-run throughput (cpu.golden_ns_per_cycle.*,
+// bench/README.md).
 
 //go:noinline
 func robNextModulo(i, n int) int { return (i + 1) % n }

@@ -7,7 +7,8 @@ import "testing"
 // hit path and the fill/writeback paths are exercised. It justifies the
 // precomputed valid/dirty/tmask fields: before hoisting, every access
 // recomputed those masks by shifts in split, the hit scan, victim
-// selection and fill (before/after numbers in BENCH_faultpath.json).
+// selection and fill (standing measurement: mem.cache_access_ns,
+// bench/README.md).
 func BenchmarkCacheAccess(b *testing.B) {
 	ram := NewRAM(1 << 20)
 	lower := &RAMLevel{RAM: ram, ReadLat: 60}

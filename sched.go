@@ -176,8 +176,10 @@ type journalExec struct {
 // means a full cache hit with zero simulation.
 func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault,
 	mode Mode, window uint64, budget *campaign.Budget) (res []CampaignResult, resumed int) {
+	spec := campaign.RunSpec{Faults: faults, Mode: mode, Window: window, Budget: budget}
 	if je.journal == nil {
-		return r.RunBudget(faults, mode, window, budget), 0
+		res, _ = r.RunCampaign(spec)
+		return res, 0
 	}
 	key := journal.Key{Structure: structure, Workload: workload, Mode: mode.String(), Window: window}
 	bind := journal.Binding{
@@ -221,13 +223,15 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 			return out, len(faults)
 		}
 	}
+	spec.Prior = prior
 	w, err := je.journal.Writer(key, bind, je.resume && len(prior) > 0)
 	if err != nil {
 		je.obs.Logf("journal: %s/%s %s: %v; campaign will run unjournalled", structure, workload, mode, err)
 		if je.sched.jErrors != nil {
 			je.sched.jErrors.Inc()
 		}
-		return r.RunBudgetResume(faults, mode, window, budget, prior, nil), len(prior)
+		res, _ = r.RunCampaign(spec)
+		return res, len(prior)
 	}
 	w.SetSyncPolicy(je.sync)
 	// Surface the first I/O failure when it strikes, not at Close: a
@@ -241,8 +245,8 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 			je.sched.jErrors.Inc()
 		}
 	})
-	res = r.RunBudgetResume(faults, mode, window, budget, prior,
-		&journalSink{w: w, prior: prior, appends: je.sched.jAppends})
+	spec.Sink = &journalSink{w: w, prior: prior, appends: je.sched.jAppends}
+	res, _ = r.RunCampaign(spec)
 	if err := w.Close(); err != nil {
 		je.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", structure, workload, mode, err)
 	}

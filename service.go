@@ -334,6 +334,9 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 			return
 		}
 		r.Obs = s.Cfg.Obs
+		// Same window oracle as both CLIs: a fleet mixing avgid and avgi
+		// workers must merge shards with identical SimCycles.
+		r.EarlyExit = true
 		slot.r = r
 	})
 	return slot.r, slot.err

@@ -2,6 +2,7 @@ package avgi
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -76,6 +77,36 @@ func TestServiceSequentialHitByteIdentical(t *testing.T) {
 	if hits := counterValue(t, s.Cfg.Obs.Metrics, "avgi_server_requests_total",
 		map[string]string{"tenant": "default", "outcome": "hit"}); hits != 1 {
 		t.Errorf("hit counter = %d, want 1", hits)
+	}
+}
+
+// TestServiceAVGIMatchesEarlyExitRunner pins the service to the same
+// window oracle as both CLIs: a cold AVGI answer must equal, field for
+// field, Runner.Run with EarlyExit on for the same faults — otherwise a
+// fleet mixing avgid and avgi workers merges shards whose SimCycles differ
+// from a single-process run.
+func TestServiceAVGIMatchesEarlyExitRunner(t *testing.T) {
+	req := svcRequest()
+	req.Mode, req.Window = "avgi", 2000
+	resp, err := newTestService(t, "").Assess(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewRunner(ConfigA72(), req.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := r.FaultList(req.Structure, req.Faults, req.Seed)
+	full := r.Run(faults, ModeAVGI, req.Window, 4)
+	r.EarlyExit = true
+	want := r.Run(faults, ModeAVGI, req.Window, 4)
+	if reflect.DeepEqual(full, want) {
+		t.Fatal("no fault in the sample exits early; the comparison proves nothing")
+	}
+	if !reflect.DeepEqual(resp.Result.Results, want) {
+		t.Errorf("service AVGI results diverge from the EarlyExit runner:\n got %+v\nwant %+v",
+			resp.Result.Results, want)
 	}
 }
 

@@ -126,7 +126,8 @@ func TestServiceShardCacheEviction(t *testing.T) {
 
 // benchAssessHit measures the repeat-request latency of one service tier:
 // the decoded-shard memory LRU versus the journal (disk read + NDJSON
-// decode per hit). BENCH_distributed.json records the ratio.
+// decode per hit). The harness measures both tiers on every run
+// (service.assess_hit_us / service.assess_journal_hit_ms, bench/README.md).
 func benchAssessHit(b *testing.B, cacheEntries int) {
 	s, err := NewService(ServiceConfig{
 		Workers: 4, JournalDir: b.TempDir(), ShardCacheEntries: cacheEntries,

@@ -35,14 +35,6 @@ type StudyConfig struct {
 	// docs/OBSERVABILITY.md.
 	Obs *Observer
 
-	// ForkPolicy selects the per-fault fork mechanism for every campaign
-	// in the study (default ForkSnapshot; see docs/CHECKPOINTING.md).
-	ForkPolicy ForkPolicy
-
-	// CheckpointInterval is the golden-run checkpoint spacing in cycles
-	// under ForkSnapshot; 0 derives it from each workload's golden length.
-	CheckpointInterval uint64
-
 	// JournalDir, when non-empty, enables the durable result journal:
 	// every campaign appends its completed per-fault Results as NDJSON
 	// shards under this directory, fsynced per chunk, so a killed study
@@ -158,8 +150,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 			return nil, fmt.Errorf("study: %s: %w", w.Name, err)
 		}
 		r.Obs = cfg.Obs
-		r.ForkPolicy = cfg.ForkPolicy
-		r.CheckpointInterval = cfg.CheckpointInterval
 		r.Forensics = cfg.Forensics
 		r.ForensicsSample = cfg.ForensicsSample
 		r.EarlyExit = cfg.EarlyExit
