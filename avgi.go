@@ -28,7 +28,9 @@
 package avgi
 
 import (
+	"fmt"
 	"io"
+	"strings"
 
 	"avgi/internal/ace"
 	"avgi/internal/archinj"
@@ -271,5 +273,27 @@ func NewObserver(logw io.Writer) *Observer { return obs.New(logw) }
 // are not one of the twelve Table II fault targets.
 func ValidateStructure(name string) error { return cpu.ValidateStructure(name) }
 
-// validateStructure keeps the historical internal name.
-func validateStructure(name string) error { return cpu.ValidateStructure(name) }
+// ParseMode resolves a campaign mode name (exhaustive, hvf or avgi, any
+// case) and checks the window rule that goes with it: an ERT stop window is
+// required in avgi mode and meaningless in the other two. The avgi CLI and
+// the assessment service both validate through here.
+func ParseMode(name string, window uint64) (Mode, error) {
+	var mode Mode
+	switch strings.ToLower(name) {
+	case "exhaustive":
+		mode = ModeExhaustive
+	case "hvf":
+		mode = ModeHVF
+	case "avgi":
+		mode = ModeAVGI
+	default:
+		return 0, fmt.Errorf("unknown mode %q (want exhaustive, hvf or avgi)", name)
+	}
+	if mode == ModeAVGI && window == 0 {
+		return 0, fmt.Errorf("mode avgi requires a nonzero window")
+	}
+	if mode != ModeAVGI && window != 0 {
+		return 0, fmt.Errorf("window is only meaningful in mode avgi")
+	}
+	return mode, nil
+}

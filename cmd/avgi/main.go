@@ -60,7 +60,7 @@ var (
 	flagForensicsSample = flag.Int("forensics-sample", 1, "with -forensics: probe every Nth fault by fault ID (1 = all)")
 
 	// Shared campaign/telemetry/profiling flags (see internal/cliflags).
-	common = cliflags.Register(flag.CommandLine, 0)
+	common = cliflags.RegisterCampaign(flag.CommandLine)
 )
 
 // logger carries harness diagnostics to stderr per -log; set in main
@@ -470,22 +470,9 @@ func run(cmd string, w io.Writer, obsv *avgi.Observer) error {
 // journal; whichever chunks each one simulates, the merged results and the
 // printed table are byte-identical.
 func runCampaignCmd(st *avgi.Study, w io.Writer) error {
-	var mode avgi.Mode
-	switch strings.ToLower(*flagMode) {
-	case "exhaustive":
-		mode = avgi.ModeExhaustive
-	case "hvf":
-		mode = avgi.ModeHVF
-	case "avgi":
-		mode = avgi.ModeAVGI
-	default:
-		return fmt.Errorf("unknown -mode %q (want exhaustive, hvf or avgi)", *flagMode)
-	}
-	if mode == avgi.ModeAVGI && *flagWindow == 0 {
-		return fmt.Errorf("-mode avgi requires -window CYCLES")
-	}
-	if mode != avgi.ModeAVGI && *flagWindow != 0 {
-		return fmt.Errorf("-window is only meaningful with -mode avgi")
+	mode, err := avgi.ParseMode(*flagMode, *flagWindow)
+	if err != nil {
+		return fmt.Errorf("-mode/-window: %w", err)
 	}
 	structures := selectedStructures()
 	workloads := st.WorkloadNames()

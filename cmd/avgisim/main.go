@@ -50,8 +50,8 @@ var (
 	flagStats   = flag.Bool("stats", false, "print pipeline and memory-system counters (single-core only)")
 	flagRunAsm  = flag.Bool("s", false, "treat the argument as an assembly source file (.s) instead of a workload name")
 
-	// Shared campaign/telemetry/profiling flags (see internal/cliflags).
-	common = cliflags.Register(flag.CommandLine, 1)
+	// Shared telemetry/journal/profiling flags (see internal/cliflags).
+	common = cliflags.Register(flag.CommandLine)
 )
 
 // logger carries diagnostics to stderr per -log; set in main before any use.
@@ -67,10 +67,6 @@ func main() {
 	logger, err = clilog.New(os.Stderr, "avgisim", common.Log)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "avgisim:", err)
-		os.Exit(2)
-	}
-	if common.DistRole != "" {
-		logger.Error("-dist-role: avgisim runs one targeted fault; distribution applies to campaigns (use avgi or avgid)")
 		os.Exit(2)
 	}
 	if _, err := common.SyncPolicy(); err != nil {
@@ -266,7 +262,7 @@ func run(name string, obsv *avgi.Observer) error {
 // is keyed like a one-fault exhaustive campaign of the study scheduler.
 func injectJournalled(r *avgi.Runner, f fault.Fault, workload string, cfg avgi.MachineConfig) (campaign.Result, error) {
 	run := func() campaign.Result {
-		return r.Run([]fault.Fault{f}, campaign.ModeExhaustive, 0, common.Workers)[0]
+		return r.Run([]fault.Fault{f}, campaign.ModeExhaustive, 0, 1)[0]
 	}
 	if common.Journal == "" {
 		if common.Resume {

@@ -1,7 +1,8 @@
 // Package cliflags holds the flag set and startup helpers shared by the
-// avgi and avgisim commands: campaign tuning (worker budget, early exit),
-// telemetry (progress, metrics endpoint, forensics, log format), durable
-// journalling, distributed-fleet membership, and pprof profile capture.
+// avgi and avgisim commands: early exit, telemetry (progress, metrics
+// endpoint, forensics, log format), durable journalling and pprof profile
+// capture for both; the worker budget and distributed-fleet membership for
+// avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
 // the machine shape (see package campaign).
 // Each command registers these once and adds its own tool-specific flags on
@@ -21,7 +22,8 @@ import (
 )
 
 // Common is the flag state shared by both commands, populated by Register
-// and read after flag.Parse.
+// (RegisterCampaign also fills Workers and the Dist* cluster) and read after
+// flag.Parse.
 type Common struct {
 	Workers int
 
@@ -46,15 +48,12 @@ type Common struct {
 	EarlyExit bool
 }
 
-// Register installs the shared flags on fs (normally flag.CommandLine) and
-// returns the struct they populate. workersDefault is the one shared flag
-// whose default legitimately differs per tool: the avgi study harness wants
-// all CPUs (0), the avgisim single-shot tool wants 1.
-func Register(fs *flag.FlagSet, workersDefault int) *Common {
+// Register installs on fs (normally flag.CommandLine) the flags both batch
+// tools honour and returns the struct they populate. avgisim stops here: it
+// runs one targeted fault, so a worker budget and fleet membership would be
+// flags it could only ignore or reject.
+func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", workersDefault,
-		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
-
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the run to this file (see docs/OBSERVABILITY.md)")
 	fs.StringVar(&c.MemProfile, "memprofile", "",
@@ -67,9 +66,6 @@ func Register(fs *flag.FlagSet, workersDefault int) *Common {
 	fs.StringVar(&c.Fsync, "fsync", "chunk",
 		"journal shard fsync cadence: chunk (default, per completed chunk), every (per fault result; the distributed-worker setting) or off (flush only; see docs/ROBUSTNESS.md)")
 
-	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,
-		"\"\" (single process) or worker (join a distributed fleet sharding this run's campaigns; -workers then means the fleet-wide count and -journal must point at the shared journal directory, see docs/DISTRIBUTED.md)")
-
 	fs.BoolVar(&c.Progress, "progress", false,
 		"print live campaign progress lines to stderr")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
@@ -81,6 +77,17 @@ func Register(fs *flag.FlagSet, workersDefault int) *Common {
 		"end AVGI faulty windows as soon as the fault is provably dead (classification-identical; -early-exit=false forces full ERT windows, see docs/PERFORMANCE.md)")
 	fs.StringVar(&c.Log, "log", "text",
 		"stderr log format: text (classic prefixed lines) or json")
+	return c
+}
+
+// RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
+// the worker budget and the distributed-fleet cluster.
+func RegisterCampaign(fs *flag.FlagSet) *Common {
+	c := Register(fs)
+	fs.IntVar(&c.Workers, "workers", 0,
+		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
+	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,
+		"\"\" (single process) or worker (join a distributed fleet sharding this run's campaigns; -workers then means the fleet-wide count and -journal must point at the shared journal directory, see docs/DISTRIBUTED.md)")
 	return c
 }
 
@@ -154,8 +161,8 @@ func (s *Server) SyncPolicy() (journal.SyncPolicy, error) {
 	return journal.ParseSyncPolicy(s.Fsync)
 }
 
-// ValidateDist checks the batch tools' distributed flag cluster: the only
-// legal role is worker, and distribution needs the shared journal.
+// ValidateDist checks cmd/avgi's distributed flag cluster: the only legal
+// role is worker, and distribution needs the shared journal.
 func (c *Common) ValidateDist() error {
 	switch c.DistRole {
 	case "":
@@ -166,7 +173,7 @@ func (c *Common) ValidateDist() error {
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown -dist-role %q (batch tools support only worker)", c.DistRole)
+	return fmt.Errorf("unknown -dist-role %q (avgi supports only worker)", c.DistRole)
 }
 
 // ValidateDist checks the server's distributed flag cluster.

@@ -11,16 +11,16 @@ import (
 
 func TestRegisterDefaultsAndParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, 3)
+	c := Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 3 || c.Log != "text" || !c.EarlyExit {
+	if c.Log != "text" || !c.EarlyExit || c.Fsync != "chunk" {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	c = Register(fs, 0)
+	c = RegisterCampaign(fs)
 	err := fs.Parse([]string{
 		"-workers", "8",
 		"-journal", "/tmp/j", "-resume", "-progress",
@@ -42,7 +42,7 @@ func TestForkFlagsRemoved(t *testing.T) {
 	for _, args := range [][]string{{"-fork", "x"}, {"-ckpt-interval", "1"}} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		Register(fs, 0)
+		RegisterCampaign(fs)
 		err := fs.Parse(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("Parse(%v) = %v, want \"flag provided but not defined\"", args, err)
@@ -50,8 +50,9 @@ func TestForkFlagsRemoved(t *testing.T) {
 	}
 }
 
-// TestFlagNamesPinned pins the exact flag surface of both registrars, so
-// adding (or dropping) a knob is a visible one-line diff in review.
+// TestFlagNamesPinned pins the exact flag surface of the three registrars,
+// so adding (or dropping) a knob is a visible one-line diff in review.
+// Register is all avgisim shares: it has no -workers and no fleet flags.
 func TestFlagNamesPinned(t *testing.T) {
 	names := func(register func(*flag.FlagSet)) []string {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -60,13 +61,20 @@ func TestFlagNamesPinned(t *testing.T) {
 		fs.VisitAll(func(f *flag.Flag) { out = append(out, f.Name) }) // sorted by name
 		return out
 	}
-	common := names(func(fs *flag.FlagSet) { Register(fs, 0) })
+	both := names(func(fs *flag.FlagSet) { Register(fs) })
+	if want := []string{
+		"cpuprofile", "early-exit", "forensics", "fsync", "journal", "log",
+		"memprofile", "metrics-addr", "progress", "resume",
+	}; !reflect.DeepEqual(both, want) {
+		t.Errorf("Register flags:\n got %q\nwant %q", both, want)
+	}
+	campaign := names(func(fs *flag.FlagSet) { RegisterCampaign(fs) })
 	if want := []string{
 		"coordinator", "cpuprofile", "dist-owner", "dist-role", "early-exit",
 		"forensics", "fsync", "journal", "lease-ttl", "log", "memprofile",
 		"metrics-addr", "progress", "resume", "workers",
-	}; !reflect.DeepEqual(common, want) {
-		t.Errorf("Register flags:\n got %q\nwant %q", common, want)
+	}; !reflect.DeepEqual(campaign, want) {
+		t.Errorf("RegisterCampaign flags:\n got %q\nwant %q", campaign, want)
 	}
 	server := names(func(fs *flag.FlagSet) { RegisterServer(fs) })
 	if want := []string{

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"avgi/internal/asm"
 	"avgi/internal/campaign"
 	"avgi/internal/cpu"
 	"avgi/internal/imm"
@@ -219,6 +220,39 @@ func TestAVFFromEffects(t *testing.T) {
 	}
 	if (AVFFromEffects(campaign.Summary{})) != (AVF{}) {
 		t.Error("empty AVF")
+	}
+}
+
+// TestAssessResultsBitExact: the phase-4 sums add the classes in a fixed
+// order, so the same results give the same AVF to the last bit. The three
+// per-class terms are chosen so that the order of addition shows.
+func TestAssessResultsBitExact(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	if (a+b)+c == a+(b+c) {
+		t.Fatal("terms do not expose the order of addition")
+	}
+	est := &Estimator{
+		Weights: &Weights{P: map[string]map[imm.IMM]EffectProbs{"RF": {
+			imm.IFC: {a, 1 - a, 0},
+			imm.DCR: {b, 0, 1 - b},
+			imm.PRE: {c, 1 - c, 0},
+		}}},
+		ESC: &ESCModel{},
+	}
+	r := &campaign.Runner{Prog: &asm.Program{Name: "fixed"}}
+	results := []campaign.Result{{IMM: imm.IFC}, {IMM: imm.DCR}, {IMM: imm.PRE}}
+
+	want := est.AssessResults(r, "RF", results, 0).AVF
+	if want.Masked != ((a+b)+c)/3 {
+		t.Errorf("Masked = %v, want the classes summed in imm.Classes order", want.Masked)
+	}
+	for i := 0; i < 200; i++ {
+		got := est.AssessResults(r, "RF", results, 0).AVF
+		if math.Float64bits(got.Masked) != math.Float64bits(want.Masked) ||
+			math.Float64bits(got.SDC) != math.Float64bits(want.SDC) ||
+			math.Float64bits(got.Crash) != math.Float64bits(want.Crash) {
+			t.Fatalf("call %d: AVF %+v, first call gave %+v", i, got, want)
+		}
 	}
 }
 

@@ -105,24 +105,14 @@ type Assessment struct {
 // final AVF (phase 5).
 func (e *Estimator) Assess(r *campaign.Runner, structure string, n int, seedBase int64, workers int) Assessment {
 	faults := r.FaultList(structure, n, seedBase)
-	window := e.windowFor(structure, r.Golden.Cycles)
+	window := e.WindowFor(structure, r.Golden.Cycles)
 	results := r.Run(faults, campaign.ModeAVGI, window, workers)
-	return e.assessResults(r, structure, results, window)
-}
-
-// AssessResults applies phases 4 and 5 to already-simulated AVGI results
-// (used when the caller wants the raw results too).
-func (e *Estimator) AssessResults(r *campaign.Runner, structure string, results []campaign.Result, window uint64) Assessment {
-	return e.assessResults(r, structure, results, window)
+	return e.AssessResults(r, structure, results, window)
 }
 
 // WindowFor resolves the ERT stop window for a structure on a workload
 // with the given golden length.
 func (e *Estimator) WindowFor(structure string, goldenCycles uint64) uint64 {
-	return e.windowFor(structure, goldenCycles)
-}
-
-func (e *Estimator) windowFor(structure string, goldenCycles uint64) uint64 {
 	ert, ok := e.ERT[structure]
 	if !ok {
 		return goldenCycles // no window: degenerate to HVF
@@ -130,7 +120,9 @@ func (e *Estimator) windowFor(structure string, goldenCycles uint64) uint64 {
 	return ert.Window(goldenCycles)
 }
 
-func (e *Estimator) assessResults(r *campaign.Runner, structure string, results []campaign.Result, window uint64) Assessment {
+// AssessResults applies phases 4 and 5 to already-simulated AVGI results
+// (used when the caller wants the raw results too).
+func (e *Estimator) AssessResults(r *campaign.Runner, structure string, results []campaign.Result, window uint64) Assessment {
 	s := campaign.Summarize(results)
 	a := Assessment{
 		Structure: structure,
@@ -145,12 +137,19 @@ func (e *Estimator) assessResults(r *campaign.Runner, structure string, results 
 	}
 
 	// Phase 4: effect classification through the per-structure weights.
+	// Summed in a fixed class order, never map order: float addition is
+	// not associative, and the same results must give the same AVF bits.
 	var masked, sdc, crash float64
-	for class, count := range s.ByIMM {
+	add := func(class imm.IMM) {
+		count := float64(s.ByIMM[class])
 		p := e.Weights.Lookup(structure, class)
-		masked += float64(count) * p[imm.Masked]
-		sdc += float64(count) * p[imm.SDC]
-		crash += float64(count) * p[imm.Crash]
+		masked += count * p[imm.Masked]
+		sdc += count * p[imm.SDC]
+		crash += count * p[imm.Crash]
+	}
+	add(imm.Benign)
+	for _, class := range imm.Classes {
+		add(class)
 	}
 
 	// Phase 4b: ESC correction — a predicted share of the benign faults

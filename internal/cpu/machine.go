@@ -395,24 +395,6 @@ func (m *Machine) Name() string {
 	return m.name
 }
 
-// CaptureState implements engine.StateCapturer, mapping the machine's
-// buffer-reusing Snapshot machinery onto per-component capture. The token
-// is a *Snapshot; passing a prior token back reuses its buffers. (Cluster
-// cores share an L2 and RAM, so their capture path is the cluster-level
-// Clone, not per-component snapshots.)
-func (m *Machine) CaptureState(prior any) any {
-	var s *Snapshot
-	if prior != nil {
-		s = prior.(*Snapshot)
-	}
-	return m.Snapshot(s)
-}
-
-// RestoreState implements engine.StateCapturer.
-func (m *Machine) RestoreState(state any) {
-	m.Restore(state.(*Snapshot))
-}
-
 // Step advances the machine one clock cycle. It is a thin wrapper over Tick
 // for callers that drive the machine directly rather than through an
 // engine (tests, the campaign cursor's single-cycle seeks).

@@ -32,6 +32,70 @@ type Snapshot struct {
 	mem mem.HierarchySnap
 }
 
+// copyCore makes dst's core state equal to src's: a struct copy, so scalar
+// fields added to Machine later travel automatically, with every state
+// slice copied into dst's existing buffer — a repeated capture or rewind
+// allocates nothing beyond the rare fq regrowth. dst keeps its own Mem and
+// its own delta-tracking lineage (flag, touch lists, marks), which belong
+// to the machine object rather than to the state it holds, and ends with
+// no sink, profile (a golden-run concern) or probe (never outlives its
+// faulty run). With delta set the predictor arrays stay dst's own; the
+// caller has already moved their touched entries with copyTouched.
+//
+// This and cloneCore are the only two places that list Machine's state
+// slices; TestCoreCopySharesNoBuffers fails when a new one is in neither.
+func copyCore(dst, src *Machine, delta bool) {
+	old := *dst
+	*dst = *src
+	dst.Mem = old.Mem
+	dst.sink, dst.profile, dst.probe = nil, nil, nil
+	dst.deltaTrack = old.deltaTrack
+	dst.bimTouched, dst.bimMarked = old.bimTouched, old.bimMarked
+	dst.btbTouched, dst.btbMarked = old.btbTouched, old.btbMarked
+
+	dst.prf = append(old.prf[:0], src.prf...)
+	dst.prfReadyAt = append(old.prfReadyAt[:0], src.prfReadyAt...)
+	dst.renameMap = append(old.renameMap[:0], src.renameMap...)
+	dst.committedMap = append(old.committedMap[:0], src.committedMap...)
+	dst.freeList = append(old.freeList[:0], src.freeList...)
+	dst.rob = append(old.rob[:0], src.rob...)
+	dst.iq = append(old.iq[:0], src.iq...)
+	dst.lqs = append(old.lqs[:0], src.lqs...)
+	dst.sqs = append(old.sqs[:0], src.sqs...)
+	dst.fq = append(old.fq[:0], src.fq...)
+	dst.output = append(old.output[:0], src.output...)
+	if delta {
+		dst.bimodal, dst.btb = old.bimodal, old.btb
+	} else {
+		dst.bimodal = append(old.bimodal[:0], src.bimodal...)
+		dst.btb = append(old.btb[:0], src.btb...)
+	}
+}
+
+// checkSync panics on the two misuses of the delta-sync pair: syncing a
+// machine that is not tracking, or against a snapshot of another geometry.
+func (m *Machine) checkSync(s *Snapshot, op string) {
+	if !m.deltaTrack {
+		panic("cpu: " + op + " without BeginDeltaTracking")
+	}
+	if len(s.m.prf) != len(m.prf) || len(s.m.bimodal) != len(m.bimodal) {
+		panic("cpu: " + op + " against a snapshot of another machine")
+	}
+}
+
+// copyTouched copies from src to dst the predictor entries m — the tracking
+// machine, one of the two — has written since its last sync point, and
+// returns the bytes moved.
+func (m *Machine) copyTouched(dst, src *Machine) uint64 {
+	for _, i := range m.bimTouched {
+		dst.bimodal[i] = src.bimodal[i]
+	}
+	for _, i := range m.btbTouched {
+		dst.btb[i] = src.btb[i]
+	}
+	return uint64(len(m.bimTouched)) + uint64(len(m.btbTouched))*8
+}
+
 // Snapshot captures the machine into s, reusing its buffers when non-nil,
 // and returns it. The machine keeps running afterwards; its RAM privatizes
 // pages copy-on-write as it diverges from the capture.
@@ -40,103 +104,23 @@ func (m *Machine) Snapshot(s *Snapshot) *Snapshot {
 		s = &Snapshot{}
 	}
 	m.Mem.Snapshot(&s.mem)
-
-	// Preserve the snapshot's existing slice buffers across the struct
-	// copy so repeated captures into the same Snapshot do not allocate.
-	prf := append(s.m.prf[:0], m.prf...)
-	prfReadyAt := append(s.m.prfReadyAt[:0], m.prfReadyAt...)
-	renameMap := append(s.m.renameMap[:0], m.renameMap...)
-	committedMap := append(s.m.committedMap[:0], m.committedMap...)
-	freeList := append(s.m.freeList[:0], m.freeList...)
-	rob := append(s.m.rob[:0], m.rob...)
-	iq := append(s.m.iq[:0], m.iq...)
-	lqs := append(s.m.lqs[:0], m.lqs...)
-	sqs := append(s.m.sqs[:0], m.sqs...)
-	fq := append(s.m.fq[:0], m.fq...)
-	bimodal := append(s.m.bimodal[:0], m.bimodal...)
-	btb := append(s.m.btb[:0], m.btb...)
-	output := append(s.m.output[:0], m.output...)
-
-	s.m = *m
-	s.m.Mem = nil
-	s.m.sink = nil
-	s.m.profile = nil // exposure profiling is a golden-run concern
-	s.m.probe = nil   // fault probes never outlive their faulty run
-	s.m.clearDeltaTracking()
-	if m.deltaTrack {
-		// A full capture leaves machine == snapshot: a fresh sync point.
-		m.resetDeltaTouched()
-	}
-
-	s.m.prf = prf
-	s.m.prfReadyAt = prfReadyAt
-	s.m.renameMap = renameMap
-	s.m.committedMap = committedMap
-	s.m.freeList = freeList
-	s.m.rob = rob
-	s.m.iq = iq
-	s.m.lqs = lqs
-	s.m.sqs = sqs
-	s.m.fq = fq
-	s.m.bimodal = bimodal
-	s.m.btb = btb
-	s.m.output = output
+	copyCore(&s.m, m, false)
+	// A full capture leaves machine == snapshot: a fresh sync point.
+	m.resetDeltaTouched()
 	return s
 }
 
 // Restore rewinds the machine to a snapshot in place. The machine must
 // share the snapshot's configuration (same geometry and program); memory
 // restore panics otherwise. Object identity — the Mem hierarchy and the
-// core's slice buffers — is preserved, so a restore allocates nothing
-// beyond the rare fq regrowth. The trace sink and output profile are
-// cleared; the caller installs fresh ones as needed.
+// core's slice buffers — is preserved. The trace sink and output profile
+// are cleared; the caller installs fresh ones as needed.
 func (m *Machine) Restore(s *Snapshot) {
-	memSys := m.Mem
-	deltaTrack := m.deltaTrack
-	bimTouched, bimMarked := m.bimTouched, m.bimMarked
-	btbTouched, btbMarked := m.btbTouched, m.btbMarked
-
-	prf := append(m.prf[:0], s.m.prf...)
-	prfReadyAt := append(m.prfReadyAt[:0], s.m.prfReadyAt...)
-	renameMap := append(m.renameMap[:0], s.m.renameMap...)
-	committedMap := append(m.committedMap[:0], s.m.committedMap...)
-	freeList := append(m.freeList[:0], s.m.freeList...)
-	rob := append(m.rob[:0], s.m.rob...)
-	iq := append(m.iq[:0], s.m.iq...)
-	lqs := append(m.lqs[:0], s.m.lqs...)
-	sqs := append(m.sqs[:0], s.m.sqs...)
-	fq := append(m.fq[:0], s.m.fq...)
-	bimodal := append(m.bimodal[:0], s.m.bimodal...)
-	btb := append(m.btb[:0], s.m.btb...)
-	output := append(m.output[:0], s.m.output...)
-
-	*m = s.m
-	m.Mem = memSys
+	copyCore(m, &s.m, false)
 	m.Mem.Restore(&s.mem)
-
-	// Tracking state belongs to the machine, not the captured state; a
-	// full restore re-establishes machine == snapshot, so the delta
+	// A full restore re-establishes machine == snapshot, so the delta
 	// restarts empty from here.
-	m.deltaTrack = deltaTrack
-	m.bimTouched, m.bimMarked = bimTouched, bimMarked
-	m.btbTouched, m.btbMarked = btbTouched, btbMarked
-	if m.deltaTrack {
-		m.resetDeltaTouched()
-	}
-
-	m.prf = prf
-	m.prfReadyAt = prfReadyAt
-	m.renameMap = renameMap
-	m.committedMap = committedMap
-	m.freeList = freeList
-	m.rob = rob
-	m.iq = iq
-	m.lqs = lqs
-	m.sqs = sqs
-	m.fq = fq
-	m.bimodal = bimodal
-	m.btb = btb
-	m.output = output
+	m.resetDeltaTouched()
 }
 
 // BeginDeltaTracking starts dirty-delta tracking across the whole machine
@@ -223,57 +207,9 @@ func (m *Machine) coreSyncBytes() uint64 {
 // The result is bit-identical to a full Snapshot. Returns the bytes copied,
 // for telemetry.
 func (m *Machine) SyncSnapshot(s *Snapshot) uint64 {
-	if !m.deltaTrack {
-		panic("cpu: SyncSnapshot without BeginDeltaTracking")
-	}
-	if len(s.m.prf) != len(m.prf) || len(s.m.bimodal) != len(m.bimodal) {
-		panic("cpu: SyncSnapshot into a snapshot of another machine")
-	}
-	bytes := m.Mem.SyncSnapshot(&s.mem)
-
-	for _, i := range m.bimTouched {
-		s.m.bimodal[i] = m.bimodal[i]
-	}
-	for _, i := range m.btbTouched {
-		s.m.btb[i] = m.btb[i]
-	}
-	bytes += uint64(len(m.bimTouched)) + uint64(len(m.btbTouched))*8
-
-	prf := append(s.m.prf[:0], m.prf...)
-	prfReadyAt := append(s.m.prfReadyAt[:0], m.prfReadyAt...)
-	renameMap := append(s.m.renameMap[:0], m.renameMap...)
-	committedMap := append(s.m.committedMap[:0], m.committedMap...)
-	freeList := append(s.m.freeList[:0], m.freeList...)
-	rob := append(s.m.rob[:0], m.rob...)
-	iq := append(s.m.iq[:0], m.iq...)
-	lqs := append(s.m.lqs[:0], m.lqs...)
-	sqs := append(s.m.sqs[:0], m.sqs...)
-	fq := append(s.m.fq[:0], m.fq...)
-	output := append(s.m.output[:0], m.output...)
-	bimodal := s.m.bimodal
-	btb := s.m.btb
-
-	s.m = *m
-	s.m.Mem = nil
-	s.m.sink = nil
-	s.m.profile = nil
-	s.m.probe = nil
-	s.m.clearDeltaTracking()
-
-	s.m.prf = prf
-	s.m.prfReadyAt = prfReadyAt
-	s.m.renameMap = renameMap
-	s.m.committedMap = committedMap
-	s.m.freeList = freeList
-	s.m.rob = rob
-	s.m.iq = iq
-	s.m.lqs = lqs
-	s.m.sqs = sqs
-	s.m.fq = fq
-	s.m.bimodal = bimodal
-	s.m.btb = btb
-	s.m.output = output
-
+	m.checkSync(s, "SyncSnapshot")
+	bytes := m.Mem.SyncSnapshot(&s.mem) + m.copyTouched(&s.m, m)
+	copyCore(&s.m, m, true)
 	m.resetDeltaTouched()
 	return bytes + m.coreSyncBytes()
 }
@@ -283,60 +219,9 @@ func (m *Machine) SyncSnapshot(s *Snapshot) uint64 {
 // to a full Restore under the sync invariant. The trace sink is cleared.
 // Returns the bytes copied, for telemetry.
 func (m *Machine) SyncRestore(s *Snapshot) uint64 {
-	if !m.deltaTrack {
-		panic("cpu: SyncRestore without BeginDeltaTracking")
-	}
-	if len(s.m.prf) != len(m.prf) || len(s.m.bimodal) != len(m.bimodal) {
-		panic("cpu: SyncRestore from a snapshot of another machine")
-	}
-	bytes := m.Mem.SyncRestore(&s.mem)
-
-	for _, i := range m.bimTouched {
-		m.bimodal[i] = s.m.bimodal[i]
-	}
-	for _, i := range m.btbTouched {
-		m.btb[i] = s.m.btb[i]
-	}
-	bytes += uint64(len(m.bimTouched)) + uint64(len(m.btbTouched))*8
-
-	memSys := m.Mem
-	bimTouched, bimMarked := m.bimTouched, m.bimMarked
-	btbTouched, btbMarked := m.btbTouched, m.btbMarked
-
-	prf := append(m.prf[:0], s.m.prf...)
-	prfReadyAt := append(m.prfReadyAt[:0], s.m.prfReadyAt...)
-	renameMap := append(m.renameMap[:0], s.m.renameMap...)
-	committedMap := append(m.committedMap[:0], s.m.committedMap...)
-	freeList := append(m.freeList[:0], s.m.freeList...)
-	rob := append(m.rob[:0], s.m.rob...)
-	iq := append(m.iq[:0], s.m.iq...)
-	lqs := append(m.lqs[:0], s.m.lqs...)
-	sqs := append(m.sqs[:0], s.m.sqs...)
-	fq := append(m.fq[:0], s.m.fq...)
-	output := append(m.output[:0], s.m.output...)
-	bimodal := m.bimodal
-	btb := m.btb
-
-	*m = s.m
-	m.Mem = memSys
-	m.deltaTrack = true
-	m.bimTouched, m.bimMarked = bimTouched, bimMarked
-	m.btbTouched, m.btbMarked = btbTouched, btbMarked
-
-	m.prf = prf
-	m.prfReadyAt = prfReadyAt
-	m.renameMap = renameMap
-	m.committedMap = committedMap
-	m.freeList = freeList
-	m.rob = rob
-	m.iq = iq
-	m.lqs = lqs
-	m.sqs = sqs
-	m.fq = fq
-	m.bimodal = bimodal
-	m.btb = btb
-	m.output = output
-
+	m.checkSync(s, "SyncRestore")
+	bytes := m.Mem.SyncRestore(&s.mem) + m.copyTouched(m, &s.m)
+	copyCore(m, &s.m, true)
 	m.resetDeltaTouched()
 	return bytes + m.coreSyncBytes()
 }
@@ -347,15 +232,5 @@ func (s *Snapshot) Cycle() uint64 { return s.m.cycle }
 // Bytes returns the captured state size in bytes — the core's copied
 // arrays plus the memory snapshot's accounting — for checkpoint telemetry.
 func (s *Snapshot) Bytes() uint64 {
-	core := uint64(len(s.m.prf))*8 + uint64(len(s.m.prfReadyAt))*8 +
-		uint64(len(s.m.renameMap))*2 + uint64(len(s.m.committedMap))*2 +
-		uint64(len(s.m.freeList))*2 +
-		uint64(len(s.m.rob))*uint64(robEntrySize) +
-		uint64(len(s.m.iq))*8 +
-		uint64(len(s.m.lqs))*uint64(lqEntrySize) +
-		uint64(len(s.m.sqs))*uint64(sqEntrySize) +
-		uint64(len(s.m.fq))*uint64(fqEntrySize) +
-		uint64(len(s.m.bimodal)) + uint64(len(s.m.btb))*8 +
-		uint64(len(s.m.output))
-	return core + s.mem.Bytes()
+	return s.m.coreSyncBytes() + uint64(len(s.m.bimodal)) + uint64(len(s.m.btb))*8 + s.mem.Bytes()
 }

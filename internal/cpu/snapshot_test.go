@@ -2,7 +2,9 @@ package cpu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"avgi/internal/prog"
 	"avgi/internal/trace"
@@ -135,4 +137,157 @@ func TestSnapshotReuseAcrossCaptures(t *testing.T) {
 	if !bytes.Equal(scratch.Output(), ref.Output()) {
 		t.Fatal("second restore from same snapshot diverged")
 	}
+}
+
+// nonStateSlices are the Machine slices that belong to the machine object,
+// not to the state it holds: the dirty-delta touch lists and marks. A copy
+// leaves the destination's own alone (Clone and Snapshot leave them nil).
+var nonStateSlices = map[string]bool{
+	"bimTouched": true, "bimMarked": true, "btbTouched": true, "btbMarked": true,
+}
+
+// writable lifts reflect's read-only mark from an unexported field or
+// element so the test can read it as an interface and write to it.
+func writable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// sliceFields returns every slice-typed field of m by name.
+func sliceFields(m *Machine) map[string]reflect.Value {
+	out := map[string]reflect.Value{}
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Slice {
+			out[v.Type().Field(i).Name] = writable(v.Field(i))
+		}
+	}
+	return out
+}
+
+// perturb changes the value v holds; element types it cannot change (a
+// pointer, say) panic, which is the prompt to teach it the new kind.
+func perturb(v reflect.Value) {
+	v = writable(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Struct:
+		perturb(v.Field(0))
+	case reflect.Array:
+		perturb(v.Index(0))
+	default:
+		panic("perturb: unsupported kind " + v.Kind().String())
+	}
+}
+
+// perturbState changes element 1 of every state slice of m, filling empty
+// ones first, and reports predictor writes to the delta tracker the way
+// the pipeline does.
+func perturbState(m *Machine) {
+	for name, f := range sliceFields(m) {
+		if nonStateSlices[name] {
+			continue
+		}
+		if f.Len() < 2 {
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+		}
+		perturb(f.Index(1))
+	}
+	m.touchBimodal(1)
+	m.touchBTB(1)
+}
+
+func overlaps(a, b reflect.Value) bool {
+	if a.Cap() == 0 || b.Cap() == 0 {
+		return false
+	}
+	size := a.Type().Elem().Size()
+	a0, b0 := a.Pointer(), b.Pointer()
+	return a0 < b0+uintptr(b.Cap())*size && b0 < a0+uintptr(a.Cap())*size
+}
+
+// TestCoreCopySharesNoBuffers is the guard on the core-state slice list in
+// copyCore and cloneCore. After each of the five copy operations, every
+// slice field of Machine — found by reflection, so a field added later is
+// included without an edit here — must share no backing array between
+// destination and source, and must either be state (equal after the copy,
+// and unaffected when the source is changed afterwards) or be named in
+// nonStateSlices. A new slice that neither routine copies rides the struct
+// assignment, aliases its source, and fails here by name.
+func TestCoreCopySharesNoBuffers(t *testing.T) {
+	cfg := ConfigA72()
+	w, err := prog.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(cfg.Variant)
+
+	check := func(t *testing.T, dst, src *Machine) {
+		t.Helper()
+		dstFields := sliceFields(dst)
+		for name, s := range sliceFields(src) {
+			d := dstFields[name]
+			if overlaps(d, s) {
+				t.Errorf("%s: destination shares the source's backing array", name)
+				continue
+			}
+			if nonStateSlices[name] {
+				continue
+			}
+			if s.Len() < 2 {
+				t.Fatalf("%s: source has %d elements; the test must fill it", name, s.Len())
+			}
+			if !reflect.DeepEqual(d.Interface(), s.Interface()) {
+				t.Errorf("%s: not copied", name)
+				continue
+			}
+			want := reflect.MakeSlice(d.Type(), d.Len(), d.Len())
+			reflect.Copy(want, d)
+			perturb(s.Index(0))
+			if !reflect.DeepEqual(d.Interface(), want.Interface()) {
+				t.Errorf("%s: destination changed when the source was written", name)
+			}
+		}
+	}
+
+	t.Run("Snapshot", func(t *testing.T) {
+		m := New(cfg, p)
+		perturbState(m)
+		snap := m.Snapshot(nil)
+		check(t, &snap.m, m)
+	})
+	t.Run("Restore", func(t *testing.T) {
+		m, scratch := New(cfg, p), New(cfg, p)
+		perturbState(m)
+		snap := m.Snapshot(nil)
+		scratch.Restore(snap)
+		check(t, scratch, &snap.m)
+	})
+	t.Run("SyncSnapshot", func(t *testing.T) {
+		m := New(cfg, p)
+		m.BeginDeltaTracking()
+		snap := m.Snapshot(nil)
+		perturbState(m)
+		m.SyncSnapshot(snap)
+		check(t, &snap.m, m)
+	})
+	t.Run("SyncRestore", func(t *testing.T) {
+		m := New(cfg, p)
+		perturbState(m) // fills the slices a fresh machine leaves empty
+		m.BeginDeltaTracking()
+		snap := m.Snapshot(nil)
+		perturbState(m)
+		m.SyncRestore(snap)
+		check(t, m, &snap.m)
+	})
+	t.Run("Clone", func(t *testing.T) {
+		m := New(cfg, p)
+		m.BeginDeltaTracking()
+		perturbState(m)
+		check(t, m.Clone(), m)
+	})
 }

@@ -252,29 +252,6 @@ func (c *chunkClaimer) Claim(lo, hi int) (func(bool), bool) {
 	}, true
 }
 
-// partSink journals each freshly simulated chunk into the node's part
-// shard at the configured fsync cadence.
-type partSink struct {
-	w     *journal.Writer
-	prior map[int]campaign.Result
-	met   *metrics
-}
-
-func (ps *partSink) ChunkDone(lo, hi int, results []campaign.Result) {
-	var n uint64
-	for i := lo; i < hi; i++ {
-		if _, ok := ps.prior[i]; ok {
-			continue
-		}
-		ps.w.Append(i, results[i])
-		n++
-	}
-	ps.w.Sync()
-	if ps.met != nil && n > 0 {
-		ps.met.faults.Add(n)
-	}
-}
-
 // acquireSlots claims up to want slots of the fleet-wide pool. Slot leases
 // are the cluster budget: at most cfg.Fleet slots exist across all nodes
 // and campaigns, each heartbeat-renewed while held and forfeited by a dead
@@ -371,11 +348,15 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 			wfailed.Store(true)
 			cfg.Obs.Logf("dist: %s: part write failed: %v", shard, err)
 		})
+		var journalled func(uint64)
+		if met != nil {
+			journalled = met.faults.Add
+		}
 		_, skipped := r.RunCampaign(campaign.RunSpec{
 			Faults: faults, Mode: mode, Window: window,
 			Budget:      campaign.NewBudget(len(slots)),
 			Prior:       prior,
-			Sink:        &partSink{w: pw, prior: prior, met: met},
+			Sink:        journal.NewChunkSink(pw, prior, journalled),
 			PlanWorkers: cfg.Fleet * cfg.Split,
 			Claimer: &chunkClaimer{l: l, shard: shard, owner: cfg.Owner,
 				ttl: cfg.TTL, hb: hb, wfailed: &wfailed, o: cfg.Obs},

@@ -1,5 +1,5 @@
 // Package engine is the deterministic event/tick engine the machine models
-// run on — the component/port abstraction of gem5-class simulators (and of
+// run on — the component/tick/event core of gem5-class simulators (and of
 // mgpusim/akita in Go), scaled down to this reproduction's needs.
 //
 // The engine is strictly serial and strictly deterministic:
@@ -17,11 +17,9 @@
 // final cycle counts, commit counts and outputs, byte for byte (see the
 // mgpusim acceptance tests in SNIPPETS.md for the idiom this ports).
 //
-// State capture is a per-component concern: components that own
-// checkpointable state implement StateCapturer, mapping the existing
-// Snapshot/Restore machinery (copy-on-write RAM forks, buffer-reusing cache
-// snaps, dirty-delta sync) onto the engine's component graph. CaptureAll
-// and RestoreAll walk the registered capturers in registration order.
+// The engine holds no machine state: checkpointing is the machines' own
+// Snapshot/Restore (internal/cpu, internal/mem), and every Run builds a
+// fresh engine.
 package engine
 
 import "fmt"
@@ -39,18 +37,6 @@ type Component interface {
 type Ticker interface {
 	Component
 	Tick(cycle uint64)
-}
-
-// StateCapturer is a component whose state can be checkpointed. The capture
-// token is opaque to the engine; components hand back their own snapshot
-// types (cpu.Snapshot, mem.HierarchySnap, ...) and accept them again on
-// restore. prior, when non-nil, is a token from an earlier capture of the
-// same component whose buffers may be reused — the zero-allocation
-// re-capture discipline of the checkpoint subsystem.
-type StateCapturer interface {
-	Component
-	CaptureState(prior any) any
-	RestoreState(state any)
 }
 
 // Handler is an event callback. It runs at the cycle the event was
@@ -96,7 +82,6 @@ type Engine struct {
 
 	components []Component
 	tickers    []Ticker
-	capturers  []StateCapturer
 
 	events uint64
 }
@@ -107,9 +92,9 @@ func New() *Engine {
 }
 
 // Register adds a component to the engine. Registration order is the
-// deterministic tie-break everywhere: tick order, capture order, and the
-// arbitration order of same-cycle activity. Registering after the first
-// RunCycle is a programming error.
+// deterministic tie-break everywhere: tick order and the arbitration order
+// of same-cycle activity. Registering after the first RunCycle is a
+// programming error.
 func (e *Engine) Register(c Component) {
 	if e.now != 0 {
 		panic(fmt.Sprintf("engine: component %s registered after cycle %d", c.Name(), e.now))
@@ -117,9 +102,6 @@ func (e *Engine) Register(c Component) {
 	e.components = append(e.components, c)
 	if t, ok := c.(Ticker); ok {
 		e.tickers = append(e.tickers, t)
-	}
-	if s, ok := c.(StateCapturer); ok {
-		e.capturers = append(e.capturers, s)
 	}
 }
 
@@ -163,37 +145,6 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // Components returns the registered components in registration order.
 func (e *Engine) Components() []Component { return e.components }
-
-// CaptureAll captures every StateCapturer component in registration order.
-// prior, when non-nil, must be a slice returned by an earlier CaptureAll on
-// an engine with the same registration sequence; its tokens are offered
-// back to each component for buffer reuse.
-func (e *Engine) CaptureAll(prior []any) []any {
-	out := prior
-	if out == nil {
-		out = make([]any, len(e.capturers))
-	}
-	if len(out) != len(e.capturers) {
-		panic(fmt.Sprintf("engine: CaptureAll with %d prior tokens for %d capturers",
-			len(out), len(e.capturers)))
-	}
-	for i, c := range e.capturers {
-		out[i] = c.CaptureState(out[i])
-	}
-	return out
-}
-
-// RestoreAll rewinds every StateCapturer component from a CaptureAll
-// result, in registration order.
-func (e *Engine) RestoreAll(states []any) {
-	if len(states) != len(e.capturers) {
-		panic(fmt.Sprintf("engine: RestoreAll with %d tokens for %d capturers",
-			len(states), len(e.capturers)))
-	}
-	for i, c := range e.capturers {
-		c.RestoreState(states[i])
-	}
-}
 
 // Stats returns the engine's activity counters.
 func (e *Engine) Stats() Stats {

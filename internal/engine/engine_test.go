@@ -11,7 +11,6 @@ import (
 type recorder struct {
 	name  string
 	trace *[]string
-	state int
 }
 
 func (r *recorder) Name() string { return r.name }
@@ -19,10 +18,6 @@ func (r *recorder) Name() string { return r.name }
 func (r *recorder) Tick(cycle uint64) {
 	*r.trace = append(*r.trace, fmt.Sprintf("%s@%d", r.name, cycle))
 }
-
-func (r *recorder) CaptureState(prior any) any { return r.state }
-
-func (r *recorder) RestoreState(state any) { r.state = state.(int) }
 
 func TestSameCycleEventsFireInScheduleOrder(t *testing.T) {
 	e := New()
@@ -83,96 +78,6 @@ func TestRegisterAfterStartPanics(t *testing.T) {
 	}()
 	var trace []string
 	e.Register(&recorder{name: "late", trace: &trace})
-}
-
-func TestPortRoundTrip(t *testing.T) {
-	e := New()
-	var trace []string
-	a := &recorder{name: "a", trace: &trace}
-	b := &recorder{name: "b", trace: &trace}
-	pa := NewPort(e, a, "Out")
-	pb := NewPort(e, b, "In")
-	Connect(pa, pb)
-
-	if pa.Name() != "a.Out" || pb.Name() != "b.In" {
-		t.Fatalf("port names = %q, %q", pa.Name(), pb.Name())
-	}
-	if pa.Peer() != pb || pb.Peer() != pa {
-		t.Fatal("ports not peered")
-	}
-
-	pa.Send("req", 3)
-	if pb.Pending() != 0 {
-		t.Fatal("message visible before latency elapsed")
-	}
-	e.RunCycle()
-	e.RunCycle()
-	if pb.Pending() != 0 {
-		t.Fatalf("message arrived early at cycle %d", e.Now())
-	}
-	e.RunCycle() // cycle 3: delivery
-	if pb.Pending() != 1 {
-		t.Fatalf("Pending() = %d at delivery cycle", pb.Pending())
-	}
-	if got := pb.Retrieve(); got != "req" {
-		t.Fatalf("Retrieve() = %v, want req", got)
-	}
-	if pb.Retrieve() != nil {
-		t.Fatal("Retrieve() on empty port != nil")
-	}
-
-	// Zero-delay send delivers next cycle, never same-cycle.
-	pb.Send("resp", 0)
-	if pa.Pending() != 0 {
-		t.Fatal("zero-delay send visible same cycle")
-	}
-	e.RunCycle()
-	if got := pa.Retrieve(); got != "resp" {
-		t.Fatalf("Retrieve() = %v, want resp", got)
-	}
-}
-
-func TestPortFIFOOrder(t *testing.T) {
-	e := New()
-	var trace []string
-	a := &recorder{name: "a", trace: &trace}
-	b := &recorder{name: "b", trace: &trace}
-	pa := NewPort(e, a, "Out")
-	pb := NewPort(e, b, "In")
-	Connect(pa, pb)
-
-	// Different latencies interleave: arrival order, then send order.
-	pa.Send("late", 2)
-	pa.Send("early", 1)
-	pa.Send("also-early", 1)
-	e.RunCycle()
-	e.RunCycle()
-	var got []any
-	for pb.Pending() > 0 {
-		got = append(got, pb.Retrieve())
-	}
-	want := []any{"early", "also-early", "late"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("delivery order = %v, want %v", got, want)
-	}
-}
-
-func TestCaptureRestoreRoundTrip(t *testing.T) {
-	e := New()
-	var trace []string
-	a := &recorder{name: "a", trace: &trace, state: 10}
-	b := &recorder{name: "b", trace: &trace, state: 20}
-	e.Register(a)
-	e.Register(b)
-
-	snap := e.CaptureAll(nil)
-	a.state, b.state = 99, 98
-	snap = e.CaptureAll(snap) // re-capture with buffer reuse path
-	a.state, b.state = 1, 2
-	e.RestoreAll(snap)
-	if a.state != 99 || b.state != 98 {
-		t.Fatalf("restored state = %d, %d; want 99, 98", a.state, b.state)
-	}
 }
 
 func TestStatsCountCyclesEventsTicks(t *testing.T) {

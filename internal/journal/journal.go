@@ -532,6 +532,38 @@ func (w *Writer) syncLocked() error {
 	return nil
 }
 
+// ChunkSink is the campaign.ChunkSink that keeps a running campaign
+// durable: every freshly simulated chunk is appended to the shard and then
+// synced, bounding crash loss to in-flight chunks.
+type ChunkSink struct {
+	w     *Writer
+	prior map[int]campaign.Result
+	added func(uint64)
+}
+
+// NewChunkSink journals chunks through w. Indices in prior are already
+// durable from an earlier run and are skipped; added, when non-nil, is told
+// how many records each chunk appended.
+func NewChunkSink(w *Writer, prior map[int]campaign.Result, added func(uint64)) *ChunkSink {
+	return &ChunkSink{w: w, prior: prior, added: added}
+}
+
+// ChunkDone implements campaign.ChunkSink.
+func (cs *ChunkSink) ChunkDone(lo, hi int, results []campaign.Result) {
+	var n uint64
+	for i := lo; i < hi; i++ {
+		if _, ok := cs.prior[i]; ok {
+			continue
+		}
+		cs.w.Append(i, results[i])
+		n++
+	}
+	cs.w.Sync()
+	if cs.added != nil && n > 0 {
+		cs.added(n)
+	}
+}
+
 // Appended returns the number of records journalled so far.
 func (w *Writer) Appended() uint64 {
 	w.mu.Lock()

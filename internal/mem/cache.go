@@ -120,9 +120,6 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// Name implements engine.Component.
-func (c *Cache) Name() string { return c.cfg.Name }
-
 func (c *Cache) split(paddr uint64) (set int, tag uint64, off uint64) {
 	line := paddr >> c.lineBits
 	set = int(line) & (c.cfg.Sets - 1)

@@ -37,9 +37,6 @@ type Hierarchy struct {
 	// physical-side consumers (program loading, output DMA) add it
 	// explicitly.
 	base uint64
-
-	// name is the engine component name ("" reads as "mem").
-	name string
 }
 
 // NewHierarchy builds the memory system.
@@ -254,31 +251,6 @@ func (s *HierarchySnap) Bytes() uint64 {
 	ramPtrs := uint64(len(s.ram.pages)) * 9 // 8-byte pointer + owned flag
 	return ramPtrs + s.itlb.Bytes() + s.dtlb.Bytes() +
 		s.l1i.Bytes() + s.l1d.Bytes() + s.l2.Bytes()
-}
-
-// Name implements engine.Component. Single-core hierarchies are "mem";
-// cluster cores are named by SharedMem ("c0.mem", "c1.mem", ...).
-func (h *Hierarchy) Name() string {
-	if h.name == "" {
-		return "mem"
-	}
-	return h.name
-}
-
-// CaptureState implements engine.StateCapturer, mapping the hierarchy's
-// buffer-reusing Snapshot machinery onto per-component capture: the token is
-// a *HierarchySnap, and passing a prior token back reuses its buffers.
-func (h *Hierarchy) CaptureState(prior any) any {
-	var snap *HierarchySnap
-	if prior != nil {
-		snap = prior.(*HierarchySnap)
-	}
-	return h.Snapshot(snap)
-}
-
-// RestoreState implements engine.StateCapturer.
-func (h *Hierarchy) RestoreState(state any) {
-	h.Restore(state.(*HierarchySnap))
 }
 
 // Clone deep-copies the entire memory system.

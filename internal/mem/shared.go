@@ -60,7 +60,6 @@ func NewSharedMem(cfg HierarchyConfig, cores int) *SharedMem {
 		h := &Hierarchy{
 			Cfg:  hcfg,
 			base: uint64(k) * cfg.RAMSize,
-			name: fmt.Sprintf("c%d.mem", k),
 		}
 		h.RAM = s.RAM
 		h.PageTable = NewPageTableAt(cfg.RAMSize, h.base/PageBytes, totalSize/PageBytes)
@@ -88,7 +87,7 @@ func (s *SharedMem) Clone() *SharedMem {
 	c.L2 = s.L2.Clone()
 	c.L2.SetLower(c.ramLevel)
 	for _, h := range s.hiers {
-		ch := &Hierarchy{Cfg: h.Cfg, base: h.base, name: h.name}
+		ch := &Hierarchy{Cfg: h.Cfg, base: h.base}
 		ch.RAM = c.RAM
 		ch.PageTable = h.PageTable // immutable
 		ch.ITLB = h.ITLB.Clone()

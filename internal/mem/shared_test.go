@@ -1,16 +1,6 @@
 package mem
 
-import (
-	"testing"
-
-	"avgi/internal/engine"
-)
-
-type portRequester struct {
-	port *engine.Port
-}
-
-func (r *portRequester) Name() string { return "requester" }
+import "testing"
 
 func testHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
@@ -22,95 +12,6 @@ func testHierarchyConfig() HierarchyConfig {
 		DTLBEntries: 16,
 		WalkLat:     20,
 		DRAMLat:     60,
-	}
-}
-
-// TestPortAdapterLatencyEquivalence drives the same access sequence through
-// a synchronous hierarchy and a port-wrapped twin, asserting that values,
-// faults, the reported latency, and the port delivery delay all agree with
-// the synchronous lat return (with zero-lat responses arriving on the next
-// cycle, per the tick-visibility rule).
-func TestPortAdapterLatencyEquivalence(t *testing.T) {
-	cfg := testHierarchyConfig()
-	sync := NewHierarchy(cfg)
-	ported := NewHierarchy(cfg)
-
-	eng := engine.New()
-	adapter := NewPortAdapter(eng, ported)
-	req := &portRequester{}
-	req.port = engine.NewPort(eng, req, "Mem")
-	engine.Connect(req.port, adapter.Top)
-	eng.Register(adapter)
-
-	// Seed both RAMs identically so loads return real data.
-	seed := make([]byte, 4096)
-	for i := range seed {
-		seed[i] = byte(i * 7)
-	}
-	sync.RAM.WriteBlock(0, seed)
-	ported.RAM.WriteBlock(0, seed)
-
-	reqs := []MemReq{
-		{Op: OpLoad, Addr: 0x100, Size: 8}, // cold: TLB walk + misses
-		{Op: OpLoad, Addr: 0x100, Size: 8}, // hot: L1D hit
-		{Op: OpStore, Addr: 0x108, Size: 8, Data: 0xdeadbeef},
-		{Op: OpLoad, Addr: 0x108, Size: 8},            // reads the store back
-		{Op: OpFetch, Addr: 0x200},                    // instruction side
-		{Op: OpFetch, Addr: 0x200},                    // L1I hit
-		{Op: OpLoad, Addr: 0x840, Size: 4},            // new line, same page
-		{Op: OpLoad, Addr: 3, Size: 4},                // misaligned: fault
-		{Op: OpLoad, Addr: cfg.RAMSize + 64, Size: 8}, // unmapped: page fault
-	}
-	for i, r := range reqs {
-		r.ID = uint64(i)
-
-		var want MemResp
-		want.ID = r.ID
-		switch r.Op {
-		case OpFetch:
-			want.Word, want.Lat, want.Fault = sync.FetchWord(r.Addr)
-		case OpLoad:
-			want.Val, want.Lat, want.Fault = sync.Load(r.Addr, r.Size)
-		case OpStore:
-			want.Lat, want.Fault = sync.Store(r.Addr, r.Size, r.Data)
-		}
-
-		req.port.Send(r, 0) // request arrives at the adapter next cycle
-		eng.RunCycle()      // adapter processes it, schedules the response
-		sent := eng.Now()
-		var got MemResp
-		waited := uint64(0)
-		for req.port.Pending() == 0 {
-			eng.RunCycle()
-			waited = eng.Now() - sent
-			if waited > 1000 {
-				t.Fatalf("req %d: no response after 1000 cycles", i)
-			}
-		}
-		got = req.port.Retrieve().(MemResp)
-
-		if got != want {
-			t.Fatalf("req %d: response %+v, want %+v", i, got, want)
-		}
-		wantDelay := want.Lat
-		if wantDelay == 0 {
-			wantDelay = 1
-		}
-		if waited != wantDelay {
-			t.Fatalf("req %d: response arrived after %d cycles, want %d (lat %d)",
-				i, waited, wantDelay, want.Lat)
-		}
-	}
-
-	// After identical access sequences the two hierarchies hold identical
-	// cache and statistic state.
-	if sync.L1D.Accesses != ported.L1D.Accesses || sync.L1D.Misses != ported.L1D.Misses {
-		t.Fatalf("L1D stats diverged: sync %d/%d, ported %d/%d",
-			sync.L1D.Accesses, sync.L1D.Misses, ported.L1D.Accesses, ported.L1D.Misses)
-	}
-	if sync.L2.Accesses != ported.L2.Accesses || sync.L2.Misses != ported.L2.Misses {
-		t.Fatalf("L2 stats diverged: sync %d/%d, ported %d/%d",
-			sync.L2.Accesses, sync.L2.Misses, ported.L2.Accesses, ported.L2.Misses)
 	}
 }
 

@@ -245,7 +245,11 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 			je.sched.jErrors.Inc()
 		}
 	})
-	spec.Sink = &journalSink{w: w, prior: prior, appends: je.sched.jAppends}
+	var appended func(uint64)
+	if c := je.sched.jAppends; c != nil {
+		appended = c.Add
+	}
+	spec.Sink = journal.NewChunkSink(w, prior, appended)
 	res, _ = r.RunCampaign(spec)
 	if err := w.Close(); err != nil {
 		je.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", structure, workload, mode, err)
@@ -292,29 +296,6 @@ func (je *journalExec) runDist(r *Runner, structure, workload string,
 	// have simulated only part of the missing work; the rest of the fleet
 	// journalled the remainder into its own part shards).
 	return res, len(prior), true
-}
-
-// journalSink appends each freshly simulated chunk to the campaign's shard
-// and fsyncs it, bounding crash loss to in-flight chunks.
-type journalSink struct {
-	w       *journal.Writer
-	prior   map[int]CampaignResult
-	appends *obs.Counter
-}
-
-func (js *journalSink) ChunkDone(lo, hi int, results []CampaignResult) {
-	n := uint64(0)
-	for i := lo; i < hi; i++ {
-		if _, ok := js.prior[i]; ok {
-			continue // already durable from a previous run
-		}
-		js.w.Append(i, results[i])
-		n++
-	}
-	js.w.Sync()
-	if js.appends != nil && n > 0 {
-		js.appends.Add(n)
-	}
 }
 
 // Prefetch dispatches the campaigns of every (structure, workload) pair in

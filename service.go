@@ -378,18 +378,6 @@ func machineConfig(machine string) MachineConfig {
 	return ConfigA72()
 }
 
-func parseMode(mode string) (Mode, error) {
-	switch strings.ToLower(mode) {
-	case "exhaustive":
-		return ModeExhaustive, nil
-	case "hvf":
-		return ModeHVF, nil
-	case "avgi":
-		return ModeAVGI, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want exhaustive, hvf or avgi)", mode)
-}
-
 // normalize validates a request and fills its defaults; the normalised
 // request is echoed in the response so clients see what actually ran.
 func (s *Service) normalize(req AssessRequest) (AssessRequest, assessKey, error) {
@@ -402,23 +390,17 @@ func (s *Service) normalize(req AssessRequest) (AssessRequest, assessKey, error)
 	default:
 		return req, key, fmt.Errorf("unknown machine %q (want a72 or a15)", req.Machine)
 	}
-	if err := validateStructure(req.Structure); err != nil {
+	if err := ValidateStructure(req.Structure); err != nil {
 		return req, key, err
 	}
 	if _, err := prog.ByName(req.Workload); err != nil {
 		return req, key, err
 	}
-	mode, err := parseMode(req.Mode)
+	mode, err := ParseMode(req.Mode, req.Window)
 	if err != nil {
 		return req, key, err
 	}
 	req.Mode = mode.String()
-	if mode == ModeAVGI && req.Window == 0 {
-		return req, key, fmt.Errorf("mode avgi requires a nonzero window")
-	}
-	if mode != ModeAVGI && req.Window != 0 {
-		return req, key, fmt.Errorf("window is only meaningful in mode avgi")
-	}
 	if req.Faults == 0 {
 		req.Faults = 400
 	}
@@ -572,7 +554,7 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	for attempt := 0; ; attempt++ {
 		res, coalesced = s.flights.do(key, func() []CampaignResult {
 			out, re := je.run(r, norm.Structure, norm.Workload, faults,
-				parseModeMust(norm.Mode), norm.Window, s.tenantBudget(norm.Tenant))
+				key.mode, norm.Window, s.tenantBudget(norm.Tenant))
 			resumed = re
 			return out
 		})
@@ -621,13 +603,4 @@ func orDefault(tenant string) string {
 		return "default"
 	}
 	return tenant
-}
-
-// parseModeMust converts an already-normalised mode string.
-func parseModeMust(mode string) Mode {
-	m, err := parseMode(mode)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

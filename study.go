@@ -118,7 +118,7 @@ type Study struct {
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	cfg.fill()
 	for _, s := range cfg.Structures {
-		if err := validateStructure(s); err != nil {
+		if err := ValidateStructure(s); err != nil {
 			return nil, err
 		}
 	}
