@@ -7,8 +7,8 @@
 //
 //	avgi [flags] <experiment>
 //
-// Experiments: fig1 fig3 fig4 fig5 fig7 fig8 fig9 table2 fig10 fig11 fig12
-// all list
+// The experiments are the rows of the experiments table below (avgi -h
+// prints them), plus all and list.
 //
 // Examples:
 //
@@ -152,68 +152,15 @@ func writeTraces(obsv *avgi.Observer) error {
 	return write(*flagTraceND, obsv.Trace.WriteNDJSON)
 }
 
+// usage prints the experiments table and then every flag's own help string
+// (internal/cliflags and the vars above), the one place flags are described.
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: avgi [flags] <experiment>
 
 experiments:
-  fig1    RF AVF: exhaustive SFI vs ACE analysis
-  fig3    IMM breakdown per structure per workload
-  fig4    P(effect | IMM) for the L1I data array
-  fig5    trained IMM weights per structure
-  fig7    ESC faults: real vs predicted
-  fig8    IMM distribution inclusive vs exclusive (ERT stop)
-  fig9    manifestation-latency percentiles and ERT windows
-  table2  assessment cost and speedups (AVGI vs accelerated SFI)
-  fig10   AVF accuracy per structure (leave-one-out)
-  fig11   FIT rates per structure and whole chip
-  fig12   Armv7-like (A15) case study
-  motivation  ISA-level PVF vs microarch AVF (the intro's pitfall)
-  multibit    Section VII.A multi-bit-upset ablation
-  ertablation ERT safety-margin sweep (cost vs accuracy)
-  campaign    raw campaigns of the selected grid in one -mode (with
-              -dist-role=worker: this process's share of a fleet)
-  all     everything above, in order
-  list    list workloads and structures
-
-telemetry (see docs/OBSERVABILITY.md):
-  -progress          live faults/s, simcycles/s, speedup and ETA on stderr
-  -metrics-addr A    serve Prometheus /metrics, /progress.json,
-                     /forensics.json and /debug/pprof/ on A
-  -trace-out F       Chrome trace_event JSON of study phases (chrome://tracing)
-  -trace-ndjson F    the same spans as NDJSON
-  -cpuprofile F      pprof CPU profile of the whole run (go tool pprof F)
-  -memprofile F      pprof heap profile captured at exit
-  -forensics         attribute each fault's fate (overwritten, squashed,
-                     evicted clean, logically masked, never read, visible)
-                     and append the masking-sources table to the output
-  -forensics-sample N  probe every Nth fault (by fault ID) to bound overhead
-  -log FMT           stderr log format: text (default) or json
-
-scheduling (see docs/SCHEDULING.md):
-  -workers N         global worker budget; campaigns of one experiment
-                     overlap across (structure, workload) pairs and share
-                     these N workers, so one campaign's tail is filled
-                     with the next campaign's head
-
-fault tolerance (see docs/ROBUSTNESS.md):
-  -journal DIR       append completed per-fault results as durable NDJSON
-                     shards (fsynced per chunk), one shard per campaign
-  -resume            consult the journal before simulating: fully
-                     journalled campaigns load, partial ones resume from
-                     the first missing fault — byte-identical results
-  -fsync MODE        shard fsync cadence: chunk (default), every, off
-
-distribution (see docs/DISTRIBUTED.md):
-  -dist-role worker  join a fleet: processes sharing -journal DIR split
-                     each campaign chunk-by-chunk via leases and merge a
-                     byte-identical canonical shard; -workers means the
-                     fleet-wide worker count
-  -coordinator URL   lease through an avgid coordinator instead of files
-  -dist-owner NAME   stable node identity (default <hostname>-<pid>)
-  -lease-ttl D       silent-node takeover delay (default 10s)
-
+%s
 flags:
-`)
+`, experimentHelp())
 	flag.PrintDefaults()
 }
 
@@ -319,145 +266,136 @@ func emit(w io.Writer, tables ...*avgi.Table) {
 	}
 }
 
+// experiment is one subcommand: its name, its usage line, and what it
+// prints from a study — the A72 study of the selected workloads, or for a15
+// the Armv7-like case study.
+type experiment struct {
+	name, help string
+	inAll, a15 bool
+	run        func(x *session, st *avgi.Study) error
+}
+
+// experiments is the one list behind dispatch, "all" (the inAll rows, in
+// this order) and the usage text; TestExperimentNamesPinned pins the names.
+var experiments = []experiment{
+	{"fig1", "RF AVF: exhaustive SFI vs ACE analysis", true, false, one((*avgi.Study).Fig1)},
+	{"fig3", "IMM breakdown per structure per workload", true, false, fig3},
+	{"fig4", "P(effect | IMM) for the L1I data array", true, false, many((*avgi.Study).Fig4)},
+	{"fig5", "trained IMM weights per structure", true, false, many((*avgi.Study).Fig5)},
+	{"fig7", "ESC faults: real vs predicted", true, false, many((*avgi.Study).Fig7)},
+	{"fig8", "IMM distribution inclusive vs exclusive (ERT stop)", true, false, trained((*avgi.Study).Fig8)},
+	{"fig9", "manifestation-latency percentiles and ERT windows", true, false, trained((*avgi.Study).Fig9)},
+	{"table2", "assessment cost and speedups (AVGI vs accelerated SFI)", true, false,
+		trained(func(st *avgi.Study, est *avgi.Estimator) *avgi.Table {
+			return st.Table2(est, measureThroughput(st, *flagCores))
+		})},
+	{"fig10", "AVF accuracy per structure (leave-one-out)", true, false, many(func(st *avgi.Study) []*avgi.Table { return st.Fig10() })},
+	{"fig11", "FIT rates per structure and whole chip", true, false, one((*avgi.Study).Fig11)},
+	{"motivation", "ISA-level PVF vs microarch AVF (the intro's pitfall)", true, false, one((*avgi.Study).Motivation)},
+	{"multibit", "Section VII.A multi-bit-upset ablation", true, false, one(func(st *avgi.Study) *avgi.Table { return st.MultiBitAblation() })},
+	{"fig12", "Armv7-like (A15) case study", true, true, many(avgi.Fig12)},
+	{"ertablation", "ERT safety-margin sweep (cost vs accuracy)", false, false, one(func(st *avgi.Study) *avgi.Table { return st.ERTMarginAblation() })},
+	{"campaign", "raw campaigns of the selected grid in one -mode (with\n" +
+		"-dist-role=worker: this process's share of a fleet)", false, false, runCampaignCmd},
+}
+
+// experimentHelp renders the experiments block of the usage text.
+func experimentHelp() string {
+	var b strings.Builder
+	row := func(name, help string) {
+		fmt.Fprintf(&b, "  %-13s%s\n", name, strings.ReplaceAll(help, "\n", "\n"+strings.Repeat(" ", 15)))
+	}
+	for _, e := range experiments {
+		row(e.name, e.help)
+	}
+	row("all", "every experiment above through fig12, in order")
+	row("list", "list workloads and structures")
+	return b.String()
+}
+
+// session is the state one invocation's experiments share: where tables
+// go, and the studies and estimator built on first use.
+type session struct {
+	w         io.Writer
+	obsv      *avgi.Observer
+	workloads []avgi.Workload
+	studies   [2]*avgi.Study // A72, A15
+	est       *avgi.Estimator
+}
+
+func (x *session) study(a15 bool) (*avgi.Study, error) {
+	i, machine, workloads := 0, avgi.ConfigA72(), x.workloads
+	if a15 {
+		i, machine, workloads = 1, avgi.ConfigA15(), avgi.MiBenchWorkloads()
+	}
+	var err error
+	if x.studies[i] == nil {
+		x.studies[i], err = buildStudy(machine, workloads, x.obsv)
+	}
+	return x.studies[i], err
+}
+
+// one, many and trained adapt the three shapes of table-producing Study
+// method to an experiment's run function.
+func one(f func(*avgi.Study) *avgi.Table) func(*session, *avgi.Study) error {
+	return many(func(st *avgi.Study) []*avgi.Table { return []*avgi.Table{f(st)} })
+}
+
+func many(f func(*avgi.Study) []*avgi.Table) func(*session, *avgi.Study) error {
+	return func(x *session, st *avgi.Study) error {
+		emit(x.w, f(st)...)
+		return nil
+	}
+}
+
+func trained(f func(*avgi.Study, *avgi.Estimator) *avgi.Table) func(*session, *avgi.Study) error {
+	return func(x *session, st *avgi.Study) error {
+		if x.est == nil {
+			x.est = st.TrainEstimator()
+		}
+		emit(x.w, f(st, x.est))
+		return nil
+	}
+}
+
+func fig3(x *session, st *avgi.Study) error {
+	emit(x.w, st.Fig3()...)
+	if *flagBars {
+		for _, structure := range avgi.Fig3Structures {
+			labels, values := st.IMMDistributionMeans(structure)
+			report.Bars(x.w, "IMM mean distribution, "+structure, labels, values, 40)
+			fmt.Fprintln(x.w)
+		}
+	}
+	return nil
+}
+
 func run(cmd string, w io.Writer, obsv *avgi.Observer) error {
 	workloads, err := selectedWorkloads()
 	if err != nil {
 		return err
 	}
-
-	var s *avgi.Study
-	study := func() (*avgi.Study, error) {
-		if s == nil {
-			s, err = buildStudy(avgi.ConfigA72(), workloads, obsv)
+	x := &session{w: w, obsv: obsv, workloads: workloads}
+	known := false
+	for _, e := range experiments {
+		if e.name != cmd && !(cmd == "all" && e.inAll) {
+			continue
 		}
-		return s, err
+		known = true
+		st, err := x.study(e.a15)
+		if err != nil {
+			return err
+		}
+		if err := e.run(x, st); err != nil {
+			return err
+		}
 	}
-
-	switch cmd {
-	case "campaign":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		return runCampaignCmd(st, w)
-	case "fig1":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig1())
-	case "fig3":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig3()...)
-		if *flagBars {
-			for _, structure := range avgi.Fig3Structures {
-				labels, values := st.IMMDistributionMeans(structure)
-				report.Bars(w, "IMM mean distribution, "+structure, labels, values, 40)
-				fmt.Fprintln(w)
-			}
-		}
-	case "fig4":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig4()...)
-	case "fig5":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig5()...)
-	case "fig7":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig7()...)
-	case "fig8":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig8(st.TrainEstimator()))
-	case "fig9":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig9(st.TrainEstimator()))
-	case "table2":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Table2(st.TrainEstimator(), measureThroughput(st, *flagCores)))
-	case "fig10":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig10()...)
-	case "fig11":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Fig11())
-	case "fig12":
-		st, err := caseStudy15(obsv)
-		if err != nil {
-			return err
-		}
-		emit(w, avgi.Fig12(st)...)
-	case "motivation":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.Motivation())
-	case "multibit":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.MultiBitAblation())
-	case "ertablation":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		emit(w, st.ERTMarginAblation())
-	case "all":
-		st, err := study()
-		if err != nil {
-			return err
-		}
-		est := st.TrainEstimator()
-		emit(w, st.Fig1())
-		emit(w, st.Fig3()...)
-		emit(w, st.Fig4()...)
-		emit(w, st.Fig5()...)
-		emit(w, st.Fig7()...)
-		emit(w, st.Fig8(est))
-		emit(w, st.Fig9(est))
-		emit(w, st.Table2(est, measureThroughput(st, *flagCores)))
-		emit(w, st.Fig10()...)
-		emit(w, st.Fig11())
-		emit(w, st.Motivation())
-		emit(w, st.MultiBitAblation())
-		st15, err := caseStudy15(obsv)
-		if err != nil {
-			return err
-		}
-		emit(w, avgi.Fig12(st15)...)
-	default:
+	if !known {
 		return fmt.Errorf("unknown experiment %q (see -h)", cmd)
 	}
-	if explorer != nil {
+	// campaign prints its per-pair summaries and nothing else, so that every
+	// process of a fleet prints the same bytes.
+	if explorer != nil && cmd != "campaign" {
 		emit(w, avgi.MaskingSources(explorer))
 	}
 	return nil
@@ -469,7 +407,7 @@ func run(cmd string, w io.Writer, obsv *avgi.Observer) error {
 // Every fleet process invokes the identical command line against the shared
 // journal; whichever chunks each one simulates, the merged results and the
 // printed table are byte-identical.
-func runCampaignCmd(st *avgi.Study, w io.Writer) error {
+func runCampaignCmd(x *session, st *avgi.Study) error {
 	mode, err := avgi.ParseMode(*flagMode, *flagWindow)
 	if err != nil {
 		return fmt.Errorf("-mode/-window: %w", err)
@@ -507,12 +445,8 @@ func runCampaignCmd(st *avgi.Study, w io.Writer) error {
 				masked, sdc, crash, fmt.Sprintf("%.4f", vuln))
 		}
 	}
-	emit(w, t)
+	emit(x.w, t)
 	return nil
-}
-
-func caseStudy15(obsv *avgi.Observer) (*avgi.Study, error) {
-	return buildStudy(avgi.ConfigA15(), avgi.MiBenchWorkloads(), obsv)
 }
 
 // measureThroughput times one golden re-run to convert simulated cycles

@@ -263,7 +263,23 @@ func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *avgi.DistCoordina
 		watchRequest(svc, obsv, info.ID, w, r)
 	})
 	mux.Handle("/", obsv.Handler())
-	return recoverJSON(mux, logger)
+	return recoverJSON(limitBodies(mux), logger)
+}
+
+// maxBodyBytes bounds every request body the server reads. The largest
+// legitimate one, a campaign spec announced to the coordinator, is a few
+// hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// limitBodies caps the request body of every endpoint behind it — the
+// assessment API and the coordinator's lease/register/campaigns POSTs — so
+// a decoder fails with a 4xx at maxBodyBytes instead of buffering whatever
+// a client sends.
+func limitBodies(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		next.ServeHTTP(w, r)
+	})
 }
 
 func requestByPath(svc *avgi.Service, r *http.Request) (avgi.RequestInfo, bool) {

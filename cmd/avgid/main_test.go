@@ -157,6 +157,48 @@ func TestServerValidationErrorsAreJSON(t *testing.T) {
 	}
 }
 
+// TestServerOversizedBodyRejected: a body past maxBodyBytes gets a 4xx — a
+// JSON error from the assessment API — on every POST endpoint behind the
+// mux, coordinator included, and the server answers the next request.
+func TestServerOversizedBodyRejected(t *testing.T) {
+	obsv := avgi.NewObserver(io.Discard)
+	svc, err := avgi.NewService(avgi.ServiceConfig{Workers: 2, Obs: obsv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newHandler(svc, obsv, avgi.NewDistCoordinator(), nil))
+	defer ts.Close()
+
+	// Each body is a request its endpoint would accept (unknown fields are
+	// ignored), so only the size limit can turn it away.
+	pad := `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
+	for path, body := range map[string]string{
+		"/v1/assess":         strings.TrimSuffix(assessBody, "}"),
+		"/v1/dist/lease":     `{"op":"done","name":"chunk"`,
+		"/v1/dist/register":  `{"node":"n1"`,
+		"/v1/dist/campaigns": `{"spec":{"faults":1}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body+pad))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode > 499 {
+			t.Errorf("POST %s with a body over %d bytes: status %d, want 4xx", path, maxBodyBytes, resp.StatusCode)
+		}
+		var je struct {
+			Error string `json:"error"`
+		}
+		if path == "/v1/assess" && (json.Unmarshal(raw, &je) != nil || !strings.Contains(je.Error, "too large")) {
+			t.Errorf("POST %s: body %.120q is not a JSON \"too large\" error", path, raw)
+		}
+	}
+	if _, code := postAssess(t, ts.URL, assessBody); code != http.StatusOK {
+		t.Errorf("request after the oversized ones: status %d, want 200", code)
+	}
+}
+
 func TestServerRequestRegistryAndTelemetry(t *testing.T) {
 	ts, _ := newTestServer(t, "")
 	env, code := postAssess(t, ts.URL, assessBody)

@@ -151,13 +151,11 @@ func run(name string, obsv *avgi.Observer) error {
 	if err != nil {
 		return err
 	}
-	r.Obs = obsv
-	r.EarlyExit = common.EarlyExit
+	var explorer *avgi.Explorer
 	if common.Forensics {
-		r.Forensics = avgi.NewExplorer()
-		r.ForensicsSample = 1
+		explorer = avgi.NewExplorer()
 	}
-	r.PublishGolden()
+	r.Configure(obsv, explorer, 1, common.EarlyExit)
 	if *flagCores > 1 {
 		fmt.Printf("workload  %s (%s, %d cores, shared L2)\n", name, cfg.Name, *flagCores)
 	} else {

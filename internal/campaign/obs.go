@@ -353,6 +353,16 @@ func (ro *runObs) finish() {
 	ro.span.End()
 }
 
+// Configure sets the knobs a front end chooses for its runners — telemetry,
+// forensics and its sampling stride, the ModeAVGI window oracle — and
+// publishes the golden gauges. Study, Service and avgisim all configure a
+// fresh runner through this one call, so none can run without a knob the
+// others set.
+func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, fxSample int, earlyExit bool) {
+	r.Obs, r.Forensics, r.ForensicsSample, r.EarlyExit = o, fx, fxSample, earlyExit
+	r.PublishGolden()
+}
+
 // PublishGolden registers the runner's golden-run characteristics as
 // gauges with the observer's registry; a no-op without an observer.
 func (r *Runner) PublishGolden() {

@@ -99,7 +99,7 @@ func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
 		m.Stats.Branches++
 		// Update the bimodal predictor.
 		bi := m.bpIndex(e.pc)
-		m.touchBimodal(bi)
+		m.bimTouched.Touch(bi)
 		if taken {
 			if m.bimodal[bi] < 3 {
 				m.bimodal[bi]++
@@ -129,7 +129,7 @@ func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
 		if e.inst.Op == isa.OpJALR {
 			target := (a + uint64(int64(e.inst.Imm))) & v.Mask() &^ uint64(3)
 			bti := m.btbIndex(e.pc)
-			m.touchBTB(bti)
+			m.btbTouched.Touch(bti)
 			m.btb[bti] = target
 			m.finishDest(e, lat)
 			if target != e.predTarget {

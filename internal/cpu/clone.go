@@ -1,5 +1,7 @@
 package cpu
 
+import "avgi/internal/mem"
+
 // Clone deep-copies the machine's entire state — core and memory system —
 // producing an independent machine positioned at the same cycle. Campaigns
 // use this as the checkpoint mechanism: the golden run advances to each
@@ -25,7 +27,8 @@ func (m *Machine) cloneCore() *Machine {
 	c.sink = nil
 	c.profile = nil // exposure profiling is a golden-run concern
 	c.probe = nil   // fault probes never outlive their faulty run
-	c.clearDeltaTracking()
+	// A clone starts untracked.
+	c.bimTouched, c.btbTouched = mem.DirtySet{}, mem.DirtySet{}
 
 	c.prf = append([]uint64(nil), m.prf...)
 	c.prfReadyAt = append([]uint64(nil), m.prfReadyAt...)

@@ -236,11 +236,8 @@ type Machine struct {
 	// worth tracking on the core side — they are large, cold and mostly
 	// stable, while the pipeline queues and register file churn completely
 	// within any fault window and are always copied whole.
-	deltaTrack bool
-	bimTouched []int32
-	bimMarked  []bool
-	btbTouched []int32
-	btbMarked  []bool
+	bimTouched mem.DirtySet
+	btbTouched mem.DirtySet
 
 	cycle           uint64
 	lastCommitCycle uint64

@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -139,12 +140,12 @@ func TestSnapshotReuseAcrossCaptures(t *testing.T) {
 	}
 }
 
-// nonStateSlices are the Machine slices that belong to the machine object,
-// not to the state it holds: the dirty-delta touch lists and marks. A copy
-// leaves the destination's own alone (Clone and Snapshot leave them nil).
-var nonStateSlices = map[string]bool{
-	"bimTouched": true, "bimMarked": true, "btbTouched": true, "btbMarked": true,
-}
+// nonStateSlices are the Machine fields whose slices belong to the machine
+// object, not to the state it holds: the two dirty sets. A copy leaves the
+// destination's own alone (Clone and Snapshot leave them zero).
+var nonStateSlices = map[string]bool{"bimTouched": true, "btbTouched": true}
+
+func isState(name string) bool { return !nonStateSlices[strings.Split(name, ".")[0]] }
 
 // writable lifts reflect's read-only mark from an unexported field or
 // element so the test can read it as an interface and write to it.
@@ -152,15 +153,23 @@ func writable(v reflect.Value) reflect.Value {
 	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 }
 
-// sliceFields returns every slice-typed field of m by name.
+// sliceFields returns every slice-typed field of m by name, descending into
+// struct-typed fields (a dirty set's are "bimTouched.rows" and ".marked").
 func sliceFields(m *Machine) map[string]reflect.Value {
 	out := map[string]reflect.Value{}
-	v := reflect.ValueOf(m).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).Kind() == reflect.Slice {
-			out[v.Type().Field(i).Name] = writable(v.Field(i))
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Name
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Slice:
+				out[name] = writable(f)
+			case reflect.Struct:
+				walk(name+".", f)
+			}
 		}
 	}
+	walk("", reflect.ValueOf(m).Elem())
 	return out
 }
 
@@ -189,7 +198,7 @@ func perturb(v reflect.Value) {
 // the pipeline does.
 func perturbState(m *Machine) {
 	for name, f := range sliceFields(m) {
-		if nonStateSlices[name] {
+		if !isState(name) {
 			continue
 		}
 		if f.Len() < 2 {
@@ -197,8 +206,8 @@ func perturbState(m *Machine) {
 		}
 		perturb(f.Index(1))
 	}
-	m.touchBimodal(1)
-	m.touchBTB(1)
+	m.bimTouched.Touch(1)
+	m.btbTouched.Touch(1)
 }
 
 func overlaps(a, b reflect.Value) bool {
@@ -235,7 +244,7 @@ func TestCoreCopySharesNoBuffers(t *testing.T) {
 				t.Errorf("%s: destination shares the source's backing array", name)
 				continue
 			}
-			if nonStateSlices[name] {
+			if !isState(name) {
 				continue
 			}
 			if s.Len() < 2 {

@@ -146,25 +146,16 @@ func (t countingTarget) FlipBit(i uint64) {
 // Targets returns the machine's twelve fault-injectable structures keyed by
 // name.
 func (m *Machine) Targets() map[string]Target {
-	return map[string]Target{
-		"RF":         &PRFTarget{m},
-		"ROB":        &ROBTarget{m},
-		"LQ":         &LQTarget{m},
-		"SQ":         &SQTarget{m},
-		"ITLB":       countingTarget{m, m.Mem.ITLB},
-		"DTLB":       countingTarget{m, m.Mem.DTLB},
-		"L1I (Tag)":  countingTarget{m, m.Mem.L1I.TagArray()},
-		"L1I (Data)": countingTarget{m, m.Mem.L1I.DataArray()},
-		"L1D (Tag)":  countingTarget{m, m.Mem.L1D.TagArray()},
-		"L1D (Data)": countingTarget{m, m.Mem.L1D.DataArray()},
-		"L2 (Tag)":   countingTarget{m, m.Mem.L2.TagArray()},
-		"L2 (Data)":  countingTarget{m, m.Mem.L2.DataArray()},
+	out := make(map[string]Target, len(StructureNames))
+	for _, name := range StructureNames {
+		out[name] = m.Target(name)
 	}
+	return out
 }
 
-// Target returns one structure by name, or nil if unknown. The lookup is a
-// direct switch rather than a Targets() map build: campaigns resolve a
-// target once per fault, on the hot path.
+// Target returns one structure by name, or nil if unknown — the one place
+// names are bound to arrays. A direct switch, not a map lookup: campaigns
+// resolve a target once per fault, on the hot path.
 func (m *Machine) Target(name string) Target {
 	switch name {
 	case "RF":

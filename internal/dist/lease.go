@@ -83,14 +83,15 @@ type leaseRecord struct {
 //
 // Protocol, per resource name:
 //
-//   - root/<name>.lease — the lease record, created O_CREATE|O_EXCL so
-//     exactly one creator wins. Heartbeats rewrite it via temp-file rename
-//     (atomic, so readers never see a torn record from a live owner).
+//   - root/<name>.lease — the lease record, written to a temp file and
+//     hard-linked into place, so exactly one creator wins and the record
+//     appears whole. Heartbeats rewrite it via temp-file rename (atomic,
+//     so readers never see a torn record from a live owner).
 //   - root/<name>.done — the persistent done marker.
 //   - takeover: a claimant that reads a stale (or torn/empty) lease
 //     renames it to a claimant-unique tombstone — exactly one racer's
 //     rename succeeds — re-checks staleness on the tombstone, removes it,
-//     and O_EXCL-creates a fresh lease. If the tombstone turns out live
+//     and link-creates a fresh lease. If the tombstone turns out live
 //     (the owner heartbeated between read and rename), it is renamed
 //     back: the owner keeps working either way, because leases only
 //     arbitrate efficiency — a lost lease means duplicated simulation,
@@ -175,27 +176,35 @@ func (l *FileLeaser) write(path, owner string, ttl time.Duration) error {
 	return nil
 }
 
-// create attempts the O_EXCL lease creation; ok=false means it already
-// exists.
+// create attempts the exclusive lease creation; ok=false means it already
+// exists. The record is written to a private file and hard-linked into
+// place: like O_EXCL the link fails when path exists, and unlike an O_EXCL
+// create followed by a write it never shows rivals an empty lease — which
+// reads as torn, so free, and let a second claimant take over a lease its
+// winner was still writing.
 func (l *FileLeaser) create(path, owner string, ttl time.Duration) (bool, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	rec := leaseRecord{Owner: owner, Expiry: l.now().Add(ttl).UnixNano()}
+	data, err := json.Marshal(rec)
 	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return false, nil
-		}
 		return false, fmt.Errorf("dist: %w", err)
 	}
-	rec := leaseRecord{Owner: owner, Expiry: l.now().Add(ttl).UnixNano()}
-	data, merr := json.Marshal(rec)
-	if merr == nil {
-		_, merr = f.Write(data)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".new-*")
+	if err != nil {
+		return false, fmt.Errorf("dist: %w", err)
 	}
-	if cerr := f.Close(); merr == nil {
-		merr = cerr
+	defer os.Remove(f.Name())
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if merr != nil {
-		os.Remove(path)
-		return false, fmt.Errorf("dist: %w", merr)
+	if err == nil {
+		err = os.Link(f.Name(), path)
+	}
+	if errors.Is(err, os.ErrExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("dist: %w", err)
 	}
 	return true, nil
 }

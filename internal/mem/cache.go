@@ -64,33 +64,53 @@ type Cache struct {
 	dirty uint64
 	tmask uint64
 
-	// tags packs valid(1) | dirty(1) | tag(tagBits) per way, set-major.
-	tags []uint64
-	// data holds the line contents, set-major then way-major.
-	data []byte
-
-	// lru holds last-touch timestamps (protected replacement metadata).
-	lru  []uint64
-	tick uint64
+	cacheState
 
 	lower Level
 
-	// Dirty-delta tracking (cursor forks): the sets written — or whose
-	// replacement state was updated — since the last snapshot/restore sync
-	// point. touched is a deduplicated list; marked is its membership set.
-	track   bool
-	touched []int32
-	marked  []bool
+	// touched tracks the sets written — or whose replacement state was
+	// updated — since the last sync point.
+	touched DirtySet
 
 	// probe, when non-nil, observes consumption and erasure of the array
 	// entries covered by an injected fault (see probe.go). Never survives
 	// a Clone and is cleared before the faulty machine is rewound.
 	probe *LineProbe
+}
+
+// cacheState is everything about a cache that changes as it runs, and so
+// everything a snapshot holds. A scalar added to cacheScalars is copied by
+// copyFrom's struct assignment; an array needs a line there and one in Clone
+// (TestMemCopySharesNoBuffers fails without them).
+type cacheState struct {
+	// tags packs valid(1) | dirty(1) | tag(tagBits) per way, set-major.
+	tags []uint64
+	// data holds the line contents, set-major then way-major.
+	data []byte
+	// lru holds last-touch timestamps (protected replacement metadata).
+	lru []uint64
+
+	cacheScalars
+}
+
+// cacheScalars is the pointer-free part of cacheState, apart so that the
+// per-fault copy of it takes no GC write barrier.
+type cacheScalars struct {
+	tick uint64 // the lru clock
 
 	// Statistics (protected).
 	Accesses   uint64
 	Misses     uint64
 	Writebacks uint64
+}
+
+// copyFrom makes dst equal src, each array copied into dst's own buffer —
+// only the sets only lists, if non-nil. Returns the array bytes moved.
+func (dst *cacheState) copyFrom(src *cacheState, only *DirtySet, ways, lineBytes int) uint64 {
+	dst.cacheScalars = src.cacheScalars
+	return CopyRows(&dst.tags, src.tags, only, ways) +
+		CopyRows(&dst.lru, src.lru, only, ways) +
+		CopyRows(&dst.data, src.data, only, ways*lineBytes)
 }
 
 // NewCache builds a cache with the given geometry over the lower level.
@@ -102,11 +122,11 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 		cfg:      cfg,
 		setBits:  bits.TrailingZeros(uint(cfg.Sets)),
 		lineBits: bits.TrailingZeros(uint(cfg.LineBytes)),
-		tags:     make([]uint64, cfg.Sets*cfg.Ways),
-		data:     make([]byte, cfg.Sets*cfg.Ways*cfg.LineBytes),
-		lru:      make([]uint64, cfg.Sets*cfg.Ways),
 		lower:    lower,
 	}
+	c.tags = make([]uint64, cfg.Sets*cfg.Ways)
+	c.data = make([]byte, cfg.Sets*cfg.Ways*cfg.LineBytes)
+	c.lru = make([]uint64, cfg.Sets*cfg.Ways)
 	c.tagBits = cfg.AddrBits - c.setBits - c.lineBits
 	if c.tagBits <= 0 {
 		panic(fmt.Sprintf("mem: %s: geometry larger than address space", cfg.Name))
@@ -142,7 +162,7 @@ func (c *Cache) Access(paddr uint64, n uint64, write bool, buf []byte) uint64 {
 	c.Accesses++
 	c.tick++
 	set, tag, off := c.split(paddr)
-	c.touch(set)
+	c.touched.Touch(set)
 	base := set * c.cfg.Ways
 	way := -1
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -257,7 +277,7 @@ func (c *Cache) Flush() {
 			if e&c.valid != 0 && e&c.dirty != 0 {
 				idx := (base + w) * c.cfg.LineBytes
 				c.Writebacks++
-				c.touch(set)
+				c.touched.Touch(set)
 				if c.probe != nil {
 					c.probe.onFlush(base + w)
 				}
@@ -278,121 +298,44 @@ func (c *Cache) Clone() *Cache {
 	// Delta tracking and any armed fault probe are properties of a
 	// specific cursor machine, not of the state; a clone starts untracked
 	// and unprobed with its own buffers.
-	cl.track = false
-	cl.touched = nil
-	cl.marked = nil
+	cl.touched = DirtySet{}
 	cl.probe = nil
 	return &cl
 }
 
-// BeginDeltaTracking starts recording the sets touched by subsequent
-// accesses, flushes and flips, establishing the current state as a sync
-// point. While tracking, SyncSnapshot/SyncRestore move only the touched
-// delta between the cache and a snapshot captured at the sync point.
-func (c *Cache) BeginDeltaTracking() {
-	if c.marked == nil {
-		c.marked = make([]bool, c.cfg.Sets)
-		c.touched = make([]int32, 0, c.cfg.Sets)
-	}
-	c.resetTouched()
-	c.track = true
-}
+// BeginDeltaTracking starts recording the sets touched by accesses, flushes
+// and flips, with the current state as the sync point (see DirtySet).
+func (c *Cache) BeginDeltaTracking() { c.touched.Begin(c.cfg.Sets) }
 
 // EndDeltaTracking stops recording and clears the touch list.
-func (c *Cache) EndDeltaTracking() {
-	if c.track {
-		c.resetTouched()
-		c.track = false
-	}
-}
-
-// touch records set as modified since the last sync point.
-func (c *Cache) touch(set int) {
-	if !c.track || c.marked[set] {
-		return
-	}
-	c.marked[set] = true
-	c.touched = append(c.touched, int32(set))
-}
-
-func (c *Cache) resetTouched() {
-	for _, s := range c.touched {
-		c.marked[s] = false
-	}
-	c.touched = c.touched[:0]
-}
-
-// SyncSnapshot re-captures into snap only the sets touched since the last
-// sync point, then clears the touch list — the cheap re-arm of a cursor
-// worker's local snapshot between faults. snap must have been fully
-// captured from this cache before (same geometry, same sync lineage).
-// Returns the number of array bytes copied.
-func (c *Cache) SyncSnapshot(snap *CacheSnap) uint64 {
-	return c.syncDelta(snap, true)
-}
-
-// SyncRestore rewinds only the sets touched since the last sync point back
-// to snap's contents, then clears the touch list. With the sync invariant
-// (cache == snap at the last sync point, all divergence since is tracked)
-// the result is bit-identical to a full Restore. Returns the number of
-// array bytes copied.
-func (c *Cache) SyncRestore(snap *CacheSnap) uint64 {
-	return c.syncDelta(snap, false)
-}
-
-func (c *Cache) syncDelta(snap *CacheSnap, capture bool) uint64 {
-	if !c.track {
-		panic(fmt.Sprintf("mem: %s: delta sync without tracking", c.cfg.Name))
-	}
-	if len(snap.tags) != len(c.tags) || len(snap.data) != len(c.data) {
-		panic(fmt.Sprintf("mem: %s: delta sync across geometries", c.cfg.Name))
-	}
-	ways := c.cfg.Ways
-	lb := c.cfg.LineBytes
-	var bytes uint64
-	for _, s := range c.touched {
-		base := int(s) * ways
-		end := base + ways
-		db, de := base*lb, end*lb
-		if capture {
-			copy(snap.tags[base:end], c.tags[base:end])
-			copy(snap.lru[base:end], c.lru[base:end])
-			copy(snap.data[db:de], c.data[db:de])
-		} else {
-			copy(c.tags[base:end], snap.tags[base:end])
-			copy(c.lru[base:end], snap.lru[base:end])
-			copy(c.data[db:de], snap.data[db:de])
-		}
-		bytes += uint64(ways)*16 + uint64(de-db)
-	}
-	if capture {
-		snap.tick = c.tick
-		snap.accesses = c.Accesses
-		snap.misses = c.Misses
-		snap.writebacks = c.Writebacks
-	} else {
-		c.tick = snap.tick
-		c.Accesses = snap.accesses
-		c.Misses = snap.misses
-		c.Writebacks = snap.writebacks
-	}
-	c.resetTouched()
-	return bytes
-}
+func (c *Cache) EndDeltaTracking() { c.touched.End() }
 
 // CacheSnap is an immutable capture of one cache's complete state (tag,
 // data and replacement arrays plus statistics). Its buffers are reused
 // across Snapshot calls so interval checkpointing does not allocate per
 // capture after the first.
 type CacheSnap struct {
-	tags []uint64
-	data []byte
-	lru  []uint64
-	tick uint64
+	cacheState
+	size uint64 // array bytes of the last full capture
+}
 
-	accesses   uint64
-	misses     uint64
-	writebacks uint64
+// sync moves state between the cache and a snapshot: out of the cache with
+// capture set, into it otherwise; whole, or with delta only the sets touched
+// since the last sync point. The two are equal afterwards, so the touch list
+// restarts empty. Returns the array bytes moved.
+func (c *Cache) sync(snap *CacheSnap, capture, delta bool) uint64 {
+	same := len(snap.tags) == len(c.tags) && len(snap.data) == len(c.data)
+	only := checkSync(c.cfg.Name, &c.touched, same, capture, delta)
+	dst, src := &c.cacheState, &snap.cacheState
+	if capture {
+		dst, src = src, dst
+	}
+	n := dst.copyFrom(src, only, c.cfg.Ways, c.cfg.LineBytes)
+	c.touched.Reset()
+	if capture && !delta {
+		snap.size = n
+	}
+	return n
 }
 
 // Snapshot copies the cache state into snap, reusing its buffers (a nil
@@ -401,44 +344,28 @@ func (c *Cache) Snapshot(snap *CacheSnap) *CacheSnap {
 	if snap == nil {
 		snap = &CacheSnap{}
 	}
-	snap.tags = append(snap.tags[:0], c.tags...)
-	snap.data = append(snap.data[:0], c.data...)
-	snap.lru = append(snap.lru[:0], c.lru...)
-	snap.tick = c.tick
-	snap.accesses = c.Accesses
-	snap.misses = c.Misses
-	snap.writebacks = c.Writebacks
-	if c.track {
-		// A full capture leaves cache == snap: a fresh sync point.
-		c.resetTouched()
-	}
+	c.sync(snap, true, false)
 	return snap
 }
 
 // Restore rewinds the cache to a snapshot by copying into its existing
 // arrays — no allocation. The snapshot is only read, so any number of
 // caches may restore from it concurrently. The geometry must match.
-func (c *Cache) Restore(snap *CacheSnap) {
-	if len(snap.tags) != len(c.tags) || len(snap.data) != len(c.data) {
-		panic(fmt.Sprintf("mem: %s: restore across geometries", c.cfg.Name))
-	}
-	copy(c.tags, snap.tags)
-	copy(c.data, snap.data)
-	copy(c.lru, snap.lru)
-	c.tick = snap.tick
-	c.Accesses = snap.accesses
-	c.Misses = snap.misses
-	c.Writebacks = snap.writebacks
-	if c.track {
-		// A full restore leaves cache == snap: a fresh sync point.
-		c.resetTouched()
-	}
-}
+func (c *Cache) Restore(snap *CacheSnap) { c.sync(snap, false, false) }
+
+// SyncSnapshot re-captures into snap only the sets touched since the last
+// sync point — the cheap re-arm of a cursor worker's snapshot between
+// faults. snap must be a full capture of this cache from the same sync
+// lineage. Returns the array bytes copied.
+func (c *Cache) SyncSnapshot(snap *CacheSnap) uint64 { return c.sync(snap, true, true) }
+
+// SyncRestore rewinds only the sets touched since the last sync point. Under
+// the sync invariant (cache == snap at that point, all divergence since is
+// tracked) it is bit-identical to a full Restore. Returns the bytes copied.
+func (c *Cache) SyncRestore(snap *CacheSnap) uint64 { return c.sync(snap, false, true) }
 
 // Bytes returns the captured state size, for checkpoint accounting.
-func (s *CacheSnap) Bytes() uint64 {
-	return uint64(len(s.tags))*8 + uint64(len(s.data)) + uint64(len(s.lru))*8
-}
+func (s *CacheSnap) Bytes() uint64 { return s.size }
 
 // SetLower rebinds the lower level after cloning.
 func (c *Cache) SetLower(l Level) { c.lower = l }
@@ -465,7 +392,7 @@ func (a *CacheTagArray) BitCount() uint64 {
 func (a *CacheTagArray) FlipBit(i uint64) {
 	per := uint64(a.c.tagBits + 2)
 	entry := i / per
-	a.c.touch(int(entry) / a.c.cfg.Ways)
+	a.c.touched.Touch(int(entry) / a.c.cfg.Ways)
 	a.c.tags[entry] ^= 1 << (i % per)
 }
 
@@ -482,6 +409,6 @@ func (a *CacheDataArray) BitCount() uint64 { return uint64(len(a.c.data)) * 8 }
 func (a *CacheDataArray) FlipBit(i uint64) {
 	b := i / 8
 	line := int(b) / a.c.cfg.LineBytes
-	a.c.touch(line / a.c.cfg.Ways)
+	a.c.touched.Touch(line / a.c.cfg.Ways)
 	a.c.data[b] ^= 1 << (i % 8)
 }

@@ -41,16 +41,21 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{Cfg: cfg}
-	h.RAM = NewRAM(cfg.RAMSize)
-	h.PageTable = NewPageTable(cfg.RAMSize)
-	h.ITLB = NewTLB("ITLB", cfg.ITLBEntries, cfg.WalkLat)
-	h.DTLB = NewTLB("DTLB", cfg.DTLBEntries, cfg.WalkLat)
-	h.ramLevel = &RAMLevel{RAM: h.RAM, ReadLat: cfg.DRAMLat}
-	h.L2 = NewCache(cfg.L2, h.ramLevel)
-	h.L1I = NewCache(cfg.L1I, h.L2)
-	h.L1D = NewCache(cfg.L1D, h.L2)
-	return h
+	rl := &RAMLevel{RAM: NewRAM(cfg.RAMSize), ReadLat: cfg.DRAMLat}
+	return newCoreView(cfg, 0, NewPageTable(cfg.RAMSize), rl, NewCache(cfg.L2, rl))
+}
+
+// newCoreView assembles one core's private L1s and TLBs over a RAM level
+// and L2 — its own on a single-core machine, the shared spine's on a
+// cluster, where base locates the core's physical window.
+func newCoreView(cfg HierarchyConfig, base uint64, pt *PageTable, rl *RAMLevel, l2 *Cache) *Hierarchy {
+	return &Hierarchy{
+		Cfg: cfg, base: base, RAM: rl.RAM, PageTable: pt, ramLevel: rl, L2: l2,
+		ITLB: NewTLB("ITLB", cfg.ITLBEntries, cfg.WalkLat),
+		DTLB: NewTLB("DTLB", cfg.DTLBEntries, cfg.WalkLat),
+		L1I:  NewCache(cfg.L1I, l2),
+		L1D:  NewCache(cfg.L1D, l2),
+	}
 }
 
 // Base returns the physical address of this core's RAM window: 0 on a
@@ -158,10 +163,41 @@ func (h *Hierarchy) DrainOutput(outBase, outLenAddr uint64, lenBytes uint64) []b
 // than the full RAM image. A snapshot is never mutated after Snapshot
 // returns and may be restored from by any number of machines concurrently.
 type HierarchySnap struct {
-	ram        *RAM
-	itlb, dtlb TLBSnap
-	l1i, l1d   CacheSnap
-	l2         CacheSnap
+	ram    *RAM
+	tlbs   [2]TLBSnap   // index-parallel with Hierarchy.parts
+	caches [3]CacheSnap // likewise
+	size   uint64       // bytes of the last full capture
+}
+
+// parts lists the hierarchy's array components: the one list copying, delta
+// tracking and byte accounting walk (newCoreView and cloneView name them too).
+func (h *Hierarchy) parts() ([2]*TLB, [3]*Cache) {
+	return [2]*TLB{h.ITLB, h.DTLB}, [3]*Cache{h.L1I, h.L1D, h.L2}
+}
+
+// sync moves the whole memory system between the hierarchy and a snapshot
+// (see Cache.sync): RAM forks or adopts pages copy-on-write either way, and
+// every part copies its arrays whole or, with delta, only what was touched.
+// Returns the bytes moved, counting the RAM fork's page table (an 8-byte
+// pointer and an owned flag per page) but not the shared page contents.
+func (h *Hierarchy) sync(snap *HierarchySnap, capture, delta bool) uint64 {
+	if capture {
+		snap.ram = h.RAM.Snapshot(snap.ram)
+	} else {
+		h.RAM.RestoreFrom(snap.ram)
+	}
+	n := uint64(len(snap.ram.pages)) * 9
+	tlbs, caches := h.parts()
+	for i, t := range tlbs {
+		n += t.sync(&snap.tlbs[i], capture, delta)
+	}
+	for i, c := range caches {
+		n += c.sync(&snap.caches[i], capture, delta)
+	}
+	if capture && !delta {
+		snap.size = n
+	}
+	return n
 }
 
 // Snapshot captures the memory system into snap, reusing its buffers (nil
@@ -171,102 +207,71 @@ func (h *Hierarchy) Snapshot(snap *HierarchySnap) *HierarchySnap {
 	if snap == nil {
 		snap = &HierarchySnap{}
 	}
-	snap.ram = h.RAM.Snapshot(snap.ram)
-	h.ITLB.Snapshot(&snap.itlb)
-	h.DTLB.Snapshot(&snap.dtlb)
-	h.L1I.Snapshot(&snap.l1i)
-	h.L1D.Snapshot(&snap.l1d)
-	h.L2.Snapshot(&snap.l2)
+	h.sync(snap, true, false)
 	return snap
 }
 
-// Restore rewinds the hierarchy to a snapshot in place: cache and TLB
-// contents are copied into the existing arrays and RAM adopts the
-// snapshot's pages copy-on-write. No allocation, and object identity
-// (RAM, cache and level pointers) is preserved. The geometry must match
-// the snapshot's.
-func (h *Hierarchy) Restore(snap *HierarchySnap) {
-	h.RAM.RestoreFrom(snap.ram)
-	h.ITLB.Restore(&snap.itlb)
-	h.DTLB.Restore(&snap.dtlb)
-	h.L1I.Restore(&snap.l1i)
-	h.L1D.Restore(&snap.l1d)
-	h.L2.Restore(&snap.l2)
-}
+// Restore rewinds the hierarchy to a snapshot of its own geometry in place:
+// cache and TLB contents are copied into the existing arrays and RAM adopts
+// the snapshot's pages copy-on-write. No allocation, and object identity
+// (RAM, cache and level pointers) is preserved.
+func (h *Hierarchy) Restore(snap *HierarchySnap) { h.sync(snap, false, false) }
+
+// SyncSnapshot re-captures into snap only the state touched since the last
+// sync point: touched cache sets and TLB entries are copied, RAM is
+// re-forked. snap must be a full capture of this hierarchy from the current
+// sync lineage. Returns the bytes copied.
+func (h *Hierarchy) SyncSnapshot(snap *HierarchySnap) uint64 { return h.sync(snap, true, true) }
+
+// SyncRestore rewinds only the state touched since the last sync point back
+// to snap's contents; bit-identical to a full Restore under the sync
+// invariant. Returns the bytes copied.
+func (h *Hierarchy) SyncRestore(snap *HierarchySnap) uint64 { return h.sync(snap, false, true) }
+
+// Bytes returns the captured state size in bytes: the copied arrays plus
+// the page-pointer table of the RAM fork.
+func (s *HierarchySnap) Bytes() uint64 { return s.size }
 
 // BeginDeltaTracking starts dirty-delta tracking on every cache and TLB,
 // establishing the current state as a sync point. RAM needs no tracking:
 // its copy-on-write pages already privatize at write granularity.
 func (h *Hierarchy) BeginDeltaTracking() {
-	h.ITLB.BeginDeltaTracking()
-	h.DTLB.BeginDeltaTracking()
-	h.L1I.BeginDeltaTracking()
-	h.L1D.BeginDeltaTracking()
-	h.L2.BeginDeltaTracking()
+	h.eachPart((*TLB).BeginDeltaTracking, (*Cache).BeginDeltaTracking)
 }
 
 // EndDeltaTracking stops dirty-delta tracking everywhere.
 func (h *Hierarchy) EndDeltaTracking() {
-	h.ITLB.EndDeltaTracking()
-	h.DTLB.EndDeltaTracking()
-	h.L1I.EndDeltaTracking()
-	h.L1D.EndDeltaTracking()
-	h.L2.EndDeltaTracking()
+	h.eachPart((*TLB).EndDeltaTracking, (*Cache).EndDeltaTracking)
 }
 
-// SyncSnapshot re-captures into snap only the state touched since the last
-// sync point: touched cache sets and TLB entries are copied, RAM is
-// re-forked copy-on-write (pointer-sized per page). snap must be a full
-// capture of this hierarchy from the current sync lineage. Returns the
-// bytes copied.
-func (h *Hierarchy) SyncSnapshot(snap *HierarchySnap) uint64 {
-	snap.ram = h.RAM.Snapshot(snap.ram)
-	bytes := uint64(len(snap.ram.pages)) * 9
-	bytes += h.ITLB.SyncSnapshot(&snap.itlb)
-	bytes += h.DTLB.SyncSnapshot(&snap.dtlb)
-	bytes += h.L1I.SyncSnapshot(&snap.l1i)
-	bytes += h.L1D.SyncSnapshot(&snap.l1d)
-	bytes += h.L2.SyncSnapshot(&snap.l2)
-	return bytes
-}
-
-// SyncRestore rewinds only the state touched since the last sync point back
-// to snap's contents; bit-identical to a full Restore under the sync
-// invariant. Returns the bytes copied.
-func (h *Hierarchy) SyncRestore(snap *HierarchySnap) uint64 {
-	h.RAM.RestoreFrom(snap.ram)
-	bytes := uint64(len(snap.ram.pages)) * 9
-	bytes += h.ITLB.SyncRestore(&snap.itlb)
-	bytes += h.DTLB.SyncRestore(&snap.dtlb)
-	bytes += h.L1I.SyncRestore(&snap.l1i)
-	bytes += h.L1D.SyncRestore(&snap.l1d)
-	bytes += h.L2.SyncRestore(&snap.l2)
-	return bytes
-}
-
-// Bytes returns the captured state size in bytes: the copied arrays plus
-// the page-pointer table of the RAM fork (the shared page contents are
-// not owned by the snapshot and are not counted).
-func (s *HierarchySnap) Bytes() uint64 {
-	ramPtrs := uint64(len(s.ram.pages)) * 9 // 8-byte pointer + owned flag
-	return ramPtrs + s.itlb.Bytes() + s.dtlb.Bytes() +
-		s.l1i.Bytes() + s.l1d.Bytes() + s.l2.Bytes()
+func (h *Hierarchy) eachPart(tlb func(*TLB), cache func(*Cache)) {
+	tlbs, caches := h.parts()
+	for _, t := range tlbs {
+		tlb(t)
+	}
+	for _, c := range caches {
+		cache(c)
+	}
 }
 
 // Clone deep-copies the entire memory system.
 func (h *Hierarchy) Clone() *Hierarchy {
-	c := &Hierarchy{Cfg: h.Cfg}
-	c.RAM = h.RAM.Clone()
-	c.PageTable = h.PageTable // immutable
-	c.ITLB = h.ITLB.Clone()
-	c.DTLB = h.DTLB.Clone()
-	c.ramLevel = &RAMLevel{RAM: c.RAM, ReadLat: h.ramLevel.ReadLat}
-	c.L2 = h.L2.Clone()
-	c.L2.SetLower(c.ramLevel)
-	c.L1I = h.L1I.Clone()
-	c.L1I.SetLower(c.L2)
-	c.L1D = h.L1D.Clone()
-	c.L1D.SetLower(c.L2)
+	rl := &RAMLevel{RAM: h.RAM.Clone(), ReadLat: h.ramLevel.ReadLat}
+	l2 := h.L2.Clone()
+	l2.SetLower(rl)
+	return h.cloneView(rl, l2)
+}
+
+// cloneView is newCoreView for a clone: copies of this core's private L1s
+// and TLBs over an already cloned RAM level and L2. The page table is
+// immutable and stays shared.
+func (h *Hierarchy) cloneView(rl *RAMLevel, l2 *Cache) *Hierarchy {
+	c := &Hierarchy{
+		Cfg: h.Cfg, base: h.base, RAM: rl.RAM, PageTable: h.PageTable, ramLevel: rl, L2: l2,
+		ITLB: h.ITLB.Clone(), DTLB: h.DTLB.Clone(), L1I: h.L1I.Clone(), L1D: h.L1D.Clone(),
+	}
+	c.L1I.SetLower(l2)
+	c.L1D.SetLower(l2)
 	return c
 }
 

@@ -57,18 +57,9 @@ func NewSharedMem(cfg HierarchyConfig, cores int) *SharedMem {
 		hcfg.L1I.AddrBits += coreBits
 		hcfg.L1D.AddrBits += coreBits
 		hcfg.L2 = l2cfg
-		h := &Hierarchy{
-			Cfg:  hcfg,
-			base: uint64(k) * cfg.RAMSize,
-		}
-		h.RAM = s.RAM
-		h.PageTable = NewPageTableAt(cfg.RAMSize, h.base/PageBytes, totalSize/PageBytes)
-		h.ITLB = NewTLB("ITLB", cfg.ITLBEntries, cfg.WalkLat)
-		h.DTLB = NewTLB("DTLB", cfg.DTLBEntries, cfg.WalkLat)
-		h.ramLevel = s.ramLevel
-		h.L2 = s.L2
-		h.L1I = NewCache(hcfg.L1I, s.L2)
-		h.L1D = NewCache(hcfg.L1D, s.L2)
+		base := uint64(k) * cfg.RAMSize
+		pt := NewPageTableAt(cfg.RAMSize, base/PageBytes, totalSize/PageBytes)
+		h := newCoreView(hcfg, base, pt, s.ramLevel, s.L2)
 		s.hiers = append(s.hiers, h)
 	}
 	return s
@@ -87,18 +78,7 @@ func (s *SharedMem) Clone() *SharedMem {
 	c.L2 = s.L2.Clone()
 	c.L2.SetLower(c.ramLevel)
 	for _, h := range s.hiers {
-		ch := &Hierarchy{Cfg: h.Cfg, base: h.base}
-		ch.RAM = c.RAM
-		ch.PageTable = h.PageTable // immutable
-		ch.ITLB = h.ITLB.Clone()
-		ch.DTLB = h.DTLB.Clone()
-		ch.ramLevel = c.ramLevel
-		ch.L2 = c.L2
-		ch.L1I = h.L1I.Clone()
-		ch.L1I.SetLower(c.L2)
-		ch.L1D = h.L1D.Clone()
-		ch.L1D.SetLower(c.L2)
-		c.hiers = append(c.hiers, ch)
+		c.hiers = append(c.hiers, h.cloneView(c.ramLevel, c.L2))
 	}
 	return c
 }

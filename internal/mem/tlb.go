@@ -7,26 +7,40 @@ package mem
 //
 // Replacement state (round-robin pointer) is protected metadata.
 type TLB struct {
-	name    string
-	entries []uint64
-	rr      int // round-robin replacement cursor (protected)
-
+	name        string
 	walkLatency uint64
 
-	// Dirty-delta tracking (cursor forks): entries written since the last
-	// snapshot/restore sync point. Translate hits are read-only, so only
-	// fills and bit flips touch.
-	track   bool
-	touched []int32
-	marked  []bool
+	tlbState
+
+	// touched tracks the entries written since the last sync point.
+	// Translate hits are read-only, so only fills and bit flips touch.
+	touched DirtySet
 
 	// probe, when non-nil, observes consumption and erasure of the
 	// entries covered by an injected fault (see probe.go).
 	probe *TLBProbe
+}
+
+// tlbState is everything about a TLB that changes as it runs, and so
+// everything a snapshot holds (see cacheState for the adding-a-field rule).
+type tlbState struct {
+	entries []uint64
+	tlbScalars
+}
+
+// tlbScalars is the pointer-free part of tlbState (see cacheScalars).
+type tlbScalars struct {
+	rr int // round-robin replacement cursor (protected)
 
 	// Accesses and Misses are running statistics (protected).
 	Accesses uint64
 	Misses   uint64
+}
+
+// copyFrom is cacheState.copyFrom for a TLB, one row per entry.
+func (dst *tlbState) copyFrom(src *tlbState, only *DirtySet) uint64 {
+	dst.tlbScalars = src.tlbScalars
+	return CopyRows(&dst.entries, src.entries, only, 1)
 }
 
 const tlbEntryBits = 1 + 2*pageNumBits
@@ -41,7 +55,9 @@ const (
 // NewTLB builds a TLB with n entries. walkLatency is the page-walk cost in
 // cycles charged on every miss.
 func NewTLB(name string, n int, walkLatency uint64) *TLB {
-	return &TLB{name: name, entries: make([]uint64, n), walkLatency: walkLatency}
+	t := &TLB{name: name, walkLatency: walkLatency}
+	t.entries = make([]uint64, n)
+	return t
 }
 
 // Name returns the structure name (e.g. "ITLB").
@@ -54,7 +70,7 @@ func (t *TLB) BitCount() uint64 { return uint64(len(t.entries)) * tlbEntryBits }
 func (t *TLB) FlipBit(i uint64) {
 	entry := i / tlbEntryBits
 	bit := i % tlbEntryBits
-	t.touch(int(entry))
+	t.touched.Touch(int(entry))
 	t.entries[entry] ^= 1 << bit
 }
 
@@ -107,7 +123,7 @@ func (t *TLB) fill(vpn, ppn uint64) {
 		victim = t.rr
 		t.rr = (t.rr + 1) % len(t.entries)
 	}
-	t.touch(victim)
+	t.touched.Touch(victim)
 	if t.probe != nil {
 		t.probe.onFill(victim)
 	}
@@ -118,98 +134,39 @@ func (t *TLB) fill(vpn, ppn uint64) {
 func (t *TLB) Clone() *TLB {
 	c := *t
 	c.entries = append([]uint64(nil), t.entries...)
-	c.track = false
-	c.touched = nil
-	c.marked = nil
+	c.touched = DirtySet{}
 	c.probe = nil
 	return &c
 }
 
-// BeginDeltaTracking starts recording the entries written by subsequent
-// fills and flips, establishing the current state as a sync point (see
-// Cache.BeginDeltaTracking).
-func (t *TLB) BeginDeltaTracking() {
-	if t.marked == nil {
-		t.marked = make([]bool, len(t.entries))
-		t.touched = make([]int32, 0, len(t.entries))
-	}
-	t.resetTouched()
-	t.track = true
-}
+// BeginDeltaTracking starts recording the entries written by fills and
+// flips, with the current state as the sync point (see DirtySet).
+func (t *TLB) BeginDeltaTracking() { t.touched.Begin(len(t.entries)) }
 
 // EndDeltaTracking stops recording and clears the touch list.
-func (t *TLB) EndDeltaTracking() {
-	if t.track {
-		t.resetTouched()
-		t.track = false
-	}
-}
-
-func (t *TLB) touch(entry int) {
-	if !t.track || t.marked[entry] {
-		return
-	}
-	t.marked[entry] = true
-	t.touched = append(t.touched, int32(entry))
-}
-
-func (t *TLB) resetTouched() {
-	for _, e := range t.touched {
-		t.marked[e] = false
-	}
-	t.touched = t.touched[:0]
-}
-
-// SyncSnapshot re-captures into snap only the entries touched since the
-// last sync point, then clears the touch list. Returns the number of entry
-// bytes copied.
-func (t *TLB) SyncSnapshot(snap *TLBSnap) uint64 {
-	return t.syncDelta(snap, true)
-}
-
-// SyncRestore rewinds only the entries touched since the last sync point
-// back to snap's contents; bit-identical to a full Restore under the sync
-// invariant. Returns the number of entry bytes copied.
-func (t *TLB) SyncRestore(snap *TLBSnap) uint64 {
-	return t.syncDelta(snap, false)
-}
-
-func (t *TLB) syncDelta(snap *TLBSnap, capture bool) uint64 {
-	if !t.track {
-		panic("mem: " + t.name + ": delta sync without tracking")
-	}
-	if len(snap.entries) != len(t.entries) {
-		panic("mem: " + t.name + ": delta sync across geometries")
-	}
-	for _, e := range t.touched {
-		if capture {
-			snap.entries[e] = t.entries[e]
-		} else {
-			t.entries[e] = snap.entries[e]
-		}
-	}
-	if capture {
-		snap.rr = t.rr
-		snap.accesses = t.Accesses
-		snap.misses = t.Misses
-	} else {
-		t.rr = snap.rr
-		t.Accesses = snap.accesses
-		t.Misses = snap.misses
-	}
-	bytes := uint64(len(t.touched)) * 8
-	t.resetTouched()
-	return bytes
-}
+func (t *TLB) EndDeltaTracking() { t.touched.End() }
 
 // TLBSnap is an immutable capture of a TLB's entry array, replacement
 // cursor and statistics; buffers are reused across Snapshot calls.
 type TLBSnap struct {
-	entries []uint64
-	rr      int
+	tlbState
+	size uint64 // array bytes of the last full capture
+}
 
-	accesses uint64
-	misses   uint64
+// sync moves state between the TLB and a snapshot under the same contract
+// as Cache.sync: capture or rewind, whole or only the touched entries.
+func (t *TLB) sync(snap *TLBSnap, capture, delta bool) uint64 {
+	only := checkSync(t.name, &t.touched, len(snap.entries) == len(t.entries), capture, delta)
+	dst, src := &t.tlbState, &snap.tlbState
+	if capture {
+		dst, src = src, dst
+	}
+	n := dst.copyFrom(src, only)
+	t.touched.Reset()
+	if capture && !delta {
+		snap.size = n
+	}
+	return n
 }
 
 // Snapshot copies the TLB state into snap (nil allocates) and returns it.
@@ -217,27 +174,21 @@ func (t *TLB) Snapshot(snap *TLBSnap) *TLBSnap {
 	if snap == nil {
 		snap = &TLBSnap{}
 	}
-	snap.entries = append(snap.entries[:0], t.entries...)
-	snap.rr = t.rr
-	snap.accesses = t.Accesses
-	snap.misses = t.Misses
-	if t.track {
-		t.resetTouched()
-	}
+	t.sync(snap, true, false)
 	return snap
 }
 
-// Restore rewinds the TLB to a snapshot without allocating; the snapshot
-// is only read and may be restored from concurrently.
-func (t *TLB) Restore(snap *TLBSnap) {
-	copy(t.entries, snap.entries)
-	t.rr = snap.rr
-	t.Accesses = snap.accesses
-	t.Misses = snap.misses
-	if t.track {
-		t.resetTouched()
-	}
-}
+// Restore rewinds the TLB to a snapshot of its own geometry without
+// allocating; the snapshot is only read, so restores may run concurrently.
+func (t *TLB) Restore(snap *TLBSnap) { t.sync(snap, false, false) }
+
+// SyncSnapshot re-captures into snap only the entries touched since the
+// last sync point. Returns the number of entry bytes copied.
+func (t *TLB) SyncSnapshot(snap *TLBSnap) uint64 { return t.sync(snap, true, true) }
+
+// SyncRestore rewinds only the entries touched since the last sync point;
+// see Cache.SyncRestore. Returns the number of entry bytes copied.
+func (t *TLB) SyncRestore(snap *TLBSnap) uint64 { return t.sync(snap, false, true) }
 
 // Bytes returns the captured state size, for checkpoint accounting.
-func (s *TLBSnap) Bytes() uint64 { return uint64(len(s.entries)) * 8 }
+func (s *TLBSnap) Bytes() uint64 { return s.size }

@@ -333,10 +333,9 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 			slot.err = fmt.Errorf("golden %s/%s: %w", machine, workload, err)
 			return
 		}
-		r.Obs = s.Cfg.Obs
 		// Same window oracle as both CLIs: a fleet mixing avgid and avgi
 		// workers must merge shards with identical SimCycles.
-		r.EarlyExit = true
+		r.Configure(s.Cfg.Obs, nil, 0, true)
 		slot.r = r
 	})
 	return slot.r, slot.err

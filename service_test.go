@@ -313,3 +313,21 @@ func TestServiceRequestRegistry(t *testing.T) {
 		t.Errorf("registry order: first entry ID %d, want %d", all[0].ID, resp.ID)
 	}
 }
+
+// TestServicePublishesGoldenGauges: the service configures its runners
+// through the same campaign.Runner.Configure as Study and avgisim, so the
+// golden gauges docs/OBSERVABILITY.md lists appear after the first request
+// touches a (machine, workload).
+func TestServicePublishesGoldenGauges(t *testing.T) {
+	s := newTestService(t, "")
+	lb := map[string]string{"workload": "crc32", "machine": ConfigA72().Name}
+	if v := s.Cfg.Obs.Metrics.Gauge("avgi_golden_cycles", "", lb).Value(); v != 0 {
+		t.Fatalf("golden gauge is %v before any request", v)
+	}
+	if _, err := s.Assess(AssessRequest{Structure: "RF", Workload: "crc32", Mode: "hvf", Faults: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.Cfg.Obs.Metrics.Gauge("avgi_golden_cycles", "", lb).Value(); v <= 0 {
+		t.Errorf("avgi_golden_cycles%v = %v after the first request, want the golden run length", lb, v)
+	}
+}

@@ -149,11 +149,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		if err != nil {
 			return nil, fmt.Errorf("study: %s: %w", w.Name, err)
 		}
-		r.Obs = cfg.Obs
-		r.Forensics = cfg.Forensics
-		r.ForensicsSample = cfg.ForensicsSample
-		r.EarlyExit = cfg.EarlyExit
-		r.PublishGolden()
+		r.Configure(cfg.Obs, cfg.Forensics, cfg.ForensicsSample, cfg.EarlyExit)
 		st.runners[w.Name] = r
 	}
 	allGolden.End()
