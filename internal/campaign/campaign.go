@@ -276,8 +276,8 @@ func (r *Runner) checkpoints() (*ckpt.Store, *ckpt.Pool) {
 // NewRunner performs the golden run and prepares the campaign state.
 func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 	m := cpu.New(cfg, p)
-	var cap trace.Capture
-	m.SetSink(&cap)
+	var golden trace.Capture
+	m.SetSink(&golden)
 	m.EnableOutputProfiling(p.OutLenAddr, p.RAMSize, 64)
 	res := m.Run(cpu.RunOptions{MaxCycles: 50_000_000})
 	if res.Status != cpu.StatusHalted {
@@ -292,7 +292,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 		Cfg:  cfg,
 		Prog: p,
 		Golden: Golden{
-			Trace:   cap.Records,
+			Trace:   golden.Records,
 			Cycles:  res.Cycles,
 			Commits: res.Commits,
 			Output:  res.Output,

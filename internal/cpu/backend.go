@@ -171,7 +171,8 @@ func (m *Machine) executeLoad(idx int, e *robEntry) (ok, squashed bool) {
 
 	// Scan older stores (youngest first) for forwarding or conflicts.
 	var fwd *sqEntry
-	for n, j := 0, (m.sqTail-1+len(m.sqs))%len(m.sqs); n < m.sqCnt; n, j = n+1, (j-1+len(m.sqs))%len(m.sqs) {
+	for n, j := 0, m.sqTail; n < m.sqCnt; n++ {
+		j = ringPrev(j, len(m.sqs))
 		s := &m.sqs[j]
 		if !s.used || s.seq > e.seq {
 			continue
@@ -258,7 +259,7 @@ func sizeMask(n uint64) uint64 {
 func (m *Machine) squashAfter(idx int, next uint64) {
 	bound := m.robAt(idx).seq
 	for m.robCount > 0 {
-		last := (m.robTail - 1 + len(m.rob)) % len(m.rob)
+		last := ringPrev(m.robTail, len(m.rob))
 		e := m.robAt(last)
 		if e.seq <= bound {
 			break

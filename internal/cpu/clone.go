@@ -37,10 +37,10 @@ func (m *Machine) cloneCore() *Machine {
 	c.freeList = append([]uint16(nil), m.freeList...)
 
 	c.rob = append([]robEntry(nil), m.rob...)
-	c.iq = append([]int(nil), m.iq...)
+	c.iq = append(make([]int, 0, cap(m.iq)), m.iq...) // the queues keep their capacity
 	c.lqs = append([]lqEntry(nil), m.lqs...)
 	c.sqs = append([]sqEntry(nil), m.sqs...)
-	c.fq = append([]fqEntry(nil), m.fq...)
+	c.fq = append(make([]fqEntry, 0, cap(m.fq)), m.fq...)
 
 	c.bimodal = append([]uint8(nil), m.bimodal...)
 	c.btb = append([]uint64(nil), m.btb...)

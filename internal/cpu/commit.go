@@ -104,16 +104,16 @@ func (m *Machine) retire(e *robEntry) {
 	}
 	if e.lq >= 0 {
 		m.lqs[e.lq].used = false
-		m.lqHead = (m.lqHead + 1) % len(m.lqs)
+		m.lqHead = ringNext(m.lqHead, len(m.lqs))
 		m.lqCnt--
 	}
 	if e.sq >= 0 {
 		m.sqs[e.sq].used = false
-		m.sqHead = (m.sqHead + 1) % len(m.sqs)
+		m.sqHead = ringNext(m.sqHead, len(m.sqs))
 		m.sqCnt--
 	}
 	e.used = false
-	m.robHead = m.robNext(m.robHead)
+	m.robHead = ringNext(m.robHead, len(m.rob))
 	m.robCount--
 	m.Stats.Commits++
 	m.lastCommitCycle = m.cycle

@@ -516,3 +516,46 @@ func TestIPCIsReasonable(t *testing.T) {
 		t.Errorf("IPC = %.2f, expected OoO core above 1.2", ipc)
 	}
 }
+
+// TestDecodeMemoMatchesDecode: fetch's decode answers from the table built
+// in NewWithMem only for a word that is still the program's own; a word an
+// injected fault changed, and any pc outside the text, goes through
+// isa.Decode — so the two never disagree.
+func TestDecodeMemoMatchesDecode(t *testing.T) {
+	for _, cfg := range configs() {
+		b := asm.NewBuilder("t", cfg.Variant)
+		b.Li(1, 0x12345)
+		b.Lw(2, 1, 4)
+		b.Bne(1, 2, "end")
+		b.Mul(3, 1, 2)
+		b.Label("end")
+		b.Halt()
+		p := b.MustAssemble()
+		m := New(cfg, p)
+		for i, w := range p.Text {
+			pc := p.TextBase + uint64(i)*4
+			for _, word := range []uint32{w, w ^ 1<<27, w ^ 1<<3, 0xEE << 24} {
+				for _, at := range []uint64{pc, pc + 4, p.TextBase - 4, p.TextBase + uint64(len(p.Text))*4} {
+					if got, want := m.decode(at, word), isa.Decode(word, cfg.Variant); got != want {
+						t.Fatalf("%s: decode(%#x, %#x) = %+v, want %+v", cfg.Name, at, word, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBTBEntriesMustBePowerOfTwo: btbIndex masks, so New rejects a BTB
+// size that a mask cannot index.
+func TestBTBEntriesMustBePowerOfTwo(t *testing.T) {
+	cfg := ConfigA72()
+	cfg.BTBEntries = 96
+	b := asm.NewBuilder("t", cfg.Variant)
+	b.Halt()
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted BTBEntries = 96")
+		}
+	}()
+	New(cfg, b.MustAssemble())
+}

@@ -12,9 +12,18 @@ func (m *Machine) bpIndex(pc uint64) int {
 	return int(pc>>2) & (len(m.bimodal) - 1)
 }
 
-// btbIndex maps a PC to a BTB slot.
+// btbIndex maps a PC to a BTB slot (BTBEntries is a power of two).
 func (m *Machine) btbIndex(pc uint64) int {
-	return int(pc>>2) % len(m.btb)
+	return int(pc>>2) & (len(m.btb) - 1)
+}
+
+// decode decodes a fetched word; one that is still the program's own text
+// (no L1I/L2/RAM fault changed it on the way) was decoded in NewWithMem.
+func (m *Machine) decode(pc uint64, word uint32) isa.Inst {
+	if i := (pc - m.Prog.TextBase) / 4; i < uint64(len(m.Prog.Text)) && m.Prog.Text[i] == word {
+		return (*m.text)[i]
+	}
+	return isa.Decode(word, m.Cfg.Variant)
 }
 
 // fetchStage fetches up to FetchWidth instruction words per cycle into the
@@ -45,7 +54,7 @@ func (m *Machine) fetchStage() {
 			m.fetchHalted = true
 			return
 		}
-		inst := isa.Decode(word, m.Cfg.Variant)
+		inst := m.decode(pc, word)
 		e := fqEntry{pc: pc, word: word, inst: inst, readyAt: m.cycle + lat}
 		next := pc + 4
 		switch isa.Classify(inst) {
@@ -87,14 +96,15 @@ func (m *Machine) fetchStage() {
 // renameStage decodes, renames and dispatches up to DecodeWidth
 // instructions from the fetch queue into the ROB, IQ and LQ/SQ.
 func (m *Machine) renameStage() {
-	for n := 0; n < m.Cfg.DecodeWidth; n++ {
-		if len(m.fq) == 0 || m.fq[0].readyAt > m.cycle {
-			return
+	n := 0
+	for ; n < m.Cfg.DecodeWidth; n++ {
+		if n == len(m.fq) || m.fq[n].readyAt > m.cycle {
+			break
 		}
 		if m.robCount == len(m.rob) {
-			return
+			break
 		}
-		fe := m.fq[0]
+		fe := &m.fq[n]
 
 		inst := fe.inst
 		class := isa.Classify(inst)
@@ -104,13 +114,13 @@ func (m *Machine) renameStage() {
 
 		needsIQ := class != isa.ClassNop && class != isa.ClassHalt && class != isa.ClassIllegal && fe.fetchExc == excNone
 		if needsIQ && len(m.iq) >= m.Cfg.IQSize {
-			return
+			break
 		}
 		if class == isa.ClassLoad && m.lqCnt == len(m.lqs) {
-			return
+			break
 		}
 		if class == isa.ClassStore && m.sqCnt == len(m.sqs) {
-			return
+			break
 		}
 		hasDest := false
 		var destArch uint8
@@ -123,7 +133,7 @@ func (m *Machine) renameStage() {
 			destArch = inst.Rd
 		}
 		if hasDest && m.freeTop == 0 {
-			return // no free physical register
+			break // no free physical register
 		}
 
 		idx := m.robTail
@@ -179,7 +189,7 @@ func (m *Machine) renameStage() {
 				m.probe.queueAlloc(probeLQ, m.lqTail)
 			}
 			m.lqs[m.lqTail] = lqEntry{used: true, rob: idx, seq: e.seq}
-			m.lqTail = (m.lqTail + 1) % len(m.lqs)
+			m.lqTail = ringNext(m.lqTail, len(m.lqs))
 			m.lqCnt++
 		}
 		if class == isa.ClassStore {
@@ -188,7 +198,7 @@ func (m *Machine) renameStage() {
 				m.probe.queueAlloc(probeSQ, m.sqTail)
 			}
 			m.sqs[m.sqTail] = sqEntry{used: true, rob: idx, seq: e.seq}
-			m.sqTail = (m.sqTail + 1) % len(m.sqs)
+			m.sqTail = ringNext(m.sqTail, len(m.sqs))
 			m.sqCnt++
 		}
 
@@ -196,10 +206,14 @@ func (m *Machine) renameStage() {
 			m.iq = append(m.iq, idx)
 		}
 
-		m.robTail = m.robNext(m.robTail)
+		m.robTail = ringNext(m.robTail, len(m.rob))
 		m.robCount++
-		m.fq = m.fq[1:]
 	}
+	// Pop the n dispatched entries in place, one compaction per call:
+	// re-slicing (fq = fq[1:]) gives capacity away, so fetchStage's append
+	// would reallocate the queue every few cycles. cap(m.fq) stays
+	// Cfg.FetchQueue for the life of the machine.
+	m.fq = m.fq[:copy(m.fq, m.fq[n:])]
 }
 
 // renameOperands resolves an instruction's source operands into renamed

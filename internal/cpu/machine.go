@@ -195,6 +195,10 @@ type Machine struct {
 	Prog *asm.Program
 	Mem  *mem.Hierarchy
 
+	// text is Prog.Text decoded once: immutable, shared with every copy
+	// of the machine like Prog itself (hence a pointer, not a state slice).
+	text *[]isa.Inst
+
 	// Physical register file: the value array is a fault target.
 	prf        []uint64
 	prfReadyAt []uint64
@@ -294,17 +298,23 @@ func NewWithMem(cfg Config, prog *asm.Program, h *mem.Hierarchy) *Machine {
 		panic(fmt.Sprintf("cpu: program %s assembled for %s but machine is %s",
 			prog.Name, prog.Variant, cfg.Variant))
 	}
+	if cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
+		panic(fmt.Sprintf("cpu: BTBEntries %d is not a power of two", cfg.BTBEntries))
+	}
 	m := &Machine{Cfg: cfg, Prog: prog}
 	m.Mem = h
 
 	// Load the program image into physical memory.
 	text := make([]byte, len(prog.Text)*4)
+	decoded := make([]isa.Inst, len(prog.Text))
 	for i, w := range prog.Text {
 		text[i*4] = byte(w)
 		text[i*4+1] = byte(w >> 8)
 		text[i*4+2] = byte(w >> 16)
 		text[i*4+3] = byte(w >> 24)
+		decoded[i] = isa.Decode(w, cfg.Variant)
 	}
+	m.text = &decoded
 	base := h.Base()
 	m.Mem.RAM.WriteBlock(base+prog.TextBase, text)
 	m.Mem.RAM.WriteBlock(base+prog.DataBase, prog.Data)
@@ -507,13 +517,21 @@ func (m *Machine) Run(opts RunOptions) Result {
 // robAt returns the entry at ring index i.
 func (m *Machine) robAt(i int) *robEntry { return &m.rob[i] }
 
-// robNext returns the ring index after i. A wrap-compare instead of the
-// modulo spares the hot commit/rename loops an integer division (the ROB
-// size is fixed per config but not a compile-time constant the compiler
-// could strength-reduce).
-func (m *Machine) robNext(i int) int {
-	if i++; i == len(m.rob) {
+// ringNext returns the index after i in a ring of n slots. A wrap-compare
+// instead of the modulo spares the hot commit/rename/load loops an integer
+// division (ring sizes are fixed per config but not compile-time constants
+// the compiler could strength-reduce).
+func ringNext(i, n int) int {
+	if i++; i == n {
 		return 0
 	}
 	return i
+}
+
+// ringPrev returns the index before i in a ring of n slots.
+func ringPrev(i, n int) int {
+	if i == 0 {
+		return n - 1
+	}
+	return i - 1
 }

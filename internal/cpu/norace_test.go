@@ -1,0 +1,5 @@
+//go:build !race
+
+package cpu
+
+const raceEnabled = false

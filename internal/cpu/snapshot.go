@@ -23,11 +23,13 @@ type Snapshot struct {
 
 // copyCore makes dst's core state equal to src's: a struct copy, so scalar
 // fields added to Machine later travel automatically, with every state
-// slice copied into dst's existing buffer — a repeated capture or rewind
-// allocates nothing beyond the rare fq regrowth. dst keeps its own Mem and
-// its own delta-tracking lineage (the two dirty sets), which belong to the
-// machine object rather than to the state it holds, and ends with no sink,
-// profile (a golden-run concern) or probe (never outlives its faulty run).
+// slice copied into dst's existing buffer at src's capacity (the two
+// variable-length queues, fq and iq, are born at Cfg.FetchQueue and
+// Cfg.IQSize and never regrow) — a repeated capture or rewind allocates
+// nothing. dst keeps its own Mem and its own delta-tracking lineage (the
+// two dirty sets), which belong to the machine object rather than to the
+// state it holds, and ends with no sink, profile (a golden-run concern) or
+// probe (never outlives its faulty run).
 // live is whichever of the two is the running machine. With delta set only
 // the predictor entries live has written since its last sync point move;
 // everything else churns within any fault window and is always copied
@@ -59,9 +61,13 @@ func copyCore(dst, src, live *Machine, delta bool) uint64 {
 }
 
 // own replaces *field, which the struct copy left sharing the source's
-// array, with a copy of it in buf's storage.
+// array, with a copy of it in buf's storage, or in fresh storage of the
+// source's capacity the first time.
 func own[T any](field *[]T, buf []T) uint64 {
 	src := *field
+	if cap(buf) != cap(src) {
+		buf = make([]T, 0, cap(src))
+	}
 	*field = buf
 	return mem.CopyRows(field, src, nil, 1)
 }

@@ -300,3 +300,57 @@ func TestCoreCopySharesNoBuffers(t *testing.T) {
 		check(t, m.Clone(), m)
 	})
 }
+
+// TestQueueCapacityInvariant: the fetch queue and issue queue are born at
+// Cfg.FetchQueue and Cfg.IQSize and keep exactly that capacity wherever a
+// machine is born, copied, rewound or recycled, so neither ever reallocates
+// (a clone used to come out with capacity equal to its current length, and
+// a snapshot's buffers with whatever the first capture happened to need).
+func TestQueueCapacityInvariant(t *testing.T) {
+	cfg := ConfigA72()
+	w, err := prog.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(cfg.Variant)
+	check := func(label string, m *Machine) {
+		t.Helper()
+		if cap(m.fq) != cfg.FetchQueue || cap(m.iq) != cfg.IQSize {
+			t.Errorf("%s: cap(fq) %d cap(iq) %d, want %d and %d", label, cap(m.fq), cap(m.iq), cfg.FetchQueue, cfg.IQSize)
+		}
+	}
+	// Sample the copies at several queue occupancies.
+	m := New(cfg, p)
+	check("New", m)
+	scratch := New(cfg, p)
+	for _, stop := range []uint64{0, 40, 700, 2500} {
+		m.Run(RunOptions{StopAtCycle: stop})
+		check("Run", m)
+		c := m.Clone()
+		check("Clone", c)
+		snap := c.Snapshot(nil)
+		check("Snapshot", &snap.m)
+
+		scratch.Restore(snap)
+		check("Restore", scratch)
+
+		// A pool round trip as campaign's cursor makes it: rewind, track,
+		// sync around a window, stop tracking (ckpt.Pool.Put), rewind again.
+		scratch.BeginDeltaTracking()
+		local := scratch.Snapshot(nil)
+		scratch.Run(RunOptions{StopAtCycle: scratch.Cycle() + 300})
+		scratch.SyncSnapshot(local)
+		check("SyncSnapshot", &local.m)
+		scratch.Run(RunOptions{StopAtCycle: scratch.Cycle() + 300})
+		scratch.SyncRestore(local)
+		check("SyncRestore", scratch)
+		scratch.EndDeltaTracking()
+		scratch.Restore(snap)
+		check("Restore after recycling", scratch)
+	}
+	cl := NewCluster(cfg, p, 2)
+	cl.Run(RunOptions{StopAtCycle: 700})
+	for k, c := 0, cl.Clone(); k < 2; k++ {
+		check("Cluster.Clone", c.Core(k))
+	}
+}

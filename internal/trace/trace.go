@@ -79,11 +79,24 @@ type Capture struct {
 	Records []Record
 }
 
-// OnCommit implements Sink.
+// captureFirst is the capacity, in records, of a Capture's first block.
+const captureFirst = 16 << 10
+
+// OnCommit implements Sink. The capture owns its growth — a large first
+// block, then doubling — so a trace is copied less than once its final size
+// in total (append's 1.25x on large slices copies it about five times).
 func (c *Capture) OnCommit(r Record) bool {
+	if len(c.Records) == cap(c.Records) {
+		grown := make([]Record, len(c.Records), max(captureFirst, 2*cap(c.Records)))
+		copy(grown, c.Records)
+		c.Records = grown
+	}
 	c.Records = append(c.Records, r)
 	return true
 }
+
+// Reset empties the capture for another run, keeping its buffer.
+func (c *Capture) Reset() { c.Records = c.Records[:0] }
 
 // DeviationKind describes how a faulty record first diverged from golden.
 type DeviationKind uint8

@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+)
 
 func r(cycle, pc uint64, word uint32, val uint64) Record {
 	return Record{Cycle: cycle, PC: pc, Word: word, HasDest: true, Dest: 1, Value: val}
@@ -35,6 +40,42 @@ func TestCaptureCollects(t *testing.T) {
 	}
 	if len(c.Records) != 5 {
 		t.Fatalf("len = %d", len(c.Records))
+	}
+}
+
+// TestAllocCaptureCopiedOnce: a capture owns its growth, so a long trace
+// costs a small multiple of its final size in allocation (append's 1.25x
+// growth allocates about five times it), and Reset keeps the buffer for the
+// next run.
+func TestAllocCaptureCopiedOnce(t *testing.T) {
+	const n = 1 << 20
+	in := golden(n)
+	var c Capture
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, rec := range in {
+		c.OnCommit(rec)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 3*n*uint64(unsafe.Sizeof(Record{})); got > limit {
+		t.Errorf("capturing %d records allocated %d bytes, want <= %d", n, got, limit)
+	}
+	if !slices.Equal(c.Records, in) {
+		t.Fatal("captured records differ from the input")
+	}
+
+	grown := cap(c.Records)
+	c.Reset()
+	if len(c.Records) != 0 || cap(c.Records) != grown {
+		t.Fatalf("Reset left len %d cap %d, want 0 and %d", len(c.Records), cap(c.Records), grown)
+	}
+	runtime.ReadMemStats(&before)
+	for _, rec := range in {
+		c.OnCommit(rec)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 || !slices.Equal(c.Records, in) {
+		t.Errorf("second capture after Reset allocated %d times (want 0) or differs from the input", got)
 	}
 }
 
