@@ -169,6 +169,20 @@ func (m *Machine) executeLoad(idx int, e *robEntry) (ok, squashed bool) {
 	vaddr := (base + uint64(int64(e.inst.Imm))) & v.Mask()
 	size := isa.MemBytes(e.inst.Op)
 
+	// A load that stalled on an unresolved older store stalls again, without
+	// re-walking the queue, for as long as that store is unresolved: the
+	// stores between the two were resolved and clear of this load when first
+	// walked, none can join them (later stores are younger than the load),
+	// and the load's address is fixed once its base register is ready. The
+	// age test covers a slot that drained and was handed to a younger store
+	// while older instructions kept this load from retrying.
+	if e.sqWait != 0 {
+		if s := &m.sqs[e.sqWait-1]; s.used && !s.known && s.seq <= e.seq {
+			return false, false
+		}
+		e.sqWait = 0
+	}
+
 	// Scan older stores (youngest first) for forwarding or conflicts.
 	var fwd *sqEntry
 	for n, j := 0, m.sqTail; n < m.sqCnt; n++ {
@@ -178,6 +192,7 @@ func (m *Machine) executeLoad(idx int, e *robEntry) (ok, squashed bool) {
 			continue
 		}
 		if !s.known {
+			e.sqWait = uint16(j + 1)
 			return false, false // unresolved older store: wait
 		}
 		if s.addr < vaddr+size && vaddr < s.addr+s.size {

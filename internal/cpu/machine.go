@@ -116,8 +116,12 @@ type robEntry struct {
 
 	src [2]operand
 
-	issued  bool
-	done    bool
+	issued bool
+	done   bool
+	// sqWait is 1 + the SQ slot of the unresolved older store this load
+	// last stalled on, 0 for none (see executeLoad). It sits in padding, so
+	// the entry — and every copy of the ROB — is no larger for it.
+	sqWait  uint16
 	readyAt uint64
 
 	exc excKind

@@ -99,6 +99,36 @@ func TestWrapAroundStoreForwarding(t *testing.T) {
 	}
 }
 
+// TestLoadStallMemo pins the two halves of executeLoad's blocking-slot
+// memo: while the remembered store is older and unresolved the load stalls
+// without a walk, and a slot that drained and now holds a younger
+// unresolved store (the load was kept from retrying in between) no longer
+// blocks it — without the age test the load would wait on a store that may
+// itself be waiting for the load's result.
+func TestLoadStallMemo(t *testing.T) {
+	b := asm.NewBuilder("memo", tinyConfig().Variant)
+	b.Halt()
+	m := New(tinyConfig(), b.MustAssemble())
+	m.sqs[2] = sqEntry{used: true, seq: 3}
+	m.sqHead, m.sqTail, m.sqCnt = 2, 3, 1
+	m.lqs[0] = lqEntry{used: true, seq: 5}
+	e := &m.rob[0]
+	*e = robEntry{used: true, seq: 5, class: isa.ClassLoad, inst: isa.Inst{Op: isa.OpLW}, sq: -1}
+
+	if ok, _ := m.executeLoad(0, e); ok || e.sqWait != 3 {
+		t.Fatalf("ok=%v sqWait=%d: the load must stall on the older unresolved store in slot 2", ok, e.sqWait)
+	}
+	m.sqCnt = 0 // a walk would now find no store at all
+	if ok, _ := m.executeLoad(0, e); ok {
+		t.Fatal("the load re-walked the queue although its blocking store is still unresolved")
+	}
+	m.sqCnt = 1
+	m.sqs[2].seq = 9
+	if ok, _ := m.executeLoad(0, e); !ok || e.sqWait != 0 {
+		t.Fatalf("ok=%v sqWait=%d: a younger store in the remembered slot must not block the load", ok, e.sqWait)
+	}
+}
+
 // checkRings compares every ring's bookkeeping with the modulo-based
 // definition: the tail is (head + count) mod size, exactly the slots from
 // head up to the tail are in use, and the two variable-length queues still
