@@ -228,7 +228,8 @@ type Runner struct {
 	// bit-identical to golden again (every latched site erased by
 	// golden-valued writes, nothing consumed first) instead of running to
 	// the full ERT horizon. Classification is identical to the full-window
-	// run — only SimCycles shrinks (proven by TestEarlyExitDifferential).
+	// run — only SimCycles shrinks (TestEarlyExitDifferential compares the
+	// outcomes, TestEarlyExitStateGolden the stopped machines themselves).
 	// Off by default so recorded SimCycles stay comparable; both CLIs turn
 	// it on unless -early-exit=false. Single-core campaigns only; cluster
 	// campaigns ignore it.
@@ -760,6 +761,12 @@ func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped
 		q, fresh, limit*100, strings.Join(sample, "; ")))
 }
 
+// earlyExitCheck, nil outside tests, sees every faulty machine the
+// convergence oracle stopped, still at its stop cycle, with the fault and
+// the probe's facts: TestEarlyExitStateGolden compares it with a golden
+// machine run to that cycle.
+var earlyExitCheck func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts)
+
 // winMeta is the per-fault window-oracle telemetry: whether the early-exit
 // oracle ended the faulty window, and an estimate of the cycles it saved
 // against the full ERT horizon (capped at the golden halt — a converged
@@ -1007,6 +1014,9 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 		// horizon, capped at the golden halt cycle (a converged machine
 		// replays the golden run from here on).
 		wm.earlyExit = true
+		if earlyExitCheck != nil {
+			earlyExitCheck(m, f, probe.Facts())
+		}
 		if full := min(f.Cycle+ert, r.Golden.Cycles); full > res.Cycles {
 			wm.cyclesSaved = full - res.Cycles
 		}

@@ -1,0 +1,210 @@
+package campaign
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"avgi/internal/cpu"
+	"avgi/internal/fault"
+	"avgi/internal/mem"
+)
+
+// nonState names the fields a faulty machine and a golden one may differ in
+// at an early exit without differing in state: configuration and immutable
+// program data, observers (sink, profile, probes), the delta-tracking
+// lineage (dirty sets, RAM page ownership and its telemetry), pointers that
+// lead back to components the walk reaches by name (lower, ramLevel), the
+// flip counters the injection itself bumped, and status — Stopped on the
+// one, Running on the other, checked apart.
+var nonState = map[string]bool{
+	"Cfg": true, "Prog": true, "text": true, "name": true, "cfg": true,
+	"sink": true, "profile": true, "probe": true,
+	"bimTouched": true, "btbTouched": true, "touched": true, "owned": true, "cow": true,
+	"lower": true, "ramLevel": true,
+	"FlipsArmed": true, "FlipsMasked": true, "status": true,
+}
+
+// stateDiff appends to out the path of every field in which a and b differ,
+// reading unexported fields through reflect's getters. It walks whatever
+// fields cpu.Machine and the mem components have, so an array added to
+// either is compared without an edit here. A queue slot free on both
+// machines compares equal whatever it holds: allocation overwrites the
+// whole entry before anything reads it.
+func stateDiff(path string, a, b reflect.Value, out *[]string) {
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				*out = append(*out, path)
+			}
+			return
+		}
+		stateDiff(path, a.Elem(), b.Elem(), out)
+	case reflect.Struct:
+		if u := a.FieldByName("used"); u.IsValid() && !u.Bool() && !b.FieldByName("used").Bool() {
+			return
+		}
+		for i := 0; i < a.NumField(); i++ {
+			if name := a.Type().Field(i).Name; !nonState[name] {
+				stateDiff(path+"."+name, a.Field(i), b.Field(i), out)
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			*out = append(*out, fmt.Sprintf("%s (len %d vs %d)", path, a.Len(), b.Len()))
+			return
+		}
+		switch a.Type().Elem().Kind() {
+		case reflect.Struct, reflect.Slice, reflect.Array, reflect.Pointer, reflect.Interface:
+		default:
+			// Padding-free elements: one memcmp settles the common case.
+			n := a.Len() * int(a.Type().Elem().Size())
+			if bytes.Equal(unsafe.Slice((*byte)(a.UnsafePointer()), n), unsafe.Slice((*byte)(b.UnsafePointer()), n)) {
+				return
+			}
+		}
+		fallthrough
+	case reflect.Array:
+		for i, before := 0, len(*out); i < a.Len() && len(*out) == before; i++ {
+			stateDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), out)
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			*out = append(*out, path)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			*out = append(*out, path)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			*out = append(*out, path)
+		}
+	default:
+		panic("stateDiff: teach it kind " + a.Kind().String() + " at " + path)
+	}
+}
+
+func machineDiff(a, b *cpu.Machine) []string {
+	var out []string
+	stateDiff("Machine", reflect.ValueOf(a), reflect.ValueOf(b), &out)
+	return out
+}
+
+// checkStateGolden runs faults through the early-exit oracle on one worker
+// and compares every machine it stops with a golden machine run to the same
+// cycle: every field of cpu.Machine and, through Mem, of each cache, each
+// TLB and RAM. The two must be equal as they are, or — when the probe found
+// no live site, so the flipped bits sit where nothing can reach them —
+// equal once the golden machine has had the same bits flipped. Returns the
+// number of early exits checked.
+func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
+	t.Helper()
+	r.EarlyExit = true
+	var golden *cpu.Machine
+	checked := 0
+	earlyExitCheck = func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts) {
+		checked++
+		if golden == nil || golden.Cycle() > f.Cycle {
+			golden = cpu.New(r.Cfg, r.Prog)
+		}
+		golden.Run(cpu.RunOptions{StopAtCycle: f.Cycle})
+		g := golden.Clone()
+		g.Run(cpu.RunOptions{StopAtCycle: m.Cycle()})
+		if m.Status() != cpu.StatusStopped || g.Status() != cpu.StatusRunning || g.Cycle() != m.Cycle() {
+			t.Errorf("%s %s: stopped machine %v at cycle %d, golden %v at %d", r.Prog.Name, f, m.Status(), m.Cycle(), g.Status(), g.Cycle())
+			return
+		}
+		diff := machineDiff(m, g)
+		if len(diff) != 0 && facts.LiveSites == 0 {
+			tg := g.Target(f.Structure)
+			for i := 0; i < f.Bits(); i++ {
+				tg.FlipBit(f.Bit + uint64(i))
+			}
+			diff = machineDiff(m, g)
+		}
+		if len(diff) != 0 {
+			t.Errorf("%s %s: early exit after %d cycles with state that is not golden (facts %+v): %v",
+				r.Prog.Name, f, m.Cycle()-f.Cycle, facts, diff)
+		}
+	}
+	defer func() { earlyExitCheck = nil }()
+	for _, res := range r.Run(faults, ModeAVGI, 2000, 1) {
+		if res.Quarantined { // a panic in the hook ends up here
+			t.Fatalf("%s quarantined: %s", res.Fault, res.Err)
+		}
+	}
+	return checked
+}
+
+// tlbAimed lists faults on the valid bit and the lowest vpn bit of every
+// entry of a TLB, injected shortly ahead of up to eight of the golden run's
+// refills: the flips that change what a lookup or a victim scan decides, at
+// the moments one is about to, which a sampled list of sixty rarely holds.
+func tlbAimed(r *Runner, st string) []fault.Fault {
+	entries, tlb := r.Cfg.Mem.ITLBEntries, func(m *cpu.Machine) *mem.TLB { return m.Mem.ITLB }
+	if st == "DTLB" {
+		entries, tlb = r.Cfg.Mem.DTLBEntries, func(m *cpu.Machine) *mem.TLB { return m.Mem.DTLB }
+	}
+	per := r.BitCounts[st] / uint64(entries)
+	var out []fault.Fault
+	m := cpu.New(r.Cfg, r.Prog)
+	m.Run(cpu.RunOptions{StopAtCycle: 2000}) // past the cold misses
+	for refills := 0; m.Status() == cpu.StatusRunning && refills < 8; {
+		at, misses := m.Cycle(), tlb(m).Misses
+		m.Run(cpu.RunOptions{StopAtCycle: at + 1000})
+		if tlb(m).Misses == misses {
+			continue
+		}
+		refills++
+		for e := uint64(0); e < uint64(entries); e++ {
+			for _, bit := range []uint64{per - 1, (per - 1) / 2} {
+				out = append(out, fault.Fault{ID: len(out), Structure: st, Bit: e*per + bit, Cycle: at})
+			}
+		}
+	}
+	return out
+}
+
+// TestEarlyExitStateGolden is the state-level gate on the convergence
+// oracle (ROADMAP 3a): "bit-identical to golden at early exit" checked on
+// the machines themselves, for all twelve structures, where
+// TestEarlyExitDifferential can only compare outcomes.
+func TestEarlyExitStateGolden(t *testing.T) {
+	checked := map[string]int{}
+	for _, workload := range []string{"sha", "qsort"} {
+		r := newTestRunner(t, cpu.ConfigA72(), workload)
+		for _, st := range cpu.StructureNames {
+			checked[st] += checkStateGolden(t, r, r.FaultList(st, 60, 11))
+		}
+		checkStateGolden(t, r, tlbAimed(r, "ITLB"))
+		checkStateGolden(t, r, tlbAimed(r, "DTLB"))
+	}
+	for _, st := range cpu.StructureNames {
+		if checked[st] == 0 {
+			t.Errorf("%s: no early exit to check", st)
+		}
+	}
+}
+
+// TestEarlyExitStateGoldenGrid is the same gate over the benchmark's own
+// avgi-grid: its four programs, 250 faults a pair, seed 7. It runs when
+// asked for by name (CI's tier-1 job does), not under -race: one worker and
+// a hook on its goroutine leave the detector nothing to see, at fifteen
+// times the price.
+func TestEarlyExitStateGoldenGrid(t *testing.T) {
+	if !strings.Contains(flag.Lookup("test.run").Value.String(), "StateGolden") || testing.Short() || raceEnabled {
+		t.Skip("12 000 faults: go test -run TestEarlyExitStateGoldenGrid ./internal/campaign")
+	}
+	for _, workload := range []string{"sha", "qsort", "rijndael", "cg"} {
+		r := newTestRunner(t, cpu.ConfigA72(), workload)
+		for _, st := range cpu.StructureNames {
+			checkStateGolden(t, r, r.FaultList(st, 250, 7))
+		}
+	}
+}

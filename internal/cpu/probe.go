@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"strings"
 
 	"avgi/internal/mem"
@@ -79,14 +80,8 @@ type FaultProbe struct {
 
 	// stopOnConverge arms the early-exit termination oracle: the machine
 	// stops (StatusStopped) at the end of the first cycle whose facts
-	// prove convergence (see Converged). Only set for eligible structures.
+	// prove convergence (see Converged).
 	stopOnConverge bool
-	// eligible marks structures whose probe coverage is complete enough
-	// for the oracle to be sound. TLBs are excluded: a corrupted entry
-	// perturbs translation by *missing* (golden hit turns into a walk
-	// plus refill) without any probe event firing, so erased-and-unread
-	// facts cannot prove the timing stayed golden.
-	eligible bool
 }
 
 // Facts returns the accumulated observations.
@@ -100,13 +95,13 @@ func (p *FaultProbe) Facts() ProbeFacts { return p.facts }
 // reallocations, line refills all carry the values the golden run wrote)
 // and nothing consumed the corrupted state first. From that point no
 // deviation is possible, so the run's classification equals the
-// full-window one. No-op for structures whose probe coverage cannot prove
-// convergence (TLBs).
-func (p *FaultProbe) EnableConvergenceStop() {
-	if p.eligible {
-		p.stopOnConverge = true
-	}
-}
+// full-window one. Every structure's probe hooks each consumption and each
+// erasure of a live site, and for the arrays whose valid bits steer where
+// the machine writes next — a cache set's tag compare, a TLB's lookup and
+// victim scan — each decision the corrupted entry could have swayed is a
+// read, so a site is never erased unread behind a diverged machine.
+// TestEarlyExitStateGolden (internal/campaign) holds all twelve to that.
+func (p *FaultProbe) EnableConvergenceStop() { p.stopOnConverge = true }
 
 // Converged reports whether the probe facts prove the fault can no longer
 // affect the run: no live corrupted site was ever consumed and every site
@@ -132,8 +127,11 @@ func (m *Machine) ArmProbe(structure string, bit uint64, width int) *FaultProbe 
 	}
 	// Queue slots that were free at injection never latched the flip
 	// (FlipBit counted them FlipsMasked); they are born dead so later
-	// allocations and squashes of the slot don't misattribute.
-	queueLive := func(used func(i int) bool) {
+	// allocations and squashes of the slot don't misattribute. A register
+	// on the free list is as unreachable as a free slot: rename marks it
+	// never-ready as it pops it, and nothing reads it before finishDest
+	// has written it.
+	liveIf := func(used func(i int) bool) {
 		for i := p.lo; i <= p.hi; i++ {
 			if used(i) {
 				p.facts.LiveSites++
@@ -146,19 +144,20 @@ func (m *Machine) ArmProbe(structure string, bit uint64, width int) *FaultProbe 
 	case "RF":
 		p.kind = probeReg
 		span(uint64(m.Cfg.Variant.Width()), len(m.prf))
-		p.facts.LiveSites = p.facts.Sites // every register holds a value
+		free := m.freeList[:m.freeTop]
+		liveIf(func(i int) bool { return !slices.Contains(free, uint16(i)) })
 	case "ROB":
 		p.kind = probeROB
 		span(robEntryBits, len(m.rob))
-		queueLive(func(i int) bool { return m.rob[i].used })
+		liveIf(func(i int) bool { return m.rob[i].used })
 	case "LQ":
 		p.kind = probeLQ
 		span(lqEntryBits, len(m.lqs))
-		queueLive(func(i int) bool { return m.lqs[i].used })
+		liveIf(func(i int) bool { return m.lqs[i].used })
 	case "SQ":
 		p.kind = probeSQ
 		span(m.sqEntryBits(), len(m.sqs))
-		queueLive(func(i int) bool { return m.sqs[i].used })
+		liveIf(func(i int) bool { return m.sqs[i].used })
 	case "ITLB":
 		p.tlb = m.Mem.ITLB
 	case "DTLB":
@@ -187,12 +186,6 @@ func (m *Machine) ArmProbe(structure string, bit uint64, width int) *FaultProbe 
 		p.facts.Sites = lp.Sites()
 		p.facts.LiveSites = lp.LiveSites()
 	}
-	// Register and queue probes hook every consumption and erasure, and
-	// cache probes fire a tag-compare read for any access resolving in a
-	// watched live site's set — so a live site can never be refilled (the
-	// only kill path) without a prior read blocking convergence. TLB probes
-	// cannot make that promise (see the eligible field).
-	p.eligible = p.tlb == nil
 	m.probe = p
 	return p
 }

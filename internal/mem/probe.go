@@ -216,33 +216,49 @@ func (p *LineProbe) onFlush(flat int) {
 	}
 }
 
+// tlbSite is one watched TLB entry: its value in the golden world (pre,
+// before the flip) and in the faulty one (post). Until a refill kills the
+// site the two machines differ in exactly these entries, so every event
+// that could tell them apart is decidable from the pair.
+type tlbSite struct {
+	pre, post uint64
+	dead      bool
+}
+
 // TLBProbe watches the TLB entries covered by one injected fault.
 type TLBProbe struct {
-	sink   ProbeSink
-	lo, hi int // inclusive watched entry range
-	dead   []bool
-	liveN  int
+	sink  ProbeSink
+	lo    int // first watched entry
+	sites []tlbSite
+	liveN int
 }
 
 // Sites returns the number of watched entries.
-func (p *TLBProbe) Sites() int { return p.hi - p.lo + 1 }
+func (p *TLBProbe) Sites() int { return len(p.sites) }
 
 // LiveSites returns the number of watched entries not yet erased; at arm
-// time that is the number of valid entries the fault actually corrupted.
+// time that is the number of entries whose flip touched reachable state.
 func (p *TLBProbe) LiveSites() int { return p.liveN }
 
 // ArmProbe installs a probe over the entries covered by flipping width
-// bits starting at bit (the TLB.FlipBit index space).
+// bits starting at bit (the TLB.FlipBit index space). As in ArmTagProbe, an
+// entry is born dead only when invalid both before and after the flip — no
+// lookup matches it and the next refill that picks it overwrites all of it.
+// A flip that clears a valid bit has destroyed a reachable translation and
+// one that sets it has created one, so both are live.
 func (t *TLB) ArmProbe(bit uint64, width int, sink ProbeSink) *TLBProbe {
 	lo := int(bit / tlbEntryBits)
 	hi := int((bit + uint64(width) - 1) / tlbEntryBits)
 	if hi >= len(t.entries) {
 		hi = len(t.entries) - 1
 	}
-	p := &TLBProbe{sink: sink, lo: lo, hi: hi, dead: make([]bool, hi-lo+1)}
-	for e := lo; e <= hi; e++ {
-		if t.entries[e]&tlbValidBit == 0 {
-			p.dead[e-lo] = true
+	p := &TLBProbe{sink: sink, lo: lo, sites: make([]tlbSite, hi-lo+1)}
+	for i := range p.sites {
+		s := &p.sites[i]
+		s.post = t.entries[lo+i]
+		s.pre = s.post ^ entryFlipMask(bit, width, uint64(lo+i), tlbEntryBits)
+		if (s.pre|s.post)&tlbValidBit == 0 {
+			s.dead = true
 		} else {
 			p.liveN++
 		}
@@ -254,19 +270,37 @@ func (t *TLB) ArmProbe(bit uint64, width int, sink ProbeSink) *TLBProbe {
 // ClearProbe detaches any installed probe.
 func (t *TLB) ClearProbe() { t.probe = nil }
 
-// onHit reports a translation served by a watched live entry — the
-// (possibly corrupted) mapping was consumed.
-func (p *TLBProbe) onHit(entry int) {
-	if entry >= p.lo && entry <= p.hi && !p.dead[entry-p.lo] {
-		p.sink.ProbeEvent(ProbeRead)
+// onLookup reports a translation of vpn that a live watched entry decided
+// differently in the two worlds: served by the corrupted entry (hit is its
+// index), or one the uncorrupted entry would have served and the corrupted
+// one does not — the golden hit turned into a walk and a refill. hit is the
+// entry that served the lookup, -1 for a miss.
+func (p *TLBProbe) onLookup(vpn uint64, hit int) {
+	for i := range p.sites {
+		s := &p.sites[i]
+		if !s.dead && (hit == p.lo+i || tlbServes(s.pre, vpn) && !tlbServes(s.post, vpn)) {
+			p.sink.ProbeEvent(ProbeRead)
+		}
 	}
 }
 
-// onFill reports a refill landing on a watched live entry, erasing it.
-func (p *TLBProbe) onFill(entry int) {
-	if entry >= p.lo && entry <= p.hi && !p.dead[entry-p.lo] {
-		p.dead[entry-p.lo] = true
-		p.liveN--
-		p.sink.ProbeEvent(ProbeOverwrite)
+// onFill reports a refill into entry victim. The invalid-first victim scan
+// reads every valid bit, so while a live site's differs from golden the two
+// worlds may have picked different victims: a read. A refill landing on a
+// live site erases it with the value the golden run writes.
+func (p *TLBProbe) onFill(victim int) {
+	for i := range p.sites {
+		s := &p.sites[i]
+		if s.dead {
+			continue
+		}
+		if (s.pre^s.post)&tlbValidBit != 0 {
+			p.sink.ProbeEvent(ProbeRead)
+		}
+		if victim == p.lo+i {
+			s.dead = true
+			p.liveN--
+			p.sink.ProbeEvent(ProbeOverwrite)
+		}
 	}
 }

@@ -52,6 +52,11 @@ const (
 	pageNumMask = (1 << pageNumBits) - 1
 )
 
+// tlbServes reports whether entry value e translates vpn.
+func tlbServes(e, vpn uint64) bool {
+	return e&tlbValidBit != 0 && (e>>tlbVPNShift)&pageNumMask == vpn
+}
+
 // NewTLB builds a TLB with n entries. walkLatency is the page-walk cost in
 // cycles charged on every miss.
 func NewTLB(name string, n int, walkLatency uint64) *TLB {
@@ -83,9 +88,9 @@ func (t *TLB) Translate(vaddr uint64, pt *PageTable) (paddr uint64, lat uint64, 
 	vpn := (vaddr / PageBytes) & pageNumMask
 	off := vaddr % PageBytes
 	for i, e := range t.entries {
-		if e&tlbValidBit != 0 && (e>>tlbVPNShift)&pageNumMask == vpn {
+		if tlbServes(e, vpn) {
 			if t.probe != nil {
-				t.probe.onHit(i)
+				t.probe.onLookup(vpn, i)
 			}
 			ppn := (e >> tlbPPNShift) & pageNumMask
 			if ppn >= pt.PhysPages() {
@@ -100,6 +105,9 @@ func (t *TLB) Translate(vaddr uint64, pt *PageTable) (paddr uint64, lat uint64, 
 			}
 			return ppn*PageBytes + off, 0, FaultNone
 		}
+	}
+	if t.probe != nil {
+		t.probe.onLookup(vpn, -1)
 	}
 	t.Misses++
 	ppn, ok := pt.Walk(vpn)

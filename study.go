@@ -78,7 +78,10 @@ type StudyConfig struct {
 	// running to the full ERT horizon. Classifications and summaries are
 	// identical either way — only per-fault SimCycles shrink — so keep
 	// the setting consistent across resumed runs of the same journal if
-	// byte-identical shards matter. See campaign.Runner.EarlyExit.
+	// byte-identical shards matter. Shards journaled by a binary from
+	// before the oracle covered TLB entries and free registers keep
+	// full-window SimCycles for those faults (same classification). See
+	// campaign.Runner.EarlyExit.
 	EarlyExit bool
 }
 
