@@ -174,7 +174,7 @@ func TestServerOversizedBodyRejected(t *testing.T) {
 	pad := `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
 	for path, body := range map[string]string{
 		"/v1/assess":         strings.TrimSuffix(assessBody, "}"),
-		"/v1/dist/lease":     `{"op":"done","name":"chunk"`,
+		"/v1/dist/lease":     `{"op":"reset","name":"chunk"`,
 		"/v1/dist/register":  `{"node":"n1"`,
 		"/v1/dist/campaigns": `{"spec":{"faults":1}`,
 	} {

@@ -10,9 +10,10 @@ import (
 // Per-fault allocation budgets of the production path (Runner.Run, one
 // worker), the marginal cost of a fault once the campaign's fixed set-up
 // (results slice, worker, pooled machine, local snapshot) is paid. An AVGI
-// fault allocates the target, the probe and the two per-Run engines; an
-// exhaustive fault adds the drained output of a run that halts. Before the
-// fetch queue stopped regrowing these were 98.5 KB and 3.3 MB.
+// fault allocates the target, the probe and the two per-Run engines (a
+// ticker list and a stats slice each); an exhaustive fault adds the drained
+// output of a run that halts. Before the fetch queue stopped regrowing these
+// were 98.5 KB and 3.3 MB.
 const (
 	avgiFaultAllocBytes       = 2 << 10
 	exhaustiveFaultAllocBytes = 32 << 10

@@ -181,8 +181,8 @@ type Runner struct {
 	// cluster runner (nil on single-core).
 	CoreGolden []Golden
 
-	// GoldenEngine is the event-engine telemetry of the golden run
-	// (events fired, per-component tick counts), published with the
+	// GoldenEngine is the tick-engine telemetry of the golden run
+	// (cycles, per-component tick counts), published with the
 	// golden gauges by PublishGolden.
 	GoldenEngine engine.Stats
 

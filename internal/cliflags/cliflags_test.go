@@ -2,9 +2,7 @@ package cliflags
 
 import (
 	"flag"
-	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -33,20 +31,6 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 		c.Journal != "/tmp/j" || !c.Resume || !c.Progress ||
 		c.MetricsAddr != "localhost:9090" || !c.Forensics || c.Log != "json" {
 		t.Fatalf("parsed values wrong: %+v", c)
-	}
-}
-
-// The fork mechanism follows from the machine shape; the flags that used
-// to select it are gone, not ignored.
-func TestForkFlagsRemoved(t *testing.T) {
-	for _, args := range [][]string{{"-fork", "x"}, {"-ckpt-interval", "1"}} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		RegisterCampaign(fs)
-		err := fs.Parse(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-			t.Errorf("Parse(%v) = %v, want \"flag provided but not defined\"", args, err)
-		}
 	}
 }
 

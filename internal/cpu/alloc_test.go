@@ -61,8 +61,8 @@ func TestAllocStepIsFree(t *testing.T) {
 
 // cursorFaultAllocs bounds the allocations of one fault on the golden
 // cursor outside Tick: the resolved Target (1), the fate probe and its
-// site list (2), and the per-Run engine's component lists and stats (3).
-const cursorFaultAllocs = 6
+// site list (2), and the per-Run engine's ticker list and stats (2).
+const cursorFaultAllocs = 5
 
 // TestAllocCursorFault replays one fault the way campaign's runCursor does
 // — SyncSnapshot, flip, arm the probe, a comparator-watched window,

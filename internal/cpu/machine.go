@@ -397,7 +397,7 @@ func (m *Machine) OutputProfile() (cycles []uint64, l1d, l2 []uint32) {
 	return p.cycles, p.l1d, p.l2
 }
 
-// Name implements engine.Component: "core" for a single-core machine,
+// Name implements engine.Ticker: "core" for a single-core machine,
 // "c<k>" for cluster cores.
 func (m *Machine) Name() string {
 	if m.name == "" {
@@ -481,7 +481,7 @@ type Result struct {
 	Commits uint64
 	Output  []byte
 
-	// Engine holds the event-engine activity counters of the Run call
+	// Engine holds the tick-engine activity counters of the Run call
 	// that produced this result (telemetry; not machine state).
 	Engine engine.Stats
 }

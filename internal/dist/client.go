@@ -79,11 +79,6 @@ func (h *HTTPLeaser) Release(name, owner string, done bool) error {
 	return err
 }
 
-// IsDone implements Leaser.
-func (h *HTTPLeaser) IsDone(name string) (bool, error) {
-	return h.lease(leaseOp{Op: "done", Name: name})
-}
-
 // Reset implements Leaser.
 func (h *HTTPLeaser) Reset(prefix string) error {
 	_, err := h.lease(leaseOp{Op: "reset", Name: prefix})

@@ -107,14 +107,6 @@ func (c *Coordinator) Release(name, owner string, done bool) error {
 	return nil
 }
 
-// IsDone implements Leaser.
-func (c *Coordinator) IsDone(name string) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, done := c.done[name]
-	return done, nil
-}
-
 // Reset implements Leaser.
 func (c *Coordinator) Reset(prefix string) error {
 	c.mu.Lock()
@@ -183,7 +175,7 @@ func (c *Coordinator) Campaigns(after int) []Announcement {
 
 // leaseOp is the wire form of one lease-endpoint call.
 type leaseOp struct {
-	Op    string `json:"op"` // acquire | heartbeat | release | done | reset
+	Op    string `json:"op"` // acquire | heartbeat | release | reset
 	Name  string `json:"name"`
 	Owner string `json:"owner"`
 	TTLMS int64  `json:"ttl_ms"`
@@ -198,7 +190,7 @@ type leaseReply struct {
 // Mount registers the coordinator's HTTP endpoints on mux (the same mux
 // the obs/avgid server already serves):
 //
-//	POST /v1/dist/lease     — lease ops (acquire/heartbeat/release/done/reset)
+//	POST /v1/dist/lease     — lease ops (acquire/heartbeat/release/reset)
 //	POST /v1/dist/register  — {"node": ...} worker registration
 //	GET  /v1/dist/campaigns — fan-out feed; ?after=<id> for increments
 //	POST /v1/dist/campaigns — {"spec": ...} announce one campaign
@@ -226,8 +218,6 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 		case "release":
 			err = c.Release(op.Name, op.Owner, op.Done)
 			rep.OK = err == nil
-		case "done":
-			rep.OK, err = c.IsDone(op.Name)
 		case "reset":
 			err = c.Reset(op.Name)
 			rep.OK = err == nil

@@ -64,7 +64,6 @@ type Leaser interface {
 	TryAcquire(name, owner string, ttl time.Duration) (bool, error)
 	Heartbeat(name, owner string, ttl time.Duration) error
 	Release(name, owner string, done bool) error
-	IsDone(name string) (bool, error)
 	Reset(prefix string) error
 }
 
@@ -211,7 +210,7 @@ func (l *FileLeaser) create(path, owner string, ttl time.Duration) (bool, error)
 
 // TryAcquire implements Leaser.
 func (l *FileLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, error) {
-	if done, err := l.IsDone(name); done || err != nil {
+	if done, err := l.isDone(name); done || err != nil {
 		return false, err
 	}
 	path := l.leasePath(name)
@@ -288,8 +287,8 @@ func (l *FileLeaser) Release(name, owner string, done bool) error {
 	return nil
 }
 
-// IsDone implements Leaser.
-func (l *FileLeaser) IsDone(name string) (bool, error) {
+// isDone reports whether name carries a done marker.
+func (l *FileLeaser) isDone(name string) (bool, error) {
 	if _, err := os.Stat(l.donePath(name)); err == nil {
 		return true, nil
 	} else if errors.Is(err, os.ErrNotExist) {

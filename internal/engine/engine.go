@@ -1,16 +1,13 @@
-// Package engine is the deterministic event/tick engine the machine models
-// run on — the component/tick/event core of gem5-class simulators (and of
-// mgpusim/akita in Go), scaled down to this reproduction's needs.
+// Package engine is the deterministic tick engine the machine models run
+// on: a clock and an ordered list of components, nothing else.
 //
 // The engine is strictly serial and strictly deterministic:
 //
-//   - Components register once, up front; ticking components are ticked
-//     every cycle in registration order. A multi-core machine registers its
-//     cores in index order, so core 0 always observes shared state (the L2,
-//     RAM) before core 1 within a cycle — the fixed arbitration order.
-//   - Discrete events are fired in (cycle, schedule-order) order: two
-//     events scheduled for the same cycle fire in the order they were
-//     scheduled, never in map/heap-dependent order.
+//   - Components are ticked once per cycle in registration order. A
+//     multi-core machine registers its cores in index order, so core 0
+//     always observes shared state (the L2, RAM) before core 1 within a
+//     cycle — the fixed arbitration order.
+//   - The component set is frozen at the first RunCycle.
 //
 // Those two rules are what make the determinism acceptance gate possible:
 // building the same machine twice and running both must produce identical
@@ -24,31 +21,13 @@ package engine
 
 import "fmt"
 
-// Component is anything that lives on the engine: a core, a cache, a TLB,
-// an arbiter. The only universal requirement is a stable name (used by
-// telemetry and error messages).
-type Component interface {
-	Name() string
-}
-
 // Ticker is a component driven by the clock: Tick is called exactly once
 // per engine cycle, in registration order. cycle is the number of the cycle
-// being executed (the first RunCycle call delivers cycle 1).
+// being executed (the first RunCycle call delivers cycle 1). Name must be
+// stable; telemetry and error messages use it.
 type Ticker interface {
-	Component
+	Name() string
 	Tick(cycle uint64)
-}
-
-// Handler is an event callback. It runs at the cycle the event was
-// scheduled for, before that cycle's ticks.
-type Handler func(cycle uint64)
-
-// event is one scheduled callback. seq breaks ties between events scheduled
-// for the same cycle: earlier scheduling fires first.
-type event struct {
-	at  uint64
-	seq uint64
-	fn  Handler
 }
 
 // Stats is a snapshot of the engine's activity counters, consumed by the
@@ -56,7 +35,7 @@ type event struct {
 type Stats struct {
 	// Cycles is the number of RunCycle calls executed.
 	Cycles uint64
-	// Events is the number of discrete events fired.
+	// Events is always 0, kept until the benchmark stops reading it.
 	Events uint64
 	// Components holds one entry per registered component, in registration
 	// order.
@@ -64,26 +43,18 @@ type Stats struct {
 }
 
 // ComponentStats is one component's activity: Ticks counts Tick calls
-// delivered (zero for non-ticking components).
+// delivered.
 type ComponentStats struct {
 	Name  string
 	Ticks uint64
 }
 
-// Engine is the serial scheduler. It is not safe for concurrent use; every
+// Engine is the serial clock. It is not safe for concurrent use; every
 // machine (or cluster) owns its own engine, which is what lets thousands of
 // campaign workers run engines in parallel without sharing.
 type Engine struct {
-	now uint64
-	seq uint64
-
-	// queue is a binary min-heap of pending events ordered by (at, seq).
-	queue []event
-
-	components []Component
-	tickers    []Ticker
-
-	events uint64
+	now     uint64
+	tickers []Ticker
 }
 
 // New returns an empty engine at cycle 0.
@@ -95,124 +66,33 @@ func New() *Engine {
 // deterministic tie-break everywhere: tick order and the arbitration order
 // of same-cycle activity. Registering after the first RunCycle is a
 // programming error.
-func (e *Engine) Register(c Component) {
+func (e *Engine) Register(t Ticker) {
 	if e.now != 0 {
-		panic(fmt.Sprintf("engine: component %s registered after cycle %d", c.Name(), e.now))
+		panic(fmt.Sprintf("engine: component %s registered after cycle %d", t.Name(), e.now))
 	}
-	e.components = append(e.components, c)
-	if t, ok := c.(Ticker); ok {
-		e.tickers = append(e.tickers, t)
-	}
+	e.tickers = append(e.tickers, t)
 }
 
-// Now returns the current cycle (the cycle most recently executed).
-func (e *Engine) Now() uint64 { return e.now }
-
-// Schedule enqueues fn to run at cycle at. Events scheduled for the current
-// cycle or earlier fire at the start of the next RunCycle (the engine never
-// re-runs a cycle). Same-cycle events fire in scheduling order.
-func (e *Engine) Schedule(at uint64, fn Handler) {
-	ev := event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.queue = append(e.queue, ev)
-	e.up(len(e.queue) - 1)
-}
-
-// ScheduleDelta enqueues fn to run delta cycles after the current cycle.
-func (e *Engine) ScheduleDelta(delta uint64, fn Handler) {
-	e.Schedule(e.now+delta, fn)
-}
-
-// RunCycle advances the clock one cycle: due events fire first (in (cycle,
-// schedule-order) order), then every ticking component ticks in
-// registration order. This mirrors the pre-engine machine loop, where a
-// cycle's memory responses were visible to the stages ticked in that cycle.
+// RunCycle advances the clock one cycle and ticks every component in
+// registration order.
 func (e *Engine) RunCycle() {
 	e.now++
-	for len(e.queue) > 0 && e.queue[0].at <= e.now {
-		fn := e.queue[0].fn
-		e.pop()
-		e.events++
-		fn(e.now)
-	}
 	for _, t := range e.tickers {
 		t.Tick(e.now)
 	}
 }
 
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Components returns the registered components in registration order.
-func (e *Engine) Components() []Component { return e.components }
-
 // Stats returns the engine's activity counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Cycles:     e.now,
-		Events:     e.events,
-		Components: make([]ComponentStats, len(e.components)),
+		Components: make([]ComponentStats, len(e.tickers)),
 	}
-	for i, c := range e.components {
+	for i, t := range e.tickers {
 		// Every ticker ticks exactly once per RunCycle (the component set
 		// is frozen at start), so per-component tick counts are derived
 		// rather than counted in the hot loop.
-		var ticks uint64
-		if _, ok := c.(Ticker); ok {
-			ticks = e.now
-		}
-		st.Components[i] = ComponentStats{Name: c.Name(), Ticks: ticks}
+		st.Components[i] = ComponentStats{Name: t.Name(), Ticks: e.now}
 	}
 	return st
-}
-
-// heap helpers: a hand-rolled binary heap over (at, seq) keeps the hot
-// RunCycle path free of interface calls and container/heap allocations.
-
-func (e *Engine) less(i, j int) bool {
-	a, b := e.queue[i], e.queue[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			return
-		}
-		e.queue[i], e.queue[parent] = e.queue[parent], e.queue[i]
-		i = parent
-	}
-}
-
-func (e *Engine) pop() {
-	n := len(e.queue) - 1
-	e.queue[0] = e.queue[n]
-	e.queue[n] = event{}
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.down(0)
-	}
-}
-
-func (e *Engine) down(i int) {
-	n := len(e.queue)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && e.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && e.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		e.queue[i], e.queue[smallest] = e.queue[smallest], e.queue[i]
-		i = smallest
-	}
 }

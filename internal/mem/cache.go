@@ -46,9 +46,6 @@ type CacheConfig struct {
 	AddrBits int
 }
 
-// SizeBytes returns the data capacity.
-func (c CacheConfig) SizeBytes() int { return c.Sets * c.Ways * c.LineBytes }
-
 // Cache is a set-associative, write-back, write-allocate cache with
 // separate bit-addressable tag and data arrays.
 type Cache struct {

@@ -240,6 +240,3 @@ func (pt *PageTable) NumPages() uint64 { return pt.numPages }
 // only through a corrupted TLB entry — faults like an access to an unbacked
 // physical page would.
 func (pt *PageTable) PhysPages() uint64 { return pt.physPages }
-
-// BasePage returns the physical page backing virtual page 0.
-func (pt *PageTable) BasePage() uint64 { return pt.basePage }

@@ -5,9 +5,8 @@ import "avgi/internal/engine"
 // PublishEngineStats folds one engine run's telemetry (cpu.Result.Engine)
 // into the registry:
 //
-//   - avgi_engine_events_total: discrete events fired (port deliveries,
-//     scheduled callbacks), accumulated across published runs
-//   - avgi_engine_cycles_total: engine cycles executed, accumulated
+//   - avgi_engine_cycles_total: engine cycles executed, accumulated across
+//     published runs
 //   - avgi_engine_components: ticking components registered on the run's
 //     engine (a shape gauge: 1 on a single-core machine, n on a cluster)
 //   - avgi_engine_component_ticks_total: per-component Tick calls, with the
@@ -20,11 +19,8 @@ func PublishEngineStats(reg *Registry, labels map[string]string, s engine.Stats)
 	if reg == nil {
 		return
 	}
-	reg.Counter("avgi_engine_events_total",
-		"discrete events fired by the deterministic event engine", labels).
-		Add(s.Events)
 	reg.Counter("avgi_engine_cycles_total",
-		"cycles executed by the deterministic event engine", labels).
+		"cycles executed by the deterministic tick engine", labels).
 		Add(s.Cycles)
 	reg.Gauge("avgi_engine_components",
 		"ticking components registered on the engine", labels).

@@ -11,7 +11,6 @@ func TestPublishEngineStats(t *testing.T) {
 	lb := map[string]string{"workload": "sha", "machine": "A72-like"}
 	s := engine.Stats{
 		Cycles: 1000,
-		Events: 250,
 		Components: []engine.ComponentStats{
 			{Name: "c0", Ticks: 1000},
 			{Name: "c1", Ticks: 900},
@@ -21,9 +20,6 @@ func TestPublishEngineStats(t *testing.T) {
 	// Publishing a second run accumulates the counters.
 	PublishEngineStats(r, lb, s)
 
-	if got := r.Counter("avgi_engine_events_total", "", lb).Value(); got != 500 {
-		t.Errorf("events_total = %d, want 500", got)
-	}
 	if got := r.Counter("avgi_engine_cycles_total", "", lb).Value(); got != 2000 {
 		t.Errorf("cycles_total = %d, want 2000", got)
 	}

@@ -3,6 +3,7 @@ package avgi
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -206,7 +207,8 @@ type Service struct {
 	tenants  map[string]*campaign.Budget // tenant -> carved share
 	journals map[string]*journal.Journal // (machine, seed, faults) namespace
 	requests map[uint64]*RequestInfo
-	order    []uint64 // registry insertion order, for pruning
+	done     [doneRequestsRetained]uint64 // ring of finished IDs; an overwritten ID leaves requests
+	finished uint64                       // finishRequest calls so far (the ring's write cursor)
 	nextID   uint64
 }
 
@@ -220,8 +222,19 @@ type runnerSlot struct {
 const maxFaultsPerRequest = 100_000
 
 // doneRequestsRetained bounds the registry: completed entries beyond this
-// count are pruned oldest-first (running entries are never pruned).
+// count are pruned in completion order (running entries are never pruned).
 const doneRequestsRetained = 256
+
+// Tenant names come from request JSON and become budget carves and metric
+// label values, so both their shape and their number are bounded.
+const (
+	maxTenantLen = 64
+	tenantChars  = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
+	maxTenants   = 256
+	// invalidTenant labels requests rejected by validation, whatever
+	// tenant string they carried.
+	invalidTenant = "invalid"
+)
 
 // NewService builds the shared state; golden runs happen lazily on the
 // first request that needs each (machine, workload).
@@ -292,11 +305,16 @@ func (s *Service) TenantCap() int {
 // Budget returns the global worker budget (test hook).
 func (s *Service) Budget() *campaign.Budget { return s.budget }
 
+// tenantBudget returns the tenant's carved share, carving it on first use;
+// nil when the tenant is new and maxTenants are already known.
 func (s *Service) tenantBudget(tenant string) *campaign.Budget {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.tenants[tenant]; ok {
 		return b
+	}
+	if len(s.tenants) >= maxTenants {
+		return nil
 	}
 	b := s.budget.Carve(s.TenantCap())
 	if s.srv.reg != nil {
@@ -412,6 +430,13 @@ func (s *Service) normalize(req AssessRequest) (AssessRequest, assessKey, error)
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
+	if len(req.Tenant) > maxTenantLen || strings.Trim(req.Tenant, tenantChars) != "" {
+		return req, key, fmt.Errorf("tenant %.80q: want 1-%d bytes of [A-Za-z0-9._-]", req.Tenant, maxTenantLen)
+	}
+	// Last, so a request rejected for another reason admits no tenant.
+	if s.tenantBudget(req.Tenant) == nil {
+		return req, key, fmt.Errorf("tenant %q: this server already serves %d tenants", req.Tenant, maxTenants)
+	}
 	key = assessKey{
 		machine: req.Machine, structure: req.Structure, workload: req.Workload,
 		mode: mode, window: req.Window, faults: req.Faults, seed: req.Seed,
@@ -425,44 +450,34 @@ func (s *Service) registerRequest(req AssessRequest) *RequestInfo {
 	s.nextID++
 	info := &RequestInfo{ID: s.nextID, Request: req, State: StateRunning, StartedAt: time.Now()}
 	s.requests[info.ID] = info
-	s.order = append(s.order, info.ID)
-	// Prune oldest completed entries beyond the retention bound.
-	done := 0
-	for _, id := range s.order {
-		if r := s.requests[id]; r != nil && r.State != StateRunning {
-			done++
-		}
-	}
-	for i := 0; done > doneRequestsRetained && i < len(s.order); i++ {
-		id := s.order[i]
-		if r := s.requests[id]; r != nil && r.State != StateRunning {
-			delete(s.requests, id)
-			s.order[i] = 0
-			done--
-		}
-	}
 	return info
 }
 
+// finishRequest completes an entry and retires the one that finished
+// doneRequestsRetained completions earlier (IDs start at 1, so an unused
+// ring slot deletes nothing).
 func (s *Service) finishRequest(info *RequestInfo, state RequestState, errMsg string) {
 	now := time.Now()
 	s.mu.Lock()
 	info.State = state
 	info.EndedAt = &now
 	info.Error = errMsg
+	slot := &s.done[s.finished%doneRequestsRetained]
+	delete(s.requests, *slot)
+	*slot = info.ID
+	s.finished++
 	s.mu.Unlock()
 }
 
 // Requests snapshots the registry, newest first.
 func (s *Service) Requests() []RequestInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]RequestInfo, 0, len(s.requests))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if r := s.requests[s.order[i]]; r != nil {
-			out = append(out, *r)
-		}
+	for _, r := range s.requests {
+		out = append(out, *r)
 	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
 }
 
@@ -476,41 +491,24 @@ func (s *Service) Request(id uint64) (RequestInfo, bool) {
 	return RequestInfo{}, false
 }
 
-// Assess serves one assessment request: journal hit, coalesce, or
-// simulate under the tenant's budget share — in that order of preference.
-// It is safe for concurrent use.
+// Assess serves one assessment request: memory hit, journal hit, coalesce,
+// or simulate under the tenant's budget share — in that order of
+// preference. It is safe for concurrent use.
 func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	norm, key, err := s.normalize(req)
 	if err != nil {
-		s.srv.request(orDefault(req.Tenant), "error")
+		s.srv.request(invalidTenant, "error")
 		return nil, err
 	}
 	// Memory tier: a decoded-shard LRU hit answers without the runner, the
 	// journal or the flight map — no golden run, no disk read, no decode.
-	if cached, ok := s.shards.get(key); ok {
-		info := s.registerRequest(norm)
-		start := time.Now()
-		s.finishRequest(info, StateDone, "")
-		s.srv.request(norm.Tenant, "hit")
-		sum := campaign.Summarize(cached)
-		s.srv.observe(time.Since(start))
-		return &AssessResponse{
-			ID:      info.ID,
-			Request: norm,
-			Result:  AssessResult{Results: cached, Summary: sum, AVF: core.AVFFromEffects(sum)},
-			Meta: AssessMeta{
-				JournalHit:    true,
-				ResumedFaults: len(cached),
-				Tenant:        norm.Tenant,
-				ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
-			},
-		}, nil
-	}
-
-	r, err := s.runner(norm.Machine, norm.Workload)
-	if err != nil {
-		s.srv.request(norm.Tenant, "error")
-		return nil, err
+	res, cached := s.shards.get(key)
+	var r *Runner
+	if !cached {
+		if r, err = s.runner(norm.Machine, norm.Workload); err != nil {
+			s.srv.request(norm.Tenant, "error")
+			return nil, err
+		}
 	}
 
 	info := s.registerRequest(norm)
@@ -534,42 +532,16 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		}
 	}()
 
-	faults := r.FaultList(norm.Structure, norm.Faults, norm.Seed)
-	je := &journalExec{
-		journal: s.journalFor(norm.Machine, norm.Seed, norm.Faults),
-		resume:  true,
-		machine: machineConfig(norm.Machine).Name,
-		variant: machineConfig(norm.Machine).Variant.String(),
-		seed:    norm.Seed,
-		sync:    s.Cfg.Fsync,
-		dist:    s.Cfg.Dist,
-		obs:     s.Cfg.Obs,
-		sched:   &s.sched,
-	}
-
-	var resumed int
-	var res []CampaignResult
-	var coalesced bool
-	for attempt := 0; ; attempt++ {
-		res, coalesced = s.flights.do(key, func() []CampaignResult {
-			out, re := je.run(r, norm.Structure, norm.Workload, faults,
-				key.mode, norm.Window, s.tenantBudget(norm.Tenant))
-			resumed = re
-			return out
-		})
-		if res != nil || !coalesced || attempt >= 1 {
-			break
+	resumed, coalesced := len(res), false
+	if !cached {
+		res, resumed, coalesced = s.execute(norm, key, r)
+		if res == nil {
+			return nil, fmt.Errorf("assessment failed: coalesced execution returned no results")
 		}
-		// nil from a coalesced wait means the leader panicked and was
-		// evicted; retry once as (most likely) the new leader so this
-		// request surfaces the real failure instead of an opaque nil.
+		// Whatever tier answered, the result set is now complete and durable
+		// (or deterministic-reproducible); keep it decoded for the next hit.
+		s.shards.put(key, res)
 	}
-	if res == nil {
-		return nil, fmt.Errorf("assessment failed: coalesced execution returned no results")
-	}
-	// Whatever tier answered, the result set is now complete and durable
-	// (or deterministic-reproducible); keep it decoded for the next hit.
-	s.shards.put(key, res)
 
 	outcome := "miss"
 	meta := AssessMeta{Tenant: norm.Tenant}
@@ -577,13 +549,13 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	case coalesced:
 		outcome = "coalesced"
 		meta.Coalesced = true
-	case resumed == len(faults) && len(faults) > 0:
+	case resumed == len(res) && resumed > 0:
 		outcome = "hit"
 		meta.JournalHit = true
 		meta.ResumedFaults = resumed
 	default:
 		meta.ResumedFaults = resumed
-		meta.SimulatedFaults = len(faults) - resumed
+		meta.SimulatedFaults = len(res) - resumed
 	}
 	s.srv.request(norm.Tenant, outcome)
 	meta.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -597,9 +569,35 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	}, nil
 }
 
-func orDefault(tenant string) string {
-	if tenant == "" {
-		return "default"
+// execute runs the journal, flight and simulation tiers for one request:
+// one result per fault (nil if the execution it rode panicked), how many of
+// them the journal supplied, and whether an identical in-flight request did
+// the work.
+func (s *Service) execute(norm AssessRequest, key assessKey, r *Runner) (res []CampaignResult, resumed int, coalesced bool) {
+	faults := r.FaultList(norm.Structure, norm.Faults, norm.Seed)
+	je := &journalExec{
+		journal: s.journalFor(norm.Machine, norm.Seed, norm.Faults),
+		resume:  true,
+		machine: machineConfig(norm.Machine).Name,
+		variant: machineConfig(norm.Machine).Variant.String(),
+		seed:    norm.Seed,
+		sync:    s.Cfg.Fsync,
+		dist:    s.Cfg.Dist,
+		obs:     s.Cfg.Obs,
+		sched:   &s.sched,
 	}
-	return tenant
+	for attempt := 0; ; attempt++ {
+		res, coalesced = s.flights.do(key, func() []CampaignResult {
+			out, re := je.run(r, norm.Structure, norm.Workload, faults,
+				key.mode, norm.Window, s.tenantBudget(norm.Tenant))
+			resumed = re
+			return out
+		})
+		if res != nil || !coalesced || attempt >= 1 {
+			return res, resumed, coalesced
+		}
+		// nil from a coalesced wait means the leader panicked and was
+		// evicted; retry once as (most likely) the new leader so this
+		// request surfaces the real failure instead of an opaque nil.
+	}
 }

@@ -2,7 +2,10 @@ package avgi
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -203,7 +206,7 @@ func TestServiceValidation(t *testing.T) {
 		}
 	}
 	if n := counterValue(t, s.Cfg.Obs.Metrics, "avgi_server_requests_total",
-		map[string]string{"tenant": "default", "outcome": "error"}); n == 0 {
+		map[string]string{"tenant": invalidTenant, "outcome": "error"}); n == 0 {
 		t.Error("validation failures not counted as error outcomes")
 	}
 }
@@ -311,6 +314,116 @@ func TestServiceRequestRegistry(t *testing.T) {
 	}
 	if all[0].ID != resp.ID {
 		t.Errorf("registry order: first entry ID %d, want %d", all[0].ID, resp.ID)
+	}
+}
+
+// TestServiceRegistryBounded: the registry's cost and memory must not grow
+// with requests served. After thousands of warm hits no container hanging
+// off the Service holds more than the retention bound plus what is running,
+// the oldest completed entry is gone and a running one is not.
+func TestServiceRegistryBounded(t *testing.T) {
+	s := newTestService(t, t.TempDir())
+	running := s.registerRequest(svcRequest()) // never finished
+	cold, err := s.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hits = 5000
+	for i := 0; i < hits; i++ {
+		resp, err := s.Assess(svcRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Meta.JournalHit {
+			t.Fatalf("request %d missed a warm cache: %+v", i, resp.Meta)
+		}
+	}
+
+	const bound = doneRequestsRetained + 1
+	sv := reflect.ValueOf(s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Map, reflect.Slice, reflect.Array:
+			if f.Len() > bound {
+				t.Errorf("Service.%s holds %d entries after %d requests, want <= %d",
+					sv.Type().Field(i).Name, f.Len(), hits+2, bound)
+			}
+		}
+	}
+	all := s.Requests()
+	if len(all) != bound {
+		t.Fatalf("registry lists %d entries, want %d completed + 1 running", len(all), doneRequestsRetained)
+	}
+	for i, r := range all[:doneRequestsRetained] {
+		if want := uint64(hits + 2 - i); r.ID != want || r.State != StateDone {
+			t.Fatalf("row %d: ID %d state %s, want ID %d done (newest first)", i, r.ID, r.State, want)
+		}
+	}
+	if last := all[doneRequestsRetained]; last.ID != running.ID || last.State != StateRunning {
+		t.Errorf("last row %+v, want the running request %d", last, running.ID)
+	}
+	if _, ok := s.Request(cold.ID); ok {
+		t.Errorf("completed request %d still registered after %d later completions", cold.ID, hits)
+	}
+}
+
+// TestServiceTenantBound: tenant strings arrive from outside and become
+// budgets and metric label values, so a client cycling names must hit a
+// wall instead of growing the process.
+func TestServiceTenantBound(t *testing.T) {
+	s := newTestService(t, t.TempDir())
+	if _, err := s.Assess(svcRequest()); err != nil { // warms the LRU as tenant "default"
+		t.Fatal(err)
+	}
+	assess := func(tenant string) error {
+		req := svcRequest()
+		req.Tenant = tenant
+		_, err := s.Assess(req)
+		return err
+	}
+	for _, bad := range []string{"a b", "x/y", `q"`, "é", strings.Repeat("a", maxTenantLen+1)} {
+		if err := assess(bad); err == nil {
+			t.Errorf("tenant %q accepted", bad)
+		}
+	}
+	if err := assess(strings.Repeat("a", maxTenantLen-3) + "._-"); err != nil {
+		t.Errorf("longest legal tenant rejected: %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var names []string
+	for i := 0; i < 300; i++ {
+		names = append(names, fmt.Sprintf("t%d-%x", i, rng.Uint64()))
+	}
+	admitted := 2 // "default" and the longest legal name
+	for _, name := range names {
+		err := assess(name)
+		if admitted < maxTenants {
+			if err != nil {
+				t.Fatalf("tenant %d (%s) rejected: %v", admitted+1, name, err)
+			}
+			admitted++
+		} else if err == nil {
+			t.Fatalf("tenant %s accepted beyond the %d-tenant bound", name, maxTenants)
+		}
+	}
+	if err := assess(names[0]); err != nil {
+		t.Errorf("known tenant refused once the bound was reached: %v", err)
+	}
+	if len(s.tenants) > maxTenants {
+		t.Errorf("%d tenant budgets, want <= %d", len(s.tenants), maxTenants)
+	}
+	labels := map[string]bool{}
+	for _, fam := range s.Cfg.Obs.Metrics.Snapshot() {
+		for _, sr := range fam.Series {
+			if v, ok := sr.Labels["tenant"]; ok {
+				labels[v] = true
+			}
+		}
+	}
+	if len(labels) > maxTenants+1 || !labels[invalidTenant] {
+		t.Errorf("%d tenant label values (invalid present: %v), want <= %d including %q",
+			len(labels), labels[invalidTenant], maxTenants+1, invalidTenant)
 	}
 }
 
