@@ -1,12 +1,12 @@
 package avgi
 
-// Determinism gates for the serial event engine (internal/engine): the same
+// Determinism gates for the serial tick engine (internal/engine): the same
 // machine built twice and run through the engine must finish on the same
 // cycle, with the same commit count and the same output digest — the
 // repeatability contract every other subsystem (trace comparison, journal
-// resume, the golden-cursor fault path) is built on. The harness follows
-// the build-twice/run/compare idiom of deterministic event-driven
-// simulators: no tolerance, any divergence is a hard failure.
+// resume, the golden-cursor fault path, the golden site timeline) is built
+// on. The harness follows the build-twice/run/compare idiom of
+// deterministic simulators: no tolerance, any divergence is a hard failure.
 //
 // The cluster gates additionally run under -race in CI: the engine is
 // serial by design, so a data-race report here means a component broke the

@@ -30,10 +30,13 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"avgi/internal/asm"
 	"avgi/internal/ckpt"
@@ -128,8 +131,13 @@ type Result struct {
 	Manifested      bool
 	ManifestLatency uint64
 
-	// SimCycles is the number of post-injection cycles simulated — the
-	// cost this fault contributes to the campaign under the run's mode.
+	// SimCycles is the window the fault is charged: the post-injection
+	// cycles a run forked at the injection cycle simulates under the run's
+	// mode, whether or not anyone ran them — a ModeAVGI fault the golden
+	// site timeline resolves is charged what the convergence oracle would
+	// have simulated, one forked at its site's first use the whole stretch
+	// from injection. Speedups derived from it (study.sim_speedup_x) compare
+	// methodologies, not host time, and do not move with the timeline.
 	SimCycles uint64
 
 	// Crash records how a crashed run died.
@@ -222,21 +230,27 @@ type Runner struct {
 	// worker layouts). 0 or 1 probes every fault.
 	ForensicsSample int
 
-	// EarlyExit arms the convergence termination oracle on ModeAVGI
-	// faults: a fate probe watches every injected fault, and the faulty
-	// window ends the moment the probe proves the machine state is
+	// EarlyExit means: do not simulate what is provably golden. On
+	// ModeAVGI faults a fate probe watches every injected fault, and the
+	// faulty window ends the moment the probe proves the machine state is
 	// bit-identical to golden again (every latched site erased by
 	// golden-valued writes, nothing consumed first) instead of running to
-	// the full ERT horizon. Classification is identical to the full-window
-	// run — only SimCycles shrinks (TestEarlyExitDifferential compares the
-	// outcomes, TestEarlyExitStateGolden the stopped machines themselves).
+	// the full ERT horizon; a single-bit fault is first looked up in the
+	// golden site timeline (resolve), which answers for the probe without
+	// a faulty cycle when the site is dead, erased unread or untouched in
+	// its window, and otherwise defers the fork to the site's first use.
+	// Classification is identical to the full-window run — only SimCycles
+	// shrinks (TestEarlyExitDifferential compares the outcomes,
+	// TestEarlyExitStateGolden the stopped machines themselves,
+	// TestTimelineDifferential the lookup against the live oracle).
 	// Off by default so recorded SimCycles stay comparable; both CLIs turn
 	// it on unless -early-exit=false. Single-core campaigns only; cluster
 	// campaigns ignore it.
 	EarlyExit bool
 
-	// ckptOnce lazily records the checkpoint store on the first single-core
-	// campaign, so cluster and fault-list-only uses never pay for it.
+	// ckptOnce lazily records the checkpoint store, and with it the golden
+	// site timeline, on the first single-core campaign, so cluster and
+	// fault-list-only uses never pay for it.
 	ckptOnce sync.Once
 	store    *ckpt.Store
 	pool     *ckpt.Pool
@@ -598,8 +612,12 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	ro := r.newRunObs(faults, mode, prior)
 	var store *ckpt.Store
 	var pool *ckpt.Pool
+	var tl *cpu.Timeline
 	if r.Cores <= 1 {
 		store, pool = r.checkpoints()
+		if r.EarlyExit && mode == ModeAVGI && earlyExitCheck == nil {
+			tl = store.Timeline()
+		}
 	}
 	// Contiguous chunks keep each worker's cursor (or cluster mother)
 	// advancing monotonically through its cycle-sorted slice. Chunk
@@ -649,30 +667,9 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		go func(lo, hi int, release func(bool)) {
 			defer wg.Done()
 			defer budget.Release()
-			w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool}
+			w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool, tl: tl}
 			defer w.close()
-			if ro == nil {
-				for i := lo; i < hi; i++ {
-					if pr, ok := prior[i]; ok {
-						results[i] = pr
-						continue
-					}
-					results[i], _, _ = w.runGuarded(faults[i])
-				}
-			} else {
-				local := make(map[string]*structAgg, 1)
-				for i := lo; i < hi; i++ {
-					if pr, ok := prior[i]; ok {
-						results[i] = pr
-						continue
-					}
-					t0 := nowFn()
-					res, delta, fm := w.runGuarded(faults[i])
-					results[i] = res
-					ro.fault(local, faults[i], &res, nowFn().Sub(t0), delta, fm)
-				}
-				ro.merge(local)
-			}
+			w.runChunk(faults, lo, hi, prior, results)
 			if sink != nil {
 				sink.ChunkDone(lo, hi, results)
 			}
@@ -764,7 +761,9 @@ func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped
 // earlyExitCheck, nil outside tests, sees every faulty machine the
 // convergence oracle stopped, still at its stop cycle, with the fault and
 // the probe's facts: TestEarlyExitStateGolden compares it with a golden
-// machine run to that cycle.
+// machine run to that cycle. It is also the switch that keeps the golden
+// site timeline out of a campaign, so that every fault meets the live
+// oracle (TestTimelineDifferential compares the two).
 var earlyExitCheck func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts)
 
 // winMeta is the per-fault window-oracle telemetry: whether the early-exit
@@ -776,6 +775,18 @@ type winMeta struct {
 	cyclesSaved uint64
 }
 
+// The fates the golden site timeline settles without a faulty cycle
+// (forkMeta.resolved; resolvedNames are the fate labels of
+// avgi_window_resolved_total): the site held nothing reachable, was erased
+// before anything read it, or met no event while the window was open.
+const (
+	resolvedDead = 1 + iota
+	resolvedErased
+	resolvedUntouched
+)
+
+var resolvedNames = [...]string{resolvedDead: "dead", resolvedErased: "erased", resolvedUntouched: "untouched"}
+
 // forkMeta is the per-fault fork telemetry of the cursor flow: advCycles
 // is the golden distance the cursor advanced for this fault (amortized
 // replay), deltaBytes the volume moved by the dirty-delta snapshot/restore
@@ -784,13 +795,16 @@ type winMeta struct {
 // and batched marks faults that reused the previous fault's snapshot
 // outright (same injection cycle, no cursor advance, so the restored
 // machine already matches it). All zero for cluster faults, which fork by
-// clone.
+// clone. A cursor that jumped ahead onto a checkpoint pays a full capture
+// too and is a fullSync. resolved is non-zero for a fault the timeline
+// settled: it never forked, and everything else here is zero.
 type forkMeta struct {
 	cowPages   uint64
 	advCycles  uint64
 	deltaBytes uint64
 	fullSync   bool
 	batched    bool
+	resolved   uint8
 	winMeta
 }
 
@@ -808,6 +822,7 @@ type worker struct {
 	ro    *runObs
 	store *ckpt.Store
 	pool  *ckpt.Pool
+	tl    *cpu.Timeline // nil unless single-bit ModeAVGI faults may be resolved by lookup
 
 	m        *cpu.Machine  // single-core: the pooled golden cursor
 	csnap    *cpu.Snapshot // single-core: worker-local fault-point snapshot
@@ -836,9 +851,111 @@ func (w *worker) discard() {
 	w.motherCl = nil
 }
 
-// runGuarded simulates one fault under the panic guard, converting a panic
-// into a quarantined Result. The fork flow follows from the machine shape.
-func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm forkMeta) {
+// jumpCycles is what moving the cursor onto a checkpoint costs, in golden
+// cycles of advance: a full Restore (3 us) and the full Snapshot that must
+// replace the next delta capture (31 us) at ~0.53 us a simulated cycle
+// (cpu.restore_full_us, cpu.snapshot_full_us, cpu.golden_ns_per_cycle.a72).
+const jumpCycles = 64
+
+// runChunk runs faults[lo:hi]. A fault the golden site timeline resolves is
+// done without a machine; the others fork in the order of their fork
+// cycles, which keeps the cursor monotonic (a stable sort: faults forking
+// at one cycle keep the list's order and batch on one snapshot).
+func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result, results []Result) {
+	var local map[string]*structAgg
+	now := func() (t time.Time) { return t }
+	if w.ro != nil {
+		local, now = make(map[string]*structAgg, 1), nowFn
+		defer w.ro.merge(local)
+	}
+	done := func(i int, t0 time.Time, res Result, delta cpu.Stats, fm forkMeta) {
+		results[i] = res
+		if w.ro != nil {
+			w.ro.fault(local, faults[i], &res, now().Sub(t0), delta, fm)
+		}
+	}
+	type fork struct {
+		i  int
+		at uint64
+	}
+	forks := make([]fork, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if pr, ok := prior[i]; ok {
+			results[i] = pr
+			continue
+		}
+		t0 := now()
+		if at, res, delta, fm := w.resolve(faults[i]); fm.resolved != 0 {
+			done(i, t0, res, delta, fm)
+		} else {
+			forks = append(forks, fork{i, at})
+		}
+	}
+	slices.SortStableFunc(forks, func(a, b fork) int { return cmp.Compare(a.at, b.at) })
+	for _, fk := range forks {
+		t0 := now()
+		res, delta, fm := w.runGuarded(faults[fk.i], fk.at)
+		done(fk.i, t0, res, delta, fm)
+	}
+}
+
+// resolve asks the golden site timeline what the convergence oracle would
+// see of f, injected at f.Cycle with the window the comparator gives it: to
+// the first golden commit beyond f.Cycle+ert, or to the program's end. A
+// site that held nothing reachable, is erased before anything reads it, or
+// meets no event in the window leaves a machine bit-identical to golden: the
+// Result — Benign, charged the cycles the live oracle would have run — is
+// written here and fm.resolved says why. Otherwise at is the cycle to fork
+// at: one before the site's first event, until which the faulty machine is
+// the golden one with the same flip pending. An event in the window's last
+// cycle may come behind the commit that ends it, and a halt flushes the
+// caches: both are left to the run. Multi-bit faults (an overwrite can erase
+// one flipped bit and not its neighbour) and campaigns without a timeline
+// fork at f.Cycle.
+func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats, fm forkMeta) {
+	r, t := w.r, f.Cycle
+	if at = t; w.tl == nil || f.Bits() != 1 || f.Bit >= r.BitCounts[f.Structure] || t >= r.Golden.Cycles {
+		return
+	}
+	tr := r.Golden.Trace
+	k := sort.Search(len(tr), func(k int) bool { return tr[k].Cycle > t+w.ert })
+	end, halts := r.Golden.Cycles, k == len(tr)
+	if !halts {
+		end = tr[k].Cycle
+	}
+	fate, masked := w.tl.Fate(f.Structure, f.Bit, t, end)
+	switch {
+	case !fate.Live:
+		fm.resolved, end = resolvedDead, t+1
+	case fate.Cycle == 0 && halts:
+		at = end - 1
+		return
+	case fate.Cycle == 0:
+		fm.resolved = resolvedUntouched
+	case fate.Cycle == end || !fate.Erased():
+		at = fate.Cycle - 1
+		return
+	default:
+		fm.resolved, end = resolvedErased, fate.Cycle
+	}
+	res = Result{Fault: f, IMM: imm.Benign, SimCycles: end - t}
+	if delta.FlipsArmed = 1; masked {
+		delta.FlipsArmed, delta.FlipsMasked = 0, 1
+	}
+	if full := min(t+w.ert, r.Golden.Cycles); fm.resolved != resolvedUntouched {
+		fm.earlyExit, fm.cyclesSaved = true, full-min(full, end)
+	}
+	if r.forensicsOn(f) {
+		rec := forensics.Attribute(cpu.FactsOf(fate, t, fm.resolved == resolvedErased), forensics.Outcome{})
+		res.Forensics = &rec
+	}
+	return
+}
+
+// runGuarded simulates one fault, forked at cycle at, under the panic guard,
+// converting a panic into a quarantined Result. The fork flow follows from
+// the machine shape.
+func (w *worker) runGuarded(f fault.Fault, at uint64) (res Result, delta cpu.Stats, fm forkMeta) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = Result{Fault: f, Quarantined: true, Err: fmt.Sprint(p)}
@@ -850,7 +967,7 @@ func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm fork
 	if w.r.Cores > 1 {
 		return w.runCluster(f)
 	}
-	return w.runCursor(f)
+	return w.runCursor(f, at)
 }
 
 // runCursor is the single-core golden-cursor flow: the worker's pooled
@@ -859,8 +976,11 @@ func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm fork
 // worker-local snapshot with a dirty-delta capture, runs the faulty
 // simulation, and rewinds with a dirty-delta restore — two in-place copies
 // of the fault window's write footprint are the whole per-fault fork cost.
-func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
+// at is the fork cycle: f.Cycle, or later when the timeline has shown the
+// site untouched until then (resolve).
+func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMeta) {
 	r := w.r
+	jumped := false
 	if w.m == nil {
 		// (Re)build the cursor: seek the shared checkpoint nearest the
 		// first fault, rewind a pooled machine onto it, and start a fresh
@@ -868,28 +988,35 @@ func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 		// below (csnap == nil after a discard or on first use).
 		m, reused := w.pool.Get()
 		w.ro.poolGet(reused)
-		snap, _ := w.store.Seek(f.Cycle)
+		snap, _ := w.store.Seek(at)
 		m.Restore(snap)
 		m.BeginDeltaTracking()
 		w.m = m
 		w.csnap = nil
+	} else if snap, _ := w.store.Seek(at); snap.Cycle() > w.m.Cycle()+jumpCycles {
+		// With most faults resolved by lookup the forks lie far apart: a
+		// checkpoint between the cursor and the next one is cheaper to
+		// restore than the gap is to replay. The local snapshot is then
+		// stale as a whole and is captured in full below.
+		w.m.Restore(snap)
+		jumped = true
 	}
 	m := w.m
 	var adv uint64
-	if m.Cycle() < f.Cycle && m.Status() == cpu.StatusRunning {
+	if m.Cycle() < at && m.Status() == cpu.StatusRunning {
 		// The only golden replay in this flow: the cycle-sorted chunk
 		// makes every advance monotonic, so across the whole chunk the
 		// cursor simulates each golden cycle at most once.
 		c0 := m.Cycle()
-		m.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
+		m.Run(cpu.RunOptions{StopAtCycle: at, MaxCycles: r.Golden.Cycles + 1})
 		adv = m.Cycle() - c0
 	}
 	var deltaBytes uint64
-	fullSync := w.csnap == nil
+	fullSync := w.csnap == nil || jumped
 	batched := false
 	switch {
 	case fullSync:
-		w.csnap = m.Snapshot(nil)
+		w.csnap = m.Snapshot(w.csnap)
 	case adv != 0:
 		deltaBytes = m.SyncSnapshot(w.csnap)
 	default:
@@ -988,8 +1115,11 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 	if forens || oracle {
 		probe = m.ArmProbe(base, f.Bit, int(width))
 	}
-	if oracle && probe != nil {
-		probe.EnableConvergenceStop()
+	if probe != nil {
+		probe.AnchorAt(f.Cycle)
+		if oracle {
+			probe.EnableConvergenceStop()
+		}
 	}
 
 	// Reset keeps the Golden slice, so re-aim first.

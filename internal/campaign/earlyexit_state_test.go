@@ -99,10 +99,11 @@ func machineDiff(a, b *cpu.Machine) []string {
 // checkStateGolden runs faults through the early-exit oracle on one worker
 // and compares every machine it stops with a golden machine run to the same
 // cycle: every field of cpu.Machine and, through Mem, of each cache, each
-// TLB and RAM. The two must be equal as they are, or — when the probe found
-// no live site, so the flipped bits sit where nothing can reach them —
-// equal once the golden machine has had the same bits flipped. Returns the
-// number of early exits checked.
+// TLB and RAM. The two must be equal as they are, or equal once the golden
+// machine has had flipped the bits the fault put where nothing can reach
+// them: all of them when the probe found no live site, and of a multi-bit
+// fault that straddles entries those on its born-dead ones (bornDead).
+// Returns the number of early exits checked.
 func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
 	t.Helper()
 	r.EarlyExit = true
@@ -121,10 +122,13 @@ func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
 			return
 		}
 		diff := machineDiff(m, g)
-		if len(diff) != 0 && facts.LiveSites == 0 {
+		if facts.LiveSites > 0 && facts.LiveSites < facts.Sites {
+			straddlers++
+		}
+		if len(diff) != 0 && facts.LiveSites < facts.Sites {
 			tg := g.Target(f.Structure)
-			for i := 0; i < f.Bits(); i++ {
-				tg.FlipBit(f.Bit + uint64(i))
+			for _, bit := range bornDead(r, golden, f, facts) {
+				tg.FlipBit(bit)
 			}
 			diff = machineDiff(m, g)
 		}
@@ -140,6 +144,65 @@ func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
 		}
 	}
 	return checked
+}
+
+// straddlers counts the early exits checkStateGolden saw of multi-bit faults
+// with a live and a born-dead site.
+var straddlers int
+
+// entryBits returns the bits per array entry — register, queue slot, TLB
+// entry, tag entry or data line — of a structure: a probe's sites.
+func entryBits(r *Runner, structure string) uint64 {
+	entries := 0
+	switch cfg := r.Cfg; structure {
+	case "RF":
+		entries = cfg.PhysRegs
+	case "ROB":
+		entries = cfg.ROBSize
+	case "LQ":
+		entries = cfg.LQSize
+	case "SQ":
+		entries = cfg.SQSize
+	case "ITLB":
+		entries = cfg.Mem.ITLBEntries
+	case "DTLB":
+		entries = cfg.Mem.DTLBEntries
+	default:
+		c := cfg.Mem.L2
+		if strings.HasPrefix(structure, "L1I") {
+			c = cfg.Mem.L1I
+		} else if strings.HasPrefix(structure, "L1D") {
+			c = cfg.Mem.L1D
+		}
+		entries = c.Sets * c.Ways
+	}
+	return r.BitCounts[structure] / uint64(entries)
+}
+
+// bornDead returns the bits of f that landed on sites holding nothing
+// reachable at injection, at being the golden machine at f.Cycle. With no
+// live site that is all of them; otherwise the fault is split by array
+// entry, and a share is dead when a probe armed over it alone, on a copy
+// with only that share flipped, finds no live site.
+func bornDead(r *Runner, at *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts) []uint64 {
+	per, end := entryBits(r, f.Structure), f.Bit+uint64(f.Bits())
+	var dead []uint64
+	for lo := f.Bit; lo < end; {
+		hi := min((lo/per+1)*per, end)
+		isDead := facts.LiveSites == 0
+		if !isDead {
+			c := at.Clone()
+			for b := lo; b < hi; b++ {
+				c.Target(f.Structure).FlipBit(b)
+			}
+			isDead = c.ArmProbe(f.Structure, lo, int(hi-lo)).Facts().LiveSites == 0
+		}
+		for b := lo; isDead && b < hi; b++ {
+			dead = append(dead, b)
+		}
+		lo = hi
+	}
+	return dead
 }
 
 // tlbAimed lists faults on the valid bit and the lowest vpn bit of every
@@ -184,9 +247,34 @@ func TestEarlyExitStateGolden(t *testing.T) {
 		}
 		checkStateGolden(t, r, tlbAimed(r, "ITLB"))
 		checkStateGolden(t, r, tlbAimed(r, "DTLB"))
+		// Multi-bit faults stay on the live oracle (the golden site
+		// timeline resolves single bits only), straddlers included: a
+		// fault across a live and a born-dead entry converges with the
+		// dead one's bits still flipped.
+		// A second list of each is moved onto entry boundaries, where one
+		// fault can land on a live site and a dead one.
+		n := 60
+		if raceEnabled {
+			n = 20
+		}
+		for _, width := range []int{2, 4} {
+			for _, st := range []string{"RF", "ROB", "L1D (Data)", "L1D (Tag)", "DTLB"} {
+				faults := r.MultiBitFaultList(st, n, width, 13)
+				checked[fmt.Sprint(st, " x", width)] += checkStateGolden(t, r, faults)
+				per := entryBits(r, st)
+				for i := range faults {
+					faults[i].Bit = max(faults[i].Bit/per, 1)*per - 1
+				}
+				checkStateGolden(t, r, faults)
+			}
+		}
 	}
-	for _, st := range cpu.StructureNames {
-		if checked[st] == 0 {
+	t.Logf("%d early exits of straddling faults checked", straddlers)
+	if straddlers < 10 && !raceEnabled {
+		t.Errorf("only %d early exits of faults straddling a live and a born-dead site", straddlers)
+	}
+	for st, n := range checked {
+		if n == 0 {
 			t.Errorf("%s: no early exit to check", st)
 		}
 	}

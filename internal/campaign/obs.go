@@ -48,6 +48,7 @@ type structAgg struct {
 	// Window-oracle telemetry (EarlyExit ModeAVGI runs).
 	earlyExits  uint64
 	cyclesSaved uint64
+	resolved    [len(resolvedNames)]uint64 // by fate; [0] counts the faults that forked
 
 	// Forensics attribution tallies (faults the sampler probed).
 	causes [forensics.NumCauses]uint64
@@ -199,6 +200,7 @@ func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result,
 		a.earlyExits++
 		a.cyclesSaved += fm.cyclesSaved
 	}
+	a.resolved[fm.resolved]++
 
 	if fr := res.Forensics; fr != nil {
 		a.causes[fr.Cause]++
@@ -269,6 +271,9 @@ func (ro *runObs) merge(local map[string]*structAgg) {
 		dst.batched += a.batched
 		dst.earlyExits += a.earlyExits
 		dst.cyclesSaved += a.cyclesSaved
+		for fate, n := range a.resolved {
+			dst.resolved[fate] += n
+		}
 		for c, n := range a.causes {
 			dst.causes[c] += n
 		}
@@ -332,6 +337,14 @@ func (ro *runObs) finish() {
 					"faulty windows ended early by the convergence oracle", lb).Add(a.earlyExits)
 				reg.Counter("avgi_window_cycles_saved_total",
 					"faulty-window cycles skipped by convergence early exits", lb).Add(a.cyclesSaved)
+			}
+			for fate := resolvedDead; fate < len(resolvedNames); fate++ {
+				if n := a.resolved[fate]; n > 0 {
+					rl := map[string]string{"fate": resolvedNames[fate],
+						"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
+					reg.Counter("avgi_window_resolved_total",
+						"faults the golden site timeline settled without a faulty cycle", rl).Add(n)
+				}
 			}
 			for _, c := range forensics.Causes {
 				if n := a.causes[c]; n > 0 {

@@ -22,6 +22,7 @@ import (
 
 	"avgi/internal/asm"
 	"avgi/internal/cpu"
+	"avgi/internal/mem"
 )
 
 // MinInterval is the floor on the checkpoint interval: below this the
@@ -52,18 +53,23 @@ type Store struct {
 	cycles   []uint64 // capture cycles, ascending; cycles[0] == 0
 	snaps    []*cpu.Snapshot
 	bytes    uint64
+	timeline *cpu.Timeline
 }
 
 // Record replays the golden run from cycle 0 and captures a snapshot at
 // cycle 0 and then every interval cycles until the machine halts or
 // goldenCycles is reached. An interval of 0 selects
-// DefaultInterval(goldenCycles).
+// DefaultInterval(goldenCycles). The same pass records the golden site
+// timeline (cpu.Timeline), for which it runs on to the halt.
 func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Store {
 	if interval == 0 {
 		interval = DefaultInterval(goldenCycles)
 	}
 	s := &Store{interval: interval}
 	m := cpu.New(cfg, p)
+	if goldenCycles < mem.MaxTimelineCycles {
+		s.timeline = m.RecordTimeline()
+	}
 	s.add(m)
 	for m.Cycle()+interval <= goldenCycles && m.Status() == cpu.StatusRunning {
 		m.Run(cpu.RunOptions{
@@ -75,8 +81,16 @@ func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Stor
 		}
 		s.add(m)
 	}
+	if s.timeline != nil {
+		m.Run(cpu.RunOptions{MaxCycles: goldenCycles + 1})
+		s.timeline.Seal()
+	}
 	return s
 }
+
+// Timeline returns the golden site timeline recorded with the checkpoints,
+// nil for a run too long to index.
+func (s *Store) Timeline() *cpu.Timeline { return s.timeline }
 
 func (s *Store) add(m *cpu.Machine) {
 	snap := m.Snapshot(nil)

@@ -151,7 +151,7 @@ func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
 func (m *Machine) finishDest(e *robEntry, lat uint64) {
 	if e.hasDest {
 		if m.probe != nil {
-			m.probe.regWrite(e.destPhys)
+			m.probe.event(probeReg, int(e.destPhys), mem.ProbeOverwrite)
 		}
 		m.prf[e.destPhys] = e.result & m.Cfg.Variant.Mask()
 		m.prfReadyAt[e.destPhys] = m.cycle + lat
@@ -280,12 +280,15 @@ func (m *Machine) squashAfter(idx int, next uint64) {
 			break
 		}
 		if m.probe != nil {
-			m.probe.queueSquash(probeROB, last)
+			m.probe.event(probeROB, last, mem.ProbeSquash)
 			if e.lq >= 0 {
-				m.probe.queueSquash(probeLQ, e.lq)
+				m.probe.event(probeLQ, e.lq, mem.ProbeSquash)
 			}
 			if e.sq >= 0 {
-				m.probe.queueSquash(probeSQ, e.sq)
+				m.probe.event(probeSQ, e.sq, mem.ProbeSquash)
+			}
+			if e.hasDest {
+				m.probe.event(probeReg, int(e.destPhys), mem.ProbeFree)
 			}
 		}
 		if e.hasDest {

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkEngineOverheadGuard measures the cost of driving the machine
-// through the event engine (Run registers the machine on a fresh
+// through the tick engine (Run registers the machine on a fresh
 // engine.Engine) against the pre-refactor shape — a direct Step loop with
 // the same stop conditions — in the same process, and fails the benchmark
 // if the engine path is more than 5% slower. Comparing the two paths

@@ -82,7 +82,7 @@ func (m *Machine) commitStage() {
 				// value corruption between writeback and commit
 				// is architecturally visible (DCR).
 				if m.probe != nil {
-					m.probe.regRead(e.destPhys)
+					m.probe.event(probeReg, int(e.destPhys), mem.ProbeRead)
 				}
 				rec.Value = m.prf[e.destPhys] & m.Cfg.Variant.Mask()
 			}
@@ -98,6 +98,9 @@ func (m *Machine) commitStage() {
 
 // retire frees the head entry's resources and advances the ROB head.
 func (m *Machine) retire(e *robEntry) {
+	if m.probe != nil {
+		m.probe.onRetire(m.robHead, e)
+	}
 	if e.hasDest {
 		m.committedMap[e.destArch] = e.destPhys
 		m.freePush(e.oldPhys)

@@ -139,7 +139,7 @@ func (m *Machine) renameStage() {
 		idx := m.robTail
 		e := m.robAt(idx)
 		if m.probe != nil {
-			m.probe.queueAlloc(probeROB, idx)
+			m.probe.event(probeROB, idx, mem.ProbeOverwrite)
 		}
 		*e = robEntry{
 			used:  true,
@@ -178,6 +178,9 @@ func (m *Machine) renameStage() {
 			e.destArch = destArch
 			e.oldPhys = m.renameMap[destArch]
 			newPhys := m.freePop()
+			if m.probe != nil {
+				m.probe.event(probeReg, int(newPhys), mem.ProbeAlloc)
+			}
 			e.destPhys = newPhys
 			m.renameMap[destArch] = newPhys
 			m.prfReadyAt[newPhys] = readyNever
@@ -186,7 +189,7 @@ func (m *Machine) renameStage() {
 		if class == isa.ClassLoad {
 			e.lq = m.lqTail
 			if m.probe != nil {
-				m.probe.queueAlloc(probeLQ, m.lqTail)
+				m.probe.event(probeLQ, m.lqTail, mem.ProbeOverwrite)
 			}
 			m.lqs[m.lqTail] = lqEntry{used: true, rob: idx, seq: e.seq}
 			m.lqTail = ringNext(m.lqTail, len(m.lqs))
@@ -195,7 +198,7 @@ func (m *Machine) renameStage() {
 		if class == isa.ClassStore {
 			e.sq = m.sqTail
 			if m.probe != nil {
-				m.probe.queueAlloc(probeSQ, m.sqTail)
+				m.probe.event(probeSQ, m.sqTail, mem.ProbeOverwrite)
 			}
 			m.sqs[m.sqTail] = sqEntry{used: true, rob: idx, seq: e.seq}
 			m.sqTail = ringNext(m.sqTail, len(m.sqs))

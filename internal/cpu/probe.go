@@ -82,7 +82,16 @@ type FaultProbe struct {
 	// stops (StatusStopped) at the end of the first cycle whose facts
 	// prove convergence (see Converged).
 	stopOnConverge bool
+
+	// rec, when non-nil, makes this the recording probe of a golden site
+	// timeline (timeline.go): every core hook logs and watches no site.
+	rec *Timeline
 }
+
+// AnchorAt backdates the injection to cycle: a fault forked at its site's
+// first use (see Timeline) is armed there, and reported from where it was
+// sampled.
+func (p *FaultProbe) AnchorAt(cycle uint64) { p.facts.InjectCycle = cycle }
 
 // Facts returns the accumulated observations.
 func (p *FaultProbe) Facts() ProbeFacts { return p.facts }
@@ -205,55 +214,61 @@ func (m *Machine) ClearProbe() {
 	m.probe = nil
 }
 
-func (p *FaultProbe) noteRead(c uint64) {
-	p.facts.Reads++
-	if p.facts.FirstRead == 0 {
-		p.facts.FirstRead = c
+func (f *ProbeFacts) noteRead(c uint64) {
+	f.Reads++
+	if f.FirstRead == 0 {
+		f.FirstRead = c
 	}
 }
 
-func (p *FaultProbe) kill(c uint64) {
-	p.facts.Killed++
-	if p.facts.FirstKill == 0 {
-		p.facts.FirstKill = c
+func (f *ProbeFacts) kill(c uint64) {
+	f.Killed++
+	if f.FirstKill == 0 {
+		f.FirstKill = c
 	}
-	if c > p.facts.LastKill {
-		p.facts.LastKill = c
+	if c > f.LastKill {
+		f.LastKill = c
 	}
 }
 
 // ProbeEvent implements mem.ProbeSink, stamping memory-side events with
 // the current machine cycle. Per-site death is tracked inside the memory
 // probes, so every event here is from a live site.
-func (p *FaultProbe) ProbeEvent(ev mem.ProbeEvent) {
-	c := p.m.cycle
+func (p *FaultProbe) ProbeEvent(ev mem.ProbeEvent) { p.facts.note(ev, p.m.cycle) }
+
+// note records event ev of a live site at cycle c.
+func (f *ProbeFacts) note(ev mem.ProbeEvent, c uint64) {
 	switch ev {
 	case mem.ProbeRead:
-		p.noteRead(c)
+		f.noteRead(c)
 	case mem.ProbeWriteback:
 		// The dirty line carried the corruption downstream — consumed.
-		p.facts.Writebacks++
-		p.noteRead(c)
+		f.Writebacks++
+		f.noteRead(c)
 	case mem.ProbeOverwrite:
-		p.facts.Overwrites++
-		p.kill(c)
+		f.Overwrites++
+		f.kill(c)
+	case mem.ProbeSquash:
+		f.Squashes++
+		f.kill(c)
 	case mem.ProbeEvictClean:
 		// The matching ProbeOverwrite from the refill does the kill.
-		p.facts.EvictsClean++
+		f.EvictsClean++
 	}
 }
 
-// regRead records a consumption of a watched live physical register
-// (operand read at execute, or the commit-time destination read).
-func (p *FaultProbe) regRead(phys uint16) {
-	if p.kind != probeReg {
+// event reports ev on entry idx of the core array kind watches: a read, or
+// an erasure that leaves the site dead.
+func (p *FaultProbe) event(kind probeKind, idx int, ev mem.ProbeEvent) {
+	if p.rec != nil {
+		p.rec.core[kind].Add(idx, uint32(ev))
 		return
 	}
-	i := int(phys)
-	if i < p.lo || i > p.hi || p.dead[i-p.lo] {
+	if p.kind != kind || ev >= mem.ProbeAlloc || idx < p.lo || idx > p.hi || p.dead[idx-p.lo] {
 		return
 	}
-	p.noteRead(p.m.cycle)
+	p.dead[idx-p.lo] = ev != mem.ProbeRead
+	p.ProbeEvent(ev)
 }
 
 // onOperandRead records the register operand reads of one executing
@@ -267,45 +282,26 @@ func (p *FaultProbe) onOperandRead(e *robEntry) {
 
 func (p *FaultProbe) operandReads(e *robEntry) {
 	if e.src[0].isReg {
-		p.regRead(e.src[0].phys)
+		p.event(probeReg, int(e.src[0].phys), mem.ProbeRead)
 	}
 	if e.src[1].isReg {
-		p.regRead(e.src[1].phys)
+		p.event(probeReg, int(e.src[1].phys), mem.ProbeRead)
 	}
 }
 
-// regWrite records a writeback erasing a watched live register.
-func (p *FaultProbe) regWrite(phys uint16) {
-	if p.kind != probeReg {
-		return
+// onRetire reports the head entry and its queue slots leaving at commit, and
+// the register it frees. A fault's probe never sees the former on a live
+// site — the machine check on the injected entry comes first — so it is the
+// golden timeline's record of when that check would have fired.
+func (p *FaultProbe) onRetire(rob int, e *robEntry) {
+	if e.hasDest {
+		p.event(probeReg, int(e.oldPhys), mem.ProbeFree)
 	}
-	i := int(phys)
-	if i < p.lo || i > p.hi || p.dead[i-p.lo] {
-		return
+	p.event(probeROB, rob, mem.ProbeRead)
+	if e.lq >= 0 {
+		p.event(probeLQ, e.lq, mem.ProbeRead)
 	}
-	p.dead[i-p.lo] = true
-	p.facts.Overwrites++
-	p.kill(p.m.cycle)
-}
-
-// queueAlloc records a fresh allocation erasing a watched live slot of the
-// given queue.
-func (p *FaultProbe) queueAlloc(kind probeKind, idx int) {
-	if p.kind != kind || idx < p.lo || idx > p.hi || p.dead[idx-p.lo] {
-		return
+	if e.sq >= 0 {
+		p.event(probeSQ, e.sq, mem.ProbeRead)
 	}
-	p.dead[idx-p.lo] = true
-	p.facts.Overwrites++
-	p.kill(p.m.cycle)
-}
-
-// queueSquash records a misprediction squash discarding a watched live
-// slot of the given queue.
-func (p *FaultProbe) queueSquash(kind probeKind, idx int) {
-	if p.kind != kind || idx < p.lo || idx > p.hi || p.dead[idx-p.lo] {
-		return
-	}
-	p.dead[idx-p.lo] = true
-	p.facts.Squashes++
-	p.kill(p.m.cycle)
 }

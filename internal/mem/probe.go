@@ -30,6 +30,14 @@ const (
 	// lower level — the corruption propagated downstream (the ESC-shaped
 	// path), which forensics counts as a consumption.
 	ProbeWriteback
+	// ProbeSquash: a live watched queue slot was discarded by a
+	// misprediction squash. The site is dead afterwards.
+	ProbeSquash
+	// ProbeAlloc and ProbeFree are no events to a fault's probe: a golden
+	// timeline (timeline.go) logs them to know when a physical register
+	// left and rejoined the free list.
+	ProbeAlloc
+	ProbeFree
 )
 
 // ProbeSink receives probe events. The CPU-side fault probe implements it,
@@ -54,6 +62,10 @@ type LineProbe struct {
 	tag   bool // tag-array probe (vs data-array)
 	sites []lineSite
 	live  int // sites not yet dead
+
+	// rec, when non-nil, makes this the cache's recording probe: every
+	// hook logs into the golden timeline and watches no site.
+	rec *CacheTimeline
 }
 
 // Sites returns the number of watched sites.
@@ -160,6 +172,14 @@ func (p *LineProbe) onLookup(ways, set int) {
 // partial write leaves some corrupted bits resident, so the site stays
 // live (and a write missing the watched bytes is no event at all).
 func (p *LineProbe) onData(flat, off, n int, write bool) {
+	if p.rec != nil {
+		ev := ProbeRead
+		if write {
+			ev = ProbeOverwrite
+		}
+		p.rec.data(uint64(flat), uint64(off), uint64(n), ev)
+		return
+	}
 	if p.tag {
 		return
 	}
@@ -187,6 +207,14 @@ func (p *LineProbe) onData(flat, off, n int, write bool) {
 // line is silently dropped, and in every case the refill overwrites both
 // the tag entry and the line data, killing the site.
 func (p *LineProbe) onEvict(flat int, valid, dirty bool) {
+	if p.rec != nil {
+		if valid && dirty {
+			p.rec.data(uint64(flat), 0, p.rec.line, ProbeWriteback)
+		} else if valid {
+			p.rec.data(uint64(flat), 0, p.rec.line, ProbeEvictClean)
+		}
+		return
+	}
 	for i := range p.sites {
 		s := &p.sites[i]
 		if s.dead || s.flat != flat {
@@ -231,6 +259,8 @@ type TLBProbe struct {
 	lo    int // first watched entry
 	sites []tlbSite
 	liveN int
+
+	rec *TLBTimeline // non-nil on the TLB's recording probe (see LineProbe.rec)
 }
 
 // Sites returns the number of watched entries.
@@ -276,6 +306,12 @@ func (t *TLB) ClearProbe() { t.probe = nil }
 // one does not — the golden hit turned into a walk and a refill. hit is the
 // entry that served the lookup, -1 for a miss.
 func (p *TLBProbe) onLookup(vpn uint64, hit int) {
+	if p.rec != nil {
+		if hit >= 0 {
+			p.rec.Add(hit, uint32(ProbeRead))
+		}
+		return
+	}
 	for i := range p.sites {
 		s := &p.sites[i]
 		if !s.dead && (hit == p.lo+i || tlbServes(s.pre, vpn) && !tlbServes(s.post, vpn)) {
@@ -289,6 +325,11 @@ func (p *TLBProbe) onLookup(vpn uint64, hit int) {
 // worlds may have picked different victims: a read. A refill landing on a
 // live site erases it with the value the golden run writes.
 func (p *TLBProbe) onFill(victim int) {
+	if p.rec != nil {
+		p.rec.Add(len(p.rec.last)-1, uint32(ProbeOverwrite))
+		p.rec.Add(victim, uint32(ProbeOverwrite))
+		return
+	}
 	for i := range p.sites {
 		s := &p.sites[i]
 		if s.dead {
