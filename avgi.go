@@ -55,9 +55,6 @@ type (
 	MachineConfig = cpu.Config
 	// Machine is a simulated CPU with a loaded program.
 	Machine = cpu.Machine
-	// Cluster is a multi-core machine: private L1s/TLBs per core over a
-	// shared L2 and RAM, driven by one deterministic serial engine.
-	Cluster = cpu.Cluster
 	// Workload is one of the thirteen benchmarks.
 	Workload = prog.Workload
 	// Program is an assembled workload image.
@@ -183,17 +180,6 @@ func NewRunner(cfg MachineConfig, workload string) (*Runner, error) {
 	return campaign.NewRunner(cfg, w.Build(cfg.Variant))
 }
 
-// NewRunnerCores builds a campaign runner over an n-core shared-L2
-// cluster (cores <= 1 is equivalent to NewRunner). Cluster fault targets
-// carry a core prefix: "c1/RF" is core 1's register file.
-func NewRunnerCores(cfg MachineConfig, workload string, cores int) (*Runner, error) {
-	w, err := prog.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	return campaign.NewRunnerCores(cfg, w.Build(cfg.Variant), cores)
-}
-
 // NewMachine builds a bare machine with the named workload loaded, for
 // direct simulation (see cmd/avgisim).
 func NewMachine(cfg MachineConfig, workload string) (*Machine, error) {
@@ -202,16 +188,6 @@ func NewMachine(cfg MachineConfig, workload string) (*Machine, error) {
 		return nil, err
 	}
 	return cpu.New(cfg, w.Build(cfg.Variant)), nil
-}
-
-// NewCluster builds an n-core shared-L2 cluster with the named workload
-// loaded into every core's physical window.
-func NewCluster(cfg MachineConfig, workload string, cores int) (*Cluster, error) {
-	w, err := prog.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCluster(cfg, w.Build(cfg.Variant), cores), nil
 }
 
 // SampleSize returns the Leveugle sample size for an error margin and

@@ -78,13 +78,16 @@ func TestPublicSurface(t *testing.T) {
 }
 
 func TestStudyValidatesStructures(t *testing.T) {
-	_, err := NewStudy(StudyConfig{
-		Machine:    ConfigA72(),
-		Workloads:  pick(t, "sha"),
-		Structures: []string{"BogusArray"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "unknown structure") {
-		t.Fatalf("err = %v", err)
+	// A name NewStudy lets through panics later, in the first fault list.
+	for _, name := range []string{"BogusArray", "c1/RF"} {
+		_, err := NewStudy(StudyConfig{
+			Machine:    ConfigA72(),
+			Workloads:  pick(t, "sha"),
+			Structures: []string{"RF", name},
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown structure") {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }
 

@@ -137,6 +137,7 @@ func TestServerValidationErrorsAreJSON(t *testing.T) {
 	for _, body := range []string{
 		`{"structure":"RF","workload":"crc32","mode":"bogus"}`,
 		`{"structure":"NOPE","workload":"crc32","mode":"hvf"}`,
+		`{"structure":"c1/RF","workload":"crc32","mode":"hvf"}`, // no core-prefixed form exists
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))

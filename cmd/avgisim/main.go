@@ -12,8 +12,6 @@
 //	avgisim sha                         # golden run + stats
 //	avgisim -machine a15 -disasm crc32  # disassemble the 32-bit image
 //	avgisim -inject "RF:100:5000" sha   # flip RF bit 100 at cycle 5000
-//	avgisim -cores 2 sha                # 2-core shared-L2 cluster golden run
-//	avgisim -cores 2 -inject "c1/RF:100:5000" sha  # flip core 1's RF
 //
 // Like cmd/avgi, AVGI-mode windows end early once the injected corruption
 // is provably erased; -early-exit=false forces full ERT windows
@@ -43,11 +41,10 @@ import (
 
 var (
 	flagMachine = flag.String("machine", "a72", "machine model: a72 (64-bit) or a15 (32-bit)")
-	flagCores   = flag.Int("cores", 1, "number of cores: 1 = single-core machine, N >= 2 = shared-L2 cluster (fault targets take a core prefix, e.g. -inject \"c1/RF:100:5000\")")
 	flagDisasm  = flag.Bool("disasm", false, "print the program disassembly and exit")
 	flagInject  = flag.String("inject", "", "inject one fault: STRUCTURE:BIT:CYCLE")
-	flagTrace   = flag.Int("trace", 0, "print the first N commit-trace records (core 0 on a cluster)")
-	flagStats   = flag.Bool("stats", false, "print pipeline and memory-system counters (single-core only)")
+	flagTrace   = flag.Int("trace", 0, "print the first N commit-trace records")
+	flagStats   = flag.Bool("stats", false, "print pipeline and memory-system counters")
 	flagRunAsm  = flag.Bool("s", false, "treat the argument as an assembly source file (.s) instead of a workload name")
 
 	// Shared telemetry/journal/profiling flags (see internal/cliflags).
@@ -144,10 +141,7 @@ func run(name string, obsv *avgi.Observer) error {
 		return nil
 	}
 
-	if *flagCores < 1 {
-		return fmt.Errorf("-cores %d: want >= 1", *flagCores)
-	}
-	r, err := campaign.NewRunnerCores(cfg, p, *flagCores)
+	r, err := campaign.NewRunner(cfg, p)
 	if err != nil {
 		return err
 	}
@@ -156,20 +150,13 @@ func run(name string, obsv *avgi.Observer) error {
 		explorer = avgi.NewExplorer()
 	}
 	r.Configure(obsv, explorer, 1, common.EarlyExit)
-	if *flagCores > 1 {
-		fmt.Printf("workload  %s (%s, %d cores, shared L2)\n", name, cfg.Name, *flagCores)
-	} else {
-		fmt.Printf("workload  %s (%s)\n", name, cfg.Name)
-	}
+	fmt.Printf("workload  %s (%s)\n", name, cfg.Name)
 	fmt.Printf("golden    %d cycles, %d commits, IPC %.2f\n",
 		r.Golden.Cycles, r.Golden.Commits,
 		float64(r.Golden.Commits)/float64(r.Golden.Cycles))
 	fmt.Printf("output    %d bytes\n", len(r.Golden.Output))
 
 	if *flagStats {
-		if *flagCores > 1 {
-			return fmt.Errorf("-stats is single-core only (drop -cores)")
-		}
 		m := cpu.New(cfg, p)
 		m.Run(avgi.RunOptions{MaxCycles: r.Golden.Cycles + 10})
 		fmt.Print(m.StatsReport())
@@ -177,9 +164,6 @@ func run(name string, obsv *avgi.Observer) error {
 
 	if *flagTrace > 0 {
 		goldenTrace := r.Golden.Trace
-		if *flagCores > 1 {
-			goldenTrace = r.CoreGolden[0].Trace
-		}
 		n := *flagTrace
 		if n > len(goldenTrace) {
 			n = len(goldenTrace)
@@ -210,15 +194,8 @@ func run(name string, obsv *avgi.Observer) error {
 		if err := cpu.ValidateStructure(f.Structure); err != nil {
 			return err
 		}
-		// Catch the shape mismatch here with a usable message instead of
-		// letting the campaign panic on a structure with no bits.
-		_, _, prefixed := cpu.SplitCoreTarget(f.Structure)
-		if *flagCores > 1 && !prefixed {
-			return fmt.Errorf("-cores %d needs a per-core target: -inject %q", *flagCores,
-				"c0/"+*flagInject)
-		}
-		if *flagCores == 1 && prefixed {
-			return fmt.Errorf("core-prefixed target %q needs -cores >= 2", f.Structure)
+		if n := r.BitCounts[f.Structure]; bit >= n {
+			return fmt.Errorf("bad -inject bit %d: %s has %d bits", bit, f.Structure, n)
 		}
 		res, err := injectJournalled(r, f, name, cfg)
 		if err != nil {
@@ -308,8 +285,7 @@ func injectJournalled(r *avgi.Runner, f fault.Fault, workload string, cfg avgi.M
 }
 
 // goldenDigest prints the golden-output head and verifies it against the
-// reference model. On a cluster every core runs the same program, so the
-// expected output is the reference repeated once per core.
+// reference model.
 func goldenDigest(r *avgi.Runner, ref []byte) error {
 	out := r.Golden.Output
 	if len(out) > 32 {
@@ -317,9 +293,6 @@ func goldenDigest(r *avgi.Runner, ref []byte) error {
 	}
 	fmt.Printf("head      % x%s\n", out, map[bool]string{true: " ...", false: ""}[len(r.Golden.Output) > 32])
 	if ref != nil {
-		if r.Cores > 1 {
-			ref = bytes.Repeat(ref, r.Cores)
-		}
 		if !bytes.Equal(r.Golden.Output, ref) {
 			return fmt.Errorf("golden output does not match the reference model")
 		}

@@ -11,20 +11,17 @@
 //   - ModeAVGI: stop at the first deviation or at the structure's
 //     effective-residency-time window, whichever is first (Insight 3).
 //
-// All modes share one fault path. How a faulty run is forked off the
-// golden prefix follows from the machine shape (Runner.Cores), never from
-// a user: a single-core campaign exploits the cycle-sorted fault list and
-// contiguous worker chunks — each worker's pooled machine is a golden
-// cursor advancing monotonically once through its chunk's cycle span,
+// All modes share one fault path, and there is one way a faulty run is
+// forked off the golden prefix: a campaign exploits the cycle-sorted fault
+// list and contiguous worker chunks — each worker's pooled machine is a
+// golden cursor advancing monotonically once through its chunk's cycle span,
 // re-arming a worker-local snapshot at each injection cycle via dirty-delta
 // copies and rewinding from it after the faulty run, so golden replay is
 // amortized to once per chunk and per-fault copy cost scales with the fault
-// window's write footprint, not the machine size (runCursor; the shared
-// ckpt.Store of interval checkpoints serves only the cursor's initial
-// seek). A cluster campaign advances a per-worker golden cluster and
-// deep-clones it per fault (runCluster). Both end in the same
-// injectAndObserve call. The cursor is proven byte-identical to a serial
-// clone-per-fault reference kept in the package's tests (see
+// window's write footprint, not the machine size (runCursor, ending in
+// injectAndObserve; the shared ckpt.Store of interval checkpoints serves
+// only the cursor's initial seek). The cursor is proven byte-identical to a
+// serial clone-per-fault reference kept in the package's tests (see
 // docs/CHECKPOINTING.md).
 package campaign
 
@@ -171,23 +168,8 @@ type Runner struct {
 	Cfg  cpu.Config
 	Prog *asm.Program
 
-	// Cores is the machine shape: 0 or 1 is the single-core Machine, >= 2
-	// the shared-L2 cluster (see cpu.NewCluster). On a cluster, fault
-	// structures carry a core prefix ("c1/RF") and faulty runs fork the
-	// whole cluster by deep clone (the cursor and the checkpoint store
-	// capture single-core machine state).
-	Cores int
-
-	// Golden is the fault-free reference. On a cluster, Cycles is the
-	// cluster clock, Commits the sum over cores, Output the concatenation
-	// of per-core outputs (which is what makes cross-core escapes through
-	// the shared L2 observable), and Trace is nil — per-core traces live
-	// in CoreGolden.
+	// Golden is the fault-free reference.
 	Golden Golden
-
-	// CoreGolden holds each core's own golden trace/commits/output on a
-	// cluster runner (nil on single-core).
-	CoreGolden []Golden
 
 	// GoldenEngine is the tick-engine telemetry of the golden run
 	// (cycles, per-component tick counts), published with the
@@ -244,13 +226,12 @@ type Runner struct {
 	// TestEarlyExitStateGolden the stopped machines themselves,
 	// TestTimelineDifferential the lookup against the live oracle).
 	// Off by default so recorded SimCycles stay comparable; both CLIs turn
-	// it on unless -early-exit=false. Single-core campaigns only; cluster
-	// campaigns ignore it.
+	// it on unless -early-exit=false.
 	EarlyExit bool
 
 	// ckptOnce lazily records the checkpoint store, and with it the golden
-	// site timeline, on the first single-core campaign, so cluster and
-	// fault-list-only uses never pay for it.
+	// site timeline, on the first campaign, so fault-list-only uses never
+	// pay for it.
 	ckptOnce sync.Once
 	store    *ckpt.Store
 	pool     *ckpt.Pool
@@ -319,59 +300,6 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 	return r, nil
 }
 
-// NewRunnerCores performs the golden run for an n-core shared-L2 cluster
-// and prepares the campaign state. cores <= 1 delegates to NewRunner (the
-// single-core Machine, forked by the golden cursor); a cluster runner forks
-// faults by whole-cluster clone and validates targets by core-prefixed name
-// ("c1/RF").
-func NewRunnerCores(cfg cpu.Config, p *asm.Program, cores int) (*Runner, error) {
-	if cores <= 1 {
-		return NewRunner(cfg, p)
-	}
-	cl := cpu.NewCluster(cfg, p, cores)
-	caps := make([]trace.Capture, cores)
-	for k := range caps {
-		cl.SetSink(k, &caps[k])
-	}
-	res := cl.Run(cpu.RunOptions{MaxCycles: 50_000_000})
-	if res.Status != cpu.StatusHalted {
-		return nil, fmt.Errorf("campaign: golden run of %s on %d cores ended %v (crash %v) after %d cycles",
-			p.Name, cores, res.Status, res.Crash, res.Cycles)
-	}
-	bits := make(map[string]uint64)
-	for name, tg := range cl.Targets() {
-		bits[name] = tg.BitCount()
-	}
-	r := &Runner{
-		Cfg:   cfg,
-		Prog:  p,
-		Cores: cores,
-		Golden: Golden{
-			Cycles:  res.Cycles,
-			Commits: res.Commits,
-			Output:  res.Output,
-		},
-		BitCounts:    bits,
-		GoldenEngine: res.Engine,
-		// Output-exposure profiling (the ESC predictor's runtime input) is
-		// a single-core analysis; a cluster campaign classifies escapes
-		// from the output diff alone.
-		OutputExposure: map[string]float64{
-			"L1D (Tag)": 0, "L1D (Data)": 0, "L2 (Tag)": 0, "L2 (Data)": 0,
-		},
-	}
-	for k := 0; k < cores; k++ {
-		m := cl.Core(k)
-		r.CoreGolden = append(r.CoreGolden, Golden{
-			Trace:   caps[k].Records,
-			Cycles:  m.Cycle(),
-			Commits: m.Stats.Commits,
-			Output:  append([]byte(nil), m.Output()...),
-		})
-	}
-	return r, nil
-}
-
 // computeExposure folds the golden run's dirty-output time series into one
 // exposure fraction per ESC-capable cache array. Each sample's dirty-line
 // occupancy is weighted by the fraction of output locations already in
@@ -428,14 +356,9 @@ func (r *Runner) computeExposure(m *cpu.Machine) map[string]float64 {
 // machine cannot inject into. Before this check, a misspelt name silently
 // produced a zero bit count and therefore an empty fault list.
 func (r *Runner) mustStructure(structure string) {
-	if _, ok := r.BitCounts[structure]; ok {
-		return
-	}
 	if err := cpu.ValidateStructure(structure); err != nil {
 		panic("campaign: " + err.Error())
 	}
-	panic(fmt.Sprintf("campaign: structure %q has no injectable bits on machine %s",
-		structure, r.Cfg.Name))
 }
 
 // FaultList generates the statistical fault list for one structure using
@@ -458,26 +381,6 @@ func (r *Runner) MultiBitFaultList(structure string, n, width int, seedBase int6
 		fault.Seed(structure, r.Prog.Name, seedBase))
 	r.assertTemporal(faults)
 	return faults
-}
-
-// UniqueBitCounts returns the runner's injectable-bit populations with
-// each physical array counted exactly once. On a cluster runner BitCounts
-// aliases the shared-L2 arrays under every c<k>/ prefix (the aliases are
-// real, equally valid injection names that flip the same physical bits),
-// so summing BitCounts across structures would count the one physical L2
-// once per core; here every non-canonical alias is dropped (only the c0/
-// name survives, see cpu.CanonicalTarget). Single-core runners get a plain
-// copy of BitCounts. Use this map — never raw BitCounts — for any
-// population total spanning structures (AVF denominators, bit×cycle fault
-// spaces, protection-coverage weighting).
-func (r *Runner) UniqueBitCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(r.BitCounts))
-	for name, n := range r.BitCounts {
-		if cpu.CanonicalTarget(name) == name {
-			out[name] = n
-		}
-	}
-	return out
 }
 
 // assertTemporal enforces the temporal-sampling invariant: every injection
@@ -588,9 +491,9 @@ type RunSpec struct {
 // yields a quarantined Result (Quarantined, Err) instead of killing the
 // process, and the panicking worker discards its possibly corrupted
 // machine state — the pooled cursor machine is dropped rather than
-// recycled, a cluster mother is rebuilt from cycle 0. If more than
-// QuarantineLimit of the freshly simulated faults quarantine, the campaign
-// itself panics with an aggregated error (see DefaultQuarantineLimit).
+// recycled. If more than QuarantineLimit of the freshly simulated faults
+// quarantine, the campaign itself panics with an aggregated error (see
+// DefaultQuarantineLimit).
 func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int) {
 	faults, mode, ert, prior, sink := spec.Faults, spec.Mode, spec.Window, spec.Prior, spec.Sink
 	results = make([]Result, len(faults))
@@ -610,21 +513,16 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		plan = workers
 	}
 	ro := r.newRunObs(faults, mode, prior)
-	var store *ckpt.Store
-	var pool *ckpt.Pool
+	store, pool := r.checkpoints()
 	var tl *cpu.Timeline
-	if r.Cores <= 1 {
-		store, pool = r.checkpoints()
-		if r.EarlyExit && mode == ModeAVGI && earlyExitCheck == nil {
-			tl = store.Timeline()
-		}
+	if r.EarlyExit && mode == ModeAVGI && earlyExitCheck == nil {
+		tl = store.Timeline()
 	}
-	// Contiguous chunks keep each worker's cursor (or cluster mother)
-	// advancing monotonically through its cycle-sorted slice. Chunk
-	// geometry depends only on the list length and the planned worker
-	// count — never on timing — which is what keeps results byte-identical
-	// under any interleaving, across resumed runs, and across the processes
-	// of a distributed campaign.
+	// Contiguous chunks keep each worker's cursor advancing monotonically
+	// through its cycle-sorted slice. Chunk geometry depends only on the
+	// list length and the planned worker count — never on timing — which is
+	// what keeps results byte-identical under any interleaving, across
+	// resumed runs, and across the processes of a distributed campaign.
 	chunk := ChunkSize(len(faults), plan)
 	var skipped [][2]int
 	var wg sync.WaitGroup
@@ -794,9 +692,8 @@ var resolvedNames = [...]string{resolvedDead: "dead", resolvedErased: "erased", 
 // faults that paid a full capture (first fault after a cursor (re)build),
 // and batched marks faults that reused the previous fault's snapshot
 // outright (same injection cycle, no cursor advance, so the restored
-// machine already matches it). All zero for cluster faults, which fork by
-// clone. A cursor that jumped ahead onto a checkpoint pays a full capture
-// too and is a fullSync. resolved is non-zero for a fault the timeline
+// machine already matches it). A cursor that jumped ahead onto a
+// checkpoint pays a full capture too and is a fullSync. resolved is non-zero for a fault the timeline
 // settled: it never forked, and everything else here is zero.
 type forkMeta struct {
 	cowPages   uint64
@@ -808,12 +705,10 @@ type forkMeta struct {
 	winMeta
 }
 
-// worker is one dispatch goroutine's simulation state: on a single-core
-// runner a pooled machine playing the golden cursor, on a cluster runner a
-// golden "mother" cluster advancing monotonically and deep-cloned per
-// fault. Machines are acquired lazily so a quarantined worker can discard
-// its poisoned state and transparently pick up a fresh machine for the
-// next fault. The comparator is allocated once per worker and reset per
+// worker is one dispatch goroutine's simulation state: a pooled machine
+// playing the golden cursor, acquired lazily so a quarantined worker can
+// discard its poisoned state and transparently pick up a fresh machine for
+// the next fault. The comparator is allocated once per worker and reset per
 // fault.
 type worker struct {
 	r     *Runner
@@ -824,10 +719,9 @@ type worker struct {
 	pool  *ckpt.Pool
 	tl    *cpu.Timeline // nil unless single-bit ModeAVGI faults may be resolved by lookup
 
-	m        *cpu.Machine  // single-core: the pooled golden cursor
-	csnap    *cpu.Snapshot // single-core: worker-local fault-point snapshot
-	motherCl *cpu.Cluster  // cluster: golden-prefix cluster
-	cmp      trace.Comparator
+	m     *cpu.Machine  // the pooled golden cursor
+	csnap *cpu.Snapshot // worker-local fault-point snapshot
+	cmp   trace.Comparator
 }
 
 // close recycles the worker's cursor machine. A machine discarded by
@@ -841,14 +735,12 @@ func (w *worker) close() {
 
 // discard drops all machine state after a recovered panic: the pooled
 // cursor machine must not be recycled (its invariants may be violated in
-// ways a Restore cannot repair — Restore trusts buffer geometry), the
+// ways a Restore cannot repair — Restore trusts buffer geometry), and the
 // worker-local snapshot may have been captured from the poisoned machine
-// and is dropped with it, and a cluster mother is rebuilt from cycle 0 on
-// the next fault.
+// and is dropped with it.
 func (w *worker) discard() {
 	w.m = nil
 	w.csnap = nil
-	w.motherCl = nil
 }
 
 // jumpCycles is what moving the cursor onto a checkpoint costs, in golden
@@ -953,8 +845,7 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 }
 
 // runGuarded simulates one fault, forked at cycle at, under the panic guard,
-// converting a panic into a quarantined Result. The fork flow follows from
-// the machine shape.
+// converting a panic into a quarantined Result.
 func (w *worker) runGuarded(f fault.Fault, at uint64) (res Result, delta cpu.Stats, fm forkMeta) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -964,13 +855,10 @@ func (w *worker) runGuarded(f fault.Fault, at uint64) (res Result, delta cpu.Sta
 			w.discard()
 		}
 	}()
-	if w.r.Cores > 1 {
-		return w.runCluster(f)
-	}
 	return w.runCursor(f, at)
 }
 
-// runCursor is the single-core golden-cursor flow: the worker's pooled
+// runCursor is the golden-cursor flow: the worker's pooled
 // machine plays the golden run monotonically once across its chunk's cycle
 // span. Per fault it advances to the injection cycle, re-arms the
 // worker-local snapshot with a dirty-delta capture, runs the faulty
@@ -1027,8 +915,7 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 		batched = true
 	}
 	cowBase := m.Mem.RAM.CowPrivatized()
-	res, delta, wm := r.injectAndObserve(m.Run, m, m.Target(f.Structure), f.Structure,
-		r.Golden.Trace, f, w.mode, w.ert, &w.cmp)
+	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
 	cow := m.Mem.RAM.CowPrivatized() - cowBase
 	deltaBytes += m.SyncRestore(w.csnap)
 	return res, delta, forkMeta{
@@ -1041,50 +928,17 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 	}
 }
 
-// runCluster is the multi-core flow: a per-worker golden mother cluster
-// advances monotonically through the chunk's cycle-sorted faults and is
-// deep-cloned per fault (the shared memory spine is cloned once per fault,
-// every core rebound onto it). The structure name carries the injected
-// core's prefix ("c1/RF"); the commit comparator watches that core against
-// its own golden trace.
-func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats, forkMeta) {
-	r := w.r
-	core, base, ok := cpu.SplitCoreTarget(f.Structure)
-	if !ok || core >= r.Cores {
-		panic(fmt.Sprintf("campaign: cluster fault structure %q needs a c<k>/ prefix with k < %d",
-			f.Structure, r.Cores))
-	}
-	if w.motherCl == nil {
-		w.motherCl = cpu.NewCluster(r.Cfg, r.Prog, r.Cores)
-	}
-	mother := w.motherCl
-	if mother.Cycle() < f.Cycle && mother.Status() == cpu.StatusRunning {
-		mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
-	}
-	cl := mother.Clone()
-	m := cl.Core(core)
-	res, delta, _ := r.injectAndObserve(cl.Run, m, m.Target(base), base,
-		r.CoreGolden[core].Trace, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{}
-}
-
 // injectAndObserve is the one routine that flips a fault's bits and
-// classifies the outcome, for single-core and cluster campaigns alike. The
-// caller has positioned the machine at the injection cycle and passes what
-// differs between the shapes as plain arguments: run advances the whole
-// machine (Machine.Run or Cluster.Run — the final-output classification
-// compares everything run returns, which is exactly what lets a fault in
-// c0's shared L2 lines manifest as an SDC or escape in c1's section of a
-// cluster's output); m is the injected core, tg the resolved target, base
-// its structure name without a core prefix, and golden that core's golden
-// commit trace. cmp is the caller's comparator, re-aimed, reset and
-// rearmed here so a worker allocates one comparator for its whole chunk
-// instead of one per fault. The second return value is the injected core's
-// own contribution to the machine statistics (post-fork delta), consumed
-// by the telemetry layer.
-func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Machine, tg cpu.Target, base string,
-	golden []trace.Record, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
+// classifies the outcome. The caller has positioned m at the injection
+// cycle. cmp is the caller's comparator, re-aimed at the golden trace, reset
+// and rearmed here so a worker allocates one comparator for its whole chunk
+// instead of one per fault. The second return value is the machine
+// statistics the faulty run added (post-fork delta), consumed by the
+// telemetry layer.
+func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64,
+	cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
 	statsAtFork := m.Stats
+	tg := m.Target(f.Structure)
 	if tg == nil {
 		panic("campaign: unknown structure " + f.Structure)
 	}
@@ -1106,14 +960,11 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 	// sync snapshots before, restores after) never observes one. Under
 	// the early-exit oracle every ModeAVGI fault is probed (one probe
 	// serves both the oracle and, when sampled, forensics attribution).
-	// Cluster campaigns ignore EarlyExit — the oracle is proven against the
-	// single-core golden state only; extending it is a change to this one
-	// routine.
 	forens := r.forensicsOn(f)
-	oracle := r.EarlyExit && mode == ModeAVGI && r.Cores <= 1
+	oracle := r.EarlyExit && mode == ModeAVGI
 	var probe *cpu.FaultProbe
 	if forens || oracle {
-		probe = m.ArmProbe(base, f.Bit, int(width))
+		probe = m.ArmProbe(f.Structure, f.Bit, int(width))
 	}
 	if probe != nil {
 		probe.AnchorAt(f.Cycle)
@@ -1122,8 +973,8 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 		}
 	}
 
-	// Reset keeps the Golden slice, so re-aim first.
-	cmp.Golden = golden
+	// Reset keeps the Golden slice, so aim first.
+	cmp.Golden = r.Golden.Trace
 	cmp.Reset()
 	cmp.StartAt(int(m.Stats.Commits))
 	switch mode {
@@ -1134,7 +985,7 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 		cmp.StopCycle = f.Cycle + ert
 	}
 	m.SetSink(cmp)
-	res := run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
+	res := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
 
 	var wm winMeta
 	if oracle && res.Status == cpu.StatusStopped && !cmp.Stopped() {
@@ -1227,7 +1078,7 @@ func (r *Runner) injectAndObserve(run func(cpu.RunOptions) cpu.Result, m *cpu.Ma
 
 // forensicsOn reports whether this fault is in the forensics sample. The
 // stride keys off the fault's stable ID, so the sampled set is identical
-// across resumes, machine shapes and worker layouts.
+// across resumes and worker layouts.
 func (r *Runner) forensicsOn(f fault.Fault) bool {
 	if r.Forensics == nil {
 		return false

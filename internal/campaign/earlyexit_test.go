@@ -166,57 +166,6 @@ func TestAVGIWindowBoundary(t *testing.T) {
 	}
 }
 
-// TestClusterSharedL2CountedOnce pins the shared-L2 aliasing semantics: the
-// c<k>/L2 names are injection aliases for one physical array, so their
-// populations are identical, the data array matches the single-core machine
-// exactly, and UniqueBitCounts collapses the aliases so AVF denominators
-// and bit-space sums count the shared array once.
-func TestClusterSharedL2CountedOnce(t *testing.T) {
-	single := shaRunner(t)
-	cl := shaClusterRunner(t, 2)
-
-	for _, st := range []string{"L2 (Tag)", "L2 (Data)"} {
-		c0, c1 := cl.BitCounts["c0/"+st], cl.BitCounts["c1/"+st]
-		if c0 == 0 || c0 != c1 {
-			t.Errorf("%s alias populations differ: c0=%d c1=%d", st, c0, c1)
-		}
-	}
-	// The shared data array is bit-for-bit the single-core one. The tag
-	// array keeps the same line count but each entry widens by the
-	// core-select address bits the shared L2 absorbs (mem/shared.go), so
-	// it only grows — it never doubles per core.
-	if d, s := cl.BitCounts["c0/L2 (Data)"], single.BitCounts["L2 (Data)"]; d != s {
-		t.Errorf("shared L2 data population %d, want single-core %d", d, s)
-	}
-	if ct, st := cl.BitCounts["c0/L2 (Tag)"], single.BitCounts["L2 (Tag)"]; ct < st || ct >= 2*st {
-		t.Errorf("shared L2 tag population %d vs single-core %d: want wider entries, not a per-core copy", ct, st)
-	}
-
-	u := cl.UniqueBitCounts()
-	if len(u) != 22 {
-		t.Errorf("UniqueBitCounts has %d entries for 2 cores, want 22 (24 targets minus 2 L2 aliases)", len(u))
-	}
-	for _, alias := range []string{"c1/L2 (Tag)", "c1/L2 (Data)"} {
-		if _, ok := u[alias]; ok {
-			t.Errorf("UniqueBitCounts still lists shared alias %q", alias)
-		}
-	}
-	if u["c0/L2 (Data)"] != cl.BitCounts["c0/L2 (Data)"] {
-		t.Error("UniqueBitCounts changed the canonical L2 population")
-	}
-	// Single-core names are their own canonical form.
-	if su := single.UniqueBitCounts(); !reflect.DeepEqual(su, single.BitCounts) {
-		t.Errorf("single-core UniqueBitCounts deviates from BitCounts: %v vs %v", su, single.BitCounts)
-	}
-
-	// Fault-list generation over an alias draws from the same bit space.
-	for _, f := range cl.FaultList("c1/L2 (Data)", 40, 9) {
-		if f.Bit >= cl.BitCounts["c0/L2 (Data)"] {
-			t.Fatalf("alias fault bit %d beyond the shared array (%d bits)", f.Bit, cl.BitCounts["c0/L2 (Data)"])
-		}
-	}
-}
-
 // TestEarlyExitMetricsPublished asserts the window-oracle counters reach
 // the metrics registry with the campaign's structure/workload/mode labels.
 func TestEarlyExitMetricsPublished(t *testing.T) {

@@ -13,13 +13,9 @@ import (
 // attribution, the cause counts must partition the campaign total, and the
 // visible cause must coincide exactly with the architectural verdict.
 func TestForensicsCoverageAndPartition(t *testing.T) {
-	single, cluster := shaRunner(t), shaClusterRunner(t, 2)
-	for _, structure := range []string{"RF", "ROB", "LQ", "SQ", "L1D (Data)", "L1D (Tag)", "DTLB", "c0/L2 (Data)"} {
+	r := shaRunner(t)
+	for _, structure := range []string{"RF", "ROB", "LQ", "SQ", "L1D (Data)", "L1D (Tag)", "DTLB", "L2 (Data)"} {
 		t.Run(structure, func(t *testing.T) {
-			r := single
-			if _, _, ok := cpu.SplitCoreTarget(structure); ok {
-				r = cluster
-			}
 			ex := forensics.NewExplorer()
 			r.Forensics = ex
 			r.ForensicsSample = 1

@@ -38,7 +38,7 @@ type structAgg struct {
 	exhCycles   uint64
 	stats       cpu.Stats
 
-	// Cursor telemetry (single-core runs; zero on clusters).
+	// Cursor telemetry.
 	cowPages   uint64
 	advCycles  uint64
 	deltaBytes uint64
@@ -316,9 +316,9 @@ func (ro *runObs) finish() {
 			reg.Counter("avgi_flips_masked_total",
 				"bit flips masked at the injection site (free queue slots)", fl).Add(a.stats.FlipsMasked)
 
-			// The cursor series exist for faults the cursor actually forked:
-			// single-core, and not quarantined before reaching it.
-			if ro.r.Cores <= 1 && a.faults > a.quarantined {
+			// The cursor series exist for faults the cursor actually forked,
+			// not ones quarantined before reaching it.
+			if a.faults > a.quarantined {
 				reg.Counter("avgi_ckpt_cow_pages_total",
 					"RAM pages privatized copy-on-write by forked runs", lb).Add(a.cowPages)
 				reg.Counter("avgi_cursor_advance_cycles_total",

@@ -24,55 +24,45 @@ func poisonFault(r *Runner, structure string, cycle uint64) fault.Fault {
 	}
 }
 
-// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee on
-// both machine shapes: one panicking fault yields a quarantined Result and
-// a completed campaign, and every other result is byte-identical to a
-// campaign without the poisoned fault — the worker's cursor machine (or
-// cluster mother) is discarded, and the next fault on that worker still
-// classifies as in a clean run.
+// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee: one
+// panicking fault yields a quarantined Result and a completed campaign, and
+// every other result is byte-identical to a campaign without the poisoned
+// fault — the worker's cursor machine is discarded, and the next fault on
+// that worker still classifies as in a clean run.
 func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		runner    func(*testing.T) *Runner
-		structure string
-	}{
-		{"cursor", shaRunner, "RF"},
-		{"cluster", func(t *testing.T) *Runner { return shaClusterRunner(t, 2) }, "c1/RF"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := tc.runner(t)
-			faults := r.FaultList(tc.structure, 30, 5)
-			clean := r.Run(faults, ModeHVF, 0, 2)
+	t.Run("cursor", func(t *testing.T) {
+		r := shaRunner(t)
+		faults := r.FaultList("RF", 30, 5)
+		clean := r.Run(faults, ModeHVF, 0, 2)
 
-			// Insert the poison mid-list so the same worker chunk
-			// continues past the panic.
-			poison := poisonFault(r, tc.structure, r.Golden.Cycles/2)
-			mixed := make([]fault.Fault, 0, len(faults)+1)
-			mixed = append(mixed, faults[:15]...)
-			mixed = append(mixed, poison)
-			mixed = append(mixed, faults[15:]...)
+		// Insert the poison mid-list so the same worker chunk
+		// continues past the panic.
+		poison := poisonFault(r, "RF", r.Golden.Cycles/2)
+		mixed := make([]fault.Fault, 0, len(faults)+1)
+		mixed = append(mixed, faults[:15]...)
+		mixed = append(mixed, poison)
+		mixed = append(mixed, faults[15:]...)
 
-			res := r.Run(mixed, ModeHVF, 0, 2)
-			if len(res) != len(mixed) {
-				t.Fatalf("campaign returned %d results for %d faults", len(res), len(mixed))
-			}
-			q := res[15]
-			if !q.Quarantined || q.Fault != poison {
-				t.Fatalf("poisoned fault not quarantined: %+v", q)
-			}
-			if !strings.Contains(q.Err, "wraps past the end") {
-				t.Errorf("quarantined Err = %q, want the panic message", q.Err)
-			}
-			if q.IMM != imm.Benign || q.HasEffect || q.Manifested {
-				t.Errorf("quarantined result must carry no classification: %+v", q)
-			}
-			// Byte-identity of every healthy result.
-			healthy := append(append([]Result(nil), res[:15]...), res[16:]...)
-			if !reflect.DeepEqual(healthy, clean) {
-				t.Error("healthy results diverge from the poison-free campaign")
-			}
-		})
-	}
+		res := r.Run(mixed, ModeHVF, 0, 2)
+		if len(res) != len(mixed) {
+			t.Fatalf("campaign returned %d results for %d faults", len(res), len(mixed))
+		}
+		q := res[15]
+		if !q.Quarantined || q.Fault != poison {
+			t.Fatalf("poisoned fault not quarantined: %+v", q)
+		}
+		if !strings.Contains(q.Err, "wraps past the end") {
+			t.Errorf("quarantined Err = %q, want the panic message", q.Err)
+		}
+		if q.IMM != imm.Benign || q.HasEffect || q.Manifested {
+			t.Errorf("quarantined result must carry no classification: %+v", q)
+		}
+		// Byte-identity of every healthy result.
+		healthy := append(append([]Result(nil), res[:15]...), res[16:]...)
+		if !reflect.DeepEqual(healthy, clean) {
+			t.Error("healthy results diverge from the poison-free campaign")
+		}
+	})
 }
 
 // TestQuarantineTelemetry checks that the campaign telemetry reports the

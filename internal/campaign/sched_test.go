@@ -253,5 +253,5 @@ func TestInjectWrappingFaultPanics(t *testing.T) {
 		}
 	}()
 	var cmp trace.Comparator
-	r.injectAndObserve(m.Run, m, m.Target("RF"), "RF", r.Golden.Trace, wrap, ModeHVF, 0, &cmp)
+	r.injectAndObserve(m, wrap, ModeHVF, 0, &cmp)
 }

@@ -12,18 +12,9 @@ import "avgi/internal/mem"
 // The trace sink is not cloned; the caller installs a fresh sink on the
 // clone with SetSink.
 func (m *Machine) Clone() *Machine {
-	c := m.cloneCore()
-	c.Mem = m.Mem.Clone()
-	return c
-}
-
-// cloneCore deep-copies the core-private state only, leaving Mem aliased to
-// the source's hierarchy; the caller rebinds it. Cluster clones use this to
-// rebind every core onto one cloned shared-memory spine instead of cloning
-// the shared L2 and RAM once per core.
-func (m *Machine) cloneCore() *Machine {
 	c := &Machine{}
 	*c = *m
+	c.Mem = m.Mem.Clone()
 	c.sink = nil
 	c.profile = nil // exposure profiling is a golden-run concern
 	c.probe = nil   // fault probes never outlive their faulty run

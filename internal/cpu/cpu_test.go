@@ -440,6 +440,9 @@ func TestTargetsComplete(t *testing.T) {
 			if tg.Name() != name {
 				t.Errorf("%s: target %q reports name %q", cfg.Name, name, tg.Name())
 			}
+			if err := ValidateStructure(name); err != nil {
+				t.Errorf("ValidateStructure(%q): %v", name, err)
+			}
 			if tg.BitCount() == 0 {
 				t.Errorf("%s: target %q has zero bits", cfg.Name, name)
 			}
@@ -447,8 +450,14 @@ func TestTargetsComplete(t *testing.T) {
 			tg.FlipBit(0)
 			tg.FlipBit(tg.BitCount() - 1)
 		}
-		if m.Target("nope") != nil {
-			t.Error("unknown target should be nil")
+		// A name validates exactly when it resolves: no prefix form exists.
+		for _, bad := range []string{"nope", "RFX", "c0/RF", "c1/L2 (Tag)"} {
+			if m.Target(bad) != nil {
+				t.Errorf("unknown target %q should be nil", bad)
+			}
+			if err := ValidateStructure(bad); err == nil {
+				t.Errorf("ValidateStructure(%q) accepted", bad)
+			}
 		}
 	}
 }
@@ -518,7 +527,7 @@ func TestIPCIsReasonable(t *testing.T) {
 }
 
 // TestDecodeMemoMatchesDecode: fetch's decode answers from the table built
-// in NewWithMem only for a word that is still the program's own; a word an
+// in New only for a word that is still the program's own; a word an
 // injected fault changed, and any pc outside the text, goes through
 // isa.Decode — so the two never disagree.
 func TestDecodeMemoMatchesDecode(t *testing.T) {

@@ -18,7 +18,7 @@ func (m *Machine) btbIndex(pc uint64) int {
 }
 
 // decode decodes a fetched word; one that is still the program's own text
-// (no L1I/L2/RAM fault changed it on the way) was decoded in NewWithMem.
+// (no L1I/L2/RAM fault changed it on the way) was decoded in New.
 func (m *Machine) decode(pc uint64, word uint32) isa.Inst {
 	if i := (pc - m.Prog.TextBase) / 4; i < uint64(len(m.Prog.Text)) && m.Prog.Text[i] == word {
 		return (*m.text)[i]

@@ -268,10 +268,6 @@ type Machine struct {
 	// before the faulty machine is rewound; a nil probe keeps every
 	// pipeline stage on the exact pre-forensics code.
 	probe *FaultProbe
-
-	// name is the engine component name ("" reads as "core"; cluster
-	// cores are "c0", "c1", ...).
-	name string
 }
 
 // outputProfile records how much of each cache array holds dirty data
@@ -290,14 +286,6 @@ type outputProfile struct {
 
 // New builds a machine for cfg and loads the program image.
 func New(cfg Config, prog *asm.Program) *Machine {
-	return NewWithMem(cfg, prog, mem.NewHierarchy(cfg.Mem))
-}
-
-// NewWithMem builds a machine over an externally assembled memory system —
-// the cluster path, where per-core hierarchies share an L2 and RAM (see
-// NewCluster). The program image is loaded into the hierarchy's physical
-// window.
-func NewWithMem(cfg Config, prog *asm.Program, h *mem.Hierarchy) *Machine {
 	if prog.Variant != cfg.Variant {
 		panic(fmt.Sprintf("cpu: program %s assembled for %s but machine is %s",
 			prog.Name, prog.Variant, cfg.Variant))
@@ -306,7 +294,7 @@ func NewWithMem(cfg Config, prog *asm.Program, h *mem.Hierarchy) *Machine {
 		panic(fmt.Sprintf("cpu: BTBEntries %d is not a power of two", cfg.BTBEntries))
 	}
 	m := &Machine{Cfg: cfg, Prog: prog}
-	m.Mem = h
+	m.Mem = mem.NewHierarchy(cfg.Mem)
 
 	// Load the program image into physical memory.
 	text := make([]byte, len(prog.Text)*4)
@@ -319,9 +307,8 @@ func NewWithMem(cfg Config, prog *asm.Program, h *mem.Hierarchy) *Machine {
 		decoded[i] = isa.Decode(w, cfg.Variant)
 	}
 	m.text = &decoded
-	base := h.Base()
-	m.Mem.RAM.WriteBlock(base+prog.TextBase, text)
-	m.Mem.RAM.WriteBlock(base+prog.DataBase, prog.Data)
+	m.Mem.RAM.WriteBlock(prog.TextBase, text)
+	m.Mem.RAM.WriteBlock(prog.DataBase, prog.Data)
 
 	n := cfg.Variant.NumArchRegs()
 	m.prf = make([]uint64, cfg.PhysRegs)
@@ -397,14 +384,8 @@ func (m *Machine) OutputProfile() (cycles []uint64, l1d, l2 []uint32) {
 	return p.cycles, p.l1d, p.l2
 }
 
-// Name implements engine.Ticker: "core" for a single-core machine,
-// "c<k>" for cluster cores.
-func (m *Machine) Name() string {
-	if m.name == "" {
-		return "core"
-	}
-	return m.name
-}
+// Name implements engine.Ticker.
+func (m *Machine) Name() string { return "core" }
 
 // Step advances the machine one clock cycle. It is a thin wrapper over Tick
 // for callers that drive the machine directly rather than through an

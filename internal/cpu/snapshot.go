@@ -36,7 +36,7 @@ type Snapshot struct {
 // whole. Either way the two are equal afterwards, so live's dirty sets
 // restart empty. Returns the array bytes moved.
 //
-// This and cloneCore are the only two places that list Machine's state
+// This and Clone are the only two places that list Machine's state
 // slices; TestCoreCopySharesNoBuffers fails when a new one is in neither.
 func copyCore(dst, src, live *Machine, delta bool) uint64 {
 	old := *dst

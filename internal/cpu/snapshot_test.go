@@ -220,7 +220,7 @@ func overlaps(a, b reflect.Value) bool {
 }
 
 // TestCoreCopySharesNoBuffers is the guard on the core-state slice list in
-// copyCore and cloneCore. After each of the five copy operations, every
+// copyCore and Clone. After each of the five copy operations, every
 // slice field of Machine — found by reflection, so a field added later is
 // included without an edit here — must share no backing array between
 // destination and source, and must either be state (equal after the copy,
@@ -347,10 +347,5 @@ func TestQueueCapacityInvariant(t *testing.T) {
 		scratch.EndDeltaTracking()
 		scratch.Restore(snap)
 		check("Restore after recycling", scratch)
-	}
-	cl := NewCluster(cfg, p, 2)
-	cl.Run(RunOptions{StopAtCycle: 700})
-	for k, c := 0, cl.Clone(); k < 2; k++ {
-		check("Cluster.Clone", c.Core(k))
 	}
 }

@@ -186,59 +186,13 @@ func (m *Machine) Target(name string) Target {
 	return nil
 }
 
-// SplitCoreTarget parses a per-core structure name of the form
-// "c<k>/<structure>" (e.g. "c1/RF") as used by cluster fault targets. ok is
-// false when name carries no well-formed core prefix.
-func SplitCoreTarget(name string) (core int, structure string, ok bool) {
-	prefix, rest, found := strings.Cut(name, "/")
-	if !found || len(prefix) < 2 || prefix[0] != 'c' {
-		return 0, "", false
-	}
-	for _, r := range prefix[1:] {
-		if r < '0' || r > '9' {
-			return 0, "", false
-		}
-		core = core*10 + int(r-'0')
-	}
-	return core, rest, true
-}
-
 // ValidateStructure returns a descriptive error for structure names that
-// are not one of the twelve Table II fault targets, optionally carrying a
-// cluster core prefix ("c0/RF" validates like "RF").
+// are not one of the twelve Table II fault targets.
 func ValidateStructure(name string) error {
-	base := name
-	if _, rest, ok := SplitCoreTarget(name); ok {
-		base = rest
-	}
 	for _, s := range StructureNames {
-		if s == base {
+		if s == name {
 			return nil
 		}
 	}
-	return fmt.Errorf("unknown structure %q (known: %s, each optionally behind a c<k>/ core prefix)",
-		name, strings.Join(StructureNames, ", "))
-}
-
-// SharedAcrossCores reports whether structure (without its core prefix)
-// names an array that is physically shared in a cluster — the L2 arrays,
-// which Cluster.Targets aliases under every core's prefix.
-func SharedAcrossCores(structure string) bool {
-	return structure == "L2 (Tag)" || structure == "L2 (Data)"
-}
-
-// CanonicalTarget maps a cluster fault-target name onto its canonical
-// physical-array name: the shared-L2 aliases collapse onto the c0/ prefix,
-// so enumerating a cluster's targets through this function visits each
-// physical array exactly once. Every other name (non-shared structures,
-// and unprefixed single-core names) maps to itself. "c1/L2 (Tag)" remains
-// a perfectly valid *injection* name — the aliases flip the same bits —
-// but population sums (AVF denominators, bit×cycle spaces) must count the
-// one physical array once, not once per core.
-func CanonicalTarget(name string) string {
-	core, base, ok := SplitCoreTarget(name)
-	if !ok || core == 0 || !SharedAcrossCores(base) {
-		return name
-	}
-	return "c0/" + base
+	return fmt.Errorf("unknown structure %q (known: %s)", name, strings.Join(StructureNames, ", "))
 }

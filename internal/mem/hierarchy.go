@@ -14,11 +14,8 @@ type HierarchyConfig struct {
 	DRAMLat     uint64 // RAM read latency beyond L2
 }
 
-// Hierarchy is the assembled memory system seen by one core: split L1s over
-// a unified L2 over RAM, with per-side TLBs and a linear page table. On a
-// single-core machine the hierarchy owns every level; on a shared-memory
-// cluster (see SharedMem) the RAM and L2 are shared between the per-core
-// hierarchies and base locates this core's physical window.
+// Hierarchy is the assembled memory system: split L1s over a unified L2
+// over RAM, with per-side TLBs and an identity page table.
 type Hierarchy struct {
 	Cfg HierarchyConfig
 
@@ -31,36 +28,20 @@ type Hierarchy struct {
 	L2        *Cache
 
 	ramLevel *RAMLevel
-
-	// base is the physical address of this core's RAM window (always 0 on
-	// a single-core hierarchy). The page table applies it to translations;
-	// physical-side consumers (program loading, output DMA) add it
-	// explicitly.
-	base uint64
 }
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	rl := &RAMLevel{RAM: NewRAM(cfg.RAMSize), ReadLat: cfg.DRAMLat}
-	return newCoreView(cfg, 0, NewPageTable(cfg.RAMSize), rl, NewCache(cfg.L2, rl))
-}
-
-// newCoreView assembles one core's private L1s and TLBs over a RAM level
-// and L2 — its own on a single-core machine, the shared spine's on a
-// cluster, where base locates the core's physical window.
-func newCoreView(cfg HierarchyConfig, base uint64, pt *PageTable, rl *RAMLevel, l2 *Cache) *Hierarchy {
+	l2 := NewCache(cfg.L2, rl)
 	return &Hierarchy{
-		Cfg: cfg, base: base, RAM: rl.RAM, PageTable: pt, ramLevel: rl, L2: l2,
+		Cfg: cfg, RAM: rl.RAM, PageTable: NewPageTable(cfg.RAMSize), ramLevel: rl, L2: l2,
 		ITLB: NewTLB("ITLB", cfg.ITLBEntries, cfg.WalkLat),
 		DTLB: NewTLB("DTLB", cfg.DTLBEntries, cfg.WalkLat),
 		L1I:  NewCache(cfg.L1I, l2),
 		L1D:  NewCache(cfg.L1D, l2),
 	}
 }
-
-// Base returns the physical address of this core's RAM window: 0 on a
-// single-core hierarchy, core-index × RAMSize on a cluster core.
-func (h *Hierarchy) Base() uint64 { return h.base }
 
 // FetchWord reads one 32-bit instruction word through the ITLB and L1I.
 func (h *Hierarchy) FetchWord(vaddr uint64) (word uint32, lat uint64, fault Fault) {
@@ -142,18 +123,18 @@ func (h *Hierarchy) DrainOutput(outBase, outLenAddr uint64, lenBytes uint64) []b
 	h.L1D.Flush()
 	h.L2.Flush()
 	var buf [8]byte
-	h.RAM.ReadBlock(h.base+outLenAddr, buf[:lenBytes])
+	h.RAM.ReadBlock(outLenAddr, buf[:lenBytes])
 	n := uint64LE(buf[:lenBytes])
 	// A faulty run can leave an arbitrary (even near-2^64) length word;
-	// clamp to this core's RAM window without overflowing outBase+n.
-	if outBase >= h.Cfg.RAMSize {
+	// clamp without overflowing outBase+n.
+	if outBase >= h.RAM.Size() {
 		return nil
 	}
-	if max := h.Cfg.RAMSize - outBase; n > max {
+	if max := h.RAM.Size() - outBase; n > max {
 		n = max
 	}
 	out := make([]byte, n)
-	h.RAM.ReadBlock(h.base+outBase, out)
+	h.RAM.ReadBlock(outBase, out)
 	return out
 }
 
@@ -170,7 +151,7 @@ type HierarchySnap struct {
 }
 
 // parts lists the hierarchy's array components: the one list copying, delta
-// tracking and byte accounting walk (newCoreView and cloneView name them too).
+// tracking and byte accounting walk (NewHierarchy and Clone name them too).
 func (h *Hierarchy) parts() ([2]*TLB, [3]*Cache) {
 	return [2]*TLB{h.ITLB, h.DTLB}, [3]*Cache{h.L1I, h.L1D, h.L2}
 }
@@ -254,20 +235,14 @@ func (h *Hierarchy) eachPart(tlb func(*TLB), cache func(*Cache)) {
 	}
 }
 
-// Clone deep-copies the entire memory system.
+// Clone deep-copies the entire memory system. The page table is immutable
+// and stays shared.
 func (h *Hierarchy) Clone() *Hierarchy {
 	rl := &RAMLevel{RAM: h.RAM.Clone(), ReadLat: h.ramLevel.ReadLat}
 	l2 := h.L2.Clone()
 	l2.SetLower(rl)
-	return h.cloneView(rl, l2)
-}
-
-// cloneView is newCoreView for a clone: copies of this core's private L1s
-// and TLBs over an already cloned RAM level and L2. The page table is
-// immutable and stays shared.
-func (h *Hierarchy) cloneView(rl *RAMLevel, l2 *Cache) *Hierarchy {
 	c := &Hierarchy{
-		Cfg: h.Cfg, base: h.base, RAM: rl.RAM, PageTable: h.PageTable, ramLevel: rl, L2: l2,
+		Cfg: h.Cfg, RAM: rl.RAM, PageTable: h.PageTable, ramLevel: rl, L2: l2,
 		ITLB: h.ITLB.Clone(), DTLB: h.DTLB.Clone(), L1I: h.L1I.Clone(), L1D: h.L1D.Clone(),
 	}
 	c.L1I.SetLower(l2)

@@ -198,29 +198,16 @@ func (r *RAM) RestoreFrom(snap *RAM) {
 // checkpoint telemetry reports.
 func (r *RAM) CowPrivatized() uint64 { return r.cow }
 
-// PageTable is the linear mapping from virtual to physical pages for one
-// core's window of RAM. On a single-core machine it is the identity map; on
-// a shared-memory cluster each core's table adds a fixed physical base, so
-// every core sees the same virtual layout while owning a disjoint physical
-// window. It is architectural metadata maintained by (hypothetical) system
-// software and is not a fault target.
+// PageTable is the identity mapping from virtual to physical pages for all
+// pages backed by RAM. It is architectural metadata maintained by
+// (hypothetical) system software and is not a fault target.
 type PageTable struct {
-	numPages  uint64 // virtual pages this table maps
-	basePage  uint64 // physical page backing virtual page 0
-	physPages uint64 // physically backed pages in the whole RAM
+	numPages uint64
 }
 
 // NewPageTable builds the identity page table covering ramSize bytes.
 func NewPageTable(ramSize uint64) *PageTable {
-	n := ramSize / PageBytes
-	return &PageTable{numPages: n, physPages: n}
-}
-
-// NewPageTableAt builds a page table mapping a winSize-byte virtual window
-// onto physical pages starting at basePage, inside a RAM backing physPages
-// pages in total (used by shared-memory clusters; see SharedMem).
-func NewPageTableAt(winSize uint64, basePage, physPages uint64) *PageTable {
-	return &PageTable{numPages: winSize / PageBytes, basePage: basePage, physPages: physPages}
+	return &PageTable{numPages: ramSize / PageBytes}
 }
 
 // Walk translates a virtual page number. The walk itself costs WalkLatency
@@ -229,14 +216,11 @@ func (pt *PageTable) Walk(vpn uint64) (ppn uint64, ok bool) {
 	if vpn >= pt.numPages {
 		return 0, false
 	}
-	return vpn + pt.basePage, true
+	return vpn, true
 }
 
-// NumPages returns the number of mapped pages.
-func (pt *PageTable) NumPages() uint64 { return pt.numPages }
-
-// PhysPages returns the number of physically backed pages in the RAM this
-// table translates into. A translation at or beyond this bound — reachable
+// NumPages returns the number of mapped pages, which is also the number of
+// physically backed pages: a translation at or beyond this bound — reachable
 // only through a corrupted TLB entry — faults like an access to an unbacked
 // physical page would.
-func (pt *PageTable) PhysPages() uint64 { return pt.physPages }
+func (pt *PageTable) NumPages() uint64 { return pt.numPages }

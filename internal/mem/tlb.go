@@ -93,14 +93,11 @@ func (t *TLB) Translate(vaddr uint64, pt *PageTable) (paddr uint64, lat uint64, 
 				t.probe.onLookup(vpn, i)
 			}
 			ppn := (e >> tlbPPNShift) & pageNumMask
-			if ppn >= pt.PhysPages() {
+			if ppn >= pt.NumPages() {
 				// A corrupted PPN can point outside RAM; the
 				// access raises a page fault exactly as a
 				// hardware translation to an unbacked page
-				// would. (On a cluster the bound is the whole
-				// shared RAM, so a corrupted PPN may legally
-				// land in another core's window — physically
-				// backed, so no fault, exactly as on hardware.)
+				// would.
 				return 0, 0, FaultPage
 			}
 			return ppn*PageBytes + off, 0, FaultNone

@@ -192,12 +192,14 @@ func TestServiceValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*AssessRequest){
 		"unknown machine":   func(r *AssessRequest) { r.Machine = "m1" },
 		"unknown structure": func(r *AssessRequest) { r.Structure = "TLB9" },
-		"unknown workload":  func(r *AssessRequest) { r.Workload = "doom" },
-		"unknown mode":      func(r *AssessRequest) { r.Mode = "fast" },
-		"avgi needs window": func(r *AssessRequest) { r.Mode = "avgi"; r.Window = 0 },
-		"stray window":      func(r *AssessRequest) { r.Window = 99 },
-		"oversized sample":  func(r *AssessRequest) { r.Faults = maxFaultsPerRequest + 1 },
-		"negative sample":   func(r *AssessRequest) { r.Faults = -4 },
+		// A name normalize lets through panics in Runner.FaultList: a 500.
+		"core-prefixed structure": func(r *AssessRequest) { r.Structure = "c1/RF" },
+		"unknown workload":        func(r *AssessRequest) { r.Workload = "doom" },
+		"unknown mode":            func(r *AssessRequest) { r.Mode = "fast" },
+		"avgi needs window":       func(r *AssessRequest) { r.Mode = "avgi"; r.Window = 0 },
+		"stray window":            func(r *AssessRequest) { r.Window = 99 },
+		"oversized sample":        func(r *AssessRequest) { r.Faults = maxFaultsPerRequest + 1 },
+		"negative sample":         func(r *AssessRequest) { r.Faults = -4 },
 	} {
 		req := base
 		mutate(&req)
