@@ -49,7 +49,6 @@ var (
 	flagSeed       = flag.Int64("seed", 1, "seed base for fault sampling")
 	flagCSV        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	flagBars       = flag.Bool("bars", false, "also render distribution figures as terminal bar charts")
-	flagCores      = flag.Int("cores", 192, "cluster cores for the Table II days model")
 
 	flagMode   = flag.String("mode", "hvf", "campaign mode for the campaign experiment: exhaustive, hvf or avgi")
 	flagWindow = flag.Uint64("window", 0, "ERT stop window in cycles for the campaign experiment (required for -mode avgi, forbidden otherwise)")
@@ -287,7 +286,7 @@ var experiments = []experiment{
 	{"fig9", "manifestation-latency percentiles and ERT windows", true, false, trained((*avgi.Study).Fig9)},
 	{"table2", "assessment cost and speedups (AVGI vs accelerated SFI)", true, false,
 		trained(func(st *avgi.Study, est *avgi.Estimator) *avgi.Table {
-			return st.Table2(est, measureThroughput(st, *flagCores))
+			return st.Table2(est, measureThroughput(st))
 		})},
 	{"fig10", "AVF accuracy per structure (leave-one-out)", true, false, many(func(st *avgi.Study) []*avgi.Table { return st.Fig10() })},
 	{"fig11", "FIT rates per structure and whole chip", true, false, one((*avgi.Study).Fig11)},
@@ -449,14 +448,18 @@ func runCampaignCmd(x *session, st *avgi.Study) error {
 	return nil
 }
 
+// paperCores is the simulation host size behind Table II's "days": the
+// paper's evaluation ran on 192-core servers.
+const paperCores = 192
+
 // measureThroughput times one golden re-run to convert simulated cycles
-// into the wall-clock "days" units of Table II.
-func measureThroughput(s *avgi.Study, cores int) core.ThroughputModel {
+// into the wall-clock "days" units of Table II on paperCores cores.
+func measureThroughput(s *avgi.Study) core.ThroughputModel {
 	name := s.WorkloadNames()[0]
 	r := s.Runner(name)
 	m, err := avgi.NewMachine(s.Cfg.Machine, name)
 	if err != nil || r == nil {
-		return core.ThroughputModel{CyclesPerSecond: 1e6, Cores: cores}
+		return core.ThroughputModel{CyclesPerSecond: 1e6, Cores: paperCores}
 	}
 	start := time.Now()
 	m.Run(avgi.RunOptions{MaxCycles: r.Golden.Cycles + 10})
@@ -464,5 +467,5 @@ func measureThroughput(s *avgi.Study, cores int) core.ThroughputModel {
 	if el <= 0 {
 		el = 1e-9
 	}
-	return core.ThroughputModel{CyclesPerSecond: float64(r.Golden.Cycles) / el, Cores: cores}
+	return core.ThroughputModel{CyclesPerSecond: float64(r.Golden.Cycles) / el, Cores: paperCores}
 }

@@ -1,22 +1,42 @@
 package avgi
 
-import "sync"
+import (
+	"container/list"
+	"sync"
+
+	"avgi/internal/obs"
+)
 
 // flight is one in-flight (or completed) campaign execution. done is
 // closed when res is valid; late callers block on it instead of
-// recomputing.
+// recomputing. el is the flight's place in the retention LRU once it has
+// completed (nil while it runs).
 type flight struct {
 	done chan struct{}
 	res  []CampaignResult
+	el   *list.Element
 }
+
+// served says how a flightMap call was answered.
+type served int
+
+const (
+	ran      served = iota // this caller executed
+	joined                 // waited on another caller's running execution
+	retained               // answered by a retained completed execution
+)
+
+// retainAll keeps every completed flight (the study's bounded grid).
+const retainAll = -1
 
 // flightMap is a single-flight executor: at most one execution per key at
 // a time, concurrent callers for the same key coalesce onto the leader's
-// result. It is the shared core under both the Study scheduler (which
-// retains completed flights as a study-lifetime cache) and the assessment
-// service (which evicts them on completion — the journal is the durable
-// cache there, and a long-running server must not grow its flight map
-// without bound).
+// result. It is also the in-memory result cache: it keeps up to retain
+// completed flights (retainAll = every one, 0 = evict on completion),
+// dropping the least recently used beyond that. A running flight is never
+// evicted — only completed ones enter the LRU. Results are deterministic
+// per key and shared among callers as immutable slices, so a retained
+// flight never goes stale; the bound exists only to cap memory.
 //
 // Failure semantics: a flight whose exec panics is evicted before the
 // panic propagates, so the key is never poisoned — the next caller
@@ -27,22 +47,29 @@ type flight struct {
 type flightMap[K comparable] struct {
 	mu      sync.Mutex
 	flights map[K]*flight
-	retain  bool
+	lru     list.List // keys of completed flights, front = most recently used
+	retain  int
+
+	evictions *obs.Counter // completed flights dropped by the bound; may be nil
 }
 
-func newFlightMap[K comparable](retain bool) *flightMap[K] {
+func newFlightMap[K comparable](retain int) *flightMap[K] {
 	return &flightMap[K]{flights: make(map[K]*flight), retain: retain}
 }
 
 // do executes exec under single-flight semantics for key and returns its
-// result plus whether this caller coalesced onto another caller's
-// execution (true) or ran exec itself (false).
-func (m *flightMap[K]) do(key K, exec func() []CampaignResult) (res []CampaignResult, coalesced bool) {
+// result plus how this caller was served.
+func (m *flightMap[K]) do(key K, exec func() []CampaignResult) ([]CampaignResult, served) {
 	m.mu.Lock()
 	if f, ok := m.flights[key]; ok {
+		how := joined
+		if f.el != nil {
+			m.lru.MoveToFront(f.el)
+			how = retained
+		}
 		m.mu.Unlock()
 		<-f.done
-		return f.res, true
+		return f.res, how
 	}
 	f := &flight{done: make(chan struct{})}
 	m.flights[key] = f
@@ -51,18 +78,26 @@ func (m *flightMap[K]) do(key K, exec func() []CampaignResult) (res []CampaignRe
 	completed := false
 	// Runs even when exec panics: evict first (under the lock, before the
 	// done-channel close publishes the flight) so no later caller can
-	// observe a failed or stale entry, then unblock coalesced waiters.
+	// observe a failed entry, then unblock coalesced waiters.
 	defer func() {
 		m.mu.Lock()
-		if !completed || !m.retain {
+		if !completed || m.retain == 0 {
 			delete(m.flights, key)
+		} else {
+			f.el = m.lru.PushFront(key)
+			for m.retain > 0 && m.lru.Len() > m.retain {
+				delete(m.flights, m.lru.Remove(m.lru.Back()).(K))
+				if m.evictions != nil {
+					m.evictions.Inc()
+				}
+			}
 		}
 		m.mu.Unlock()
 		close(f.done)
 	}()
 	f.res = exec()
 	completed = true
-	return f.res, false
+	return f.res, ran
 }
 
 // len reports the number of retained or in-flight entries (test hook).

@@ -1,45 +1,128 @@
 package avgi
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"avgi/internal/obs"
 )
 
 func TestFlightMapCoalescesAndRetains(t *testing.T) {
-	m := newFlightMap[string](true)
+	m := newFlightMap[string](retainAll)
 	var execs int
-	res, coalesced := m.do("k", func() []CampaignResult {
+	res, how := m.do("k", func() []CampaignResult {
 		execs++
 		return make([]CampaignResult, 3)
 	})
-	if coalesced || len(res) != 3 {
-		t.Fatalf("first do: coalesced=%v len=%d", coalesced, len(res))
+	if how != ran || len(res) != 3 {
+		t.Fatalf("first do: how=%v len=%d", how, len(res))
 	}
-	res, coalesced = m.do("k", func() []CampaignResult {
+	res, how = m.do("k", func() []CampaignResult {
 		execs++
 		return nil
 	})
-	if !coalesced || len(res) != 3 || execs != 1 {
-		t.Errorf("retained flight not served: coalesced=%v len=%d execs=%d", coalesced, len(res), execs)
+	if how != retained || len(res) != 3 || execs != 1 {
+		t.Errorf("retained flight not served: how=%v len=%d execs=%d", how, len(res), execs)
 	}
 	if m.len() != 1 {
 		t.Errorf("retained map holds %d entries, want 1", m.len())
 	}
 }
 
-func TestFlightMapEvictsWhenNotRetaining(t *testing.T) {
-	m := newFlightMap[string](false)
-	var execs int
-	exec := func() []CampaignResult { execs++; return make([]CampaignResult, 1) }
-	m.do("k", exec)
-	if m.len() != 0 {
-		t.Fatalf("non-retaining map holds %d entries after completion, want 0", m.len())
+// retainedKeys lists the keys a flight map holds, sorted.
+func retainedKeys(m *flightMap[int]) []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var keys []int
+	for k := range m.flights {
+		keys = append(keys, k)
 	}
-	m.do("k", exec)
-	if execs != 2 {
-		t.Errorf("second do after eviction ran exec %d times total, want 2", execs)
+	sort.Ints(keys)
+	return keys
+}
+
+// TestFlightMapRetention pins the retention bound: a flight map keeps at
+// most retain completed flights, evicting the least recently used, and
+// never evicts a flight that is still running.
+func TestFlightMapRetention(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		retain    int
+		calls     []int // keys requested, in order
+		execs     int   // executions those calls cost
+		kept      []int // keys held afterwards
+		evictions uint64
+	}{
+		{"bound 0 evicts on completion", 0, []int{1, 1, 2}, 3, nil, 0},
+		// The repeat of 1 makes 2 the least recently used when 3 completes.
+		{"bound k evicts the LRU completed flight", 2, []int{1, 2, 1, 3, 1}, 3, []int{1, 3}, 1},
+		{"unbounded retains everything", retainAll, []int{1, 2, 3, 1, 2, 3}, 3, []int{1, 2, 3}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newFlightMap[int](tc.retain)
+			m.evictions = obs.NewRegistry().Counter("evictions", "", nil)
+			execs := 0
+			for _, k := range tc.calls {
+				res, _ := m.do(k, func() []CampaignResult { execs++; return make([]CampaignResult, k) })
+				if len(res) != k {
+					t.Fatalf("key %d answered with %d results", k, len(res))
+				}
+			}
+			if execs != tc.execs {
+				t.Errorf("%d executions, want %d", execs, tc.execs)
+			}
+			if got := retainedKeys(m); !slices.Equal(got, tc.kept) {
+				t.Errorf("kept %v, want %v", got, tc.kept)
+			}
+			if got := m.evictions.Value(); got != tc.evictions {
+				t.Errorf("%d evictions, want %d", got, tc.evictions)
+			}
+		})
 	}
+
+	t.Run("a running flight is never evicted", func(t *testing.T) {
+		m := newFlightMap[int](1)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		var leaderHow, waiterHow served
+		var waiterRes []CampaignResult
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, leaderHow = m.do(0, func() []CampaignResult {
+				close(entered)
+				<-release
+				return make([]CampaignResult, 5)
+			})
+		}()
+		<-entered
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waiterRes, waiterHow = m.do(0, func() []CampaignResult { return nil })
+		}()
+		// Two completions over a bound of one: the first is evicted by the
+		// second, and the running flight must survive both.
+		for k := 1; k <= 2; k++ {
+			m.do(k, func() []CampaignResult { return make([]CampaignResult, k) })
+		}
+		if got := retainedKeys(m); !slices.Equal(got, []int{0, 2}) {
+			t.Fatalf("while 0 runs the map holds %v, want [0 2]", got)
+		}
+		close(release)
+		wg.Wait()
+		// The waiter either blocked on the running flight or, scheduled
+		// late, found it kept; either way it never re-executed.
+		if leaderHow != ran || waiterHow == ran || len(waiterRes) != 5 {
+			t.Errorf("leader %v, waiter %v with %d results; want ran, not ran with 5", leaderHow, waiterHow, len(waiterRes))
+		}
+		if got := retainedKeys(m); !slices.Equal(got, []int{0}) {
+			t.Errorf("after 0 completes the map holds %v, want [0]", got)
+		}
+	})
 }
 
 // TestFlightMapPanicDoesNotPoison is the regression test for the poisoned
@@ -49,7 +132,7 @@ func TestFlightMapEvictsWhenNotRetaining(t *testing.T) {
 // re-executing. A panicking exec must be evicted so the next caller runs
 // exec again and succeeds.
 func TestFlightMapPanicDoesNotPoison(t *testing.T) {
-	m := newFlightMap[string](true)
+	m := newFlightMap[string](retainAll)
 	var execs int
 	func() {
 		defer func() {
@@ -65,11 +148,11 @@ func TestFlightMapPanicDoesNotPoison(t *testing.T) {
 	if m.len() != 0 {
 		t.Fatalf("panicked flight still in the map (%d entries)", m.len())
 	}
-	res, coalesced := m.do("k", func() []CampaignResult {
+	res, how := m.do("k", func() []CampaignResult {
 		execs++
 		return make([]CampaignResult, 2)
 	})
-	if coalesced {
+	if how != ran {
 		t.Error("second call coalesced onto the panicked flight")
 	}
 	if len(res) != 2 || execs != 2 {
@@ -81,7 +164,7 @@ func TestFlightMapPanicDoesNotPoison(t *testing.T) {
 // flight whose leader panics must be released (with a nil result), not
 // hang forever on a done channel nobody will close.
 func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
-	m := newFlightMap[string](true)
+	m := newFlightMap[string](retainAll)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 
@@ -99,13 +182,13 @@ func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
 	<-entered
 
 	var waiterRes []CampaignResult
-	var waiterCoalesced bool
+	var waiterHow served
 	started := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		close(started)
-		waiterRes, waiterCoalesced = m.do("k", func() []CampaignResult {
+		waiterRes, waiterHow = m.do("k", func() []CampaignResult {
 			// Only reachable if the waiter raced past the leader's eviction
 			// — i.e. it never coalesced. Valid single-flight behaviour, but
 			// not the interleaving this test is about.
@@ -120,7 +203,7 @@ func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if !waiterCoalesced {
+	if waiterHow != joined {
 		t.Error("waiter did not coalesce onto the leader")
 	}
 	if waiterRes != nil {

@@ -145,7 +145,7 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 	fs.StringVar(&s.Fsync, "fsync", "chunk",
 		"journal shard fsync cadence: chunk (default), every (per fault result) or off (flush only; see docs/ROBUSTNESS.md)")
 	fs.IntVar(&s.ShardCache, "shard-cache", 0,
-		"in-memory decoded-shard LRU entries in front of the journal (0 = default 64, negative disables)")
+		"completed campaigns kept in memory in front of the journal, least recently used first (0 = default 64, negative keeps none)")
 	registerDist(fs, &s.DistRole, &s.DistOwner, &s.Coordinator, &s.LeaseTTL,
 		"\"\" (standalone), coordinator (arbitrate leases and fan campaigns out on /v1/dist/*) or worker (poll a -coordinator's feed and run its campaigns against the shared journal; see docs/DISTRIBUTED.md)")
 	return s

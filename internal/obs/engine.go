@@ -8,7 +8,7 @@ import "avgi/internal/engine"
 //   - avgi_engine_cycles_total: engine cycles executed, accumulated across
 //     published runs
 //   - avgi_engine_components: ticking components registered on the run's
-//     engine (a shape gauge: 1 on a single-core machine, n on a cluster)
+//     engine (a shape gauge: 1, the machine's one core)
 //   - avgi_engine_component_ticks_total: per-component Tick calls, with the
 //     component's name as a label
 //

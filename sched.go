@@ -2,6 +2,7 @@ package avgi
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -11,9 +12,10 @@ import (
 	"avgi/internal/obs"
 )
 
-// This file is the study-level campaign scheduler: a single-flight
-// executor keyed by (structure, workload, mode, window) in front of a
-// global worker budget shared by every campaign of the study.
+// This file is the campaign executor under both the Study and the
+// Service: a single-flight flight map keyed by (machine, structure,
+// workload, mode, window, faults, seed) in front of a global worker budget
+// shared by every concurrent campaign, with the durable journal behind it.
 //
 // Two problems it solves (see docs/SCHEDULING.md):
 //
@@ -36,16 +38,6 @@ import (
 // campaign worker owns a fixed contiguous chunk of its list, so only
 // scheduling order changes — never outcomes.
 
-// campaignKey identifies one deduplicated campaign execution. The window
-// is part of the key because AVGI-mode campaigns with different ERT
-// windows simulate different amounts of the program (exhaustive and HVF
-// runs use window 0).
-type campaignKey struct {
-	structure, workload string
-	mode                campaign.Mode
-	window              uint64
-}
-
 // schedObs holds the scheduler's telemetry instruments; the zero value
 // (observer absent) disables everything.
 type schedObs struct {
@@ -53,7 +45,7 @@ type schedObs struct {
 	dedup    *obs.Counter // callers served by an existing flight
 	live     atomic.Int64
 
-	// Journal instruments (registered only when the study journals).
+	// Journal instruments (registered only when the executor journals).
 	jAppends *obs.Counter // results appended to journal shards
 	jHits    *obs.Counter // campaigns served entirely from the journal
 	jResumed *obs.Counter // journalled fault results reused from shards
@@ -80,117 +72,166 @@ func (so *schedObs) register(reg *obs.Registry, machine string, journaled bool) 
 	}
 }
 
-// initSched wires the scheduler state into a freshly built study. Flights
-// are retained for the study's lifetime: experiments revisit the same
-// (structure, workload) pairs many times and the grid is bounded.
-func (s *Study) initSched() {
-	s.flights = newFlightMap[campaignKey](true)
-	s.budget = campaign.NewBudget(s.Cfg.Workers)
-	if o := s.Cfg.Obs; o != nil && o.Metrics != nil {
+// assessKey identifies one deduplicated campaign execution. The window
+// is part of the key because AVGI-mode campaigns with different ERT
+// windows simulate different amounts of the program (exhaustive and HVF
+// runs use window 0); machine, sample size and seed are fixed for a study
+// but vary per service request.
+type assessKey struct {
+	machine   string
+	structure string
+	workload  string
+	mode      Mode
+	window    uint64
+	faults    int
+	seed      int64
+}
+
+// executor runs campaigns for a Study or a Service: one worker budget,
+// one flight map (single-flight plus the in-memory result cache), and the
+// durable journal behind them. When the executor has a journal, a fully
+// journalled campaign loads instead of re-simulating, a partial shard
+// resumes from its missing fault indices, and every freshly completed
+// chunk is appended and fsynced. The journal is strictly best-effort: an
+// unwritable shard degrades to an unjournalled run, never a failed
+// campaign — but since Writer errors are sticky and otherwise invisible
+// until Close, the first failure per shard is logged and counted
+// (avgi_journal_errors_total) the moment it happens.
+type executor struct {
+	budget  *campaign.Budget
+	flights *flightMap[assessKey]
+	sched   schedObs
+
+	journalDir string // "" = unjournalled
+	namespaced bool   // shards under journalDir/<machine>-seed<S>-n<N> (service), not journalDir (study)
+	resume     bool
+	traceAVGI  bool // one span per AVGI-mode campaign: a study's grid is bounded, a server's request stream is not
+	fsync      journal.SyncPolicy
+	dist       *DistConfig // non-nil with Fleet > 0 = distributed execution
+	obs        *Observer
+
+	jmu      sync.Mutex
+	journals map[string]*journal.Journal // namespace -> journal; nil = unusable, run uncached
+}
+
+// init builds the budget and the flight map (keeping retain completed
+// flights, see flightMap), opens the journal root, and registers the
+// executor's metrics: the budget gauges as <budgetPrefix>_budget_* with
+// budgetLabels, the scheduler and journal series under machine.
+func (e *executor) init(workers, retain int, budgetPrefix string, budgetLabels map[string]string, machine string) error {
+	if e.dist != nil && e.dist.Fleet > 0 && e.journalDir == "" {
+		return fmt.Errorf("distributed campaigns require JournalDir (the shared coordination substrate)")
+	}
+	e.journals = make(map[string]*journal.Journal)
+	if e.journalDir != "" {
+		// Fail now, not on the first campaign, if the journal root is unusable.
+		j, err := journal.Open(e.journalDir)
+		if err != nil {
+			return err
+		}
+		e.journals[""] = j // a study's namespace: shards at the root
+	}
+	e.budget = campaign.NewBudget(workers)
+	e.flights = newFlightMap[assessKey](retain)
+	if o := e.obs; o != nil && o.Metrics != nil {
 		reg := o.Metrics
-		lb := map[string]string{"machine": s.Cfg.Machine.Name}
-		reg.Gauge("avgi_sched_budget_capacity",
-			"study-wide worker budget shared by all concurrent campaigns", lb).
-			Set(float64(s.budget.Cap()))
-		s.budget.SetGauge(reg.Gauge("avgi_sched_budget_busy",
-			"campaign workers currently drawing from the study budget", lb))
-		s.sched.register(reg, s.Cfg.Machine.Name, s.Cfg.JournalDir != "")
+		reg.Gauge(budgetPrefix+"_budget_capacity",
+			"worker budget shared by every concurrent campaign", budgetLabels).
+			Set(float64(e.budget.Cap()))
+		e.budget.SetGauge(reg.Gauge(budgetPrefix+"_budget_busy",
+			"campaign workers currently holding a budget slot", budgetLabels))
+		e.sched.register(reg, machine, e.journalDir != "")
 	}
+	return nil
 }
 
-// Budget returns the study's global worker budget, for callers that run
-// ad-hoc campaigns (e.g. the multi-bit ablation) and want them to share
-// the study's capacity instead of oversubscribing it.
-func (s *Study) Budget() *campaign.Budget { return s.budget }
-
-// runCampaign is the single-flight campaign executor: exactly one
-// execution per key, concurrent callers coalesce onto it, results are
-// cached for the study's lifetime. A campaign that panics is evicted from
-// the flight map before the panic propagates, so a transient failure
-// (bad fault list, broken runner) never poisons its key: the next caller
-// re-executes instead of receiving the dead flight's nil result forever.
-func (s *Study) runCampaign(structure, workload string, mode Mode, window uint64) []CampaignResult {
-	key := campaignKey{structure, workload, mode, window}
-	res, coalesced := s.flights.do(key, func() []CampaignResult {
-		if s.sched.inflight != nil {
-			s.sched.inflight.Set(float64(s.sched.live.Add(1)))
-			defer func() { s.sched.inflight.Set(float64(s.sched.live.Add(-1))) }()
+// journalFor returns the journal a campaign reads and appends to, or nil
+// when it runs uncached. A service namespaces shards by (machine, seed,
+// faults): without it, requests differing only in seed or sample size
+// would alternately truncate each other's shards (the shard path is
+// derived from structure/workload/mode/window alone).
+func (e *executor) journalFor(key assessKey) *journal.Journal {
+	if e.journalDir == "" {
+		return nil
+	}
+	ns := ""
+	if e.namespaced {
+		ns = fmt.Sprintf("%s-seed%d-n%d", key.machine, key.seed, key.faults)
+	}
+	e.jmu.Lock()
+	defer e.jmu.Unlock()
+	if j, ok := e.journals[ns]; ok {
+		return j
+	}
+	j, err := journal.Open(filepath.Join(e.journalDir, ns))
+	if err != nil {
+		// Best-effort cache: a broken namespace degrades to simulation.
+		e.obs.Logf("journal: namespace %s: %v; campaigns will run uncached", ns, err)
+		if e.sched.jErrors != nil {
+			e.sched.jErrors.Inc()
 		}
-		r := s.runners[workload]
-		var sp *obs.SpanRef
-		if mode == campaign.ModeAVGI {
-			sp = s.Cfg.Obs.Span("assess "+structure+" "+workload, "estimator",
-				map[string]string{"structure": structure, "workload": workload, "window": fmt.Sprint(window)})
+	}
+	e.journals[ns] = j
+	return j
+}
+
+// run answers one campaign under single-flight: a retained or running
+// execution of key if there is one, otherwise the journal and then the
+// simulator on r under budget. It returns one result per fault (nil only
+// if the executions it rode panicked), how many of them this call's own
+// execution took from the journal, and how the call was served.
+func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res []CampaignResult, resumed int, how served) {
+	for attempt := 0; ; attempt++ {
+		res, how = e.flights.do(key, func() []CampaignResult {
+			if e.sched.inflight != nil {
+				e.sched.inflight.Set(float64(e.sched.live.Add(1)))
+				defer func() { e.sched.inflight.Set(float64(e.sched.live.Add(-1))) }()
+			}
+			var sp *obs.SpanRef
+			if e.traceAVGI && key.mode == campaign.ModeAVGI {
+				sp = e.obs.Span("assess "+key.structure+" "+key.workload, "estimator",
+					map[string]string{"structure": key.structure, "workload": key.workload, "window": fmt.Sprint(key.window)})
+			}
+			// Deferred (not straight-line) so a panicking campaign still closes
+			// its span — otherwise one failure left the trace permanently open.
+			defer sp.End()
+			out, re := e.simulate(key, r, budget)
+			resumed = re
+			return out
+		})
+		if how != ran && e.sched.dedup != nil {
+			e.sched.dedup.Inc()
 		}
-		// Deferred (not straight-line) so a panicking campaign still closes
-		// its span — otherwise one failure left the trace permanently open.
-		defer sp.End()
-		res, _ := s.exec().run(r, structure, workload, s.faultsFor(structure, workload),
-			mode, window, s.budget)
-		return res
-	})
-	if coalesced && s.sched.dedup != nil {
-		s.sched.dedup.Inc()
-	}
-	return res
-}
-
-// exec assembles the study's journal-consulting campaign executor.
-func (s *Study) exec() *journalExec {
-	return &journalExec{
-		journal: s.journal,
-		resume:  s.Cfg.Resume,
-		machine: s.Cfg.Machine.Name,
-		variant: s.Cfg.Machine.Variant.String(),
-		seed:    s.Cfg.SeedBase,
-		sync:    s.Cfg.Fsync,
-		dist:    s.Cfg.Dist,
-		obs:     s.Cfg.Obs,
-		sched:   &s.sched,
+		if res != nil || how == ran || attempt >= 1 {
+			return res, resumed, how
+		}
+		// nil from a coalesced wait means the leader panicked and was
+		// evicted; retry once as (most likely) the new leader so the caller
+		// surfaces the real failure instead of an opaque nil.
 	}
 }
 
-// journalExec runs one campaign through the durable journal — the shared
-// service core under both the study scheduler and the avgid assessment
-// server. When the executor has a journal, a fully journalled pair loads
-// instead of re-simulating, a partial shard resumes from its missing fault
-// indices, and every freshly completed chunk is appended and fsynced. The
-// journal is strictly best-effort: an unwritable shard degrades to an
-// unjournalled run, never a failed campaign — but since Writer errors are
-// sticky and otherwise invisible until Close, the first failure per shard
-// is logged and counted (avgi_journal_errors_total) the moment it happens.
-type journalExec struct {
-	journal *journal.Journal // nil = unjournalled
-	resume  bool
-	machine string
-	variant string
-	seed    int64
-	sync    journal.SyncPolicy
-	dist    *DistConfig // non-nil with Fleet > 0 = distributed execution
-	obs     *Observer
-	sched   *schedObs
-}
-
-// run executes one campaign under budget and returns its results plus the
-// number of fault results reused from the journal; resumed == len(faults)
-// means a full cache hit with zero simulation.
-func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault,
-	mode Mode, window uint64, budget *campaign.Budget) (res []CampaignResult, resumed int) {
-	spec := campaign.RunSpec{Faults: faults, Mode: mode, Window: window, Budget: budget}
-	if je.journal == nil {
+// simulate executes one campaign through the journal and returns its
+// results plus the number of fault results reused from the journal;
+// resumed == len(res) means a full journal hit with zero simulation.
+func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (res []CampaignResult, resumed int) {
+	faults := r.FaultList(key.structure, key.faults, key.seed)
+	spec := campaign.RunSpec{Faults: faults, Mode: key.mode, Window: key.window, Budget: budget}
+	j := e.journalFor(key)
+	if j == nil {
 		res, _ = r.RunCampaign(spec)
 		return res, 0
 	}
-	key := journal.Key{Structure: structure, Workload: workload, Mode: mode.String(), Window: window}
+	jkey := journal.Key{Structure: key.structure, Workload: key.workload, Mode: key.mode.String(), Window: key.window}
 	bind := journal.Binding{
-		Machine:     je.machine,
-		Variant:     je.variant,
+		Machine:     r.Cfg.Name,
+		Variant:     r.Cfg.Variant.String(),
 		ProgramHash: journal.HashProgram(r.Prog),
-		Seed:        je.seed,
+		Seed:        key.seed,
 		Faults:      len(faults),
 	}
-	if je.dist != nil && je.dist.Fleet > 0 {
-		if res, resumed, ok := je.runDist(r, structure, workload, key, bind, faults, mode, window, budget); ok {
+	if e.dist != nil && e.dist.Fleet > 0 {
+		if res, resumed, ok := e.runDist(j, r, key, jkey, bind, faults, budget); ok {
 			return res, resumed
 		}
 		// A failed distributed run (unwritable part shard, broken lease
@@ -198,23 +239,23 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 		// stops contributing to the fleet but still answers its caller.
 	}
 	var prior map[int]CampaignResult
-	if je.resume {
+	if e.resume {
 		var err error
-		prior, err = je.journal.Load(key, bind)
+		prior, err = j.Load(jkey, bind)
 		if err != nil {
 			// Mismatched or corrupt header: the shard belongs to a
 			// different configuration or build. Refuse its records and
 			// re-simulate (the Writer below truncates it).
-			je.obs.Logf("journal: %s/%s %s: %v; re-simulating", structure, workload, mode, err)
+			e.obs.Logf("journal: %s/%s %s: %v; re-simulating", key.structure, key.workload, key.mode, err)
 			prior = nil
 		}
-		if len(prior) > 0 && je.sched.jResumed != nil {
-			je.sched.jResumed.Add(uint64(len(prior)))
+		if len(prior) > 0 && e.sched.jResumed != nil {
+			e.sched.jResumed.Add(uint64(len(prior)))
 		}
 		if len(prior) == len(faults) {
 			// Full hit: the pair is already durable, no simulation at all.
-			if je.sched.jHits != nil {
-				je.sched.jHits.Inc()
+			if e.sched.jHits != nil {
+				e.sched.jHits.Inc()
 			}
 			out := make([]CampaignResult, len(faults))
 			for i := range out {
@@ -224,35 +265,35 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 		}
 	}
 	spec.Prior = prior
-	w, err := je.journal.Writer(key, bind, je.resume && len(prior) > 0)
+	w, err := j.Writer(jkey, bind, e.resume && len(prior) > 0)
 	if err != nil {
-		je.obs.Logf("journal: %s/%s %s: %v; campaign will run unjournalled", structure, workload, mode, err)
-		if je.sched.jErrors != nil {
-			je.sched.jErrors.Inc()
+		e.obs.Logf("journal: %s/%s %s: %v; campaign will run unjournalled", key.structure, key.workload, key.mode, err)
+		if e.sched.jErrors != nil {
+			e.sched.jErrors.Inc()
 		}
 		res, _ = r.RunCampaign(spec)
 		return res, len(prior)
 	}
-	w.SetSyncPolicy(je.sync)
+	w.SetSyncPolicy(e.fsync)
 	// Surface the first I/O failure when it strikes, not at Close: a
 	// long-running service would otherwise simulate for hours believing it
 	// was journalling. The writer disables itself after the first error, so
 	// the hook fires at most once per shard.
 	w.OnError(func(err error) {
-		je.obs.Logf("journal: %s/%s %s: write failed: %v; shard writes disabled, campaign continues unjournalled",
-			structure, workload, mode, err)
-		if je.sched.jErrors != nil {
-			je.sched.jErrors.Inc()
+		e.obs.Logf("journal: %s/%s %s: write failed: %v; shard writes disabled, campaign continues unjournalled",
+			key.structure, key.workload, key.mode, err)
+		if e.sched.jErrors != nil {
+			e.sched.jErrors.Inc()
 		}
 	})
 	var appended func(uint64)
-	if c := je.sched.jAppends; c != nil {
+	if c := e.sched.jAppends; c != nil {
 		appended = c.Add
 	}
 	spec.Sink = journal.NewChunkSink(w, prior, appended)
 	res, _ = r.RunCampaign(spec)
 	if err := w.Close(); err != nil {
-		je.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", structure, workload, mode, err)
+		e.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", key.structure, key.workload, key.mode, err)
 	}
 	return res, len(prior)
 }
@@ -262,33 +303,32 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 // distributed run failed and the caller should fall back to plain local
 // execution; resumed counts the fault results that were already durable
 // somewhere in the fleet's journal before this run.
-func (je *journalExec) runDist(r *Runner, structure, workload string,
-	key journal.Key, bind journal.Binding, faults []Fault,
-	mode Mode, window uint64, budget *campaign.Budget) (res []CampaignResult, resumed int, ok bool) {
-	prior, err := je.journal.LoadAll(key, bind)
+func (e *executor) runDist(j *journal.Journal, r *Runner, key assessKey, jkey journal.Key,
+	bind journal.Binding, faults []Fault, budget *campaign.Budget) (res []CampaignResult, resumed int, ok bool) {
+	prior, err := j.LoadAll(jkey, bind)
 	if err != nil {
 		prior = nil
 	}
-	if len(prior) > 0 && je.sched.jResumed != nil {
-		je.sched.jResumed.Add(uint64(len(prior)))
+	if len(prior) > 0 && e.sched.jResumed != nil {
+		e.sched.jResumed.Add(uint64(len(prior)))
 	}
-	if len(prior) == len(faults) && je.sched.jHits != nil {
-		je.sched.jHits.Inc()
+	if len(prior) == len(faults) && e.sched.jHits != nil {
+		e.sched.jHits.Inc()
 	}
 	res, err = dist.Run(dist.Config{
-		Journal:      je.journal,
-		Leaser:       je.dist.leaser(),
-		Owner:        je.dist.Owner,
-		Fleet:        je.dist.Fleet,
+		Journal:      j,
+		Leaser:       e.dist.leaser(),
+		Owner:        e.dist.Owner,
+		Fleet:        e.dist.Fleet,
 		LocalWorkers: budget.Cap(),
-		TTL:          je.dist.LeaseTTL,
-		Sync:         je.sync,
-		Obs:          je.obs,
-	}, r, faults, key, bind, mode, window)
+		TTL:          e.dist.LeaseTTL,
+		Sync:         e.fsync,
+		Obs:          e.obs,
+	}, r, faults, jkey, bind, key.mode, key.window)
 	if err != nil {
-		je.obs.Logf("dist: %s/%s %s: %v; falling back to local execution", structure, workload, mode, err)
-		if je.sched.jErrors != nil {
-			je.sched.jErrors.Inc()
+		e.obs.Logf("dist: %s/%s %s: %v; falling back to local execution", key.structure, key.workload, key.mode, err)
+		if e.sched.jErrors != nil {
+			e.sched.jErrors.Inc()
 		}
 		return nil, 0, false
 	}
@@ -296,6 +336,23 @@ func (je *journalExec) runDist(r *Runner, structure, workload string,
 	// have simulated only part of the missing work; the rest of the fleet
 	// journalled the remainder into its own part shards).
 	return res, len(prior), true
+}
+
+// Budget returns the study's global worker budget, for callers that run
+// ad-hoc campaigns (e.g. the multi-bit ablation) and want them to share
+// the study's capacity instead of oversubscribing it.
+func (s *Study) Budget() *campaign.Budget { return s.budget }
+
+// runCampaign runs one pair of the study through its executor: exactly
+// one execution per key, concurrent callers coalesce onto it, and the
+// results stay cached for the study's lifetime.
+func (s *Study) runCampaign(structure, workload string, mode Mode, window uint64) []CampaignResult {
+	key := assessKey{
+		machine: s.Cfg.Machine.Name, structure: structure, workload: workload,
+		mode: mode, window: window, faults: s.Cfg.FaultsPerStructure, seed: s.Cfg.SeedBase,
+	}
+	res, _, _ := s.run(key, s.runners[workload], s.budget)
+	return res
 }
 
 // Prefetch dispatches the campaigns of every (structure, workload) pair in

@@ -2,7 +2,6 @@ package avgi
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -10,27 +9,25 @@ import (
 
 	"avgi/internal/campaign"
 	"avgi/internal/core"
-	"avgi/internal/journal"
 	"avgi/internal/obs"
 	"avgi/internal/prog"
 )
 
 // This file is the assessment service core behind cmd/avgid: a
-// long-running, concurrently callable façade over the same single-flight
-// executor and durable journal the Study scheduler uses, generalised to
-// requests that vary machine, fault count and seed instead of a fixed
-// study grid. See docs/SERVICE.md.
+// long-running, concurrently callable façade over the same campaign
+// executor the Study uses (sched.go), generalised to requests that vary
+// machine, fault count and seed instead of a fixed study grid. See
+// docs/SERVICE.md.
 //
 // The cache hierarchy a request falls through:
 //
-//  1. Journal (durable): a fully journalled (structure, workload, mode,
+//  1. Flight map (memory): concurrent identical requests coalesce onto one
+//     execution, and the most recent completed executions
+//     (ShardCacheEntries, with a journal) answer repeats without touching
+//     the journal — no disk read, no decode, no simulation.
+//  2. Journal (durable): a fully journalled (structure, workload, mode,
 //     window) shard under the request's (machine, seed, faults) namespace
 //     answers with zero simulation via a strictly read-only Load.
-//  2. Flight map (in-flight): concurrent identical requests coalesce onto
-//     one execution. Unlike the Study (which retains flights for its
-//     lifetime over a bounded grid), service flights are evicted on
-//     completion — the journal is the durable cache, and a server that
-//     retained every distinct request ever seen would grow without bound.
 //  3. Simulation: the campaign runs under the requesting tenant's carved
 //     budget share and appends to the journal as chunks complete, so the
 //     next identical request is a pure cache hit.
@@ -54,11 +51,12 @@ type ServiceConfig struct {
 	// simulating. Empty disables caching (every miss simulates).
 	JournalDir string
 
-	// ShardCacheEntries sizes the in-memory decoded-shard LRU in front of
-	// the journal: repeated identical requests are answered from memory
-	// without re-reading and re-decoding the NDJSON shard. 0 defaults to
-	// 64 entries; negative disables the cache. Only meaningful with
-	// JournalDir set (the cache fronts the durable journal).
+	// ShardCacheEntries bounds how many completed campaigns the flight map
+	// keeps in memory in front of the journal, least recently used first:
+	// repeated identical requests are answered without re-reading and
+	// re-decoding the NDJSON shard. 0 defaults to 64 entries; negative
+	// keeps none. Only meaningful with JournalDir set (without a journal
+	// the service keeps nothing once a campaign completes).
 	ShardCacheEntries int
 
 	// Fsync selects the journal shard fsync cadence: SyncChunk (default),
@@ -155,25 +153,13 @@ type RequestInfo struct {
 	Error     string        `json:"error,omitempty"`
 }
 
-// assessKey identifies one deduplicatable assessment execution. Unlike the
-// Study's campaignKey it carries machine, sample size and seed, because
-// service requests vary them per call.
-type assessKey struct {
-	machine   string
-	structure string
-	workload  string
-	mode      Mode
-	window    uint64
-	faults    int
-	seed      int64
-}
-
 // serviceObs holds the avgid-specific instruments (nil-safe when the
 // service has no metrics registry).
 type serviceObs struct {
-	reg      *obs.Registry
-	inflight *obs.Gauge
-	seconds  *obs.Histogram
+	reg       *obs.Registry
+	inflight  *obs.Gauge
+	seconds   *obs.Histogram
+	cacheHits *obs.Counter // requests answered by a retained completed flight
 }
 
 func (so *serviceObs) request(tenant, outcome string) {
@@ -195,17 +181,16 @@ func (so *serviceObs) observe(d time.Duration) {
 // any number of goroutines (one per HTTP request in cmd/avgid).
 type Service struct {
 	Cfg ServiceConfig
+	*executor
 
-	budget  *campaign.Budget
-	flights *flightMap[assessKey]
-	shards  *shardCache // nil when disabled
-	sched   schedObs
-	srv     serviceObs
+	// shards is the flight map when it keeps completed flights (the
+	// memory tier of decoded shards), nil when it keeps none.
+	shards *flightMap[assessKey]
+	srv    serviceObs
 
 	mu       sync.Mutex
 	runners  map[string]*runnerSlot      // (machine, workload) -> lazy golden
 	tenants  map[string]*campaign.Budget // tenant -> carved share
-	journals map[string]*journal.Journal // (machine, seed, faults) namespace
 	requests map[uint64]*RequestInfo
 	done     [doneRequestsRetained]uint64 // ring of finished IDs; an overwritten ID leaves requests
 	finished uint64                       // finishRequest calls so far (the ring's write cursor)
@@ -217,6 +202,12 @@ type runnerSlot struct {
 	r    *Runner
 	err  error
 }
+
+// defaultShardCacheEntries is how many completed flights a journalled
+// service keeps when ServiceConfig.ShardCacheEntries is zero. At the
+// default 400-fault sample that is ~25k Results — small next to one golden
+// trace.
+const defaultShardCacheEntries = 64
 
 // maxFaultsPerRequest bounds the sample size a single request may demand.
 const maxFaultsPerRequest = 100_000
@@ -239,49 +230,43 @@ const (
 // NewService builds the shared state; golden runs happen lazily on the
 // first request that needs each (machine, workload).
 func NewService(cfg ServiceConfig) (*Service, error) {
+	retain := 0
+	if cfg.JournalDir != "" && cfg.ShardCacheEntries >= 0 {
+		retain = cfg.ShardCacheEntries
+		if retain == 0 {
+			retain = defaultShardCacheEntries
+		}
+	}
 	s := &Service{
-		Cfg:      cfg,
-		budget:   campaign.NewBudget(cfg.Workers),
-		flights:  newFlightMap[assessKey](false),
+		Cfg: cfg,
+		executor: &executor{
+			journalDir: cfg.JournalDir, namespaced: true, resume: true,
+			fsync: cfg.Fsync, dist: cfg.Dist, obs: cfg.Obs,
+		},
 		runners:  make(map[string]*runnerSlot),
 		tenants:  make(map[string]*campaign.Budget),
-		journals: make(map[string]*journal.Journal),
 		requests: make(map[uint64]*RequestInfo),
 	}
-	if cfg.JournalDir != "" {
-		// Fail now, not on the first request, if the cache root is unusable.
-		if _, err := journal.Open(cfg.JournalDir); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
+	if err := s.init(cfg.Workers, retain, "avgi_server", nil, "service"); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	if cfg.Dist != nil && cfg.Dist.Fleet > 0 && cfg.JournalDir == "" {
-		return nil, fmt.Errorf("service: distributed campaigns require JournalDir (the shared coordination substrate)")
-	}
-	if cfg.JournalDir != "" && cfg.ShardCacheEntries >= 0 {
-		entries := cfg.ShardCacheEntries
-		if entries == 0 {
-			entries = defaultShardCacheEntries
-		}
-		var reg *obs.Registry
-		if cfg.Obs != nil {
-			reg = cfg.Obs.Metrics
-		}
-		s.shards = newShardCache(entries, reg)
+	if retain > 0 {
+		s.shards = s.flights
 	}
 	if o := cfg.Obs; o != nil && o.Metrics != nil {
 		reg := o.Metrics
-		reg.Gauge("avgi_server_budget_capacity",
-			"global worker budget shared by all tenants", nil).
-			Set(float64(s.budget.Cap()))
-		s.budget.SetGauge(reg.Gauge("avgi_server_budget_busy",
-			"workers currently held across all tenants", nil))
 		s.srv.reg = reg
 		s.srv.inflight = reg.Gauge("avgi_server_inflight_requests",
 			"assessment requests currently being served", nil)
 		s.srv.seconds = reg.Histogram("avgi_server_request_seconds",
 			"assessment request service time",
 			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil)
-		s.sched.register(reg, "service", cfg.JournalDir != "")
+		if retain > 0 {
+			s.srv.cacheHits = reg.Counter("avgi_server_shard_cache_hits_total",
+				"assessments served from a retained completed flight (no journal read, no simulation)", nil)
+			s.flights.evictions = reg.Counter("avgi_server_shard_cache_evictions_total",
+				"completed flights evicted from memory to respect ShardCacheEntries", nil)
+		}
 	}
 	return s, nil
 }
@@ -357,35 +342,6 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 		slot.r = r
 	})
 	return slot.r, slot.err
-}
-
-// journalFor returns the journal namespace for one (machine, seed, faults)
-// configuration, or nil when caching is disabled. Namespacing keeps shard
-// bindings stable: without it, requests differing only in seed or sample
-// size would alternately truncate each other's shards (the shard path is
-// derived from structure/workload/mode/window alone).
-func (s *Service) journalFor(machine string, seed int64, faults int) *journal.Journal {
-	if s.Cfg.JournalDir == "" {
-		return nil
-	}
-	ns := fmt.Sprintf("%s-seed%d-n%d", machine, seed, faults)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.journals[ns]; ok {
-		return j
-	}
-	j, err := journal.Open(filepath.Join(s.Cfg.JournalDir, ns))
-	if err != nil {
-		// Best-effort cache: a broken namespace degrades to simulation.
-		s.Cfg.Obs.Logf("service: journal namespace %s: %v; requests will run uncached", ns, err)
-		if s.sched.jErrors != nil {
-			s.sched.jErrors.Inc()
-		}
-		s.journals[ns] = nil
-		return nil
-	}
-	s.journals[ns] = j
-	return j
 }
 
 func machineConfig(machine string) MachineConfig {
@@ -491,24 +447,19 @@ func (s *Service) Request(id uint64) (RequestInfo, bool) {
 	return RequestInfo{}, false
 }
 
-// Assess serves one assessment request: memory hit, journal hit, coalesce,
-// or simulate under the tenant's budget share — in that order of
-// preference. It is safe for concurrent use.
+// Assess serves one assessment request: a kept or running flight, a
+// journal hit, or a simulation under the tenant's budget share — in that
+// order of preference. It is safe for concurrent use.
 func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	norm, key, err := s.normalize(req)
 	if err != nil {
 		s.srv.request(invalidTenant, "error")
 		return nil, err
 	}
-	// Memory tier: a decoded-shard LRU hit answers without the runner, the
-	// journal or the flight map — no golden run, no disk read, no decode.
-	res, cached := s.shards.get(key)
-	var r *Runner
-	if !cached {
-		if r, err = s.runner(norm.Machine, norm.Workload); err != nil {
-			s.srv.request(norm.Tenant, "error")
-			return nil, err
-		}
+	r, err := s.runner(norm.Machine, norm.Workload)
+	if err != nil {
+		s.srv.request(norm.Tenant, "error")
+		return nil, err
 	}
 
 	info := s.registerRequest(norm)
@@ -532,21 +483,22 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		}
 	}()
 
-	resumed, coalesced := len(res), false
-	if !cached {
-		res, resumed, coalesced = s.execute(norm, key, r)
-		if res == nil {
-			return nil, fmt.Errorf("assessment failed: coalesced execution returned no results")
+	res, resumed, how := s.run(key, r, s.tenantBudget(norm.Tenant))
+	if res == nil {
+		return nil, fmt.Errorf("assessment failed: coalesced execution returned no results")
+	}
+	if how == retained {
+		// The memory tier answers like a journal hit, without the journal.
+		resumed = len(res)
+		if s.srv.cacheHits != nil {
+			s.srv.cacheHits.Inc()
 		}
-		// Whatever tier answered, the result set is now complete and durable
-		// (or deterministic-reproducible); keep it decoded for the next hit.
-		s.shards.put(key, res)
 	}
 
 	outcome := "miss"
 	meta := AssessMeta{Tenant: norm.Tenant}
 	switch {
-	case coalesced:
+	case how == joined:
 		outcome = "coalesced"
 		meta.Coalesced = true
 	case resumed == len(res) && resumed > 0:
@@ -567,37 +519,4 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		Result:  AssessResult{Results: res, Summary: sum, AVF: core.AVFFromEffects(sum)},
 		Meta:    meta,
 	}, nil
-}
-
-// execute runs the journal, flight and simulation tiers for one request:
-// one result per fault (nil if the execution it rode panicked), how many of
-// them the journal supplied, and whether an identical in-flight request did
-// the work.
-func (s *Service) execute(norm AssessRequest, key assessKey, r *Runner) (res []CampaignResult, resumed int, coalesced bool) {
-	faults := r.FaultList(norm.Structure, norm.Faults, norm.Seed)
-	je := &journalExec{
-		journal: s.journalFor(norm.Machine, norm.Seed, norm.Faults),
-		resume:  true,
-		machine: machineConfig(norm.Machine).Name,
-		variant: machineConfig(norm.Machine).Variant.String(),
-		seed:    norm.Seed,
-		sync:    s.Cfg.Fsync,
-		dist:    s.Cfg.Dist,
-		obs:     s.Cfg.Obs,
-		sched:   &s.sched,
-	}
-	for attempt := 0; ; attempt++ {
-		res, coalesced = s.flights.do(key, func() []CampaignResult {
-			out, re := je.run(r, norm.Structure, norm.Workload, faults,
-				key.mode, norm.Window, s.tenantBudget(norm.Tenant))
-			resumed = re
-			return out
-		})
-		if res != nil || !coalesced || attempt >= 1 {
-			return res, resumed, coalesced
-		}
-		// nil from a coalesced wait means the leader panicked and was
-		// evicted; retry once as (most likely) the new leader so this
-		// request surfaces the real failure instead of an opaque nil.
-	}
 }

@@ -163,6 +163,48 @@ func TestServiceConcurrentRequestsCoalesce(t *testing.T) {
 	}
 }
 
+// TestServiceSchedSeries: the scheduler series a service exports under
+// machine="service" are live — every request that rode another's execution
+// counts as a dedup hit, and the in-flight gauge returns to zero.
+func TestServiceSchedSeries(t *testing.T) {
+	s := newTestService(t, "") // no journal: every execution simulates
+	const n = 6
+	resps := make([]*AssessResponse, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			var err error
+			if resps[i], err = s.Assess(svcRequest()); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	executions := 0
+	for _, r := range resps {
+		if r != nil && !r.Meta.Coalesced {
+			executions++
+		}
+	}
+	if executions == n {
+		t.Fatalf("all %d requests executed: single-flight not engaged", n)
+	}
+	reg := s.Cfg.Obs.Metrics
+	lb := map[string]string{"machine": "service"}
+	if got := counterValue(t, reg, "avgi_sched_dedup_hits_total", lb); got != uint64(n-executions) {
+		t.Errorf("avgi_sched_dedup_hits_total = %d, want %d (%d requests, %d executions)", got, n-executions, n, executions)
+	}
+	if v := gaugeValue(t, reg, "avgi_sched_inflight_campaigns"); v != 0 {
+		t.Errorf("avgi_sched_inflight_campaigns = %v at rest, want 0", v)
+	}
+}
+
 // TestServiceJournalNamespacing: requests differing only in seed or sample
 // size must not truncate each other's shards — a rerun of the first
 // configuration stays a full journal hit.
@@ -446,3 +488,110 @@ func TestServicePublishesGoldenGauges(t *testing.T) {
 		t.Errorf("avgi_golden_cycles%v = %v after the first request, want the golden run length", lb, v)
 	}
 }
+
+// TestServiceShardCacheHit pins the memory tier: the second identical
+// request is served from the decoded-shard LRU (counted on
+// avgi_server_shard_cache_hits_total) with a byte-identical payload, and
+// disabling the cache falls back to plain journal hits.
+func TestServiceShardCacheHit(t *testing.T) {
+	s := newTestService(t, t.TempDir())
+	first, err := s.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Meta.JournalHit || second.Meta.SimulatedFaults != 0 {
+		t.Fatalf("second request meta %+v, want a zero-simulation hit", second.Meta)
+	}
+	if resultBytes(t, first) != resultBytes(t, second) {
+		t.Error("cache-served payload differs from the simulated one")
+	}
+	reg := s.Cfg.Obs.Metrics
+	hits := reg.Counter("avgi_server_shard_cache_hits_total", "", nil).Value()
+	if hits != 1 {
+		t.Errorf("avgi_server_shard_cache_hits_total = %d, want 1", hits)
+	}
+
+	// Cache disabled: the repeat request must still be a (journal) hit,
+	// with the LRU out of the picture.
+	s2, err := NewService(ServiceConfig{
+		Workers: 4, JournalDir: s.Cfg.JournalDir, ShardCacheEntries: -1,
+		Obs: NewObserver(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.shards != nil {
+		t.Fatal("ShardCacheEntries < 0 must disable the cache")
+	}
+	third, err := s2.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.Meta.JournalHit {
+		t.Errorf("journal-only service meta %+v, want a journal hit", third.Meta)
+	}
+	if resultBytes(t, first) != resultBytes(t, third) {
+		t.Error("journal-served payload differs from the simulated one")
+	}
+}
+
+// TestServiceShardCacheEviction fills the LRU past capacity and checks the
+// eviction counter moves while hits keep being served for live keys.
+func TestServiceShardCacheEviction(t *testing.T) {
+	s, err := NewService(ServiceConfig{
+		Workers: 2, JournalDir: t.TempDir(), ShardCacheEntries: 2,
+		Obs: NewObserver(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		req := svcRequest()
+		req.Seed = seed
+		if _, err := s.Assess(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.shards.len() != 2 {
+		t.Errorf("cache holds %d entries, want capacity 2", s.shards.len())
+	}
+	ev := s.Cfg.Obs.Metrics.Counter("avgi_server_shard_cache_evictions_total", "", nil).Value()
+	if ev != 1 {
+		t.Errorf("avgi_server_shard_cache_evictions_total = %d, want 1", ev)
+	}
+}
+
+// benchAssessHit measures the repeat-request latency of one service tier:
+// the decoded-shard memory LRU versus the journal (disk read + NDJSON
+// decode per hit). The harness measures both tiers on every run
+// (service.assess_hit_us / service.assess_journal_hit_ms, bench/README.md).
+func benchAssessHit(b *testing.B, cacheEntries int) {
+	s, err := NewService(ServiceConfig{
+		Workers: 4, JournalDir: b.TempDir(), ShardCacheEntries: cacheEntries,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := svcRequest()
+	req.Faults = 400 // realistic shard size: the default sample
+	if _, err := s.Assess(req); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := s.Assess(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Meta.JournalHit {
+			b.Fatalf("repeat request was not a hit: %+v", resp.Meta)
+		}
+	}
+}
+
+func BenchmarkAssessShardCacheHit(b *testing.B) { benchAssessHit(b, 0) }
+func BenchmarkAssessJournalHit(b *testing.B)    { benchAssessHit(b, -1) }

@@ -7,7 +7,6 @@ import (
 	"avgi/internal/campaign"
 	"avgi/internal/core"
 	"avgi/internal/imm"
-	"avgi/internal/journal"
 )
 
 // StudyConfig parameterises a full multi-workload, multi-structure study —
@@ -108,13 +107,9 @@ func (c *StudyConfig) fill() {
 // docs/SCHEDULING.md and Prefetch/RunAll in sched.go).
 type Study struct {
 	Cfg StudyConfig
+	*executor
 
 	runners map[string]*Runner
-	budget  *campaign.Budget
-	journal *journal.Journal
-	flights *flightMap[campaignKey]
-
-	sched schedObs
 }
 
 // NewStudy performs the golden run of every workload.
@@ -125,24 +120,21 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 			return nil, err
 		}
 	}
-	st := &Study{
-		Cfg:     cfg,
-		runners: make(map[string]*Runner),
-	}
 	if cfg.Resume && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("study: Resume requires JournalDir")
 	}
-	if cfg.Dist != nil && cfg.Dist.Fleet > 0 && cfg.JournalDir == "" {
-		return nil, fmt.Errorf("study: distributed campaigns require JournalDir (the shared coordination substrate)")
+	st := &Study{
+		Cfg: cfg,
+		executor: &executor{
+			journalDir: cfg.JournalDir, resume: cfg.Resume, traceAVGI: true,
+			fsync: cfg.Fsync, dist: cfg.Dist, obs: cfg.Obs,
+		},
+		runners: make(map[string]*Runner),
 	}
-	if cfg.JournalDir != "" {
-		j, err := journal.Open(cfg.JournalDir)
-		if err != nil {
-			return nil, fmt.Errorf("study: %w", err)
-		}
-		st.journal = j
+	if err := st.init(cfg.Workers, retainAll, "avgi_sched",
+		map[string]string{"machine": cfg.Machine.Name}, cfg.Machine.Name); err != nil {
+		return nil, fmt.Errorf("study: %w", err)
 	}
-	st.initSched()
 	allGolden := cfg.Obs.Span("golden runs", "golden",
 		map[string]string{"machine": cfg.Machine.Name, "workloads": fmt.Sprint(len(cfg.Workloads))})
 	for _, w := range cfg.Workloads {
@@ -170,11 +162,6 @@ func (s *Study) WorkloadNames() []string {
 	}
 	sort.Strings(ns)
 	return ns
-}
-
-// faultsFor builds the deterministic fault list for a pair.
-func (s *Study) faultsFor(structure, workload string) []Fault {
-	return s.runners[workload].FaultList(structure, s.Cfg.FaultsPerStructure, s.Cfg.SeedBase)
 }
 
 // Campaign runs (or returns the cached results of) one campaign through
