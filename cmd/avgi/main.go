@@ -206,10 +206,6 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 	if common.Resume && common.Journal == "" {
 		return nil, fmt.Errorf("-resume requires -journal DIR")
 	}
-	fsync, err := common.SyncPolicy()
-	if err != nil {
-		return nil, err
-	}
 	if err := common.ValidateDist(); err != nil {
 		return nil, err
 	}
@@ -241,7 +237,6 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 		Obs:                obsv,
 		JournalDir:         common.Journal,
 		Resume:             common.Resume,
-		Fsync:              fsync,
 		Dist:               distCfg,
 		Forensics:          explorer,
 		ForensicsSample:    *flagForensicsSample,

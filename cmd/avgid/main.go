@@ -61,11 +61,6 @@ func main() {
 		logger.Error(err.Error())
 		os.Exit(2)
 	}
-	fsync, err := serverFlags.SyncPolicy()
-	if err != nil {
-		logger.Error(err.Error())
-		os.Exit(2)
-	}
 	// Both distributed roles run their own campaigns as fleet shares:
 	// -workers means the fleet-wide worker count, the coordinator leases
 	// in-process while workers lease through its /v1/dist endpoints.
@@ -87,7 +82,6 @@ func main() {
 		TenantWorkers:     serverFlags.TenantWorkers,
 		JournalDir:        serverFlags.Journal,
 		ShardCacheEntries: serverFlags.ShardCache,
-		Fsync:             fsync,
 		Dist:              distCfg,
 		Obs:               obsv,
 	})

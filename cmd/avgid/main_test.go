@@ -323,7 +323,7 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	coordDist.UseCoordinator(coord)
 	obsv := avgi.NewObserver(io.Discard)
 	coordSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Fsync: avgi.SyncEvery, Dist: coordDist, Obs: obsv,
+		Workers: 2, JournalDir: dir, Dist: coordDist, Obs: obsv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	defer ts.Close()
 
 	workerSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Fsync: avgi.SyncEvery,
+		Workers: 2, JournalDir: dir,
 		Dist: &avgi.DistConfig{Fleet: 4, Owner: "worker-node", Coordinator: ts.URL, LeaseTTL: 2 * time.Second},
 		Obs:  avgi.NewObserver(io.Discard),
 	})

@@ -13,9 +13,9 @@
 //	avgisim -machine a15 -disasm crc32  # disassemble the 32-bit image
 //	avgisim -inject "RF:100:5000" sha   # flip RF bit 100 at cycle 5000
 //
-// Like cmd/avgi, AVGI-mode windows end early once the injected corruption
-// is provably erased; -early-exit=false forces full ERT windows
-// (docs/PERFORMANCE.md).
+// An injection runs its faulty program to completion (exhaustive mode), so
+// the AVGI convergence early exit never applies and avgisim has no
+// -early-exit flag.
 package main
 
 import (
@@ -64,10 +64,6 @@ func main() {
 	logger, err = clilog.New(os.Stderr, "avgisim", common.Log)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "avgisim:", err)
-		os.Exit(2)
-	}
-	if _, err := common.SyncPolicy(); err != nil {
-		logger.Error(err.Error())
 		os.Exit(2)
 	}
 	stopProf, err := common.StartProfiles(func(msg string) { logger.Error(msg) })
@@ -149,7 +145,7 @@ func run(name string, obsv *avgi.Observer) error {
 	if common.Forensics {
 		explorer = avgi.NewExplorer()
 	}
-	r.Configure(obsv, explorer, 1, common.EarlyExit)
+	r.Configure(obsv, explorer, 1, false)
 	fmt.Printf("workload  %s (%s)\n", name, cfg.Name)
 	fmt.Printf("golden    %d cycles, %d commits, IPC %.2f\n",
 		r.Golden.Cycles, r.Golden.Commits,
@@ -273,9 +269,6 @@ func injectJournalled(r *avgi.Runner, f fault.Fault, workload string, cfg avgi.M
 	w, err := j.Writer(key, bind, false)
 	if err != nil {
 		return res, nil // journal is best-effort; the result stands
-	}
-	if sync, err := common.SyncPolicy(); err == nil {
-		w.SetSyncPolicy(sync)
 	}
 	w.Append(0, res)
 	if err := w.Close(); err == nil {

@@ -4,24 +4,7 @@ import (
 	"time"
 
 	"avgi/internal/dist"
-	"avgi/internal/journal"
 )
-
-// SyncPolicy selects the journal shard fsync cadence (the -fsync flag):
-// SyncChunk (default) fsyncs once per completed chunk, SyncEvery fsyncs
-// every appended record — the distributed-worker setting, bounding another
-// node's takeover loss to one fault — and SyncOff only flushes, trading
-// crash durability for throughput on scratch journals. See docs/ROBUSTNESS.md.
-type SyncPolicy = journal.SyncPolicy
-
-const (
-	SyncChunk = journal.SyncChunk
-	SyncEvery = journal.SyncEvery
-	SyncOff   = journal.SyncOff
-)
-
-// ParseSyncPolicy parses "chunk", "every" or "off".
-func ParseSyncPolicy(s string) (SyncPolicy, error) { return journal.ParseSyncPolicy(s) }
 
 // DistConfig opts a Study or Service into the distributed campaign layer:
 // every campaign runs as this node's share of a fleet that shards the fault

@@ -26,7 +26,6 @@ func distStudy(t *testing.T, journalDir, owner string) *Study {
 		Workers:            2,
 		JournalDir:         journalDir,
 		Resume:             true,
-		Fsync:              SyncEvery,
 	}
 	if owner != "" {
 		cfg.Dist = &DistConfig{Fleet: 4, Owner: owner, LeaseTTL: 2 * time.Second}
@@ -38,9 +37,10 @@ func distStudy(t *testing.T, journalDir, owner string) *Study {
 	return s
 }
 
-// distShard locates the canonical shard a study's RF/crc32 HVF campaign
-// journals to, for byte-level comparisons.
-func distShard(t *testing.T, s *Study, dir string) (journal.Key, journal.Binding, string) {
+// hvfShard locates the canonical shard the RF/crc32 HVF campaign of r's
+// machine at (seed, faults) journals to under dir — whether a Study or a
+// Service runs it — for byte-level and layout checks.
+func hvfShard(t *testing.T, dir string, r *Runner, seed int64, faults int) (journal.Key, journal.Binding, string) {
 	t.Helper()
 	j, err := journal.Open(dir)
 	if err != nil {
@@ -48,13 +48,19 @@ func distShard(t *testing.T, s *Study, dir string) (journal.Key, journal.Binding
 	}
 	key := journal.Key{Structure: "RF", Workload: "crc32", Mode: ModeHVF.String()}
 	bind := journal.Binding{
-		Machine:     s.Cfg.Machine.Name,
-		Variant:     s.Cfg.Machine.Variant.String(),
-		ProgramHash: journal.HashProgram(s.Runner("crc32").Prog),
-		Seed:        s.Cfg.SeedBase,
-		Faults:      s.Cfg.FaultsPerStructure,
+		Machine:     r.Cfg.Name,
+		Variant:     r.Cfg.Variant.String(),
+		ProgramHash: journal.HashProgram(r.Prog),
+		Seed:        seed,
+		Faults:      faults,
 	}
 	return key, bind, filepath.Join(dir, filepath.FromSlash(j.ShardID(key, bind)))
+}
+
+// distShard is hvfShard for a study built by distStudy.
+func distShard(t *testing.T, s *Study, dir string) (journal.Key, journal.Binding, string) {
+	t.Helper()
+	return hvfShard(t, dir, s.Runner("crc32"), s.Cfg.SeedBase, s.Cfg.FaultsPerStructure)
 }
 
 // TestStudyDistTwoNodes drives the distributed layer through the public
@@ -129,7 +135,6 @@ func TestServiceDistAssess(t *testing.T) {
 	s, err := NewService(ServiceConfig{
 		Workers:    2,
 		JournalDir: dir,
-		Fsync:      SyncEvery,
 		Dist:       &DistConfig{Fleet: 2, Owner: "svc-node", LeaseTTL: 2 * time.Second},
 		Obs:        NewObserver(nil),
 	})
@@ -162,5 +167,27 @@ func TestServiceDistAssess(t *testing.T) {
 	}
 	if resultBytes(t, first) != resultBytes(t, ref) {
 		t.Error("distributed assessment payload diverges from the plain service's")
+	}
+}
+
+// TestStudyDistFailureLeavesCanonicalShard: when this node cannot open its
+// part shard, the distributed run fails and the study answers from an
+// unjournalled local run. It must not open a writer on the canonical shard,
+// which another node may be merging at that moment.
+func TestStudyDistFailureLeavesCanonicalShard(t *testing.T) {
+	want := distStudy(t, t.TempDir(), "").Campaign("RF", "crc32", ModeHVF, 0)
+
+	dir := t.TempDir()
+	node := distStudy(t, dir, "node-0")
+	_, _, canonical := distShard(t, node, dir)
+	// A directory where the part shard belongs: PartWriter fails with EISDIR.
+	if err := os.MkdirAll(canonical+".part-node-0", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.Campaign("RF", "crc32", ModeHVF, 0); !reflect.DeepEqual(got, want) {
+		t.Error("fallback results diverge from a plain study's")
+	}
+	if _, err := os.Stat(canonical); !os.IsNotExist(err) {
+		t.Errorf("fallback touched the canonical shard (stat err %v), want it absent", err)
 	}
 }

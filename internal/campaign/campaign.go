@@ -225,8 +225,8 @@ type Runner struct {
 	// shrinks (TestEarlyExitDifferential compares the outcomes,
 	// TestEarlyExitStateGolden the stopped machines themselves,
 	// TestTimelineDifferential the lookup against the live oracle).
-	// Off by default so recorded SimCycles stay comparable; both batch CLIs
-	// turn it on unless -early-exit=false, and avgid always does.
+	// Off by default so recorded SimCycles stay comparable; avgi turns it
+	// on unless -early-exit=false, and avgid always does.
 	EarlyExit bool
 
 	// ckptOnce lazily records the checkpoint store, and with it the golden

@@ -66,11 +66,6 @@ func (b *Budget) Carve(max int) *Budget {
 	return &Budget{slots: make(chan struct{}, max), parent: b}
 }
 
-// Acquire blocks until a worker slot is free in this budget and every
-// ancestor it was carved from, and claims them all. Child slots are taken
-// before parent slots so a tenant at its own cap queues on itself without
-// holding shared capacity hostage while it waits.
-
 // InUse returns the number of currently acquired workers.
 func (b *Budget) InUse() int { return int(b.inUse.Load()) }
 
@@ -78,6 +73,10 @@ func (b *Budget) InUse() int { return int(b.inUse.Load()) }
 // Call before the budget is shared between goroutines.
 func (b *Budget) SetGauge(g *obs.Gauge) { b.busy = g }
 
+// Acquire blocks until a worker slot is free in this budget and every
+// ancestor it was carved from, and claims them all. Child slots are taken
+// before parent slots so a tenant at its own cap queues on itself without
+// holding shared capacity hostage while it waits.
 func (b *Budget) Acquire() {
 	b.slots <- struct{}{}
 	if b.parent != nil {

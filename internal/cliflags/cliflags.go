@@ -1,8 +1,8 @@
 // Package cliflags holds the flag set and startup helpers shared by the
-// avgi and avgisim commands: early exit, telemetry (progress, metrics
-// endpoint, forensics, log format), durable journalling and pprof profile
-// capture for both; the worker budget and distributed-fleet membership for
-// avgi alone.
+// avgi and avgisim commands: telemetry (progress, metrics endpoint,
+// forensics, log format), durable journalling and pprof profile capture for
+// both; the AVGI early exit, the worker budget and distributed-fleet
+// membership for avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
 // the machine shape (see package campaign).
 // Each command registers these once and adds its own tool-specific flags on
@@ -17,13 +17,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"time"
-
-	"avgi/internal/journal"
 )
 
 // Common is the flag state shared by both commands, populated by Register
-// (RegisterCampaign also fills Workers and the Dist* cluster) and read after
-// flag.Parse.
+// (RegisterCampaign also fills EarlyExit, Workers and the Dist* cluster) and
+// read after flag.Parse.
 type Common struct {
 	Workers int
 
@@ -32,7 +30,6 @@ type Common struct {
 
 	Journal string
 	Resume  bool
-	Fsync   string
 
 	DistRole    string
 	DistOwner   string
@@ -50,8 +47,8 @@ type Common struct {
 
 // Register installs on fs (normally flag.CommandLine) the flags both batch
 // tools honour and returns the struct they populate. avgisim stops here: it
-// runs one targeted fault, so a worker budget and fleet membership would be
-// flags it could only ignore or reject.
+// runs one targeted fault to completion, so an AVGI early exit, a worker
+// budget and fleet membership would be flags it could only ignore or reject.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
@@ -63,8 +60,6 @@ func Register(fs *flag.FlagSet) *Common {
 		"append completed per-fault results as durable NDJSON shards under this directory (see docs/ROBUSTNESS.md)")
 	fs.BoolVar(&c.Resume, "resume", false,
 		"with -journal: reuse journalled results instead of re-simulating")
-	fs.StringVar(&c.Fsync, "fsync", "chunk",
-		"journal shard fsync cadence: chunk (default, per completed chunk), every (per fault result; the distributed-worker setting) or off (flush only; see docs/ROBUSTNESS.md)")
 
 	fs.BoolVar(&c.Progress, "progress", false,
 		"print live campaign progress lines to stderr")
@@ -73,17 +68,17 @@ func Register(fs *flag.FlagSet) *Common {
 
 	fs.BoolVar(&c.Forensics, "forensics", false,
 		"attribute sampled faults' fates (masking source, first divergence); see docs/OBSERVABILITY.md")
-	fs.BoolVar(&c.EarlyExit, "early-exit", true,
-		"end AVGI faulty windows as soon as the fault is provably dead (classification-identical; -early-exit=false forces full ERT windows, see docs/PERFORMANCE.md)")
 	fs.StringVar(&c.Log, "log", "text",
 		"stderr log format: text (classic prefixed lines) or json")
 	return c
 }
 
 // RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
-// the worker budget and the distributed-fleet cluster.
+// the AVGI early exit, the worker budget and the distributed-fleet cluster.
 func RegisterCampaign(fs *flag.FlagSet) *Common {
 	c := Register(fs)
+	fs.BoolVar(&c.EarlyExit, "early-exit", true,
+		"end AVGI faulty windows as soon as the fault is provably dead (classification-identical; -early-exit=false forces full ERT windows, see docs/PERFORMANCE.md)")
 	fs.IntVar(&c.Workers, "workers", 0,
 		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
 	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,
@@ -101,7 +96,6 @@ type Server struct {
 	DrainTimeout  time.Duration
 	Log           string
 
-	Fsync      string
 	ShardCache int
 
 	DistRole    string
@@ -142,23 +136,11 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 		"how long a SIGTERM/SIGINT shutdown waits for in-flight requests before dropping them")
 	fs.StringVar(&s.Log, "log", "text",
 		"stderr log format: text (classic prefixed lines) or json")
-	fs.StringVar(&s.Fsync, "fsync", "chunk",
-		"journal shard fsync cadence: chunk (default), every (per fault result) or off (flush only; see docs/ROBUSTNESS.md)")
 	fs.IntVar(&s.ShardCache, "shard-cache", 0,
 		"completed campaigns kept in memory in front of the journal, least recently used first (0 = default 64, negative keeps none)")
 	registerDist(fs, &s.DistRole, &s.DistOwner, &s.Coordinator, &s.LeaseTTL,
 		"\"\" (standalone), coordinator (arbitrate leases and fan campaigns out on /v1/dist/*) or worker (poll a -coordinator's feed and run its campaigns against the shared journal; see docs/DISTRIBUTED.md)")
 	return s
-}
-
-// SyncPolicy resolves the -fsync flag.
-func (c *Common) SyncPolicy() (journal.SyncPolicy, error) {
-	return journal.ParseSyncPolicy(c.Fsync)
-}
-
-// SyncPolicy resolves the server's -fsync flag.
-func (s *Server) SyncPolicy() (journal.SyncPolicy, error) {
-	return journal.ParseSyncPolicy(s.Fsync)
 }
 
 // ValidateDist checks cmd/avgi's distributed flag cluster: the only legal

@@ -13,7 +13,7 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Log != "text" || !c.EarlyExit || c.Fsync != "chunk" {
+	if c.Log != "text" || c.EarlyExit {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 
@@ -27,7 +27,7 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 8 ||
+	if c.Workers != 8 || !c.EarlyExit ||
 		c.Journal != "/tmp/j" || !c.Resume || !c.Progress ||
 		c.MetricsAddr != "localhost:9090" || !c.Forensics || c.Log != "json" {
 		t.Fatalf("parsed values wrong: %+v", c)
@@ -36,7 +36,8 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 
 // TestFlagNamesPinned pins the exact flag surface of the three registrars,
 // so adding (or dropping) a knob is a visible one-line diff in review.
-// Register is all avgisim shares: it has no -workers and no fleet flags.
+// Register is all avgisim shares: it has no -early-exit, no -workers and no
+// fleet flags.
 func TestFlagNamesPinned(t *testing.T) {
 	names := func(register func(*flag.FlagSet)) []string {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -47,7 +48,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	}
 	both := names(func(fs *flag.FlagSet) { Register(fs) })
 	if want := []string{
-		"cpuprofile", "early-exit", "forensics", "fsync", "journal", "log",
+		"cpuprofile", "forensics", "journal", "log",
 		"memprofile", "metrics-addr", "progress", "resume",
 	}; !reflect.DeepEqual(both, want) {
 		t.Errorf("Register flags:\n got %q\nwant %q", both, want)
@@ -55,7 +56,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	campaign := names(func(fs *flag.FlagSet) { RegisterCampaign(fs) })
 	if want := []string{
 		"coordinator", "cpuprofile", "dist-owner", "dist-role", "early-exit",
-		"forensics", "fsync", "journal", "lease-ttl", "log", "memprofile",
+		"forensics", "journal", "lease-ttl", "log", "memprofile",
 		"metrics-addr", "progress", "resume", "workers",
 	}; !reflect.DeepEqual(campaign, want) {
 		t.Errorf("RegisterCampaign flags:\n got %q\nwant %q", campaign, want)
@@ -63,7 +64,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	server := names(func(fs *flag.FlagSet) { RegisterServer(fs) })
 	if want := []string{
 		"addr", "coordinator", "dist-owner", "dist-role", "drain-timeout",
-		"fsync", "journal", "lease-ttl", "log", "shard-cache",
+		"journal", "lease-ttl", "log", "shard-cache",
 		"tenant-workers", "workers",
 	}; !reflect.DeepEqual(server, want) {
 		t.Errorf("RegisterServer flags:\n got %q\nwant %q", server, want)

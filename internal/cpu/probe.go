@@ -112,13 +112,20 @@ func (p *FaultProbe) Facts() ProbeFacts { return p.facts }
 // TestEarlyExitStateGolden (internal/campaign) holds all twelve to that.
 func (p *FaultProbe) EnableConvergenceStop() { p.stopOnConverge = true }
 
-// Converged reports whether the probe facts prove the fault can no longer
-// affect the run: no live corrupted site was ever consumed and every site
-// that latched the flip has been erased. LiveSites == 0 (the flip landed
-// entirely on free/invalid entries) converges trivially at arm time.
-func (p *FaultProbe) Converged() bool {
-	return p.facts.Reads == 0 && p.facts.Killed >= p.facts.LiveSites
+// Converged is the early-exit termination predicate: the facts prove the
+// fault can no longer affect the run. Nothing ever consumed a live
+// corrupted site (so no deviation has been seeded into the pipeline), and
+// every site that latched the flip has since been erased by golden-valued
+// writes — the machine state is bit-identical to the fault-free run, so the
+// remaining window cannot produce anything the full window would not.
+// LiveSites == 0 (the flip landed entirely on free/invalid entries)
+// converges trivially at arm time.
+func (f ProbeFacts) Converged() bool {
+	return f.Reads == 0 && f.Killed >= f.LiveSites
 }
+
+// Converged reports whether the probe's facts so far prove convergence.
+func (p *FaultProbe) Converged() bool { return p.facts.Converged() }
 
 // ArmProbe installs a fate probe for a fault of the given width injected
 // at bit of structure (the same index spaces as Target.FlipBit — arm after

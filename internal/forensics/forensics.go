@@ -214,18 +214,6 @@ func Attribute(f cpu.ProbeFacts, out Outcome) Record {
 	return rec
 }
 
-// Converged is the early-exit termination predicate: the probe facts prove
-// the fault can no longer affect the run. Nothing ever consumed a live
-// corrupted site (so no deviation has been seeded into the pipeline), and
-// every site that latched the flip has since been erased by golden-valued
-// writes — the machine state is bit-identical to the fault-free run, so
-// the remaining window cannot produce anything the full window would not.
-// LiveSites == 0 (a never-latched flip) converges trivially. This mirrors
-// the in-core check the probe runs each cycle (cpu.FaultProbe.Converged).
-func Converged(f cpu.ProbeFacts) bool {
-	return f.Reads == 0 && f.Killed >= f.LiveSites
-}
-
 func sinceInjection(cycle, inject uint64) uint64 {
 	if cycle > inject {
 		return cycle - inject

@@ -164,8 +164,8 @@ func TestConverged(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Converged(tc.f); got != tc.want {
-				t.Fatalf("Converged(%+v) = %v, want %v", tc.f, got, tc.want)
+			if got := tc.f.Converged(); got != tc.want {
+				t.Fatalf("%+v.Converged() = %v, want %v", tc.f, got, tc.want)
 			}
 			if !tc.want {
 				return

@@ -116,48 +116,21 @@ func HashProgram(p *asm.Program) uint64 {
 }
 
 // SyncPolicy selects when a Writer fsyncs its shard — the
-// durability/throughput trade of docs/ROBUSTNESS.md. Loss bounds on a
-// crash (a torn tail is always recovered from, whatever the policy):
+// durability/throughput trade of docs/ROBUSTNESS.md. It is not a user
+// setting: it follows from the shard's role. Loss bounds on a crash (a
+// torn tail is always recovered from, whatever the policy):
 //
 //   - SyncChunk (default): Sync is called once per completed campaign
 //     chunk; loss is bounded to the chunks still in flight.
 //   - SyncEvery: every Append flushes and fsyncs — per-fault durability,
-//     the right setting for distributed workers whose chunks another node
-//     must be able to take over mid-flight.
-//   - SyncOff: never fsync (buffered writes reach the OS at Sync/Close);
-//     a crash can lose everything since the last page-cache writeback.
+//     what a distributed node's part shard uses, because another node
+//     must be able to take its chunks over mid-flight.
 type SyncPolicy uint8
 
 const (
 	SyncChunk SyncPolicy = iota
 	SyncEvery
-	SyncOff
 )
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncChunk:
-		return "chunk"
-	case SyncEvery:
-		return "every"
-	case SyncOff:
-		return "off"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// ParseSyncPolicy resolves the -fsync flag spelling.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "chunk":
-		return SyncChunk, nil
-	case "every":
-		return SyncEvery, nil
-	case "off":
-		return SyncOff, nil
-	}
-	return 0, fmt.Errorf("unknown fsync policy %q (want every, chunk or off)", s)
-}
 
 // Journal is a directory of campaign shards. All methods are safe for
 // concurrent use across distinct shards (the study runs one writer per
@@ -178,11 +151,12 @@ func Open(dir string) (*Journal, error) {
 // Dir returns the journal's root directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// shardPath derives a shard's file path. Shards are namespaced by machine
-// and variant (two studies over the same workloads on different machine
-// models must not contend for one file), named readably after the key, and
-// suffixed with the binding checksum so incompatible configurations get
-// distinct files instead of truncating each other's work.
+// shardPath derives a shard's file path. Shards are grouped into one
+// subdirectory per machine and variant, named readably after the key, and
+// suffixed with the binding checksum so incompatible configurations (another
+// machine, program, seed or fault count) get distinct files instead of
+// truncating each other's work. This is the only layout: a Study and a
+// Service over one directory read and write the same shards.
 func (j *Journal) shardPath(k Key, b Binding) string {
 	sub := sanitize(b.Machine + "-" + b.Variant)
 	name := fmt.Sprintf("%s__%s__%s__%d-%016x.ndjson",
@@ -506,10 +480,9 @@ func (w *Writer) Append(i int, res campaign.Result) {
 	}
 }
 
-// Sync flushes buffered records and, unless the policy is SyncOff, fsyncs
-// the shard — called once per completed campaign chunk, which under the
-// default SyncChunk policy bounds crash loss to in-flight chunks without
-// paying an fsync per fault.
+// Sync flushes buffered records and fsyncs the shard — called once per
+// completed campaign chunk, which under the default SyncChunk policy bounds
+// crash loss to in-flight chunks without paying an fsync per fault.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -522,9 +495,6 @@ func (w *Writer) syncLocked() error {
 	}
 	if err := w.buf.Flush(); err != nil {
 		return w.fail(fmt.Errorf("journal: %w", err))
-	}
-	if w.policy == SyncOff {
-		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		return w.fail(fmt.Errorf("journal: %w", err))
@@ -571,7 +541,7 @@ func (w *Writer) Appended() uint64 {
 	return w.appended
 }
 
-// Close flushes, fsyncs (policy permitting) and closes the shard,
+// Close flushes, fsyncs and closes the shard,
 // returning the first error encountered over the writer's lifetime.
 func (w *Writer) Close() error {
 	w.mu.Lock()

@@ -2,7 +2,6 @@ package avgi
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -102,34 +101,31 @@ type executor struct {
 	flights *flightMap[assessKey]
 	sched   schedObs
 
-	journalDir string // "" = unjournalled
-	namespaced bool   // shards under journalDir/<machine>-seed<S>-n<N> (service), not journalDir (study)
-	resume     bool
-	traceAVGI  bool // one span per AVGI-mode campaign: a study's grid is bounded, a server's request stream is not
-	fsync      journal.SyncPolicy
-	dist       *DistConfig // non-nil with Fleet > 0 = distributed execution
-	obs        *Observer
-
-	jmu      sync.Mutex
-	journals map[string]*journal.Journal // namespace -> journal; nil = unusable, run uncached
+	journal   *journal.Journal // nil = unjournalled
+	resume    bool
+	traceAVGI bool        // one span per AVGI-mode campaign: a study's grid is bounded, a server's request stream is not
+	dist      *DistConfig // non-nil with Fleet > 0 = distributed execution
+	obs       *Observer
 }
 
-// init builds the budget and the flight map (keeping retain completed
-// flights, see flightMap), opens the journal root, and registers the
-// executor's metrics: the budget gauges as <budgetPrefix>_budget_* with
-// budgetLabels, the scheduler and journal series under machine.
-func (e *executor) init(workers, retain int, budgetPrefix string, budgetLabels map[string]string, machine string) error {
-	if e.dist != nil && e.dist.Fleet > 0 && e.journalDir == "" {
+// init opens the journal at journalDir ("" = unjournalled), builds the
+// budget and the flight map (keeping retain completed flights, see
+// flightMap), and registers the executor's metrics: the budget gauges as
+// <budgetPrefix>_budget_* with budgetLabels, the scheduler and journal
+// series under machine. Study and Service use the same shard layout under
+// journalDir: a shard's file name carries the checksum of its full binding
+// (machine, variant, program, seed, fault count), so campaigns that differ
+// in any of them never share a file.
+func (e *executor) init(journalDir string, workers, retain int, budgetPrefix string, budgetLabels map[string]string, machine string) error {
+	if e.dist != nil && e.dist.Fleet > 0 && journalDir == "" {
 		return fmt.Errorf("distributed campaigns require JournalDir (the shared coordination substrate)")
 	}
-	e.journals = make(map[string]*journal.Journal)
-	if e.journalDir != "" {
-		// Fail now, not on the first campaign, if the journal root is unusable.
-		j, err := journal.Open(e.journalDir)
+	if journalDir != "" {
+		j, err := journal.Open(journalDir)
 		if err != nil {
 			return err
 		}
-		e.journals[""] = j // a study's namespace: shards at the root
+		e.journal = j
 	}
 	e.budget = campaign.NewBudget(workers)
 	e.flights = newFlightMap[assessKey](retain)
@@ -140,39 +136,9 @@ func (e *executor) init(workers, retain int, budgetPrefix string, budgetLabels m
 			Set(float64(e.budget.Cap()))
 		e.budget.SetGauge(reg.Gauge(budgetPrefix+"_budget_busy",
 			"campaign workers currently holding a budget slot", budgetLabels))
-		e.sched.register(reg, machine, e.journalDir != "")
+		e.sched.register(reg, machine, e.journal != nil)
 	}
 	return nil
-}
-
-// journalFor returns the journal a campaign reads and appends to, or nil
-// when it runs uncached. A service namespaces shards by (machine, seed,
-// faults): without it, requests differing only in seed or sample size
-// would alternately truncate each other's shards (the shard path is
-// derived from structure/workload/mode/window alone).
-func (e *executor) journalFor(key assessKey) *journal.Journal {
-	if e.journalDir == "" {
-		return nil
-	}
-	ns := ""
-	if e.namespaced {
-		ns = fmt.Sprintf("%s-seed%d-n%d", key.machine, key.seed, key.faults)
-	}
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
-	if j, ok := e.journals[ns]; ok {
-		return j
-	}
-	j, err := journal.Open(filepath.Join(e.journalDir, ns))
-	if err != nil {
-		// Best-effort cache: a broken namespace degrades to simulation.
-		e.obs.Logf("journal: namespace %s: %v; campaigns will run uncached", ns, err)
-		if e.sched.jErrors != nil {
-			e.sched.jErrors.Inc()
-		}
-	}
-	e.journals[ns] = j
-	return j
 }
 
 // run answers one campaign under single-flight: a retained or running
@@ -217,7 +183,7 @@ func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res [
 func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (res []CampaignResult, resumed int) {
 	faults := r.FaultList(key.structure, key.faults, key.seed)
 	spec := campaign.RunSpec{Faults: faults, Mode: key.mode, Window: key.window, Budget: budget}
-	j := e.journalFor(key)
+	j := e.journal
 	if j == nil {
 		res, _ = r.RunCampaign(spec)
 		return res, 0
@@ -235,8 +201,11 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 			return res, resumed
 		}
 		// A failed distributed run (unwritable part shard, broken lease
-		// transport) degrades to plain local execution below — the node
-		// stops contributing to the fleet but still answers its caller.
+		// transport) degrades to an unjournalled local run: the node stops
+		// contributing to the fleet but still answers its caller, and opens
+		// no writer on a canonical shard another node may be merging.
+		res, _ = r.RunCampaign(spec)
+		return res, 0
 	}
 	var prior map[int]CampaignResult
 	if e.resume {
@@ -274,7 +243,6 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 		res, _ = r.RunCampaign(spec)
 		return res, len(prior)
 	}
-	w.SetSyncPolicy(e.fsync)
 	// Surface the first I/O failure when it strikes, not at Close: a
 	// long-running service would otherwise simulate for hours believing it
 	// was journalling. The writer disables itself after the first error, so
@@ -322,7 +290,7 @@ func (e *executor) runDist(j *journal.Journal, r *Runner, key assessKey, jkey jo
 		Fleet:        e.dist.Fleet,
 		LocalWorkers: budget.Cap(),
 		TTL:          e.dist.LeaseTTL,
-		Sync:         e.fsync,
+		Sync:         journal.SyncEvery, // bounds a takeover's loss to one fault
 		Obs:          e.obs,
 	}, r, faults, jkey, bind, key.mode, key.window)
 	if err != nil {

@@ -25,9 +25,10 @@ import (
 //     execution, and the most recent completed executions
 //     (ShardCacheEntries, with a journal) answer repeats without touching
 //     the journal — no disk read, no decode, no simulation.
-//  2. Journal (durable): a fully journalled (structure, workload, mode,
-//     window) shard under the request's (machine, seed, faults) namespace
-//     answers with zero simulation via a strictly read-only Load.
+//  2. Journal (durable): a fully journalled shard of the request's
+//     (structure, workload, mode, window) and binding (machine, program,
+//     seed, faults) answers with zero simulation via a strictly read-only
+//     Load — the same shard a Study of that campaign writes.
 //  3. Simulation: the campaign runs under the requesting tenant's carved
 //     budget share and appends to the journal as chunks complete, so the
 //     next identical request is a pure cache hit.
@@ -46,9 +47,11 @@ type ServiceConfig struct {
 	TenantWorkers int
 
 	// JournalDir enables the durable result cache: campaigns append to
-	// NDJSON shards namespaced by (machine, seed, faults) under this
-	// directory, and fully journalled requests are answered without
-	// simulating. Empty disables caching (every miss simulates).
+	// NDJSON shards under this directory in the same layout a Study writes
+	// (each shard's file name carries its full binding, seed and fault
+	// count included), and fully journalled requests — a study's among
+	// them — are answered without simulating. Empty disables caching
+	// (every miss simulates).
 	JournalDir string
 
 	// ShardCacheEntries bounds how many completed campaigns the flight map
@@ -58,10 +61,6 @@ type ServiceConfig struct {
 	// keeps none. Only meaningful with JournalDir set (without a journal
 	// the service keeps nothing once a campaign completes).
 	ShardCacheEntries int
-
-	// Fsync selects the journal shard fsync cadence: SyncChunk (default),
-	// SyncEvery or SyncOff. See docs/ROBUSTNESS.md.
-	Fsync SyncPolicy
 
 	// Dist, when non-nil with Fleet > 0, runs every campaign this service
 	// simulates as the node's share of a distributed fleet (requires
@@ -238,16 +237,13 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 	}
 	s := &Service{
-		Cfg: cfg,
-		executor: &executor{
-			journalDir: cfg.JournalDir, namespaced: true, resume: true,
-			fsync: cfg.Fsync, dist: cfg.Dist, obs: cfg.Obs,
-		},
+		Cfg:      cfg,
+		executor: &executor{resume: true, dist: cfg.Dist, obs: cfg.Obs},
 		runners:  make(map[string]*runnerSlot),
 		tenants:  make(map[string]*campaign.Budget),
 		requests: make(map[uint64]*RequestInfo),
 	}
-	if err := s.init(cfg.Workers, retain, "avgi_server", nil, "service"); err != nil {
+	if err := s.init(cfg.JournalDir, cfg.Workers, retain, "avgi_server", nil, "service"); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if retain > 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -205,11 +207,16 @@ func TestServiceSchedSeries(t *testing.T) {
 	}
 }
 
-// TestServiceJournalNamespacing: requests differing only in seed or sample
-// size must not truncate each other's shards — a rerun of the first
-// configuration stays a full journal hit.
-func TestServiceJournalNamespacing(t *testing.T) {
-	s := newTestService(t, t.TempDir())
+// TestServiceJournalSeedsDistinct: requests differing only in seed journal
+// to distinct shards side by side under <JournalDir>/<machine>-<variant>/,
+// so a rerun of the first stays a full journal hit. The service keeps no
+// completed flight, so the rerun is answered by the journal itself.
+func TestServiceJournalSeedsDistinct(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewService(ServiceConfig{Workers: 4, JournalDir: dir, ShardCacheEntries: -1, Obs: NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reqA := svcRequest()
 	reqB := svcRequest()
 	reqB.Seed = 8
@@ -225,6 +232,46 @@ func TestServiceJournalNamespacing(t *testing.T) {
 	}
 	if !again.Meta.JournalHit || again.Meta.SimulatedFaults != 0 {
 		t.Errorf("seed-8 run clobbered the seed-7 shard: meta %+v", again.Meta)
+	}
+
+	r, err := s.runner("a72", reqA.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machineDir := filepath.Join(dir, r.Cfg.Name+"-"+r.Cfg.Variant.String())
+	for _, seed := range []int64{reqA.Seed, reqB.Seed} {
+		_, _, shard := hvfShard(t, dir, r, seed, svcFaults)
+		if filepath.Dir(shard) != machineDir {
+			t.Errorf("seed %d shard %s is not directly under %s", seed, shard, machineDir)
+		}
+		if _, err := os.Stat(shard); err != nil {
+			t.Errorf("seed %d shard: %v", seed, err)
+		}
+	}
+}
+
+// TestServiceAnswersStudyJournal: Study and Service share one shard
+// layout, so a service over a study's journal answers the study's campaign
+// as a journal hit, with the study's exact results.
+func TestServiceAnswersStudyJournal(t *testing.T) {
+	dir := t.TempDir()
+	want := distStudy(t, dir, "").Campaign("RF", "crc32", ModeHVF, 0)
+
+	s, err := NewService(ServiceConfig{Workers: 4, JournalDir: dir, ShardCacheEntries: -1, Obs: NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := svcRequest()
+	req.Seed = 1
+	resp, err := s.Assess(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Meta.JournalHit || resp.Meta.SimulatedFaults != 0 {
+		t.Errorf("service over a study's journal: meta %+v, want a journal hit", resp.Meta)
+	}
+	if !reflect.DeepEqual(resp.Result.Results, want) {
+		t.Error("service results diverge from the study's")
 	}
 }
 

@@ -48,10 +48,6 @@ type StudyConfig struct {
 	// Results are byte-identical to an uninterrupted run.
 	Resume bool
 
-	// Fsync selects the journal shard fsync cadence: SyncChunk (default),
-	// SyncEvery or SyncOff. See docs/ROBUSTNESS.md.
-	Fsync SyncPolicy
-
 	// Dist, when non-nil with Fleet > 0, runs every campaign of the study
 	// as this node's share of a distributed fleet sharding chunks across
 	// processes (requires JournalDir; the journal directory — or the
@@ -126,12 +122,11 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	st := &Study{
 		Cfg: cfg,
 		executor: &executor{
-			journalDir: cfg.JournalDir, resume: cfg.Resume, traceAVGI: true,
-			fsync: cfg.Fsync, dist: cfg.Dist, obs: cfg.Obs,
+			resume: cfg.Resume, traceAVGI: true, dist: cfg.Dist, obs: cfg.Obs,
 		},
 		runners: make(map[string]*Runner),
 	}
-	if err := st.init(cfg.Workers, retainAll, "avgi_sched",
+	if err := st.init(cfg.JournalDir, cfg.Workers, retainAll, "avgi_sched",
 		map[string]string{"machine": cfg.Machine.Name}, cfg.Machine.Name); err != nil {
 		return nil, fmt.Errorf("study: %w", err)
 	}
