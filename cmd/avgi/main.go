@@ -15,13 +15,14 @@
 //	avgi -faults 200 fig3
 //	avgi -workloads sha,crc32,qsort -faults 100 table2
 //	avgi -csv fig10 > fig10.csv
-//	avgi -early-exit=false -faults 200 fig3   # force full ERT windows
+//	avgi -early-exit=false -faults 200 fig3   # simulate every run in full
 //
-// AVGI-mode campaigns end each faulty window as soon as the injected
-// corruption is provably erased (see docs/PERFORMANCE.md); the
-// classification is identical to a full-window run, only faster.
-// -early-exit=false disables the oracle, e.g. to compare simulated-cycle
-// costs against the paper's full-window accounting.
+// Campaigns of every mode stop simulating a faulty run as soon as the
+// injected corruption is provably erased (see docs/PERFORMANCE.md); the
+// classification is identical to a full run, only faster, and exhaustive
+// and HVF results are identical down to the cycles charged.
+// -early-exit=false disables the oracle, e.g. to compare AVGI
+// simulated-cycle costs against the paper's full-window accounting.
 package main
 
 import (

@@ -13,9 +13,9 @@
 //	avgisim -machine a15 -disasm crc32  # disassemble the 32-bit image
 //	avgisim -inject "RF:100:5000" sha   # flip RF bit 100 at cycle 5000
 //
-// An injection runs its faulty program to completion (exhaustive mode), so
-// the AVGI convergence early exit never applies and avgisim has no
-// -early-exit flag.
+// An injection simulates its faulty program to completion (exhaustive mode,
+// with the convergence early exit off: the run itself is what is being
+// inspected), so avgisim has no -early-exit flag.
 package main
 
 import (

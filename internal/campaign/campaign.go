@@ -23,6 +23,13 @@
 // only the cursor's initial seek). The cursor is proven byte-identical to a
 // serial clone-per-fault reference kept in the package's tests (see
 // docs/CHECKPOINTING.md).
+//
+// Under Runner.EarlyExit no mode simulates what is provably golden: the
+// golden site timeline settles a single-bit fault whose site is dead,
+// erased unread or untouched by lookup, the others fork at their site's
+// first use, and the convergence oracle ends a run whose machine is golden
+// again — an exhaustive or HVF run is then completed as the golden run it
+// has become, so its Result, SimCycles included, is the full run's.
 package campaign
 
 import (
@@ -133,8 +140,10 @@ type Result struct {
 	// mode, whether or not anyone ran them — a ModeAVGI fault the golden
 	// site timeline resolves is charged what the convergence oracle would
 	// have simulated, one forked at its site's first use the whole stretch
-	// from injection. Speedups derived from it (study.sim_speedup_x) compare
-	// methodologies, not host time, and do not move with the timeline.
+	// from injection, and an exhaustive or HVF fault the timeline or the
+	// oracle settles the run to the golden halt, the traditional cost.
+	// Speedups derived from it (study.sim_speedup_x) compare methodologies,
+	// not host time, and do not move with the timeline or the oracle.
 	SimCycles uint64
 
 	// Crash records how a crashed run died.
@@ -212,21 +221,25 @@ type Runner struct {
 	// worker layouts). 0 or 1 probes every fault.
 	ForensicsSample int
 
-	// EarlyExit means: do not simulate what is provably golden. On
-	// ModeAVGI faults a fate probe watches every injected fault, and the
-	// faulty window ends the moment the probe proves the machine state is
-	// bit-identical to golden again (every latched site erased by
-	// golden-valued writes, nothing consumed first) instead of running to
-	// the full ERT horizon; a single-bit fault is first looked up in the
-	// golden site timeline (resolve), which answers for the probe without
-	// a faulty cycle when the site is dead, erased unread or untouched in
-	// its window, and otherwise defers the fork to the site's first use.
-	// Classification is identical to the full-window run — only SimCycles
-	// shrinks (TestEarlyExitDifferential compares the outcomes,
-	// TestEarlyExitStateGolden the stopped machines themselves,
-	// TestTimelineDifferential the lookup against the live oracle).
-	// Off by default so recorded SimCycles stay comparable; avgi turns it
-	// on unless -early-exit=false, and avgid always does.
+	// EarlyExit means: do not simulate what is provably golden, in every
+	// mode. A fate probe watches every injected fault, and the faulty run
+	// ends the moment the probe proves the machine state is bit-identical
+	// to golden again (every latched site erased by golden-valued writes,
+	// nothing consumed first): a ModeAVGI window there instead of at the
+	// full ERT horizon, and an exhaustive or HVF run is completed as the
+	// golden one, which is what it would have become by the halt. A
+	// single-bit fault is first looked up in the golden site timeline
+	// (resolve), which answers for the probe without a faulty cycle when
+	// the site is dead, erased unread or untouched in its window, and
+	// otherwise defers the fork to the site's first use. Results are
+	// identical to the full run's; in ModeAVGI only SimCycles shrinks, and
+	// in the other modes not even that (TestEarlyExitDifferential compares
+	// the outcomes, TestEarlyExitStateGolden the stopped machines
+	// themselves, TestTimelineDifferential and
+	// TestTimelineDifferentialModes the lookup against the live oracle
+	// and the full run). Off by default so recorded AVGI SimCycles stay
+	// comparable; avgi turns it on unless -early-exit=false, and avgid
+	// always does.
 	EarlyExit bool
 
 	// ckptOnce lazily records the checkpoint store, and with it the golden
@@ -245,6 +258,17 @@ func (r *Runner) RunawayLimit() uint64 {
 		factor = DefaultRunawayFactor
 	}
 	return r.Golden.Cycles*factor + RunawayGraceCycles
+}
+
+// horizon is where a faulty run injected at t would end without the
+// convergence oracle if nothing deviated: the ERT horizon in ModeAVGI,
+// capped at the golden halt (a converged machine replays the golden run, so
+// it could never run further), and the halt itself in the other modes.
+func (r *Runner) horizon(mode Mode, t, ert uint64) uint64 {
+	if mode == ModeAVGI {
+		return min(t+ert, r.Golden.Cycles)
+	}
+	return r.Golden.Cycles
 }
 
 // checkpoints lazily records the shared checkpoint store (spaced at
@@ -515,7 +539,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	ro := r.newRunObs(faults, mode, prior)
 	store, pool := r.checkpoints()
 	var tl *cpu.Timeline
-	if r.EarlyExit && mode == ModeAVGI && earlyExitCheck == nil {
+	if r.EarlyExit && earlyExitCheck == nil {
 		tl = store.Timeline()
 	}
 	// Contiguous chunks keep each worker's cursor advancing monotonically
@@ -666,8 +690,7 @@ var earlyExitCheck func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts)
 
 // winMeta is the per-fault window-oracle telemetry: whether the early-exit
 // oracle ended the faulty window, and an estimate of the cycles it saved
-// against the full ERT horizon (capped at the golden halt — a converged
-// machine replays the golden run, so it could never have run further).
+// against the full window (Runner.horizon).
 type winMeta struct {
 	earlyExit   bool
 	cyclesSaved uint64
@@ -717,7 +740,7 @@ type worker struct {
 	ro    *runObs
 	store *ckpt.Store
 	pool  *ckpt.Pool
-	tl    *cpu.Timeline // nil unless single-bit ModeAVGI faults may be resolved by lookup
+	tl    *cpu.Timeline // nil unless EarlyExit lets single-bit faults be resolved by lookup
 
 	m     *cpu.Machine  // the pooled golden cursor
 	csnap *cpu.Snapshot // worker-local fault-point snapshot
@@ -792,34 +815,37 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result
 }
 
 // resolve asks the golden site timeline what the convergence oracle would
-// see of f, injected at f.Cycle with the window the comparator gives it: to
-// the first golden commit beyond f.Cycle+ert, or to the program's end. A
-// site that held nothing reachable, is erased before anything reads it, or
-// meets no event in the window leaves a machine bit-identical to golden: the
-// Result — Benign, charged the cycles the live oracle would have run — is
-// written here and fm.resolved says why. Otherwise at is the cycle to fork
-// at: one before the site's first event, until which the faulty machine is
-// the golden one with the same flip pending. An event in the window's last
-// cycle may come behind the commit that ends it, and a halt flushes the
-// caches: both are left to the run. Multi-bit faults (an overwrite can erase
-// one flipped bit and not its neighbour) and campaigns without a timeline
-// fork at f.Cycle.
+// see of f, injected at f.Cycle with the window its mode gives it: in
+// ModeAVGI to the first golden commit beyond f.Cycle+ert, or to the
+// program's end; in the other modes to the program's end. A site that held
+// nothing reachable, is erased before anything reads it, or meets no event
+// in the window leaves a machine bit-identical to golden: the Result —
+// Benign, charged the cycles the live oracle would have run, which outside
+// ModeAVGI is the run to the golden halt — is written here and fm.resolved
+// says why. Otherwise at is the cycle to fork at: one before the site's
+// first event, until which the faulty machine is the golden one with the
+// same flip pending. An event in the window's last cycle may come behind the
+// commit that ends it, and a halt flushes the caches: both are left to the
+// run. Multi-bit faults (an overwrite can erase one flipped bit and not its
+// neighbour) and campaigns without a timeline fork at f.Cycle.
 func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats, fm forkMeta) {
 	r, t := w.r, f.Cycle
 	if at = t; w.tl == nil || f.Bits() != 1 || f.Bit >= r.BitCounts[f.Structure] || t >= r.Golden.Cycles {
 		return
 	}
-	tr := r.Golden.Trace
-	k := sort.Search(len(tr), func(k int) bool { return tr[k].Cycle > t+w.ert })
-	end, halts := r.Golden.Cycles, k == len(tr)
-	if !halts {
-		end = tr[k].Cycle
+	end, halts := r.Golden.Cycles, true
+	if w.mode == ModeAVGI {
+		tr := r.Golden.Trace
+		if k := sort.Search(len(tr), func(k int) bool { return tr[k].Cycle > t+w.ert }); k < len(tr) {
+			end, halts = tr[k].Cycle, false
+		}
 	}
 	fate, masked := w.tl.Fate(f.Structure, f.Bit, t, end)
 	switch {
 	case !fate.Live:
 		fm.resolved, end = resolvedDead, t+1
-	case fate.Cycle == 0 && halts:
+	case fate.Cycle == 0 && halts && strings.HasSuffix(f.Structure, ")"):
+		// Only a cache, "L1D (Data)" and the like, meets the halt's flush.
 		at = end - 1
 		return
 	case fate.Cycle == 0:
@@ -831,10 +857,15 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 		fm.resolved, end = resolvedErased, fate.Cycle
 	}
 	res = Result{Fault: f, IMM: imm.Benign, SimCycles: end - t}
+	if w.mode != ModeAVGI {
+		// A machine equal to golden halts with it, as the full run would.
+		res.SimCycles = r.Golden.Cycles - t
+		res.Effect, res.HasEffect = imm.Masked, w.mode == ModeExhaustive
+	}
 	if delta.FlipsArmed = 1; masked {
 		delta.FlipsArmed, delta.FlipsMasked = 0, 1
 	}
-	if full := min(t+w.ert, r.Golden.Cycles); fm.resolved != resolvedUntouched {
+	if full := r.horizon(w.mode, t, w.ert); fm.resolved != resolvedUntouched {
 		fm.earlyExit, fm.cyclesSaved = true, full-min(full, end)
 	}
 	if r.forensicsOn(f) {
@@ -958,10 +989,10 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	// The fate probe is armed after the flip and cleared before this
 	// function returns, so the fork machinery around it (worker-local
 	// sync snapshots before, restores after) never observes one. Under
-	// the early-exit oracle every ModeAVGI fault is probed (one probe
-	// serves both the oracle and, when sampled, forensics attribution).
+	// the early-exit oracle every fault is probed (one probe serves both
+	// the oracle and, when sampled, forensics attribution).
 	forens := r.forensicsOn(f)
-	oracle := r.EarlyExit && mode == ModeAVGI
+	oracle := r.EarlyExit
 	var probe *cpu.FaultProbe
 	if forens || oracle {
 		probe = m.ArmProbe(f.Structure, f.Bit, int(width))
@@ -991,15 +1022,18 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	if oracle && res.Status == cpu.StatusStopped && !cmp.Stopped() {
 		// The machine stopped but the comparator never asked it to: the
 		// convergence oracle ended the window. Estimate the savings
-		// against where the full window would have run to — the ERT
-		// horizon, capped at the golden halt cycle (a converged machine
-		// replays the golden run from here on).
+		// against where the full window would have run to.
 		wm.earlyExit = true
 		if earlyExitCheck != nil {
 			earlyExitCheck(m, f, probe.Facts())
 		}
-		if full := min(f.Cycle+ert, r.Golden.Cycles); full > res.Cycles {
+		if full := r.horizon(mode, f.Cycle, ert); full > res.Cycles {
 			wm.cyclesSaved = full - res.Cycles
+		}
+		if mode != ModeAVGI {
+			// Only the halt ends these windows, and a machine equal to
+			// golden reaches it with golden: finish the run as that one.
+			res.Status, res.Cycles, res.Output = cpu.StatusHalted, r.Golden.Cycles, r.Golden.Output
 		}
 	}
 

@@ -96,15 +96,16 @@ func machineDiff(a, b *cpu.Machine) []string {
 	return out
 }
 
-// checkStateGolden runs faults through the early-exit oracle on one worker
-// and compares every machine it stops with a golden machine run to the same
-// cycle: every field of cpu.Machine and, through Mem, of each cache, each
-// TLB and RAM. The two must be equal as they are, or equal once the golden
-// machine has had flipped the bits the fault put where nothing can reach
-// them: all of them when the probe found no live site, and of a multi-bit
-// fault that straddles entries those on its born-dead ones (bornDead).
-// Returns the number of early exits checked.
-func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
+// checkStateGolden runs faults in mode through the early-exit oracle on one
+// worker and compares every machine it stops with a golden machine run to
+// the same cycle: every field of cpu.Machine and, through Mem, of each
+// cache, each TLB and RAM. The two must be equal as they are, or equal once
+// the golden machine has had flipped the bits the fault put where nothing
+// can reach them: all of them when the probe found no live site, and of a
+// multi-bit fault that straddles entries those on its born-dead ones
+// (bornDead). An exhaustive or HVF run is completed as the golden one only
+// after this check. Returns the number of early exits checked.
+func checkStateGolden(t *testing.T, r *Runner, mode Mode, faults []fault.Fault) int {
 	t.Helper()
 	r.EarlyExit = true
 	var golden *cpu.Machine
@@ -138,7 +139,7 @@ func checkStateGolden(t *testing.T, r *Runner, faults []fault.Fault) int {
 		}
 	}
 	defer func() { earlyExitCheck = nil }()
-	for _, res := range r.Run(faults, ModeAVGI, 2000, 1) {
+	for _, res := range r.Run(faults, mode, 2000, 1) {
 		if res.Quarantined { // a panic in the hook ends up here
 			t.Fatalf("%s quarantined: %s", res.Fault, res.Err)
 		}
@@ -240,32 +241,37 @@ func tlbAimed(r *Runner, st string) []fault.Fault {
 // TestEarlyExitDifferential can only compare outcomes.
 func TestEarlyExitStateGolden(t *testing.T) {
 	checked := map[string]int{}
+	n := 60
+	if raceEnabled {
+		n = 20
+	}
 	for _, workload := range []string{"sha", "qsort"} {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		for _, st := range cpu.StructureNames {
-			checked[st] += checkStateGolden(t, r, r.FaultList(st, 60, 11))
+			checked[st] += checkStateGolden(t, r, ModeAVGI, r.FaultList(st, 60, 11))
+			// An exhaustive run the oracle stops is completed as the golden
+			// run, so its stop must be as golden as an AVGI window's.
+			if workload == "sha" {
+				checked[st+" exhaustive"] += checkStateGolden(t, r, ModeExhaustive, r.FaultList(st, n, 11))
+			}
 		}
-		checkStateGolden(t, r, tlbAimed(r, "ITLB"))
-		checkStateGolden(t, r, tlbAimed(r, "DTLB"))
+		checkStateGolden(t, r, ModeAVGI, tlbAimed(r, "ITLB"))
+		checkStateGolden(t, r, ModeAVGI, tlbAimed(r, "DTLB"))
 		// Multi-bit faults stay on the live oracle (the golden site
 		// timeline resolves single bits only), straddlers included: a
 		// fault across a live and a born-dead entry converges with the
 		// dead one's bits still flipped.
 		// A second list of each is moved onto entry boundaries, where one
 		// fault can land on a live site and a dead one.
-		n := 60
-		if raceEnabled {
-			n = 20
-		}
 		for _, width := range []int{2, 4} {
 			for _, st := range []string{"RF", "ROB", "L1D (Data)", "L1D (Tag)", "DTLB"} {
 				faults := r.MultiBitFaultList(st, n, width, 13)
-				checked[fmt.Sprint(st, " x", width)] += checkStateGolden(t, r, faults)
+				checked[fmt.Sprint(st, " x", width)] += checkStateGolden(t, r, ModeAVGI, faults)
 				per := entryBits(r, st)
 				for i := range faults {
 					faults[i].Bit = max(faults[i].Bit/per, 1)*per - 1
 				}
-				checkStateGolden(t, r, faults)
+				checkStateGolden(t, r, ModeAVGI, faults)
 			}
 		}
 	}
@@ -292,7 +298,7 @@ func TestEarlyExitStateGoldenGrid(t *testing.T) {
 	for _, workload := range []string{"sha", "qsort", "rijndael", "cg"} {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		for _, st := range cpu.StructureNames {
-			checkStateGolden(t, r, r.FaultList(st, 250, 7))
+			checkStateGolden(t, r, ModeAVGI, r.FaultList(st, 250, 7))
 		}
 	}
 }

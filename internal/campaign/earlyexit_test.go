@@ -175,14 +175,20 @@ func TestEarlyExitMetricsPublished(t *testing.T) {
 	faults := r.FaultList("RF", 64, 5)
 	r.Run(faults, ModeAVGI, 2000, 4)
 
-	lb := map[string]string{"structure": "RF", "workload": "sha", "mode": "avgi"}
-	exits := r.Obs.Metrics.Counter("avgi_window_early_exit_total", "", lb).Value()
-	saved := r.Obs.Metrics.Counter("avgi_window_cycles_saved_total", "", lb).Value()
-	if exits == 0 {
-		t.Fatal("avgi_window_early_exit_total = 0; oracle never fired on an RF campaign")
-	}
-	if saved == 0 {
-		t.Error("avgi_window_cycles_saved_total = 0 despite early exits")
+	// An exhaustive run's window is the rest of the program: its exits are
+	// counted too, and save the cycles to the halt.
+	r.Run(faults, ModeExhaustive, 0, 4)
+
+	for _, mode := range []string{"avgi", "exhaustive"} {
+		lb := map[string]string{"structure": "RF", "workload": "sha", "mode": mode}
+		exits := r.Obs.Metrics.Counter("avgi_window_early_exit_total", "", lb).Value()
+		saved := r.Obs.Metrics.Counter("avgi_window_cycles_saved_total", "", lb).Value()
+		if exits == 0 {
+			t.Fatalf("%s: avgi_window_early_exit_total = 0; oracle never fired on an RF campaign", mode)
+		}
+		if saved == 0 {
+			t.Errorf("%s: avgi_window_cycles_saved_total = 0 despite early exits", mode)
+		}
 	}
 }
 

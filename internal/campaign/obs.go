@@ -45,7 +45,7 @@ type structAgg struct {
 	fullSyncs  uint64
 	batched    uint64
 
-	// Window-oracle telemetry (EarlyExit ModeAVGI runs).
+	// Window-oracle telemetry (EarlyExit runs, in every mode).
 	earlyExits  uint64
 	cyclesSaved uint64
 	resolved    [len(resolvedNames)]uint64 // by fate; [0] counts the faults that forked

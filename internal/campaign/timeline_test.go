@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"avgi/internal/cpu"
@@ -60,18 +61,17 @@ func windowEnd(r *Runner, f fault.Fault, ert uint64) uint64 {
 // A queue entry's consumption is the machine check at its commit, which
 // leaves no read in the facts: there the run must have crashed on that cycle.
 func TestTimelineMatchesProbe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine throughout: nothing for the race detector to see")
+	}
 	const ert = 2000
 	for _, workload := range timelineWorkloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		store, _ := r.checkpoints()
 		tl := store.Timeline()
-		// One golden pass serves every list: all the faults, by cycle. The
-		// test is serial, so under the race detector a third will do.
+		// One golden pass serves every list: all the faults, by cycle.
 		var faults []fault.Fault
 		for _, list := range timelineFaults(r) {
-			if raceEnabled {
-				list = list[:(len(list)+2)/3]
-			}
 			faults = append(faults, list...)
 		}
 		sort.SliceStable(faults, func(i, j int) bool { return faults[i].Cycle < faults[j].Cycle })
@@ -153,12 +153,12 @@ func liveOracle(fn func()) {
 
 // requireSameResults fails unless the two campaigns agree on every field of
 // every Result, SimCycles and the forensics record included.
-func requireSameResults(t *testing.T, what string, live, fast []Result) {
+func requireSameResults(t *testing.T, what string, want, got []Result) {
 	t.Helper()
-	for i := range live {
-		if !reflect.DeepEqual(live[i], fast[i]) {
-			t.Fatalf("%s fault %d (%s): the timeline changed the result:\n  live oracle %+v %+v\n  timeline    %+v %+v",
-				what, i, live[i].Fault, live[i], live[i].Forensics, fast[i], fast[i].Forensics)
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("%s fault %d (%s): the results differ:\n  reference %+v %+v\n  got       %+v %+v",
+				what, i, want[i].Fault, want[i], want[i].Forensics, got[i], got[i].Forensics)
 		}
 	}
 }
@@ -192,23 +192,131 @@ func TestTimelineDifferential(t *testing.T) {
 	}
 }
 
+// TestTimelineHaltWindow pins the windows that end at the program's halt:
+// every exhaustive and HVF window, and an AVGI window longer than what is
+// left of the run. A register freed after the injection and never allocated
+// again meets no event before the halt. The timeline must settle it as
+// untouched, as the live oracle sees it; forked one cycle short of the halt,
+// a probe armed there would find it on the free list, call it born dead, and
+// attribute the fault to the wrong cause. These three programs hold such
+// registers; under the race detector the shortest will do.
+func TestTimelineHaltWindow(t *testing.T) {
+	workloads := []string{"cg", "is", "stringsearch"}
+	if raceEnabled {
+		workloads = workloads[2:]
+	}
+	for _, workload := range workloads {
+		r := newTestRunner(t, cpu.ConfigA72(), workload)
+		r.EarlyExit = true
+		r.Forensics, r.ForensicsSample = forensics.NewExplorer(), 1
+		faults, window := r.FaultList("RF", 64, 11), r.Golden.Cycles
+		var live []Result
+		liveOracle(func() { live = r.Run(faults, ModeAVGI, window, 2) })
+		requireSameResults(t, workload+"/RF", live, r.Run(faults, ModeAVGI, window, 2))
+	}
+}
+
+// TestTimelineDifferentialModes is TestTimelineDifferential for the modes
+// whose window is the rest of the program. An exhaustive or HVF campaign
+// with EarlyExit on — faults resolved by lookup, the rest forked at their
+// site's first use, every run the oracle stops completed as the golden one
+// — must write every Result exactly as the full runs with EarlyExit off do,
+// cycles charged and forensics record included, for one worker and for two;
+// and so must the live oracle alone. Each mode must resolve a fault and stop
+// one, or the test proves nothing about that path.
+func TestTimelineDifferentialModes(t *testing.T) {
+	workloads, n, counts, late := timelineWorkloads, 10, []int{1, 2}, false
+	straddled := []string{"RF", "ROB", "L1D (Data)", "L1D (Tag)", "DTLB"}
+	if testing.Short() || raceEnabled {
+		// Two short programs, and faults from the later half of each list,
+		// whose runs to the halt are the shortest.
+		workloads, n, late = []string{"sha", "stringsearch"}, 8, true
+	}
+	if raceEnabled {
+		// One worker, or a multi-bit list, shows the detector nothing the
+		// single-bit lists on two workers do not.
+		counts, straddled = []int{2}, nil
+	}
+	modes := []Mode{ModeExhaustive, ModeHVF}
+	resolved, stopped := map[Mode]int{}, map[Mode]int{}
+	for _, workload := range workloads {
+		r := newTestRunner(t, cpu.ConfigA72(), workload)
+		r.Forensics, r.ForensicsSample = forensics.NewExplorer(), 3
+		store, _ := r.checkpoints()
+		lists := timelineFaults(r)
+		// Multi-bit faults meet the live oracle alone; these straddle two
+		// entries, one of which may be born dead (TestEarlyExitStateGolden).
+		for _, st := range straddled {
+			faults, per := r.MultiBitFaultList(st, n, 2, 13), entryBits(r, st)
+			for i := range faults {
+				faults[i].Bit = max(faults[i].Bit/per, 1)*per - 1
+			}
+			lists = append(lists, faults)
+		}
+		for _, list := range lists {
+			if late {
+				list = list[len(list)/2:]
+			}
+			faults := make([]fault.Fault, min(n, len(list)))
+			for i := range faults {
+				faults[i] = list[i*len(list)/len(faults)]
+			}
+			what := workload + "/" + faults[0].Structure
+			for _, mode := range modes {
+				r.EarlyExit = false
+				full := r.Run(faults, mode, 0, 2)
+				r.EarlyExit = true
+				var stops atomic.Int64
+				earlyExitCheck = func(*cpu.Machine, fault.Fault, cpu.ProbeFacts) { stops.Add(1) }
+				live := r.Run(faults, mode, 0, 2)
+				earlyExitCheck = nil
+				requireSameResults(t, what+" "+mode.String()+" live oracle", full, live)
+				for _, workers := range counts {
+					requireSameResults(t, what+" "+mode.String(), full, r.Run(faults, mode, 0, workers))
+				}
+				w := &worker{r: r, mode: mode, tl: store.Timeline()}
+				for _, f := range faults {
+					if _, _, _, fm := w.resolve(f); fm.resolved != 0 {
+						resolved[mode]++
+					}
+				}
+				stopped[mode] += int(stops.Load())
+			}
+		}
+	}
+	for _, mode := range modes {
+		t.Logf("%s: %d faults resolved by lookup, %d runs stopped by the oracle", mode, resolved[mode], stopped[mode])
+		if resolved[mode] == 0 || stopped[mode] == 0 {
+			t.Errorf("%s: %d faults resolved, %d runs stopped: a path went untested", mode, resolved[mode], stopped[mode])
+		}
+	}
+}
+
 // TestTimelineDifferentialSweep is TestTimelineDifferential over everything
 // the repository can run: all thirteen programs on both machines, twelve
 // structures each, 80 faults a pair (PR 24 made this sweep once, by hand,
-// for the oracle). It runs when asked for by name.
+// for the oracle), and 16 a pair in ModeExhaustive against the full runs.
+// It runs when asked for by name.
 func TestTimelineDifferentialSweep(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "Sweep") || testing.Short() || raceEnabled {
-		t.Skip("24 960 faults, twice: go test -run TestTimelineDifferentialSweep ./internal/campaign")
+		t.Skip("24 960 AVGI faults and 4 992 exhaustive ones, twice: go test -run TestTimelineDifferentialSweep ./internal/campaign")
 	}
 	for _, cfg := range []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()} {
 		for _, w := range prog.All() {
 			r := newTestRunner(t, cfg, w.Name)
-			r.EarlyExit = true
 			for _, st := range cpu.StructureNames {
+				name := cfg.Name + "/" + w.Name + "/" + st
+				r.EarlyExit = true
 				faults := r.FaultList(st, 80, 5)
 				var live []Result
 				liveOracle(func() { live = r.Run(faults, ModeAVGI, 2000, 2) })
-				requireSameResults(t, cfg.Name+"/"+w.Name+"/"+st, live, r.Run(faults, ModeAVGI, 2000, 2))
+				requireSameResults(t, name, live, r.Run(faults, ModeAVGI, 2000, 2))
+
+				faults = r.FaultList(st, 16, 5)
+				r.EarlyExit = false
+				full := r.Run(faults, ModeExhaustive, 0, 2)
+				r.EarlyExit = true
+				requireSameResults(t, name+" exhaustive", full, r.Run(faults, ModeExhaustive, 0, 2))
 			}
 		}
 	}

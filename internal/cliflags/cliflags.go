@@ -1,7 +1,7 @@
 // Package cliflags holds the flag set and startup helpers shared by the
 // avgi and avgisim commands: telemetry (progress, metrics endpoint,
 // forensics, log format), durable journalling and pprof profile capture for
-// both; the AVGI early exit, the worker budget and distributed-fleet
+// both; the convergence early exit, the worker budget and distributed-fleet
 // membership for avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
 // the machine shape (see package campaign).
@@ -47,8 +47,8 @@ type Common struct {
 
 // Register installs on fs (normally flag.CommandLine) the flags both batch
 // tools honour and returns the struct they populate. avgisim stops here: it
-// runs one targeted fault to completion, so an AVGI early exit, a worker
-// budget and fleet membership would be flags it could only ignore or reject.
+// runs one targeted fault to completion, so an early exit, a worker budget
+// and fleet membership would be flags it could only ignore or reject.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
@@ -74,11 +74,12 @@ func Register(fs *flag.FlagSet) *Common {
 }
 
 // RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
-// the AVGI early exit, the worker budget and the distributed-fleet cluster.
+// the convergence early exit, the worker budget and the distributed-fleet
+// cluster.
 func RegisterCampaign(fs *flag.FlagSet) *Common {
 	c := Register(fs)
 	fs.BoolVar(&c.EarlyExit, "early-exit", true,
-		"end AVGI faulty windows as soon as the fault is provably dead (classification-identical; -early-exit=false forces full ERT windows, see docs/PERFORMANCE.md)")
+		"end faulty runs of every mode as soon as the fault is provably dead (classification-identical; -early-exit=false simulates full ERT windows and every run to the halt, see docs/PERFORMANCE.md)")
 	fs.IntVar(&c.Workers, "workers", 0,
 		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
 	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,

@@ -68,15 +68,18 @@ type StudyConfig struct {
 	// campaign totals.
 	ForensicsSample int
 
-	// EarlyExit ends each AVGI faulty window as soon as the fault is
-	// provably dead (every latched site erased unread), instead of
-	// running to the full ERT horizon. Classifications and summaries are
-	// identical either way — only per-fault SimCycles shrink — so keep
-	// the setting consistent across resumed runs of the same journal if
-	// byte-identical shards matter. Shards journaled by a binary from
-	// before the oracle covered TLB entries and free registers keep
-	// full-window SimCycles for those faults (same classification). See
-	// campaign.Runner.EarlyExit.
+	// EarlyExit stops simulating each faulty run as soon as the fault is
+	// provably dead (every latched site erased unread), in every mode: an
+	// AVGI window ends there instead of at the full ERT horizon, and an
+	// exhaustive or HVF run is completed as the golden run it has become,
+	// so the training campaigns cost a fraction of their host time.
+	// Classifications and summaries are identical either way, and
+	// exhaustive and HVF Results byte-identical; only AVGI per-fault
+	// SimCycles shrink, so keep the setting consistent across resumed runs
+	// of the same journal if byte-identical AVGI shards matter. Shards
+	// journaled by a binary from before the oracle covered TLB entries and
+	// free registers keep full-window SimCycles for those faults (same
+	// classification). See campaign.Runner.EarlyExit.
 	EarlyExit bool
 }
 
