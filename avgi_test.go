@@ -91,6 +91,20 @@ func TestStudyValidatesStructures(t *testing.T) {
 	}
 }
 
+// A negative sample size is the user's typo (avgi -faults -5): an error,
+// never a makeslice panic inside the first fault list.
+func TestStudyRejectsNegativeFaults(t *testing.T) {
+	_, err := NewStudy(StudyConfig{
+		Machine:            ConfigA72(),
+		Workloads:          pick(t, "sha"),
+		Structures:         []string{"RF"},
+		FaultsPerStructure: -5,
+	})
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("FaultsPerStructure -5: err = %v, want a negative-size error", err)
+	}
+}
+
 func TestStudyDefaults(t *testing.T) {
 	cfg := StudyConfig{Machine: ConfigA72(), Workloads: pick(t, "sha")}
 	cfg.fill()

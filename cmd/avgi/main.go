@@ -57,8 +57,6 @@ var (
 	flagTraceOut = flag.String("trace-out", "", "write a Chrome trace_event JSON of the study phases to this file (open in chrome://tracing)")
 	flagTraceND  = flag.String("trace-ndjson", "", "write the study-phase spans as NDJSON to this file")
 
-	flagForensicsSample = flag.Int("forensics-sample", 1, "with -forensics: probe every Nth fault by fault ID (1 = all)")
-
 	// Shared campaign/telemetry/profiling flags (see internal/cliflags).
 	common = cliflags.RegisterCampaign(flag.CommandLine)
 )
@@ -240,7 +238,6 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 		Resume:             common.Resume,
 		Dist:               distCfg,
 		Forensics:          explorer,
-		ForensicsSample:    *flagForensicsSample,
 		EarlyExit:          common.EarlyExit,
 	})
 	if err != nil {

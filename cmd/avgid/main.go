@@ -79,7 +79,6 @@ func main() {
 	obsv := avgi.NewObserver(os.Stderr)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
 		Workers:           serverFlags.Workers,
-		TenantWorkers:     serverFlags.TenantWorkers,
 		JournalDir:        serverFlags.Journal,
 		ShardCacheEntries: serverFlags.ShardCache,
 		Dist:              distCfg,

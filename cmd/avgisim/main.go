@@ -36,7 +36,6 @@ import (
 	"avgi/internal/cpu"
 	"avgi/internal/fault"
 	"avgi/internal/isa"
-	"avgi/internal/journal"
 )
 
 var (
@@ -47,7 +46,7 @@ var (
 	flagStats   = flag.Bool("stats", false, "print pipeline and memory-system counters")
 	flagRunAsm  = flag.Bool("s", false, "treat the argument as an assembly source file (.s) instead of a workload name")
 
-	// Shared telemetry/journal/profiling flags (see internal/cliflags).
+	// Shared telemetry/profiling flags (see internal/cliflags).
 	common = cliflags.Register(flag.CommandLine)
 )
 
@@ -145,7 +144,7 @@ func run(name string, obsv *avgi.Observer) error {
 	if common.Forensics {
 		explorer = avgi.NewExplorer()
 	}
-	r.Configure(obsv, explorer, 1, false)
+	r.Configure(obsv, explorer, false)
 	fmt.Printf("workload  %s (%s)\n", name, cfg.Name)
 	fmt.Printf("golden    %d cycles, %d commits, IPC %.2f\n",
 		r.Golden.Cycles, r.Golden.Commits,
@@ -193,10 +192,10 @@ func run(name string, obsv *avgi.Observer) error {
 		if n := r.BitCounts[f.Structure]; bit >= n {
 			return fmt.Errorf("bad -inject bit %d: %s has %d bits", bit, f.Structure, n)
 		}
-		res, err := injectJournalled(r, f, name, cfg)
-		if err != nil {
-			return err
+		if cyc < 1 || cyc > r.Golden.Cycles {
+			return fmt.Errorf("bad -inject cycle %d: the golden run spans cycles [1, %d]", cyc, r.Golden.Cycles)
 		}
+		res := r.Run([]fault.Fault{f}, campaign.ModeExhaustive, 0, 1)[0]
 		fmt.Printf("fault     %s\n", f)
 		fmt.Printf("IMM       %s\n", res.IMM)
 		fmt.Printf("effect    %s", res.Effect)
@@ -225,56 +224,6 @@ func run(name string, obsv *avgi.Observer) error {
 
 	// Plain golden run: show a digest of the output.
 	return goldenDigest(r, ref)
-}
-
-// injectJournalled runs one targeted injection through the durable journal
-// when -journal is set: with -resume a journalled result for the exact
-// same fault is reused, otherwise the fresh result is appended. The shard
-// is keyed like a one-fault exhaustive campaign of the study scheduler.
-func injectJournalled(r *avgi.Runner, f fault.Fault, workload string, cfg avgi.MachineConfig) (campaign.Result, error) {
-	run := func() campaign.Result {
-		return r.Run([]fault.Fault{f}, campaign.ModeExhaustive, 0, 1)[0]
-	}
-	if common.Journal == "" {
-		if common.Resume {
-			return campaign.Result{}, fmt.Errorf("-resume requires -journal DIR")
-		}
-		return run(), nil
-	}
-	j, err := journal.Open(common.Journal)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	key := journal.Key{Structure: f.Structure, Workload: workload, Mode: campaign.ModeExhaustive.String(), Window: 0}
-	bind := journal.Binding{
-		Machine:     cfg.Name,
-		Variant:     cfg.Variant.String(),
-		ProgramHash: journal.HashProgram(r.Prog),
-		Seed:        0, // targeted injection: no sampled list
-		Faults:      1,
-	}
-	if common.Resume {
-		prior, err := j.Load(key, bind)
-		if err == nil {
-			// The shard is keyed by (structure, workload); the record
-			// must also carry the exact same fault, or a previous
-			// -inject with different BIT:CYCLE would be replayed.
-			if pr, ok := prior[0]; ok && pr.Fault == f {
-				fmt.Printf("journal   hit (result loaded from %s)\n", j.Dir())
-				return pr, nil
-			}
-		}
-	}
-	res := run()
-	w, err := j.Writer(key, bind, false)
-	if err != nil {
-		return res, nil // journal is best-effort; the result stands
-	}
-	w.Append(0, res)
-	if err := w.Close(); err == nil {
-		fmt.Printf("journal   result appended under %s\n", j.Dir())
-	}
-	return res, nil
 }
 
 // goldenDigest prints the golden-output head and verifies it against the

@@ -66,16 +66,20 @@ func TestInject(t *testing.T) {
 }
 
 // A bad -inject is the user's typo: an error naming it, never a panic out
-// of the campaign. There is no core-prefixed form of a structure name.
+// of the campaign. There is no core-prefixed form of a structure name, and
+// no injection cycle outside the golden run: a flip at cycle 0 or past the
+// halt lands in no machine state the program executes.
 func TestInjectRejected(t *testing.T) {
 	for inject, want := range map[string]string{
-		"c1/RF:100:5000": "unknown structure",
-		"NOPE:100:5000":  "unknown structure",
-		"RF:100":         "want STRUCTURE:BIT:CYCLE",
-		"RF:100:5000:1":  "want STRUCTURE:BIT:CYCLE",
-		"RF:x:5000":      "bad -inject numbers",
-		"RF:100:-1":      "bad -inject numbers",
-		"RF:6144:5000":   "RF has 6144 bits",
+		"c1/RF:100:5000":  "unknown structure",
+		"NOPE:100:5000":   "unknown structure",
+		"RF:100":          "want STRUCTURE:BIT:CYCLE",
+		"RF:100:5000:1":   "want STRUCTURE:BIT:CYCLE",
+		"RF:x:5000":       "bad -inject numbers",
+		"RF:100:-1":       "bad -inject numbers",
+		"RF:6144:5000":    "RF has 6144 bits",
+		"RF:100:0":        "spans cycles [1, ",
+		"RF:100:99999999": "spans cycles [1, ",
 	} {
 		_, err := runCaptured(t, "sha", map[string]string{"inject": inject})
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -61,17 +61,16 @@ func BenchmarkCampaignRunObserved(b *testing.B) {
 	benchCampaign(b, obs.New(io.Discard))
 }
 
-// BenchmarkCampaignRunForensics quantifies the fault-probe overhead the PR
-// budgets at ≤5% with every fault probed (sample=1); compare against
-// BenchmarkCampaignRun, whose nil-probe hot path must stay at 0%:
+// BenchmarkCampaignRunForensics quantifies the fault-probe overhead of
+// attributing every fault; compare against BenchmarkCampaignRun, whose
+// nil-probe hot path must stay at 0%:
 //
 //	go test -run=^$ -bench='BenchmarkCampaignRun($|Forensics)' ./internal/campaign/
 func BenchmarkCampaignRunForensics(b *testing.B) {
 	r := sharedBenchRunner(b)
 	faults := r.FaultList("RF", 64, 1)
 	r.Forensics = forensics.NewExplorer()
-	r.ForensicsSample = 1
-	defer func() { r.Forensics = nil; r.ForensicsSample = 0 }()
+	defer func() { r.Forensics = nil }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Run(faults, ModeAVGI, 2000, 1)

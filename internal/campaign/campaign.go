@@ -45,7 +45,6 @@ import (
 	"avgi/internal/asm"
 	"avgi/internal/ckpt"
 	"avgi/internal/cpu"
-	"avgi/internal/engine"
 	"avgi/internal/fault"
 	"avgi/internal/forensics"
 	"avgi/internal/imm"
@@ -89,8 +88,8 @@ func (m Mode) String() string {
 // budget are classified as crashes (StatusCycleLimit), matching the
 // hang/timeout detector of real injection rigs.
 const (
-	// DefaultRunawayFactor multiplies the golden cycle count.
-	DefaultRunawayFactor = 2
+	// RunawayFactor multiplies the golden cycle count.
+	RunawayFactor = 2
 	// RunawayGraceCycles is the additive slack on top of the factor.
 	RunawayGraceCycles = 100_000
 )
@@ -100,14 +99,10 @@ const (
 // instead of killing the process — at the paper's scale (~726k injections
 // over days of wall clock) partial failure is the normal case and one
 // poisoned fault must not take down every in-flight campaign. A campaign
-// whose freshly simulated faults exceed the limit fraction of quarantined
-// results fails loudly with an aggregated error: at that rate the problem
-// is systemic (bad config, broken build), not a stray corrupted state.
-const (
-	// DefaultQuarantineLimit is the tolerated fraction of quarantined
-	// faults per campaign before it aborts with an aggregated error.
-	DefaultQuarantineLimit = 0.25
-)
+// whose freshly simulated faults exceed QuarantineLimit quarantined results
+// fails loudly with an aggregated error: at that rate the problem is
+// systemic (bad config, broken build), not a stray corrupted state.
+const QuarantineLimit = 0.25
 
 // Golden holds the fault-free reference run.
 type Golden struct {
@@ -166,8 +161,8 @@ type Result struct {
 	Err string
 
 	// Forensics is the per-fault fate attribution captured when the
-	// runner's forensics mode sampled this fault (see internal/forensics);
-	// nil otherwise. Persisted with the journal record as a
+	// runner's forensics mode is on (see internal/forensics); nil
+	// otherwise. Persisted with the journal record as a
 	// backward-compatible extension — old shards simply lack it.
 	Forensics *forensics.Record `json:",omitempty"`
 }
@@ -179,11 +174,6 @@ type Runner struct {
 
 	// Golden is the fault-free reference.
 	Golden Golden
-
-	// GoldenEngine is the tick-engine telemetry of the golden run
-	// (cycles, per-component tick counts), published with the
-	// golden gauges by PublishGolden.
-	GoldenEngine engine.Stats
 
 	// BitCounts maps structure name to its injectable bit count.
 	BitCounts map[string]uint64
@@ -199,27 +189,12 @@ type Runner struct {
 	// keeps the hot path entirely uninstrumented.
 	Obs *obs.Observer
 
-	// RunawayFactor overrides DefaultRunawayFactor for the faulty-run
-	// cycle budget; 0 uses the default.
-	RunawayFactor uint64
-
-	// QuarantineLimit overrides DefaultQuarantineLimit, the tolerated
-	// fraction of quarantined (panicked) faults per campaign before the
-	// campaign aborts with an aggregated error. 0 uses the default;
-	// negative disables the limit entirely.
-	QuarantineLimit float64
-
-	// Forensics, when non-nil, enables per-fault fate attribution: each
-	// sampled fault gets an observation probe for its faulty run, its
-	// Result carries a forensics.Record, and every campaign's breakdown
-	// is folded into this explorer. Nil (the default) leaves the machine
-	// tick loop on the exact unprobed code.
+	// Forensics, when non-nil, enables per-fault fate attribution: every
+	// fault gets an observation probe for its faulty run, its Result
+	// carries a forensics.Record, and every campaign's breakdown is folded
+	// into this explorer. Nil (the default) leaves the machine tick loop on
+	// the exact unprobed code.
 	Forensics *forensics.Explorer
-
-	// ForensicsSample is the sampling stride under Forensics: probe
-	// faults whose ID is a multiple of N (stable across resumes and
-	// worker layouts). 0 or 1 probes every fault.
-	ForensicsSample int
 
 	// EarlyExit means: do not simulate what is provably golden, in every
 	// mode. A fate probe watches every injected fault, and the faulty run
@@ -251,13 +226,9 @@ type Runner struct {
 }
 
 // RunawayLimit returns the absolute cycle budget for faulty runs (see
-// DefaultRunawayFactor).
+// RunawayFactor).
 func (r *Runner) RunawayLimit() uint64 {
-	factor := r.RunawayFactor
-	if factor == 0 {
-		factor = DefaultRunawayFactor
-	}
-	return r.Golden.Cycles*factor + RunawayGraceCycles
+	return r.Golden.Cycles*RunawayFactor + RunawayGraceCycles
 }
 
 // horizon is where a faulty run injected at t would end without the
@@ -317,8 +288,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 			Commits: res.Commits,
 			Output:  res.Output,
 		},
-		BitCounts:    bits,
-		GoldenEngine: res.Engine,
+		BitCounts: bits,
 	}
 	r.OutputExposure = r.computeExposure(m)
 	return r, nil
@@ -516,8 +486,7 @@ type RunSpec struct {
 // process, and the panicking worker discards its possibly corrupted
 // machine state — the pooled cursor machine is dropped rather than
 // recycled. If more than QuarantineLimit of the freshly simulated faults
-// quarantine, the campaign itself panics with an aggregated error (see
-// DefaultQuarantineLimit).
+// quarantine, the campaign itself panics with an aggregated error.
 func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int) {
 	faults, mode, ert, prior, sink := spec.Faults, spec.Mode, spec.Window, spec.Prior, spec.Sink
 	results = make([]Result, len(faults))
@@ -602,7 +571,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	}
 	wg.Wait()
 	ro.finish()
-	r.checkQuarantine(results, prior, skipped)
+	checkQuarantine(results, prior, skipped)
 	if r.Forensics != nil {
 		// Fold the whole campaign — fresh and journal-resumed results
 		// alike — into the explorer, serially so the breakdown (and its
@@ -645,17 +614,10 @@ func allPrior(prior map[int]Result, lo, hi int) bool {
 }
 
 // checkQuarantine fails the campaign loudly when the quarantined fraction
-// of freshly simulated faults exceeds the runner's limit: isolated panics
-// are survivable noise, but a systemic rate means the campaign's numbers
-// would be statistically meaningless.
-func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped [][2]int) {
-	limit := r.QuarantineLimit
-	if limit == 0 {
-		limit = DefaultQuarantineLimit
-	}
-	if limit < 0 {
-		return
-	}
+// of freshly simulated faults exceeds QuarantineLimit: isolated panics are
+// survivable noise, but a systemic rate means the campaign's numbers would
+// be statistically meaningless.
+func checkQuarantine(results []Result, prior map[int]Result, skipped [][2]int) {
 	var fresh, q int
 	var sample []string
 	for i, res := range results {
@@ -673,11 +635,11 @@ func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped
 			}
 		}
 	}
-	if fresh == 0 || float64(q)/float64(fresh) <= limit {
+	if fresh == 0 || float64(q)/float64(fresh) <= QuarantineLimit {
 		return
 	}
 	panic(fmt.Sprintf("campaign: %d of %d simulated faults quarantined (limit %.0f%%); first errors: %s",
-		q, fresh, limit*100, strings.Join(sample, "; ")))
+		q, fresh, QuarantineLimit*100, strings.Join(sample, "; ")))
 }
 
 // earlyExitCheck, nil outside tests, sees every faulty machine the
@@ -868,7 +830,7 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 	if full := r.horizon(w.mode, t, w.ert); fm.resolved != resolvedUntouched {
 		fm.earlyExit, fm.cyclesSaved = true, full-min(full, end)
 	}
-	if r.forensicsOn(f) {
+	if r.Forensics != nil {
 		rec := forensics.Attribute(cpu.FactsOf(fate, t, fm.resolved == resolvedErased), forensics.Outcome{})
 		res.Forensics = &rec
 	}
@@ -990,8 +952,8 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	// function returns, so the fork machinery around it (worker-local
 	// sync snapshots before, restores after) never observes one. Under
 	// the early-exit oracle every fault is probed (one probe serves both
-	// the oracle and, when sampled, forensics attribution).
-	forens := r.forensicsOn(f)
+	// the oracle and, under forensics, attribution).
+	forens := r.Forensics != nil
 	oracle := r.EarlyExit
 	var probe *cpu.FaultProbe
 	if forens || oracle {
@@ -1098,8 +1060,8 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 				oc.Escaped = true
 				oc.ManifestLatency = out.SimCycles
 			}
-			// An oracle-probed but unsampled fault carries no record, so
-			// Results are identical whether or not the oracle was on.
+			// An oracle-probed fault without forensics carries no record,
+			// so Results are identical whether or not the oracle was on.
 			// Attribution itself is truncation-proof: a converged probe has
 			// every site dead, so no further event could have amended the
 			// facts in the cycles the exit skipped.
@@ -1108,19 +1070,6 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		}
 	}
 	return out, statsDelta(m.Stats, statsAtFork), wm
-}
-
-// forensicsOn reports whether this fault is in the forensics sample. The
-// stride keys off the fault's stable ID, so the sampled set is identical
-// across resumes and worker layouts.
-func (r *Runner) forensicsOn(f fault.Fault) bool {
-	if r.Forensics == nil {
-		return false
-	}
-	if n := r.ForensicsSample; n > 1 {
-		return f.ID%n == 0
-	}
-	return true
 }
 
 // statsDelta subtracts the fork-time snapshot from a clone's final stats.

@@ -190,12 +190,8 @@ func TestRunawayLivelockTerminates(t *testing.T) {
 
 func TestRunawayLimit(t *testing.T) {
 	r := &Runner{Golden: Golden{Cycles: 1000}}
-	if got := r.RunawayLimit(); got != 1000*DefaultRunawayFactor+RunawayGraceCycles {
-		t.Errorf("default limit = %d", got)
-	}
-	r.RunawayFactor = 5
-	if got := r.RunawayLimit(); got != 5000+RunawayGraceCycles {
-		t.Errorf("factor-5 limit = %d", got)
+	if got := r.RunawayLimit(); got != 2*1000+100_000 {
+		t.Errorf("limit = %d, want 2×golden + 100 000", got)
 	}
 }
 

@@ -77,7 +77,6 @@ func TestEarlyExitDifferential(t *testing.T) {
 func TestEarlyExitForensicsIdentical(t *testing.T) {
 	r := shaRunner(t)
 	r.Forensics = forensics.NewExplorer()
-	r.ForensicsSample = 1
 	for _, st := range []string{"RF", "DTLB"} {
 		faults := r.FaultList(st, 48, 7)
 		r.EarlyExit = false

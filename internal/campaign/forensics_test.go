@@ -9,17 +9,16 @@ import (
 	"avgi/internal/imm"
 )
 
-// With -forensics at sample 1, every non-quarantined fault must carry an
-// attribution, the cause counts must partition the campaign total, and the
-// visible cause must coincide exactly with the architectural verdict.
+// With -forensics, every non-quarantined fault must carry an attribution,
+// the cause counts must partition the campaign total, and the visible cause
+// must coincide exactly with the architectural verdict.
 func TestForensicsCoverageAndPartition(t *testing.T) {
 	r := shaRunner(t)
 	for _, structure := range []string{"RF", "ROB", "LQ", "SQ", "L1D (Data)", "L1D (Tag)", "DTLB", "L2 (Data)"} {
 		t.Run(structure, func(t *testing.T) {
 			ex := forensics.NewExplorer()
 			r.Forensics = ex
-			r.ForensicsSample = 1
-			defer func() { r.Forensics = nil; r.ForensicsSample = 0 }()
+			defer func() { r.Forensics = nil }()
 			fs := r.FaultList(structure, 40, 1)
 			results := r.Run(fs, ModeExhaustive, 0, 4)
 
@@ -30,7 +29,7 @@ func TestForensicsCoverageAndPartition(t *testing.T) {
 				}
 				rec := res.Forensics
 				if rec == nil {
-					t.Fatalf("fault %v: no attribution at sample 1", res.Fault)
+					t.Fatalf("fault %v: no attribution", res.Fault)
 				}
 				causes[rec.Cause]++
 				visible := res.Manifested || res.IMM == imm.ESC
@@ -70,23 +69,6 @@ func TestForensicsCoverageAndPartition(t *testing.T) {
 	}
 }
 
-// The sampling stride keys off the stable fault ID: only every Nth fault
-// carries an attribution, independent of worker count.
-func TestForensicsSampleStride(t *testing.T) {
-	r := shaRunner(t)
-	r.Forensics = forensics.NewExplorer()
-	r.ForensicsSample = 3
-	defer func() { r.Forensics = nil; r.ForensicsSample = 0 }()
-	fs := r.FaultList("RF", 30, 1)
-	results := r.Run(fs, ModeExhaustive, 0, 4)
-	for _, res := range results {
-		want := res.Fault.ID%3 == 0
-		if got := res.Forensics != nil; got != want {
-			t.Errorf("fault #%d: attribution %v, want %v", res.Fault.ID, got, want)
-		}
-	}
-}
-
 // With forensics off the results must be byte-identical to a forensics-on
 // campaign with the attribution stripped — the probe is observation-only
 // and the nil path is untouched — and the attribution records themselves
@@ -100,7 +82,6 @@ func TestCursorDifferentialForensics(t *testing.T) {
 	}
 
 	r.Forensics = forensics.NewExplorer()
-	r.ForensicsSample = 1
 	probed := r.Run(fs, ModeExhaustive, 0, 2)
 	want := referenceRun(r, fs, ModeExhaustive, 0)
 
@@ -127,7 +108,6 @@ func TestForensicsESCAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Forensics = forensics.NewExplorer()
-	r.ForensicsSample = 1
 	results := r.Run(r.FaultList("L1D (Data)", 200, 77), ModeExhaustive, 0, 0)
 	var escs int
 	for _, res := range results {

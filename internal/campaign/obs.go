@@ -351,7 +351,7 @@ func (ro *runObs) finish() {
 					cl := map[string]string{"cause": c.String(),
 						"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
 					reg.Counter("avgi_mask_cause_total",
-						"sampled faults by attributed fate (forensics)", cl).Add(n)
+						"faults by attributed fate (forensics)", cl).Add(n)
 				}
 			}
 		}
@@ -367,12 +367,11 @@ func (ro *runObs) finish() {
 }
 
 // Configure sets the knobs a front end chooses for its runners — telemetry,
-// forensics and its sampling stride, the ModeAVGI window oracle — and
-// publishes the golden gauges. Study, Service and avgisim all configure a
-// fresh runner through this one call, so none can run without a knob the
-// others set.
-func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, fxSample int, earlyExit bool) {
-	r.Obs, r.Forensics, r.ForensicsSample, r.EarlyExit = o, fx, fxSample, earlyExit
+// forensics, the convergence early exit — and publishes the golden gauges.
+// Study, Service and avgisim all configure a fresh runner through this one
+// call, so none can run without a knob the others set.
+func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, earlyExit bool) {
+	r.Obs, r.Forensics, r.EarlyExit = o, fx, earlyExit
 	r.PublishGolden()
 }
 
@@ -387,5 +386,4 @@ func (r *Runner) PublishGolden() {
 	reg.Gauge("avgi_golden_cycles", "golden run length in cycles", lb).Set(float64(r.Golden.Cycles))
 	reg.Gauge("avgi_golden_commits", "golden run committed instructions", lb).Set(float64(r.Golden.Commits))
 	reg.Gauge("avgi_golden_output_bytes", "golden run output size in bytes", lb).Set(float64(len(r.Golden.Output)))
-	obs.PublishEngineStats(reg, lb, r.GoldenEngine)
 }

@@ -115,17 +115,6 @@ func TestQuarantineLimitAborts(t *testing.T) {
 	r.Run(faults, ModeHVF, 0, 2)
 }
 
-// TestQuarantineLimitDisabled: a negative limit tolerates any rate.
-func TestQuarantineLimitDisabled(t *testing.T) {
-	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
-	r.QuarantineLimit = -1
-	faults := []fault.Fault{poisonFault(r, "RF", r.Golden.Cycles/2)}
-	res := r.Run(faults, ModeHVF, 0, 1)
-	if !res[0].Quarantined {
-		t.Fatal("fault not quarantined")
-	}
-}
-
 // TestRunNoObserverRace drives the fully uninstrumented campaign path (nil
 // *runObs) with several workers — the hot path the telemetry layer
 // promises to leave untouched — and checks determinism across runs. The

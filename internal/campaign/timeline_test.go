@@ -171,7 +171,7 @@ func TestTimelineDifferential(t *testing.T) {
 	for _, workload := range timelineWorkloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		r.EarlyExit = true
-		r.Forensics, r.ForensicsSample = forensics.NewExplorer(), 3
+		r.Forensics = forensics.NewExplorer()
 		resolved := 0
 		for _, faults := range timelineFaults(r) {
 			var live []Result
@@ -208,7 +208,7 @@ func TestTimelineHaltWindow(t *testing.T) {
 	for _, workload := range workloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		r.EarlyExit = true
-		r.Forensics, r.ForensicsSample = forensics.NewExplorer(), 1
+		r.Forensics = forensics.NewExplorer()
 		faults, window := r.FaultList("RF", 64, 11), r.Golden.Cycles
 		var live []Result
 		liveOracle(func() { live = r.Run(faults, ModeAVGI, window, 2) })
@@ -241,7 +241,7 @@ func TestTimelineDifferentialModes(t *testing.T) {
 	resolved, stopped := map[Mode]int{}, map[Mode]int{}
 	for _, workload := range workloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
-		r.Forensics, r.ForensicsSample = forensics.NewExplorer(), 3
+		r.Forensics = forensics.NewExplorer()
 		store, _ := r.checkpoints()
 		lists := timelineFaults(r)
 		// Multi-bit faults meet the live oracle alone; these straddle two

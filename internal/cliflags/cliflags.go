@@ -1,8 +1,8 @@
 // Package cliflags holds the flag set and startup helpers shared by the
 // avgi and avgisim commands: telemetry (progress, metrics endpoint,
-// forensics, log format), durable journalling and pprof profile capture for
-// both; the convergence early exit, the worker budget and distributed-fleet
-// membership for avgi alone.
+// forensics, log format) and pprof profile capture for both; durable
+// journalling, the convergence early exit, the worker budget and
+// distributed-fleet membership for avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
 // the machine shape (see package campaign).
 // Each command registers these once and adds its own tool-specific flags on
@@ -20,8 +20,8 @@ import (
 )
 
 // Common is the flag state shared by both commands, populated by Register
-// (RegisterCampaign also fills EarlyExit, Workers and the Dist* cluster) and
-// read after flag.Parse.
+// (RegisterCampaign also fills Journal, Resume, EarlyExit, Workers and the
+// Dist* cluster) and read after flag.Parse.
 type Common struct {
 	Workers int
 
@@ -47,8 +47,9 @@ type Common struct {
 
 // Register installs on fs (normally flag.CommandLine) the flags both batch
 // tools honour and returns the struct they populate. avgisim stops here: it
-// runs one targeted fault to completion, so an early exit, a worker budget
-// and fleet membership would be flags it could only ignore or reject.
+// runs one targeted fault to completion, so a journal (which could save at
+// most that one run), an early exit, a worker budget and fleet membership
+// would be flags it could only ignore or reject.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
@@ -56,28 +57,27 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.MemProfile, "memprofile", "",
 		"write a pprof heap profile at exit to this file")
 
-	fs.StringVar(&c.Journal, "journal", "",
-		"append completed per-fault results as durable NDJSON shards under this directory (see docs/ROBUSTNESS.md)")
-	fs.BoolVar(&c.Resume, "resume", false,
-		"with -journal: reuse journalled results instead of re-simulating")
-
 	fs.BoolVar(&c.Progress, "progress", false,
 		"print live campaign progress lines to stderr")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
 		"serve /metrics (Prometheus) and /progress.json on this address for the duration of the run")
 
 	fs.BoolVar(&c.Forensics, "forensics", false,
-		"attribute sampled faults' fates (masking source, first divergence); see docs/OBSERVABILITY.md")
+		"attribute every fault's fate (masking source, first divergence); see docs/OBSERVABILITY.md")
 	fs.StringVar(&c.Log, "log", "text",
 		"stderr log format: text (classic prefixed lines) or json")
 	return c
 }
 
 // RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
-// the convergence early exit, the worker budget and the distributed-fleet
-// cluster.
+// the durable journal, the convergence early exit, the worker budget and
+// the distributed-fleet cluster.
 func RegisterCampaign(fs *flag.FlagSet) *Common {
 	c := Register(fs)
+	fs.StringVar(&c.Journal, "journal", "",
+		"append completed per-fault results as durable NDJSON shards under this directory (see docs/ROBUSTNESS.md)")
+	fs.BoolVar(&c.Resume, "resume", false,
+		"with -journal: reuse journalled results instead of re-simulating")
 	fs.BoolVar(&c.EarlyExit, "early-exit", true,
 		"end faulty runs of every mode as soon as the fault is provably dead (classification-identical; -early-exit=false simulates full ERT windows and every run to the halt, see docs/PERFORMANCE.md)")
 	fs.IntVar(&c.Workers, "workers", 0,
@@ -90,12 +90,11 @@ func RegisterCampaign(fs *flag.FlagSet) *Common {
 // Server is the flag state of the avgid assessment server, populated by
 // RegisterServer and read after flag.Parse.
 type Server struct {
-	Addr          string
-	Journal       string
-	Workers       int
-	TenantWorkers int
-	DrainTimeout  time.Duration
-	Log           string
+	Addr         string
+	Journal      string
+	Workers      int
+	DrainTimeout time.Duration
+	Log          string
 
 	ShardCache int
 
@@ -130,9 +129,7 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 	fs.StringVar(&s.Journal, "journal", "avgid-journal",
 		"durable result cache directory: fully journalled requests are answered without simulating (empty disables caching)")
 	fs.IntVar(&s.Workers, "workers", 0,
-		"global worker budget shared by all tenants (0 = all CPUs)")
-	fs.IntVar(&s.TenantWorkers, "tenant-workers", 0,
-		"per-tenant worker cap carved from the global budget (0 = 3/4 of workers, always leaving at least one slot for other tenants)")
+		"global worker budget shared by all tenants (0 = all CPUs; each tenant may hold 3/4 of it, always leaving at least one slot for other tenants)")
 	fs.DurationVar(&s.DrainTimeout, "drain-timeout", 30*time.Second,
 		"how long a SIGTERM/SIGINT shutdown waits for in-flight requests before dropping them")
 	fs.StringVar(&s.Log, "log", "text",

@@ -36,8 +36,8 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 
 // TestFlagNamesPinned pins the exact flag surface of the three registrars,
 // so adding (or dropping) a knob is a visible one-line diff in review.
-// Register is all avgisim shares: it has no -early-exit, no -workers and no
-// fleet flags.
+// Register is all avgisim shares: it has no -journal/-resume, no
+// -early-exit, no -workers and no fleet flags.
 func TestFlagNamesPinned(t *testing.T) {
 	names := func(register func(*flag.FlagSet)) []string {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -48,8 +48,8 @@ func TestFlagNamesPinned(t *testing.T) {
 	}
 	both := names(func(fs *flag.FlagSet) { Register(fs) })
 	if want := []string{
-		"cpuprofile", "forensics", "journal", "log",
-		"memprofile", "metrics-addr", "progress", "resume",
+		"cpuprofile", "forensics", "log",
+		"memprofile", "metrics-addr", "progress",
 	}; !reflect.DeepEqual(both, want) {
 		t.Errorf("Register flags:\n got %q\nwant %q", both, want)
 	}
@@ -64,8 +64,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	server := names(func(fs *flag.FlagSet) { RegisterServer(fs) })
 	if want := []string{
 		"addr", "coordinator", "dist-owner", "dist-role", "drain-timeout",
-		"journal", "lease-ttl", "log", "shard-cache",
-		"tenant-workers", "workers",
+		"journal", "lease-ttl", "log", "shard-cache", "workers",
 	}; !reflect.DeepEqual(server, want) {
 		t.Errorf("RegisterServer flags:\n got %q\nwant %q", server, want)
 	}
@@ -93,10 +92,10 @@ func TestRegisterServerDefaults(t *testing.T) {
 	if s.DrainTimeout <= 0 {
 		t.Errorf("drain timeout default %v must be positive", s.DrainTimeout)
 	}
-	if err := fs.Parse([]string{"-addr", ":0", "-journal", "", "-tenant-workers", "3", "-drain-timeout", "5s"}); err != nil {
+	if err := fs.Parse([]string{"-addr", ":0", "-journal", "", "-workers", "3", "-drain-timeout", "5s"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Addr != ":0" || s.Journal != "" || s.TenantWorkers != 3 || s.DrainTimeout != 5*time.Second {
+	if s.Addr != ":0" || s.Journal != "" || s.Workers != 3 || s.DrainTimeout != 5*time.Second {
 		t.Errorf("server flags not parsed: %+v", s)
 	}
 }

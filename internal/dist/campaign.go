@@ -48,12 +48,6 @@ type Config struct {
 	// 0 defaults to min(Fleet, GOMAXPROCS).
 	LocalWorkers int
 
-	// Split is the number of chunks carved per fleet worker (default 4):
-	// more chunks than workers lets a fast node absorb a slow node's share
-	// at chunk granularity. Every node must use the same value — it is
-	// part of the chunk geometry.
-	Split int
-
 	// TTL is the lease heartbeat deadline (default 10s): a node silent for
 	// TTL forfeits its chunks to the fleet. Heartbeats fire every TTL/3.
 	TTL time.Duration
@@ -72,6 +66,12 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// chunksPerWorker is the number of chunks carved per fleet worker: more
+// chunks than workers lets a fast node absorb a slow node's share at chunk
+// granularity. It is part of the chunk geometry every node must agree on,
+// so it is a constant, not a setting.
+const chunksPerWorker = 4
+
 func (c Config) withDefaults() Config {
 	if c.Owner == "" {
 		host, _ := os.Hostname()
@@ -88,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LocalWorkers > c.Fleet {
 		c.LocalWorkers = c.Fleet
-	}
-	if c.Split <= 0 {
-		c.Split = 4
 	}
 	if c.TTL <= 0 {
 		c.TTL = 10 * time.Second
@@ -357,7 +354,7 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 			Budget:      campaign.NewBudget(len(slots)),
 			Prior:       prior,
 			Sink:        journal.NewChunkSink(pw, prior, journalled),
-			PlanWorkers: cfg.Fleet * cfg.Split,
+			PlanWorkers: cfg.Fleet * chunksPerWorker,
 			Claimer: &chunkClaimer{l: l, shard: shard, owner: cfg.Owner,
 				ttl: cfg.TTL, hb: hb, wfailed: &wfailed, o: cfg.Obs},
 		})

@@ -30,8 +30,8 @@ type Ticker interface {
 	Tick(cycle uint64)
 }
 
-// Stats is a snapshot of the engine's activity counters, consumed by the
-// telemetry layer (see obs.PublishEngineStats).
+// Stats is a snapshot of the engine's activity counters, carried out of a
+// run as cpu.Result.Engine for the benchmark.
 type Stats struct {
 	// Cycles is the number of RunCycle calls executed.
 	Cycles uint64

@@ -32,8 +32,8 @@ type Entry struct {
 	Mode      string `json:"mode"`
 
 	// Faults counts every attributed-or-not fault folded in; Sampled
-	// counts the ones carrying an attribution (equal under -forensics-
-	// sample 1).
+	// counts the ones carrying an attribution (equal unless results were
+	// resumed from a shard journalled without forensics).
 	Faults  uint64 `json:"faults"`
 	Sampled uint64 `json:"sampled"`
 
@@ -76,9 +76,9 @@ func NewExplorer() *Explorer {
 	return &Explorer{entries: make(map[entryKey]*entry)}
 }
 
-// Record folds one fault into the breakdown. rec may be nil for faults the
-// sampler skipped — they count toward the campaign total but carry no
-// attribution.
+// Record folds one fault into the breakdown. rec may be nil for a fault
+// that carries no attribution (a result resumed from a shard journalled
+// without forensics) — it counts toward the campaign total alone.
 func (e *Explorer) Record(structure, workload, mode string, f fault.Fault, rec *Record) {
 	if e == nil {
 		return

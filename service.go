@@ -39,13 +39,6 @@ type ServiceConfig struct {
 	// service runs (0 = all CPUs).
 	Workers int
 
-	// TenantWorkers caps how many of the global workers one tenant's
-	// campaigns may hold at once. 0 derives max(1, 3/4·Workers), always
-	// clamped to Workers-1 when Workers >= 2 so a single tenant can never
-	// hold the entire budget — the no-starvation guarantee (see
-	// campaign.Budget.Carve).
-	TenantWorkers int
-
 	// JournalDir enables the durable result cache: campaigns append to
 	// NDJSON shards under this directory in the same layout a Study writes
 	// (each shard's file name carries its full binding, seed and fault
@@ -267,20 +260,16 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return s, nil
 }
 
-// TenantCap reports the per-tenant worker cap in force.
+// TenantCap reports how many of the global workers one tenant's campaigns
+// may hold at once: ⌈3/4·W⌉, clamped to W-1 when W >= 2 so a single tenant
+// can never hold the entire budget — the no-starvation guarantee (see
+// campaign.Budget.Carve) — and 1 for a one-worker budget.
 func (s *Service) TenantCap() int {
 	w := s.budget.Cap()
-	cap := s.Cfg.TenantWorkers
-	if cap <= 0 {
-		cap = (3*w + 3) / 4
+	if w < 2 {
+		return 1
 	}
-	if w >= 2 && cap >= w {
-		cap = w - 1
-	}
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
+	return min((3*w+3)/4, w-1)
 }
 
 // Budget returns the global worker budget (test hook).
@@ -334,7 +323,7 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 		}
 		// Same window oracle as both CLIs: a fleet mixing avgid and avgi
 		// workers must merge shards with identical SimCycles.
-		r.Configure(s.Cfg.Obs, nil, 0, true)
+		r.Configure(s.Cfg.Obs, nil, true)
 		slot.r = r
 	})
 	return slot.r, slot.err

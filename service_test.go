@@ -319,20 +319,21 @@ func TestServiceDefaultsNormalized(t *testing.T) {
 
 func TestServiceTenantCap(t *testing.T) {
 	for _, tc := range []struct {
-		workers, tenant, want int
+		workers, want int
 	}{
-		{4, 0, 3}, // derived 3/4 share
-		{4, 9, 3}, // explicit cap clamped to W-1
-		{2, 0, 1}, // smallest multi-worker budget still leaves one slot free
-		{1, 0, 1}, // single worker: no headroom to reserve
-		{4, 2, 2}, // explicit cap respected
+		{4, 3}, // 3/4 share
+		{8, 6}, // 3/4 share
+		{5, 4}, // 3/4 rounded up, still below W
+		{3, 2}, // rounded-up 3/4 clamped to W-1
+		{2, 1}, // smallest multi-worker budget still leaves one slot free
+		{1, 1}, // single worker: no headroom to reserve
 	} {
-		s, err := NewService(ServiceConfig{Workers: tc.workers, TenantWorkers: tc.tenant})
+		s, err := NewService(ServiceConfig{Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := s.TenantCap(); got != tc.want {
-			t.Errorf("workers=%d tenantWorkers=%d: cap %d, want %d", tc.workers, tc.tenant, got, tc.want)
+			t.Errorf("workers=%d: cap %d, want %d", tc.workers, got, tc.want)
 		}
 	}
 	// Distinct tenants get distinct carves off the same global budget.

@@ -57,16 +57,11 @@ type StudyConfig struct {
 	Dist *DistConfig
 
 	// Forensics, when non-nil, turns on per-fault outcome attribution:
-	// every sampled fault is probed during its faulty run and its fate
+	// every fault is probed during its faulty run and its fate
 	// (overwritten, squashed, evicted clean, logically masked, never
 	// read, or visible — with first-divergence capture) is folded into
 	// this explorer. See docs/OBSERVABILITY.md.
 	Forensics *Explorer
-
-	// ForensicsSample probes every Nth fault by stable fault ID (0 or 1 =
-	// every fault). Skipped faults still count toward the explorer's
-	// campaign totals.
-	ForensicsSample int
 
 	// EarlyExit stops simulating each faulty run as soon as the fault is
 	// provably dead (every latched site erased unread), in every mode: an
@@ -114,6 +109,9 @@ type Study struct {
 // NewStudy performs the golden run of every workload.
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	cfg.fill()
+	if cfg.FaultsPerStructure < 0 {
+		return nil, fmt.Errorf("study: FaultsPerStructure %d is negative", cfg.FaultsPerStructure)
+	}
 	for _, s := range cfg.Structures {
 		if err := ValidateStructure(s); err != nil {
 			return nil, err
@@ -142,7 +140,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		if err != nil {
 			return nil, fmt.Errorf("study: %s: %w", w.Name, err)
 		}
-		r.Configure(cfg.Obs, cfg.Forensics, cfg.ForensicsSample, cfg.EarlyExit)
+		r.Configure(cfg.Obs, cfg.Forensics, cfg.EarlyExit)
 		st.runners[w.Name] = r
 	}
 	allGolden.End()
