@@ -26,7 +26,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"avgi"
 	"avgi/internal/asm"
@@ -46,7 +45,7 @@ var (
 	flagStats   = flag.Bool("stats", false, "print pipeline and memory-system counters")
 	flagRunAsm  = flag.Bool("s", false, "treat the argument as an assembly source file (.s) instead of a workload name")
 
-	// Shared telemetry/profiling flags (see internal/cliflags).
+	// Shared forensics/logging/profiling flags (see internal/cliflags).
 	common = cliflags.Register(flag.CommandLine)
 )
 
@@ -71,23 +70,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	obsv := avgi.NewObserver(os.Stderr)
-	if common.Progress {
-		stop := obsv.Progress.StartTicker(2 * time.Second)
-		defer stop()
-	}
-	if common.MetricsAddr != "" {
-		srv, err := obsv.Serve(common.MetricsAddr)
-		if err != nil {
-			logger.Error(err.Error())
-			os.Exit(1)
-		}
-		defer srv.Close()
-		stopHealth := obsv.StartHealth(10 * time.Second)
-		defer stopHealth()
-		obsv.Logf("telemetry: http://%s/ (/metrics, /progress.json, /debug/pprof/)", srv.Addr())
-	}
-	if err := run(flag.Arg(0), obsv); err != nil {
+	if err := run(flag.Arg(0)); err != nil {
 		stopProf()
 		logger.Error(err.Error())
 		os.Exit(1)
@@ -104,7 +87,7 @@ func machineConfig() (avgi.MachineConfig, error) {
 	return avgi.MachineConfig{}, fmt.Errorf("unknown machine %q", *flagMachine)
 }
 
-func run(name string, obsv *avgi.Observer) error {
+func run(name string) error {
 	cfg, err := machineConfig()
 	if err != nil {
 		return err
@@ -144,7 +127,7 @@ func run(name string, obsv *avgi.Observer) error {
 	if common.Forensics {
 		explorer = avgi.NewExplorer()
 	}
-	r.Configure(obsv, explorer, false)
+	r.Configure(nil, explorer, false)
 	fmt.Printf("workload  %s (%s)\n", name, cfg.Name)
 	fmt.Printf("golden    %d cycles, %d commits, IPC %.2f\n",
 		r.Golden.Cycles, r.Golden.Commits,

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"avgi"
 	"avgi/internal/cliflags"
 )
 
@@ -35,7 +34,7 @@ func runCaptured(t *testing.T, workload string, flags map[string]string) (string
 		b, _ := io.ReadAll(r)
 		printed <- string(b)
 	}()
-	runErr := run(workload, avgi.NewObserver(io.Discard))
+	runErr := run(workload)
 	os.Stdout = stdout
 	w.Close()
 	return <-printed, runErr

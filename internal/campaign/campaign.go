@@ -276,8 +276,8 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 			p.Name, res.Status, res.Crash, res.Cycles)
 	}
 	bits := make(map[string]uint64)
-	for name, tg := range m.Targets() {
-		bits[name] = tg.BitCount()
+	for _, name := range cpu.StructureNames {
+		bits[name] = m.Target(name).BitCount()
 	}
 	r := &Runner{
 		Cfg:  cfg,
@@ -301,13 +301,6 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 // still be overwritten cannot escape, which matters for workloads (like
 // qsort) that compute in place inside the output region.
 func (r *Runner) computeExposure(m *cpu.Machine) map[string]float64 {
-	exposure := map[string]float64{
-		"L1D (Tag)": 0, "L1D (Data)": 0, "L2 (Tag)": 0, "L2 (Data)": 0,
-	}
-	cycles, l1d, l2 := m.OutputProfile()
-	if len(cycles) == 0 {
-		return exposure
-	}
 	// Final-store cycle per output location, from the golden trace.
 	finals := make(map[uint64]uint64)
 	for _, rec := range r.Golden.Trace {
@@ -330,19 +323,21 @@ func (r *Runner) computeExposure(m *cpu.Machine) map[string]float64 {
 		return float64(idx) / float64(len(finalCycles))
 	}
 
-	var sumL1D, sumL2 float64
-	for i, t := range cycles {
-		wt := w(t)
-		sumL1D += float64(l1d[i]) * wt
-		sumL2 += float64(l2[i]) * wt
+	exposure := make(map[string]float64)
+	for _, name := range cpu.StructureNames {
+		if s, _ := cpu.StructureNamed(name); !s.ESC {
+			continue
+		}
+		cycles, dirty, lines := m.OutputProfile(name)
+		var sum float64
+		for i, t := range cycles {
+			sum += float64(dirty[i]) * w(t)
+		}
+		if len(cycles) > 0 {
+			sum = sum / float64(len(cycles)) / float64(lines)
+		}
+		exposure[name] = sum
 	}
-	n := float64(len(cycles))
-	fracL1D := sumL1D / n / float64(m.Mem.L1D.Lines())
-	fracL2 := sumL2 / n / float64(m.Mem.L2.Lines())
-	exposure["L1D (Tag)"] = fracL1D
-	exposure["L1D (Data)"] = fracL1D
-	exposure["L2 (Tag)"] = fracL2
-	exposure["L2 (Data)"] = fracL2
 	return exposure
 }
 
@@ -803,11 +798,12 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 		}
 	}
 	fate, masked := w.tl.Fate(f.Structure, f.Bit, t, end)
+	s, _ := cpu.StructureNamed(f.Structure)
 	switch {
 	case !fate.Live:
 		fm.resolved, end = resolvedDead, t+1
-	case fate.Cycle == 0 && halts && strings.HasSuffix(f.Structure, ")"):
-		// Only a cache, "L1D (Data)" and the like, meets the halt's flush.
+	case fate.Cycle == 0 && halts && s.Cache:
+		// Only a cache array meets the halt's flush.
 		at = end - 1
 		return
 	case fate.Cycle == 0:

@@ -1,6 +1,6 @@
 // Package cliflags holds the flag set and startup helpers shared by the
-// avgi and avgisim commands: telemetry (progress, metrics endpoint,
-// forensics, log format) and pprof profile capture for both; durable
+// avgi and avgisim commands: forensics, log format and pprof profile
+// capture for both; live progress, the metrics endpoint, durable
 // journalling, the convergence early exit, the worker budget and
 // distributed-fleet membership for avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
@@ -20,8 +20,8 @@ import (
 )
 
 // Common is the flag state shared by both commands, populated by Register
-// (RegisterCampaign also fills Journal, Resume, EarlyExit, Workers and the
-// Dist* cluster) and read after flag.Parse.
+// (RegisterCampaign also fills Progress, MetricsAddr, Journal, Resume,
+// EarlyExit, Workers and the Dist* cluster) and read after flag.Parse.
 type Common struct {
 	Workers int
 
@@ -47,20 +47,16 @@ type Common struct {
 
 // Register installs on fs (normally flag.CommandLine) the flags both batch
 // tools honour and returns the struct they populate. avgisim stops here: it
-// runs one targeted fault to completion, so a journal (which could save at
-// most that one run), an early exit, a worker budget and fleet membership
-// would be flags it could only ignore or reject.
+// runs one golden run and at most one targeted fault to completion, so
+// progress lines and a metrics endpoint (there is no campaign to watch), a
+// journal (which could save at most that one run), an early exit, a worker
+// budget and fleet membership would be flags it could only ignore or reject.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the run to this file (see docs/OBSERVABILITY.md)")
 	fs.StringVar(&c.MemProfile, "memprofile", "",
 		"write a pprof heap profile at exit to this file")
-
-	fs.BoolVar(&c.Progress, "progress", false,
-		"print live campaign progress lines to stderr")
-	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
-		"serve /metrics (Prometheus) and /progress.json on this address for the duration of the run")
 
 	fs.BoolVar(&c.Forensics, "forensics", false,
 		"attribute every fault's fate (masking source, first divergence); see docs/OBSERVABILITY.md")
@@ -70,10 +66,15 @@ func Register(fs *flag.FlagSet) *Common {
 }
 
 // RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
-// the durable journal, the convergence early exit, the worker budget and
-// the distributed-fleet cluster.
+// live progress and the metrics endpoint, the durable journal, the
+// convergence early exit, the worker budget and the distributed-fleet
+// cluster.
 func RegisterCampaign(fs *flag.FlagSet) *Common {
 	c := Register(fs)
+	fs.BoolVar(&c.Progress, "progress", false,
+		"print live campaign progress lines to stderr")
+	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
+		"serve /metrics (Prometheus) and /progress.json on this address for the duration of the run")
 	fs.StringVar(&c.Journal, "journal", "",
 		"append completed per-fault results as durable NDJSON shards under this directory (see docs/ROBUSTNESS.md)")
 	fs.BoolVar(&c.Resume, "resume", false,

@@ -36,8 +36,8 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 
 // TestFlagNamesPinned pins the exact flag surface of the three registrars,
 // so adding (or dropping) a knob is a visible one-line diff in review.
-// Register is all avgisim shares: it has no -journal/-resume, no
-// -early-exit, no -workers and no fleet flags.
+// Register is all avgisim shares: it has no -progress/-metrics-addr, no
+// -journal/-resume, no -early-exit, no -workers and no fleet flags.
 func TestFlagNamesPinned(t *testing.T) {
 	names := func(register func(*flag.FlagSet)) []string {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -48,8 +48,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	}
 	both := names(func(fs *flag.FlagSet) { Register(fs) })
 	if want := []string{
-		"cpuprofile", "forensics", "log",
-		"memprofile", "metrics-addr", "progress",
+		"cpuprofile", "forensics", "log", "memprofile",
 	}; !reflect.DeepEqual(both, want) {
 		t.Errorf("Register flags:\n got %q\nwant %q", both, want)
 	}

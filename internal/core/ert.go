@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"avgi/internal/campaign"
+	"avgi/internal/cpu"
 )
 
 // ERT is a structure's effective-residency-time stop rule (Section V.A):
@@ -34,14 +35,6 @@ func (e ERT) Window(totalCycles uint64) uint64 {
 		return w
 	}
 	return e.Cycles
-}
-
-// relativeERTStructures lists structures whose residency scales with
-// execution length (the paper's "3% of total cycles" rows of Table II).
-var relativeERTStructures = map[string]bool{
-	"ROB": true,
-	"LQ":  true,
-	"SQ":  true,
 }
 
 // ertSafety is the default pessimism margin applied on top of the largest
@@ -90,7 +83,9 @@ func DeriveERTMargin(data map[string]map[string][]campaign.Result, totalCycles m
 				}
 			}
 		}
-		if relativeERTStructures[structure] {
+		// A queue's residency scales with execution length (the paper's
+		// "3% of total cycles" rows of Table II).
+		if s, _ := cpu.StructureNamed(structure); s.Queue {
 			frac := quantileF(fracs, ertPercentile) * margin
 			if frac == 0 {
 				frac = 0.03 // the paper's default when unobserved

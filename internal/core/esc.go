@@ -2,19 +2,9 @@ package core
 
 import (
 	"avgi/internal/campaign"
+	"avgi/internal/cpu"
 	"avgi/internal/imm"
 )
-
-// ESCStructures are the structures where escaped faults can occur: only
-// cache arrays that hold data on its way to the program output
-// (Section IV.D). Faults anywhere else always pass through the program
-// trace before reaching the output.
-var ESCStructures = map[string]bool{
-	"L1D (Tag)":  true,
-	"L1D (Data)": true,
-	"L2 (Tag)":   true,
-	"L2 (Data)":  true,
-}
 
 // ESCShape evaluates the paper's empirical equation without its
 // calibration constant:
@@ -54,7 +44,10 @@ type ESCModel struct {
 func TrainESC(data map[string]map[string][]campaign.Result, exposure map[string]map[string]float64) *ESCModel {
 	m := &ESCModel{C: make(map[string]float64)}
 	for structure, perWorkload := range data {
-		if !ESCStructures[structure] {
+		// Escaped faults occur only in the cache arrays that hold data on
+		// its way to the program output (Section IV.D); faults anywhere
+		// else always pass through the program trace first.
+		if s, _ := cpu.StructureNamed(structure); !s.ESC {
 			continue
 		}
 		var realSum, shapeSum float64

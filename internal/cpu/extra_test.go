@@ -67,7 +67,9 @@ func TestQueueFlipOnLiveEntryMachineChecks(t *testing.T) {
 	// The ROB must have live entries in a tight loop; flip all slots to
 	// guarantee hitting one.
 	tg := m.Target("ROB")
-	for i := uint64(0); i < tg.BitCount(); i += robEntryBits {
+	rob, _ := StructureNamed("ROB")
+	_, bits := rob.geometry(&cfg)
+	for i := uint64(0); i < tg.BitCount(); i += bits {
 		tg.FlipBit(i)
 	}
 	res := m.Run(RunOptions{MaxCycles: 200000})

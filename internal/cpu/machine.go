@@ -373,15 +373,18 @@ func (m *Machine) EnableOutputProfiling(lo, hi, interval uint64) {
 	m.profile = &outputProfile{lo: lo, hi: hi, interval: interval}
 }
 
-// OutputProfile returns the sampled dirty-output-line time series: sample
-// cycles and, per sample, the dirty output lines in L1D and L2. The
-// campaign runner folds these into per-structure exposure fractions.
-func (m *Machine) OutputProfile() (cycles []uint64, l1d, l2 []uint32) {
+// OutputProfile returns the sampled dirty-output-line time series of an
+// ESC-capable structure: the sample cycles, the dirty output lines of its
+// cache at each, and the cache's size in lines. The campaign runner folds
+// these into the structure's exposure fraction.
+func (m *Machine) OutputProfile(structure string) (cycles []uint64, dirty []uint32, lines int) {
 	p := m.profile
 	if p == nil {
-		return nil, nil, nil
+		return nil, nil, 0
 	}
-	return p.cycles, p.l1d, p.l2
+	s, _ := StructureNamed(structure)
+	_, caches := m.memArrays()
+	return p.cycles, [3][]uint32{1: p.l1d, 2: p.l2}[s.unit], caches[s.unit].Lines()
 }
 
 // Name implements engine.Ticker.

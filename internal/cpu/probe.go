@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"slices"
-	"strings"
 
 	"avgi/internal/mem"
 )
@@ -131,76 +130,45 @@ func (p *FaultProbe) Converged() bool { return p.facts.Converged() }
 // at bit of structure (the same index spaces as Target.FlipBit — arm after
 // flipping). It returns nil for unknown structure names.
 func (m *Machine) ArmProbe(structure string, bit uint64, width int) *FaultProbe {
-	p := &FaultProbe{m: m, facts: ProbeFacts{InjectCycle: m.cycle}}
-	span := func(per uint64, limit int) {
-		p.lo = int(bit / per)
-		p.hi = int((bit + uint64(width) - 1) / per)
-		if p.hi >= limit {
-			p.hi = limit - 1
-		}
-		p.dead = make([]bool, p.hi-p.lo+1)
-		p.facts.Sites = p.hi - p.lo + 1
+	s, ok := StructureNamed(structure)
+	if !ok {
+		return nil
 	}
-	// Queue slots that were free at injection never latched the flip
-	// (FlipBit counted them FlipsMasked); they are born dead so later
-	// allocations and squashes of the slot don't misattribute. A register
-	// on the free list is as unreachable as a free slot: rename marks it
-	// never-ready as it pops it, and nothing reads it before finishDest
-	// has written it.
-	liveIf := func(used func(i int) bool) {
+	p := &FaultProbe{m: m, kind: s.kind, facts: ProbeFacts{InjectCycle: m.cycle}}
+	tlbs, caches := m.memArrays()
+	switch {
+	case s.Cache:
+		p.cache = caches[s.unit]
+		var lp *mem.LineProbe
+		if s.tag {
+			lp = p.cache.ArmTagProbe(bit, width, p)
+		} else {
+			lp = p.cache.ArmDataProbe(bit, width, p)
+		}
+		p.facts.Sites, p.facts.LiveSites = lp.Sites(), lp.LiveSites()
+	case s.kind == probeMem:
+		p.tlb = tlbs[s.unit]
+		tp := p.tlb.ArmProbe(bit, width, p)
+		p.facts.Sites, p.facts.LiveSites = tp.Sites(), tp.LiveSites()
+	default:
+		sites, per := s.geometry(&m.Cfg)
+		p.lo, p.hi = int(bit/per), min(int((bit+uint64(width)-1)/per), sites-1)
+		p.dead = make([]bool, p.hi-p.lo+1)
+		p.facts.Sites = len(p.dead)
+		// Queue slots that were free at injection never latched the flip
+		// (FlipBit counted them FlipsMasked); they are born dead so later
+		// allocations and squashes of the slot don't misattribute. A
+		// register on the free list is as unreachable as a free slot:
+		// rename marks it never-ready as it pops it, and nothing reads it
+		// before finishDest has written it.
+		free := m.freeList[:m.freeTop]
 		for i := p.lo; i <= p.hi; i++ {
-			if used(i) {
+			if s.Queue && m.slot(s.kind, i) != nil || !s.Queue && !slices.Contains(free, uint16(i)) {
 				p.facts.LiveSites++
 			} else {
 				p.dead[i-p.lo] = true
 			}
 		}
-	}
-	switch structure {
-	case "RF":
-		p.kind = probeReg
-		span(uint64(m.Cfg.Variant.Width()), len(m.prf))
-		free := m.freeList[:m.freeTop]
-		liveIf(func(i int) bool { return !slices.Contains(free, uint16(i)) })
-	case "ROB":
-		p.kind = probeROB
-		span(robEntryBits, len(m.rob))
-		liveIf(func(i int) bool { return m.rob[i].used })
-	case "LQ":
-		p.kind = probeLQ
-		span(lqEntryBits, len(m.lqs))
-		liveIf(func(i int) bool { return m.lqs[i].used })
-	case "SQ":
-		p.kind = probeSQ
-		span(m.sqEntryBits(), len(m.sqs))
-		liveIf(func(i int) bool { return m.sqs[i].used })
-	case "ITLB":
-		p.tlb = m.Mem.ITLB
-	case "DTLB":
-		p.tlb = m.Mem.DTLB
-	case "L1I (Tag)", "L1I (Data)":
-		p.cache = m.Mem.L1I
-	case "L1D (Tag)", "L1D (Data)":
-		p.cache = m.Mem.L1D
-	case "L2 (Tag)", "L2 (Data)":
-		p.cache = m.Mem.L2
-	default:
-		return nil
-	}
-	switch {
-	case p.tlb != nil:
-		tp := p.tlb.ArmProbe(bit, width, p)
-		p.facts.Sites = tp.Sites()
-		p.facts.LiveSites = tp.LiveSites()
-	case p.cache != nil:
-		var lp *mem.LineProbe
-		if strings.HasSuffix(structure, "(Tag)") {
-			lp = p.cache.ArmTagProbe(bit, width, p)
-		} else {
-			lp = p.cache.ArmDataProbe(bit, width, p)
-		}
-		p.facts.Sites = lp.Sites()
-		p.facts.LiveSites = lp.LiveSites()
 	}
 	m.probe = p
 	return p

@@ -59,7 +59,8 @@ func TestOutputProfileSampling(t *testing.T) {
 	if res := m.Run(RunOptions{MaxCycles: 1_000_000}); res.Status != StatusHalted {
 		t.Fatal(res.Status)
 	}
-	cycles, l1d, l2 := m.OutputProfile()
+	cycles, l1d, _ := m.OutputProfile("L1D (Data)")
+	_, l2, _ := m.OutputProfile("L2 (Tag)")
 	if len(cycles) == 0 || len(l1d) != len(cycles) || len(l2) != len(cycles) {
 		t.Fatalf("profile shapes: %d %d %d", len(cycles), len(l1d), len(l2))
 	}
@@ -76,7 +77,7 @@ func TestOutputProfileSampling(t *testing.T) {
 	}
 	// A clone must not inherit the profiling hook.
 	c := m.Clone()
-	if cc, _, _ := c.OutputProfile(); cc != nil {
+	if cc, _, _ := c.OutputProfile("L1D (Data)"); cc != nil {
 		t.Error("clone inherited output profile")
 	}
 }

@@ -1,10 +1,6 @@
 package cpu
 
-import (
-	"strings"
-
-	"avgi/internal/mem"
-)
+import "avgi/internal/mem"
 
 // Timeline is the golden site timeline of one (machine, program) pair: every
 // event a fault's probe could report on any entry of the twelve structures,
@@ -20,9 +16,7 @@ type Timeline struct {
 	tlb   [2]*mem.TLBTimeline         // ITLB, DTLB
 	cache [3]*mem.CacheTimeline       // L1I, L1D, L2
 	bytes uint64
-
-	arch          int    // registers mapped, so off the free list, at cycle 0
-	width, sqBits uint64 // bits per register and per SQ entry
+	cfg   Config // the recording machine's: core sites' widths, registers mapped at cycle 0
 }
 
 // RecordTimeline arms the machine, which must be at cycle 0, to record its
@@ -31,8 +25,7 @@ type Timeline struct {
 // so a machine without one runs the code it always ran.
 func (m *Machine) RecordTimeline() *Timeline {
 	h, clk := m.Mem, &m.cycle
-	tl := &Timeline{arch: m.Cfg.Variant.NumArchRegs(), width: uint64(m.Cfg.Variant.Width()), sqBits: m.sqEntryBits(),
-		tlb: [2]*mem.TLBTimeline{h.ITLB.RecordTimeline(clk), h.DTLB.RecordTimeline(clk)},
+	tl := &Timeline{cfg: m.Cfg, tlb: [2]*mem.TLBTimeline{h.ITLB.RecordTimeline(clk), h.DTLB.RecordTimeline(clk)},
 		cache: [3]*mem.CacheTimeline{h.L1I.RecordTimeline(clk, 8), h.L1D.RecordTimeline(clk, 8),
 			h.L2.RecordTimeline(clk, min(h.Cfg.L1I.LineBytes, h.Cfg.L1D.LineBytes))}}
 	for kind, n := range [...]int{probeReg: len(m.prf), probeROB: len(m.rob), probeLQ: len(m.lqs), probeSQ: len(m.sqs)} {
@@ -58,29 +51,23 @@ func (tl *Timeline) Bytes() uint64 { return tl.bytes }
 // reports a flip FlipBit would have counted as FlipsMasked. bit must lie
 // inside the structure.
 func (tl *Timeline) Fate(structure string, bit, t, until uint64) (f mem.SiteFate, masked bool) {
-	switch name, array, _ := strings.Cut(structure, " "); {
-	case name == "RF":
-		return tl.coreFate(probeReg, bit/tl.width, t, until), false
-	case name == "ROB":
-		f = tl.coreFate(probeROB, bit/robEntryBits, t, until)
-	case name == "LQ":
-		f = tl.coreFate(probeLQ, bit/lqEntryBits, t, until)
-	case name == "SQ":
-		f = tl.coreFate(probeSQ, bit/tl.sqBits, t, until)
-	case name == "ITLB":
-		return tl.tlb[0].Fate(bit, t, until), false
-	case name == "DTLB":
-		return tl.tlb[1].Fate(bit, t, until), false
-	case array == "(Tag)":
-		return tl.cache[strings.Index("L1I L1D L2", name)/4].TagFate(bit, t, until), false
-	default:
-		return tl.cache[strings.Index("L1I L1D L2", name)/4].DataFate(bit, t, until), false
+	s, _ := StructureNamed(structure)
+	switch {
+	case s.Cache && s.tag:
+		return tl.cache[s.unit].TagFate(bit, t, until), false
+	case s.Cache:
+		return tl.cache[s.unit].DataFate(bit, t, until), false
+	case s.kind == probeMem:
+		return tl.tlb[s.unit].Fate(bit, t, until), false
 	}
-	return f, !f.Live
+	_, per := s.geometry(&tl.cfg)
+	f = tl.coreFate(s.kind, bit/per, t, until)
+	return f, s.Queue && !f.Live
 }
 
 func (tl *Timeline) coreFate(kind probeKind, site, t, until uint64) mem.SiteFate {
-	f := mem.SiteFate{Live: kind == probeReg && int(site) < tl.arch}
+	// A register mapped at cycle 0 is off the free list from the start.
+	f := mem.SiteFate{Live: kind == probeReg && int(site) < tl.cfg.Variant.NumArchRegs()}
 	tl.core[kind].Scan(int(site), t, 0, func(_ uint64, d uint32) bool {
 		// A queue slot is in use from its allocation to its next event; a
 		// register's reads and writebacks leave it where it was.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,10 +39,19 @@ type Coordinator struct {
 
 	// campaigns is the announced-work fan-out feed: the coordinator's
 	// Service announces each assessment it starts, workers poll the feed
-	// and run the same assessments against the shared journal.
+	// and run the same assessments against the shared journal. It keeps the
+	// newest feedRetained announcements, oldest first; announced indexes
+	// them by spec for the dedup and loses an entry with it.
 	campaigns []Announcement
+	announced map[string]int
 	nextID    int
 }
+
+// feedRetained bounds the fan-out feed. Dropping the oldest announcements
+// loses no work: the coordinator runs every assessment it announces
+// itself, so the feed only spreads it, and a worker that falls behind the
+// oldest kept ID receives what is still kept.
+const feedRetained = 256
 
 // Announcement is one fanned-out campaign: an opaque request payload (the
 // avgid AssessRequest, but the coordinator does not depend on its shape)
@@ -54,10 +64,11 @@ type Announcement struct {
 // NewCoordinator returns an empty coordinator.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
-		now:    time.Now,
-		leases: make(map[string]leaseRecord),
-		done:   make(map[string]struct{}),
-		nodes:  make(map[string]time.Time),
+		now:       time.Now,
+		leases:    make(map[string]leaseRecord),
+		done:      make(map[string]struct{}),
+		nodes:     make(map[string]time.Time),
+		announced: make(map[string]int),
 	}
 }
 
@@ -144,33 +155,34 @@ func (c *Coordinator) Nodes() map[string]time.Time {
 }
 
 // Announce publishes one campaign spec to the fan-out feed and returns its
-// feed ID. Announcing a spec byte-identical to an already-listed one is a
+// feed ID. Announcing a spec byte-identical to one still in the feed is a
 // no-op returning the existing ID (assessments are idempotent, but a
 // duplicate entry would make every worker revisit the journal for it).
 func (c *Coordinator) Announce(spec json.RawMessage) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, a := range c.campaigns {
-		if string(a.Spec) == string(spec) {
-			return a.ID
-		}
+	if id, ok := c.announced[string(spec)]; ok {
+		return id
+	}
+	if len(c.campaigns) == feedRetained {
+		delete(c.announced, string(c.campaigns[0].Spec))
+		c.campaigns = append(c.campaigns[:0], c.campaigns[1:]...)
 	}
 	c.nextID++
 	c.campaigns = append(c.campaigns, Announcement{ID: c.nextID, Spec: append(json.RawMessage(nil), spec...)})
+	c.announced[string(spec)] = c.nextID
 	return c.nextID
 }
 
-// Campaigns returns the announcements with ID > after, in feed order.
+// Campaigns returns the kept announcements with ID > after, in feed order.
 func (c *Coordinator) Campaigns(after int) []Announcement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Announcement
-	for _, a := range c.campaigns {
-		if a.ID > after {
-			out = append(out, a)
-		}
+	i := sort.Search(len(c.campaigns), func(i int) bool { return c.campaigns[i].ID > after })
+	if i == len(c.campaigns) {
+		return nil
 	}
-	return out
+	return slices.Clone(c.campaigns[i:])
 }
 
 // leaseOp is the wire form of one lease-endpoint call.

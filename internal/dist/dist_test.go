@@ -534,3 +534,34 @@ func TestCoordinatorAnnounceFeed(t *testing.T) {
 		t.Errorf("nodes = %+v, want worker-1", nodes)
 	}
 }
+
+// TestCoordinatorFeedBounded: the fan-out feed keeps only the newest
+// feedRetained announcements, and the dedup forgets a spec together with its
+// entry, so a long-lived coordinator's feed neither grows nor slows down.
+func TestCoordinatorFeedBounded(t *testing.T) {
+	c := NewCoordinator()
+	spec := func(i int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)) }
+	for i := 1; i <= 2*feedRetained; i++ {
+		if id := c.Announce(spec(i)); id != i {
+			t.Fatalf("announcement %d got ID %d", i, id)
+		}
+	}
+	all := c.Campaigns(0)
+	if len(all) != feedRetained {
+		t.Fatalf("Campaigns(0) returned %d announcements, want %d", len(all), feedRetained)
+	}
+	for k, a := range all {
+		if want := feedRetained + 1 + k; a.ID != want || string(a.Spec) != string(spec(want)) {
+			t.Fatalf("entry %d is #%d %s, want #%d", k, a.ID, a.Spec, want)
+		}
+	}
+	if id := c.Announce(spec(2 * feedRetained)); id != 2*feedRetained {
+		t.Errorf("a spec still in the feed was re-announced as #%d, want #%d", id, 2*feedRetained)
+	}
+	if id := c.Announce(spec(1)); id != 2*feedRetained+1 {
+		t.Errorf("a spec dropped from the feed was re-announced as #%d, want the new #%d", id, 2*feedRetained+1)
+	}
+	if tail := c.Campaigns(2 * feedRetained); len(tail) != 1 || tail[0].ID != 2*feedRetained+1 {
+		t.Errorf("Campaigns(%d) = %+v, want just the re-announcement", 2*feedRetained, tail)
+	}
+}

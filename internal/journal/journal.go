@@ -349,7 +349,6 @@ type Writer struct {
 	f        *os.File
 	buf      *bufio.Writer
 	policy   SyncPolicy
-	appended uint64
 	err      error
 	errFired bool
 	onError  func(error)
@@ -474,7 +473,6 @@ func (w *Writer) Append(i int, res campaign.Result) {
 		w.fail(err)
 		return
 	}
-	w.appended++
 	if w.policy == SyncEvery {
 		w.syncLocked()
 	}
@@ -532,13 +530,6 @@ func (cs *ChunkSink) ChunkDone(lo, hi int, results []campaign.Result) {
 	if cs.added != nil && n > 0 {
 		cs.added(n)
 	}
-}
-
-// Appended returns the number of records journalled so far.
-func (w *Writer) Appended() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
 }
 
 // Close flushes, fsyncs and closes the shard,

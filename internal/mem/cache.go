@@ -46,13 +46,22 @@ type CacheConfig struct {
 	AddrBits int
 }
 
+// tagBits is the width of a tag: the address bits above the set index and
+// the line offset.
+func (cfg CacheConfig) tagBits() int {
+	return cfg.AddrBits - bits.TrailingZeros(uint(cfg.Sets)) - bits.TrailingZeros(uint(cfg.LineBytes))
+}
+
+// TagEntryBits is the width of one tag-array entry: the tag, then the dirty
+// and valid bits above it.
+func (cfg CacheConfig) TagEntryBits() uint64 { return uint64(cfg.tagBits() + 2) }
+
 // Cache is a set-associative, write-back, write-allocate cache with
 // separate bit-addressable tag and data arrays.
 type Cache struct {
 	cfg      CacheConfig
 	setBits  int
 	lineBits int
-	tagBits  int // tag field width; entry adds valid+dirty
 
 	// Precomputed tag-entry masks. The geometry is fixed at construction,
 	// so the valid/dirty bit positions and the tag mask are loaded as
@@ -80,7 +89,7 @@ type Cache struct {
 // copyFrom's struct assignment; an array needs a line there and one in Clone
 // (TestMemCopySharesNoBuffers fails without them).
 type cacheState struct {
-	// tags packs valid(1) | dirty(1) | tag(tagBits) per way, set-major.
+	// tags packs valid(1) | dirty(1) | tag per way, set-major.
 	tags []uint64
 	// data holds the line contents, set-major then way-major.
 	data []byte
@@ -124,13 +133,13 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	c.tags = make([]uint64, cfg.Sets*cfg.Ways)
 	c.data = make([]byte, cfg.Sets*cfg.Ways*cfg.LineBytes)
 	c.lru = make([]uint64, cfg.Sets*cfg.Ways)
-	c.tagBits = cfg.AddrBits - c.setBits - c.lineBits
-	if c.tagBits <= 0 {
+	tagBits := cfg.tagBits()
+	if tagBits <= 0 {
 		panic(fmt.Sprintf("mem: %s: geometry larger than address space", cfg.Name))
 	}
-	c.valid = 1 << (c.tagBits + 1)
-	c.dirty = 1 << c.tagBits
-	c.tmask = 1<<c.tagBits - 1
+	c.valid = 1 << (tagBits + 1)
+	c.dirty = 1 << tagBits
+	c.tmask = 1<<tagBits - 1
 	return c
 }
 
@@ -374,20 +383,17 @@ func (c *Cache) TagArray() *CacheTagArray { return &CacheTagArray{c} }
 func (c *Cache) DataArray() *CacheDataArray { return &CacheDataArray{c} }
 
 // CacheTagArray is the bit-addressable view of a cache's tag array,
-// including valid and dirty bits (tagBits+2 bits per line).
+// including valid and dirty bits (TagEntryBits per line).
 type CacheTagArray struct{ c *Cache }
-
-// Name returns the target name, e.g. "L1D (Tag)".
-func (a *CacheTagArray) Name() string { return a.c.cfg.Name + " (Tag)" }
 
 // BitCount returns the number of injectable bits.
 func (a *CacheTagArray) BitCount() uint64 {
-	return uint64(len(a.c.tags)) * uint64(a.c.tagBits+2)
+	return uint64(len(a.c.tags)) * a.c.cfg.TagEntryBits()
 }
 
 // FlipBit flips bit i of the tag array.
 func (a *CacheTagArray) FlipBit(i uint64) {
-	per := uint64(a.c.tagBits + 2)
+	per := a.c.cfg.TagEntryBits()
 	entry := i / per
 	a.c.touched.Touch(int(entry) / a.c.cfg.Ways)
 	a.c.tags[entry] ^= 1 << (i % per)
@@ -395,9 +401,6 @@ func (a *CacheTagArray) FlipBit(i uint64) {
 
 // CacheDataArray is the bit-addressable view of a cache's data array.
 type CacheDataArray struct{ c *Cache }
-
-// Name returns the target name, e.g. "L1D (Data)".
-func (a *CacheDataArray) Name() string { return a.c.cfg.Name + " (Data)" }
 
 // BitCount returns the number of injectable bits.
 func (a *CacheDataArray) BitCount() uint64 { return uint64(len(a.c.data)) * 8 }

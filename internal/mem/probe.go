@@ -86,7 +86,7 @@ func (p *LineProbe) LiveSites() int { return p.live }
 // both for honest attribution and so the early-exit oracle never treats the
 // dropped line as never-latched.
 func (c *Cache) ArmTagProbe(bit uint64, width int, sink ProbeSink) *LineProbe {
-	per := uint64(c.tagBits + 2)
+	per := c.cfg.TagEntryBits()
 	first := bit / per
 	last := (bit + uint64(width) - 1) / per
 	p := &LineProbe{sink: sink, tag: true}
@@ -277,8 +277,8 @@ func (p *TLBProbe) LiveSites() int { return p.liveN }
 // A flip that clears a valid bit has destroyed a reachable translation and
 // one that sets it has created one, so both are live.
 func (t *TLB) ArmProbe(bit uint64, width int, sink ProbeSink) *TLBProbe {
-	lo := int(bit / tlbEntryBits)
-	hi := int((bit + uint64(width) - 1) / tlbEntryBits)
+	lo := int(bit / TLBEntryBits)
+	hi := int((bit + uint64(width) - 1) / TLBEntryBits)
 	if hi >= len(t.entries) {
 		hi = len(t.entries) - 1
 	}
@@ -286,7 +286,7 @@ func (t *TLB) ArmProbe(bit uint64, width int, sink ProbeSink) *TLBProbe {
 	for i := range p.sites {
 		s := &p.sites[i]
 		s.post = t.entries[lo+i]
-		s.pre = s.post ^ entryFlipMask(bit, width, uint64(lo+i), tlbEntryBits)
+		s.pre = s.post ^ entryFlipMask(bit, width, uint64(lo+i), TLBEntryBits)
 		if (s.pre|s.post)&tlbValidBit == 0 {
 			s.dead = true
 		} else {

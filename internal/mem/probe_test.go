@@ -34,7 +34,7 @@ func TestTLBProbeEvents(t *testing.T) {
 		{"a vpn flip turns the golden hit into a walk: a read",
 			[]uint64{3}, vpnBit0, 1, 3, 20, eventLog{ProbeRead}},
 		{"a miss while a live site's valid bit differs reads it in the victim scan",
-			[]uint64{0}, tlbEntryBits + validBit, 1, 5, 20, eventLog{ProbeRead}},
+			[]uint64{0}, TLBEntryBits + validBit, 1, 5, 20, eventLog{ProbeRead}},
 		{"a round-robin refill onto a live site kills it unread",
 			[]uint64{0, 1}, ppnBit3, 1, 2, 20, eventLog{ProbeOverwrite}},
 	} {

@@ -147,7 +147,7 @@ type CacheTimeline struct {
 // core, the line size of the caches above under those.
 func (c *Cache) RecordTimeline(clock *uint64, grain int) *CacheTimeline {
 	tl := &CacheTimeline{grains: NewSiteEvents(clock, len(c.data)/grain), grain: uint64(grain),
-		set: uint64(c.cfg.Ways * c.cfg.LineBytes / grain), line: uint64(c.cfg.LineBytes), per: uint64(c.tagBits + 2)}
+		set: uint64(c.cfg.Ways * c.cfg.LineBytes / grain), line: uint64(c.cfg.LineBytes), per: c.cfg.TagEntryBits()}
 	c.probe = &LineProbe{rec: tl}
 	return tl
 }
@@ -227,8 +227,8 @@ func (t *TLB) RecordTimeline(clock *uint64) *TLBTimeline {
 // read by lookups the golden run resolved elsewhere; it is reported as read
 // at once, which leaves the fault to its own probe.
 func (tl *TLBTimeline) Fate(bit, t, until uint64) SiteFate {
-	i, b, scans := int(bit/tlbEntryBits), bit%tlbEntryBits, len(tl.last)-1
-	valid, validBit := tl.Seen(i, t), b == tlbEntryBits-1
+	i, b, scans := int(bit/TLBEntryBits), bit%TLBEntryBits, len(tl.last)-1
+	valid, validBit := tl.Seen(i, t), b == TLBEntryBits-1
 	if valid && b >= tlbVPNShift && !validBit || !valid && validBit {
 		return SiteFate{Live: true, Cycle: t + 1}
 	}

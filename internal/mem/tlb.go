@@ -43,7 +43,8 @@ func (dst *tlbState) copyFrom(src *tlbState, only *DirtySet) uint64 {
 	return CopyRows(&dst.entries, src.entries, only, 1)
 }
 
-const tlbEntryBits = 1 + 2*pageNumBits
+// TLBEntryBits is the fault-injection surface of one entry: valid, vpn, ppn.
+const TLBEntryBits = 1 + 2*pageNumBits
 
 const (
 	tlbValidBit = 1 << 24
@@ -65,16 +66,13 @@ func NewTLB(name string, n int, walkLatency uint64) *TLB {
 	return t
 }
 
-// Name returns the structure name (e.g. "ITLB").
-func (t *TLB) Name() string { return t.name }
-
 // BitCount returns the total number of fault-injectable bits.
-func (t *TLB) BitCount() uint64 { return uint64(len(t.entries)) * tlbEntryBits }
+func (t *TLB) BitCount() uint64 { return uint64(len(t.entries)) * TLBEntryBits }
 
 // FlipBit flips bit i of the entry array.
 func (t *TLB) FlipBit(i uint64) {
-	entry := i / tlbEntryBits
-	bit := i % tlbEntryBits
+	entry := i / TLBEntryBits
+	bit := i % TLBEntryBits
 	t.touched.Touch(int(entry))
 	t.entries[entry] ^= 1 << bit
 }

@@ -42,8 +42,8 @@ func (o *Observer) Span(name, cat string, attrs map[string]string) *SpanRef {
 	return o.Trace.StartSpan(name, cat, attrs)
 }
 
-// Logf writes one line through the progress reporter and records it as a
-// trace instant; nil-safe.
+// Logf writes one line through the progress reporter, if there is one;
+// nil-safe.
 func (o *Observer) Logf(format string, a ...any) {
 	if o == nil {
 		return

@@ -124,10 +124,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Shutdown drains the server under the caller's context (no hard close on
-// expiry — the caller decides what a blown deadline means).
-func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
-
 // NewServer binds addr (e.g. "localhost:9090" or ":0" for an ephemeral
 // port) and serves h in a background goroutine — the plumbing under
 // Observer.Serve, exported so servers with their own mux (cmd/avgid) share

@@ -8,14 +8,12 @@ import (
 )
 
 // Span is one recorded phase of a study: a named interval with a category
-// and free-form attributes. Instant events are spans with zero duration
-// and Instant set.
+// and free-form attributes.
 type Span struct {
 	Name    string            `json:"name"`
 	Cat     string            `json:"cat,omitempty"`
 	StartUS int64             `json:"start_us"` // microseconds since trace start
 	DurUS   int64             `json:"dur_us"`
-	Instant bool              `json:"instant,omitempty"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
 
 	open bool
@@ -90,19 +88,6 @@ func (s *SpanRef) End() {
 	sp.DurUS = s.t.sinceStartLocked() - sp.StartUS
 }
 
-// Instant records a zero-duration event.
-func (t *Tracer) Instant(name, cat string, attrs map[string]string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, Span{
-		Name:    name,
-		Cat:     cat,
-		StartUS: t.sinceStartLocked(),
-		Instant: true,
-		Attrs:   copyAttrs(attrs),
-	})
-}
-
 func copyAttrs(attrs map[string]string) map[string]string {
 	if len(attrs) == 0 {
 		return nil
@@ -150,12 +135,11 @@ type chromeEvent struct {
 	Dur  int64             `json:"dur,omitempty"`
 	PID  int               `json:"pid"`
 	TID  int               `json:"tid"`
-	S    string            `json:"s,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace exports the spans as Chrome trace_event JSON: complete
-// ("X") events for spans, instant ("i") events for instants. Overlapping
+// WriteChromeTrace exports the spans as Chrome trace_event JSON, one
+// complete ("X") event per span. Overlapping
 // spans are packed onto distinct tracks (tids) greedily so every span is
 // visible in chrome://tracing; tracks are deterministic for a given span
 // sequence.
@@ -178,11 +162,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			tracks = append(tracks, track{})
 			assigned = len(tracks) - 1
 		}
-		end := sp.StartUS + sp.DurUS
-		if sp.Instant {
-			end = sp.StartUS
-		}
-		if end > tracks[assigned].busyUntil {
+		if end := sp.StartUS + sp.DurUS; end > tracks[assigned].busyUntil {
 			tracks[assigned].busyUntil = end
 		}
 		tids[i] = assigned + 1
@@ -194,18 +174,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}}
 	for i, sp := range spans {
 		ev := chromeEvent{
-			Name: sp.Name, Cat: sp.Cat, TS: sp.StartUS,
+			Name: sp.Name, Cat: sp.Cat, Ph: "X", TS: sp.StartUS, Dur: sp.DurUS,
 			PID: 1, TID: tids[i], Args: sp.Attrs,
 		}
 		if sp.Cat == "" {
 			ev.Cat = "avgi"
-		}
-		if sp.Instant {
-			ev.Ph = "i"
-			ev.S = "g"
-		} else {
-			ev.Ph = "X"
-			ev.Dur = sp.DurUS
 		}
 		events = append(events, ev)
 	}

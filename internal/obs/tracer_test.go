@@ -17,8 +17,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // sampleTrace records a study-shaped span sequence: an outer phase with
-// two nested children (forcing extra tracks), then a second phase and an
-// instant.
+// two nested children (forcing extra tracks), then a second phase.
 func sampleTrace() (*Tracer, *fakeClock) {
 	tr := NewTracer()
 	clk := newFakeClock()
@@ -38,7 +37,6 @@ func sampleTrace() (*Tracer, *fakeClock) {
 		map[string]string{"structure": "RF", "faults": "400"})
 	clk.advance(40 * time.Millisecond)
 	camp.End()
-	tr.Instant("estimator trained", "estimator", nil)
 	return tr, clk
 }
 
@@ -56,8 +54,8 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 6 { // metadata + 4 spans + 1 instant
-		t.Fatalf("%d trace events, want 6", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 5 { // metadata + 4 spans
+		t.Fatalf("%d trace events, want 5", len(doc.TraceEvents))
 	}
 	checkGolden(t, "trace.json", buf.Bytes())
 }
@@ -87,7 +85,7 @@ func TestTrackPacking(t *testing.T) {
 	}
 	tid := map[string]int{}
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" || ev.Ph == "i" {
+		if ev.Ph == "X" {
 			tid[ev.Name] = ev.TID
 		}
 	}
