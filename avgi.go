@@ -30,9 +30,9 @@ package avgi
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
-	"avgi/internal/ace"
 	"avgi/internal/archinj"
 	"avgi/internal/asm"
 	"avgi/internal/campaign"
@@ -208,10 +208,19 @@ const (
 	Z99 = stats.Z99
 )
 
-// ACEAnalyzeRF runs the ACE-analysis baseline (Fig. 1 comparator) on a
-// runner's golden trace and returns the estimated register-file AVF.
+// ACEAnalyzeRF is the ACE-analysis baseline Fig. 1 compares with: the share
+// of the register file's (bit, cycle) pairs whose first event in the golden
+// site timeline, up to the halt, reads the register. A fault anywhere else is
+// dead, erased or untouched, and the timeline proves it golden-equivalent, so
+// the share bounds the exhaustive SFI AVF from above. NaN for a golden run too
+// long to have a timeline.
 func ACEAnalyzeRF(r *Runner) float64 {
-	return ace.AnalyzeRF(r.Golden.Trace, r.Cfg.Variant, r.Cfg.PhysRegs).AVF
+	tl := r.Timeline()
+	if tl == nil {
+		return math.NaN()
+	}
+	c, _ := tl.Census("RF", r.Golden.Cycles)
+	return c.ReadFirstShare()
 }
 
 // ArchInjSummary is the outcome of an architecture-level (ISA-level)

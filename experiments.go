@@ -22,7 +22,8 @@ import (
 var immOrder = []IMM{imm.IFC, imm.IRP, imm.UNO, imm.OFS, imm.DCR, imm.ETE, imm.PRE}
 
 // Fig1 reproduces Fig. 1: register-file AVF from exhaustive SFI versus the
-// ACE-analysis baseline, per workload. ACE must always be the larger.
+// ACE-analysis baseline, per workload. ACE must always be the larger; a
+// workload without a golden site timeline has no ACE column ("-").
 func (s *Study) Fig1() *Table {
 	t := &Table{
 		Title:   "Fig. 1 — RF AVF: exhaustive SFI vs ACE analysis",
@@ -31,12 +32,14 @@ func (s *Study) Fig1() *Table {
 	s.Prefetch([]string{"RF"}, s.WorkloadNames(), campaign.ModeExhaustive)
 	for _, w := range s.WorkloadNames() {
 		sfi := s.GroundTruthAVF("RF", w).Total()
-		aceAVF := ACEAnalyzeRF(s.Runner(w))
-		ratio := math.Inf(1)
-		if sfi > 0 {
-			ratio = aceAVF / sfi
+		ace, ratio := "-", "-"
+		if a := ACEAnalyzeRF(s.Runner(w)); !math.IsNaN(a) {
+			ace, ratio = report.Pct(a), report.F2(math.Inf(1))
+			if sfi > 0 {
+				ratio = report.F2(a / sfi)
+			}
 		}
-		t.AddRow(w, report.Pct(sfi), report.Pct(aceAVF), report.F2(ratio))
+		t.AddRow(w, report.Pct(sfi), ace, ratio)
 	}
 	return t
 }

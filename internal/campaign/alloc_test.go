@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"avgi/internal/cpu"
@@ -20,7 +21,10 @@ const (
 )
 
 // TestAllocPerFault measures the marginal allocation of a fault as the
-// difference between a 2n-fault and an n-fault campaign.
+// difference between a 2n-fault and an n-fault campaign, in the steady state:
+// the garbage collector is off from the warm-up on, so the pooled cursor
+// machine survives into both runs and no GC between them can charge a fresh
+// machine to the difference.
 func TestAllocPerFault(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -29,6 +33,7 @@ func TestAllocPerFault(t *testing.T) {
 	r.EarlyExit = true
 	const n = 48
 	faults := r.FaultList("RF", 2*n, 1)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	r.Run(faults, ModeAVGI, 2000, 1) // records the checkpoint store, fills the pool
 
 	allocated := func(mode Mode, k int) uint64 {

@@ -264,6 +264,13 @@ func (r *Runner) checkpoints() (*ckpt.Store, *ckpt.Pool) {
 	return r.store, r.pool
 }
 
+// Timeline returns the golden site timeline, recorded with the checkpoint
+// store on first use; nil for a golden run too long to index.
+func (r *Runner) Timeline() *cpu.Timeline {
+	store, _ := r.checkpoints()
+	return store.Timeline()
+}
+
 // NewRunner performs the golden run and prepares the campaign state.
 func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 	m := cpu.New(cfg, p)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"flag"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"avgi/internal/fault"
 	"avgi/internal/forensics"
 	"avgi/internal/mem"
+	"avgi/internal/obs"
 	"avgi/internal/prog"
 	"avgi/internal/trace"
 )
@@ -317,6 +319,51 @@ func TestTimelineDifferentialSweep(t *testing.T) {
 				full := r.Run(faults, ModeExhaustive, 0, 2)
 				r.EarlyExit = true
 				requireSameResults(t, name+" exhaustive", full, r.Run(faults, ModeExhaustive, 0, 2))
+			}
+		}
+	}
+}
+
+// TestTimelineCensusPopulation checks the fault sampler and the recorder
+// against the census: in an exhaustive campaign with EarlyExit, the faults
+// avgi_window_resolved_total counts as dead, erased and untouched must each
+// lie within four standard deviations of n times the census's exact share.
+// fault.List samples (bit, cycle) uniformly and every bit of a core site
+// shares its fate, so a sampler that favoured some cycles or registers, or a
+// resolve that disagreed with the timeline, would pull a count away. (resolve
+// forks the faults at the halt cycle and those erased there, a share of one
+// cycle in the run.)
+func TestTimelineCensusPopulation(t *testing.T) {
+	const n = 400
+	cfgs, workloads := []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()}, []string{"sha", "crc32"}
+	if testing.Short() || raceEnabled {
+		cfgs, workloads = cfgs[:1], workloads[:1]
+	}
+	for _, cfg := range cfgs {
+		for _, workload := range workloads {
+			r := newTestRunner(t, cfg, workload)
+			r.EarlyExit, r.Obs = true, obs.New(nil)
+			for _, st := range []string{"RF", "LQ"} {
+				r.Run(r.FaultList(st, n, 1), ModeExhaustive, 0, 2)
+				c, _ := r.Timeline().Census(st, r.Golden.Cycles)
+				all := float64(c.Dead + c.Untouched + c.Erased + c.ReadFirst)
+				for fate, pairs := range [...]uint64{resolvedDead: c.Dead, resolvedErased: c.Erased, resolvedUntouched: c.Untouched} {
+					if fate == 0 {
+						continue
+					}
+					got := r.Obs.Metrics.Counter("avgi_window_resolved_total", "", map[string]string{
+						"fate": resolvedNames[fate], "structure": st, "workload": workload, "mode": "exhaustive"}).Value()
+					p := float64(pairs) / all
+					z := 0.0
+					if pairs != 0 {
+						z = (float64(got) - n*p) / math.Sqrt(n*p*(1-p))
+					}
+					name := cfg.Name + "/" + workload + "/" + st + " " + resolvedNames[fate]
+					t.Logf("%s: %d resolved, the census expects %.1f (z %+.2f)", name, got, n*p, z)
+					if pairs == 0 && got != 0 || math.Abs(z) > 4 {
+						t.Errorf("%s: %d of %d faults resolved, the census share %.4f expects %.1f", name, got, n, p, n*p)
+					}
+				}
 			}
 		}
 	}

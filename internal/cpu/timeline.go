@@ -66,18 +66,7 @@ func (tl *Timeline) Fate(structure string, bit, t, until uint64) (f mem.SiteFate
 }
 
 func (tl *Timeline) coreFate(kind probeKind, site, t, until uint64) mem.SiteFate {
-	// A register mapped at cycle 0 is off the free list from the start.
-	f := mem.SiteFate{Live: kind == probeReg && int(site) < tl.cfg.Variant.NumArchRegs()}
-	tl.core[kind].Scan(int(site), t, 0, func(_ uint64, d uint32) bool {
-		// A queue slot is in use from its allocation to its next event; a
-		// register's reads and writebacks leave it where it was.
-		ev := mem.ProbeEvent(d)
-		if kind == probeReg && ev < mem.ProbeAlloc {
-			return true
-		}
-		f.Live = ev == mem.ProbeAlloc || kind != probeReg && ev == mem.ProbeOverwrite
-		return false
-	})
+	f := mem.SiteFate{Live: tl.liveAt(kind, site, t)}
 	tl.core[kind].Scan(int(site), t, until, func(c uint64, d uint32) bool {
 		if ev := mem.ProbeEvent(d); ev < mem.ProbeAlloc && c <= until {
 			f.Cycle, f.Event = c, ev
@@ -85,6 +74,91 @@ func (tl *Timeline) coreFate(kind probeKind, site, t, until uint64) mem.SiteFate
 		return mem.ProbeEvent(d) >= mem.ProbeAlloc
 	})
 	return f
+}
+
+// liveAt reports whether a core site holds reachable state at cycle t, after
+// that cycle's events.
+func (tl *Timeline) liveAt(kind probeKind, site, t uint64) bool {
+	// A register mapped at cycle 0 is off the free list from the start.
+	live := kind == probeReg && int(site) < tl.cfg.Variant.NumArchRegs()
+	tl.core[kind].Scan(int(site), t, 0, func(_ uint64, d uint32) bool {
+		ev := mem.ProbeEvent(d)
+		live = nextLive(kind, live, ev)
+		return kind == probeReg && ev < mem.ProbeAlloc
+	})
+	return live
+}
+
+// nextLive is a core site's liveness after event ev. A queue slot is in use
+// from its allocation to its next event; a register from leaving the free
+// list to rejoining it, whatever reads and writebacks it meets in between.
+func nextLive(kind probeKind, live bool, ev mem.ProbeEvent) bool {
+	if kind == probeReg && ev < mem.ProbeAlloc {
+		return live
+	}
+	return ev == mem.ProbeAlloc || kind != probeReg && ev == mem.ProbeOverwrite
+}
+
+// Census counts the (site, cycle) pairs of an array by the fate Fate gives
+// a fault injected there; every bit of a core site shares its site's fate.
+type Census struct {
+	Dead, Untouched, Erased, ReadFirst uint64
+}
+
+// ReadFirstShare is the share of the pairs whose first event reads the site:
+// the only faults that can reach the program, so an upper bound on the AVF.
+func (c Census) ReadFirstShare() float64 {
+	return float64(c.ReadFirst) / float64(c.Dead+c.Untouched+c.Erased+c.ReadFirst)
+}
+
+// Census counts every (site, t), t in [1, end], of a core array by what
+// Fate(structure, ·, t, end) answers: dead, untouched, erased or read
+// first. Between two events on a site the answer is constant, so one pass
+// over each site's events suffices. ok is false for a cache or TLB array.
+func (tl *Timeline) Census(structure string, end uint64) (c Census, ok bool) {
+	s, _ := StructureNamed(structure)
+	if s.Cache || s.kind == probeMem {
+		return c, false
+	}
+	sites, _ := s.geometry(&tl.cfg)
+	for site := uint64(0); site < uint64(sites); site++ {
+		// Cycles [1, from) are counted or pending: dead and held are the
+		// pending ones, dead or live, whose first event is still ahead.
+		live, from := tl.liveAt(s.kind, site, 1), uint64(1)
+		var dead, held uint64
+		upTo := func(cyc uint64) {
+			if live {
+				held += cyc - from
+			} else {
+				dead += cyc - from
+			}
+			from = cyc
+		}
+		settle := func(fate *uint64) {
+			c.Dead += dead
+			*fate += held
+			dead, held = 0, 0
+		}
+		tl.core[s.kind].Scan(int(site), 1, end, func(cyc uint64, d uint32) bool {
+			if cyc > end {
+				return false
+			}
+			upTo(cyc)
+			ev := mem.ProbeEvent(d)
+			switch {
+			case ev >= mem.ProbeAlloc:
+			case (mem.SiteFate{Cycle: cyc, Event: ev}).Erased():
+				settle(&c.Erased)
+			default:
+				settle(&c.ReadFirst)
+			}
+			live = nextLive(s.kind, live, ev)
+			return true
+		})
+		upTo(end + 1)
+		settle(&c.Untouched)
+	}
+	return c, true
 }
 
 // FactsOf returns the facts a probe armed at cycle t leaves behind on a site

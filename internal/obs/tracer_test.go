@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -115,4 +117,32 @@ func TestOpenSpanExtendsToNow(t *testing.T) {
 func TestNilSpanRefEnd(t *testing.T) {
 	var s *SpanRef
 	s.End() // must not panic
+}
+
+// TestTracerKeepsNewestSpans: a tracer past its bound keeps exactly the
+// newest maxSpans spans, ending a span it evicted changes nothing, and the
+// refs of the spans it kept still end their own.
+func TestTracerKeepsNewestSpans(t *testing.T) {
+	tr := NewTracer()
+	clk := newFakeClock()
+	tr.SetClock(clk.now)
+	refs := make([]*SpanRef, maxSpans+10)
+	for i := range refs {
+		refs[i] = tr.StartSpan(fmt.Sprint("s", i), "", nil)
+		clk.advance(time.Microsecond)
+	}
+	before := tr.Spans()
+	if len(before) != maxSpans || before[0].Name != "s10" || before[maxSpans-1].Name != fmt.Sprint("s", maxSpans+9) {
+		t.Fatalf("kept %d spans, %q to %q; want the newest %d", len(before), before[0].Name, before[len(before)-1].Name, maxSpans)
+	}
+	refs[0].End()
+	refs[9].End()
+	if after := tr.Spans(); !reflect.DeepEqual(before, after) {
+		t.Error("ending an evicted span changed the trace")
+	}
+	clk.advance(time.Millisecond)
+	refs[10].End()
+	if sp := tr.Spans()[0]; sp.open || sp.DurUS != int64(maxSpans)+1000 {
+		t.Errorf("the oldest kept span ended as %+v", sp)
+	}
 }

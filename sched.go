@@ -101,11 +101,10 @@ type executor struct {
 	flights *flightMap[assessKey]
 	sched   schedObs
 
-	journal   *journal.Journal // nil = unjournalled
-	resume    bool
-	traceAVGI bool        // one span per AVGI-mode campaign: a study's grid is bounded, a server's request stream is not
-	dist      *DistConfig // non-nil with Fleet > 0 = distributed execution
-	obs       *Observer
+	journal *journal.Journal // nil = unjournalled
+	resume  bool
+	dist    *DistConfig // non-nil with Fleet > 0 = distributed execution
+	obs     *Observer
 }
 
 // init opens the journal at journalDir ("" = unjournalled), builds the
@@ -154,7 +153,7 @@ func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res [
 				defer func() { e.sched.inflight.Set(float64(e.sched.live.Add(-1))) }()
 			}
 			var sp *obs.SpanRef
-			if e.traceAVGI && key.mode == campaign.ModeAVGI {
+			if key.mode == campaign.ModeAVGI {
 				sp = e.obs.Span("assess "+key.structure+" "+key.workload, "estimator",
 					map[string]string{"structure": key.structure, "workload": key.workload, "window": fmt.Sprint(key.window)})
 			}

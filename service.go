@@ -175,10 +175,7 @@ type Service struct {
 	Cfg ServiceConfig
 	*executor
 
-	// shards is the flight map when it keeps completed flights (the
-	// memory tier of decoded shards), nil when it keeps none.
-	shards *flightMap[assessKey]
-	srv    serviceObs
+	srv serviceObs
 
 	mu       sync.Mutex
 	runners  map[string]*runnerSlot      // (machine, workload) -> lazy golden
@@ -238,9 +235,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	if err := s.init(cfg.JournalDir, cfg.Workers, retain, "avgi_server", nil, "service"); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
-	}
-	if retain > 0 {
-		s.shards = s.flights
 	}
 	if o := cfg.Obs; o != nil && o.Metrics != nil {
 		reg := o.Metrics

@@ -572,7 +572,7 @@ func TestServiceShardCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.shards != nil {
+	if s2.flights.retain != 0 {
 		t.Fatal("ShardCacheEntries < 0 must disable the cache")
 	}
 	third, err := s2.Assess(svcRequest())
@@ -604,8 +604,8 @@ func TestServiceShardCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.shards.len() != 2 {
-		t.Errorf("cache holds %d entries, want capacity 2", s.shards.len())
+	if s.flights.len() != 2 {
+		t.Errorf("cache holds %d entries, want capacity 2", s.flights.len())
 	}
 	ev := s.Cfg.Obs.Metrics.Counter("avgi_server_shard_cache_evictions_total", "", nil).Value()
 	if ev != 1 {

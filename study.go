@@ -123,7 +123,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	st := &Study{
 		Cfg: cfg,
 		executor: &executor{
-			resume: cfg.Resume, traceAVGI: true, dist: cfg.Dist, obs: cfg.Obs,
+			resume: cfg.Resume, dist: cfg.Dist, obs: cfg.Obs,
 		},
 		runners: make(map[string]*Runner),
 	}
