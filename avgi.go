@@ -33,7 +33,6 @@ import (
 	"math"
 	"strings"
 
-	"avgi/internal/archinj"
 	"avgi/internal/asm"
 	"avgi/internal/campaign"
 	"avgi/internal/core"
@@ -42,6 +41,7 @@ import (
 	"avgi/internal/forensics"
 	"avgi/internal/imm"
 	"avgi/internal/isa"
+	"avgi/internal/iss"
 	"avgi/internal/obs"
 	"avgi/internal/prog"
 	"avgi/internal/report"
@@ -226,7 +226,7 @@ func ACEAnalyzeRF(r *Runner) float64 {
 // ArchInjSummary is the outcome of an architecture-level (ISA-level)
 // injection campaign — the fast-but-misleading baseline of the paper's
 // introduction.
-type ArchInjSummary = archinj.Summary
+type ArchInjSummary = iss.FlipSummary
 
 // ArchLevelCampaign injects n single-bit flips into architectural
 // registers of a functional execution of the named workload (no
@@ -238,7 +238,7 @@ func ArchLevelCampaign(cfg MachineConfig, workload string, n int, seed int64) (A
 	if err != nil {
 		return ArchInjSummary{}, err
 	}
-	sum, _, err := archinj.Campaign(w.Build(cfg.Variant), n, seed)
+	sum, _, err := iss.FlipCampaign(w.Build(cfg.Variant), n, seed)
 	return sum, err
 }
 

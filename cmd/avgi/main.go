@@ -17,12 +17,13 @@
 //	avgi -csv fig10 > fig10.csv
 //	avgi -early-exit=false -faults 200 fig3   # simulate every run in full
 //
-// Campaigns of every mode stop simulating a faulty run as soon as the
-// injected corruption is provably erased (see docs/PERFORMANCE.md); the
-// classification is identical to a full run, only faster, and exhaustive
-// and HVF results are identical down to the cycles charged.
-// -early-exit=false disables the oracle, e.g. to compare AVGI
-// simulated-cycle costs against the paper's full-window accounting.
+// Campaigns of every mode do not simulate a fault the golden site timeline
+// proves golden — every site it covers dead, erased unread or untouched in
+// its window — and fork the others at their sites' first use (see
+// docs/PERFORMANCE.md); the classification is identical to a full run, only
+// faster, and exhaustive and HVF results are identical down to the cycles
+// charged. -early-exit=false simulates every fault in full, e.g. to compare
+// AVGI simulated-cycle costs against the paper's full-window accounting.
 package main
 
 import (
@@ -407,15 +408,7 @@ func runCampaignCmd(x *session, st *avgi.Study) error {
 	structures := selectedStructures()
 	workloads := st.WorkloadNames()
 	// Overlap the grid under the budget; pairs load for free afterwards.
-	if mode == avgi.ModeAVGI {
-		for _, structure := range structures {
-			for _, wl := range workloads {
-				st.Campaign(structure, wl, mode, *flagWindow)
-			}
-		}
-	} else {
-		st.Prefetch(structures, workloads, mode)
-	}
+	st.Prefetch(structures, workloads, mode, *flagWindow)
 	// HVF campaigns stop at the first architectural corruption, so they
 	// carry no end-to-end effect split; exhaustive/avgi campaigns do.
 	t := &avgi.Table{

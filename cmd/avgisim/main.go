@@ -14,8 +14,8 @@
 //	avgisim -inject "RF:100:5000" sha   # flip RF bit 100 at cycle 5000
 //
 // An injection simulates its faulty program to completion (exhaustive mode,
-// with the convergence early exit off: the run itself is what is being
-// inspected), so avgisim has no -early-exit flag.
+// with the early exit off, so the golden site timeline settles nothing: the
+// run itself is what is being inspected), so avgisim has no -early-exit flag.
 package main
 
 import (

@@ -29,7 +29,7 @@ func (s *Study) Fig1() *Table {
 		Title:   "Fig. 1 — RF AVF: exhaustive SFI vs ACE analysis",
 		Columns: []string{"Workload", "SFI AVF", "ACE AVF", "ACE/SFI"},
 	}
-	s.Prefetch([]string{"RF"}, s.WorkloadNames(), campaign.ModeExhaustive)
+	s.Prefetch([]string{"RF"}, s.WorkloadNames(), campaign.ModeExhaustive, 0)
 	for _, w := range s.WorkloadNames() {
 		sfi := s.GroundTruthAVF("RF", w).Total()
 		ace, ratio := "-", "-"
@@ -211,7 +211,7 @@ func (s *Study) Fig8(est *Estimator) *Table {
 		Title:   "Fig. 8 — L1I (Data) IMM distribution: inclusive vs exclusive (ERT stop)",
 		Columns: append([]string{"Workload", "Mode"}, immNames()...),
 	}
-	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive)
+	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive, 0)
 	s.PrefetchAVGI(est, []string{structure}, s.WorkloadNames())
 	for _, w := range s.WorkloadNames() {
 		inc := campaign.Summarize(s.Exhaustive(structure, w)).IMMFractions()
@@ -345,7 +345,7 @@ func (s *Study) Fig10(structures ...string) []*Table {
 	}
 	// The leave-one-out loop below revisits the exhaustive grid once per
 	// assessed workload; dispatch the whole grid concurrently first.
-	s.Prefetch(s.Cfg.Structures, s.WorkloadNames(), campaign.ModeExhaustive)
+	s.Prefetch(s.Cfg.Structures, s.WorkloadNames(), campaign.ModeExhaustive, 0)
 	var out []*Table
 	for _, structure := range structures {
 		t := &Table{

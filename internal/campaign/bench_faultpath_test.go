@@ -28,11 +28,11 @@ func BenchmarkCampaignCursor(b *testing.B) {
 	b.ReportMetric(float64(perIter*b.N)/b.Elapsed().Seconds(), "faults/s")
 }
 
-// BenchmarkCampaignCursorEarlyExit is the cursor campaign with the
-// convergence oracle armed: faults whose corruption is provably erased end
-// their window at the erasure instead of simulating the full ERT. The gap
-// to BenchmarkCampaignCursor is the early-exit payoff on the standard RF
-// shape.
+// BenchmarkCampaignCursorEarlyExit is the cursor campaign with EarlyExit on:
+// the golden site timeline settles the faults that are dead, erased unread
+// or untouched without simulating them, and forks the rest at their first
+// use. The gap to BenchmarkCampaignCursor is the early-exit payoff on the
+// standard RF shape.
 func BenchmarkCampaignCursorEarlyExit(b *testing.B) {
 	r := sharedBenchRunner(b)
 	prev := r.EarlyExit

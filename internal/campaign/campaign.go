@@ -25,11 +25,13 @@
 // docs/CHECKPOINTING.md).
 //
 // Under Runner.EarlyExit no mode simulates what is provably golden: the
-// golden site timeline settles a single-bit fault whose site is dead,
-// erased unread or untouched by lookup, the others fork at their site's
-// first use, and the convergence oracle ends a run whose machine is golden
-// again — an exhaustive or HVF run is then completed as the golden run it
-// has become, so its Result, SimCycles included, is the full run's.
+// golden site timeline settles a fault none of whose sites is read — each
+// dead, erased unread or untouched in the window — by lookup (resolve), and
+// the others fork one cycle before their sites' first event. A resolved
+// fault is charged 1 cycle when no site was live, up to the latest erase
+// when every live one was erased, and the whole window when one stays
+// untouched; outside ModeAVGI the run to the halt, so an exhaustive or HVF
+// Result, SimCycles included, is the full run's.
 package campaign
 
 import (
@@ -131,14 +133,16 @@ type Result struct {
 	ManifestLatency uint64
 
 	// SimCycles is the window the fault is charged: the post-injection
-	// cycles a run forked at the injection cycle simulates under the run's
-	// mode, whether or not anyone ran them — a ModeAVGI fault the golden
-	// site timeline resolves is charged what the convergence oracle would
-	// have simulated, one forked at its site's first use the whole stretch
-	// from injection, and an exhaustive or HVF fault the timeline or the
-	// oracle settles the run to the golden halt, the traditional cost.
-	// Speedups derived from it (study.sim_speedup_x) compare methodologies,
-	// not host time, and do not move with the timeline or the oracle.
+	// cycles from the injection cycle, whether or not anyone ran them. A
+	// fault the run simulates is charged to where its run ended, the whole
+	// stretch from injection even when it forked at its sites' first use. A
+	// ModeAVGI fault the golden site timeline resolves is charged 1 cycle
+	// when no site it covers was live, up to the latest erase when every
+	// live site was erased unread, and the whole window when one stays
+	// untouched; an exhaustive or HVF fault it resolves the run to the
+	// golden halt, the traditional cost. Speedups derived from it
+	// (study.sim_speedup_x) compare methodologies, not host time, and do not
+	// move with the timeline.
 	SimCycles uint64
 
 	// Crash records how a crashed run died.
@@ -197,24 +201,24 @@ type Runner struct {
 	Forensics *forensics.Explorer
 
 	// EarlyExit means: do not simulate what is provably golden, in every
-	// mode. A fate probe watches every injected fault, and the faulty run
-	// ends the moment the probe proves the machine state is bit-identical
-	// to golden again (every latched site erased by golden-valued writes,
-	// nothing consumed first): a ModeAVGI window there instead of at the
-	// full ERT horizon, and an exhaustive or HVF run is completed as the
-	// golden one, which is what it would have become by the halt. A
-	// single-bit fault is first looked up in the golden site timeline
-	// (resolve), which answers for the probe without a faulty cycle when
-	// the site is dead, erased unread or untouched in its window, and
-	// otherwise defers the fork to the site's first use. Results are
-	// identical to the full run's; in ModeAVGI only SimCycles shrinks, and
-	// in the other modes not even that (TestEarlyExitDifferential compares
-	// the outcomes, TestEarlyExitStateGolden the stopped machines
-	// themselves, TestTimelineDifferential and
-	// TestTimelineDifferentialModes the lookup against the live oracle
-	// and the full run). Off by default so recorded AVGI SimCycles stay
-	// comparable; avgi turns it on unless -early-exit=false, and avgid
-	// always does.
+	// mode. Every fault is first looked up in the golden site timeline
+	// (resolve). When none of the sites it covers is read in its window —
+	// each dead, erased by golden-valued writes before anything read it, or
+	// untouched — the Result is written without a faulty cycle, charged 1
+	// cycle for a dead fault, up to the latest erase for an erased one, the
+	// whole window for an untouched one, and outside ModeAVGI the run to
+	// the halt. Otherwise the fork waits for the sites' first event. Results
+	// are identical to the full run's; in ModeAVGI only SimCycles shrinks,
+	// and in the other modes not even that (TestEarlyExitDifferential
+	// compares the outcomes, TestEarlyExitStateGolden the machines where a
+	// charge ends, TestTimelineDifferential and
+	// TestTimelineDifferentialModes every Result field against the full
+	// runs). A multi-bit fault on a cache or TLB forks at its own cycle and
+	// runs its full window, and so does every fault of a golden run too
+	// long to have a timeline (2^22 cycles or more): in ModeAVGI those are
+	// charged their full windows. Off by default so recorded AVGI
+	// SimCycles stay comparable; avgi turns it on unless -early-exit=false,
+	// and avgid always does.
 	EarlyExit bool
 
 	// ckptOnce lazily records the checkpoint store, and with it the golden
@@ -231,10 +235,10 @@ func (r *Runner) RunawayLimit() uint64 {
 	return r.Golden.Cycles*RunawayFactor + RunawayGraceCycles
 }
 
-// horizon is where a faulty run injected at t would end without the
-// convergence oracle if nothing deviated: the ERT horizon in ModeAVGI,
-// capped at the golden halt (a converged machine replays the golden run, so
-// it could never run further), and the halt itself in the other modes.
+// horizon is where a faulty run injected at t would end if nothing
+// deviated: the ERT horizon in ModeAVGI, capped at the golden halt (a
+// machine equal to golden replays the golden run, so it could never run
+// further), and the halt itself in the other modes.
 func (r *Runner) horizon(mode Mode, t, ert uint64) uint64 {
 	if mode == ModeAVGI {
 		return min(t+ert, r.Golden.Cycles)
@@ -510,7 +514,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	ro := r.newRunObs(faults, mode, prior)
 	store, pool := r.checkpoints()
 	var tl *cpu.Timeline
-	if r.EarlyExit && earlyExitCheck == nil {
+	if r.EarlyExit {
 		tl = store.Timeline()
 	}
 	// Contiguous chunks keep each worker's cursor advancing monotonically
@@ -644,26 +648,11 @@ func checkQuarantine(results []Result, prior map[int]Result, skipped [][2]int) {
 		q, fresh, QuarantineLimit*100, strings.Join(sample, "; ")))
 }
 
-// earlyExitCheck, nil outside tests, sees every faulty machine the
-// convergence oracle stopped, still at its stop cycle, with the fault and
-// the probe's facts: TestEarlyExitStateGolden compares it with a golden
-// machine run to that cycle. It is also the switch that keeps the golden
-// site timeline out of a campaign, so that every fault meets the live
-// oracle (TestTimelineDifferential compares the two).
-var earlyExitCheck func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts)
-
-// winMeta is the per-fault window-oracle telemetry: whether the early-exit
-// oracle ended the faulty window, and an estimate of the cycles it saved
-// against the full window (Runner.horizon).
-type winMeta struct {
-	earlyExit   bool
-	cyclesSaved uint64
-}
-
 // The fates the golden site timeline settles without a faulty cycle
 // (forkMeta.resolved; resolvedNames are the fate labels of
-// avgi_window_resolved_total): the site held nothing reachable, was erased
-// before anything read it, or met no event while the window was open.
+// avgi_window_resolved_total): no site the flip covers held anything
+// reachable, every live one was erased before anything read it, or nothing
+// was read and a live one met no event while the window was open.
 const (
 	resolvedDead = 1 + iota
 	resolvedErased
@@ -680,16 +669,18 @@ var resolvedNames = [...]string{resolvedDead: "dead", resolvedErased: "erased", 
 // and batched marks faults that reused the previous fault's snapshot
 // outright (same injection cycle, no cursor advance, so the restored
 // machine already matches it). A cursor that jumped ahead onto a
-// checkpoint pays a full capture too and is a fullSync. resolved is non-zero for a fault the timeline
-// settled: it never forked, and everything else here is zero.
+// checkpoint pays a full capture too and is a fullSync. resolved is non-zero
+// for a fault the timeline settled: it never forked, and of the rest only
+// cyclesSaved is set, to what a dead or erased fault's charge falls short of
+// the full window (Runner.horizon).
 type forkMeta struct {
-	cowPages   uint64
-	advCycles  uint64
-	deltaBytes uint64
-	fullSync   bool
-	batched    bool
-	resolved   uint8
-	winMeta
+	cowPages    uint64
+	advCycles   uint64
+	deltaBytes  uint64
+	fullSync    bool
+	batched     bool
+	resolved    uint8
+	cyclesSaved uint64
 }
 
 // worker is one dispatch goroutine's simulation state: a pooled machine
@@ -704,7 +695,7 @@ type worker struct {
 	ro    *runObs
 	store *ckpt.Store
 	pool  *ckpt.Pool
-	tl    *cpu.Timeline // nil unless EarlyExit lets single-bit faults be resolved by lookup
+	tl    *cpu.Timeline // nil unless EarlyExit lets faults be resolved by lookup
 
 	m     *cpu.Machine  // the pooled golden cursor
 	csnap *cpu.Snapshot // worker-local fault-point snapshot
@@ -778,23 +769,34 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result
 	}
 }
 
-// resolve asks the golden site timeline what the convergence oracle would
-// see of f, injected at f.Cycle with the window its mode gives it: in
-// ModeAVGI to the first golden commit beyond f.Cycle+ert, or to the
-// program's end; in the other modes to the program's end. A site that held
-// nothing reachable, is erased before anything reads it, or meets no event
-// in the window leaves a machine bit-identical to golden: the Result —
-// Benign, charged the cycles the live oracle would have run, which outside
-// ModeAVGI is the run to the golden halt — is written here and fm.resolved
-// says why. Otherwise at is the cycle to fork at: one before the site's
-// first event, until which the faulty machine is the golden one with the
-// same flip pending. An event in the window's last cycle may come behind the
-// commit that ends it, and a halt flushes the caches: both are left to the
-// run. Multi-bit faults (an overwrite can erase one flipped bit and not its
-// neighbour) and campaigns without a timeline fork at f.Cycle.
+// resolve is the one place a campaign decides that a fault is golden. It asks
+// the golden site timeline what becomes of f, injected at f.Cycle with the
+// window its mode gives it: in ModeAVGI to the first golden commit beyond
+// f.Cycle+ert, or to the program's end; in the other modes to the program's
+// end. A flip covers one site, or two when a multi-bit flip straddles a
+// register's or queue slot's boundary, and each site held nothing reachable
+// (dead), is erased before anything reads it, meets no event in the window
+// (untouched), or is read. With no live site read the Result is written
+// here, Benign, and fm.resolved says why: dead when no site was live,
+// charged 1 cycle; erased when every live site was, charged up to the latest
+// erase; untouched when one live site stays so, charged the whole window.
+// Outside ModeAVGI the charge is the run to the golden halt, which a machine
+// equal to golden reaches with it.
+//
+// Otherwise at is the cycle to fork at: one before the first event on any
+// covered site, dead ones included, until which the faulty machine is the
+// golden one with the same flips pending. An event in the window's last
+// cycle may come behind the commit that ends it, and a halt flushes the
+// caches: both are left to the run. A register leaves and rejoins the free
+// list without an event, and the probe judges liveness where it is armed, so
+// a fault on a register whose free-list state changed before that cycle
+// forks at f.Cycle. So does a multi-bit fault on a cache or TLB, whose probe
+// watches byte ranges and entries that the per-bit Fate does not describe,
+// and every fault of a campaign without a timeline.
 func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats, fm forkMeta) {
-	r, t := w.r, f.Cycle
-	if at = t; w.tl == nil || f.Bits() != 1 || f.Bit >= r.BitCounts[f.Structure] || t >= r.Golden.Cycles {
+	r, t, width := w.r, f.Cycle, uint64(f.Bits())
+	s, _ := cpu.StructureNamed(f.Structure)
+	if at = t; w.tl == nil || !s.Core() && width > 1 || f.Bit+width > r.BitCounts[f.Structure] || t >= r.Golden.Cycles {
 		return
 	}
 	end, halts := r.Golden.Cycles, true
@@ -804,22 +806,61 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 			end, halts = tr[k].Cycle, false
 		}
 	}
-	fate, masked := w.tl.Fate(f.Structure, f.Bit, t, end)
-	s, _ := cpu.StructureNamed(f.Structure)
+	per := uint64(1) // a cache's or TLB's Fate answers for one bit
+	if s.Core() {
+		_, per = s.Geometry(&r.Cfg)
+	}
+	lo, hi := f.Bit/per, (f.Bit+width-1)/per
+	facts := cpu.ProbeFacts{InjectCycle: t}
+	var first, lastErase uint64 // the first event on any site; the last erase of a live one
+	untouched, read := false, false
+	for site := lo; site <= hi; site++ {
+		bit := max(site*per, f.Bit)
+		n := min((site+1)*per, f.Bit+width) - bit
+		fate, masked := w.tl.Fate(f.Structure, bit, t, end)
+		if masked {
+			delta.FlipsMasked += n
+		} else {
+			delta.FlipsArmed += n
+		}
+		ev := fate.Cycle
+		if ev == 0 && fate.Live && halts && s.Cache {
+			ev = end // only a cache array meets the halt's flush
+		}
+		if ev != 0 && (first == 0 || ev < first) {
+			first = ev
+		}
+		erased := false
+		switch {
+		case !fate.Live:
+		case ev == 0:
+			untouched = true
+		case ev == end || !fate.Erased():
+			read = true
+		default:
+			erased, lastErase = true, max(lastErase, ev)
+		}
+		facts.AddSite(fate, erased)
+	}
 	switch {
-	case !fate.Live:
+	case read:
+		at = first - 1
+		liveAt := func(site, c uint64) bool {
+			fate, _ := w.tl.Fate(f.Structure, site*per, c, c)
+			return fate.Live
+		}
+		for site := lo; site <= hi && s.Core() && !s.Queue; site++ {
+			if liveAt(site, at) != liveAt(site, t) {
+				at = t
+			}
+		}
+		return
+	case facts.LiveSites == 0:
 		fm.resolved, end = resolvedDead, t+1
-	case fate.Cycle == 0 && halts && s.Cache:
-		// Only a cache array meets the halt's flush.
-		at = end - 1
-		return
-	case fate.Cycle == 0:
+	case untouched:
 		fm.resolved = resolvedUntouched
-	case fate.Cycle == end || !fate.Erased():
-		at = fate.Cycle - 1
-		return
 	default:
-		fm.resolved, end = resolvedErased, fate.Cycle
+		fm.resolved, end = resolvedErased, lastErase
 	}
 	res = Result{Fault: f, IMM: imm.Benign, SimCycles: end - t}
 	if w.mode != ModeAVGI {
@@ -827,14 +868,11 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 		res.SimCycles = r.Golden.Cycles - t
 		res.Effect, res.HasEffect = imm.Masked, w.mode == ModeExhaustive
 	}
-	if delta.FlipsArmed = 1; masked {
-		delta.FlipsArmed, delta.FlipsMasked = 0, 1
-	}
 	if full := r.horizon(w.mode, t, w.ert); fm.resolved != resolvedUntouched {
-		fm.earlyExit, fm.cyclesSaved = true, full-min(full, end)
+		fm.cyclesSaved = full - min(full, end)
 	}
 	if r.Forensics != nil {
-		rec := forensics.Attribute(cpu.FactsOf(fate, t, fm.resolved == resolvedErased), forensics.Outcome{})
+		rec := forensics.Attribute(facts, forensics.Outcome{})
 		res.Forensics = &rec
 	}
 	return
@@ -911,7 +949,7 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 		batched = true
 	}
 	cowBase := m.Mem.RAM.CowPrivatized()
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
+	res, delta := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
 	cow := m.Mem.RAM.CowPrivatized() - cowBase
 	deltaBytes += m.SyncRestore(w.csnap)
 	return res, delta, forkMeta{
@@ -920,7 +958,6 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 		deltaBytes: deltaBytes,
 		fullSync:   fullSync,
 		batched:    batched,
-		winMeta:    wm,
 	}
 }
 
@@ -932,7 +969,7 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 // statistics the faulty run added (post-fork delta), consumed by the
 // telemetry layer.
 func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64,
-	cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
+	cmp *trace.Comparator) (Result, cpu.Stats) {
 	statsAtFork := m.Stats
 	tg := m.Target(f.Structure)
 	if tg == nil {
@@ -951,22 +988,14 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	for i := uint64(0); i < width; i++ {
 		tg.FlipBit(f.Bit + i)
 	}
-	// The fate probe is armed after the flip and cleared before this
-	// function returns, so the fork machinery around it (worker-local
-	// sync snapshots before, restores after) never observes one. Under
-	// the early-exit oracle every fault is probed (one probe serves both
-	// the oracle and, under forensics, attribution).
-	forens := r.Forensics != nil
-	oracle := r.EarlyExit
+	// Under forensics a fate probe is armed after the flip and cleared
+	// before this function returns, so the fork machinery around it
+	// (worker-local sync snapshots before, restores after) never observes
+	// one.
 	var probe *cpu.FaultProbe
-	if forens || oracle {
+	if r.Forensics != nil {
 		probe = m.ArmProbe(f.Structure, f.Bit, int(width))
-	}
-	if probe != nil {
 		probe.AnchorAt(f.Cycle)
-		if oracle {
-			probe.EnableConvergenceStop()
-		}
 	}
 
 	// Reset keeps the Golden slice, so aim first.
@@ -982,25 +1011,6 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	}
 	m.SetSink(cmp)
 	res := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
-
-	var wm winMeta
-	if oracle && res.Status == cpu.StatusStopped && !cmp.Stopped() {
-		// The machine stopped but the comparator never asked it to: the
-		// convergence oracle ended the window. Estimate the savings
-		// against where the full window would have run to.
-		wm.earlyExit = true
-		if earlyExitCheck != nil {
-			earlyExitCheck(m, f, probe.Facts())
-		}
-		if full := r.horizon(mode, f.Cycle, ert); full > res.Cycles {
-			wm.cyclesSaved = full - res.Cycles
-		}
-		if mode != ModeAVGI {
-			// Only the halt ends these windows, and a machine equal to
-			// golden reaches it with golden: finish the run as that one.
-			res.Status, res.Cycles, res.Output = cpu.StatusHalted, r.Golden.Cycles, r.Golden.Output
-		}
-	}
 
 	crashed := res.Status == cpu.StatusCrashed || res.Status == cpu.StatusCycleLimit
 	produced := res.Status == cpu.StatusHalted
@@ -1024,9 +1034,7 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		}
 		out.IMM = imm.Classify(imm.Inputs{Dev: cmp.Dev, Variant: r.Cfg.Variant})
 	case res.Status == cpu.StatusStopped:
-		// The ERT window expired with a clean commit trace — either at
-		// the full horizon or because the convergence oracle proved the
-		// machine state golden again (same verdict, shorter window).
+		// The ERT window expired with a clean commit trace.
 		out.IMM = imm.Benign
 	default:
 		out.IMM = imm.Classify(imm.Inputs{
@@ -1049,30 +1057,23 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	}
 	if probe != nil {
 		m.ClearProbe()
-		if forens {
-			oc := forensics.Outcome{
-				Visible:         out.Manifested,
-				ManifestLatency: out.ManifestLatency,
-				Dev:             cmp.Dev,
-			}
-			if out.IMM == imm.ESC {
-				// An escape through a dirty line is architecturally visible
-				// in the program output even though the commit trace never
-				// deviates; the whole post-injection run is its latency.
-				oc.Visible = true
-				oc.Escaped = true
-				oc.ManifestLatency = out.SimCycles
-			}
-			// An oracle-probed fault without forensics carries no record,
-			// so Results are identical whether or not the oracle was on.
-			// Attribution itself is truncation-proof: a converged probe has
-			// every site dead, so no further event could have amended the
-			// facts in the cycles the exit skipped.
-			rec := forensics.Attribute(probe.Facts(), oc)
-			out.Forensics = &rec
+		oc := forensics.Outcome{
+			Visible:         out.Manifested,
+			ManifestLatency: out.ManifestLatency,
+			Dev:             cmp.Dev,
 		}
+		if out.IMM == imm.ESC {
+			// An escape through a dirty line is architecturally visible
+			// in the program output even though the commit trace never
+			// deviates; the whole post-injection run is its latency.
+			oc.Visible = true
+			oc.Escaped = true
+			oc.ManifestLatency = out.SimCycles
+		}
+		rec := forensics.Attribute(probe.Facts(), oc)
+		out.Forensics = &rec
 	}
-	return out, statsDelta(m.Stats, statsAtFork), wm
+	return out, statsDelta(m.Stats, statsAtFork)
 }
 
 // statsDelta subtracts the fork-time snapshot from a clone's final stats.

@@ -26,7 +26,7 @@ func referenceRun(r *Runner, faults []fault.Fault, mode Mode, ert uint64) []Resu
 			mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
 		}
 		m := mother.Clone()
-		out[i], _, _ = r.injectAndObserve(m, f, mode, ert, &cmp)
+		out[i], _ = r.injectAndObserve(m, f, mode, ert, &cmp)
 	}
 	return out
 }

@@ -15,12 +15,12 @@ import (
 )
 
 // nonState names the fields a faulty machine and a golden one may differ in
-// at an early exit without differing in state: configuration and immutable
-// program data, observers (sink, profile, probes), the delta-tracking
-// lineage (dirty sets, RAM page ownership and its telemetry), pointers that
-// lead back to components the walk reaches by name (lower, ramLevel), the
-// flip counters the injection itself bumped, and status — Stopped on the
-// one, Running on the other, checked apart.
+// where a resolved fault's charge ends without differing in state:
+// configuration and immutable program data, observers (sink, profile,
+// probes), the delta-tracking lineage (dirty sets, RAM page ownership and its
+// telemetry), pointers that lead back to components the walk reaches by name
+// (lower, ramLevel), the flip counters the injection itself bumped, and
+// status, checked apart.
 var nonState = map[string]bool{
 	"Cfg": true, "Prog": true, "text": true, "name": true, "cfg": true,
 	"sink": true, "profile": true, "probe": true,
@@ -96,36 +96,54 @@ func machineDiff(a, b *cpu.Machine) []string {
 	return out
 }
 
-// checkStateGolden runs faults in mode through the early-exit oracle on one
-// worker and compares every machine it stops with a golden machine run to
-// the same cycle: every field of cpu.Machine and, through Mem, of each
-// cache, each TLB and RAM. The two must be equal as they are, or equal once
-// the golden machine has had flipped the bits the fault put where nothing
-// can reach them: all of them when the probe found no live site, and of a
+// checkStateGolden holds the golden site timeline to its claim on the
+// machines themselves. Every fault of faults that resolve settles as dead or
+// erased, in a window of ert cycles, is flipped on a golden clone at its
+// cycle and run to the cycle it is charged to, then compared with a golden
+// machine at that cycle: every field of cpu.Machine and, through Mem, of
+// each cache, each TLB and RAM. The two must be equal as they are, or equal
+// once the golden machine has had flipped the bits the fault put where
+// nothing can reach them: all of them when no site was live, and of a
 // multi-bit fault that straddles entries those on its born-dead ones
-// (bornDead). An exhaustive or HVF run is completed as the golden one only
-// after this check. Returns the number of early exits checked.
-func checkStateGolden(t *testing.T, r *Runner, mode Mode, faults []fault.Fault) int {
+// (bornDead). A window that reaches the halt is the one exhaustive and HVF
+// faults resolve in. Returns the faults checked, and how many of them
+// straddled a live and a born-dead site.
+func checkStateGolden(t *testing.T, r *Runner, ert uint64, faults []fault.Fault) (checked, straddlers int) {
 	t.Helper()
-	r.EarlyExit = true
+	w := &worker{r: r, mode: ModeAVGI, ert: ert, tl: r.Timeline()}
 	var golden *cpu.Machine
-	checked := 0
-	earlyExitCheck = func(m *cpu.Machine, f fault.Fault, facts cpu.ProbeFacts) {
+	for _, f := range faults {
+		_, res, _, fm := w.resolve(f)
+		if fm.resolved != resolvedDead && fm.resolved != resolvedErased {
+			continue
+		}
 		checked++
 		if golden == nil || golden.Cycle() > f.Cycle {
 			golden = cpu.New(r.Cfg, r.Prog)
 		}
 		golden.Run(cpu.RunOptions{StopAtCycle: f.Cycle})
-		g := golden.Clone()
-		g.Run(cpu.RunOptions{StopAtCycle: m.Cycle()})
-		if m.Status() != cpu.StatusStopped || g.Status() != cpu.StatusRunning || g.Cycle() != m.Cycle() {
-			t.Errorf("%s %s: stopped machine %v at cycle %d, golden %v at %d", r.Prog.Name, f, m.Status(), m.Cycle(), g.Status(), g.Cycle())
-			return
+		stop := f.Cycle + res.SimCycles
+		m := golden.Clone()
+		for b := uint64(0); b < uint64(f.Bits()); b++ {
+			m.Target(f.Structure).FlipBit(f.Bit + b)
 		}
-		diff := machineDiff(m, g)
+		facts := m.ArmProbe(f.Structure, f.Bit, f.Bits()).Facts()
+		m.ClearProbe()
+		m.Run(cpu.RunOptions{StopAtCycle: stop})
+		g := golden.Clone()
+		g.Run(cpu.RunOptions{StopAtCycle: stop})
+		if m.Status() != g.Status() || m.Cycle() != stop || g.Cycle() != stop {
+			t.Errorf("%s %s: charged to cycle %d, the faulty machine is %v at %d, golden %v at %d",
+				r.Prog.Name, f, stop, m.Status(), m.Cycle(), g.Status(), g.Cycle())
+			continue
+		}
+		if (fm.resolved == resolvedDead) != (facts.LiveSites == 0) {
+			t.Errorf("%s %s: resolved %s, but a probe finds %d live sites", r.Prog.Name, f, resolvedNames[fm.resolved], facts.LiveSites)
+		}
 		if facts.LiveSites > 0 && facts.LiveSites < facts.Sites {
 			straddlers++
 		}
+		diff := machineDiff(m, g)
 		if len(diff) != 0 && facts.LiveSites < facts.Sites {
 			tg := g.Target(f.Structure)
 			for _, bit := range bornDead(r, golden, f, facts) {
@@ -134,50 +152,31 @@ func checkStateGolden(t *testing.T, r *Runner, mode Mode, faults []fault.Fault) 
 			diff = machineDiff(m, g)
 		}
 		if len(diff) != 0 {
-			t.Errorf("%s %s: early exit after %d cycles with state that is not golden (facts %+v): %v",
-				r.Prog.Name, f, m.Cycle()-f.Cycle, facts, diff)
+			t.Errorf("%s %s: resolved %s and charged %d cycles, but the state there is not golden (facts %+v): %v",
+				r.Prog.Name, f, resolvedNames[fm.resolved], res.SimCycles, facts, diff)
 		}
 	}
-	defer func() { earlyExitCheck = nil }()
-	for _, res := range r.Run(faults, mode, 2000, 1) {
-		if res.Quarantined { // a panic in the hook ends up here
-			t.Fatalf("%s quarantined: %s", res.Fault, res.Err)
-		}
-	}
-	return checked
+	return checked, straddlers
 }
-
-// straddlers counts the early exits checkStateGolden saw of multi-bit faults
-// with a live and a born-dead site.
-var straddlers int
 
 // entryBits returns the bits per array entry — register, queue slot, TLB
 // entry, tag entry or data line — of a structure: a probe's sites.
 func entryBits(r *Runner, structure string) uint64 {
-	entries := 0
-	switch cfg := r.Cfg; structure {
-	case "RF":
-		entries = cfg.PhysRegs
-	case "ROB":
-		entries = cfg.ROBSize
-	case "LQ":
-		entries = cfg.LQSize
-	case "SQ":
-		entries = cfg.SQSize
-	case "ITLB":
-		entries = cfg.Mem.ITLBEntries
-	case "DTLB":
-		entries = cfg.Mem.DTLBEntries
-	default:
-		c := cfg.Mem.L2
-		if strings.HasPrefix(structure, "L1I") {
-			c = cfg.Mem.L1I
-		} else if strings.HasPrefix(structure, "L1D") {
-			c = cfg.Mem.L1D
-		}
-		entries = c.Sets * c.Ways
+	s, _ := cpu.StructureNamed(structure)
+	_, bits := s.Geometry(&r.Cfg)
+	return bits
+}
+
+// straddle moves each fault's first bit onto the last bit of an entry, so
+// that a multi-bit flip covers the end of one entry and the start of the next.
+func straddle(r *Runner, faults []fault.Fault) []fault.Fault {
+	per := entryBits(r, faults[0].Structure)
+	out := make([]fault.Fault, len(faults))
+	for i, f := range faults {
+		f.Bit = max(f.Bit/per, 1)*per - 1
+		out[i] = f
 	}
-	return r.BitCounts[structure] / uint64(entries)
+	return out
 }
 
 // bornDead returns the bits of f that landed on sites holding nothing
@@ -235,62 +234,56 @@ func tlbAimed(r *Runner, st string) []fault.Fault {
 	return out
 }
 
-// TestEarlyExitStateGolden is the state-level gate on the convergence
-// oracle (ROADMAP 3a): "bit-identical to golden at early exit" checked on
-// the machines themselves, for all twelve structures, where
+// TestEarlyExitStateGolden is the state-level gate on what EarlyExit skips:
+// "bit-identical to golden where the charge ends", checked on the machines
+// themselves for all twelve structures, the aimed TLB flips, and width-2 and
+// width-4 faults on the core arrays, straddlers included, where
 // TestEarlyExitDifferential can only compare outcomes.
 func TestEarlyExitStateGolden(t *testing.T) {
 	checked := map[string]int{}
-	n := 60
+	n, straddlers := 60, 0
 	if raceEnabled {
 		n = 20
 	}
 	for _, workload := range []string{"sha", "qsort"} {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		for _, st := range cpu.StructureNames {
-			checked[st] += checkStateGolden(t, r, ModeAVGI, r.FaultList(st, 60, 11))
-			// An exhaustive run the oracle stops is completed as the golden
-			// run, so its stop must be as golden as an AVGI window's.
+			c, _ := checkStateGolden(t, r, 2000, r.FaultList(st, 60, 11))
+			checked[st] += c
+			// Exhaustive and HVF faults resolve in the window to the halt.
 			if workload == "sha" {
-				checked[st+" exhaustive"] += checkStateGolden(t, r, ModeExhaustive, r.FaultList(st, n, 11))
+				c, _ = checkStateGolden(t, r, r.Golden.Cycles, r.FaultList(st, n, 11))
+				checked[st+" to the halt"] += c
 			}
 		}
-		checkStateGolden(t, r, ModeAVGI, tlbAimed(r, "ITLB"))
-		checkStateGolden(t, r, ModeAVGI, tlbAimed(r, "DTLB"))
-		// Multi-bit faults stay on the live oracle (the golden site
-		// timeline resolves single bits only), straddlers included: a
-		// fault across a live and a born-dead entry converges with the
-		// dead one's bits still flipped.
-		// A second list of each is moved onto entry boundaries, where one
-		// fault can land on a live site and a dead one.
+		checkStateGolden(t, r, 2000, tlbAimed(r, "ITLB"))
+		checkStateGolden(t, r, 2000, tlbAimed(r, "DTLB"))
 		for _, width := range []int{2, 4} {
-			for _, st := range []string{"RF", "ROB", "L1D (Data)", "L1D (Tag)", "DTLB"} {
+			for _, st := range []string{"RF", "ROB", "LQ", "SQ"} {
 				faults := r.MultiBitFaultList(st, n, width, 13)
-				checked[fmt.Sprint(st, " x", width)] += checkStateGolden(t, r, ModeAVGI, faults)
-				per := entryBits(r, st)
-				for i := range faults {
-					faults[i].Bit = max(faults[i].Bit/per, 1)*per - 1
+				for i, list := range [][]fault.Fault{faults, straddle(r, faults)} {
+					c, s := checkStateGolden(t, r, 2000, list)
+					checked[fmt.Sprint(st, " x", width, []string{"", " straddling"}[i])] += c
+					straddlers += s
 				}
-				checkStateGolden(t, r, ModeAVGI, faults)
 			}
 		}
 	}
-	t.Logf("%d early exits of straddling faults checked", straddlers)
+	t.Logf("%d resolved faults straddling a live and a born-dead site checked", straddlers)
 	if straddlers < 10 && !raceEnabled {
-		t.Errorf("only %d early exits of faults straddling a live and a born-dead site", straddlers)
+		t.Errorf("only %d resolved faults straddling a live and a born-dead site", straddlers)
 	}
 	for st, n := range checked {
 		if n == 0 {
-			t.Errorf("%s: no early exit to check", st)
+			t.Errorf("%s: no dead or erased fault to check", st)
 		}
 	}
 }
 
 // TestEarlyExitStateGoldenGrid is the same gate over the benchmark's own
 // avgi-grid: its four programs, 250 faults a pair, seed 7. It runs when
-// asked for by name (CI's tier-1 job does), not under -race: one worker and
-// a hook on its goroutine leave the detector nothing to see, at fifteen
-// times the price.
+// asked for by name (CI's tier-1 job does), not under -race: one goroutine
+// leaves the detector nothing to see, at fifteen times the price.
 func TestEarlyExitStateGoldenGrid(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "StateGolden") || testing.Short() || raceEnabled {
 		t.Skip("12 000 faults: go test -run TestEarlyExitStateGoldenGrid ./internal/campaign")
@@ -298,7 +291,7 @@ func TestEarlyExitStateGoldenGrid(t *testing.T) {
 	for _, workload := range []string{"sha", "qsort", "rijndael", "cg"} {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		for _, st := range cpu.StructureNames {
-			checkStateGolden(t, r, ModeAVGI, r.FaultList(st, 250, 7))
+			checkStateGolden(t, r, 2000, r.FaultList(st, 250, 7))
 		}
 	}
 }

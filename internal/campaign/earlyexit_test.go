@@ -12,20 +12,20 @@ import (
 	"avgi/internal/obs"
 )
 
-// stripSimCycles zeroes the one field a convergence early exit legitimately
-// changes: the simulated-cycle cost of the (now shorter) faulty window.
-// Every classification field must survive the strip untouched.
+// stripSimCycles zeroes the one field the early exit legitimately changes:
+// the simulated-cycle cost a resolved fault is charged. Every
+// classification field must survive the strip untouched.
 func stripSimCycles(r Result) Result {
 	r.SimCycles = 0
 	return r
 }
 
-// TestEarlyExitDifferential proves the convergence oracle is
+// TestEarlyExitDifferential proves the early exit is
 // classification-identical to full-ERT windows: for every fault, the
 // early-exit run must agree with the full-window run on every Result field
 // except SimCycles, and the campaign summaries (IMM distribution, AVF
 // fractions) must match exactly. Runs all twelve structures over the
-// benchmark grid's four programs plus crc32, so every probe flavor —
+// benchmark grid's four programs plus crc32, so every site flavor —
 // register, queue, cache data, cache tag, TLB — meets every kind of code.
 func TestEarlyExitDifferential(t *testing.T) {
 	exits := map[string]int{}
@@ -59,21 +59,21 @@ func TestEarlyExitDifferential(t *testing.T) {
 			}
 		}
 	}
-	// The oracle must actually fire on the structures whose masked faults
-	// are invalid entries and free registers, or this test proves nothing
-	// about them.
+	// The early exit must actually shorten windows on the structures whose
+	// masked faults are invalid entries and free registers, or this test
+	// proves nothing about them.
 	for _, st := range []string{"ITLB", "DTLB", "RF"} {
 		if exits[st] == 0 {
-			t.Errorf("no %s fault ended its window early across 5 workloads; oracle never fired", st)
+			t.Errorf("no %s fault ended its window early across 5 workloads", st)
 		}
 	}
 	t.Logf("early exits by structure: %v", exits)
 }
 
-// TestEarlyExitForensicsIdentical pins that the probe facts an early exit
-// freezes are the facts the full window would have recorded: once every
-// site is dead and unread, no further probe event can fire, so the
-// attribution must be bit-identical.
+// TestEarlyExitForensicsIdentical pins that the facts the golden site
+// timeline writes for a resolved fault are the facts a probe over the full
+// window records: once every site is dead and unread, no further probe event
+// can fire, so the attribution must be bit-identical.
 func TestEarlyExitForensicsIdentical(t *testing.T) {
 	r := shaRunner(t)
 	r.Forensics = forensics.NewExplorer()
@@ -165,8 +165,10 @@ func TestAVGIWindowBoundary(t *testing.T) {
 	}
 }
 
-// TestEarlyExitMetricsPublished asserts the window-oracle counters reach
-// the metrics registry with the campaign's structure/workload/mode labels.
+// TestEarlyExitMetricsPublished asserts the golden site timeline's counters
+// reach the metrics registry with the campaign's structure/workload/mode
+// labels: the faults resolved dead and erased, and the window cycles their
+// charges spared.
 func TestEarlyExitMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
 	r.Obs = obs.New(io.Discard)
@@ -174,19 +176,23 @@ func TestEarlyExitMetricsPublished(t *testing.T) {
 	faults := r.FaultList("RF", 64, 5)
 	r.Run(faults, ModeAVGI, 2000, 4)
 
-	// An exhaustive run's window is the rest of the program: its exits are
-	// counted too, and save the cycles to the halt.
+	// An exhaustive run's window is the rest of the program: its resolved
+	// faults are counted too, and spare the cycles to the halt.
 	r.Run(faults, ModeExhaustive, 0, 4)
 
 	for _, mode := range []string{"avgi", "exhaustive"} {
 		lb := map[string]string{"structure": "RF", "workload": "sha", "mode": mode}
-		exits := r.Obs.Metrics.Counter("avgi_window_early_exit_total", "", lb).Value()
-		saved := r.Obs.Metrics.Counter("avgi_window_cycles_saved_total", "", lb).Value()
-		if exits == 0 {
-			t.Fatalf("%s: avgi_window_early_exit_total = 0; oracle never fired on an RF campaign", mode)
+		var settled uint64
+		for _, fate := range []string{"dead", "erased"} {
+			n := r.Obs.Metrics.Counter("avgi_window_resolved_total", "", map[string]string{
+				"fate": fate, "structure": "RF", "workload": "sha", "mode": mode}).Value()
+			if n == 0 {
+				t.Errorf("%s: avgi_window_resolved_total{fate=%q} = 0 on an RF campaign", mode, fate)
+			}
+			settled += n
 		}
-		if saved == 0 {
-			t.Errorf("%s: avgi_window_cycles_saved_total = 0 despite early exits", mode)
+		if saved := r.Obs.Metrics.Counter("avgi_window_cycles_saved_total", "", lb).Value(); saved == 0 {
+			t.Errorf("%s: avgi_window_cycles_saved_total = 0 despite %d dead and erased faults", mode, settled)
 		}
 	}
 }

@@ -45,8 +45,7 @@ type structAgg struct {
 	fullSyncs  uint64
 	batched    uint64
 
-	// Window-oracle telemetry (EarlyExit runs, in every mode).
-	earlyExits  uint64
+	// Golden site timeline telemetry (EarlyExit runs, in every mode).
 	cyclesSaved uint64
 	resolved    [len(resolvedNames)]uint64 // by fate; [0] counts the faults that forked
 
@@ -196,10 +195,7 @@ func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result,
 	if fm.batched {
 		a.batched++
 	}
-	if fm.earlyExit {
-		a.earlyExits++
-		a.cyclesSaved += fm.cyclesSaved
-	}
+	a.cyclesSaved += fm.cyclesSaved
 	a.resolved[fm.resolved]++
 
 	if fr := res.Forensics; fr != nil {
@@ -269,7 +265,6 @@ func (ro *runObs) merge(local map[string]*structAgg) {
 		dst.deltaBytes += a.deltaBytes
 		dst.fullSyncs += a.fullSyncs
 		dst.batched += a.batched
-		dst.earlyExits += a.earlyExits
 		dst.cyclesSaved += a.cyclesSaved
 		for fate, n := range a.resolved {
 			dst.resolved[fate] += n
@@ -332,11 +327,9 @@ func (ro *runObs) finish() {
 						"cursor faults that reused the previous same-cycle snapshot outright", lb).Add(a.batched)
 				}
 			}
-			if a.earlyExits > 0 {
-				reg.Counter("avgi_window_early_exit_total",
-					"faulty windows ended early by the convergence oracle", lb).Add(a.earlyExits)
+			if a.resolved[resolvedDead]+a.resolved[resolvedErased] > 0 {
 				reg.Counter("avgi_window_cycles_saved_total",
-					"faulty-window cycles skipped by convergence early exits", lb).Add(a.cyclesSaved)
+					"faulty-window cycles the dead and erased faults' charges fall short of the full window", lb).Add(a.cyclesSaved)
 			}
 			for fate := resolvedDead; fate < len(resolvedNames); fate++ {
 				if n := a.resolved[fate]; n > 0 {
@@ -367,7 +360,7 @@ func (ro *runObs) finish() {
 }
 
 // Configure sets the knobs a front end chooses for its runners — telemetry,
-// forensics, the convergence early exit — and publishes the golden gauges.
+// forensics, the early exit — and publishes the golden gauges.
 // Study, Service and avgisim all configure a fresh runner through this one
 // call, so none can run without a knob the others set.
 func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, earlyExit bool) {

@@ -1,8 +1,8 @@
 // Package cliflags holds the flag set and startup helpers shared by the
 // avgi and avgisim commands: forensics, log format and pprof profile
 // capture for both; live progress, the metrics endpoint, durable
-// journalling, the convergence early exit, the worker budget and
-// distributed-fleet membership for avgi alone.
+// journalling, the early exit through the golden site timeline, the worker
+// budget and distributed-fleet membership for avgi alone.
 // How a fault is forked off the golden run is not tunable: it follows from
 // the machine shape (see package campaign).
 // Each command registers these once and adds its own tool-specific flags on
@@ -66,9 +66,8 @@ func Register(fs *flag.FlagSet) *Common {
 }
 
 // RegisterCampaign is Register plus the campaign-only flags of cmd/avgi:
-// live progress and the metrics endpoint, the durable journal, the
-// convergence early exit, the worker budget and the distributed-fleet
-// cluster.
+// live progress and the metrics endpoint, the durable journal, the early
+// exit, the worker budget and the distributed-fleet cluster.
 func RegisterCampaign(fs *flag.FlagSet) *Common {
 	c := Register(fs)
 	fs.BoolVar(&c.Progress, "progress", false,
@@ -80,7 +79,7 @@ func RegisterCampaign(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.Resume, "resume", false,
 		"with -journal: reuse journalled results instead of re-simulating")
 	fs.BoolVar(&c.EarlyExit, "early-exit", true,
-		"end faulty runs of every mode as soon as the fault is provably dead (classification-identical; -early-exit=false simulates full ERT windows and every run to the halt, see docs/PERFORMANCE.md)")
+		"in every mode, settle faults the golden site timeline proves golden without simulating them, and fork the rest at their first use (classification-identical; -early-exit=false simulates full ERT windows and every run to the halt, see docs/PERFORMANCE.md)")
 	fs.IntVar(&c.Workers, "workers", 0,
 		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
 	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,

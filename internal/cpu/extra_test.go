@@ -68,7 +68,7 @@ func TestQueueFlipOnLiveEntryMachineChecks(t *testing.T) {
 	// guarantee hitting one.
 	tg := m.Target("ROB")
 	rob, _ := StructureNamed("ROB")
-	_, bits := rob.geometry(&cfg)
+	_, bits := rob.Geometry(&cfg)
 	for i := uint64(0); i < tg.BitCount(); i += bits {
 		tg.FlipBit(i)
 	}

@@ -424,10 +424,11 @@ func (m *Machine) Tick(uint64) {
 		m.crashNow(CrashWatchdog)
 	}
 	// Early-exit oracle: with a convergence-armed probe, stop the faulty
-	// run the moment its facts prove the machine state is golden again
-	// (campaign classifies StatusStopped with a clean trace as Benign,
-	// exactly as a full-window expiry would). One nil check when no probe
-	// is armed, matching the cost promise of the other probe hooks.
+	// run the moment its facts prove the machine state is golden again.
+	// Only the benchmark's anatomy replay arms one, and ROADMAP 1(a)
+	// deletes this stop with it (see EnableConvergenceStop). One nil check
+	// when no probe is armed, matching the cost promise of the other probe
+	// hooks.
 	if p := m.probe; p != nil && p.stopOnConverge && m.status == StatusRunning && p.Converged() {
 		m.status = StatusStopped
 	}

@@ -108,7 +108,11 @@ func (p *FaultProbe) Facts() ProbeFacts { return p.facts }
 // the machine writes next — a cache set's tag compare, a TLB's lookup and
 // victim scan — each decision the corrupted entry could have swayed is a
 // read, so a site is never erased unread behind a diverged machine.
-// TestEarlyExitStateGolden (internal/campaign) holds all twelve to that.
+//
+// Campaigns no longer arm it: the golden site timeline settles the same
+// faults without a faulty cycle (campaign's resolve). Its one user is the
+// benchmark's anatomy replay (bench/anatomy.go), and ROADMAP 1(a) deletes
+// both together, with Converged and the stop in Machine.Tick.
 func (p *FaultProbe) EnableConvergenceStop() { p.stopOnConverge = true }
 
 // Converged is the early-exit termination predicate: the facts prove the
@@ -118,12 +122,14 @@ func (p *FaultProbe) EnableConvergenceStop() { p.stopOnConverge = true }
 // writes — the machine state is bit-identical to the fault-free run, so the
 // remaining window cannot produce anything the full window would not.
 // LiveSites == 0 (the flip landed entirely on free/invalid entries)
-// converges trivially at arm time.
+// converges trivially at arm time. Only the anatomy replay's stop still asks
+// it (see EnableConvergenceStop).
 func (f ProbeFacts) Converged() bool {
 	return f.Reads == 0 && f.Killed >= f.LiveSites
 }
 
-// Converged reports whether the probe's facts so far prove convergence.
+// Converged reports whether the probe's facts so far prove convergence; the
+// anatomy replay's stop is its one caller (see EnableConvergenceStop).
 func (p *FaultProbe) Converged() bool { return p.facts.Converged() }
 
 // ArmProbe installs a fate probe for a fault of the given width injected
@@ -151,7 +157,7 @@ func (m *Machine) ArmProbe(structure string, bit uint64, width int) *FaultProbe 
 		tp := p.tlb.ArmProbe(bit, width, p)
 		p.facts.Sites, p.facts.LiveSites = tp.Sites(), tp.LiveSites()
 	default:
-		sites, per := s.geometry(&m.Cfg)
+		sites, per := s.Geometry(&m.Cfg)
 		p.lo, p.hi = int(bit/per), min(int((bit+uint64(width)-1)/per), sites-1)
 		p.dead = make([]bool, p.hi-p.lo+1)
 		p.facts.Sites = len(p.dead)
@@ -198,7 +204,7 @@ func (f *ProbeFacts) noteRead(c uint64) {
 
 func (f *ProbeFacts) kill(c uint64) {
 	f.Killed++
-	if f.FirstKill == 0 {
+	if f.FirstKill == 0 || c < f.FirstKill {
 		f.FirstKill = c
 	}
 	if c > f.LastKill {

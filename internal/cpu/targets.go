@@ -79,10 +79,15 @@ func ValidateStructure(name string) error {
 	return nil
 }
 
-// geometry returns how many sites the structure has on a machine of
+// Core reports a core array: the register file or a queue, whose sites —
+// a register, a queue slot — Timeline.Fate answers for as a whole. A cache's
+// or TLB's Fate answers for one bit.
+func (s *Structure) Core() bool { return s.kind != probeMem }
+
+// Geometry returns how many sites the structure has on a machine of
 // configuration cfg — registers, queue slots, TLB entries or cache lines —
 // and how many bits each holds.
-func (s *Structure) geometry(cfg *Config) (sites int, bits uint64) {
+func (s *Structure) Geometry(cfg *Config) (sites int, bits uint64) {
 	if s.Cache {
 		c := [...]*mem.CacheConfig{&cfg.Mem.L1I, &cfg.Mem.L1D, &cfg.Mem.L2}[s.unit]
 		if bits = uint64(c.LineBytes) * 8; s.tag {
@@ -185,6 +190,6 @@ func (m *Machine) Target(name string) Target {
 	case s.kind == probeMem:
 		return countingTarget{m, tlbs[s.unit]}
 	}
-	sites, bits := s.geometry(&m.Cfg)
+	sites, bits := s.Geometry(&m.Cfg)
 	return coreTarget{m, s.kind, uint64(sites), bits}
 }

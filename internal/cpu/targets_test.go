@@ -34,7 +34,7 @@ func TestStructureTableEdges(t *testing.T) {
 		for _, cycle := range []uint64{1, end / 3, 2 * end / 3, end - 1} {
 			golden.Run(RunOptions{StopAtCycle: cycle})
 			for _, s := range structures {
-				sites, bits := s.geometry(&cfg)
+				sites, bits := s.Geometry(&cfg)
 				total := uint64(sites) * bits
 				name := cfg.Name + " " + s.Name
 				if got := golden.Target(s.Name).BitCount(); got != total {

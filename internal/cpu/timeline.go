@@ -60,7 +60,7 @@ func (tl *Timeline) Fate(structure string, bit, t, until uint64) (f mem.SiteFate
 	case s.kind == probeMem:
 		return tl.tlb[s.unit].Fate(bit, t, until), false
 	}
-	_, per := s.geometry(&tl.cfg)
+	_, per := s.Geometry(&tl.cfg)
 	f = tl.coreFate(s.kind, bit/per, t, until)
 	return f, s.Queue && !f.Live
 }
@@ -120,7 +120,7 @@ func (tl *Timeline) Census(structure string, end uint64) (c Census, ok bool) {
 	if s.Cache || s.kind == probeMem {
 		return c, false
 	}
-	sites, _ := s.geometry(&tl.cfg)
+	sites, _ := s.Geometry(&tl.cfg)
 	for site := uint64(0); site < uint64(sites); site++ {
 		// Cycles [1, from) are counted or pending: dead and held are the
 		// pending ones, dead or live, whose first event is still ahead.
@@ -161,20 +161,21 @@ func (tl *Timeline) Census(structure string, end uint64) (c Census, ok bool) {
 	return c, true
 }
 
-// FactsOf returns the facts a probe armed at cycle t leaves behind on a site
-// of fate f that nothing read: untouched, or with erased set killed by f's
-// event, noted as a probe notes it (a clean eviction ahead of its refill).
-func FactsOf(f mem.SiteFate, t uint64, erased bool) ProbeFacts {
-	facts := ProbeFacts{InjectCycle: t, Sites: 1}
-	if f.Live {
-		facts.LiveSites = 1
+// AddSite adds to the facts what a probe leaves behind on one more watched
+// site that nothing read: untouched or dead, or with erased set killed by
+// fate's event, noted as a probe notes it (a clean eviction ahead of its
+// refill). Adding each site a multi-bit flip covers gives the facts of a
+// probe over all of them.
+func (f *ProbeFacts) AddSite(fate mem.SiteFate, erased bool) {
+	f.Sites++
+	if fate.Live {
+		f.LiveSites++
 	}
-	if erased && f.Event == mem.ProbeEvictClean {
-		facts.note(mem.ProbeEvictClean, f.Cycle)
-		f.Event = mem.ProbeOverwrite
+	if erased && fate.Event == mem.ProbeEvictClean {
+		f.note(mem.ProbeEvictClean, fate.Cycle)
+		fate.Event = mem.ProbeOverwrite
 	}
 	if erased {
-		facts.note(f.Event, f.Cycle)
+		f.note(fate.Event, fate.Cycle)
 	}
-	return facts
 }

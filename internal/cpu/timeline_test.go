@@ -32,7 +32,7 @@ func TestTimelineCensusExact(t *testing.T) {
 				continue
 			}
 			var want Census
-			sites, per := s.geometry(&cfg)
+			sites, per := s.Geometry(&cfg)
 			for site := uint64(0); site < uint64(sites); site++ {
 				for c := uint64(1); c <= end; c++ {
 					switch f, _ := tl.Fate(s.Name, site*per, c, end); {

@@ -204,9 +204,9 @@ func Attribute(f cpu.ProbeFacts, out Outcome) Record {
 	case f.LiveSites == 0:
 		// The flip landed entirely on free/invalid entries: nothing ever
 		// latched, masked at the injection site itself. Distinct from
-		// CauseOverwritten — no erasure event ever fired, and the
-		// early-exit oracle firing here means "never corrupted", not
-		// "corruption erased".
+		// CauseOverwritten — no erasure event ever fired, and a fault the
+		// golden site timeline resolves dead was never corrupted, not
+		// erased.
 		rec.Cause = CauseNeverLatched
 	default:
 		rec.Cause = CauseNeverRead

@@ -1,4 +1,4 @@
-package archinj
+package iss
 
 import (
 	"math"
@@ -7,28 +7,27 @@ import (
 	"avgi/internal/campaign"
 	"avgi/internal/core"
 	"avgi/internal/cpu"
-	"avgi/internal/imm"
 	"avgi/internal/prog"
 )
 
-func TestCampaignPartitions(t *testing.T) {
+func TestFlipCampaignPartitions(t *testing.T) {
 	w, err := prog.ByName("sha")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := w.Build(cpu.ConfigA72().Variant)
-	sum, results, err := Campaign(p, 100, 42)
+	sum, flips, err := FlipCampaign(p, 100, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Total != 100 || len(results) != 100 {
-		t.Fatalf("total %d, results %d", sum.Total, len(results))
+	if sum.Total != 100 || len(flips) != 100 {
+		t.Fatalf("total %d, flips %d", sum.Total, len(flips))
 	}
 	if sum.Masked+sum.SDC+sum.Crash != sum.Total {
 		t.Errorf("effects don't partition: %+v", sum)
 	}
-	for _, r := range results {
-		if r.Reg == 0 {
+	for _, f := range flips {
+		if f.Reg == 0 {
 			t.Error("injected into the zero register")
 		}
 	}
@@ -42,14 +41,14 @@ func TestCampaignPartitions(t *testing.T) {
 	}
 }
 
-func TestCampaignDeterministic(t *testing.T) {
+func TestFlipCampaignDeterministic(t *testing.T) {
 	w, _ := prog.ByName("bitcount")
 	p := w.Build(cpu.ConfigA72().Variant)
-	a, _, err := Campaign(p, 50, 7)
+	a, _, err := FlipCampaign(p, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Campaign(p, 50, 7)
+	b, _, err := FlipCampaign(p, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +57,12 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestDivergesFromMicroarchAVF reproduces the paper's motivating claim
-// (Section I / VIII, demonstrated in ISCA 2021 [14]): ISA-level injection
-// overstates register vulnerability relative to microarchitecture-level
-// AVF, because it cannot see hardware masking — free physical registers,
-// overwrites, squashed wrong-path state.
-func TestDivergesFromMicroarchAVF(t *testing.T) {
+// TestFlipCampaignDivergesFromMicroarchAVF reproduces the paper's motivating
+// claim (Section I / VIII, demonstrated in ISCA 2021 [14]): ISA-level
+// injection overstates register vulnerability relative to
+// microarchitecture-level AVF, because it cannot see hardware masking — free
+// physical registers, overwrites, squashed wrong-path state.
+func TestFlipCampaignDivergesFromMicroarchAVF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
 	}
@@ -71,7 +70,7 @@ func TestDivergesFromMicroarchAVF(t *testing.T) {
 	w, _ := prog.ByName("sha")
 	p := w.Build(cfg.Variant)
 
-	archSum, _, err := Campaign(p, 150, 1)
+	archSum, _, err := FlipCampaign(p, 150, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +94,4 @@ func TestDivergesFromMicroarchAVF(t *testing.T) {
 	}
 	t.Logf("ISA-level PVF %.3f vs microarch AVF %.3f (masked: arch %d/%d)",
 		archSum.PVF(), avf.Total(), archSum.Masked, archSum.Total)
-	_ = imm.Masked
 }

@@ -83,8 +83,8 @@ func (p *LineProbe) LiveSites() int { return p.live }
 // as well as the post-flip one: a flip that clears the valid bit of a live
 // line has destroyed reachable state (the line silently vanishes from the
 // cache), so the site must count as live even though it now reads invalid —
-// both for honest attribution and so the early-exit oracle never treats the
-// dropped line as never-latched.
+// both for honest attribution and so the golden site timeline, which records
+// liveness as the probe judges it, never resolves the dropped line as dead.
 func (c *Cache) ArmTagProbe(bit uint64, width int, sink ProbeSink) *LineProbe {
 	per := c.cfg.TagEntryBits()
 	first := bit / per

@@ -12,7 +12,7 @@ func (l *eventLog) ProbeEvent(ev ProbeEvent) { *l = append(*l, ev) }
 
 // TestTLBProbeEvents pins what a TLB probe reports for each way a flipped
 // entry can make the faulty TLB decide differently from the golden one. The
-// early-exit oracle's soundness on ITLB and DTLB rests on exactly these: a
+// golden site timeline's verdicts on ITLB and DTLB rest on exactly these: a
 // site erased with no read before it must leave the TLB golden.
 func TestTLBProbeEvents(t *testing.T) {
 	const validBit, vpnBit0, ppnBit3 = 24, 12, 3

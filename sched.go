@@ -323,14 +323,15 @@ func (s *Study) runCampaign(structure, workload string, mode Mode, window uint64
 }
 
 // Prefetch dispatches the campaigns of every (structure, workload) pair in
-// the given mode concurrently under the study's worker budget and blocks
-// until all have completed. Pairs already cached (or in flight) coalesce
-// for free, so prefetching is always safe to layer in front of a serial
-// consumption loop. mode must be ModeExhaustive or ModeHVF — AVGI-mode
-// campaigns need per-structure windows; use PrefetchAVGI.
-func (s *Study) Prefetch(structures, workloads []string, mode Mode) {
-	if mode == campaign.ModeAVGI {
-		panic("avgi: Prefetch cannot derive AVGI windows; use PrefetchAVGI")
+// the given mode and window concurrently under the study's worker budget
+// and blocks until all have completed. Pairs already cached (or in flight)
+// coalesce for free, so prefetching is always safe to layer in front of a
+// serial consumption loop. window is one stop window for every pair in
+// ModeAVGI and 0 otherwise, as ParseMode requires; PrefetchAVGI derives a
+// window per structure instead.
+func (s *Study) Prefetch(structures, workloads []string, mode Mode, window uint64) {
+	if _, err := ParseMode(mode.String(), window); err != nil {
+		panic("avgi: Prefetch: " + err.Error())
 	}
 	var wg sync.WaitGroup
 	for _, structure := range structures {
@@ -338,7 +339,7 @@ func (s *Study) Prefetch(structures, workloads []string, mode Mode) {
 			wg.Add(1)
 			go func(structure, w string) {
 				defer wg.Done()
-				s.runCampaign(structure, w, mode, 0)
+				s.runCampaign(structure, w, mode, window)
 			}(structure, w)
 		}
 	}
@@ -366,5 +367,5 @@ func (s *Study) PrefetchAVGI(est *Estimator, structures, workloads []string) {
 // the given mode — the bulk-dispatch entry point for experiments that
 // consume every pair (Table II, Fig. 9, Fig. 10).
 func (s *Study) RunAll(mode Mode) {
-	s.Prefetch(s.Cfg.Structures, s.WorkloadNames(), mode)
+	s.Prefetch(s.Cfg.Structures, s.WorkloadNames(), mode, 0)
 }

@@ -315,7 +315,7 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 			slot.err = fmt.Errorf("golden %s/%s: %w", machine, workload, err)
 			return
 		}
-		// Same window oracle as both CLIs: a fleet mixing avgid and avgi
+		// Same early exit as both CLIs: a fleet mixing avgid and avgi
 		// workers must merge shards with identical SimCycles.
 		r.Configure(s.Cfg.Obs, nil, true)
 		slot.r = r

@@ -86,7 +86,7 @@ func TestServiceSequentialHitByteIdentical(t *testing.T) {
 }
 
 // TestServiceAVGIMatchesEarlyExitRunner pins the service to the same
-// window oracle as both CLIs: a cold AVGI answer must equal, field for
+// early exit as both CLIs: a cold AVGI answer must equal, field for
 // field, Runner.Run with EarlyExit on for the same faults — otherwise a
 // fleet mixing avgid and avgi workers merges shards whose SimCycles differ
 // from a single-process run.

@@ -63,17 +63,19 @@ type StudyConfig struct {
 	// this explorer. See docs/OBSERVABILITY.md.
 	Forensics *Explorer
 
-	// EarlyExit stops simulating each faulty run as soon as the fault is
-	// provably dead (every latched site erased unread), in every mode: an
-	// AVGI window ends there instead of at the full ERT horizon, and an
-	// exhaustive or HVF run is completed as the golden run it has become,
-	// so the training campaigns cost a fraction of their host time.
+	// EarlyExit settles, in every mode, each fault the golden site
+	// timeline proves golden without simulating it (every site it covers
+	// dead, erased unread or untouched in its window) and forks the others
+	// at their sites' first use, so the training campaigns cost a fraction
+	// of their host time. A settled AVGI fault is charged 1 cycle when
+	// dead, up to the latest erase when erased, and its whole window when
+	// untouched; an exhaustive or HVF one the run to the halt.
 	// Classifications and summaries are identical either way, and
 	// exhaustive and HVF Results byte-identical; only AVGI per-fault
 	// SimCycles shrink, so keep the setting consistent across resumed runs
 	// of the same journal if byte-identical AVGI shards matter. Shards
-	// journaled by a binary from before the oracle covered TLB entries and
-	// free registers keep full-window SimCycles for those faults (same
+	// journaled by a binary from before the early exit covered TLB entries
+	// and free registers keep full-window SimCycles for those faults (same
 	// classification). See campaign.Runner.EarlyExit.
 	EarlyExit bool
 }
@@ -212,7 +214,7 @@ func (s *Study) TrainingData(structures []string, exclude ...string) core.Traini
 	}
 	// Overlap the training campaigns across the whole grid; the serial
 	// loop below then only reads cached results.
-	s.Prefetch(structures, wls, campaign.ModeExhaustive)
+	s.Prefetch(structures, wls, campaign.ModeExhaustive, 0)
 	for _, structure := range structures {
 		td.Results[structure] = make(map[string][]campaign.Result)
 		td.Exposure[structure] = make(map[string]float64)
@@ -255,7 +257,7 @@ func (s *Study) GroundTruthAVF(structure, workload string) AVF {
 // Summaries returns per-workload exhaustive summaries for a structure,
 // overlapping the structure's campaigns across workloads.
 func (s *Study) Summaries(structure string) map[string]CampaignSummary {
-	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive)
+	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive, 0)
 	out := make(map[string]CampaignSummary)
 	for _, w := range s.Cfg.Workloads {
 		out[w.Name] = campaign.Summarize(s.Exhaustive(structure, w.Name))
@@ -276,7 +278,7 @@ func (s *Study) IMMDistribution(structure string) map[string]map[IMM]float64 {
 // EffectPerIMM returns, per workload and IMM class, the conditional final
 // effect distribution from exhaustive runs (Fig. 4).
 func (s *Study) EffectPerIMM(structure string) map[string]map[IMM]core.EffectProbs {
-	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive)
+	s.Prefetch([]string{structure}, s.WorkloadNames(), campaign.ModeExhaustive, 0)
 	out := make(map[string]map[IMM]core.EffectProbs)
 	for _, w := range s.Cfg.Workloads {
 		results := s.Exhaustive(structure, w.Name)

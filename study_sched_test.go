@@ -221,14 +221,42 @@ func TestPrefetchCoalescesWithSerialConsumers(t *testing.T) {
 	}
 }
 
-func TestPrefetchAVGIModePanics(t *testing.T) {
-	s := getStudy(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("Prefetch with ModeAVGI must panic (windows need an estimator)")
+// TestPrefetchAVGIWindow: with one window for the whole grid, Prefetch
+// overlaps AVGI-mode campaigns as it does the other modes. The Campaign calls
+// after it are flight hits, byte-identical to serial runs of a fresh study,
+// and a window that does not fit the mode is refused as ParseMode refuses it.
+func TestPrefetchAVGIWindow(t *testing.T) {
+	const window = 1500
+	obsv := NewObserver(nil)
+	s := newSchedStudy(t, obsv)
+	s.Prefetch(schedStructures, schedWorkloads, ModeAVGI, window)
+	serial := newSchedStudy(t, nil)
+	for _, structure := range schedStructures {
+		for _, workload := range schedWorkloads {
+			got := s.Campaign(structure, workload, ModeAVGI, window)
+			if want := serial.Campaign(structure, workload, ModeAVGI, window); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: prefetched AVGI results diverge from a serial run", structure, workload)
+			}
+			n := counterValue(t, obsv.Metrics, "avgi_campaign_faults_total",
+				map[string]string{"structure": structure, "workload": workload, "mode": "avgi"})
+			if n != schedFaults {
+				t.Errorf("%s/%s ran %d faults, want exactly %d", structure, workload, n, schedFaults)
+			}
 		}
-	}()
-	s.Prefetch([]string{"RF"}, []string{"sha"}, ModeAVGI)
+	}
+	for _, bad := range []struct {
+		mode   Mode
+		window uint64
+	}{{ModeAVGI, 0}, {ModeExhaustive, window}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Prefetch(%v, window %d) must panic", bad.mode, bad.window)
+				}
+			}()
+			s.Prefetch(schedStructures, schedWorkloads, bad.mode, bad.window)
+		}()
+	}
 }
 
 // TestPanickedCampaignDoesNotPoisonStudy is the end-to-end regression test
