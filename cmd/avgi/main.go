@@ -217,10 +217,9 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 		// bounded by this process's CPUs (Workers 0) and by the slot
 		// leases it can win.
 		distCfg = &avgi.DistConfig{
-			Fleet:       common.Workers,
-			Owner:       common.DistOwner,
-			Coordinator: common.Coordinator,
-			LeaseTTL:    common.LeaseTTL,
+			Fleet:    common.Workers,
+			Owner:    common.DistOwner,
+			LeaseTTL: common.LeaseTTL,
 		}
 		workers = 0
 	}

@@ -45,6 +45,7 @@ import (
 	"avgi"
 	"avgi/internal/cliflags"
 	"avgi/internal/clilog"
+	"avgi/internal/dist"
 	"avgi/internal/obs"
 )
 
@@ -61,20 +62,10 @@ func main() {
 		logger.Error(err.Error())
 		os.Exit(2)
 	}
-	// Both distributed roles run their own campaigns as fleet shares:
-	// -workers means the fleet-wide worker count, the coordinator leases
-	// in-process while workers lease through its /v1/dist endpoints.
-	var coord *avgi.DistCoordinator
-	var distCfg *avgi.DistConfig
-	switch serverFlags.DistRole {
-	case "coordinator":
-		coord = avgi.NewDistCoordinator()
-		distCfg = &avgi.DistConfig{Fleet: serverFlags.Workers, Owner: serverFlags.DistOwner,
-			LeaseTTL: serverFlags.LeaseTTL}
-		distCfg.UseCoordinator(coord)
-	case "worker":
-		distCfg = &avgi.DistConfig{Fleet: serverFlags.Workers, Owner: serverFlags.DistOwner,
-			Coordinator: serverFlags.Coordinator, LeaseTTL: serverFlags.LeaseTTL}
+	distCfg := distConfig(serverFlags)
+	var coord *dist.Coordinator
+	if serverFlags.DistRole == "coordinator" {
+		coord = dist.NewCoordinator()
 	}
 	obsv := avgi.NewObserver(os.Stderr)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
@@ -98,7 +89,7 @@ func main() {
 	defer stopHealth()
 	stopWorker := func() {}
 	if serverFlags.DistRole == "worker" {
-		stopWorker = startWorkerPoll(svc, serverFlags.Coordinator, workerOwner(), serverFlags.LeaseTTL, logger)
+		stopWorker = startWorkerPoll(svc, serverFlags.Coordinator, distCfg.Owner, serverFlags.LeaseTTL, logger)
 	}
 	role := serverFlags.DistRole
 	if role == "" {
@@ -121,24 +112,27 @@ func main() {
 	}
 }
 
-// workerOwner derives this process's fleet identity when -dist-owner is
-// unset, mirroring the dist layer's default.
-func workerOwner() string {
-	if serverFlags.DistOwner != "" {
-		return serverFlags.DistOwner
+// distConfig is the fleet membership of a distributed role, nil when
+// standalone. Both roles run their share of every campaign through lease
+// files in the shared journal, and -workers means the fleet-wide worker
+// count. The owner is resolved here, once, so the name a worker registers
+// on the coordinator's roster is the owner of its leases and part shards.
+func distConfig(s *cliflags.Server) *avgi.DistConfig {
+	if s.DistRole == "" {
+		return nil
 	}
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "avgid"
+	owner := s.DistOwner
+	if owner == "" {
+		owner = dist.DefaultOwner()
 	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
+	return &avgi.DistConfig{Fleet: s.Workers, Owner: owner, LeaseTTL: s.LeaseTTL}
 }
 
 // startWorkerPoll launches the worker-mode fan-out loop: register with the
 // coordinator, poll its campaign feed, and run every announced assessment
 // against the shared journal — the worker's dist-configured Service then
-// claims chunk leases through the same coordinator, so N workers polling
-// one feed split each campaign instead of each running all of it. The
+// claims chunk leases in that journal, so N workers polling one feed split
+// each campaign instead of each running all of it. The
 // returned stop function ends the loop and waits for it to exit (in-flight
 // assessments keep running; the server drain handles those).
 func startWorkerPoll(svc *avgi.Service, coordinator, owner string, ttl time.Duration, logger *slog.Logger) func() {
@@ -146,7 +140,7 @@ func startWorkerPoll(svc *avgi.Service, coordinator, owner string, ttl time.Dura
 	if interval < 500*time.Millisecond {
 		interval = 500 * time.Millisecond
 	}
-	client := avgi.NewDistClient(coordinator)
+	client := dist.NewHTTPLeaser(coordinator)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -208,7 +202,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // newHandler assembles the avgid mux: the assessment API in front, the
 // observer's telemetry endpoints (/metrics, /progress.json, /trace.json,
 // /debug/pprof/, ...) as the fallback — one server, one port.
-func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *avgi.DistCoordinator, logger *slog.Logger) http.Handler {
+func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *dist.Coordinator, logger *slog.Logger) http.Handler {
 	mux := http.NewServeMux()
 	if coord != nil {
 		coord.Mount(mux)
@@ -265,7 +259,7 @@ func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *avgi.DistCoordina
 const maxBodyBytes = 1 << 20
 
 // limitBodies caps the request body of every endpoint behind it — the
-// assessment API and the coordinator's lease/register/campaigns POSTs — so
+// assessment API and the coordinator's /v1/dist/* POSTs — so
 // a decoder fails with a 4xx at maxBodyBytes instead of buffering whatever
 // a client sends.
 func limitBodies(next http.Handler) http.Handler {

@@ -10,12 +10,17 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"avgi"
+	"avgi/internal/cliflags"
+	"avgi/internal/dist"
 )
 
 func newTestServer(t *testing.T, journalDir string) (*httptest.Server, *avgi.Service) {
@@ -167,7 +172,7 @@ func TestServerOversizedBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(svc, obsv, avgi.NewDistCoordinator(), nil))
+	ts := httptest.NewServer(newHandler(svc, obsv, dist.NewCoordinator(), nil))
 	defer ts.Close()
 
 	// Each body is a request its endpoint would accept (unknown fields are
@@ -175,7 +180,7 @@ func TestServerOversizedBodyRejected(t *testing.T) {
 	pad := `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
 	for path, body := range map[string]string{
 		"/v1/assess":         strings.TrimSuffix(assessBody, "}"),
-		"/v1/dist/lease":     `{"op":"reset","name":"chunk"`,
+		"/v1/dist/lease":     `{"op":"release","name":"chunk","owner":"n1"`,
 		"/v1/dist/register":  `{"node":"n1"`,
 		"/v1/dist/campaigns": `{"spec":{"faults":1}`,
 	} {
@@ -311,36 +316,38 @@ func TestRecoverJSONTurnsPanicInto500(t *testing.T) {
 }
 
 // TestServerCoordinatorWorkerFleet is the end-to-end distributed topology:
-// an avgid coordinator (in-process lease arbiter mounted on its own mux)
+// an avgid coordinator (campaign feed and roster mounted on its own mux)
 // and an avgid-style worker polling its campaign feed share one journal
 // directory. A single POST to the coordinator fans out over /v1/dist/*,
-// both nodes run fleet shares, and the answer is byte-identical to a
-// standalone server's.
+// both nodes run fleet shares leasing through files in that journal, and
+// the answer is byte-identical to a standalone server's. The worker leaves
+// -dist-owner unset: the name it registers must be the owner its fleet
+// share runs under.
 func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	dir := t.TempDir()
-	coord := avgi.NewDistCoordinator()
-	coordDist := &avgi.DistConfig{Fleet: 4, Owner: "coord-node", LeaseTTL: 2 * time.Second}
-	coordDist.UseCoordinator(coord)
 	obsv := avgi.NewObserver(io.Discard)
 	coordSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Dist: coordDist, Obs: obsv,
+		Workers: 2, JournalDir: dir, Obs: obsv,
+		Dist: distConfig(&cliflags.Server{DistRole: "coordinator", DistOwner: "coord-node", Workers: 4, LeaseTTL: 2 * time.Second}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(coordSvc, obsv, coord, nil))
+	ts := httptest.NewServer(newHandler(coordSvc, obsv, dist.NewCoordinator(), nil))
 	defer ts.Close()
 
+	workerDist := distConfig(&cliflags.Server{DistRole: "worker", Coordinator: ts.URL, Workers: 4, LeaseTTL: 2 * time.Second})
+	workerObs := avgi.NewObserver(io.Discard)
 	workerSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir,
-		Dist: &avgi.DistConfig{Fleet: 4, Owner: "worker-node", Coordinator: ts.URL, LeaseTTL: 2 * time.Second},
-		Obs:  avgi.NewObserver(io.Discard),
+		Workers: 2, JournalDir: dir, Dist: workerDist, Obs: workerObs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wts := httptest.NewServer(newHandler(workerSvc, workerObs, nil, nil))
+	defer wts.Close()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	stop := startWorkerPoll(workerSvc, ts.URL, "worker-node", 500*time.Millisecond, quiet)
+	stop := startWorkerPoll(workerSvc, ts.URL, workerDist.Owner, 500*time.Millisecond, quiet)
 	defer stop()
 
 	env, code := postAssess(t, ts.URL, assessBody)
@@ -351,22 +358,49 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 		t.Fatalf("first distributed assessment reported a journal hit: %+v", env.Meta)
 	}
 
-	// The worker registered on the coordinator's node roster.
-	deadline := time.Now().Add(5 * time.Second)
+	// The worker registered on the coordinator's node roster under the
+	// default identity, and ran the announced campaign.
+	var roster []struct {
+		Node string `json:"node"`
+	}
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(ts.URL + "/v1/dist/nodes")
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := io.ReadAll(resp.Body)
+		err = json.NewDecoder(resp.Body).Decode(&roster)
 		resp.Body.Close()
-		if bytes.Contains(raw, []byte("worker-node")) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := workerSvc.Requests()
+		if len(roster) == 1 && len(reqs) == 1 && reqs[0].State == avgi.StateDone {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered; roster: %s", raw)
+			t.Fatalf("worker never registered and ran the campaign; roster %+v, requests %+v", roster, reqs)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+	if roster[0].Node != dist.DefaultOwner() {
+		t.Errorf("roster names %q, want the default identity %q", roster[0].Node, dist.DefaultOwner())
+	}
+	// Its fleet share ran under that same name: the dist layer labels the
+	// node's series with the owner of its leases and part shard.
+	resp, err := http.Get(wts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if series := fmt.Sprintf("avgi_dist_faults_total{node=%q}", roster[0].Node); !bytes.Contains(metrics, []byte(series)) {
+		t.Errorf("worker /metrics has no %s: its fleet share ran under another owner", series)
+	}
+
+	// The fleet leased through files in the shared journal.
+	if fi, err := os.Stat(filepath.Join(dir, "leases", "slots")); err != nil || !fi.IsDir() {
+		t.Errorf("no slot leases under the shared journal: %v", err)
 	}
 
 	// Byte-identity against a standalone server over a fresh journal.
@@ -380,4 +414,47 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	if !bytes.Equal(env.Result, ref.Result) {
 		t.Error("distributed fleet payload diverges from the standalone server's")
 	}
+}
+
+// TestWorkerFeedSurvivesCoordinatorRestart: a worker that consumed a
+// coordinator's announcements must still run the first announcement of a
+// restarted coordinator behind the same URL — its feed cursor stays valid.
+func TestWorkerFeedSurvivesCoordinatorRestart(t *testing.T) {
+	var current atomic.Pointer[http.ServeMux]
+	restart := func() *dist.Coordinator {
+		c := dist.NewCoordinator()
+		mux := http.NewServeMux()
+		c.Mount(mux)
+		current.Store(mux)
+		return c
+	}
+	coord := restart()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	svc, err := avgi.NewService(avgi.ServiceConfig{Workers: 2, Obs: avgi.NewObserver(io.Discard)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	stop := startWorkerPoll(svc, srv.URL, "worker-node", 0, quiet)
+	defer stop()
+
+	ran := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for len(svc.Requests()) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker ran %d announced campaigns, want %d", len(svc.Requests()), n)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	coord.Announce(json.RawMessage(`{"structure":"RF","workload":"crc32","mode":"hvf","faults":4,"seed":1}`))
+	ran(1)
+	coord = restart()
+	coord.Announce(json.RawMessage(`{"structure":"RF","workload":"crc32","mode":"hvf","faults":4,"seed":2}`))
+	ran(2)
 }

@@ -31,10 +31,9 @@ type Common struct {
 	Journal string
 	Resume  bool
 
-	DistRole    string
-	DistOwner   string
-	Coordinator string
-	LeaseTTL    time.Duration
+	DistRole  string
+	DistOwner string
+	LeaseTTL  time.Duration
 
 	Progress    bool
 	MetricsAddr string
@@ -82,7 +81,7 @@ func RegisterCampaign(fs *flag.FlagSet) *Common {
 		"in every mode, settle faults the golden site timeline proves golden without simulating them, and fork the rest at their first use (classification-identical; -early-exit=false simulates full ERT windows and every run to the halt, see docs/PERFORMANCE.md)")
 	fs.IntVar(&c.Workers, "workers", 0,
 		"worker budget shared by all concurrent campaigns (0 = all CPUs; see docs/SCHEDULING.md)")
-	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,
+	registerDist(fs, &c.DistRole, &c.DistOwner, &c.LeaseTTL,
 		"\"\" (single process) or worker (join a distributed fleet sharding this run's campaigns; -workers then means the fleet-wide count and -journal must point at the shared journal directory, see docs/DISTRIBUTED.md)")
 	return c
 }
@@ -107,12 +106,10 @@ type Server struct {
 // registerDist installs the distributed-campaign flag cluster with a
 // per-tool -dist-role help string (the legal roles differ: batch tools can
 // only be workers, the server can also coordinate).
-func registerDist(fs *flag.FlagSet, role, owner, coordinator *string, ttl *time.Duration, roleHelp string) {
+func registerDist(fs *flag.FlagSet, role, owner *string, ttl *time.Duration, roleHelp string) {
 	fs.StringVar(role, "dist-role", "", "distributed campaign role: "+roleHelp)
 	fs.StringVar(owner, "dist-owner", "",
 		"stable node identity for leases and part shards (default <hostname>-<pid>; set it to survive restarts under the same identity)")
-	fs.StringVar(coordinator, "coordinator", "",
-		"lease-endpoint base URL of an avgid -dist-role=coordinator (empty coordinates through lease files under the shared journal directory)")
 	fs.DurationVar(ttl, "lease-ttl", 10*time.Second,
 		"how long a silent node keeps its claimed chunks before the fleet takes them over")
 }
@@ -136,41 +133,55 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 		"stderr log format: text (classic prefixed lines) or json")
 	fs.IntVar(&s.ShardCache, "shard-cache", 0,
 		"completed campaigns kept in memory in front of the journal, least recently used first (0 = default 64, negative keeps none)")
-	registerDist(fs, &s.DistRole, &s.DistOwner, &s.Coordinator, &s.LeaseTTL,
-		"\"\" (standalone), coordinator (arbitrate leases and fan campaigns out on /v1/dist/*) or worker (poll a -coordinator's feed and run its campaigns against the shared journal; see docs/DISTRIBUTED.md)")
+	registerDist(fs, &s.DistRole, &s.DistOwner, &s.LeaseTTL,
+		"\"\" (standalone), coordinator (fan campaigns out to workers on /v1/dist/*) or worker (poll a -coordinator's feed); both roles run their share of every campaign through lease files in the shared -journal, see docs/DISTRIBUTED.md")
+	fs.StringVar(&s.Coordinator, "coordinator", "",
+		"with -dist-role=worker: base URL of the avgid -dist-role=coordinator whose campaign feed to poll")
 	return s
 }
 
 // ValidateDist checks cmd/avgi's distributed flag cluster: the only legal
-// role is worker, and distribution needs the shared journal.
+// role is worker, and distribution needs the shared journal and the
+// fleet-wide worker count.
 func (c *Common) ValidateDist() error {
 	switch c.DistRole {
 	case "":
 		return nil
 	case "worker":
-		if c.Journal == "" {
-			return fmt.Errorf("-dist-role=worker requires -journal DIR (the fleet's shared coordination substrate)")
-		}
-		return nil
+		return validateFleet(c.DistRole, c.Journal, c.Workers)
 	}
 	return fmt.Errorf("unknown -dist-role %q (avgi supports only worker)", c.DistRole)
 }
 
-// ValidateDist checks the server's distributed flag cluster.
+// ValidateDist checks the server's distributed flag cluster: both roles
+// lease through the shared journal, and a worker needs the feed to poll.
 func (s *Server) ValidateDist() error {
 	switch s.DistRole {
-	case "", "coordinator":
+	case "":
 		return nil
+	case "coordinator":
 	case "worker":
 		if s.Coordinator == "" {
 			return fmt.Errorf("-dist-role=worker requires -coordinator URL (the feed to poll)")
 		}
-		if s.Journal == "" {
-			return fmt.Errorf("-dist-role=worker requires -journal DIR shared with the fleet")
-		}
-		return nil
+	default:
+		return fmt.Errorf("unknown -dist-role %q (want coordinator or worker)", s.DistRole)
 	}
-	return fmt.Errorf("unknown -dist-role %q (want coordinator or worker)", s.DistRole)
+	return validateFleet(s.DistRole, s.Journal, s.Workers)
+}
+
+// validateFleet checks what every fleet member needs: the shared journal
+// (the coordination substrate) and -workers, the fleet-wide worker count
+// that fixes the chunk geometry — 0 would silently run undistributed
+// campaigns over a journal other nodes are writing.
+func validateFleet(role, journal string, workers int) error {
+	if journal == "" {
+		return fmt.Errorf("-dist-role=%s requires -journal DIR shared with the fleet", role)
+	}
+	if workers <= 0 {
+		return fmt.Errorf("-dist-role=%s requires -workers N > 0, the fleet-wide worker count every node shares", role)
+	}
+	return nil
 }
 
 // StartProfiles begins CPU profiling and arms a heap-profile dump per the

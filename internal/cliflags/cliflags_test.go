@@ -54,7 +54,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	}
 	campaign := names(func(fs *flag.FlagSet) { RegisterCampaign(fs) })
 	if want := []string{
-		"coordinator", "cpuprofile", "dist-owner", "dist-role", "early-exit",
+		"cpuprofile", "dist-owner", "dist-role", "early-exit",
 		"forensics", "journal", "lease-ttl", "log", "memprofile",
 		"metrics-addr", "progress", "resume", "workers",
 	}; !reflect.DeepEqual(campaign, want) {
@@ -96,5 +96,52 @@ func TestRegisterServerDefaults(t *testing.T) {
 	}
 	if s.Addr != ":0" || s.Journal != "" || s.Workers != 3 || s.DrainTimeout != 5*time.Second {
 		t.Errorf("server flags not parsed: %+v", s)
+	}
+}
+
+// TestValidateDist: every fleet role needs the shared journal and a
+// fleet-wide -workers; without the latter a node would run its campaigns
+// undistributed over a journal the rest of the fleet is writing.
+func TestValidateDist(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-dist-role=coordinator", "-workers", "4"}, true},
+		{[]string{"-dist-role=coordinator"}, false},
+		{[]string{"-dist-role=coordinator", "-workers", "4", "-journal", ""}, false},
+		{[]string{"-dist-role=worker", "-workers", "4", "-coordinator", "http://c:1"}, true},
+		{[]string{"-dist-role=worker", "-workers", "4"}, false},
+		{[]string{"-dist-role=worker", "-coordinator", "http://c:1"}, false},
+		{[]string{"-dist-role=leader", "-workers", "4"}, false},
+	} {
+		fs := flag.NewFlagSet("avgid", flag.ContinueOnError)
+		s := RegisterServer(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ValidateDist(); (err == nil) != tc.ok {
+			t.Errorf("avgid %q: ValidateDist() = %v, want ok=%v", tc.args, err, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-workers", "4"}, true},
+		{[]string{"-dist-role=worker", "-journal", "j", "-workers", "4"}, true},
+		{[]string{"-dist-role=worker", "-journal", "j"}, false},
+		{[]string{"-dist-role=worker", "-workers", "4"}, false},
+		{[]string{"-dist-role=coordinator", "-journal", "j", "-workers", "4"}, false},
+	} {
+		fs := flag.NewFlagSet("avgi", flag.ContinueOnError)
+		c := RegisterCampaign(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ValidateDist(); (err == nil) != tc.ok {
+			t.Errorf("avgi %q: ValidateDist() = %v, want ok=%v", tc.args, err, tc.ok)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // Config describes one node's participation in a distributed campaign
 // fleet. The zero value is usable given a Journal: it runs as a one-node
-// fleet with a file leaser inside the journal directory.
+// fleet. Every node leases through files under <journal>/leases.
 type Config struct {
 	// Journal is the shared result store — the coordination substrate.
 	// Required. Distributed campaigns demand a writable journal: a node
@@ -26,16 +26,11 @@ type Config struct {
 	// study would.
 	Journal *journal.Journal
 
-	// Leaser arbitrates chunk/slot ownership. Nil uses a FileLeaser under
-	// <journal>/leases — correct whenever all workers share the journal
-	// filesystem. Point it at an HTTPLeaser to use a coordinator instead.
-	Leaser Leaser
-
 	// Owner is this node's stable identity: stable across restarts (so a
 	// resumed node reclaims its own part shard and leases) and unique
 	// across live nodes (two live nodes sharing a name would interleave
-	// writes in one part shard). Empty derives "<hostname>-<pid>" — unique
-	// but NOT restart-stable; long-lived deployments should set it.
+	// writes in one part shard). Empty means DefaultOwner() — unique but
+	// NOT restart-stable; long-lived deployments should set it.
 	Owner string
 
 	// Fleet is the cluster-wide worker count — what -workers means in
@@ -72,13 +67,19 @@ type Config struct {
 // so it is a constant, not a setting.
 const chunksPerWorker = 4
 
+// DefaultOwner is the node identity of a fleet member that sets none:
+// "<hostname>-<pid>".
+func DefaultOwner() string {
+	host, _ := os.Hostname()
+	if host == "" {
+		host = "node"
+	}
+	return fmt.Sprintf("%s-%d", host, os.Getpid())
+}
+
 func (c Config) withDefaults() Config {
 	if c.Owner == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "node"
-		}
-		c.Owner = fmt.Sprintf("%s-%d", host, os.Getpid())
+		c.Owner = DefaultOwner()
 	}
 	if c.LocalWorkers <= 0 {
 		c.LocalWorkers = runtime.GOMAXPROCS(0)
@@ -94,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Poll <= 0 {
 		c.Poll = c.TTL / 4
-	}
-	if c.Leaser == nil && c.Journal != nil {
-		c.Leaser = NewFileLeaser(filepath.Join(c.Journal.Dir(), "leases"))
 	}
 	return c
 }
@@ -135,7 +133,7 @@ func newMetrics(o *obs.Observer, node string) *metrics {
 // heartbeater renews every held lease on a TTL/3 cadence from one
 // goroutine, so worker goroutines never block on lease I/O mid-chunk.
 type heartbeater struct {
-	l     Leaser
+	l     *FileLeaser
 	owner string
 	ttl   time.Duration
 	o     *obs.Observer
@@ -147,7 +145,7 @@ type heartbeater struct {
 	done  chan struct{}
 }
 
-func newHeartbeater(l Leaser, owner string, ttl time.Duration, o *obs.Observer, held *obs.Gauge) *heartbeater {
+func newHeartbeater(l *FileLeaser, owner string, ttl time.Duration, o *obs.Observer, held *obs.Gauge) *heartbeater {
 	h := &heartbeater{l: l, owner: owner, ttl: ttl, o: o, held: held,
 		names: make(map[string]struct{}), stop: make(chan struct{}), done: make(chan struct{})}
 	go h.run()
@@ -213,9 +211,10 @@ func chunkLease(shard string, lo, hi int) string {
 	return fmt.Sprintf("%s.chunk-%06d-%06d", shard, lo, hi)
 }
 
-// chunkClaimer adapts the Leaser to campaign.ChunkClaimer for one round.
+// chunkClaimer adapts the lease files to campaign.ChunkClaimer for one
+// round.
 type chunkClaimer struct {
-	l       Leaser
+	l       *FileLeaser
 	shard   string
 	owner   string
 	ttl     time.Duration
@@ -253,7 +252,7 @@ func (c *chunkClaimer) Claim(lo, hi int) (func(bool), bool) {
 // are the cluster budget: at most cfg.Fleet slots exist across all nodes
 // and campaigns, each heartbeat-renewed while held and forfeited by a dead
 // node after TTL.
-func acquireSlots(l Leaser, owner string, fleet, want int, ttl time.Duration) []string {
+func acquireSlots(l *FileLeaser, owner string, fleet, want int, ttl time.Duration) []string {
 	var held []string
 	for i := 0; i < fleet && len(held) < want; i++ {
 		name := fmt.Sprintf("slots/slot-%03d", i)
@@ -298,12 +297,13 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 	if bind.Faults != len(faults) {
 		return nil, fmt.Errorf("dist: binding declares %d faults, list has %d", bind.Faults, len(faults))
 	}
-	j, l := cfg.Journal, cfg.Leaser
+	j := cfg.Journal
+	l := NewFileLeaser(filepath.Join(j.Dir(), "leases"))
 	shard := j.ShardID(key, bind)
 	total := len(faults)
 	met := newMetrics(cfg.Obs, cfg.Owner)
-	if fl, ok := l.(*FileLeaser); ok && met != nil {
-		fl.SetHooks(func() { met.stolen.Inc() }, func() { met.expired.Inc() })
+	if met != nil {
+		l.SetHooks(func() { met.stolen.Inc() }, func() { met.expired.Inc() })
 	}
 
 	var prior map[int]campaign.Result
@@ -397,7 +397,7 @@ func heldGauge(m *metrics) *obs.Gauge {
 	return m.held
 }
 
-func releaseSlots(l Leaser, owner string, slots []string) {
+func releaseSlots(l *FileLeaser, owner string, slots []string) {
 	for _, s := range slots {
 		l.Release(s, owner, false)
 	}
@@ -408,10 +408,10 @@ func releaseSlots(l Leaser, owner string, slots []string) {
 // the parts are gone and the canonical shard is complete. The merge lease
 // is pure mutual exclusion (released, never marked done) — whether a merge
 // is still needed is re-derived from the filesystem, which also makes a
-// crash mid-merge self-healing: canonical-then-unlink ordering in
-// journal.Merge means the next winner either redoes the merge from intact
-// parts or just removes already-folded stragglers.
-func mergeShard(cfg Config, j *journal.Journal, l Leaser, shard string,
+// crash mid-merge self-healing: journal.Merge renames the merged shard into
+// place before it unlinks any part, so the next winner either redoes the
+// merge from intact parts or just removes already-folded stragglers.
+func mergeShard(cfg Config, j *journal.Journal, l *FileLeaser, shard string,
 	key journal.Key, bind journal.Binding, total int, met *metrics) error {
 	mergeName := shard + ".merge"
 	for {

@@ -8,11 +8,10 @@ import (
 	"time"
 )
 
-// HTTPLeaser is the worker-side client of a Coordinator's lease endpoint:
-// the same Leaser semantics, reached over the coordinator's obs/avgid mux.
-// Transport failures surface as errors; the claim loop treats them as "not
-// acquired" and retries, so a coordinator restart (or a network blip)
-// stalls a worker briefly instead of failing its campaign.
+// HTTPLeaser is the worker-side client of a Coordinator: an avgid worker
+// registers and polls the campaign feed through it. Its TryAcquire and
+// Release reach the coordinator's in-memory lease table, which no fleet
+// uses (see Leaser).
 type HTTPLeaser struct {
 	// Base is the coordinator root, e.g. "http://host:9090".
 	Base string
@@ -53,13 +52,8 @@ func (h *HTTPLeaser) post(path string, body any, out any) error {
 
 func (h *HTTPLeaser) lease(op leaseOp) (bool, error) {
 	var rep leaseReply
-	if err := h.post("/v1/dist/lease", op, &rep); err != nil {
-		return false, err
-	}
-	if rep.Error != "" {
-		return rep.OK, fmt.Errorf("dist: %s", rep.Error)
-	}
-	return rep.OK, nil
+	err := h.post("/v1/dist/lease", op, &rep)
+	return rep.OK, err
 }
 
 // TryAcquire implements Leaser.
@@ -67,21 +61,9 @@ func (h *HTTPLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, er
 	return h.lease(leaseOp{Op: "acquire", Name: name, Owner: owner, TTLMS: ttl.Milliseconds()})
 }
 
-// Heartbeat implements Leaser.
-func (h *HTTPLeaser) Heartbeat(name, owner string, ttl time.Duration) error {
-	_, err := h.lease(leaseOp{Op: "heartbeat", Name: name, Owner: owner, TTLMS: ttl.Milliseconds()})
-	return err
-}
-
 // Release implements Leaser.
 func (h *HTTPLeaser) Release(name, owner string, done bool) error {
 	_, err := h.lease(leaseOp{Op: "release", Name: name, Owner: owner, Done: done})
-	return err
-}
-
-// Reset implements Leaser.
-func (h *HTTPLeaser) Reset(prefix string) error {
-	_, err := h.lease(leaseOp{Op: "reset", Name: prefix})
 	return err
 }
 

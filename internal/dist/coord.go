@@ -6,28 +6,19 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Coordinator is the lease-endpoint mode: one process (typically the avgid
-// server started with -dist-role=coordinator) arbitrates leases in memory
-// and exposes them over the obs/avgid mux, so workers on machines that do
-// NOT share a filesystem can still split a campaign — they share only the
-// journal directory contents via their own mounts, or run machine-local
-// journals that are merged offline.
+// Coordinator is the fan-out side of an avgid fleet (avgid
+// -dist-role=coordinator): the campaign feed workers poll and the roster
+// they register on, served over the obs/avgid mux. It arbitrates nothing a
+// campaign depends on — every node leases through FileLeaser in the shared
+// journal — so a restart loses the feed and the roster and nothing else.
 //
-// The coordinator is deliberately stateless across restarts: leases live
-// in memory only. A restarted coordinator comes back empty and relearns
-// ownership from the workers' next heartbeat wave (Heartbeat re-creates
-// unknown leases), and done markers are reconstructed from the journal by
-// the workers' own claim loops — a chunk whose results are journalled is
-// re-claimed, re-verified as prior-covered, and never re-simulated.
-//
-// Coordinator implements Leaser directly, so the coordinator process's own
-// Service uses it in-process while remote workers reach the same state
-// through HTTPLeaser.
+// It also keeps an in-memory lease table behind TryAcquire/Release and
+// POST /v1/dist/lease, the benchmark's baseline for a lease round trip
+// without files; no fleet leases through it.
 type Coordinator struct {
 	mu     sync.Mutex
 	now    func() time.Time
@@ -44,7 +35,13 @@ type Coordinator struct {
 	// them by spec for the dedup and loses an entry with it.
 	campaigns []Announcement
 	announced map[string]int
-	nextID    int
+
+	// nextID starts at the coordinator's start time in microseconds, so a
+	// restarted coordinator numbers its announcements past its
+	// predecessor's (unless that one averaged more than one announcement
+	// per microsecond of uptime) and a worker's feed cursor stays valid
+	// across the restart.
+	nextID int
 }
 
 // feedRetained bounds the fan-out feed. Dropping the oldest announcements
@@ -69,6 +66,7 @@ func NewCoordinator() *Coordinator {
 		done:      make(map[string]struct{}),
 		nodes:     make(map[string]time.Time),
 		announced: make(map[string]int),
+		nextID:    int(time.Now().UnixMicro()),
 	}
 }
 
@@ -93,18 +91,6 @@ func (c *Coordinator) TryAcquire(name, owner string, ttl time.Duration) (bool, e
 	return true, nil
 }
 
-// Heartbeat implements Leaser. Unknown leases are re-created — the
-// coordinator-restart recovery path.
-func (c *Coordinator) Heartbeat(name, owner string, ttl time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rec, ok := c.leases[name]; ok && rec.Owner != owner && c.now().UnixNano() < rec.Expiry {
-		return fmt.Errorf("dist: lease %s now held by %s", name, rec.Owner)
-	}
-	c.leases[name] = leaseRecord{Owner: owner, Expiry: c.now().Add(ttl).UnixNano()}
-	return nil
-}
-
 // Release implements Leaser.
 func (c *Coordinator) Release(name, owner string, done bool) error {
 	c.mu.Lock()
@@ -114,23 +100,6 @@ func (c *Coordinator) Release(name, owner string, done bool) error {
 	}
 	if rec, ok := c.leases[name]; ok && rec.Owner == owner {
 		delete(c.leases, name)
-	}
-	return nil
-}
-
-// Reset implements Leaser.
-func (c *Coordinator) Reset(prefix string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for name := range c.leases {
-		if strings.HasPrefix(name, prefix) {
-			delete(c.leases, name)
-		}
-	}
-	for name := range c.done {
-		if strings.HasPrefix(name, prefix) {
-			delete(c.done, name)
-		}
 	}
 	return nil
 }
@@ -187,7 +156,7 @@ func (c *Coordinator) Campaigns(after int) []Announcement {
 
 // leaseOp is the wire form of one lease-endpoint call.
 type leaseOp struct {
-	Op    string `json:"op"` // acquire | heartbeat | release | reset
+	Op    string `json:"op"` // acquire | release
 	Name  string `json:"name"`
 	Owner string `json:"owner"`
 	TTLMS int64  `json:"ttl_ms"`
@@ -195,14 +164,13 @@ type leaseOp struct {
 }
 
 type leaseReply struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK bool `json:"ok"`
 }
 
 // Mount registers the coordinator's HTTP endpoints on mux (the same mux
 // the obs/avgid server already serves):
 //
-//	POST /v1/dist/lease     — lease ops (acquire/heartbeat/release/reset)
+//	POST /v1/dist/lease     — lease ops (acquire/release)
 //	POST /v1/dist/register  — {"node": ...} worker registration
 //	GET  /v1/dist/campaigns — fan-out feed; ?after=<id> for increments
 //	POST /v1/dist/campaigns — {"spec": ...} announce one campaign
@@ -219,26 +187,17 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 			return
 		}
 		ttl := time.Duration(op.TTLMS) * time.Millisecond
+		// The in-memory table cannot fail, so neither op returns an error.
 		var rep leaseReply
-		var err error
 		switch op.Op {
 		case "acquire":
-			rep.OK, err = c.TryAcquire(op.Name, op.Owner, ttl)
-		case "heartbeat":
-			err = c.Heartbeat(op.Name, op.Owner, ttl)
-			rep.OK = err == nil
+			rep.OK, _ = c.TryAcquire(op.Name, op.Owner, ttl)
 		case "release":
-			err = c.Release(op.Name, op.Owner, op.Done)
-			rep.OK = err == nil
-		case "reset":
-			err = c.Reset(op.Name)
-			rep.OK = err == nil
+			c.Release(op.Name, op.Owner, op.Done)
+			rep.OK = true
 		default:
 			http.Error(w, "unknown op "+op.Op, http.StatusBadRequest)
 			return
-		}
-		if err != nil {
-			rep.Error = err.Error()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(rep)

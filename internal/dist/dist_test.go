@@ -43,7 +43,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// leaserContract runs the semantics every Leaser implementation must share.
+// leaserContract runs the acquire/release semantics every Leaser shares:
+// first-writer-wins, renewal by the holder, stale takeover, release and
+// the permanent done marker.
 func leaserContract(t *testing.T, l Leaser, advance func(time.Duration)) {
 	t.Helper()
 	const ttl = 10 * time.Second
@@ -58,14 +60,6 @@ func leaserContract(t *testing.T, l Leaser, advance func(time.Duration)) {
 	// The holder itself renews.
 	if ok, err := l.TryAcquire("shard.chunk-000000-000010", "alice", ttl); err != nil || !ok {
 		t.Fatalf("holder re-acquire must renew: ok=%v err=%v", ok, err)
-	}
-	// Heartbeat by the holder extends; by a stranger against a live lease
-	// it fails.
-	if err := l.Heartbeat("shard.chunk-000000-000010", "alice", ttl); err != nil {
-		t.Fatalf("holder heartbeat: %v", err)
-	}
-	if err := l.Heartbeat("shard.chunk-000000-000010", "bob", ttl); err == nil {
-		t.Fatal("stranger heartbeat against a live lease must fail")
 	}
 
 	// Stale takeover: past the TTL the lease is free to anyone.
@@ -94,6 +88,33 @@ func leaserContract(t *testing.T, l Leaser, advance func(time.Duration)) {
 			t.Fatalf("a done resource must refuse every acquire: %s ok=%v err=%v", owner, ok, err)
 		}
 	}
+}
+
+// TestFileLeaserContract runs the shared contract plus what only the file
+// leaser offers: heartbeats and Reset.
+func TestFileLeaserContract(t *testing.T) {
+	clk := newFakeClock()
+	l := NewFileLeaser(filepath.Join(t.TempDir(), "leases"))
+	l.SetClock(clk.Now)
+	leaserContract(t, l, clk.Advance)
+	const ttl = 10 * time.Second
+
+	// Heartbeat by the holder extends; by a stranger against a live lease
+	// it fails.
+	if ok, err := l.TryAcquire("shard.chunk-000010-000020", "alice", ttl); err != nil || !ok {
+		t.Fatalf("fresh acquire: ok=%v err=%v", ok, err)
+	}
+	clk.Advance(ttl / 2)
+	if err := l.Heartbeat("shard.chunk-000010-000020", "alice", ttl); err != nil {
+		t.Fatalf("holder heartbeat: %v", err)
+	}
+	if err := l.Heartbeat("shard.chunk-000010-000020", "bob", ttl); err == nil {
+		t.Fatal("stranger heartbeat against a live lease must fail")
+	}
+	clk.Advance(ttl * 3 / 4)
+	if ok, _ := l.TryAcquire("shard.chunk-000010-000020", "bob", ttl); ok {
+		t.Fatal("a heartbeat must extend the lease past its first expiry")
+	}
 
 	// Reset clears both leases and done markers under the prefix — and
 	// nothing else.
@@ -106,16 +127,12 @@ func leaserContract(t *testing.T, l Leaser, advance func(time.Duration)) {
 	if ok, err := l.TryAcquire("shard.chunk-000000-000010", "carol", ttl); err != nil || !ok {
 		t.Fatalf("done marker must not survive Reset of its prefix: ok=%v err=%v", ok, err)
 	}
+	if ok, err := l.TryAcquire("shard.chunk-000010-000020", "carol", ttl); err != nil || !ok {
+		t.Fatalf("lease must not survive Reset of its prefix: ok=%v err=%v", ok, err)
+	}
 	if ok, _ := l.TryAcquire("shard.merge", "bob", ttl); ok {
 		t.Fatal("Reset of chunk prefix must not free the merge lease")
 	}
-}
-
-func TestFileLeaserContract(t *testing.T) {
-	clk := newFakeClock()
-	l := NewFileLeaser(filepath.Join(t.TempDir(), "leases"))
-	l.SetClock(clk.Now)
-	leaserContract(t, l, clk.Advance)
 }
 
 func TestCoordinatorContract(t *testing.T) {
@@ -225,40 +242,6 @@ func TestFileLeaserRace(t *testing.T) {
 	clk.Advance(time.Hour)
 	if w := race("stale"); w != 1 {
 		t.Errorf("%d winners racing a stale takeover, want exactly 1", w)
-	}
-}
-
-// TestCoordinatorRestart pins the recovery story: the coordinator holds
-// lease state in memory only, and a worker's heartbeat re-creates its
-// leases on a restarted (empty) coordinator before any rival can claim.
-func TestCoordinatorRestart(t *testing.T) {
-	var current atomic.Pointer[http.ServeMux]
-	mount := func(c *Coordinator) {
-		mux := http.NewServeMux()
-		c.Mount(mux)
-		current.Store(mux)
-	}
-	mount(NewCoordinator())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	l := NewHTTPLeaser(srv.URL)
-	if ok, err := l.TryAcquire("shard.chunk-000000-000010", "alice", time.Minute); err != nil || !ok {
-		t.Fatalf("acquire: ok=%v err=%v", ok, err)
-	}
-
-	// Coordinator dies and restarts empty mid-campaign.
-	mount(NewCoordinator())
-
-	// The worker's next heartbeat re-establishes ownership...
-	if err := l.Heartbeat("shard.chunk-000000-000010", "alice", time.Minute); err != nil {
-		t.Fatalf("heartbeat against restarted coordinator: %v", err)
-	}
-	// ...so a rival arriving afterwards is refused exactly as before.
-	if ok, _ := l.TryAcquire("shard.chunk-000000-000010", "bob", time.Minute); ok {
-		t.Error("restarted coordinator granted a lease its heartbeating owner had re-created")
 	}
 }
 
@@ -428,63 +411,6 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 	}
 }
 
-// TestDistRunCoordinatorLeaser runs a two-node fleet arbitrated by an HTTP
-// coordinator instead of lease files — the topology for workers that share
-// a journal mount but no coordinator-free consensus.
-func TestDistRunCoordinatorLeaser(t *testing.T) {
-	r := newDistRunner(t)
-	faults := r.FaultList("RF", 24, 5)
-	key, bind := distKey(), distBind(len(faults))
-	serial := r.Run(faults, campaign.ModeHVF, 0, 2)
-
-	c := NewCoordinator()
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	dir := t.TempDir()
-	j, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := make([][]campaign.Result, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for node := 0; node < 2; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			views[node], errs[node] = Run(Config{
-				Journal:      j,
-				Leaser:       NewHTTPLeaser(srv.URL),
-				Owner:        fmt.Sprintf("node-%d", node),
-				Fleet:        4,
-				LocalWorkers: 2,
-				TTL:          2 * time.Second,
-				Poll:         10 * time.Millisecond,
-			}, r, faults, key, bind, campaign.ModeHVF, 0)
-		}(node)
-	}
-	wg.Wait()
-	for node := range errs {
-		if errs[node] != nil {
-			t.Fatalf("node %d: %v", node, errs[node])
-		}
-		if !reflect.DeepEqual(views[node], serial) {
-			t.Errorf("node %d: coordinator-arbitrated view diverges from the serial run", node)
-		}
-	}
-	ref, _ := runFleet(t, r, 1)
-	canon, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(j.ShardID(key, bind))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canon, ref) {
-		t.Error("coordinator-fleet canonical shard differs from the file-lease fleet's")
-	}
-}
-
 // TestCoordinatorAnnounceFeed covers the campaign fan-out feed used by
 // worker-mode avgid processes.
 func TestCoordinatorAnnounceFeed(t *testing.T) {
@@ -541,9 +467,11 @@ func TestCoordinatorAnnounceFeed(t *testing.T) {
 func TestCoordinatorFeedBounded(t *testing.T) {
 	c := NewCoordinator()
 	spec := func(i int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)) }
-	for i := 1; i <= 2*feedRetained; i++ {
-		if id := c.Announce(spec(i)); id != i {
-			t.Fatalf("announcement %d got ID %d", i, id)
+	// IDs count up from a start-time base; announcement i gets base+i.
+	base := c.Announce(spec(1)) - 1
+	for i := 2; i <= 2*feedRetained; i++ {
+		if id := c.Announce(spec(i)); id != base+i {
+			t.Fatalf("announcement %d got ID %d, want %d", i, id, base+i)
 		}
 	}
 	all := c.Campaigns(0)
@@ -551,17 +479,17 @@ func TestCoordinatorFeedBounded(t *testing.T) {
 		t.Fatalf("Campaigns(0) returned %d announcements, want %d", len(all), feedRetained)
 	}
 	for k, a := range all {
-		if want := feedRetained + 1 + k; a.ID != want || string(a.Spec) != string(spec(want)) {
-			t.Fatalf("entry %d is #%d %s, want #%d", k, a.ID, a.Spec, want)
+		if want := feedRetained + 1 + k; a.ID != base+want || string(a.Spec) != string(spec(want)) {
+			t.Fatalf("entry %d is #%d %s, want #%d", k, a.ID, a.Spec, base+want)
 		}
 	}
-	if id := c.Announce(spec(2 * feedRetained)); id != 2*feedRetained {
-		t.Errorf("a spec still in the feed was re-announced as #%d, want #%d", id, 2*feedRetained)
+	if id := c.Announce(spec(2 * feedRetained)); id != base+2*feedRetained {
+		t.Errorf("a spec still in the feed was re-announced as #%d, want #%d", id, base+2*feedRetained)
 	}
-	if id := c.Announce(spec(1)); id != 2*feedRetained+1 {
-		t.Errorf("a spec dropped from the feed was re-announced as #%d, want the new #%d", id, 2*feedRetained+1)
+	if id := c.Announce(spec(1)); id != base+2*feedRetained+1 {
+		t.Errorf("a spec dropped from the feed was re-announced as #%d, want the new #%d", id, base+2*feedRetained+1)
 	}
-	if tail := c.Campaigns(2 * feedRetained); len(tail) != 1 || tail[0].ID != 2*feedRetained+1 {
-		t.Errorf("Campaigns(%d) = %+v, want just the re-announcement", 2*feedRetained, tail)
+	if tail := c.Campaigns(base + 2*feedRetained); len(tail) != 1 || tail[0].ID != base+2*feedRetained+1 {
+		t.Errorf("Campaigns(%d) = %+v, want just the re-announcement", base+2*feedRetained, tail)
 	}
 }

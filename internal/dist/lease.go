@@ -1,7 +1,8 @@
 // Package dist is the distributed campaign layer: it shards the chunks of
 // one fault-injection campaign across N worker processes (and machines)
-// with nothing but the shared journal directory — or a tiny coordinator
-// endpoint — as the coordination substrate.
+// with nothing but the shared journal directory as the coordination
+// substrate — lease files under <journal>/leases next to the part shards
+// every node journals into.
 //
 // The design leans entirely on two properties the rest of the codebase
 // already guarantees:
@@ -33,42 +34,33 @@ import (
 	"time"
 )
 
-// Leaser is the chunk-ownership arbiter of one campaign fleet. Resource
-// names are slash-separated paths ("<shardID>.chunk-0-125", "slots/slot-3");
-// owners are stable node identities. Two implementations exist: FileLeaser
-// (lease files in the shared journal directory, no server needed) and the
-// coordinator pair (Coordinator in-process / HTTPLeaser remote).
-//
-// Semantics every implementation provides:
+// Leaser is the acquire/release contract of a lease arbiter. Resource
+// names are slash-separated paths ("<shardID>.chunk-0-125",
+// "slots/slot-3"); owners are stable node identities.
 //
 //   - TryAcquire is first-writer-wins. A lease whose heartbeat expired is
-//     free (stale-lease takeover); a torn or empty lease record is free; a
-//     resource with a done marker is never acquirable again.
-//   - TryAcquire by the current holder renews the lease (a restarted
-//     worker with a stable owner name reclaims its own leases instantly).
-//   - Heartbeat extends a held lease by ttl. Heartbeating a lease that no
-//     longer exists re-creates it — that is what lets workers ride through
-//     a coordinator restart (the restarted coordinator has empty state and
-//     relearns ownership from the next heartbeat wave).
-//   - Release with done=true writes a persistent done marker so every
-//     later TryAcquire refuses the resource; done=false frees it for the
-//     next claimant.
-//   - Reset deletes all lease and done state under a name prefix — called
-//     by the merge winner once the canonical shard is durable, so finished
-//     chunk markers do not outlive the parts they described.
+//     free (stale-lease takeover); a resource with a done marker is never
+//     acquirable again. TryAcquire by the current holder renews the lease
+//     (a restarted worker with a stable owner name reclaims its own leases
+//     instantly).
+//   - Release with done=true marks the resource done, so every later
+//     TryAcquire refuses it; done=false frees it for the next claimant.
 //
-// Errors are transport failures (an unreachable coordinator, an unwritable
-// lease directory) — callers treat them as "not acquired" and retry, never
-// as campaign failures.
+// Errors are transport failures (an unwritable lease directory, an
+// unreachable endpoint) — callers treat them as "not acquired" and retry,
+// never as campaign failures.
+//
+// Fleets lease only through FileLeaser, which adds Heartbeat and Reset.
+// Coordinator and HTTPLeaser implement the same two methods in memory and
+// over HTTP; nothing in a fleet uses them, and they remain as the
+// benchmark's lease round-trip baselines.
 type Leaser interface {
 	TryAcquire(name, owner string, ttl time.Duration) (bool, error)
-	Heartbeat(name, owner string, ttl time.Duration) error
 	Release(name, owner string, done bool) error
-	Reset(prefix string) error
 }
 
-// leaseRecord is the JSON body of a lease file (and the wire form of
-// coordinator lease state).
+// leaseRecord is the JSON body of a lease file (and the coordinator's
+// in-memory lease state).
 type leaseRecord struct {
 	Owner string `json:"owner"`
 	// Expiry is the heartbeat deadline in Unix nanoseconds; a lease whose
@@ -77,8 +69,8 @@ type leaseRecord struct {
 }
 
 // FileLeaser coordinates through atomic lease files under a shared
-// directory — the zero-infrastructure mode: point every worker's journal
-// at the same (network) filesystem and no server is needed.
+// directory — <journal>/leases in every fleet, so the fleet needs nothing
+// its part shards and merge do not already need.
 //
 // Protocol, per resource name:
 //
@@ -254,8 +246,8 @@ func (l *FileLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, er
 	return ok, err
 }
 
-// Heartbeat implements Leaser. A heartbeat on a vanished lease re-creates
-// it (coordinator-restart symmetry; for files this covers a lease
+// Heartbeat extends a held lease by ttl; it fails if another owner holds
+// the lease live. A heartbeat on a vanished lease re-creates it (a lease
 // directory wiped mid-run).
 func (l *FileLeaser) Heartbeat(name, owner string, ttl time.Duration) error {
 	path := l.leasePath(name)
@@ -298,8 +290,10 @@ func (l *FileLeaser) isDone(name string) (bool, error) {
 	}
 }
 
-// Reset implements Leaser: every lease, done marker and takeover remnant
-// whose name starts with prefix is deleted.
+// Reset deletes every lease, done marker and takeover remnant whose name
+// starts with prefix — called by the merge winner once the canonical shard
+// is durable, so finished chunk markers do not outlive the parts they
+// described.
 func (l *FileLeaser) Reset(prefix string) error {
 	base := filepath.Join(l.root, filepath.FromSlash(prefix))
 	dir, stem := filepath.Split(base)

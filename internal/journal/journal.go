@@ -553,13 +553,27 @@ func (w *Writer) Close() error {
 // should be the complete LoadAll view (the caller has verified coverage);
 // Merge itself only requires the indices to be in-range.
 //
-// Crash ordering: the canonical shard is rewritten and fsynced before any
-// part is unlinked, so a crash mid-merge leaves either the old parts (the
-// merge reruns) or the new canonical shard plus some parts (LoadAll yields
-// the same view; the rerun merge removes the stragglers). No interleaving
-// loses a record.
+// Crash ordering: the merged shard is written under a sibling name that
+// neither Load nor the part glob reads, fsynced, renamed over the
+// canonical shard, and the directory fsynced, before any part is unlinked.
+// Every record is in a durable file LoadAll reads at every instant — the
+// old canonical shard and the parts until the rename, the new canonical
+// shard after it — so a crash anywhere loses none, and leaves at most a
+// stray "<shard>.merge-*" file nothing reads. A reader holding the old
+// canonical shard open reads it whole.
 func (j *Journal) Merge(k Key, b Binding, results map[int]campaign.Result) error {
-	w, err := j.Writer(k, b, false)
+	canon := j.shardPath(k, b)
+	if err := os.MkdirAll(filepath.Dir(canon), 0o755); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	f, err := os.CreateTemp(filepath.Dir(canon), filepath.Base(canon)+".merge-*")
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	tmp := f.Name()
+	f.Close()
+	defer os.Remove(tmp) // a no-op once renamed
+	w, err := j.writerAt(tmp, k, b, false)
 	if err != nil {
 		return err
 	}
@@ -574,6 +588,12 @@ func (j *Journal) Merge(k Key, b Binding, results map[int]campaign.Result) error
 	if err := w.Close(); err != nil {
 		return err
 	}
+	if err := os.Rename(tmp, canon); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	if err := syncDir(filepath.Dir(canon)); err != nil {
+		return err
+	}
 	parts, err := j.parts(k, b)
 	if err != nil {
 		return err
@@ -582,6 +602,19 @@ func (j *Journal) Merge(k Key, b Binding, results map[int]campaign.Result) error
 		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("journal: %w", err)
 		}
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }

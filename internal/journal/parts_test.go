@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -246,6 +247,77 @@ func TestMergeByteIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(single, quad) {
 		t.Error("4-worker merged shard bytes differ from single-process shard")
+	}
+}
+
+// TestMergeReaderKeepsOldShard: Merge replaces the canonical shard instead
+// of rewriting it in place, so a reader that opened the shard before the
+// merge reads the pre-merge bytes to the end — never a splice of the old
+// file's head and the merged file's tail — and the merged records are in
+// the file the name points to afterwards.
+func TestMergeReaderKeepsOldShard(t *testing.T) {
+	results := testResults()
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, bind := testKey(), testBinding(4)
+	// The canonical shard holds the records a single-process run left
+	// (out of order, as a live shard appends them); a part holds the rest.
+	w, err := j.Writer(key, bind, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(3, results[3])
+	w.Append(1, results[1])
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pw, err := j.PartWriter(key, bind, "n1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw.Append(0, results[0])
+	pw.Append(2, results[2])
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := j.shardPath(key, bind)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	head := make([]byte, len(before)/2)
+	if _, err := io.ReadFull(f, head); err != nil {
+		t.Fatal(err)
+	}
+	all, err := j.LoadAll(key, bind)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("LoadAll before merge: %d records (%v)", len(all), err)
+	}
+	if err := j.Merge(key, bind, all); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(head, tail...); !bytes.Equal(got, before) {
+		t.Errorf("a reader open across the merge read %d bytes that are not the pre-merge shard (%d bytes)", len(got), len(before))
+	}
+
+	got, err := j.Load(key, bind)
+	if err != nil || !reflect.DeepEqual(got, all) {
+		t.Fatalf("merged shard: %d records (%v), want the 4 merged", len(got), err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Errorf("merge left %d files beside the canonical shard, want none", len(entries)-1)
 	}
 }
 

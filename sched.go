@@ -284,7 +284,6 @@ func (e *executor) runDist(j *journal.Journal, r *Runner, key assessKey, jkey jo
 	}
 	res, err = dist.Run(dist.Config{
 		Journal:      j,
-		Leaser:       e.dist.leaser(),
 		Owner:        e.dist.Owner,
 		Fleet:        e.dist.Fleet,
 		LocalWorkers: budget.Cap(),

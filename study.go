@@ -50,8 +50,8 @@ type StudyConfig struct {
 
 	// Dist, when non-nil with Fleet > 0, runs every campaign of the study
 	// as this node's share of a distributed fleet sharding chunks across
-	// processes (requires JournalDir; the journal directory — or the
-	// configured coordinator — is the coordination substrate). Results and
+	// processes (requires JournalDir; the journal directory is the
+	// coordination substrate). Results and
 	// the merged canonical shards are byte-identical to a single-process
 	// run. See docs/DISTRIBUTED.md.
 	Dist *DistConfig
