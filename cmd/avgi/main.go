@@ -56,7 +56,6 @@ var (
 	flagWindow = flag.Uint64("window", 0, "ERT stop window in cycles for the campaign experiment (required for -mode avgi, forbidden otherwise)")
 
 	flagTraceOut = flag.String("trace-out", "", "write a Chrome trace_event JSON of the study phases to this file (open in chrome://tracing)")
-	flagTraceND  = flag.String("trace-ndjson", "", "write the study-phase spans as NDJSON to this file")
 
 	// Shared campaign/telemetry/profiling flags (see internal/cliflags).
 	common = cliflags.RegisterCampaign(flag.CommandLine)
@@ -124,31 +123,25 @@ func main() {
 	}
 }
 
-// writeTraces exports the recorded spans to the files requested by
-// -trace-out (Chrome trace_event JSON) and -trace-ndjson.
+// writeTraces exports the recorded spans as Chrome trace_event JSON to
+// the file requested by -trace-out.
 func writeTraces(obsv *avgi.Observer) error {
-	write := func(path string, render func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		obsv.Logf("trace written to %s", path)
+	if *flagTraceOut == "" {
 		return nil
 	}
-	if err := write(*flagTraceOut, obsv.Trace.WriteChromeTrace); err != nil {
+	f, err := os.Create(*flagTraceOut)
+	if err != nil {
 		return err
 	}
-	return write(*flagTraceND, obsv.Trace.WriteNDJSON)
+	if err := obsv.Trace.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	obsv.Logf("trace written to %s", *flagTraceOut)
+	return nil
 }
 
 // usage prints the experiments table and then every flag's own help string

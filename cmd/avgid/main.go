@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -63,10 +64,6 @@ func main() {
 		os.Exit(2)
 	}
 	distCfg := distConfig(serverFlags)
-	var coord *dist.Coordinator
-	if serverFlags.DistRole == "coordinator" {
-		coord = dist.NewCoordinator()
-	}
 	obsv := avgi.NewObserver(os.Stderr)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
 		Workers:           serverFlags.Workers,
@@ -79,7 +76,11 @@ func main() {
 		logger.Error(err.Error())
 		os.Exit(1)
 	}
-	srv, err := obs.NewServer(serverFlags.Addr, newHandler(svc, obsv, coord, logger))
+	var fleet *peer
+	if distCfg != nil {
+		fleet = newPeer(svc, serverFlags.Journal, logger)
+	}
+	srv, err := obs.NewServer(serverFlags.Addr, newHandler(svc, obsv, fleet, logger))
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(1)
@@ -87,9 +88,9 @@ func main() {
 	srv.SetDrainTimeout(serverFlags.DrainTimeout)
 	stopHealth := obsv.StartHealth(10 * time.Second)
 	defer stopHealth()
-	stopWorker := func() {}
-	if serverFlags.DistRole == "worker" {
-		stopWorker = startWorkerPoll(svc, serverFlags.Coordinator, distCfg.Owner, serverFlags.LeaseTTL, logger)
+	stopPoll := func() {}
+	if fleet != nil {
+		stopPoll = fleet.start(serverFlags.LeaseTTL)
 	}
 	role := serverFlags.DistRole
 	if role == "" {
@@ -105,18 +106,18 @@ func main() {
 	got := <-sig
 	logger.Info("draining", slog.String("signal", got.String()),
 		slog.Duration("timeout", serverFlags.DrainTimeout))
-	stopWorker()
+	stopPoll()
 	if err := srv.Close(); err != nil {
 		logger.Error("drain: " + err.Error())
 		os.Exit(1)
 	}
 }
 
-// distConfig is the fleet membership of a distributed role, nil when
-// standalone. Both roles run their share of every campaign through lease
-// files in the shared journal, and -workers means the fleet-wide worker
-// count. The owner is resolved here, once, so the name a worker registers
-// on the coordinator's roster is the owner of its leases and part shards.
+// distConfig is the fleet membership of a peer, nil when standalone.
+// Every peer runs its share of every campaign through lease files in the
+// shared journal, and -workers means the fleet-wide worker count. The
+// owner is resolved here, once, so the name labelling the node's metrics
+// is the owner of its leases and part shards.
 func distConfig(s *cliflags.Server) *avgi.DistConfig {
 	if s.DistRole == "" {
 		return nil
@@ -128,50 +129,115 @@ func distConfig(s *cliflags.Server) *avgi.DistConfig {
 	return &avgi.DistConfig{Fleet: s.Workers, Owner: owner, LeaseTTL: s.LeaseTTL}
 }
 
-// startWorkerPoll launches the worker-mode fan-out loop: register with the
-// coordinator, poll its campaign feed, and run every announced assessment
-// against the shared journal — the worker's dist-configured Service then
-// claims chunk leases in that journal, so N workers polling one feed split
-// each campaign instead of each running all of it. The
-// returned stop function ends the loop and waits for it to exit (in-flight
-// assessments keep running; the server drain handles those).
-func startWorkerPoll(svc *avgi.Service, coordinator, owner string, ttl time.Duration, logger *slog.Logger) func() {
-	interval := ttl / 2
-	if interval < 500*time.Millisecond {
-		interval = 500 * time.Millisecond
+// peer is a fleet avgid's side of the campaign feed in <journal>/feed: it
+// announces every assessment it is asked for, and polls the feed to run
+// the other peers' announcements. Its dist-configured Service claims chunk
+// leases in the same journal, so N peers running one announced campaign
+// split it instead of each running all of it.
+type peer struct {
+	svc    *avgi.Service
+	feed   *dist.Feed
+	logger *slog.Logger
+
+	// running counts this process's in-flight assessments per feed entry.
+	// The poller claims only entries at zero, and an assessment removes
+	// its entry before dropping its count, both under mu — so a peer never
+	// picks up the entries it announced itself.
+	mu      sync.Mutex
+	running map[string]int
+}
+
+func newPeer(svc *avgi.Service, journalDir string, logger *slog.Logger) *peer {
+	return &peer{svc: svc, feed: dist.NewFeed(journalDir), logger: logger, running: make(map[string]int)}
+}
+
+// assess announces req on the feed — before running this peer's share, so
+// the others start claiming chunks while it is in flight — and removes the
+// entry once the assessment returns.
+func (p *peer) assess(req avgi.AssessRequest) (*avgi.AssessResponse, error) {
+	if name := p.announce(req); name != "" {
+		defer p.finish(name)
 	}
-	client := dist.NewHTTPLeaser(coordinator)
+	return p.svc.Assess(req)
+}
+
+// announce writes req to the feed and claims the entry for this process,
+// returning its name ("" when the announcement failed, which only keeps
+// the campaign local). The spec is the re-marshalled decoded request, so
+// byte-different but semantically identical bodies share one entry.
+func (p *peer) announce(req avgi.AssessRequest) string {
+	spec, _ := json.Marshal(req) // plain strings and numbers: cannot fail
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	name, err := p.feed.Announce(spec)
+	if err != nil {
+		p.logger.Warn("dist: announce: " + err.Error())
+		return ""
+	}
+	p.running[name]++
+	return name
+}
+
+// finish removes a feed entry whose assessment returned, with success or
+// error, and drops this process's claim on it.
+func (p *peer) finish(name string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.feed.Remove(name); err != nil {
+		p.logger.Warn("dist: " + err.Error())
+	}
+	if p.running[name]--; p.running[name] == 0 {
+		delete(p.running, name)
+	}
+}
+
+// poll claims every feed entry this process is not already running and
+// runs each in the background.
+func (p *peer) poll() {
+	p.mu.Lock()
+	entries, err := p.feed.Entries()
+	var claimed []dist.FeedEntry
+	for _, e := range entries {
+		if p.running[e.Name] == 0 {
+			p.running[e.Name]++
+			claimed = append(claimed, e)
+		}
+	}
+	p.mu.Unlock()
+	if err != nil {
+		p.logger.Debug("dist: poll: " + err.Error())
+	}
+	for _, e := range claimed {
+		go func(e dist.FeedEntry) {
+			defer p.finish(e.Name)
+			var req avgi.AssessRequest
+			if err := json.Unmarshal(e.Spec, &req); err != nil {
+				p.logger.Warn("dist: undecodable feed entry", slog.String("entry", e.Name), slog.String("err", err.Error()))
+				return
+			}
+			if _, err := p.svc.Assess(req); err != nil {
+				p.logger.Warn("dist: announced assessment failed",
+					slog.String("entry", e.Name), slog.String("err", err.Error()))
+			}
+		}(e)
+	}
+}
+
+// start polls the feed now and then every max(ttl/2, 500ms). The returned
+// stop function ends the loop and waits for it to exit. Assessments it
+// started run until they return or the process exits; one cut short
+// leaves its entry in the feed and its chunks to expiring leases, so
+// another peer finishes it.
+func (p *peer) start(ttl time.Duration) func() {
+	interval := max(ttl/2, 500*time.Millisecond)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		after := 0
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
-			// Registration doubles as the node's liveness heartbeat in the
-			// coordinator's /v1/dist/nodes listing.
-			if err := client.Register(owner); err != nil {
-				logger.Debug("dist: register: " + err.Error())
-			}
-			anns, err := client.Campaigns(after)
-			if err != nil {
-				logger.Debug("dist: poll: " + err.Error())
-			}
-			for _, a := range anns {
-				after = a.ID
-				var req avgi.AssessRequest
-				if err := json.Unmarshal(a.Spec, &req); err != nil {
-					logger.Warn("dist: undecodable announcement", slog.Int("id", a.ID), slog.String("err", err.Error()))
-					continue
-				}
-				go func(id int, req avgi.AssessRequest) {
-					if _, err := svc.Assess(req); err != nil {
-						logger.Warn("dist: announced assessment failed",
-							slog.Int("id", id), slog.String("err", err.Error()))
-					}
-				}(a.ID, req)
-			}
+			p.poll()
 			select {
 			case <-stop:
 				return
@@ -202,28 +268,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // newHandler assembles the avgid mux: the assessment API in front, the
 // observer's telemetry endpoints (/metrics, /progress.json, /trace.json,
 // /debug/pprof/, ...) as the fallback — one server, one port.
-func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *dist.Coordinator, logger *slog.Logger) http.Handler {
+func newHandler(svc *avgi.Service, obsv *avgi.Observer, fleet *peer, logger *slog.Logger) http.Handler {
 	mux := http.NewServeMux()
-	if coord != nil {
-		coord.Mount(mux)
-	}
 	mux.HandleFunc("POST /v1/assess", func(w http.ResponseWriter, r *http.Request) {
 		var req avgi.AssessRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		if coord != nil {
-			// Fan the campaign out before running our own share: polling
-			// workers see it on the feed and start claiming chunks while
-			// this request's assessment is still in flight. The spec is the
-			// re-marshalled decoded request, so retries of byte-different
-			// but semantically identical bodies dedup on the feed.
-			if spec, err := json.Marshal(req); err == nil {
-				coord.Announce(spec)
-			}
+		assess := svc.Assess
+		if fleet != nil {
+			assess = fleet.assess
 		}
-		resp, err := svc.Assess(req)
+		resp, err := assess(req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -253,15 +310,13 @@ func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *dist.Coordinator,
 	return recoverJSON(limitBodies(mux), logger)
 }
 
-// maxBodyBytes bounds every request body the server reads. The largest
-// legitimate one, a campaign spec announced to the coordinator, is a few
-// hundred bytes.
+// maxBodyBytes bounds every request body the server reads. The only POST
+// it serves, an assessment request, is a few hundred bytes.
 const maxBodyBytes = 1 << 20
 
-// limitBodies caps the request body of every endpoint behind it — the
-// assessment API and the coordinator's /v1/dist/* POSTs — so
-// a decoder fails with a 4xx at maxBodyBytes instead of buffering whatever
-// a client sends.
+// limitBodies caps the request body of every endpoint behind it, so a
+// decoder fails with a 4xx at maxBodyBytes instead of buffering whatever a
+// client sends.
 func limitBodies(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -279,7 +334,9 @@ func requestByPath(svc *avgi.Service, r *http.Request) (avgi.RequestInfo, bool) 
 
 // watchFrame is one NDJSON line of a /watch stream: the request's current
 // registry state plus the live progress of its campaign pair (present
-// while the pair is announced; journal hits may never announce one).
+// while the pair is announced; journal hits may never announce one). A
+// pair is keyed by (structure, workload, mode), so it totals every
+// campaign running on that triple, not just this request's.
 type watchFrame struct {
 	ID    uint64            `json:"id"`
 	State avgi.RequestState `json:"state"`

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,7 +73,8 @@ func postAssess(t *testing.T, url, body string) (envelope, int) {
 // journal with zero simulated faults, and its result payload must be
 // byte-identical to the freshly simulated first response.
 func TestServerSequentialHitByteIdentical(t *testing.T) {
-	ts, _ := newTestServer(t, t.TempDir())
+	dir := t.TempDir()
+	ts, _ := newTestServer(t, dir)
 	first, code := postAssess(t, ts.URL, assessBody)
 	if code != http.StatusOK {
 		t.Fatalf("first POST: %d", code)
@@ -92,6 +92,10 @@ func TestServerSequentialHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Errorf("cache-hit result bytes diverge from fresh simulation:\n first: %s\nsecond: %s",
 			first.Result, second.Result)
+	}
+	// A standalone server is no fleet peer: it announces nothing.
+	if _, err := os.Stat(filepath.Join(dir, "feed")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("standalone server touched the campaign feed: %v", err)
 	}
 }
 
@@ -163,45 +167,31 @@ func TestServerValidationErrorsAreJSON(t *testing.T) {
 	}
 }
 
-// TestServerOversizedBodyRejected: a body past maxBodyBytes gets a 4xx — a
-// JSON error from the assessment API — on every POST endpoint behind the
-// mux, coordinator included, and the server answers the next request.
+// TestServerOversizedBodyRejected: a body past maxBodyBytes gets a JSON 4xx
+// "too large" error from the assessment API, and the server answers the
+// next request.
 func TestServerOversizedBodyRejected(t *testing.T) {
-	obsv := avgi.NewObserver(io.Discard)
-	svc, err := avgi.NewService(avgi.ServiceConfig{Workers: 2, Obs: obsv})
+	ts, _ := newTestServer(t, "")
+	// The body is a request the endpoint would accept (unknown fields are
+	// ignored), so only the size limit can turn it away.
+	body := strings.TrimSuffix(assessBody, "}") + `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(svc, obsv, dist.NewCoordinator(), nil))
-	defer ts.Close()
-
-	// Each body is a request its endpoint would accept (unknown fields are
-	// ignored), so only the size limit can turn it away.
-	pad := `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
-	for path, body := range map[string]string{
-		"/v1/assess":         strings.TrimSuffix(assessBody, "}"),
-		"/v1/dist/lease":     `{"op":"release","name":"chunk","owner":"n1"`,
-		"/v1/dist/register":  `{"node":"n1"`,
-		"/v1/dist/campaigns": `{"spec":{"faults":1}`,
-	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body+pad))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode < 400 || resp.StatusCode > 499 {
-			t.Errorf("POST %s with a body over %d bytes: status %d, want 4xx", path, maxBodyBytes, resp.StatusCode)
-		}
-		var je struct {
-			Error string `json:"error"`
-		}
-		if path == "/v1/assess" && (json.Unmarshal(raw, &je) != nil || !strings.Contains(je.Error, "too large")) {
-			t.Errorf("POST %s: body %.120q is not a JSON \"too large\" error", path, raw)
-		}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode > 499 {
+		t.Errorf("POST with a body over %d bytes: status %d, want 4xx", maxBodyBytes, resp.StatusCode)
+	}
+	var je struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(raw, &je) != nil || !strings.Contains(je.Error, "too large") {
+		t.Errorf("body %.120q is not a JSON \"too large\" error", raw)
 	}
 	if _, code := postAssess(t, ts.URL, assessBody); code != http.StatusOK {
-		t.Errorf("request after the oversized ones: status %d, want 200", code)
+		t.Errorf("request after the oversized one: status %d, want 200", code)
 	}
 }
 
@@ -315,87 +305,98 @@ func TestRecoverJSONTurnsPanicInto500(t *testing.T) {
 	}
 }
 
-// TestServerCoordinatorWorkerFleet is the end-to-end distributed topology:
-// an avgid coordinator (campaign feed and roster mounted on its own mux)
-// and an avgid-style worker polling its campaign feed share one journal
-// directory. A single POST to the coordinator fans out over /v1/dist/*,
-// both nodes run fleet shares leasing through files in that journal, and
-// the answer is byte-identical to a standalone server's. The worker leaves
-// -dist-owner unset: the name it registers must be the owner its fleet
-// share runs under.
+// newPeerServer starts one fleet avgid over the shared journal dir: its
+// Service runs campaigns through lease files there, its handler announces
+// every assessment on dir/feed, and its poller is not started.
+func newPeerServer(t *testing.T, dir, owner string) (*httptest.Server, *avgi.Service, *peer) {
+	t.Helper()
+	obsv := avgi.NewObserver(io.Discard)
+	svc, err := avgi.NewService(avgi.ServiceConfig{
+		Workers: 2, JournalDir: dir, Obs: obsv,
+		Dist: distConfig(&cliflags.Server{DistRole: "worker", DistOwner: owner, Workers: 4, LeaseTTL: time.Second}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPeer(svc, dir, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(newHandler(svc, obsv, p, nil))
+	t.Cleanup(ts.Close)
+	return ts, svc, p
+}
+
+// waitFor polls cond until it holds or 20 s pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// feedEntries lists the campaign feed of the journal dir.
+func feedEntries(t *testing.T, dir string) []dist.FeedEntry {
+	t.Helper()
+	entries, err := dist.NewFeed(dir).Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestServerCoordinatorWorkerFleet is the end-to-end fleet: two avgid
+// peers of the one role on one journal directory. A single POST to peer A
+// is announced on the journal's feed, peer B polls it and runs its share,
+// both lease through files in that journal, the feed is empty once the
+// campaign is done, and A's answer is byte-identical to a standalone
+// server's. B leaves -dist-owner unset: its fleet share runs under the
+// default identity.
 func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	dir := t.TempDir()
-	obsv := avgi.NewObserver(io.Discard)
-	coordSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Obs: obsv,
-		Dist: distConfig(&cliflags.Server{DistRole: "coordinator", DistOwner: "coord-node", Workers: 4, LeaseTTL: 2 * time.Second}),
+	tsA, _, peerA := newPeerServer(t, dir, "peer-a")
+	tsB, svcB, peerB := newPeerServer(t, dir, "")
+	defer peerA.start(time.Second)()
+	defer peerB.start(time.Second)()
+
+	type answer struct {
+		env  envelope
+		code int
+	}
+	got := make(chan answer, 1)
+	go func() {
+		env, code := postAssess(t, tsA.URL, assessBody)
+		got <- answer{env, code}
+	}()
+	// Poll B the moment A's announcement lands rather than on its next
+	// tick, so B joins while A's campaign is still in flight.
+	waitFor(t, "A announces the campaign", func() bool { return len(feedEntries(t, dir)) > 0 })
+	peerB.poll()
+	a := <-got
+	if a.code != http.StatusOK {
+		t.Fatalf("peer A assess status %d", a.code)
+	}
+	if a.env.Meta.JournalHit {
+		t.Fatalf("first distributed assessment reported a journal hit: %+v", a.env.Meta)
+	}
+
+	// B ran the announced campaign, and the feed holds nothing once it is
+	// done.
+	waitFor(t, "B runs the campaign and the feed empties", func() bool {
+		reqs := svcB.Requests()
+		return len(reqs) == 1 && reqs[0].State == avgi.StateDone && len(feedEntries(t, dir)) == 0
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newHandler(coordSvc, obsv, dist.NewCoordinator(), nil))
-	defer ts.Close()
-
-	workerDist := distConfig(&cliflags.Server{DistRole: "worker", Coordinator: ts.URL, Workers: 4, LeaseTTL: 2 * time.Second})
-	workerObs := avgi.NewObserver(io.Discard)
-	workerSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Dist: workerDist, Obs: workerObs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wts := httptest.NewServer(newHandler(workerSvc, workerObs, nil, nil))
-	defer wts.Close()
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	stop := startWorkerPoll(workerSvc, ts.URL, workerDist.Owner, 500*time.Millisecond, quiet)
-	defer stop()
-
-	env, code := postAssess(t, ts.URL, assessBody)
-	if code != http.StatusOK {
-		t.Fatalf("coordinator assess status %d", code)
-	}
-	if env.Meta.JournalHit {
-		t.Fatalf("first distributed assessment reported a journal hit: %+v", env.Meta)
-	}
-
-	// The worker registered on the coordinator's node roster under the
-	// default identity, and ran the announced campaign.
-	var roster []struct {
-		Node string `json:"node"`
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/dist/nodes")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&roster)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs := workerSvc.Requests()
-		if len(roster) == 1 && len(reqs) == 1 && reqs[0].State == avgi.StateDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered and ran the campaign; roster %+v, requests %+v", roster, reqs)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if roster[0].Node != dist.DefaultOwner() {
-		t.Errorf("roster names %q, want the default identity %q", roster[0].Node, dist.DefaultOwner())
-	}
-	// Its fleet share ran under that same name: the dist layer labels the
-	// node's series with the owner of its leases and part shard.
-	resp, err := http.Get(wts.URL + "/metrics")
+	// Its fleet share ran under the default identity: the dist layer
+	// labels the node's series with the owner of its leases and part shard.
+	resp, err := http.Get(tsB.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if series := fmt.Sprintf("avgi_dist_faults_total{node=%q}", roster[0].Node); !bytes.Contains(metrics, []byte(series)) {
-		t.Errorf("worker /metrics has no %s: its fleet share ran under another owner", series)
+	if series := fmt.Sprintf("avgi_dist_faults_total{node=%q}", dist.DefaultOwner()); !bytes.Contains(metrics, []byte(series)) {
+		t.Errorf("peer B /metrics has no %s: its fleet share ran under another owner", series)
 	}
 
 	// The fleet leased through files in the shared journal.
@@ -404,57 +405,39 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	}
 
 	// Byte-identity against a standalone server over a fresh journal.
-	ref, refCode := func() (envelope, int) {
-		rts, _ := newTestServer(t, t.TempDir())
-		return postAssess(t, rts.URL, assessBody)
-	}()
-	if refCode != http.StatusOK {
-		t.Fatalf("reference assess status %d", refCode)
+	rts, _ := newTestServer(t, t.TempDir())
+	ref, code := postAssess(t, rts.URL, assessBody)
+	if code != http.StatusOK {
+		t.Fatalf("reference assess status %d", code)
 	}
-	if !bytes.Equal(env.Result, ref.Result) {
-		t.Error("distributed fleet payload diverges from the standalone server's")
+	if !bytes.Equal(a.env.Result, ref.Result) {
+		t.Error("fleet payload diverges from the standalone server's")
 	}
 }
 
-// TestWorkerFeedSurvivesCoordinatorRestart: a worker that consumed a
-// coordinator's announcements must still run the first announcement of a
-// restarted coordinator behind the same URL — its feed cursor stays valid.
-func TestWorkerFeedSurvivesCoordinatorRestart(t *testing.T) {
-	var current atomic.Pointer[http.ServeMux]
-	restart := func() *dist.Coordinator {
-		c := dist.NewCoordinator()
-		mux := http.NewServeMux()
-		c.Mount(mux)
-		current.Store(mux)
-		return c
+// TestFeedEntryOutlivesAnnouncer: a campaign announced by a peer that stops
+// before its assessment returns stays in the journal's feed; a peer started
+// afterwards runs it and removes it.
+func TestFeedEntryOutlivesAnnouncer(t *testing.T) {
+	dir := t.TempDir()
+	_, _, peerA := newPeerServer(t, dir, "peer-a")
+	stopA := peerA.start(time.Second)
+	name := peerA.announce(avgi.AssessRequest{Structure: "RF", Workload: "crc32", Mode: "hvf", Faults: 4, Seed: 3})
+	if name == "" {
+		t.Fatal("peer A could not announce")
 	}
-	coord := restart()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
+	stopA() // A is gone; its entry was never removed
+	if entries := feedEntries(t, dir); len(entries) != 1 || entries[0].Name != name {
+		t.Fatalf("feed after A stopped: %+v, want just %s", entries, name)
+	}
 
-	svc, err := avgi.NewService(avgi.ServiceConfig{Workers: 2, Obs: avgi.NewObserver(io.Discard)})
-	if err != nil {
-		t.Fatal(err)
+	_, svcB, peerB := newPeerServer(t, dir, "peer-b")
+	defer peerB.start(time.Second)()
+	waitFor(t, "B runs A's entry and removes it", func() bool {
+		reqs := svcB.Requests()
+		return len(reqs) == 1 && reqs[0].State == avgi.StateDone && len(feedEntries(t, dir)) == 0
+	})
+	if req := svcB.Requests()[0].Request; req.Seed != 3 || req.Faults != 4 {
+		t.Errorf("B ran %+v, want A's announced request", req)
 	}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	stop := startWorkerPoll(svc, srv.URL, "worker-node", 0, quiet)
-	defer stop()
-
-	ran := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for len(svc.Requests()) < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("worker ran %d announced campaigns, want %d", len(svc.Requests()), n)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	coord.Announce(json.RawMessage(`{"structure":"RF","workload":"crc32","mode":"hvf","faults":4,"seed":1}`))
-	ran(1)
-	coord = restart()
-	coord.Announce(json.RawMessage(`{"structure":"RF","workload":"crc32","mode":"hvf","faults":4,"seed":2}`))
-	ran(2)
 }

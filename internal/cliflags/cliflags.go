@@ -97,15 +97,14 @@ type Server struct {
 
 	ShardCache int
 
-	DistRole    string
-	DistOwner   string
-	Coordinator string
-	LeaseTTL    time.Duration
+	DistRole  string
+	DistOwner string
+	LeaseTTL  time.Duration
 }
 
 // registerDist installs the distributed-campaign flag cluster with a
-// per-tool -dist-role help string (the legal roles differ: batch tools can
-// only be workers, the server can also coordinate).
+// per-tool -dist-role help string: the roles are the same on every binary,
+// but an avgid worker also announces and polls the campaign feed.
 func registerDist(fs *flag.FlagSet, role, owner *string, ttl *time.Duration, roleHelp string) {
 	fs.StringVar(role, "dist-role", "", "distributed campaign role: "+roleHelp)
 	fs.StringVar(owner, "dist-owner", "",
@@ -134,51 +133,36 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 	fs.IntVar(&s.ShardCache, "shard-cache", 0,
 		"completed campaigns kept in memory in front of the journal, least recently used first (0 = default 64, negative keeps none)")
 	registerDist(fs, &s.DistRole, &s.DistOwner, &s.LeaseTTL,
-		"\"\" (standalone), coordinator (fan campaigns out to workers on /v1/dist/*) or worker (poll a -coordinator's feed); both roles run their share of every campaign through lease files in the shared -journal, see docs/DISTRIBUTED.md")
-	fs.StringVar(&s.Coordinator, "coordinator", "",
-		"with -dist-role=worker: base URL of the avgid -dist-role=coordinator whose campaign feed to poll")
+		"\"\" (standalone) or worker (a fleet peer: announce every assessment on <journal>/feed, run the other peers' announcements, and lease each campaign's chunks through the shared -journal; -workers then means the fleet-wide count, see docs/DISTRIBUTED.md)")
 	return s
 }
 
-// ValidateDist checks cmd/avgi's distributed flag cluster: the only legal
-// role is worker, and distribution needs the shared journal and the
-// fleet-wide worker count.
+// ValidateDist checks cmd/avgi's distributed flag cluster (see
+// validateDist).
 func (c *Common) ValidateDist() error {
-	switch c.DistRole {
-	case "":
-		return nil
-	case "worker":
-		return validateFleet(c.DistRole, c.Journal, c.Workers)
-	}
-	return fmt.Errorf("unknown -dist-role %q (avgi supports only worker)", c.DistRole)
+	return validateDist(c.DistRole, c.Journal, c.Workers)
 }
 
-// ValidateDist checks the server's distributed flag cluster: both roles
-// lease through the shared journal, and a worker needs the feed to poll.
+// ValidateDist checks the server's distributed flag cluster (see
+// validateDist).
 func (s *Server) ValidateDist() error {
-	switch s.DistRole {
-	case "":
-		return nil
-	case "coordinator":
-	case "worker":
-		if s.Coordinator == "" {
-			return fmt.Errorf("-dist-role=worker requires -coordinator URL (the feed to poll)")
-		}
-	default:
-		return fmt.Errorf("unknown -dist-role %q (want coordinator or worker)", s.DistRole)
-	}
-	return validateFleet(s.DistRole, s.Journal, s.Workers)
+	return validateDist(s.DistRole, s.Journal, s.Workers)
 }
 
-// validateFleet checks what every fleet member needs: the shared journal
-// (the coordination substrate) and -workers, the fleet-wide worker count
-// that fixes the chunk geometry — 0 would silently run undistributed
-// campaigns over a journal other nodes are writing.
-func validateFleet(role, journal string, workers int) error {
-	if journal == "" {
+// validateDist is the one rule for -dist-role on every binary: the only
+// fleet role is worker, and a worker needs the shared journal (the
+// coordination substrate) and -workers, the fleet-wide worker count that
+// fixes the chunk geometry — 0 would silently run undistributed campaigns
+// over a journal other nodes are writing.
+func validateDist(role, journal string, workers int) error {
+	switch {
+	case role == "":
+		return nil
+	case role != "worker":
+		return fmt.Errorf("unknown -dist-role %q (want worker)", role)
+	case journal == "":
 		return fmt.Errorf("-dist-role=%s requires -journal DIR shared with the fleet", role)
-	}
-	if workers <= 0 {
+	case workers <= 0:
 		return fmt.Errorf("-dist-role=%s requires -workers N > 0, the fleet-wide worker count every node shares", role)
 	}
 	return nil

@@ -62,7 +62,7 @@ func TestFlagNamesPinned(t *testing.T) {
 	}
 	server := names(func(fs *flag.FlagSet) { RegisterServer(fs) })
 	if want := []string{
-		"addr", "coordinator", "dist-owner", "dist-role", "drain-timeout",
+		"addr", "dist-owner", "dist-role", "drain-timeout",
 		"journal", "lease-ttl", "log", "shard-cache", "workers",
 	}; !reflect.DeepEqual(server, want) {
 		t.Errorf("RegisterServer flags:\n got %q\nwant %q", server, want)
@@ -99,21 +99,21 @@ func TestRegisterServerDefaults(t *testing.T) {
 	}
 }
 
-// TestValidateDist: every fleet role needs the shared journal and a
-// fleet-wide -workers; without the latter a node would run its campaigns
-// undistributed over a journal the rest of the fleet is writing.
+// TestValidateDist: one rule on both binaries — the only fleet role is
+// worker (coordinator is not a role on either), and a worker needs the shared
+// journal and a fleet-wide -workers; without the latter a node would run
+// its campaigns undistributed over a journal the rest of the fleet is
+// writing.
 func TestValidateDist(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		ok   bool
 	}{
 		{nil, true},
-		{[]string{"-dist-role=coordinator", "-workers", "4"}, true},
-		{[]string{"-dist-role=coordinator"}, false},
-		{[]string{"-dist-role=coordinator", "-workers", "4", "-journal", ""}, false},
-		{[]string{"-dist-role=worker", "-workers", "4", "-coordinator", "http://c:1"}, true},
-		{[]string{"-dist-role=worker", "-workers", "4"}, false},
-		{[]string{"-dist-role=worker", "-coordinator", "http://c:1"}, false},
+		{[]string{"-dist-role=worker", "-workers", "4"}, true},
+		{[]string{"-dist-role=worker"}, false},
+		{[]string{"-dist-role=worker", "-workers", "4", "-journal", ""}, false},
+		{[]string{"-dist-role=coordinator", "-workers", "4"}, false},
 		{[]string{"-dist-role=leader", "-workers", "4"}, false},
 	} {
 		fs := flag.NewFlagSet("avgid", flag.ContinueOnError)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -411,85 +410,89 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAnnounceFeed covers the campaign fan-out feed used by
-// worker-mode avgid processes.
-func TestCoordinatorAnnounceFeed(t *testing.T) {
-	c := NewCoordinator()
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	l := NewHTTPLeaser(srv.URL)
-
-	if err := l.Register("worker-1"); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	specA := json.RawMessage(`{"workload":"crc32","structure":"RF"}`)
-	specB := json.RawMessage(`{"workload":"matmul","structure":"LSQ"}`)
-	idA, err := l.Announce(specA)
-	if err != nil || idA == 0 {
-		t.Fatalf("announce A: id=%d err=%v", idA, err)
-	}
-	if again, _ := l.Announce(specA); again != idA {
-		t.Errorf("byte-identical re-announce minted a new ID (%d vs %d)", again, idA)
-	}
-	idB, _ := l.Announce(specB)
-
-	all, err := l.Campaigns(0)
-	if err != nil || len(all) != 2 {
-		t.Fatalf("campaigns(0): %d entries err=%v, want 2", len(all), err)
-	}
-	tail, _ := l.Campaigns(idA)
-	if len(tail) != 1 || tail[0].ID != idB || string(tail[0].Spec) != string(specB) {
-		t.Errorf("campaigns(after=%d) = %+v, want just spec B", idA, tail)
-	}
-
-	// The nodes listing reflects registration.
-	resp, err := http.Get(srv.URL + "/v1/dist/nodes")
+// TestFeedReannounceWritesNothing: an entry is named by its spec's hash, so
+// announcing a byte-identical spec again leaves the entry file untouched,
+// while a different spec gets an entry of its own.
+func TestFeedReannounceWritesNothing(t *testing.T) {
+	f := NewFeed(t.TempDir())
+	specA := []byte(`{"structure":"RF","workload":"crc32","mode":"hvf","seed":1}`)
+	name, err := f.Announce(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var nodes []struct {
-		Node string `json:"node"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
+	before, err := os.Stat(filepath.Join(f.dir, name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 1 || nodes[0].Node != "worker-1" {
-		t.Errorf("nodes = %+v, want worker-1", nodes)
+	if again, err := f.Announce(specA); err != nil || again != name {
+		t.Fatalf("re-announce: %q, %v; want %q", again, err, name)
+	}
+	after, err := os.Stat(filepath.Join(f.dir, name))
+	if err != nil || !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatalf("a byte-identical re-announce rewrote the entry (stat err %v)", err)
+	}
+	nameB, err := f.Announce([]byte(`{"structure":"RF","workload":"crc32","mode":"hvf","seed":2}`))
+	if err != nil || nameB == name {
+		t.Fatalf("a different spec got entry %q (err %v), want a new one", nameB, err)
+	}
+	des, err := os.ReadDir(f.dir)
+	if err != nil || len(des) != 2 {
+		t.Fatalf("feed holds %d files (err %v), want 2", len(des), err)
+	}
+	entries, err := f.Entries()
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("Entries: %d (err %v), want 2", len(entries), err)
+	}
+	for _, e := range entries {
+		if e.Name == name && !bytes.Equal(e.Spec, specA) {
+			t.Errorf("entry %s carries %s, want %s", e.Name, e.Spec, specA)
+		}
 	}
 }
 
-// TestCoordinatorFeedBounded: the fan-out feed keeps only the newest
-// feedRetained announcements, and the dedup forgets a spec together with its
-// entry, so a long-lived coordinator's feed neither grows nor slows down.
-func TestCoordinatorFeedBounded(t *testing.T) {
-	c := NewCoordinator()
-	spec := func(i int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)) }
-	// IDs count up from a start-time base; announcement i gets base+i.
-	base := c.Announce(spec(1)) - 1
-	for i := 2; i <= 2*feedRetained; i++ {
-		if id := c.Announce(spec(i)); id != base+i {
-			t.Fatalf("announcement %d got ID %d, want %d", i, id, base+i)
+// TestFeedSkipsTempAndVanished: a poller lists only complete entries — an
+// announcement still being written (its temp file) and an entry removed
+// between the listing and the read are both skipped, not errors. A
+// dangling link stands in for the vanished entry: it lists, then fails
+// to read with "not exist".
+func TestFeedSkipsTempAndVanished(t *testing.T) {
+	f := NewFeed(t.TempDir())
+	if entries, err := f.Entries(); err != nil || len(entries) != 0 {
+		t.Fatalf("a feed never announced to: %d entries, err %v", len(entries), err)
+	}
+	name, err := f.Announce([]byte(`{"faults":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(f.dir, ".announce-123"), []byte(`{"fau`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(f.dir, "gone"), filepath.Join(f.dir, "0123abcd"+feedExt)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := f.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name != name {
+		t.Fatalf("Entries = %+v, want just %s", entries, name)
+	}
+}
+
+// TestFeedRemoveTwice: every peer whose assessment of an entry returns
+// removes it, so the second removal finds nothing and must not fail.
+func TestFeedRemoveTwice(t *testing.T) {
+	f := NewFeed(t.TempDir())
+	name, err := f.Announce([]byte(`{"faults":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := f.Remove(name); err != nil {
+			t.Fatalf("removal %d: %v", i+1, err)
 		}
 	}
-	all := c.Campaigns(0)
-	if len(all) != feedRetained {
-		t.Fatalf("Campaigns(0) returned %d announcements, want %d", len(all), feedRetained)
-	}
-	for k, a := range all {
-		if want := feedRetained + 1 + k; a.ID != base+want || string(a.Spec) != string(spec(want)) {
-			t.Fatalf("entry %d is #%d %s, want #%d", k, a.ID, a.Spec, base+want)
-		}
-	}
-	if id := c.Announce(spec(2 * feedRetained)); id != base+2*feedRetained {
-		t.Errorf("a spec still in the feed was re-announced as #%d, want #%d", id, base+2*feedRetained)
-	}
-	if id := c.Announce(spec(1)); id != base+2*feedRetained+1 {
-		t.Errorf("a spec dropped from the feed was re-announced as #%d, want the new #%d", id, base+2*feedRetained+1)
-	}
-	if tail := c.Campaigns(base + 2*feedRetained); len(tail) != 1 || tail[0].ID != base+2*feedRetained+1 {
-		t.Errorf("Campaigns(%d) = %+v, want just the re-announcement", base+2*feedRetained, tail)
+	if entries, err := f.Entries(); err != nil || len(entries) != 0 {
+		t.Fatalf("after removal: %d entries, err %v", len(entries), err)
 	}
 }

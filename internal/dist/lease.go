@@ -2,7 +2,8 @@
 // one fault-injection campaign across N worker processes (and machines)
 // with nothing but the shared journal directory as the coordination
 // substrate — lease files under <journal>/leases next to the part shards
-// every node journals into.
+// every node journals into, and the avgid campaign feed under
+// <journal>/feed (Feed).
 //
 // The design leans entirely on two properties the rest of the codebase
 // already guarantees:
@@ -52,7 +53,7 @@ import (
 //
 // Fleets lease only through FileLeaser, which adds Heartbeat and Reset.
 // Coordinator and HTTPLeaser implement the same two methods in memory and
-// over HTTP; nothing in a fleet uses them, and they remain as the
+// over HTTP; no binary constructs them, and they remain only as the
 // benchmark's lease round-trip baselines.
 type Leaser interface {
 	TryAcquire(name, owner string, ttl time.Duration) (bool, error)

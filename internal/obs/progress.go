@@ -40,11 +40,6 @@ type ProgressSnapshot struct {
 	// (negative when no campaign has been announced yet).
 	ETASec float64 `json:"eta_sec"`
 
-	// DupAnnounces counts StartCampaign calls dropped because the same
-	// (structure, workload, mode) triple was already in flight — always 0
-	// once the study-level single-flight executor is doing its job.
-	DupAnnounces int64 `json:"dup_announces,omitempty"`
-
 	Pairs []PairProgress `json:"pairs"`
 }
 
@@ -60,11 +55,10 @@ type Progress struct {
 	pairs map[string]*PairProgress
 	order []string
 
-	faultsDone   int64
-	faultsTotal  int64
-	simCycles    uint64
-	exhCycles    uint64
-	dupAnnounces int64
+	faultsDone  int64
+	faultsTotal int64
+	simCycles   uint64
+	exhCycles   uint64
 }
 
 // NewProgress returns a reporter whose Logf lines and ticker output go to
@@ -87,21 +81,15 @@ func (p *Progress) SetClock(now func() time.Time) {
 }
 
 // StartCampaign announces a campaign of total faults for one
-// (structure, workload, mode) triple. Announcements are idempotent while a
-// previous campaign on the same triple is still draining: a duplicate
-// announcement arriving before the outstanding total completes is dropped
-// (and counted in DupAnnounces), so concurrent re-runs of one pair can
-// never inflate its total beyond the fault-list size. Once a pair has
-// fully drained, a new announcement accumulates as a genuine re-run (e.g.
-// the multi-bit ablation revisits the same triple with fresh fault lists).
+// (structure, workload, mode) triple. Every announcement accumulates: a
+// pair totals all campaigns run on its triple, concurrent ones included
+// (requests differing only in seed, fault count, machine or window share a
+// triple). Identical campaigns cannot double-count — the single-flight
+// executor runs, and so announces, each key once.
 func (p *Progress) StartCampaign(structure, workload, mode string, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pp := p.pair(structure, workload, mode)
-	if pp.Done < pp.Total {
-		p.dupAnnounces++
-		return
-	}
 	pp.Total += total
 	p.faultsTotal += int64(total)
 }
@@ -130,13 +118,6 @@ func (p *Progress) FaultDone(structure, workload, mode string, simCycles, exhaus
 	p.faultsDone++
 	p.simCycles += simCycles
 	p.exhCycles += exhaustiveCycles
-	// A dropped duplicate announcement can leave completions outrunning
-	// the announced total (two genuinely distinct campaigns racing on one
-	// triple); grow the total so the pair never reads above 100%.
-	if pp.Done > pp.Total {
-		pp.Total = pp.Done
-		p.faultsTotal++
-	}
 }
 
 // SkipFaults retracts n announced-but-never-simulated faults from a
@@ -165,10 +146,9 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	defer p.mu.Unlock()
 	el := p.now().Sub(p.start).Seconds()
 	s := ProgressSnapshot{
-		ElapsedSec:   el,
-		FaultsDone:   p.faultsDone,
-		FaultsTotal:  p.faultsTotal,
-		DupAnnounces: p.dupAnnounces,
+		ElapsedSec:  el,
+		FaultsDone:  p.faultsDone,
+		FaultsTotal: p.faultsTotal,
 	}
 	if el > 0 {
 		s.FaultsPerSec = float64(p.faultsDone) / el

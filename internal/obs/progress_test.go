@@ -82,50 +82,46 @@ func TestSkipFaults(t *testing.T) {
 	}
 }
 
+// TestStartCampaignIdempotentWhileInFlight: a second announcement on a
+// triple still in flight is a distinct campaign (the single-flight
+// executor announces identical ones once), so it accumulates — the total
+// is 2n from the second announcement on, never the first campaign's n.
 func TestStartCampaignIdempotentWhileInFlight(t *testing.T) {
 	p := NewProgress(io.Discard)
-	const n = 80 // the fault-list size
+	const n = 80 // each campaign's fault-list size
 	p.StartCampaign("RF", "sha", "exhaustive", n)
-	// Duplicate announcements for an in-flight pair (the old cache race)
-	// must be dropped: the total never exceeds the fault-list size.
-	p.StartCampaign("RF", "sha", "exhaustive", n)
-	p.StartCampaign("RF", "sha", "exhaustive", n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n/2; i++ {
 		p.FaultDone("RF", "sha", "exhaustive", 10, 10)
-		if s := p.Snapshot(); s.FaultsTotal > n || s.Pairs[0].Total > n {
-			t.Fatalf("total inflated beyond fault-list size: %d/%d (pair %d)",
-				s.FaultsDone, s.FaultsTotal, s.Pairs[0].Total)
-		}
 	}
-	s := p.Snapshot()
-	if s.FaultsDone != n || s.FaultsTotal != n || s.Pairs[0].Total != n {
-		t.Fatalf("done/total %d/%d pair total %d, want all %d", s.FaultsDone, s.FaultsTotal, s.Pairs[0].Total, n)
-	}
-	if s.DupAnnounces != 2 {
-		t.Errorf("DupAnnounces = %d, want 2", s.DupAnnounces)
-	}
-
-	// Once the pair has drained, a genuine re-run (same triple, fresh
-	// fault list — e.g. the multi-bit ablation) accumulates again.
 	p.StartCampaign("RF", "sha", "exhaustive", n)
-	if s := p.Snapshot(); s.FaultsTotal != 2*n {
-		t.Errorf("post-drain announcement: total %d, want %d", s.FaultsTotal, 2*n)
+	for i := n / 2; i <= 2*n; i++ {
+		s := p.Snapshot()
+		if s.FaultsTotal != 2*n || s.Pairs[0].Total != 2*n || s.Pairs[0].Done != i {
+			t.Fatalf("after %d completions: pair %d/%d, study total %d, want %d/%d",
+				i, s.Pairs[0].Done, s.Pairs[0].Total, s.FaultsTotal, i, 2*n)
+		}
+		if i < 2*n {
+			p.FaultDone("RF", "sha", "exhaustive", 10, 10)
+		}
 	}
 }
 
+// TestFaultDoneGrowsTotalWhenOutrun: two campaigns racing on one triple
+// are both announced before either finishes; the pair's total is their sum
+// throughout, so completions never outrun it and the pair reads 100% only
+// once both are done.
 func TestFaultDoneGrowsTotalWhenOutrun(t *testing.T) {
-	// Two distinct campaigns racing on one triple can leave completions
-	// outrunning the announced total after the duplicate announcement was
-	// dropped; the pair must clamp to 100%, never read above it.
+	const n = 2
 	p := NewProgress(io.Discard)
-	p.StartCampaign("RF", "sha", "exhaustive", 2)
-	p.StartCampaign("RF", "sha", "exhaustive", 2) // dropped
-	for i := 0; i < 4; i++ {
+	p.StartCampaign("RF", "sha", "exhaustive", n)
+	p.StartCampaign("RF", "sha", "exhaustive", n)
+	for i := 1; i <= 2*n; i++ {
 		p.FaultDone("RF", "sha", "exhaustive", 1, 1)
-	}
-	s := p.Snapshot()
-	if s.Pairs[0].Done != 4 || s.Pairs[0].Total != 4 || s.FaultsTotal != 4 {
-		t.Fatalf("pair %d/%d total %d, want 4/4 total 4", s.Pairs[0].Done, s.Pairs[0].Total, s.FaultsTotal)
+		s := p.Snapshot()
+		if s.Pairs[0].Done != i || s.Pairs[0].Total != 2*n || s.FaultsTotal != 2*n {
+			t.Fatalf("after %d completions: pair %d/%d, study total %d, want %d/%d total %d",
+				i, s.Pairs[0].Done, s.Pairs[0].Total, s.FaultsTotal, i, 2*n, 2*n)
+		}
 	}
 }
 

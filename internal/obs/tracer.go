@@ -128,17 +128,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// WriteNDJSON exports one JSON object per span, in recording order.
-func (t *Tracer) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, sp := range t.Spans() {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // chromeEvent is one entry of the Chrome trace_event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 type chromeEvent struct {

@@ -62,15 +62,6 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	checkGolden(t, "trace.json", buf.Bytes())
 }
 
-func TestWriteNDJSONGolden(t *testing.T) {
-	tr, _ := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "trace.ndjson", buf.Bytes())
-}
-
 func TestTrackPacking(t *testing.T) {
 	// The outer "golden runs" span overlaps both children, so the children
 	// must land on a second track; the later campaign span reuses track 1.

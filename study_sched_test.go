@@ -142,11 +142,10 @@ func TestConcurrentStudySingleFlight(t *testing.T) {
 		t.Errorf("dedup hits = %d, want %d", hits, calls-campaigns)
 	}
 
-	// Per-pair progress totals never inflated past the fault-list size.
+	// Per-pair progress totals never inflated past the fault-list size:
+	// every announcement accumulates, so a double execution would show as
+	// a pair total above schedFaults.
 	snap := obsv.Progress.Snapshot()
-	if snap.DupAnnounces != 0 {
-		t.Errorf("%d duplicate StartCampaign announcements reached Progress", snap.DupAnnounces)
-	}
 	for _, pp := range snap.Pairs {
 		if pp.Total != schedFaults || pp.Done != schedFaults {
 			t.Errorf("pair %s/%s/%s progress %d/%d, want %d/%d",
