@@ -31,7 +31,9 @@
 // fault is charged 1 cycle when no site was live, up to the latest erase
 // when every live one was erased, and the whole window when one stays
 // untouched; outside ModeAVGI the run to the halt, so an exhaustive or HVF
-// Result, SimCycles included, is the full run's.
+// Result, SimCycles included, is the full run's. A fault on one queue slot
+// whose first event is its commit is read only by the shadow integrity
+// check there, and resolve writes the machine-check crash that commit is.
 package campaign
 
 import (
@@ -140,7 +142,9 @@ type Result struct {
 	// when no site it covers was live, up to the latest erase when every
 	// live site was erased unread, and the whole window when one stays
 	// untouched; an exhaustive or HVF fault it resolves the run to the
-	// golden halt, the traditional cost. Speedups derived from it
+	// golden halt, the traditional cost. A queue fault it resolves as a
+	// machine check is charged, in every mode, up to the commit where the
+	// run it stands for crashes. Speedups derived from it
 	// (study.sim_speedup_x) compare methodologies, not host time, and do not
 	// move with the timeline.
 	SimCycles uint64
@@ -207,7 +211,9 @@ type Runner struct {
 	// untouched — the Result is written without a faulty cycle, charged 1
 	// cycle for a dead fault, up to the latest erase for an erased one, the
 	// whole window for an untouched one, and outside ModeAVGI the run to
-	// the halt. Otherwise the fork waits for the sites' first event. Results
+	// the halt. So is the machine-check crash of a fault on one queue slot
+	// that commits inside the window, charged to that commit. Otherwise the
+	// fork waits for the sites' first event. Results
 	// are identical to the full run's; in ModeAVGI only SimCycles shrinks,
 	// and in the other modes not even that (TestEarlyExitDifferential
 	// compares the outcomes, TestEarlyExitStateGolden the machines where a
@@ -651,15 +657,19 @@ func checkQuarantine(results []Result, prior map[int]Result, skipped [][2]int) {
 // The fates the golden site timeline settles without a faulty cycle
 // (forkMeta.resolved; resolvedNames are the fate labels of
 // avgi_window_resolved_total): no site the flip covers held anything
-// reachable, every live one was erased before anything read it, or nothing
-// was read and a live one met no event while the window was open.
+// reachable, every live one was erased before anything read it, nothing
+// was read and a live one met no event while the window was open, or the
+// one queue slot it covers retired inside the window, where the shadow
+// integrity check crashes the run.
 const (
 	resolvedDead = 1 + iota
 	resolvedErased
 	resolvedUntouched
+	resolvedMachineCheck
 )
 
-var resolvedNames = [...]string{resolvedDead: "dead", resolvedErased: "erased", resolvedUntouched: "untouched"}
+var resolvedNames = [...]string{resolvedDead: "dead", resolvedErased: "erased", resolvedUntouched: "untouched",
+	resolvedMachineCheck: "machine-check"}
 
 // forkMeta is the per-fault fork telemetry of the cursor flow: advCycles
 // is the golden distance the cursor advanced for this fault (amortized
@@ -781,7 +791,12 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result
 // charged 1 cycle; erased when every live site was, charged up to the latest
 // erase; untouched when one live site stays so, charged the whole window.
 // Outside ModeAVGI the charge is the run to the golden halt, which a machine
-// equal to golden reaches with it.
+// equal to golden reaches with it. A queue slot's one read is its commit,
+// where the shadow integrity check fires: a fault on one live slot that
+// commits at a cycle before end resolves as that machine check, in every
+// mode the Result a fork there writes — PRE, manifested and charged at the
+// commit, the crash its effect in ModeExhaustive. At end itself the commit
+// may lie behind the one that closes the window, and the run decides.
 //
 // Otherwise at is the cycle to fork at: one before the first event on any
 // covered site, dead ones included, until which the faulty machine is the
@@ -843,6 +858,8 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 		facts.AddSite(fate, erased)
 	}
 	switch {
+	case read && s.Queue && lo == hi && first < end:
+		fm.resolved, end = resolvedMachineCheck, first
 	case read:
 		at = first - 1
 		liveAt := func(site, c uint64) bool {
@@ -863,16 +880,27 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 		fm.resolved, end = resolvedErased, lastErase
 	}
 	res = Result{Fault: f, IMM: imm.Benign, SimCycles: end - t}
-	if w.mode != ModeAVGI {
+	var oc forensics.Outcome
+	switch {
+	case fm.resolved == resolvedMachineCheck:
+		// The run a fork would make crashes at the slot's commit, in every
+		// mode, before anything else sees the flip.
+		res.IMM, res.Crash = imm.PRE, cpu.CrashMachineCheck
+		res.Manifested, res.ManifestLatency = true, end-t
+		if w.mode == ModeExhaustive {
+			res.Effect, res.HasEffect = imm.Crash, true
+		}
+		oc = forensics.Outcome{Visible: true, ManifestLatency: end - t}
+	case w.mode != ModeAVGI:
 		// A machine equal to golden halts with it, as the full run would.
 		res.SimCycles = r.Golden.Cycles - t
 		res.Effect, res.HasEffect = imm.Masked, w.mode == ModeExhaustive
 	}
-	if full := r.horizon(w.mode, t, w.ert); fm.resolved != resolvedUntouched {
+	if full := r.horizon(w.mode, t, w.ert); fm.resolved == resolvedDead || fm.resolved == resolvedErased {
 		fm.cyclesSaved = full - min(full, end)
 	}
 	if r.Forensics != nil {
-		rec := forensics.Attribute(facts, forensics.Outcome{})
+		rec := forensics.Attribute(facts, oc)
 		res.Forensics = &rec
 	}
 	return

@@ -207,6 +207,40 @@ func TestTimelineDifferential(t *testing.T) {
 	}
 }
 
+// TestTimelineDifferentialPaths holds TestTimelineDifferential's matrix to
+// the paths it is there to test: on each of ROB, LQ and SQ a fault resolve
+// settles as the machine check at its slot's commit, and on L1D (Tag) one
+// it settles as erased, which only a clean eviction ahead of any lookup of
+// the line's golden or flipped tag does.
+func TestTimelineDifferentialPaths(t *testing.T) {
+	want := map[string]uint8{"ROB": resolvedMachineCheck, "LQ": resolvedMachineCheck, "SQ": resolvedMachineCheck,
+		"L1D (Tag)": resolvedErased}
+	got := map[string]int{}
+	for _, workload := range timelineWorkloads {
+		r := newTestRunner(t, cpu.ConfigA72(), workload)
+		w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: r.Timeline()}
+		for _, faults := range timelineFaults(r) {
+			for _, f := range faults {
+				if fate, ok := want[f.Structure]; ok {
+					if _, _, _, fm := w.resolve(f); fm.resolved == fate {
+						got[f.Structure]++
+					}
+				}
+			}
+		}
+	}
+	for _, st := range cpu.StructureNames {
+		fate, ok := want[st]
+		if !ok {
+			continue
+		}
+		t.Logf("%s: %d faults resolved %s", st, got[st], resolvedNames[fate])
+		if got[st] == 0 {
+			t.Errorf("%s: the differential matrix resolves no %s fault: a path went untested", st, resolvedNames[fate])
+		}
+	}
+}
+
 // TestTimelineHaltWindow pins the windows that end at the program's halt:
 // every exhaustive and HVF window, and an AVGI window longer than what is
 // left of the run. A register freed after the injection and never allocated
@@ -390,7 +424,7 @@ func TestAllocResolvedFault(t *testing.T) {
 	store, _ := r.checkpoints()
 	w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: store.Timeline()}
 	for _, st := range cpu.StructureNames {
-		var fates [resolvedUntouched + 1]int
+		var fates [len(resolvedNames)]int
 		for _, f := range r.FaultList(st, 200, 3) {
 			var fm forkMeta
 			// Ten runs, so that a stray allocation by another goroutine of
@@ -400,7 +434,11 @@ func TestAllocResolvedFault(t *testing.T) {
 			}
 			fates[fm.resolved]++
 		}
-		t.Logf("%-10s forked %3d, dead %3d, erased %3d, untouched %3d", st, fates[0], fates[resolvedDead], fates[resolvedErased], fates[resolvedUntouched])
+		line := fmt.Sprintf("%-10s forked %3d", st, fates[0])
+		for fate := resolvedDead; fate < len(resolvedNames); fate++ {
+			line += fmt.Sprintf(", %s %3d", resolvedNames[fate], fates[fate])
+		}
+		t.Log(line)
 	}
 }
 

@@ -45,8 +45,11 @@ type ProbeFacts struct {
 	Killed int
 
 	// Reads counts consumptions of live corrupted state: operand or
-	// commit-time register reads, cache tag compares, data-byte reads,
-	// TLB hits, and dirty writebacks (corruption propagating downstream).
+	// commit-time register reads; cache tag compares that the flip could
+	// decide differently — a lookup of the line's golden or flipped tag,
+	// or any lookup of its set once a valid or dirty bit flipped;
+	// data-byte reads, TLB hits, and dirty writebacks (corruption
+	// propagating downstream).
 	Reads     uint64
 	FirstRead uint64 // cycle of the first consumption (0 = none)
 

@@ -179,7 +179,7 @@ func (c *Cache) Access(paddr uint64, n uint64, write bool, buf []byte) uint64 {
 		}
 	}
 	if c.probe != nil {
-		c.probe.onLookup(c.cfg.Ways, set)
+		c.probe.onLookup(c, set, tag)
 	}
 	lat := c.cfg.HitLat
 	if way < 0 {

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // Fault-forensics probes for the memory-side structures (cache tag/data
 // arrays and TLBs). A probe is pure observation: it watches the array
 // entries covered by one injected fault and reports, through a ProbeSink,
@@ -47,13 +49,17 @@ type ProbeSink interface {
 }
 
 // lineSite is one watched cache entry: a flat way index (set*Ways+way)
-// and, for data probes, the watched byte range within the line. A site
-// dies on its first overwrite or eviction; events from dead sites are
-// dropped so multi-site faults attribute each site at most once.
+// and, for data probes, the watched byte range within the line; for tag
+// probes, the tag the entry holds in the golden world and in the faulty one,
+// which no event changes while the site lives. A site dies on its first
+// overwrite or eviction; events from dead sites are dropped so multi-site
+// faults attribute each site at most once.
 type lineSite struct {
-	flat   int
-	lo, hi int // inclusive byte range within the line; unused for tag sites
-	dead   bool
+	flat      int
+	lo, hi    int    // data sites: inclusive byte range within the line
+	pre, post uint64 // tag sites: the golden tag and the flipped one
+	ctl       bool   // tag sites: the flip reached the valid or dirty bit
+	dead      bool
 }
 
 // LineProbe watches the cache entries covered by one injected fault.
@@ -91,9 +97,9 @@ func (c *Cache) ArmTagProbe(bit uint64, width int, sink ProbeSink) *LineProbe {
 	last := (bit + uint64(width) - 1) / per
 	p := &LineProbe{sink: sink, tag: true}
 	for flat := first; flat <= last && flat < uint64(len(c.tags)); flat++ {
-		s := lineSite{flat: int(flat)}
-		cur := c.tags[flat]
-		pre := cur ^ entryFlipMask(bit, width, flat, per)
+		cur, m := c.tags[flat], entryFlipMask(bit, width, flat, per)
+		pre := cur ^ m
+		s := lineSite{flat: int(flat), pre: pre & c.tmask, post: cur & c.tmask, ctl: m&^c.tmask != 0}
 		if cur&c.valid == 0 && pre&c.valid == 0 {
 			// Invalid in both worlds: the corrupted bits are unreachable
 			// until a fill overwrites them — born dead, like a free queue
@@ -152,16 +158,30 @@ func (c *Cache) ArmDataProbe(bit uint64, width int, sink ProbeSink) *LineProbe {
 // ClearProbe detaches any installed probe.
 func (c *Cache) ClearProbe() { c.probe = nil }
 
-// onLookup reports tag-compare reads: every access resolving in a set
-// compares all its tag entries, so a live watched tag in that set was
-// consumed by the hit/miss decision.
-func (p *LineProbe) onLookup(ways, set int) {
+// onLookup reports tag-compare reads of a lookup of tag in set. The two
+// worlds can decide it differently only through an entry whose tag equals
+// the lookup's in one of them, so a live watched tag site is read by a
+// lookup of its golden or its flipped tag; a flipped valid or dirty bit,
+// which steers the hit, the victim and the writeback, by any lookup of its
+// set. The recording probe logs, per valid way, the lookups of a tag one
+// bit away from its own, with that bit; a hit needs no entry, as the data
+// access that follows it is logged anyway (CacheTimeline.TagFate).
+func (p *LineProbe) onLookup(c *Cache, set int, tag uint64) {
+	if p.rec != nil {
+		base := set * c.cfg.Ways
+		for w, e := range c.tags[base : base+c.cfg.Ways] {
+			if d := e&c.tmask ^ tag; e&c.valid != 0 && d != 0 && d&(d-1) == 0 {
+				p.rec.tags.Add(base+w, tagNear+uint32(bits.TrailingZeros64(d)))
+			}
+		}
+		return
+	}
 	if !p.tag {
 		return
 	}
 	for i := range p.sites {
 		s := &p.sites[i]
-		if !s.dead && s.flat/ways == set {
+		if !s.dead && s.flat/c.cfg.Ways == set && (s.ctl || s.pre == tag || s.post == tag) {
 			p.sink.ProbeEvent(ProbeRead)
 		}
 	}
@@ -208,10 +228,13 @@ func (p *LineProbe) onData(flat, off, n int, write bool) {
 // the tag entry and the line data, killing the site.
 func (p *LineProbe) onEvict(flat int, valid, dirty bool) {
 	if p.rec != nil {
-		if valid && dirty {
-			p.rec.data(uint64(flat), 0, p.rec.line, ProbeWriteback)
-		} else if valid {
-			p.rec.data(uint64(flat), 0, p.rec.line, ProbeEvictClean)
+		if valid {
+			ev := ProbeEvictClean
+			if dirty {
+				ev = ProbeWriteback
+			}
+			p.rec.data(uint64(flat), 0, p.rec.line, ev)
+			p.rec.tags.Add(flat, uint32(ev))
 		}
 		return
 	}

@@ -133,27 +133,38 @@ func (s *SiteEvents) Seen(site int, t uint64) (seen bool) {
 // the node, in the binary tree that halves the grain three times (1 the whole
 // grain, 8+k its k-th eighth), of the aligned range it covers. A line is
 // valid from its first event on: a fill is followed by the access that
-// missed, and a golden line never turns invalid again.
+// missed, and a golden line never turns invalid again. Per way, the tag
+// log holds the lookups of a tag one bit b away from the way's (tagNear+b)
+// and the evictions (ProbeEvictClean, ProbeWriteback), in run order.
 type CacheTimeline struct {
 	grains SiteEvents
+	tags   SiteEvents
 	grain  uint64 // bytes per site
 	set    uint64 // grains per set
 	line   uint64 // bytes per line
-	per    uint64 // bits per tag entry, the valid bit on top
+	per    uint64 // bits per tag entry, the dirty and valid bits on top
 }
+
+// tagNear is the tag log's detail of a lookup one bit away from the way's
+// tag, bit 0; the ProbeEvents lie below it.
+const tagNear = 8
 
 // RecordTimeline arms c to log its events against clock. No access may be
 // narrower than an eighth of grain, which must divide the line: 8 under a
 // core, the line size of the caches above under those.
 func (c *Cache) RecordTimeline(clock *uint64, grain int) *CacheTimeline {
-	tl := &CacheTimeline{grains: NewSiteEvents(clock, len(c.data)/grain), grain: uint64(grain),
-		set: uint64(c.cfg.Ways * c.cfg.LineBytes / grain), line: uint64(c.cfg.LineBytes), per: c.cfg.TagEntryBits()}
+	if c.cfg.tagBits() > evMask+1-tagNear {
+		panic("mem: " + c.cfg.Name + ": tags too wide for a timeline event's detail")
+	}
+	tl := &CacheTimeline{grains: NewSiteEvents(clock, len(c.data)/grain), tags: NewSiteEvents(clock, len(c.tags)),
+		grain: uint64(grain), set: uint64(c.cfg.Ways * c.cfg.LineBytes / grain), line: uint64(c.cfg.LineBytes),
+		per: c.cfg.TagEntryBits()}
 	c.probe = &LineProbe{rec: tl}
 	return tl
 }
 
 // Seal ends the recording and returns the timeline's size in bytes.
-func (tl *CacheTimeline) Seal() uint64 { return tl.grains.Seal() }
+func (tl *CacheTimeline) Seal() uint64 { return tl.grains.Seal() + tl.tags.Seal() }
 
 func (tl *CacheTimeline) data(flat, off, n uint64, ev ProbeEvent) {
 	g := (flat*tl.line + off) / tl.grain
@@ -175,12 +186,45 @@ func (tl *CacheTimeline) validAt(flat, t uint64) bool {
 	return false
 }
 
-// TagFate is the fate of a tag-array bit: live when valid in either world,
-// and read by the next access to its set — which compares every tag of the
-// set, fills only after that, and ends on the data of one of its lines.
+// TagFate is the fate of a tag-array bit: live when valid in either world.
+// A tag bit b is read by the first hit on its way, lookup of the tag with b
+// flipped, or dirty eviction (a writeback to the address the tag names), and
+// erased by a clean eviction, whichever comes first: no other lookup can
+// tell the worlds apart, and the victim a miss picks depends on the valid
+// bits and the replacement state alone. The way's tag log orders the
+// lookups and the evictions; a hit is a data access on one of the line's
+// grains ahead of any eviction, which every grain logs. The valid and dirty
+// bits are read by the next access to the set, which compares every valid
+// bit, fills only after that, and ends on the data of one of its lines.
 func (tl *CacheTimeline) TagFate(bit, t, until uint64) SiteFate {
-	flat := bit / tl.per
-	f := SiteFate{Live: bit%tl.per == tl.per-1 || tl.validAt(flat, t)}
+	flat, b := bit/tl.per, bit%tl.per
+	f := SiteFate{Live: b == tl.per-1 || tl.validAt(flat, t)}
+	if b < tl.per-2 {
+		tl.tags.Scan(int(flat), t, until, func(c uint64, d uint32) bool {
+			if c > until {
+				return false
+			}
+			if d >= tagNear && d != tagNear+uint32(b) {
+				return true
+			}
+			f.Cycle, f.Event = c, ProbeRead
+			if d < tagNear {
+				f.Event = ProbeEvent(d)
+			}
+			return false
+		})
+		for g := flat * tl.line / tl.grain; g < (flat+1)*tl.line/tl.grain; g++ {
+			tl.grains.Scan(int(g), t, until, func(c uint64, d uint32) bool {
+				// A hit in the cycle of an eviction came first if it is
+				// its grain's first event.
+				if ev := ProbeEvent(d >> 4); (ev == ProbeRead || ev == ProbeOverwrite) && c <= until && (f.Cycle == 0 || c <= f.Cycle) {
+					f.Cycle, f.Event = c, ProbeRead
+				}
+				return false
+			})
+		}
+		return f
+	}
 	first := flat * tl.line / tl.grain / tl.set * tl.set
 	for g := first; g < first+tl.set; g++ {
 		tl.grains.Scan(int(g), t, until, func(c uint64, _ uint32) bool {
