@@ -33,7 +33,9 @@
 // untouched; outside ModeAVGI the run to the halt, so an exhaustive or HVF
 // Result, SimCycles included, is the full run's. A fault on one queue slot
 // whose first event is its commit is read only by the shadow integrity
-// check there, and resolve writes the machine-check crash that commit is.
+// check there, and resolve settles it as the machine-check crash that
+// commit is. Either way one classifier labels the run (classify): the
+// forked one, or the one resolve states for a fault it settles.
 package campaign
 
 import (
@@ -414,10 +416,13 @@ func (r *Runner) Run(faults []fault.Fault, mode Mode, ert uint64, workers int) [
 // ChunkSink receives freshly completed result chunks while a campaign is
 // still running — the hook the durable journal appends (and fsyncs)
 // through, so a crash mid-campaign loses at most the in-flight chunks.
-// ChunkDone is called concurrently from worker goroutines; implementations
-// must synchronize internally and must only read results[lo:hi].
+// ChunkDone is called concurrently from worker goroutines with the chunk's
+// fault-list range [lo, hi) and ran, which marks the indices this call
+// settled (the rest of the chunk came from RunSpec.Prior); implementations
+// must synchronize internally and must only read ran[lo:hi] and
+// results[lo:hi].
 type ChunkSink interface {
-	ChunkDone(lo, hi int, results []Result)
+	ChunkDone(lo, hi int, ran []bool, results []Result)
 }
 
 // ChunkClaimer arbitrates chunk ownership across the processes of one
@@ -493,6 +498,9 @@ type RunSpec struct {
 // the zero Result. A distributed driver treats skipped > 0 as "not my
 // work, not finished either" and reloads the journal for the rest.
 //
+// A campaign covers one structure: its telemetry and progress are labelled
+// by it, so a list mixing structures is a programming error and panics.
+//
 // Each fault is simulated under a panic guard: a panicking injection
 // yields a quarantined Result (Quarantined, Err) instead of killing the
 // process, and the panicking worker discards its possibly corrupted
@@ -504,6 +512,11 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	results = make([]Result, len(faults))
 	if len(faults) == 0 {
 		return results, 0
+	}
+	for _, f := range faults {
+		if f.Structure != faults[0].Structure {
+			panic(fmt.Sprintf("campaign: fault list mixes %s and %s", faults[0].Structure, f.Structure))
+		}
 	}
 	budget := spec.Budget
 	if budget == nil {
@@ -517,7 +530,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	if plan <= 0 {
 		plan = workers
 	}
-	ro := r.newRunObs(faults, mode, prior)
+	ro := r.newRunObs(faults[0].Structure, mode, len(faults)-len(prior))
 	store, pool := r.checkpoints()
 	var tl *cpu.Timeline
 	if r.EarlyExit {
@@ -529,20 +542,25 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	// what keeps results byte-identical under any interleaving, across
 	// resumed runs, and across the processes of a distributed campaign.
 	chunk := ChunkSize(len(faults), plan)
-	var skipped [][2]int
+	// ran marks the faults this call settles; the workers, the sink, the
+	// quarantine check and the telemetry fold read it and nothing else.
+	ran := make([]bool, len(faults))
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(faults); lo += chunk {
-		hi := lo + chunk
-		if hi > len(faults) {
-			hi = len(faults)
+		hi := min(lo+chunk, len(faults))
+		fresh := 0
+		for i := lo; i < hi; i++ {
+			if pr, ok := prior[i]; ok {
+				results[i] = pr
+			} else {
+				ran[i] = true
+				fresh++
+			}
 		}
 		// A chunk fully covered by prior results needs no worker, no
 		// budget slot, no claim and no sink notification (its results are
 		// already durable).
-		if allPrior(prior, lo, hi) {
-			for i := lo; i < hi; i++ {
-				results[i] = prior[i]
-			}
+		if fresh == 0 {
 			continue
 		}
 		// Budget before claim: holding a lease while queued for a local
@@ -553,15 +571,9 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 			rel, ok := spec.Claimer.Claim(lo, hi)
 			if !ok {
 				budget.Release()
-				skipped = append(skipped, [2]int{lo, hi})
-				for i := lo; i < hi; i++ {
-					if pr, ok := prior[i]; ok {
-						results[i] = pr
-					} else {
-						skippedFaults++
-					}
-				}
-				ro.skip(faults, lo, hi, prior)
+				clear(ran[lo:hi])
+				skippedFaults += fresh
+				ro.skip(fresh)
 				continue
 			}
 			release = rel
@@ -572,9 +584,9 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 			defer budget.Release()
 			w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool, tl: tl}
 			defer w.close()
-			w.runChunk(faults, lo, hi, prior, results)
+			w.runChunk(faults, lo, hi, ran, results)
 			if sink != nil {
-				sink.ChunkDone(lo, hi, results)
+				sink.ChunkDone(lo, hi, ran, results)
 			}
 			if release != nil {
 				release(true)
@@ -582,61 +594,43 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		}(lo, hi, release)
 	}
 	wg.Wait()
-	ro.finish()
-	checkQuarantine(results, prior, skipped)
-	if r.Forensics != nil {
-		// Fold the whole campaign — fresh and journal-resumed results
-		// alike — into the explorer, serially so the breakdown (and its
-		// retained samples) is deterministic under any worker layout.
-		// Skipped chunks are excluded: their slots hold no simulation.
-		ms := mode.String()
-		for i := range results {
-			if results[i].Quarantined || skippedAt(skipped, prior, i) {
-				continue
-			}
-			r.Forensics.Record(faults[i].Structure, r.Prog.Name, ms, faults[i], results[i].Forensics)
-		}
+	ro.finish(results, ran)
+	checkQuarantine(results, ran)
+	if spec.Claimer == nil {
+		r.RecordForensics(faults, mode, results)
 	}
 	return results, skippedFaults
 }
 
-// skippedAt reports whether index i fell in a claim-skipped chunk without
-// a prior result — i.e. its Result slot is the meaningless zero value.
-func skippedAt(skipped [][2]int, prior map[int]Result, i int) bool {
-	for _, s := range skipped {
-		if i >= s[0] && i < s[1] {
-			_, ok := prior[i]
-			return !ok
+// RecordForensics folds a whole campaign — fresh and journal-resumed
+// results alike — into the runner's forensics explorer, serially so the
+// breakdown (and its retained samples) is deterministic under any worker
+// layout; quarantined results carry no attribution and are left out.
+// RunCampaign records what it returns unless a claimer split the campaign
+// across processes; a distributed driver, which calls RunCampaign once per
+// claim round, records the merged results once instead. A no-op without an
+// explorer.
+func (r *Runner) RecordForensics(faults []fault.Fault, mode Mode, results []Result) {
+	if r.Forensics == nil {
+		return
+	}
+	ms := mode.String()
+	for i := range results {
+		if !results[i].Quarantined {
+			r.Forensics.Record(faults[i].Structure, r.Prog.Name, ms, faults[i], results[i].Forensics)
 		}
 	}
-	return false
-}
-
-// allPrior reports whether every index in [lo, hi) has a prior result.
-func allPrior(prior map[int]Result, lo, hi int) bool {
-	if len(prior) == 0 {
-		return false
-	}
-	for i := lo; i < hi; i++ {
-		if _, ok := prior[i]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // checkQuarantine fails the campaign loudly when the quarantined fraction
 // of freshly simulated faults exceeds QuarantineLimit: isolated panics are
 // survivable noise, but a systemic rate means the campaign's numbers would
 // be statistically meaningless.
-func checkQuarantine(results []Result, prior map[int]Result, skipped [][2]int) {
+func checkQuarantine(results []Result, ran []bool) {
 	var fresh, q int
 	var sample []string
 	for i, res := range results {
-		if _, ok := prior[i]; ok {
-			continue
-		}
-		if skippedAt(skipped, prior, i) {
+		if !ran[i] {
 			continue
 		}
 		fresh++
@@ -737,21 +731,22 @@ func (w *worker) discard() {
 // (cpu.restore_full_us, cpu.snapshot_full_us, cpu.golden_ns_per_cycle.a72).
 const jumpCycles = 64
 
-// runChunk runs faults[lo:hi]. A fault the golden site timeline resolves is
-// done without a machine; the others fork in the order of their fork
-// cycles, which keeps the cursor monotonic (a stable sort: faults forking
-// at one cycle keep the list's order and batch on one snapshot).
-func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result, results []Result) {
-	var local map[string]*structAgg
+// runChunk runs the faults of [lo, hi) that ran marks. A fault the golden
+// site timeline resolves is done without a machine; the others fork in the
+// order of their fork cycles, which keeps the cursor monotonic (a stable
+// sort: faults forking at one cycle keep the list's order and batch on one
+// snapshot).
+func (w *worker) runChunk(faults []fault.Fault, lo, hi int, ran []bool, results []Result) {
+	var local tally
 	now := func() (t time.Time) { return t }
 	if w.ro != nil {
-		local, now = make(map[string]*structAgg, 1), nowFn
-		defer w.ro.merge(local)
+		now = nowFn
+		defer w.ro.merge(&local)
 	}
 	done := func(i int, t0 time.Time, res Result, delta cpu.Stats, fm forkMeta) {
 		results[i] = res
 		if w.ro != nil {
-			w.ro.fault(local, faults[i], &res, now().Sub(t0), delta, fm)
+			w.ro.fault(&local, &res, now().Sub(t0), delta, fm)
 		}
 	}
 	type fork struct {
@@ -760,8 +755,7 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result
 	}
 	forks := make([]fork, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		if pr, ok := prior[i]; ok {
-			results[i] = pr
+		if !ran[i] {
 			continue
 		}
 		t0 := now()
@@ -786,17 +780,19 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, prior map[int]Result
 // end. A flip covers one site, or two when a multi-bit flip straddles a
 // register's or queue slot's boundary, and each site held nothing reachable
 // (dead), is erased before anything reads it, meets no event in the window
-// (untouched), or is read. With no live site read the Result is written
-// here, Benign, and fm.resolved says why: dead when no site was live,
-// charged 1 cycle; erased when every live site was, charged up to the latest
-// erase; untouched when one live site stays so, charged the whole window.
-// Outside ModeAVGI the charge is the run to the golden halt, which a machine
-// equal to golden reaches with it. A queue slot's one read is its commit,
-// where the shadow integrity check fires: a fault on one live slot that
-// commits at a cycle before end resolves as that machine check, in every
-// mode the Result a fork there writes — PRE, manifested and charged at the
-// commit, the crash its effect in ModeExhaustive. At end itself the commit
-// may lie behind the one that closes the window, and the run decides.
+// (untouched), or is read. With no live site read the fault is settled
+// here, and fm.resolved says why: dead when no site was live, charged 1
+// cycle; erased when every live site was, charged up to the latest erase;
+// untouched when one live site stays so, charged the whole window. Outside
+// ModeAVGI the charge is the run to the golden halt, which a machine equal
+// to golden reaches with it. A queue slot's one read is its commit, where
+// the shadow integrity check fires: a fault on one live slot that commits
+// at a cycle before end resolves as that machine check, in every mode
+// charged at the commit. At end itself the commit may lie behind the one
+// that closes the window, and the run decides. resolve writes no Result
+// itself: it states the run a fork would make — stopped at end by the AVGI
+// window, halted with golden, or crashed at the commit — and classify
+// labels it, as it labels the forked runs.
 //
 // Otherwise at is the cycle to fork at: one before the first event on any
 // covered site, dead ones included, until which the faulty machine is the
@@ -879,30 +875,24 @@ func (w *worker) resolve(f fault.Fault) (at uint64, res Result, delta cpu.Stats,
 	default:
 		fm.resolved, end = resolvedErased, lastErase
 	}
-	res = Result{Fault: f, IMM: imm.Benign, SimCycles: end - t}
-	var oc forensics.Outcome
+	run := cpu.Result{Status: cpu.StatusStopped, Cycles: end}
 	switch {
 	case fm.resolved == resolvedMachineCheck:
 		// The run a fork would make crashes at the slot's commit, in every
 		// mode, before anything else sees the flip.
-		res.IMM, res.Crash = imm.PRE, cpu.CrashMachineCheck
-		res.Manifested, res.ManifestLatency = true, end-t
-		if w.mode == ModeExhaustive {
-			res.Effect, res.HasEffect = imm.Crash, true
-		}
-		oc = forensics.Outcome{Visible: true, ManifestLatency: end - t}
+		run.Status, run.Crash = cpu.StatusCrashed, cpu.CrashMachineCheck
 	case w.mode != ModeAVGI:
 		// A machine equal to golden halts with it, as the full run would.
-		res.SimCycles = r.Golden.Cycles - t
-		res.Effect, res.HasEffect = imm.Masked, w.mode == ModeExhaustive
+		run = cpu.Result{Status: cpu.StatusHalted, Cycles: r.Golden.Cycles, Output: r.Golden.Output}
 	}
 	if full := r.horizon(w.mode, t, w.ert); fm.resolved == resolvedDead || fm.resolved == resolvedErased {
 		fm.cyclesSaved = full - min(full, end)
 	}
+	var pf *cpu.ProbeFacts
 	if r.Forensics != nil {
-		rec := forensics.Attribute(facts, oc)
-		res.Forensics = &rec
+		pf = &facts
 	}
+	res = r.classify(f, w.mode, run, trace.Deviation{}, pf)
 	return
 }
 
@@ -989,13 +979,13 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 	}
 }
 
-// injectAndObserve is the one routine that flips a fault's bits and
-// classifies the outcome. The caller has positioned m at the injection
-// cycle. cmp is the caller's comparator, re-aimed at the golden trace, reset
-// and rearmed here so a worker allocates one comparator for its whole chunk
-// instead of one per fault. The second return value is the machine
-// statistics the faulty run added (post-fork delta), consumed by the
-// telemetry layer.
+// injectAndObserve is the one routine that flips a fault's bits; it runs
+// the faulty machine and hands the run to classify. The caller has
+// positioned m at the injection cycle. cmp is the caller's comparator,
+// re-aimed at the golden trace, reset and rearmed here so a worker
+// allocates one comparator for its whole chunk instead of one per fault.
+// The second return value is the machine statistics the faulty run added
+// (post-fork delta), consumed by the telemetry layer.
 func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64,
 	cmp *trace.Comparator) (Result, cpu.Stats) {
 	statsAtFork := m.Stats
@@ -1038,30 +1028,45 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		cmp.StopCycle = f.Cycle + ert
 	}
 	m.SetSink(cmp)
-	res := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
+	run := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
+	var facts *cpu.ProbeFacts
+	if probe != nil {
+		m.ClearProbe()
+		pf := probe.Facts()
+		facts = &pf
+	}
+	return r.classify(f, mode, run, cmp.Dev, facts), statsDelta(m.Stats, statsAtFork)
+}
 
-	crashed := res.Status == cpu.StatusCrashed || res.Status == cpu.StatusCycleLimit
-	produced := res.Status == cpu.StatusHalted
-	matches := produced && bytes.Equal(res.Output, r.Golden.Output)
+// classify is the one decision procedure over how a faulty run injected
+// with f ended (the paper's Fig. 2): its first commit-trace deviation dev,
+// else a window that expired clean, else the crash and the output. Every
+// Result a campaign writes comes from here — a forked run's, and the run
+// resolve states for a fault it settles without one. facts, when non-nil,
+// are the fate facts the forensics record is attributed from.
+func (r *Runner) classify(f fault.Fault, mode Mode, run cpu.Result, dev trace.Deviation, facts *cpu.ProbeFacts) Result {
+	crashed := run.Status == cpu.StatusCrashed || run.Status == cpu.StatusCycleLimit
+	produced := run.Status == cpu.StatusHalted
+	matches := produced && bytes.Equal(run.Output, r.Golden.Output)
 
 	out := Result{
 		Fault:     f,
-		SimCycles: res.Cycles - f.Cycle,
-		Crash:     res.Crash,
+		SimCycles: run.Cycles - f.Cycle,
+		Crash:     run.Crash,
 		// A run that exhausts the runaway budget is classified exactly
 		// like a real crash (a hang is a crash to the injection rig),
 		// but keeps the livelock/crash distinction for summaries and
 		// the journal.
-		Runaway: res.Status == cpu.StatusCycleLimit,
+		Runaway: run.Status == cpu.StatusCycleLimit,
 	}
 	switch {
-	case cmp.Dev.Kind != trace.DevNone:
+	case dev.Kind != trace.DevNone:
 		out.Manifested = true
-		if cmp.Dev.Cycle > f.Cycle {
-			out.ManifestLatency = cmp.Dev.Cycle - f.Cycle
+		if dev.Cycle > f.Cycle {
+			out.ManifestLatency = dev.Cycle - f.Cycle
 		}
-		out.IMM = imm.Classify(imm.Inputs{Dev: cmp.Dev, Variant: r.Cfg.Variant})
-	case res.Status == cpu.StatusStopped:
+		out.IMM = imm.Classify(imm.Inputs{Dev: dev, Variant: r.Cfg.Variant})
+	case run.Status == cpu.StatusStopped:
 		// The ERT window expired with a clean commit trace.
 		out.IMM = imm.Benign
 	default:
@@ -1076,19 +1081,18 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 			// latency (this is what makes the ROB/LQ/SQ windows
 			// of Table II derivable rather than assumed).
 			out.Manifested = true
-			out.ManifestLatency = res.Cycles - f.Cycle
+			out.ManifestLatency = run.Cycles - f.Cycle
 		}
 	}
 	if mode == ModeExhaustive {
 		out.Effect = imm.FinalEffect(crashed, produced, matches)
 		out.HasEffect = true
 	}
-	if probe != nil {
-		m.ClearProbe()
+	if facts != nil {
 		oc := forensics.Outcome{
 			Visible:         out.Manifested,
 			ManifestLatency: out.ManifestLatency,
-			Dev:             cmp.Dev,
+			Dev:             dev,
 		}
 		if out.IMM == imm.ESC {
 			// An escape through a dirty line is architecturally visible
@@ -1098,10 +1102,10 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 			oc.Escaped = true
 			oc.ManifestLatency = out.SimCycles
 		}
-		rec := forensics.Attribute(probe.Facts(), oc)
+		rec := forensics.Attribute(*facts, oc)
 		out.Forensics = &rec
 	}
-	return out, statsDelta(m.Stats, statsAtFork)
+	return out
 }
 
 // statsDelta subtracts the fork-time snapshot from a clone's final stats.

@@ -99,8 +99,8 @@ func TestCursorDifferentialResume(t *testing.T) {
 	want := referenceRun(r, faults, ModeAVGI, 2000)
 
 	// 64 faults / 4 workers = 16-fault chunks: indices 0-15 cover chunk 0
-	// entirely (the allPrior fast path); i%5 scatters holes through the
-	// remaining chunks.
+	// entirely (a chunk with nothing fresh is skipped); i%5 scatters holes
+	// through the remaining chunks.
 	prior := make(map[int]Result)
 	for i := range faults {
 		if i < 16 || i%5 == 0 {

@@ -103,7 +103,8 @@ func TestEarlyExitJournalResume(t *testing.T) {
 	base := r.Run(faults, ModeAVGI, 2000, 4)
 
 	// 64 faults / 4 workers = 16-fault chunks: indices 0-15 cover chunk 0
-	// entirely (the allPrior fast path); i%5 scatters holes elsewhere.
+	// entirely (a chunk with nothing fresh is skipped); i%5 scatters holes
+	// elsewhere.
 	prior := make(map[int]Result)
 	for i := range faults {
 		if i < 16 || i%5 == 0 {

@@ -1,13 +1,11 @@
 package campaign
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
 	"avgi/internal/cpu"
-	"avgi/internal/fault"
 	"avgi/internal/forensics"
 	"avgi/internal/imm"
 	"avgi/internal/obs"
@@ -28,15 +26,21 @@ var (
 	divCycleBuckets = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}
 )
 
-// structAgg accumulates one worker's per-structure telemetry locally so
-// the hot loop touches no shared state beyond the progress reporter.
-type structAgg struct {
+// tally is a campaign's telemetry. A worker keeps its own copy of what only
+// the run knows, per fault, so the hot loop touches no shared state beyond
+// the progress reporter; finish folds the fields a Result carries from the
+// Results the call settled.
+type tally struct {
+	// Folded from the Results in finish.
 	faults      uint64
 	corruptions uint64
 	quarantined uint64
 	simCycles   uint64
 	exhCycles   uint64
-	stats       cpu.Stats
+	causes      [forensics.NumCauses]uint64 // forensics attribution tallies
+
+	// Per fault, from the run.
+	stats cpu.Stats
 
 	// Cursor telemetry.
 	cowPages   uint64
@@ -48,25 +52,24 @@ type structAgg struct {
 	// Golden site timeline telemetry (EarlyExit runs, in every mode).
 	cyclesSaved uint64
 	resolved    [len(resolvedNames)]uint64 // by fate; [0] counts the faults that forked
-
-	// Forensics attribution tallies (faults the sampler probed).
-	causes [forensics.NumCauses]uint64
 }
 
-// runObs is the per-Run instrumentation state. A nil *runObs (observer
-// absent) keeps campaign execution on the exact pre-telemetry code path.
+// runObs is the per-Run instrumentation state of one campaign, which
+// covers one structure. A nil *runObs (observer absent) keeps campaign
+// execution on the exact pre-telemetry code path.
 type runObs struct {
-	o    *obs.Observer
-	r    *Runner
-	mode string
-	span *obs.SpanRef
+	o         *obs.Observer
+	r         *Runner
+	structure string
+	mode      string
+	span      *obs.SpanRef
 
 	simHist  *obs.Histogram
 	wallHist *obs.Histogram
 	divHist  *obs.Histogram // registered only when forensics is on
 
 	mu  sync.Mutex
-	agg map[string]*structAgg
+	agg tally
 
 	// Fork-pool accounting: one Get per worker, so contention is nil.
 	poolGets   uint64
@@ -87,32 +90,19 @@ func (ro *runObs) poolGet(reused bool) {
 	ro.mu.Unlock()
 }
 
-// newRunObs builds instrumentation for one Run call, announcing the
-// campaign to the progress reporter and opening its span. prior marks
-// fault-list indices resumed from a journal: they are not simulated, so
-// they are excluded from the announced totals (the progress view counts
-// work this run will actually do).
-func (r *Runner) newRunObs(faults []fault.Fault, mode Mode, prior map[int]Result) *runObs {
+// newRunObs builds instrumentation for one Run call over pending faults of
+// one structure, announcing the campaign to the progress reporter and
+// opening its span. Faults resumed from a journal are not simulated, so
+// they are not pending (the progress view counts work this run will
+// actually do).
+func (r *Runner) newRunObs(structure string, mode Mode, pending int) *runObs {
 	o := r.Obs
-	if !o.Enabled() || len(faults) == 0 || len(prior) >= len(faults) {
+	if !o.Enabled() || pending <= 0 {
 		return nil
 	}
-	ro := &runObs{o: o, r: r, mode: mode.String(), agg: make(map[string]*structAgg)}
-	// Fault lists are per-structure in practice, but stay correct for
-	// mixed lists: announce each structure's share.
-	perStructure := make(map[string]int)
-	pending := 0
-	for i, f := range faults {
-		if _, ok := prior[i]; ok {
-			continue
-		}
-		perStructure[f.Structure]++
-		pending++
-	}
+	ro := &runObs{o: o, r: r, structure: structure, mode: mode.String()}
 	if p := o.Progress; p != nil {
-		for s, n := range perStructure {
-			p.StartCampaign(s, r.Prog.Name, ro.mode, n)
-		}
+		p.StartCampaign(structure, r.Prog.Name, ro.mode, pending)
 	}
 	if o.Metrics != nil {
 		lb := map[string]string{"mode": ro.mode}
@@ -126,91 +116,47 @@ func (r *Runner) newRunObs(faults []fault.Fault, mode Mode, prior map[int]Result
 		}
 	}
 	attrs := map[string]string{
-		"workload": r.Prog.Name,
-		"mode":     ro.mode,
-		"faults":   strconv.Itoa(pending),
+		"workload":  r.Prog.Name,
+		"mode":      ro.mode,
+		"faults":    strconv.Itoa(pending),
+		"structure": structure,
 	}
-	// The span title and the "structure" attr must agree: for a
-	// mixed-structure list the title names the structure count, not
-	// whichever structure happens to sort first in the fault list.
-	if len(perStructure) == 1 {
-		for s := range perStructure {
-			attrs["structure"] = s
-		}
-	} else {
-		attrs["structure"] = fmt.Sprintf("%d structures", len(perStructure))
-	}
-	ro.span = o.Span("campaign "+ro.mode+" "+attrs["structure"]+" "+r.Prog.Name, "campaign", attrs)
+	ro.span = o.Span("campaign "+ro.mode+" "+structure+" "+r.Prog.Name, "campaign", attrs)
 	return ro
 }
 
-// skip retracts a claim-skipped chunk from the progress totals: the
-// campaign announced its whole fresh fault list up front, but another
-// process owns [lo, hi), so this run will never complete that share.
+// skip retracts n faults of a claim-skipped chunk from the progress totals:
+// the campaign announced its whole fresh fault list up front, but another
+// process owns that chunk, so this run will never complete that share.
 // Nil-safe.
-func (ro *runObs) skip(faults []fault.Fault, lo, hi int, prior map[int]Result) {
-	if ro == nil {
+func (ro *runObs) skip(n int) {
+	if ro == nil || ro.o.Progress == nil {
 		return
 	}
-	p := ro.o.Progress
-	if p == nil {
-		return
-	}
-	per := make(map[string]int, 1)
-	for i := lo; i < hi; i++ {
-		if _, ok := prior[i]; ok {
-			continue
-		}
-		per[faults[i].Structure]++
-	}
-	for s, n := range per {
-		p.SkipFaults(s, ro.r.Prog.Name, ro.mode, n)
-	}
+	ro.o.Progress.SkipFaults(ro.structure, ro.r.Prog.Name, ro.mode, n)
 }
 
-// fault records one completed fault into the worker-local aggregate and
-// the live telemetry (histograms + progress). Nil-safe.
-func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result, wall time.Duration, delta cpu.Stats, fm forkMeta) {
-	a := local[f.Structure]
-	if a == nil {
-		a = &structAgg{}
-		local[f.Structure] = a
-	}
-	a.faults++
-	if res.Quarantined {
-		a.quarantined++
-	} else if res.IMM != imm.Benign && res.IMM != imm.ESC {
-		a.corruptions++
-	}
-	a.simCycles += res.SimCycles
-	exh := ro.exhaustiveEstimate(f, res)
-	a.exhCycles += exh
-	addStats(&a.stats, delta)
-	a.cowPages += fm.cowPages
-	a.advCycles += fm.advCycles
-	a.deltaBytes += fm.deltaBytes
+// fault records what only the run knows of one completed fault into the
+// worker's tally, and the live telemetry (wall time, progress).
+func (ro *runObs) fault(local *tally, res *Result, wall time.Duration, delta cpu.Stats, fm forkMeta) {
+	addStats(&local.stats, delta)
+	local.cowPages += fm.cowPages
+	local.advCycles += fm.advCycles
+	local.deltaBytes += fm.deltaBytes
 	if fm.fullSync {
-		a.fullSyncs++
+		local.fullSyncs++
 	}
 	if fm.batched {
-		a.batched++
+		local.batched++
 	}
-	a.cyclesSaved += fm.cyclesSaved
-	a.resolved[fm.resolved]++
+	local.cyclesSaved += fm.cyclesSaved
+	local.resolved[fm.resolved]++
 
-	if fr := res.Forensics; fr != nil {
-		a.causes[fr.Cause]++
-		if ro.divHist != nil && fr.Divergence != nil {
-			ro.divHist.Observe(float64(fr.Divergence.CycleDelta))
-		}
-	}
-
-	if ro.simHist != nil {
-		ro.simHist.Observe(float64(res.SimCycles))
+	if ro.wallHist != nil {
 		ro.wallHist.Observe(wall.Seconds())
 	}
 	if p := ro.o.Progress; p != nil {
-		p.FaultDone(f.Structure, ro.r.Prog.Name, ro.mode, res.SimCycles, exh)
+		p.FaultDone(ro.structure, ro.r.Prog.Name, ro.mode, res.SimCycles, ro.exhaustiveEstimate(res))
 	}
 }
 
@@ -219,13 +165,13 @@ func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result,
 // exhaustive runs the actual cost is the truth (speedup exactly 1); for
 // the accelerated modes the estimate is floored at the cycles actually
 // simulated so per-fault speedups never drop below 1.
-func (ro *runObs) exhaustiveEstimate(f fault.Fault, res *Result) uint64 {
+func (ro *runObs) exhaustiveEstimate(res *Result) uint64 {
 	if ro.mode == "exhaustive" {
 		return res.SimCycles
 	}
 	var est uint64
-	if ro.r.Golden.Cycles > f.Cycle {
-		est = ro.r.Golden.Cycles - f.Cycle
+	if ro.r.Golden.Cycles > res.Fault.Cycle {
+		est = ro.r.Golden.Cycles - res.Fault.Cycle
 	}
 	if est < res.SimCycles {
 		est = res.SimCycles
@@ -244,119 +190,132 @@ func addStats(dst *cpu.Stats, d cpu.Stats) {
 	dst.FlipsMasked += d.FlipsMasked
 }
 
-// merge folds a worker's local aggregates into the run-wide ones.
-func (ro *runObs) merge(local map[string]*structAgg) {
+// merge folds a worker's tally into the run-wide one.
+func (ro *runObs) merge(local *tally) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
-	for s, a := range local {
-		dst := ro.agg[s]
-		if dst == nil {
-			dst = &structAgg{}
-			ro.agg[s] = dst
-		}
-		dst.faults += a.faults
-		dst.corruptions += a.corruptions
-		dst.quarantined += a.quarantined
-		dst.simCycles += a.simCycles
-		dst.exhCycles += a.exhCycles
-		addStats(&dst.stats, a.stats)
-		dst.cowPages += a.cowPages
-		dst.advCycles += a.advCycles
-		dst.deltaBytes += a.deltaBytes
-		dst.fullSyncs += a.fullSyncs
-		dst.batched += a.batched
-		dst.cyclesSaved += a.cyclesSaved
-		for fate, n := range a.resolved {
-			dst.resolved[fate] += n
-		}
-		for c, n := range a.causes {
-			dst.causes[c] += n
-		}
+	dst := &ro.agg
+	addStats(&dst.stats, local.stats)
+	dst.cowPages += local.cowPages
+	dst.advCycles += local.advCycles
+	dst.deltaBytes += local.deltaBytes
+	dst.fullSyncs += local.fullSyncs
+	dst.batched += local.batched
+	dst.cyclesSaved += local.cyclesSaved
+	for fate, n := range local.resolved {
+		dst.resolved[fate] += n
 	}
 }
 
-// finish flushes the aggregates into the metrics registry and closes the
-// campaign span. Nil-safe.
-func (ro *runObs) finish() {
+// finish folds the Results the call settled (ran) into the run-wide tally
+// and the histograms, flushes the tally into the metrics registry and
+// closes the campaign span. Nil-safe.
+func (ro *runObs) finish(results []Result, ran []bool) {
 	if ro == nil {
 		return
 	}
-	if reg := ro.o.Metrics; reg != nil {
-		for s, a := range ro.agg {
-			lb := map[string]string{"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
-			reg.Counter("avgi_campaign_faults_total",
-				"injected faults simulated", lb).Add(a.faults)
-			reg.Counter("avgi_campaign_corruptions_total",
-				"faults that became architecturally visible", lb).Add(a.corruptions)
-			if a.quarantined > 0 {
-				reg.Counter("avgi_faults_quarantined_total",
-					"faults whose simulation panicked and was isolated", lb).Add(a.quarantined)
-			}
-			reg.Counter("avgi_campaign_sim_cycles_total",
-				"post-injection cycles simulated", lb).Add(a.simCycles)
-			reg.Counter("avgi_campaign_exhaustive_cycles_est_total",
-				"estimated end-to-end SFI cost of the same faults", lb).Add(a.exhCycles)
-
-			sl := map[string]string{"structure": s, "mode": ro.mode}
-			reg.Counter("avgi_sim_commits_total", "instructions committed in faulty runs", sl).Add(a.stats.Commits)
-			reg.Counter("avgi_sim_branches_total", "branches committed in faulty runs", sl).Add(a.stats.Branches)
-			reg.Counter("avgi_sim_mispredicts_total", "branch mispredictions in faulty runs", sl).Add(a.stats.Mispredicts)
-			reg.Counter("avgi_sim_squashed_total", "wrong-path instructions squashed in faulty runs", sl).Add(a.stats.Squashed)
-			reg.Counter("avgi_sim_loads_total", "loads committed in faulty runs", sl).Add(a.stats.Loads)
-			reg.Counter("avgi_sim_stores_total", "stores committed in faulty runs", sl).Add(a.stats.Stores)
-
-			fl := map[string]string{"structure": s}
-			reg.Counter("avgi_flips_armed_total",
-				"bit flips that landed on live state", fl).Add(a.stats.FlipsArmed)
-			reg.Counter("avgi_flips_masked_total",
-				"bit flips masked at the injection site (free queue slots)", fl).Add(a.stats.FlipsMasked)
-
-			// The cursor series exist for faults the cursor actually forked,
-			// not ones quarantined before reaching it.
-			if a.faults > a.quarantined {
-				reg.Counter("avgi_ckpt_cow_pages_total",
-					"RAM pages privatized copy-on-write by forked runs", lb).Add(a.cowPages)
-				reg.Counter("avgi_cursor_advance_cycles_total",
-					"golden cycles worker cursors advanced (replay amortized to once per chunk)", lb).Add(a.advCycles)
-				reg.Counter("avgi_cursor_delta_bytes_total",
-					"bytes moved by dirty-delta snapshot/restore pairs", lb).Add(a.deltaBytes)
-				reg.Counter("avgi_cursor_full_syncs_total",
-					"cursor faults that paid a full local snapshot capture", lb).Add(a.fullSyncs)
-				if a.batched > 0 {
-					reg.Counter("avgi_cursor_batched_faults_total",
-						"cursor faults that reused the previous same-cycle snapshot outright", lb).Add(a.batched)
-				}
-			}
-			if a.resolved[resolvedDead]+a.resolved[resolvedErased] > 0 {
-				reg.Counter("avgi_window_cycles_saved_total",
-					"faulty-window cycles the dead and erased faults' charges fall short of the full window", lb).Add(a.cyclesSaved)
-			}
-			for fate := resolvedDead; fate < len(resolvedNames); fate++ {
-				if n := a.resolved[fate]; n > 0 {
-					rl := map[string]string{"fate": resolvedNames[fate],
-						"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
-					reg.Counter("avgi_window_resolved_total",
-						"faults the golden site timeline settled without a faulty cycle", rl).Add(n)
-				}
-			}
-			for _, c := range forensics.Causes {
-				if n := a.causes[c]; n > 0 {
-					cl := map[string]string{"cause": c.String(),
-						"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
-					reg.Counter("avgi_mask_cause_total",
-						"faults by attributed fate (forensics)", cl).Add(n)
-				}
-			}
+	defer ro.span.End()
+	reg := ro.o.Metrics
+	if reg == nil {
+		return
+	}
+	a := &ro.agg
+	for i := range results {
+		if !ran[i] {
+			continue
 		}
-		if ro.poolGets > 0 {
-			pl := map[string]string{"workload": ro.r.Prog.Name, "mode": ro.mode}
-			reg.Counter("avgi_ckpt_pool_gets_total",
-				"scratch machines checked out of the fork pool", pl).Add(ro.poolGets)
-			reg.Counter("avgi_ckpt_pool_reuse_total",
-				"fork-pool checkouts satisfied by a recycled machine", pl).Add(ro.poolReuses)
+		res := &results[i]
+		a.faults++
+		if res.Quarantined {
+			a.quarantined++
+		} else if res.IMM != imm.Benign && res.IMM != imm.ESC {
+			a.corruptions++
+		}
+		a.simCycles += res.SimCycles
+		a.exhCycles += ro.exhaustiveEstimate(res)
+		ro.simHist.Observe(float64(res.SimCycles))
+		if fr := res.Forensics; fr != nil {
+			a.causes[fr.Cause]++
+			if ro.divHist != nil && fr.Divergence != nil {
+				ro.divHist.Observe(float64(fr.Divergence.CycleDelta))
+			}
 		}
 	}
-	ro.span.End()
+	if a.faults == 0 {
+		return // every chunk was claimed elsewhere; nothing forked either
+	}
+	s := ro.structure
+	lb := map[string]string{"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
+	reg.Counter("avgi_campaign_faults_total",
+		"injected faults simulated", lb).Add(a.faults)
+	reg.Counter("avgi_campaign_corruptions_total",
+		"faults that became architecturally visible", lb).Add(a.corruptions)
+	if a.quarantined > 0 {
+		reg.Counter("avgi_faults_quarantined_total",
+			"faults whose simulation panicked and was isolated", lb).Add(a.quarantined)
+	}
+	reg.Counter("avgi_campaign_sim_cycles_total",
+		"post-injection cycles simulated", lb).Add(a.simCycles)
+	reg.Counter("avgi_campaign_exhaustive_cycles_est_total",
+		"estimated end-to-end SFI cost of the same faults", lb).Add(a.exhCycles)
+
+	sl := map[string]string{"structure": s, "mode": ro.mode}
+	reg.Counter("avgi_sim_commits_total", "instructions committed in faulty runs", sl).Add(a.stats.Commits)
+	reg.Counter("avgi_sim_branches_total", "branches committed in faulty runs", sl).Add(a.stats.Branches)
+	reg.Counter("avgi_sim_mispredicts_total", "branch mispredictions in faulty runs", sl).Add(a.stats.Mispredicts)
+	reg.Counter("avgi_sim_squashed_total", "wrong-path instructions squashed in faulty runs", sl).Add(a.stats.Squashed)
+	reg.Counter("avgi_sim_loads_total", "loads committed in faulty runs", sl).Add(a.stats.Loads)
+	reg.Counter("avgi_sim_stores_total", "stores committed in faulty runs", sl).Add(a.stats.Stores)
+
+	fl := map[string]string{"structure": s}
+	reg.Counter("avgi_flips_armed_total",
+		"bit flips that landed on live state", fl).Add(a.stats.FlipsArmed)
+	reg.Counter("avgi_flips_masked_total",
+		"bit flips masked at the injection site (free queue slots)", fl).Add(a.stats.FlipsMasked)
+
+	// The cursor series exist for faults the cursor actually forked,
+	// not ones quarantined before reaching it.
+	if a.faults > a.quarantined {
+		reg.Counter("avgi_ckpt_cow_pages_total",
+			"RAM pages privatized copy-on-write by forked runs", lb).Add(a.cowPages)
+		reg.Counter("avgi_cursor_advance_cycles_total",
+			"golden cycles worker cursors advanced (replay amortized to once per chunk)", lb).Add(a.advCycles)
+		reg.Counter("avgi_cursor_delta_bytes_total",
+			"bytes moved by dirty-delta snapshot/restore pairs", lb).Add(a.deltaBytes)
+		reg.Counter("avgi_cursor_full_syncs_total",
+			"cursor faults that paid a full local snapshot capture", lb).Add(a.fullSyncs)
+		if a.batched > 0 {
+			reg.Counter("avgi_cursor_batched_faults_total",
+				"cursor faults that reused the previous same-cycle snapshot outright", lb).Add(a.batched)
+		}
+	}
+	if a.resolved[resolvedDead]+a.resolved[resolvedErased] > 0 {
+		reg.Counter("avgi_window_cycles_saved_total",
+			"faulty-window cycles the dead and erased faults' charges fall short of the full window", lb).Add(a.cyclesSaved)
+	}
+	for fate := resolvedDead; fate < len(resolvedNames); fate++ {
+		if n := a.resolved[fate]; n > 0 {
+			rl := map[string]string{"fate": resolvedNames[fate],
+				"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
+			reg.Counter("avgi_window_resolved_total",
+				"faults the golden site timeline settled without a faulty cycle", rl).Add(n)
+		}
+	}
+	for _, c := range forensics.Causes {
+		if n := a.causes[c]; n > 0 {
+			cl := map[string]string{"cause": c.String(),
+				"structure": s, "workload": ro.r.Prog.Name, "mode": ro.mode}
+			reg.Counter("avgi_mask_cause_total",
+				"faults by attributed fate (forensics)", cl).Add(n)
+		}
+	}
+	if ro.poolGets > 0 {
+		pl := map[string]string{"workload": ro.r.Prog.Name, "mode": ro.mode}
+		reg.Counter("avgi_ckpt_pool_gets_total",
+			"scratch machines checked out of the fork pool", pl).Add(ro.poolGets)
+		reg.Counter("avgi_ckpt_pool_reuse_total",
+			"fork-pool checkouts satisfied by a recycled machine", pl).Add(ro.poolReuses)
+	}
 }
 
 // Configure sets the knobs a front end chooses for its runners — telemetry,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"avgi/internal/forensics"
 	"avgi/internal/imm"
 	"avgi/internal/obs"
 )
@@ -105,6 +106,117 @@ func TestRunObservedMatchesUnobserved(t *testing.T) {
 			t.Fatalf("result %d diverged: %+v vs %+v", i, plain[i], observed[i])
 		}
 	}
+}
+
+// refuseFirst grants every chunk but the first, which another process owns.
+type refuseFirst struct{}
+
+func (refuseFirst) Claim(lo, hi int) (func(bool), bool) { return func(bool) {}, lo != 0 }
+
+// TestCampaignTelemetryFoldsResults: the campaign series are one fold over
+// exactly the Results a call settled — run fresh, resumed from a prior
+// covering every third fault, and with a claimer that refuses the first
+// chunk, one poisoned fault quarantined in each — and the progress pair
+// ends with every fault it announced done. The explorer records a campaign
+// only when no claimer split it. A list mixing structures panics.
+func TestCampaignTelemetryFoldsResults(t *testing.T) {
+	r := shaRunner(t)
+	r.EarlyExit = true
+	r.Forensics = forensics.NewExplorer()
+	const n, plan = 36, 4
+	chunk := ChunkSize(n, plan)
+	for _, st := range []string{"RF", "ROB"} {
+		faults := r.FaultList(st, n, 2)
+		faults[10] = poisonFault(r, st, faults[10].Cycle)
+		serial := r.Run(faults, ModeAVGI, 2000, 2)
+		prior := make(map[int]Result)
+		for i := 0; i < n; i += 3 {
+			prior[i] = serial[i]
+		}
+		for _, tc := range []struct {
+			name    string
+			spec    RunSpec
+			settled func(i int) bool
+		}{
+			{"fresh", RunSpec{}, func(int) bool { return true }},
+			{"resumed", RunSpec{Prior: prior}, func(i int) bool { return i%3 != 0 }},
+			{"claimed", RunSpec{PlanWorkers: plan, Claimer: refuseFirst{}}, func(i int) bool { return i >= chunk }},
+		} {
+			o := obs.New(io.Discard)
+			r.Obs = o
+			spec := tc.spec
+			spec.Faults, spec.Mode, spec.Window, spec.Budget = faults, ModeAVGI, 2000, NewBudget(2)
+			results, _ := r.RunCampaign(spec)
+			r.Obs = nil
+
+			var settled []Result
+			causes := make(map[forensics.Cause]uint64)
+			var divs int
+			for i, res := range results {
+				if !tc.settled(i) {
+					continue
+				}
+				settled = append(settled, res)
+				if fr := res.Forensics; fr != nil {
+					causes[fr.Cause]++
+					if fr.Divergence != nil {
+						divs++
+					}
+				}
+			}
+			sum := Summarize(settled)
+			name := st + " " + tc.name
+			lb := map[string]string{"structure": st, "workload": "sha", "mode": "avgi"}
+			for _, c := range []struct {
+				series string
+				want   uint64
+			}{
+				{"avgi_campaign_faults_total", uint64(len(settled))},
+				{"avgi_campaign_corruptions_total", uint64(sum.Corruptions)},
+				{"avgi_faults_quarantined_total", uint64(sum.Quarantined)},
+				{"avgi_campaign_sim_cycles_total", sum.SimCycles},
+			} {
+				if got := o.Metrics.Counter(c.series, "", lb).Value(); got != c.want {
+					t.Errorf("%s: %s %d, the settled Results tally %d", name, c.series, got, c.want)
+				}
+			}
+			if sum.Quarantined != 1 {
+				t.Errorf("%s: %d quarantined among the settled Results, want the poisoned one", name, sum.Quarantined)
+			}
+			for _, c := range forensics.Causes {
+				cl := map[string]string{"cause": c.String(), "structure": st, "workload": "sha", "mode": "avgi"}
+				if got := o.Metrics.Counter("avgi_mask_cause_total", "", cl).Value(); got != causes[c] {
+					t.Errorf("%s: avgi_mask_cause_total{cause=%q} %d, the settled Results carry %d", name, c, got, causes[c])
+				}
+			}
+			hl := map[string]string{"mode": "avgi"}
+			if h := o.Metrics.Histogram("avgi_campaign_fault_sim_cycles", "", nil, hl); h.Count() != uint64(len(settled)) || uint64(h.Sum()) != sum.SimCycles {
+				t.Errorf("%s: sim-cycle histogram %d faults, %v cycles; want %d, %d", name, h.Count(), h.Sum(), len(settled), sum.SimCycles)
+			}
+			if h := o.Metrics.Histogram("avgi_divergence_latency_cycles", "", nil, hl); h.Count() != uint64(divs) {
+				t.Errorf("%s: divergence histogram counts %d, the settled Results carry %d", name, h.Count(), divs)
+			}
+			ps := o.Progress.Snapshot()
+			if len(ps.Pairs) != 1 || ps.Pairs[0].Done != len(settled) || ps.Pairs[0].Total != len(settled) {
+				t.Errorf("%s: progress pairs %+v, want one at %d/%d", name, ps.Pairs, len(settled), len(settled))
+			}
+		}
+		// The serial run and the fresh and resumed campaigns each record the
+		// whole list but its quarantined fault; the claimed one records none.
+		for _, e := range r.Forensics.Snapshot() {
+			if e.Structure == st && e.Faults != 3*(n-1) {
+				t.Errorf("%s: the explorer recorded %d faults, want %d", st, e.Faults, 3*(n-1))
+			}
+		}
+	}
+
+	mixed := append(r.FaultList("RF", 4, 1), r.FaultList("ROB", 4, 1)...)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "mixes RF and ROB") {
+			t.Errorf("a list mixing RF and ROB: panic %q", msg)
+		}
+	}()
+	r.Run(mixed, ModeAVGI, 2000, 1)
 }
 
 func TestFaultListUnknownStructurePanics(t *testing.T) {

@@ -353,7 +353,7 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 			Faults: faults, Mode: mode, Window: window,
 			Budget:      campaign.NewBudget(len(slots)),
 			Prior:       prior,
-			Sink:        journal.NewChunkSink(pw, prior, journalled),
+			Sink:        journal.NewChunkSink(pw, journalled),
 			PlanWorkers: cfg.Fleet * chunksPerWorker,
 			Claimer: &chunkClaimer{l: l, shard: shard, owner: cfg.Owner,
 				ttl: cfg.TTL, hb: hb, wfailed: &wfailed, o: cfg.Obs},
@@ -387,6 +387,9 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 		}
 		out[i] = res
 	}
+	// Each claim round's RunCampaign left the explorer alone; the merged
+	// campaign is recorded once.
+	r.RecordForensics(faults, mode, out)
 	return out, nil
 }
 

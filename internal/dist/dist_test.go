@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,7 +16,9 @@ import (
 
 	"avgi/internal/campaign"
 	"avgi/internal/cpu"
+	"avgi/internal/forensics"
 	"avgi/internal/journal"
+	"avgi/internal/obs"
 	"avgi/internal/prog"
 )
 
@@ -407,6 +410,57 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 	ref, _ := runFleet(t, r, 1)
 	if !bytes.Equal(canon, ref) {
 		t.Error("canonical shard after dead-node takeover differs from a clean single-node run")
+	}
+}
+
+// TestDistRunRecordsForensicsOnce: a node that needs several claim rounds —
+// a ghost owner holds the first chunk until its lease goes stale — records
+// each fault of the campaign in the forensics explorer once, however many
+// rounds saw it journalled.
+func TestDistRunRecordsForensicsOnce(t *testing.T) {
+	r := newDistRunner(t)
+	r.Forensics = forensics.NewExplorer()
+	faults := r.FaultList("RF", 24, 5)
+	key, bind := distKey(), distBind(len(faults))
+	j, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record the checkpoint store now, so that the first round claims chunk
+	// 0 well inside the ghost's TTL. Fleet 1 plans 4 chunks of 6 faults.
+	r.Timeline()
+	ghost := NewFileLeaser(filepath.Join(j.Dir(), "leases"))
+	if ok, err := ghost.TryAcquire(chunkLease(j.ShardID(key, bind), 0, 6), "ghost", 200*time.Millisecond); err != nil || !ok {
+		t.Fatalf("seed the ghost's lease: ok=%v err=%v", ok, err)
+	}
+	o := obs.New(io.Discard)
+	got, err := Run(Config{
+		Journal:      j,
+		Owner:        "node",
+		Fleet:        1,
+		LocalWorkers: 1,
+		TTL:          time.Second,
+		Poll:         50 * time.Millisecond,
+		Obs:          o,
+	}, r, faults, key, bind, campaign.ModeHVF, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds := o.Metrics.Counter("avgi_dist_rounds_total", "", map[string]string{"node": "node"}).Value(); rounds < 2 {
+		t.Fatalf("%d claim rounds; the ghost's lease should force more than one", rounds)
+	}
+	entries := r.Forensics.Snapshot()
+	if len(entries) != 1 || entries[0].Faults != uint64(len(faults)) {
+		t.Fatalf("explorer entries %+v, want one recording %d faults", entries, len(faults))
+	}
+	var sampled uint64
+	for i := range got {
+		if got[i].Forensics != nil {
+			sampled++
+		}
+	}
+	if entries[0].Sampled != sampled {
+		t.Errorf("explorer sampled %d faults, the merged results carry %d records", entries[0].Sampled, sampled)
 	}
 }
 

@@ -505,26 +505,25 @@ func (w *Writer) syncLocked() error {
 // synced, bounding crash loss to in-flight chunks.
 type ChunkSink struct {
 	w     *Writer
-	prior map[int]campaign.Result
 	added func(uint64)
 }
 
-// NewChunkSink journals chunks through w. Indices in prior are already
-// durable from an earlier run and are skipped; added, when non-nil, is told
+// NewChunkSink journals chunks through w; added, when non-nil, is told
 // how many records each chunk appended.
-func NewChunkSink(w *Writer, prior map[int]campaign.Result, added func(uint64)) *ChunkSink {
-	return &ChunkSink{w: w, prior: prior, added: added}
+func NewChunkSink(w *Writer, added func(uint64)) *ChunkSink {
+	return &ChunkSink{w: w, added: added}
 }
 
-// ChunkDone implements campaign.ChunkSink.
-func (cs *ChunkSink) ChunkDone(lo, hi int, results []campaign.Result) {
+// ChunkDone implements campaign.ChunkSink: it appends the indices the
+// campaign settled (ran); the rest of the chunk is already durable from an
+// earlier run.
+func (cs *ChunkSink) ChunkDone(lo, hi int, ran []bool, results []campaign.Result) {
 	var n uint64
 	for i := lo; i < hi; i++ {
-		if _, ok := cs.prior[i]; ok {
-			continue
+		if ran[i] {
+			cs.w.Append(i, results[i])
+			n++
 		}
-		cs.w.Append(i, results[i])
-		n++
 	}
 	cs.w.Sync()
 	if cs.added != nil && n > 0 {

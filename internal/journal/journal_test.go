@@ -514,3 +514,46 @@ func TestWriterErrorHookFiresOnce(t *testing.T) {
 		t.Errorf("Close must report the sticky error, got %v", cerr)
 	}
 }
+
+// TestChunkSinkAppendsSettled: of a chunk whose ran mask interleaves
+// settled and prior indices, the sink appends exactly the settled ones,
+// reports their count, and makes them durable before the writer closes.
+// Marks outside the chunk belong to other chunks and are not its to write.
+func TestChunkSinkAppendsSettled(t *testing.T) {
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, bind := testKey(), testBinding(8)
+	w, err := j.Writer(key, bind, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]campaign.Result, 8)
+	for i := range results {
+		results[i] = testResults()[i%4]
+		results[i].Fault.ID = i
+	}
+	ran := []bool{true, false, true, false, true, true, false, true}
+	var added []uint64
+	NewChunkSink(w, func(n uint64) { added = append(added, n) }).ChunkDone(1, 7, ran, results)
+	if !reflect.DeepEqual(added, []uint64{3}) {
+		t.Errorf("added reported %v, want [3]", added)
+	}
+
+	got, err := j.Load(key, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Errorf("loaded %d records before Close, want the 3 settled ones", len(got))
+	}
+	for _, i := range []int{2, 4, 5} {
+		if res, ok := got[i]; !ok || !reflect.DeepEqual(res, results[i]) {
+			t.Errorf("record %d: got %+v (present %v), want %+v", i, res, ok, results[i])
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

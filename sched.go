@@ -257,7 +257,7 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 	if c := e.sched.jAppends; c != nil {
 		appended = c.Add
 	}
-	spec.Sink = journal.NewChunkSink(w, prior, appended)
+	spec.Sink = journal.NewChunkSink(w, appended)
 	res, _ = r.RunCampaign(spec)
 	if err := w.Close(); err != nil {
 		e.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", key.structure, key.workload, key.mode, err)
