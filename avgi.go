@@ -30,6 +30,7 @@ package avgi
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"strings"
 
@@ -250,9 +251,9 @@ func SaveEstimator(w io.Writer, est *Estimator) error { return est.Save(w) }
 func LoadEstimator(r io.Reader) (*Estimator, error) { return core.LoadEstimator(r) }
 
 // NewObserver returns an Observer with metrics, progress and tracing all
-// enabled; progress log lines go to logw (nil for silent). Attach it via
+// enabled, logging through log (nil for silent). Attach it via
 // StudyConfig.Obs or Runner.Obs.
-func NewObserver(logw io.Writer) *Observer { return obs.New(logw) }
+func NewObserver(log *slog.Logger) *Observer { return obs.New(log) }
 
 // ValidateStructure returns a descriptive error for structure names that
 // are not one of the twelve Table II fault targets.

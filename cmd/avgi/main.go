@@ -92,13 +92,13 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	obsv := avgi.NewObserver(os.Stderr)
+	obsv := avgi.NewObserver(logger)
 	if common.Forensics {
 		explorer = avgi.NewExplorer()
 		obsv.Forensics = explorer
 	}
 	if common.Progress {
-		stop := obsv.Progress.StartTicker(2 * time.Second)
+		stop := obsv.Progress.StartTicker(2*time.Second, logger)
 		defer stop()
 	}
 	if common.MetricsAddr != "" {

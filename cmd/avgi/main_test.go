@@ -1,12 +1,55 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 )
+
+// TestMain runs avgi itself when the test binary is executed under the name
+// "avgi", so a test can drive the real binary end to end.
+func TestMain(m *testing.M) {
+	if filepath.Base(os.Args[0]) == "avgi" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestLogJSONEveryStderrLine: with -log json every line avgi writes to
+// stderr is a JSON object, the study's phase lines and the progress
+// ticker's included.
+func TestLogJSONEveryStderrLine(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-log", "json", "-progress", "-faults", "8",
+		"-workloads", "sha", "-structures", "RF", "-mode", "hvf", "campaign")
+	cmd.Args[0] = "avgi"
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("avgi: %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("%d stderr lines, want the two study phases and a progress line:\n%s", len(lines), stderr.String())
+	}
+	for _, line := range lines {
+		var obj map[string]any
+		if err := json.Unmarshal([]byte(line), &obj); err != nil {
+			t.Errorf("stderr line is not a JSON object (%v): %s", err, line)
+		}
+	}
+}
 
 // TestExperimentNamesPinned pins the subcommand surface of avgi — the rows
 // of the experiments table, in order, and which of them "all" runs — so

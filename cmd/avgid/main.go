@@ -64,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	distCfg := distConfig(serverFlags)
-	obsv := avgi.NewObserver(os.Stderr)
+	obsv := avgi.NewObserver(logger)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
 		Workers:           serverFlags.Workers,
 		JournalDir:        serverFlags.Journal,

@@ -24,7 +24,7 @@ import (
 
 func newTestServer(t *testing.T, journalDir string) (*httptest.Server, *avgi.Service) {
 	t.Helper()
-	obsv := avgi.NewObserver(io.Discard)
+	obsv := avgi.NewObserver(nil)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
 		Workers:    4,
 		JournalDir: journalDir,
@@ -310,7 +310,7 @@ func TestRecoverJSONTurnsPanicInto500(t *testing.T) {
 // every assessment on dir/feed, and its poller is not started.
 func newPeerServer(t *testing.T, dir, owner string) (*httptest.Server, *avgi.Service, *peer) {
 	t.Helper()
-	obsv := avgi.NewObserver(io.Discard)
+	obsv := avgi.NewObserver(nil)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
 		Workers: 2, JournalDir: dir, Obs: obsv,
 		Dist: distConfig(&cliflags.Server{DistRole: "worker", DistOwner: owner, Workers: 4, LeaseTTL: time.Second}),

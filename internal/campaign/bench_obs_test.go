@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"io"
 	"sync"
 	"testing"
 
@@ -58,7 +57,7 @@ func BenchmarkCampaignRun(b *testing.B) {
 }
 
 func BenchmarkCampaignRunObserved(b *testing.B) {
-	benchCampaign(b, obs.New(io.Discard))
+	benchCampaign(b, obs.New(nil))
 }
 
 // BenchmarkCampaignRunForensics quantifies the fault-probe overhead of

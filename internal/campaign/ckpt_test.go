@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"io"
 	"testing"
 
 	"avgi/internal/asm"
@@ -215,7 +214,7 @@ func TestAssertTemporalRejectsOutOfPopulation(t *testing.T) {
 // checkpoint-store, pool and copy-on-write telemetry lands in the registry.
 func TestCkptMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
-	r.Obs = obs.New(io.Discard)
+	r.Obs = obs.New(nil)
 
 	const n = 32
 	faults := r.FaultList("RF", n, 1)

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -172,7 +171,7 @@ func TestAVGIWindowBoundary(t *testing.T) {
 // charges spared.
 func TestEarlyExitMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
-	r.Obs = obs.New(io.Discard)
+	r.Obs = obs.New(nil)
 	r.EarlyExit = true
 	faults := r.FaultList("RF", 64, 5)
 	r.Run(faults, ModeAVGI, 2000, 4)
@@ -204,7 +203,7 @@ func TestEarlyExitMetricsPublished(t *testing.T) {
 // as batched (no SyncSnapshot re-arm).
 func TestCursorBatchingSameCycle(t *testing.T) {
 	r := shaRunner(t)
-	r.Obs = obs.New(io.Discard)
+	r.Obs = obs.New(nil)
 
 	cyc := r.FaultList("RF", 1, 5)[0].Cycle
 	faults := make([]fault.Fault, 6)

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 // test over the real workload path.
 func TestRunWithObserver(t *testing.T) {
 	r := shaRunner(t)
-	o := obs.New(io.Discard)
+	o := obs.New(nil)
 	r.Obs = o
 	r.PublishGolden()
 
@@ -99,7 +98,7 @@ func TestRunObservedMatchesUnobserved(t *testing.T) {
 	faults := r.FaultList("ROB", 30, 1)
 	plain := r.Run(faults, ModeHVF, 0, 2)
 
-	r.Obs = obs.New(io.Discard)
+	r.Obs = obs.New(nil)
 	observed := r.Run(faults, ModeHVF, 0, 2)
 	for i := range plain {
 		if plain[i] != observed[i] {
@@ -142,7 +141,7 @@ func TestCampaignTelemetryFoldsResults(t *testing.T) {
 			{"resumed", RunSpec{Prior: prior}, func(i int) bool { return i%3 != 0 }},
 			{"claimed", RunSpec{PlanWorkers: plan, Claimer: refuseFirst{}}, func(i int) bool { return i >= chunk }},
 		} {
-			o := obs.New(io.Discard)
+			o := obs.New(nil)
 			r.Obs = o
 			spec := tc.spec
 			spec.Faults, spec.Mode, spec.Window, spec.Budget = faults, ModeAVGI, 2000, NewBudget(2)

@@ -6,6 +6,7 @@ import (
 
 	"avgi/internal/asm"
 	"avgi/internal/isa"
+	"avgi/internal/prog"
 	"avgi/internal/trace"
 )
 
@@ -365,46 +366,82 @@ func TestTraceCaptureAndCompare(t *testing.T) {
 	}
 }
 
+// TestCloneMidRunConverges holds Clone to being an independent machine. A
+// clone taken mid-run and its source each run to the reference halt with
+// the reference's cycles, stats and output. A store that reaches RAM (on a
+// page the two share copy-on-write) and flips across the L1D data array,
+// made on either side, leave the other side's RAM and run untouched, while
+// the side that made them sees them.
 func TestCloneMidRunConverges(t *testing.T) {
 	cfg := ConfigA72()
-	b := asm.NewBuilder("t", cfg.Variant)
-	b.Li(1, 0)
-	b.Li(2, 1)
-	b.Li(3, 2000)
-	b.Label("loop")
-	b.Add(1, 1, 2)
-	b.Addi(2, 2, 1)
-	b.Bge(3, 2, "loop")
-	b.Li(4, asm.DefaultOutLenAddr)
-	b.StoreW(1, 4, 0) // abuse: no output, just exercise stores
-	b.Li(5, 0)
-	b.StoreW(5, 4, 0)
-	b.Halt()
-	p := b.MustAssemble()
-
+	w, err := prog.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(cfg.Variant)
 	ref := New(cfg, p)
 	refRes := ref.Run(RunOptions{})
 	if refRes.Status != StatusHalted {
 		t.Fatal(refRes.Status)
 	}
+	// matches runs m on to its end and reports whether it ended as ref did.
+	matches := func(m *Machine) bool {
+		res := m.Run(RunOptions{MaxCycles: 2 * refRes.Cycles})
+		return res.Status == StatusHalted && res.Cycles == refRes.Cycles &&
+			m.Stats == ref.Stats && bytes.Equal(m.Output(), ref.Output())
+	}
+	paused := func() *Machine {
+		m := New(cfg, p)
+		m.Run(RunOptions{StopAtCycle: refRes.Cycles / 2})
+		if m.Status() != StatusRunning {
+			t.Fatalf("paused machine status %v", m.Status())
+		}
+		return m
+	}
 
-	m := New(cfg, p)
-	m.Run(RunOptions{StopAtCycle: refRes.Cycles / 2})
-	if m.Status() != StatusRunning {
-		t.Fatalf("paused machine status %v", m.Status())
-	}
+	m := paused()
 	c := m.Clone()
-	cRes := c.Run(RunOptions{})
-	if cRes.Status != StatusHalted || cRes.Cycles != refRes.Cycles {
-		t.Errorf("clone: %v in %d cycles, want halt in %d", cRes.Status, cRes.Cycles, refRes.Cycles)
+	if !matches(c) {
+		t.Error("clone: did not end as the reference run")
 	}
-	if c.ArchReg(1) != ref.ArchReg(1) {
-		t.Errorf("clone r1 = %d, ref %d", c.ArchReg(1), ref.ArchReg(1))
+	if !matches(m) {
+		t.Error("source after clone: did not end as the reference run")
 	}
-	// The paused original continues independently to the same end.
-	mRes := m.Run(RunOptions{})
-	if mRes.Status != StatusHalted || mRes.Cycles != refRes.Cycles {
-		t.Errorf("original after clone: %v in %d", mRes.Status, mRes.Cycles)
+
+	// The last input word, which crc32 reads after the halfway point.
+	addr := p.DataBase + uint64(len(p.Data)) - 8
+	readRAM := func(m *Machine) []byte {
+		buf := make([]byte, 8)
+		m.Mem.RAM.ReadBlock(addr, buf)
+		return buf
+	}
+	for _, cloneWrites := range []bool{true, false} {
+		src := paused()
+		writer, other, names := src.Clone(), src, [2]string{"clone", "source"}
+		if !cloneWrites {
+			writer, other, names = other, writer, [2]string{"source", "clone"}
+		}
+		before := readRAM(other)
+		old, _, _ := writer.Mem.Load(addr, 8)
+		writer.Mem.Store(addr, 8, ^old)
+		writer.Mem.L1D.Flush()
+		writer.Mem.L2.Flush()
+		data := writer.Mem.L1D.DataArray()
+		for i := uint64(0); i < data.BitCount(); i += 7 {
+			data.FlipBit(i)
+		}
+		if got := readRAM(writer); bytes.Equal(got, before) {
+			t.Errorf("%s: its own store did not reach its RAM", names[0])
+		}
+		if got := readRAM(other); !bytes.Equal(got, before) {
+			t.Errorf("%s's store reached the %s's RAM: % x, want % x", names[0], names[1], got, before)
+		}
+		if matches(writer) {
+			t.Errorf("%s: ended as the reference run despite its store and flips", names[0])
+		}
+		if !matches(other) {
+			t.Errorf("%s: the %s's store and flips changed its run", names[1], names[0])
+		}
 	}
 }
 

@@ -260,7 +260,7 @@ type Machine struct {
 	output []byte
 
 	// profile, when non-nil, samples the dirty-output-line occupancy of
-	// the data caches during the run (golden runs only; clones drop it).
+	// the data caches during the run (golden runs only; copies drop it).
 	profile *outputProfile
 
 	// probe, when non-nil, observes the fate of an injected fault's

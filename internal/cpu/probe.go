@@ -16,7 +16,7 @@ import (
 //
 // Lifecycle: the campaign arms the probe immediately after FlipBit and
 // clears it before the faulty machine is rewound, so snapshots and
-// restores never observe one; Clone and Snapshot drop it defensively.
+// restores never observe one; Snapshot and Restore drop it defensively.
 
 // probeKind selects which core array a FaultProbe watches.
 type probeKind uint8

@@ -2,12 +2,11 @@ package cpu
 
 import "avgi/internal/mem"
 
-// Snapshot is an immutable capture of a machine's complete state, the cheap
-// half of the fork primitive the campaign layer builds checkpoints from.
-// Where Clone allocates a whole independent machine per fork, a Snapshot
-// captures core state into reusable buffers and RAM as a copy-on-write
-// fork, and Restore rewinds an existing scratch machine in place — so a
-// worker allocates one machine and reuses it for every fault.
+// Snapshot is an immutable capture of a machine's complete state, the fork
+// primitive the campaign layer builds checkpoints from. A Snapshot captures
+// core state into reusable buffers and RAM as a copy-on-write fork, and
+// Restore rewinds an existing scratch machine in place — so a worker
+// allocates one machine and reuses it for every fault.
 //
 // A snapshot is never mutated after Snapshot returns; any number of
 // machines may Restore from it concurrently.
@@ -36,8 +35,8 @@ type Snapshot struct {
 // whole. Either way the two are equal afterwards, so live's dirty sets
 // restart empty. Returns the array bytes moved.
 //
-// This and Clone are the only two places that list Machine's state
-// slices; TestCoreCopySharesNoBuffers fails when a new one is in neither.
+// This is the one place that lists Machine's state slices;
+// TestCoreCopySharesNoBuffers fails when a new one is missing here.
 func copyCore(dst, src, live *Machine, delta bool) uint64 {
 	old := *dst
 	*dst = *src
@@ -102,6 +101,19 @@ func (m *Machine) Snapshot(s *Snapshot) *Snapshot {
 func (m *Machine) Restore(s *Snapshot) {
 	copyCore(m, &s.m, m, false)
 	m.Mem.Restore(&s.mem)
+}
+
+// Clone returns an independent machine at m's cycle: a fresh machine
+// restored from a snapshot of m. The capture is copy-on-write, so m's RAM
+// pages become shared with the clone and each side privatizes a page before
+// its next write to it. The capture is also a new sync point for m's delta
+// tracking (its dirty sets restart empty), so a tracking m must not
+// SyncSnapshot or SyncRestore against an older snapshot afterwards. The
+// clone starts untracked, with no trace sink, profile or probe.
+func (m *Machine) Clone() *Machine {
+	c := New(m.Cfg, m.Prog)
+	c.Restore(m.Snapshot(nil))
+	return c
 }
 
 // BeginDeltaTracking starts dirty-delta tracking across the whole machine

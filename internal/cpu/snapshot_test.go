@@ -142,7 +142,7 @@ func TestSnapshotReuseAcrossCaptures(t *testing.T) {
 
 // nonStateSlices are the Machine fields whose slices belong to the machine
 // object, not to the state it holds: the two dirty sets. A copy leaves the
-// destination's own alone (Clone and Snapshot leave them zero).
+// destination's own alone (a snapshot's and a clone's stay zero).
 var nonStateSlices = map[string]bool{"bimTouched": true, "btbTouched": true}
 
 func isState(name string) bool { return !nonStateSlices[strings.Split(name, ".")[0]] }
@@ -220,12 +220,12 @@ func overlaps(a, b reflect.Value) bool {
 }
 
 // TestCoreCopySharesNoBuffers is the guard on the core-state slice list in
-// copyCore and Clone. After each of the five copy operations, every
+// copyCore. After each of the five copy operations, every
 // slice field of Machine — found by reflection, so a field added later is
 // included without an edit here — must share no backing array between
 // destination and source, and must either be state (equal after the copy,
 // and unaffected when the source is changed afterwards) or be named in
-// nonStateSlices. A new slice that neither routine copies rides the struct
+// nonStateSlices. A new slice that copyCore does not copy rides the struct
 // assignment, aliases its source, and fails here by name.
 func TestCoreCopySharesNoBuffers(t *testing.T) {
 	cfg := ConfigA72()

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -433,7 +432,7 @@ func TestDistRunRecordsForensicsOnce(t *testing.T) {
 	if ok, err := ghost.TryAcquire(chunkLease(j.ShardID(key, bind), 0, 6), "ghost", 200*time.Millisecond); err != nil || !ok {
 		t.Fatalf("seed the ghost's lease: ok=%v err=%v", ok, err)
 	}
-	o := obs.New(io.Discard)
+	o := obs.New(nil)
 	got, err := Run(Config{
 		Journal:      j,
 		Owner:        "node",

@@ -21,8 +21,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheDeltaSyncPair measures one SyncSnapshot+SyncRestore
-// re-arm/rewind pair after a realistic smattering of touched sets — the
+// BenchmarkCacheDeltaSyncPair measures one delta capture and delta rewind
+// (a cache's share of a SyncSnapshot+SyncRestore re-arm/rewind pair) after a realistic smattering of touched sets — the
 // per-fault copy cost of the cursor fork path.
 func BenchmarkCacheDeltaSyncPair(b *testing.B) {
 	ram := NewRAM(1 << 20)
@@ -30,7 +30,8 @@ func BenchmarkCacheDeltaSyncPair(b *testing.B) {
 	c := NewCache(CacheConfig{Name: "L1D", Sets: 32, Ways: 2, LineBytes: 64, HitLat: 2, AddrBits: 20}, lower)
 	var buf [8]byte
 	c.BeginDeltaTracking()
-	snap := c.Snapshot(nil)
+	var snap cacheState
+	c.sync(&snap, true, false)
 	b.ResetTimer()
 	touch := func(base int) {
 		for j := 0; j < 8; j++ { // ~8 of 32 sets per phase
@@ -40,8 +41,8 @@ func BenchmarkCacheDeltaSyncPair(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		touch(i) // golden advance
-		c.SyncSnapshot(snap)
+		c.sync(&snap, true, true)
 		touch(i * 3) // faulty window
-		c.SyncRestore(snap)
+		c.sync(&snap, false, true)
 	}
 }

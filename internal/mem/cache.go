@@ -79,15 +79,15 @@ type Cache struct {
 	touched DirtySet
 
 	// probe, when non-nil, observes consumption and erasure of the array
-	// entries covered by an injected fault (see probe.go). Never survives
-	// a Clone and is cleared before the faulty machine is rewound.
+	// entries covered by an injected fault (see probe.go). Cleared before
+	// the faulty machine is rewound; a copy never carries it.
 	probe *LineProbe
 }
 
 // cacheState is everything about a cache that changes as it runs, and so
 // everything a snapshot holds. A scalar added to cacheScalars is copied by
-// copyFrom's struct assignment; an array needs a line there and one in Clone
-// (TestMemCopySharesNoBuffers fails without them).
+// copyFrom's struct assignment; an array needs a line there
+// (TestMemCopySharesNoBuffers fails without it).
 type cacheState struct {
 	// tags packs valid(1) | dirty(1) | tag per way, set-major.
 	tags []uint64
@@ -294,21 +294,6 @@ func (c *Cache) Flush() {
 	}
 }
 
-// Clone deep-copies the cache. The lower pointer is rebound by the caller
-// via SetLower, since the whole hierarchy is cloned together.
-func (c *Cache) Clone() *Cache {
-	cl := *c
-	cl.tags = append([]uint64(nil), c.tags...)
-	cl.data = append([]byte(nil), c.data...)
-	cl.lru = append([]uint64(nil), c.lru...)
-	// Delta tracking and any armed fault probe are properties of a
-	// specific cursor machine, not of the state; a clone starts untracked
-	// and unprobed with its own buffers.
-	cl.touched = DirtySet{}
-	cl.probe = nil
-	return &cl
-}
-
 // BeginDeltaTracking starts recording the sets touched by accesses, flushes
 // and flips, with the current state as the sync point (see DirtySet).
 func (c *Cache) BeginDeltaTracking() { c.touched.Begin(c.cfg.Sets) }
@@ -316,65 +301,21 @@ func (c *Cache) BeginDeltaTracking() { c.touched.Begin(c.cfg.Sets) }
 // EndDeltaTracking stops recording and clears the touch list.
 func (c *Cache) EndDeltaTracking() { c.touched.End() }
 
-// CacheSnap is an immutable capture of one cache's complete state (tag,
-// data and replacement arrays plus statistics). Its buffers are reused
-// across Snapshot calls so interval checkpointing does not allocate per
-// capture after the first.
-type CacheSnap struct {
-	cacheState
-	size uint64 // array bytes of the last full capture
-}
-
-// sync moves state between the cache and a snapshot: out of the cache with
+// sync moves state between the cache and snap: out of the cache with
 // capture set, into it otherwise; whole, or with delta only the sets touched
 // since the last sync point. The two are equal afterwards, so the touch list
 // restarts empty. Returns the array bytes moved.
-func (c *Cache) sync(snap *CacheSnap, capture, delta bool) uint64 {
+func (c *Cache) sync(snap *cacheState, capture, delta bool) uint64 {
 	same := len(snap.tags) == len(c.tags) && len(snap.data) == len(c.data)
 	only := checkSync(c.cfg.Name, &c.touched, same, capture, delta)
-	dst, src := &c.cacheState, &snap.cacheState
+	dst, src := &c.cacheState, snap
 	if capture {
 		dst, src = src, dst
 	}
 	n := dst.copyFrom(src, only, c.cfg.Ways, c.cfg.LineBytes)
 	c.touched.Reset()
-	if capture && !delta {
-		snap.size = n
-	}
 	return n
 }
-
-// Snapshot copies the cache state into snap, reusing its buffers (a nil
-// snap allocates fresh ones), and returns it.
-func (c *Cache) Snapshot(snap *CacheSnap) *CacheSnap {
-	if snap == nil {
-		snap = &CacheSnap{}
-	}
-	c.sync(snap, true, false)
-	return snap
-}
-
-// Restore rewinds the cache to a snapshot by copying into its existing
-// arrays — no allocation. The snapshot is only read, so any number of
-// caches may restore from it concurrently. The geometry must match.
-func (c *Cache) Restore(snap *CacheSnap) { c.sync(snap, false, false) }
-
-// SyncSnapshot re-captures into snap only the sets touched since the last
-// sync point — the cheap re-arm of a cursor worker's snapshot between
-// faults. snap must be a full capture of this cache from the same sync
-// lineage. Returns the array bytes copied.
-func (c *Cache) SyncSnapshot(snap *CacheSnap) uint64 { return c.sync(snap, true, true) }
-
-// SyncRestore rewinds only the sets touched since the last sync point. Under
-// the sync invariant (cache == snap at that point, all divergence since is
-// tracked) it is bit-identical to a full Restore. Returns the bytes copied.
-func (c *Cache) SyncRestore(snap *CacheSnap) uint64 { return c.sync(snap, false, true) }
-
-// Bytes returns the captured state size, for checkpoint accounting.
-func (s *CacheSnap) Bytes() uint64 { return s.size }
-
-// SetLower rebinds the lower level after cloning.
-func (c *Cache) SetLower(l Level) { c.lower = l }
 
 // TagArray exposes the tag array as a fault-injection target.
 func (c *Cache) TagArray() *CacheTagArray { return &CacheTagArray{c} }

@@ -93,12 +93,12 @@ func TestTLBSnapshotRestore(t *testing.T) {
 	tl := NewTLB("DTLB", 4, 20)
 	tl.Translate(0x1000, pt)
 	tl.Translate(0x2000, pt)
-	var snap TLBSnap
-	tl.Snapshot(&snap)
+	var snap tlbState
+	n := tl.sync(&snap, true, false)
 
 	tl.Translate(0x5000, pt)
 	tl.FlipBit(3)
-	tl.Restore(&snap)
+	tl.sync(&snap, false, false)
 
 	if tl.Accesses != 2 || tl.Misses != 2 {
 		t.Errorf("restored stats %d/%d, want 2/2", tl.Accesses, tl.Misses)
@@ -107,8 +107,8 @@ func TestTLBSnapshotRestore(t *testing.T) {
 	if _, lat, f := tl.Translate(0x1000, pt); f != FaultNone || lat != 0 {
 		t.Errorf("post-restore translate lat=%d fault=%v", lat, f)
 	}
-	if snap.Bytes() == 0 {
-		t.Error("TLB snapshot reports zero bytes")
+	if n == 0 {
+		t.Error("TLB capture reports zero bytes")
 	}
 }
 
@@ -121,13 +121,13 @@ func TestCacheSnapshotRestore(t *testing.T) {
 	var buf [1]byte
 	c.Access(0x100, 1, false, buf[:])
 	c.Access(0x200, 1, true, []byte{0x77}) // leave a dirty line
-	var snap CacheSnap
-	c.Snapshot(&snap)
+	var snap cacheState
+	n := c.sync(&snap, true, false)
 	accesses, misses := c.Accesses, c.Misses
 
 	c.Access(0x300, 1, false, buf[:])
 	c.TagArray().FlipBit(1)
-	c.Restore(&snap)
+	c.sync(&snap, false, false)
 
 	if c.Accesses != accesses || c.Misses != misses {
 		t.Errorf("restored stats %d/%d, want %d/%d", c.Accesses, c.Misses, accesses, misses)
@@ -136,8 +136,8 @@ func TestCacheSnapshotRestore(t *testing.T) {
 	if buf[0] != 0x77 {
 		t.Errorf("dirty data after restore = %#x", buf[0])
 	}
-	if snap.Bytes() == 0 {
-		t.Error("cache snapshot reports zero bytes")
+	if n == 0 {
+		t.Error("cache capture reports zero bytes")
 	}
 
 	defer func() {
@@ -146,7 +146,7 @@ func TestCacheSnapshotRestore(t *testing.T) {
 		}
 	}()
 	NewCache(CacheConfig{Name: "X", Sets: 8, Ways: 2, LineBytes: 64, HitLat: 1, AddrBits: 20},
-		&RAMLevel{RAM: ram, ReadLat: 60}).Restore(&snap)
+		&RAMLevel{RAM: ram, ReadLat: 60}).sync(&snap, false, false)
 }
 
 func TestHierarchySnapshotRestoreRoundTrip(t *testing.T) {

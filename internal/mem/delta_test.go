@@ -3,12 +3,12 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// equalCache compares every bit of state a CacheSnap round-trip is
-// responsible for.
-func equalCache(t *testing.T, label string, got, want *Cache) {
+// equalCache compares every bit of state a cache's sync is responsible for.
+func equalCache(t *testing.T, label string, got, want *cacheState) {
 	t.Helper()
 	if !bytes.Equal(got.data, want.data) {
 		t.Fatalf("%s: data arrays differ", label)
@@ -55,36 +55,39 @@ func mutateCache(c *Cache, rng *rand.Rand, ops int) {
 }
 
 // TestCacheDeltaRestoreEquivalence is the dirty-delta property test: a
-// cache mutated arbitrarily after a sync point and then SyncRestored must
-// be bit-for-bit identical to the full-copy restore — across many random
-// rounds, re-arming the snapshot with SyncSnapshot between rounds exactly
+// cache mutated arbitrarily after a sync point and then rewound by delta
+// must be bit-for-bit identical to its state at the sync point, and to a
+// second cache given the snapshot by a full rewind — across many random
+// rounds, re-arming the snapshot by a delta capture between rounds exactly
 // as a cursor worker does per fault.
 func TestCacheDeltaRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c, _ := newTestCacheOverRAM(10)
+	full, _ := newTestCacheOverRAM(10)
 	mutateCache(c, rng, 500) // warm state: valid lines, dirty lines, stats
 
 	c.BeginDeltaTracking()
-	snap := c.Snapshot(nil) // sync point
+	var snap, ref cacheState
+	c.sync(&snap, true, false) // sync point
 	for round := 0; round < 50; round++ {
 		// Re-arm: advance the cache (the "golden advance"), capture the
 		// delta into the same snapshot buffers.
 		mutateCache(c, rng, rng.Intn(200))
-		c.SyncSnapshot(snap)
+		c.sync(&snap, true, true)
 
-		// ref is the ground truth at the new sync point: a full deep copy.
-		ref := c.Clone()
+		// ref is the ground truth at the new sync point: a full capture,
+		// which leaves the (already empty) touch list empty.
+		c.sync(&ref, true, false)
 
 		// The "faulty run": arbitrary divergence, then the delta rewind.
 		mutateCache(c, rng, rng.Intn(300))
-		c.SyncRestore(snap)
-		equalCache(t, "after SyncRestore", c, ref)
+		c.sync(&snap, false, true)
+		equalCache(t, "after the delta rewind", &c.cacheState, &ref)
 
-		// The rewound cache must also match the snapshot a full Restore
-		// would have produced.
-		full := ref.Clone()
-		full.Restore(snap)
-		equalCache(t, "delta vs full restore", c, full)
+		// The rewound cache must also match the state a full rewind from
+		// the snapshot produces.
+		full.sync(&snap, false, false)
+		equalCache(t, "delta vs full rewind", &c.cacheState, &full.cacheState)
 	}
 }
 
@@ -93,25 +96,27 @@ func TestCacheDeltaRestoreEquivalence(t *testing.T) {
 func TestCacheDeltaUntouchedIsFree(t *testing.T) {
 	c, _ := newTestCacheOverRAM(10)
 	c.BeginDeltaTracking()
-	snap := c.Snapshot(nil)
-	if n := c.SyncSnapshot(snap); n != 0 {
-		t.Errorf("untouched SyncSnapshot copied %d bytes", n)
+	var snap cacheState
+	c.sync(&snap, true, false)
+	if n := c.sync(&snap, true, true); n != 0 {
+		t.Errorf("untouched delta capture copied %d bytes", n)
 	}
-	if n := c.SyncRestore(snap); n != 0 {
-		t.Errorf("untouched SyncRestore copied %d bytes", n)
+	if n := c.sync(&snap, false, true); n != 0 {
+		t.Errorf("untouched delta rewind copied %d bytes", n)
 	}
 }
 
 // TestCacheDeltaSyncWithoutTrackingPanics pins the misuse guard.
 func TestCacheDeltaSyncWithoutTrackingPanics(t *testing.T) {
 	c, _ := newTestCacheOverRAM(10)
-	snap := c.Snapshot(nil)
+	var snap cacheState
+	c.sync(&snap, true, false)
 	defer func() {
 		if recover() == nil {
-			t.Error("SyncRestore without BeginDeltaTracking must panic")
+			t.Error("a delta rewind without BeginDeltaTracking must panic")
 		}
 	}()
-	c.SyncRestore(snap)
+	c.sync(&snap, false, true)
 }
 
 // TestTLBDeltaRestoreEquivalence is the TLB (entry-granular) counterpart
@@ -119,7 +124,7 @@ func TestCacheDeltaSyncWithoutTrackingPanics(t *testing.T) {
 func TestTLBDeltaRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pt := NewPageTable(1 << 20)
-	tlb := NewTLB("DTLB", 8, 20)
+	tlb, full := NewTLB("DTLB", 8, 20), NewTLB("DTLB", 8, 20)
 	mutate := func(ops int) {
 		for i := 0; i < ops; i++ {
 			if rng.Intn(4) == 0 {
@@ -132,21 +137,24 @@ func TestTLBDeltaRestoreEquivalence(t *testing.T) {
 	mutate(100)
 
 	tlb.BeginDeltaTracking()
-	snap := tlb.Snapshot(nil)
+	var snap, ref tlbState
+	tlb.sync(&snap, true, false)
 	for round := 0; round < 50; round++ {
 		mutate(rng.Intn(40))
-		tlb.SyncSnapshot(snap)
-		ref := tlb.Clone()
+		tlb.sync(&snap, true, true)
+		tlb.sync(&ref, true, false)
 
 		mutate(rng.Intn(60))
-		tlb.SyncRestore(snap)
+		tlb.sync(&snap, false, true)
+		full.sync(&snap, false, false)
 
-		if !bytes.Equal(uint64sAsBytes(tlb.entries), uint64sAsBytes(ref.entries)) {
-			t.Fatal("entry arrays differ after SyncRestore")
-		}
-		if tlb.rr != ref.rr || tlb.Accesses != ref.Accesses || tlb.Misses != ref.Misses {
-			t.Fatalf("scalars differ: rr %d/%d acc %d/%d miss %d/%d",
-				tlb.rr, ref.rr, tlb.Accesses, ref.Accesses, tlb.Misses, ref.Misses)
+		for _, want := range []*tlbState{&ref, &full.tlbState} {
+			if !bytes.Equal(uint64sAsBytes(tlb.entries), uint64sAsBytes(want.entries)) {
+				t.Fatal("entry arrays differ after the delta rewind")
+			}
+			if tlb.tlbScalars != want.tlbScalars {
+				t.Fatalf("scalars differ: %+v, want %+v", tlb.tlbScalars, want.tlbScalars)
+			}
 		}
 	}
 }
@@ -163,10 +171,11 @@ func uint64sAsBytes(v []uint64) []byte {
 
 // TestHierarchyDeltaRestoreEquivalence exercises the fan-out: TLBs, all
 // three caches and the copy-on-write RAM rewound together through the
-// hierarchy-level sync pair must reproduce loads bit-for-bit.
+// hierarchy-level sync pair must reproduce loads bit-for-bit, and every
+// part must equal a second hierarchy given the snapshot by a full Restore.
 func TestHierarchyDeltaRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	h := NewHierarchy(testConfig())
+	h, full := NewHierarchy(testConfig()), NewHierarchy(testConfig())
 	drive := func(ops int) {
 		for i := 0; i < ops; i++ {
 			addr := uint64(rng.Intn(1<<14)) &^ 7
@@ -185,20 +194,30 @@ func TestHierarchyDeltaRestoreEquivalence(t *testing.T) {
 		drive(rng.Intn(100))
 		h.SyncSnapshot(snap)
 
-		// Record ground truth as observed values at a sample of addresses.
+		// Record ground truth as observed values at a sample of addresses;
+		// the loads are tracked, so the rewind below undoes them too.
 		ref := make(map[uint64]uint64)
-		probe := h.Clone()
 		for i := 0; i < 64; i++ {
 			addr := uint64(rng.Intn(1<<14)) &^ 7
-			v, _, _ := probe.Load(addr, 8)
+			v, _, _ := h.Load(addr, 8)
 			ref[addr] = v
 		}
 
 		drive(rng.Intn(150))
 		h.SyncRestore(snap)
-		probe2 := h.Clone()
+		full.Restore(snap)
+		tlbs, caches := h.parts()
+		ftlbs, fcaches := full.parts()
+		for i := range tlbs {
+			if !reflect.DeepEqual(tlbs[i].tlbState, ftlbs[i].tlbState) {
+				t.Fatalf("round %d: %s differs from a full Restore", round, tlbs[i].name)
+			}
+		}
+		for i := range caches {
+			equalCache(t, "delta vs full Restore", &caches[i].cacheState, &fcaches[i].cacheState)
+		}
 		for addr, want := range ref {
-			if v, _, _ := probe2.Load(addr, 8); v != want {
+			if v, _, _ := h.Load(addr, 8); v != want {
 				t.Fatalf("round %d: addr %#x reads %#x after delta restore, want %#x", round, addr, v, want)
 			}
 		}

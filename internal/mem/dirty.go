@@ -7,7 +7,7 @@ import "unsafe"
 // sync point, the moment the array and its snapshot were last made equal.
 // While tracking, SyncSnapshot/SyncRestore move only those rows. A set
 // belongs to the object that owns the array, not to the state it holds:
-// copies leave the destination's alone and clones start with a zero one.
+// copies leave the destination's alone.
 type DirtySet struct {
 	on     bool
 	rows   []int32 // deduplicated
@@ -51,10 +51,10 @@ func (d *DirtySet) Reset() {
 	d.rows = d.rows[:0]
 }
 
-// checkSync is the guard every component's Snapshot, Restore, SyncSnapshot
-// and SyncRestore pass through: a delta needs tracking on, and only a full
-// capture may meet (and resize) a snapshot of another geometry. Returns the
-// copy's row filter: the touched rows for a delta, else nil (everything).
+// checkSync is the guard every component's sync passes through: a delta
+// needs tracking on, and only a full capture may meet (and resize) a
+// snapshot of another geometry. Returns the copy's row filter: the touched
+// rows for a delta, else nil (everything).
 func checkSync(name string, touched *DirtySet, sameGeometry, capture, delta bool) *DirtySet {
 	if delta && !touched.on {
 		panic("mem: " + name + ": delta sync without tracking")

@@ -145,13 +145,13 @@ func (h *Hierarchy) DrainOutput(outBase, outLenAddr uint64, lenBytes uint64) []b
 // returns and may be restored from by any number of machines concurrently.
 type HierarchySnap struct {
 	ram    *RAM
-	tlbs   [2]TLBSnap   // index-parallel with Hierarchy.parts
-	caches [3]CacheSnap // likewise
-	size   uint64       // bytes of the last full capture
+	tlbs   [2]tlbState   // index-parallel with Hierarchy.parts
+	caches [3]cacheState // likewise
+	size   uint64        // bytes of the last full capture
 }
 
 // parts lists the hierarchy's array components: the one list copying, delta
-// tracking and byte accounting walk (NewHierarchy and Clone name them too).
+// tracking and byte accounting walk (NewHierarchy names them too).
 func (h *Hierarchy) parts() ([2]*TLB, [3]*Cache) {
 	return [2]*TLB{h.ITLB, h.DTLB}, [3]*Cache{h.L1I, h.L1D, h.L2}
 }
@@ -233,21 +233,6 @@ func (h *Hierarchy) eachPart(tlb func(*TLB), cache func(*Cache)) {
 	for _, c := range caches {
 		cache(c)
 	}
-}
-
-// Clone deep-copies the entire memory system. The page table is immutable
-// and stays shared.
-func (h *Hierarchy) Clone() *Hierarchy {
-	rl := &RAMLevel{RAM: h.RAM.Clone(), ReadLat: h.ramLevel.ReadLat}
-	l2 := h.L2.Clone()
-	l2.SetLower(rl)
-	c := &Hierarchy{
-		Cfg: h.Cfg, RAM: rl.RAM, PageTable: h.PageTable, ramLevel: rl, L2: l2,
-		ITLB: h.ITLB.Clone(), DTLB: h.DTLB.Clone(), L1I: h.L1I.Clone(), L1D: h.L1D.Clone(),
-	}
-	c.L1I.SetLower(l2)
-	c.L1D.SetLower(l2)
-	return c
 }
 
 func uint64LE(b []byte) uint64 {

@@ -27,12 +27,6 @@ func TestRAMBlockOps(t *testing.T) {
 	if !bytes.Equal(dst, []byte{1, 2, 3, 4}) {
 		t.Errorf("read back % x", dst)
 	}
-	c := r.Clone()
-	c.WriteBlock(100, []byte{9})
-	r.ReadBlock(100, dst)
-	if dst[0] != 1 {
-		t.Error("clone aliases original")
-	}
 }
 
 func TestPageTableWalk(t *testing.T) {
@@ -429,27 +423,6 @@ func TestPrefetchI(t *testing.T) {
 	}
 	// Unmapped prefetches are dropped silently.
 	h.PrefetchI(8 << 20)
-}
-
-func TestHierarchyCloneIndependence(t *testing.T) {
-	h := NewHierarchy(testConfig())
-	h.Store(0x5000, 8, 111)
-	c := h.Clone()
-	c.Store(0x5000, 8, 222)
-	v, _, _ := h.Load(0x5000, 8)
-	if v != 111 {
-		t.Errorf("original sees %d after clone write", v)
-	}
-	v, _, _ = c.Load(0x5000, 8)
-	if v != 222 {
-		t.Errorf("clone sees %d", v)
-	}
-	// Stats diverge independently.
-	c.L1D.DataArray().FlipBit(3)
-	vv, _, _ := h.Load(0x5000, 8)
-	if vv != 111 {
-		t.Error("flip in clone affected original")
-	}
 }
 
 func TestFaultString(t *testing.T) {

@@ -144,16 +144,6 @@ func (r *RAM) ReadBlock(addr uint64, dst []byte) {
 	}
 }
 
-// Clone deep-copies the RAM into a fresh, fully-owned flat store (the
-// legacy fork primitive; the checkpoint path uses Snapshot/RestoreFrom).
-func (r *RAM) Clone() *RAM {
-	c := NewRAM(r.size)
-	for i, p := range r.pages {
-		copy(c.pages[i], p)
-	}
-	return c
-}
-
 // Snapshot captures the current contents as an immutable copy-on-write
 // fork: the snapshot shares this RAM's pages, and this RAM privatizes a
 // page before its next write to it. The snapshot must never be written;

@@ -10,7 +10,7 @@ import "math/bits"
 // (overwritten before read, evicted clean, read but logically masked, ...).
 //
 // Probes are armed after the flip and cleared before the faulty machine is
-// rewound, never survive a Clone, and with no probe installed every access
+// rewound, never survive a copy, and with no probe installed every access
 // path takes the exact pre-forensics code (one nil check per access).
 
 // ProbeEvent is one observed interaction with watched corrupted state.

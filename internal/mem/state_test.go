@@ -9,7 +9,7 @@ import (
 
 // nonState names the fields of Cache and TLB that belong to the component
 // object, not to the state it holds: a copy leaves the destination's alone
-// (Snapshot and Clone leave them zero, or for lower to the caller).
+// (a capture has none of them).
 var nonState = map[string]bool{"touched": true, "probe": true, "lower": true}
 
 // writable lifts reflect's read-only mark from an unexported field or
@@ -113,64 +113,58 @@ func checkCopy(t *testing.T, dst, src any) (stateBytes uint64) {
 	return stateBytes
 }
 
-// component is the copy surface Cache (over CacheSnap) and TLB (over
-// TLBSnap) share.
+// component is the copy surface Cache (over cacheState) and TLB (over
+// tlbState) share.
 type component[S any] interface {
-	Snapshot(*S) *S
-	Restore(*S)
-	SyncSnapshot(*S) uint64
-	SyncRestore(*S) uint64
+	sync(snap *S, capture, delta bool) uint64
 	BeginDeltaTracking()
 }
 
-// checkComponent runs the five copy operations of one component type, each
-// on perturbed state, through checkCopy.
-func checkComponent[S any, C component[S]](t *testing.T, fresh func() C, clone func(C) C,
-	touched func(C) *DirtySet, snapBytes func(*S) uint64) {
+// checkComponent runs the four directions of one component type's sync —
+// capture or rewind, whole or delta — each on perturbed state, through
+// checkCopy. The subtests carry the hierarchy-level names of the four.
+func checkComponent[S any, C component[S]](t *testing.T, fresh func() C, touched func(C) *DirtySet) {
 	perturbed := func(c C) C {
 		perturbState(c, touched(c))
 		return c
 	}
 	t.Run("Snapshot", func(t *testing.T) {
 		c := perturbed(fresh())
-		snap := c.Snapshot(nil)
-		if got, want := snapBytes(snap), checkCopy(t, snap, c); got != want {
-			t.Errorf("Bytes() = %d, the state arrays hold %d", got, want)
+		var snap S
+		if got, want := c.sync(&snap, true, false), checkCopy(t, &snap, c); got != want {
+			t.Errorf("sync moved %d bytes, the state arrays hold %d", got, want)
 		}
 	})
 	t.Run("Restore", func(t *testing.T) {
-		snap := perturbed(fresh()).Snapshot(nil)
+		var snap S
+		perturbed(fresh()).sync(&snap, true, false)
 		c := fresh()
-		c.Restore(snap)
-		checkCopy(t, c, snap)
+		c.sync(&snap, false, false)
+		checkCopy(t, c, &snap)
 	})
 	t.Run("SyncSnapshot", func(t *testing.T) {
 		c := fresh()
 		c.BeginDeltaTracking()
-		snap := c.Snapshot(nil)
-		perturbed(c).SyncSnapshot(snap)
-		checkCopy(t, snap, c)
+		var snap S
+		c.sync(&snap, true, false)
+		perturbed(c).sync(&snap, true, true)
+		checkCopy(t, &snap, c)
 	})
 	t.Run("SyncRestore", func(t *testing.T) {
 		c := perturbed(fresh())
 		c.BeginDeltaTracking()
-		snap := c.Snapshot(nil)
-		perturbed(c).SyncRestore(snap)
-		checkCopy(t, c, snap)
-	})
-	t.Run("Clone", func(t *testing.T) {
-		c := fresh()
-		c.BeginDeltaTracking()
-		checkCopy(t, clone(perturbed(c)), c)
+		var snap S
+		c.sync(&snap, true, false)
+		perturbed(c).sync(&snap, false, true)
+		checkCopy(t, c, &snap)
 	})
 }
 
 // TestMemCopySharesNoBuffers is the guard on the state lists of internal/mem
-// — cacheState.copyFrom, tlbState.copyFrom and Hierarchy.parts on the
-// snapshot side, the Clone family on the other — in the style of cpu's
-// TestCoreCopySharesNoBuffers. A slice added to Cache or TLB that its copy
-// routine does not copy, or that its Clone leaves aliasing the source, fails
-// here by name; so does a pointer or map that is not declared non-state.
+// — cacheState.copyFrom, tlbState.copyFrom and Hierarchy.parts — in the
+// style of cpu's TestCoreCopySharesNoBuffers. A slice added to Cache or TLB
+// that its copy routine does not copy fails here by name; so does a pointer
+// or map that is not declared non-state.
 func TestMemCopySharesNoBuffers(t *testing.T) {
 	// copyFrom moves the arrays by name and everything else by assigning the
 	// embedded scalars struct, so a state struct may hold nothing else.
@@ -182,18 +176,14 @@ func TestMemCopySharesNoBuffers(t *testing.T) {
 		}
 	}
 	t.Run("Cache", func(t *testing.T) {
-		checkComponent(t,
+		checkComponent[cacheState](t,
 			func() *Cache { c, _ := newTestCacheOverRAM(10); return c },
-			(*Cache).Clone,
-			func(c *Cache) *DirtySet { return &c.touched },
-			(*CacheSnap).Bytes)
+			func(c *Cache) *DirtySet { return &c.touched })
 	})
 	t.Run("TLB", func(t *testing.T) {
-		checkComponent(t,
+		checkComponent[tlbState](t,
 			func() *TLB { return NewTLB("DTLB", 8, 20) },
-			(*TLB).Clone,
-			func(t *TLB) *DirtySet { return &t.touched },
-			(*TLBSnap).Bytes)
+			func(t *TLB) *DirtySet { return &t.touched })
 	})
 
 	// The hierarchy copies nothing itself; its list of components is what
@@ -266,24 +256,15 @@ func TestMemCopySharesNoBuffers(t *testing.T) {
 		h2 := fresh()
 		h2.Restore(snap)
 		check(t, h2, snap, true)
-
-		cl := perturbed(h).Clone()
-		ct, cc := cl.parts()
-		for i, p := range tlbs {
-			checkCopy(t, ct[i], p)
-		}
-		for i, p := range caches {
-			checkCopy(t, cc[i], p)
-		}
 	})
 }
 
 // TestMemSyncGeometryGuards is the mem counterpart of cpu's
 // TestMachineSyncSnapshotGeometryGuards: the one guard behind all four
-// entry points of both component types. Only a full Snapshot may meet a
-// snapshot of another geometry (it resizes it); Restore — which TLB used
-// to truncate silently — and both delta syncs must panic, and a delta sync
-// must panic without tracking.
+// directions of both component types' sync. Only a full capture may meet a
+// snapshot of another geometry (it resizes it); a full rewind — which TLB
+// used to truncate silently — and both delta syncs must panic, and a delta
+// sync must panic without tracking.
 func TestMemSyncGeometryGuards(t *testing.T) {
 	mustPanic := func(label string, f func()) {
 		t.Helper()
@@ -300,25 +281,27 @@ func TestMemSyncGeometryGuards(t *testing.T) {
 	}
 
 	small, big := NewTLB("DTLB", 4, 20), NewTLB("DTLB", 8, 20)
-	tsnap := small.Snapshot(nil)
-	mustPanic("TLB SyncSnapshot without tracking", func() { small.SyncSnapshot(tsnap) })
-	mustPanic("TLB SyncRestore without tracking", func() { small.SyncRestore(tsnap) })
+	var tsnap tlbState
+	small.sync(&tsnap, true, false)
+	mustPanic("TLB delta capture without tracking", func() { small.sync(&tsnap, true, true) })
+	mustPanic("TLB delta rewind without tracking", func() { small.sync(&tsnap, false, true) })
 	big.BeginDeltaTracking()
-	mustPanic("TLB Restore across geometries", func() { big.Restore(tsnap) })
-	mustPanic("TLB SyncSnapshot across geometries", func() { big.SyncSnapshot(tsnap) })
-	mustPanic("TLB SyncRestore across geometries", func() { big.SyncRestore(tsnap) })
-	if big.Snapshot(tsnap); len(tsnap.entries) != 8 {
-		t.Errorf("full TLB Snapshot left %d entries in a reused snapshot, want 8", len(tsnap.entries))
+	mustPanic("TLB full rewind across geometries", func() { big.sync(&tsnap, false, false) })
+	mustPanic("TLB delta capture across geometries", func() { big.sync(&tsnap, true, true) })
+	mustPanic("TLB delta rewind across geometries", func() { big.sync(&tsnap, false, true) })
+	if big.sync(&tsnap, true, false); len(tsnap.entries) != 8 {
+		t.Errorf("full TLB capture left %d entries in a reused snapshot, want 8", len(tsnap.entries))
 	}
 
 	c4, c8 := cacheOf(4), cacheOf(8)
-	csnap := c4.Snapshot(nil)
-	mustPanic("Cache SyncSnapshot without tracking", func() { c4.SyncSnapshot(csnap) })
+	var csnap cacheState
+	c4.sync(&csnap, true, false)
+	mustPanic("Cache delta capture without tracking", func() { c4.sync(&csnap, true, true) })
 	c8.BeginDeltaTracking()
-	mustPanic("Cache Restore across geometries", func() { c8.Restore(csnap) })
-	mustPanic("Cache SyncSnapshot across geometries", func() { c8.SyncSnapshot(csnap) })
-	mustPanic("Cache SyncRestore across geometries", func() { c8.SyncRestore(csnap) })
-	if c8.Snapshot(csnap); len(csnap.tags) != len(c8.tags) {
-		t.Errorf("full Cache Snapshot left %d tags in a reused snapshot, want %d", len(csnap.tags), len(c8.tags))
+	mustPanic("Cache full rewind across geometries", func() { c8.sync(&csnap, false, false) })
+	mustPanic("Cache delta capture across geometries", func() { c8.sync(&csnap, true, true) })
+	mustPanic("Cache delta rewind across geometries", func() { c8.sync(&csnap, false, true) })
+	if c8.sync(&csnap, true, false); len(csnap.tags) != len(c8.tags) {
+		t.Errorf("full Cache capture left %d tags in a reused snapshot, want %d", len(csnap.tags), len(c8.tags))
 	}
 }

@@ -133,15 +133,6 @@ func (t *TLB) fill(vpn, ppn uint64) {
 	t.entries[victim] = tlbValidBit | (vpn&pageNumMask)<<tlbVPNShift | (ppn&pageNumMask)<<tlbPPNShift
 }
 
-// Clone deep-copies the TLB.
-func (t *TLB) Clone() *TLB {
-	c := *t
-	c.entries = append([]uint64(nil), t.entries...)
-	c.touched = DirtySet{}
-	c.probe = nil
-	return &c
-}
-
 // BeginDeltaTracking starts recording the entries written by fills and
 // flips, with the current state as the sync point (see DirtySet).
 func (t *TLB) BeginDeltaTracking() { t.touched.Begin(len(t.entries)) }
@@ -149,49 +140,15 @@ func (t *TLB) BeginDeltaTracking() { t.touched.Begin(len(t.entries)) }
 // EndDeltaTracking stops recording and clears the touch list.
 func (t *TLB) EndDeltaTracking() { t.touched.End() }
 
-// TLBSnap is an immutable capture of a TLB's entry array, replacement
-// cursor and statistics; buffers are reused across Snapshot calls.
-type TLBSnap struct {
-	tlbState
-	size uint64 // array bytes of the last full capture
-}
-
-// sync moves state between the TLB and a snapshot under the same contract
-// as Cache.sync: capture or rewind, whole or only the touched entries.
-func (t *TLB) sync(snap *TLBSnap, capture, delta bool) uint64 {
+// sync moves state between the TLB and snap under the same contract as
+// Cache.sync: capture or rewind, whole or only the touched entries.
+func (t *TLB) sync(snap *tlbState, capture, delta bool) uint64 {
 	only := checkSync(t.name, &t.touched, len(snap.entries) == len(t.entries), capture, delta)
-	dst, src := &t.tlbState, &snap.tlbState
+	dst, src := &t.tlbState, snap
 	if capture {
 		dst, src = src, dst
 	}
 	n := dst.copyFrom(src, only)
 	t.touched.Reset()
-	if capture && !delta {
-		snap.size = n
-	}
 	return n
 }
-
-// Snapshot copies the TLB state into snap (nil allocates) and returns it.
-func (t *TLB) Snapshot(snap *TLBSnap) *TLBSnap {
-	if snap == nil {
-		snap = &TLBSnap{}
-	}
-	t.sync(snap, true, false)
-	return snap
-}
-
-// Restore rewinds the TLB to a snapshot of its own geometry without
-// allocating; the snapshot is only read, so restores may run concurrently.
-func (t *TLB) Restore(snap *TLBSnap) { t.sync(snap, false, false) }
-
-// SyncSnapshot re-captures into snap only the entries touched since the
-// last sync point. Returns the number of entry bytes copied.
-func (t *TLB) SyncSnapshot(snap *TLBSnap) uint64 { return t.sync(snap, true, true) }
-
-// SyncRestore rewinds only the entries touched since the last sync point;
-// see Cache.SyncRestore. Returns the number of entry bytes copied.
-func (t *TLB) SyncRestore(snap *TLBSnap) uint64 { return t.sync(snap, false, true) }
-
-// Bytes returns the captured state size, for checkpoint accounting.
-func (s *TLBSnap) Bytes() uint64 { return s.size }

@@ -1,6 +1,10 @@
 package obs
 
-import "io"
+import (
+	"fmt"
+	"io"
+	"log/slog"
+)
 
 // JSONSource is anything that can serve itself as one JSON document —
 // the shape of the forensics explorer, kept as an interface so obs does
@@ -21,15 +25,19 @@ type Observer struct {
 	// Forensics, when set, is served at /forensics.json (typically a
 	// *forensics.Explorer).
 	Forensics JSONSource
+
+	// log carries Logf's lines; nil is silent.
+	log *slog.Logger
 }
 
-// New returns an Observer with all three components enabled. Progress log
-// lines go to logw (nil for silent).
-func New(logw io.Writer) *Observer {
+// New returns an Observer with all three components enabled, logging
+// through log (nil for silent).
+func New(log *slog.Logger) *Observer {
 	return &Observer{
 		Metrics:  NewRegistry(),
-		Progress: NewProgress(logw),
+		Progress: NewProgress(),
 		Trace:    NewTracer(),
+		log:      log,
 	}
 }
 
@@ -42,14 +50,10 @@ func (o *Observer) Span(name, cat string, attrs map[string]string) *SpanRef {
 	return o.Trace.StartSpan(name, cat, attrs)
 }
 
-// Logf writes one line through the progress reporter, if there is one;
-// nil-safe.
+// Logf writes one line through the logger, if there is one; nil-safe.
 func (o *Observer) Logf(format string, a ...any) {
-	if o == nil {
-		return
-	}
-	if o.Progress != nil {
-		o.Progress.Logf(format, a...)
+	if o != nil && o.log != nil {
+		o.log.Info(fmt.Sprintf(format, a...))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -49,7 +50,6 @@ type ProgressSnapshot struct {
 type Progress struct {
 	mu    sync.Mutex
 	now   func() time.Time
-	out   io.Writer
 	start time.Time
 
 	pairs map[string]*PairProgress
@@ -61,13 +61,9 @@ type Progress struct {
 	exhCycles   uint64
 }
 
-// NewProgress returns a reporter whose Logf lines and ticker output go to
-// out (pass io.Discard to keep it silent).
-func NewProgress(out io.Writer) *Progress {
-	if out == nil {
-		out = io.Discard
-	}
-	p := &Progress{now: time.Now, out: out, pairs: make(map[string]*PairProgress)}
+// NewProgress returns an empty reporter.
+func NewProgress() *Progress {
+	p := &Progress{now: time.Now, pairs: make(map[string]*PairProgress)}
 	p.start = p.now()
 	return p
 }
@@ -192,20 +188,10 @@ func (s ProgressSnapshot) Line() string {
 // Line renders the current one-line live summary.
 func (p *Progress) Line() string { return p.Snapshot().Line() }
 
-// Logf writes one timestamped line to the progress writer — the shared
-// code path for phase announcements that used to be ad-hoc stderr prints.
-func (p *Progress) Logf(format string, a ...any) {
-	p.mu.Lock()
-	el := p.now().Sub(p.start)
-	out := p.out
-	p.mu.Unlock()
-	fmt.Fprintf(out, "[%8s] %s\n", el.Round(time.Millisecond), fmt.Sprintf(format, a...))
-}
-
-// StartTicker renders Line to the progress writer every interval until the
-// returned stop function is called; stop writes one final line. A
-// non-positive interval defaults to 2s.
-func (p *Progress) StartTicker(interval time.Duration) (stop func()) {
+// StartTicker logs Line through log every interval until the returned stop
+// function is called; stop logs one final line. A non-positive interval
+// defaults to 2s.
+func (p *Progress) StartTicker(interval time.Duration, log *slog.Logger) (stop func()) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
@@ -219,14 +205,14 @@ func (p *Progress) StartTicker(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				p.Logf("%s", p.Line())
+				log.Info(p.Line())
 			}
 		}
 	}()
 	return func() {
 		once.Do(func() {
 			close(done)
-			p.Logf("%s", p.Line())
+			log.Info(p.Line())
 		})
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestProgressSnapshot(t *testing.T) {
-	p := NewProgress(io.Discard)
+	p := NewProgress()
 	clk := newFakeClock()
 	p.SetClock(clk.now)
 
@@ -60,7 +61,7 @@ func TestProgressSnapshot(t *testing.T) {
 // leave the totals so a striped campaign still converges to 100%, and the
 // retraction clamps at the completions already recorded.
 func TestSkipFaults(t *testing.T) {
-	p := NewProgress(io.Discard)
+	p := NewProgress()
 	p.StartCampaign("RF", "sha", "avgi", 100)
 	for i := 0; i < 10; i++ {
 		p.FaultDone("RF", "sha", "avgi", 1000, 1000)
@@ -87,7 +88,7 @@ func TestSkipFaults(t *testing.T) {
 // executor announces identical ones once), so it accumulates — the total
 // is 2n from the second announcement on, never the first campaign's n.
 func TestStartCampaignIdempotentWhileInFlight(t *testing.T) {
-	p := NewProgress(io.Discard)
+	p := NewProgress()
 	const n = 80 // each campaign's fault-list size
 	p.StartCampaign("RF", "sha", "exhaustive", n)
 	for i := 0; i < n/2; i++ {
@@ -112,7 +113,7 @@ func TestStartCampaignIdempotentWhileInFlight(t *testing.T) {
 // once both are done.
 func TestFaultDoneGrowsTotalWhenOutrun(t *testing.T) {
 	const n = 2
-	p := NewProgress(io.Discard)
+	p := NewProgress()
 	p.StartCampaign("RF", "sha", "exhaustive", n)
 	p.StartCampaign("RF", "sha", "exhaustive", n)
 	for i := 1; i <= 2*n; i++ {
@@ -126,7 +127,7 @@ func TestFaultDoneGrowsTotalWhenOutrun(t *testing.T) {
 }
 
 func TestProgressConcurrent(t *testing.T) {
-	p := NewProgress(io.Discard)
+	p := NewProgress()
 	const workers = 8
 	const perWorker = 500
 	p.StartCampaign("RF", "sha", "exhaustive", workers*perWorker)
@@ -147,16 +148,26 @@ func TestProgressConcurrent(t *testing.T) {
 	}
 }
 
+// messageLogger returns a logger that writes each record's message alone
+// on a line to w.
+func messageLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			if a.Key != slog.MessageKey {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
+}
+
 func TestLogfFormat(t *testing.T) {
 	var buf strings.Builder
-	p := NewProgress(&buf)
-	clk := newFakeClock()
-	p.SetClock(clk.now)
-	clk.advance(1500 * time.Millisecond)
-	p.Logf("hello %d", 7)
-	if got, want := buf.String(), "[    1.5s] hello 7\n"; got != want {
+	New(messageLogger(&buf)).Logf("hello %d", 7)
+	if got, want := buf.String(), "msg=\"hello 7\"\n"; got != want {
 		t.Errorf("Logf wrote %q, want %q", got, want)
 	}
+	New(nil).Logf("ignored") // a nil logger is silent, and must not panic
 }
 
 func TestStartTickerStopWritesFinalLine(t *testing.T) {
@@ -167,8 +178,8 @@ func TestStartTickerStopWritesFinalLine(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(b)
 	})
-	p := NewProgress(w)
-	stop := p.StartTicker(time.Hour) // never ticks during the test
+	p := NewProgress()
+	stop := p.StartTicker(time.Hour, messageLogger(w)) // never ticks during the test
 	stop()
 	stop() // idempotent
 	mu.Lock()
@@ -201,7 +212,7 @@ func TestHumanCount(t *testing.T) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	o := New(io.Discard)
+	o := New(nil)
 	o.Metrics.Counter("avgi_test_total", "test", nil).Add(3)
 	o.Progress.StartCampaign("RF", "sha", "avgi", 10)
 	sp := o.Span("phase", "test", nil)

@@ -48,7 +48,7 @@ func TestHandlerDisabledComponentBodies(t *testing.T) {
 }
 
 func TestHandlerContentTypes(t *testing.T) {
-	o := New(io.Discard)
+	o := New(nil)
 	o.Forensics = jsonSourceFunc(func(w io.Writer) error {
 		_, err := io.WriteString(w, `{"entries":[]}`)
 		return err

@@ -188,6 +188,11 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 		return res, 0
 	}
 	jkey := journal.Key{Structure: key.structure, Workload: key.workload, Mode: key.mode.String(), Window: key.window}
+	if key.mode == campaign.ModeAVGI && !r.EarlyExit {
+		// The early exit changes what an AVGI fault is charged (SimCycles),
+		// so a campaign run without it keeps a shard, and leases, of its own.
+		jkey.Mode += "-no-early-exit"
+	}
 	bind := journal.Binding{
 		Machine:     r.Cfg.Name,
 		Variant:     r.Cfg.Variant.String(),

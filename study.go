@@ -72,11 +72,11 @@ type StudyConfig struct {
 	// untouched; an exhaustive or HVF one the run to the halt.
 	// Classifications and summaries are identical either way, and
 	// exhaustive and HVF Results byte-identical; only AVGI per-fault
-	// SimCycles shrink, so keep the setting consistent across resumed runs
-	// of the same journal if byte-identical AVGI shards matter. Shards
-	// journaled by a binary from before the early exit covered TLB entries
-	// and free registers keep full-window SimCycles for those faults (same
-	// classification). See campaign.Runner.EarlyExit.
+	// SimCycles shrink, so an AVGI campaign run without it journals under a
+	// key of its own (docs/ROBUSTNESS.md). Shards journaled by a binary
+	// from before the early exit covered TLB entries and free registers
+	// keep full-window SimCycles for those faults (same classification).
+	// See campaign.Runner.EarlyExit.
 	EarlyExit bool
 }
 

@@ -196,3 +196,65 @@ func TestStudyResumeRequiresJournal(t *testing.T) {
 		t.Fatalf("Resume without JournalDir must fail, got %v", err)
 	}
 }
+
+// TestJournalSeparatesAVGIChargeRules: the early exit changes what an AVGI
+// fault is charged (SimCycles), so a study run without it (StudyConfig's
+// default) and avgid's service (always with it) must not answer each
+// other's AVGI campaigns from the journal. Exhaustive Results do not depend
+// on the early exit, so those shards are still shared.
+func TestJournalSeparatesAVGIChargeRules(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStudy(StudyConfig{
+		Machine:            ConfigA72(),
+		Workloads:          pick(t, "sha"),
+		Structures:         []string{"RF"},
+		FaultsPerStructure: 40,
+		Workers:            4,
+		JournalDir:         dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Campaign("RF", "sha", ModeAVGI, 2000)
+	exhaustive := st.Campaign("RF", "sha", ModeExhaustive, 0)
+
+	service := func(journalDir string) *Service {
+		s, err := NewService(ServiceConfig{Workers: 4, JournalDir: journalDir, ShardCacheEntries: -1, Obs: NewObserver(nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	req := AssessRequest{Structure: "RF", Workload: "sha", Mode: "avgi", Window: 2000, Faults: 40, Seed: 1}
+	got, err := service(dir).Assess(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := service("").Assess(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Meta.JournalHit {
+		t.Errorf("the service answered from the study's AVGI shard, journalled without the early exit: meta %+v", got.Meta)
+	}
+	if !reflect.DeepEqual(got.Result.Results, want.Result.Results) {
+		t.Errorf("AVGI results over the study's journal differ from a fresh service's: SimCycles sum %d, want %d",
+			simCycles(got.Result.Results), simCycles(want.Result.Results))
+	}
+
+	req.Mode, req.Window = "exhaustive", 0
+	hit, err := service(dir).Assess(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Meta.JournalHit || !reflect.DeepEqual(hit.Result.Results, exhaustive) {
+		t.Errorf("the study's exhaustive shard no longer answers the service: meta %+v", hit.Meta)
+	}
+}
+
+func simCycles(res []CampaignResult) (n uint64) {
+	for _, r := range res {
+		n += r.SimCycles
+	}
+	return n
+}
