@@ -50,7 +50,7 @@ type flightMap[K comparable] struct {
 	lru     list.List // keys of completed flights, front = most recently used
 	retain  int
 
-	evictions *obs.Counter // completed flights dropped by the bound; may be nil
+	evictions *obs.Counter // completed flights dropped by the bound
 }
 
 func newFlightMap[K comparable](retain int) *flightMap[K] {
@@ -87,9 +87,7 @@ func (m *flightMap[K]) do(key K, exec func() []CampaignResult) ([]CampaignResult
 			f.el = m.lru.PushFront(key)
 			for m.retain > 0 && m.lru.Len() > m.retain {
 				delete(m.flights, m.lru.Remove(m.lru.Back()).(K))
-				if m.evictions != nil {
-					m.evictions.Inc()
-				}
+				m.evictions.Inc()
 			}
 		}
 		m.mu.Unlock()

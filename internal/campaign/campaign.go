@@ -260,18 +260,17 @@ func (r *Runner) checkpoints() (*ckpt.Store, *ckpt.Pool) {
 	r.ckptOnce.Do(func() {
 		r.store = ckpt.Record(r.Cfg, r.Prog, r.Golden.Cycles, 0)
 		r.pool = ckpt.NewPool(r.Cfg, r.Prog)
-		if r.Obs.Enabled() && r.Obs.Metrics != nil {
-			lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
-			r.Obs.Metrics.Gauge("avgi_ckpt_checkpoints",
-				"interval checkpoints recorded along the golden run", lb).
-				Set(float64(r.store.Count()))
-			r.Obs.Metrics.Gauge("avgi_ckpt_snapshot_bytes",
-				"total bytes captured across the checkpoint store", lb).
-				Set(float64(r.store.Bytes()))
-			r.Obs.Metrics.Gauge("avgi_ckpt_interval_cycles",
-				"checkpoint spacing in cycles", lb).
-				Set(float64(r.store.Interval()))
-		}
+		reg := r.Obs.Registry()
+		lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
+		reg.Gauge("avgi_ckpt_checkpoints",
+			"interval checkpoints recorded along the golden run", lb).
+			Set(float64(r.store.Count()))
+		reg.Gauge("avgi_ckpt_snapshot_bytes",
+			"total bytes captured across the checkpoint store", lb).
+			Set(float64(r.store.Bytes()))
+		reg.Gauge("avgi_ckpt_interval_cycles",
+			"checkpoint spacing in cycles", lb).
+			Set(float64(r.store.Interval()))
 	})
 	return r.store, r.pool
 }

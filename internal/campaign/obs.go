@@ -101,19 +101,15 @@ func (r *Runner) newRunObs(structure string, mode Mode, pending int) *runObs {
 		return nil
 	}
 	ro := &runObs{o: o, r: r, structure: structure, mode: mode.String()}
-	if p := o.Progress; p != nil {
-		p.StartCampaign(structure, r.Prog.Name, ro.mode, pending)
-	}
-	if o.Metrics != nil {
-		lb := map[string]string{"mode": ro.mode}
-		ro.simHist = o.Metrics.Histogram("avgi_campaign_fault_sim_cycles",
-			"post-injection cycles simulated per fault", simCycleBuckets, lb)
-		ro.wallHist = o.Metrics.Histogram("avgi_campaign_fault_wall_seconds",
-			"wall-clock seconds per fault (includes mother-machine advance)", wallSecBuckets, lb)
-		if r.Forensics != nil {
-			ro.divHist = o.Metrics.Histogram("avgi_divergence_latency_cycles",
-				"injection-to-first-divergence latency of visible faults", divCycleBuckets, lb)
-		}
+	o.Progress.StartCampaign(structure, r.Prog.Name, ro.mode, pending)
+	lb := map[string]string{"mode": ro.mode}
+	ro.simHist = o.Metrics.Histogram("avgi_campaign_fault_sim_cycles",
+		"post-injection cycles simulated per fault", simCycleBuckets, lb)
+	ro.wallHist = o.Metrics.Histogram("avgi_campaign_fault_wall_seconds",
+		"wall-clock seconds per fault (includes mother-machine advance)", wallSecBuckets, lb)
+	if r.Forensics != nil {
+		ro.divHist = o.Metrics.Histogram("avgi_divergence_latency_cycles",
+			"injection-to-first-divergence latency of visible faults", divCycleBuckets, lb)
 	}
 	attrs := map[string]string{
 		"workload":  r.Prog.Name,
@@ -130,7 +126,7 @@ func (r *Runner) newRunObs(structure string, mode Mode, pending int) *runObs {
 // process owns that chunk, so this run will never complete that share.
 // Nil-safe.
 func (ro *runObs) skip(n int) {
-	if ro == nil || ro.o.Progress == nil {
+	if ro == nil {
 		return
 	}
 	ro.o.Progress.SkipFaults(ro.structure, ro.r.Prog.Name, ro.mode, n)
@@ -152,12 +148,8 @@ func (ro *runObs) fault(local *tally, res *Result, wall time.Duration, delta cpu
 	local.cyclesSaved += fm.cyclesSaved
 	local.resolved[fm.resolved]++
 
-	if ro.wallHist != nil {
-		ro.wallHist.Observe(wall.Seconds())
-	}
-	if p := ro.o.Progress; p != nil {
-		p.FaultDone(ro.structure, ro.r.Prog.Name, ro.mode, res.SimCycles, ro.exhaustiveEstimate(res))
-	}
+	ro.wallHist.Observe(wall.Seconds())
+	ro.o.Progress.FaultDone(ro.structure, ro.r.Prog.Name, ro.mode, res.SimCycles, ro.exhaustiveEstimate(res))
 }
 
 // exhaustiveEstimate is the simulation cost the same fault would have had
@@ -236,7 +228,7 @@ func (ro *runObs) finish(results []Result, ran []bool) {
 		ro.simHist.Observe(float64(res.SimCycles))
 		if fr := res.Forensics; fr != nil {
 			a.causes[fr.Cause]++
-			if ro.divHist != nil && fr.Divergence != nil {
+			if fr.Divergence != nil {
 				ro.divHist.Observe(float64(fr.Divergence.CycleDelta))
 			}
 		}
@@ -328,12 +320,9 @@ func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, earlyExit bo
 }
 
 // PublishGolden registers the runner's golden-run characteristics as
-// gauges with the observer's registry; a no-op without an observer.
+// gauges with the observer's registry.
 func (r *Runner) PublishGolden() {
-	if r.Obs == nil || r.Obs.Metrics == nil {
-		return
-	}
-	reg := r.Obs.Metrics
+	reg := r.Obs.Registry()
 	lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
 	reg.Gauge("avgi_golden_cycles", "golden run length in cycles", lb).Set(float64(r.Golden.Cycles))
 	reg.Gauge("avgi_golden_commits", "golden run committed instructions", lb).Set(float64(r.Golden.Commits))

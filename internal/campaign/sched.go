@@ -30,8 +30,8 @@ type Budget struct {
 	// each child's own capacity caps one tenant's share (see Carve).
 	parent *Budget
 
-	// busy, when non-nil, tracks live occupancy as a gauge (set by the
-	// owning study; see Study scheduler metrics in docs/SCHEDULING.md).
+	// busy tracks live occupancy as a gauge (set by the owning study; see
+	// Study scheduler metrics in docs/SCHEDULING.md); nil records nothing.
 	busy *obs.Gauge
 }
 
@@ -83,13 +83,11 @@ func (b *Budget) Acquire() {
 		b.parent.Acquire()
 	}
 	b.inUse.Add(1)
-	if b.busy != nil {
-		// Gauge.Add (atomic delta) rather than Set(inUse): computing n
-		// and setting the gauge non-atomically lets an interleaved
-		// release's stale n overwrite a newer value, leaving the gauge
-		// permanently wrong once the budget drains.
-		b.busy.Add(1)
-	}
+	// Gauge.Add (atomic delta) rather than Set(inUse): computing n and
+	// setting the gauge non-atomically lets an interleaved release's stale
+	// n overwrite a newer value, leaving the gauge permanently wrong once
+	// the budget drains.
+	b.busy.Add(1)
 }
 
 // Release returns a worker slot to the pool (and to every ancestor of a
@@ -100,7 +98,5 @@ func (b *Budget) Release() {
 	}
 	<-b.slots
 	b.inUse.Add(-1)
-	if b.busy != nil {
-		b.busy.Add(-1)
-	}
+	b.busy.Add(-1)
 }

@@ -99,7 +99,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics is the node's avgi_dist_* instrument set; nil disables.
+// metrics is the node's avgi_dist_* instrument set; without a registry its
+// instruments are nil and record nothing.
 type metrics struct {
 	faults  *obs.Counter
 	rounds  *obs.Counter
@@ -110,22 +111,20 @@ type metrics struct {
 }
 
 func newMetrics(o *obs.Observer, node string) *metrics {
-	if !o.Enabled() || o.Metrics == nil {
-		return nil
-	}
+	reg := o.Registry()
 	lb := map[string]string{"node": node}
 	return &metrics{
-		faults: o.Metrics.Counter("avgi_dist_faults_total",
+		faults: reg.Counter("avgi_dist_faults_total",
 			"faults this node simulated for distributed campaigns (rate = per-node faults/s)", lb),
-		rounds: o.Metrics.Counter("avgi_dist_rounds_total",
+		rounds: reg.Counter("avgi_dist_rounds_total",
 			"claim rounds this node ran across distributed campaigns", lb),
-		held: o.Metrics.Gauge("avgi_dist_leases_held",
+		held: reg.Gauge("avgi_dist_leases_held",
 			"chunk and slot leases this node currently holds", lb),
-		stolen: o.Metrics.Counter("avgi_dist_leases_stolen_total",
+		stolen: reg.Counter("avgi_dist_leases_stolen_total",
 			"stale leases this node took over from silent owners", lb),
-		expired: o.Metrics.Counter("avgi_dist_leases_expired_total",
+		expired: reg.Counter("avgi_dist_leases_expired_total",
 			"expired leases this node observed while claiming", lb),
-		mergeS: o.Metrics.Gauge("avgi_dist_merge_seconds",
+		mergeS: reg.Gauge("avgi_dist_merge_seconds",
 			"wall-clock duration of this node's last shard merge", lb),
 	}
 }
@@ -157,9 +156,7 @@ func (h *heartbeater) add(name string) {
 	h.names[name] = struct{}{}
 	n := len(h.names)
 	h.mu.Unlock()
-	if h.held != nil {
-		h.held.Set(float64(n))
-	}
+	h.held.Set(float64(n))
 }
 
 func (h *heartbeater) remove(name string) {
@@ -167,9 +164,7 @@ func (h *heartbeater) remove(name string) {
 	delete(h.names, name)
 	n := len(h.names)
 	h.mu.Unlock()
-	if h.held != nil {
-		h.held.Set(float64(n))
-	}
+	h.held.Set(float64(n))
 }
 
 func (h *heartbeater) run() {
@@ -302,9 +297,7 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 	shard := j.ShardID(key, bind)
 	total := len(faults)
 	met := newMetrics(cfg.Obs, cfg.Owner)
-	if met != nil {
-		l.SetHooks(func() { met.stolen.Inc() }, func() { met.expired.Inc() })
-	}
+	l.SetHooks(met.stolen.Inc, met.expired.Inc)
 
 	var prior map[int]campaign.Result
 	for {
@@ -326,10 +319,8 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 			time.Sleep(cfg.Poll)
 			continue
 		}
-		if met != nil {
-			met.rounds.Inc()
-		}
-		hb := newHeartbeater(l, cfg.Owner, cfg.TTL, cfg.Obs, heldGauge(met))
+		met.rounds.Inc()
+		hb := newHeartbeater(l, cfg.Owner, cfg.TTL, cfg.Obs, met.held)
 		for _, s := range slots {
 			hb.add(s)
 		}
@@ -345,15 +336,11 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 			wfailed.Store(true)
 			cfg.Obs.Logf("dist: %s: part write failed: %v", shard, err)
 		})
-		var journalled func(uint64)
-		if met != nil {
-			journalled = met.faults.Add
-		}
 		_, skipped := r.RunCampaign(campaign.RunSpec{
 			Faults: faults, Mode: mode, Window: window,
 			Budget:      campaign.NewBudget(len(slots)),
 			Prior:       prior,
-			Sink:        journal.NewChunkSink(pw, journalled),
+			Sink:        journal.NewChunkSink(pw, met.faults.Add),
 			PlanWorkers: cfg.Fleet * chunksPerWorker,
 			Claimer: &chunkClaimer{l: l, shard: shard, owner: cfg.Owner,
 				ttl: cfg.TTL, hb: hb, wfailed: &wfailed, o: cfg.Obs},
@@ -391,13 +378,6 @@ func Run(cfg Config, r *campaign.Runner, faults []fault.Fault,
 	// campaign is recorded once.
 	r.RecordForensics(faults, mode, out)
 	return out, nil
-}
-
-func heldGauge(m *metrics) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	return m.held
 }
 
 func releaseSlots(l *FileLeaser, owner string, slots []string) {
@@ -446,9 +426,7 @@ func mergeShard(cfg Config, j *journal.Journal, l *FileLeaser, shard string,
 		if mergeErr != nil {
 			return fmt.Errorf("dist: %s: merge: %w", shard, mergeErr)
 		}
-		if met != nil {
-			met.mergeS.Set(time.Since(t0).Seconds())
-		}
+		met.mergeS.Set(time.Since(t0).Seconds())
 		// Chunk leases and done markers described the parts; with the
 		// parts folded and removed, clear them so the lease directory
 		// cannot grow without bound across campaigns.

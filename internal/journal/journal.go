@@ -508,8 +508,8 @@ type ChunkSink struct {
 	added func(uint64)
 }
 
-// NewChunkSink journals chunks through w; added, when non-nil, is told
-// how many records each chunk appended.
+// NewChunkSink journals chunks through w; added is told how many records
+// each chunk appended.
 func NewChunkSink(w *Writer, added func(uint64)) *ChunkSink {
 	return &ChunkSink{w: w, added: added}
 }
@@ -526,9 +526,7 @@ func (cs *ChunkSink) ChunkDone(lo, hi int, ran []bool, results []campaign.Result
 		}
 	}
 	cs.w.Sync()
-	if cs.added != nil && n > 0 {
-		cs.added(n)
-	}
+	cs.added(n)
 }
 
 // Close flushes, fsyncs and closes the shard,

@@ -15,8 +15,10 @@ type JSONSource interface {
 
 // Observer bundles the telemetry components a study threads through the
 // stack. Any field may be nil to disable that component; a nil *Observer
-// disables everything. The helper methods below are nil-safe so
-// instrumented code does not need guard clauses.
+// disables everything. Like every obs handle, an Observer and its
+// components are nil-safe (see the package doc): instrumented code calls
+// them without a guard clause, and a nil test outside this package decides
+// only whether to do work, never whether a handle exists.
 type Observer struct {
 	Metrics  *Registry
 	Progress *Progress
@@ -39,6 +41,15 @@ func New(log *slog.Logger) *Observer {
 		Trace:    NewTracer(),
 		log:      log,
 	}
+}
+
+// Registry returns the metrics registry; nil (which hands out nil,
+// no-op instruments) when o or its Metrics is nil.
+func (o *Observer) Registry() *Registry {
+	if o == nil {
+		return nil
+	}
+	return o.Metrics
 }
 
 // Span opens a trace span and returns its ref; nil-safe (returns a no-op

@@ -21,6 +21,10 @@ type PairProgress struct {
 	SimCycles uint64 `json:"sim_cycles"`
 }
 
+func (pp *PairProgress) sortKey() string {
+	return pp.Structure + "|" + pp.Workload + "|" + pp.Mode
+}
+
 // ProgressSnapshot is a point-in-time view of a running study, serialised
 // on the /progress.json endpoint and rendered by Line.
 type ProgressSnapshot struct {
@@ -46,14 +50,14 @@ type ProgressSnapshot struct {
 
 // Progress aggregates per-fault completion events from campaign workers
 // into live throughput, completion and ETA figures. All methods are safe
-// for concurrent use. The zero value is not usable; call NewProgress.
+// for concurrent use and nil-safe. The zero value is not usable; call
+// NewProgress.
 type Progress struct {
 	mu    sync.Mutex
 	now   func() time.Time
 	start time.Time
 
-	pairs map[string]*PairProgress
-	order []string
+	pairs map[pairKey]*PairProgress
 
 	faultsDone  int64
 	faultsTotal int64
@@ -63,7 +67,7 @@ type Progress struct {
 
 // NewProgress returns an empty reporter.
 func NewProgress() *Progress {
-	p := &Progress{now: time.Now, pairs: make(map[string]*PairProgress)}
+	p := &Progress{now: time.Now, pairs: make(map[pairKey]*PairProgress)}
 	p.start = p.now()
 	return p
 }
@@ -83,6 +87,9 @@ func (p *Progress) SetClock(now func() time.Time) {
 // triple). Identical campaigns cannot double-count — the single-flight
 // executor runs, and so announces, each key once.
 func (p *Progress) StartCampaign(structure, workload, mode string, total int) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pp := p.pair(structure, workload, mode)
@@ -90,13 +97,16 @@ func (p *Progress) StartCampaign(structure, workload, mode string, total int) {
 	p.faultsTotal += int64(total)
 }
 
+// pairKey identifies one pair; a struct key, so recording a fault builds
+// no string.
+type pairKey struct{ structure, workload, mode string }
+
 func (p *Progress) pair(structure, workload, mode string) *PairProgress {
-	key := structure + "|" + workload + "|" + mode
+	key := pairKey{structure, workload, mode}
 	pp, ok := p.pairs[key]
 	if !ok {
 		pp = &PairProgress{Structure: structure, Workload: workload, Mode: mode}
 		p.pairs[key] = pp
-		p.order = append(p.order, key)
 	}
 	return pp
 }
@@ -106,6 +116,9 @@ func (p *Progress) pair(structure, workload, mode string) *PairProgress {
 // estimated cost the same fault would have had under end-to-end SFI (used
 // for the live speedup figure).
 func (p *Progress) FaultDone(structure, workload, mode string, simCycles, exhaustiveCycles uint64) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pp := p.pair(structure, workload, mode)
@@ -123,6 +136,9 @@ func (p *Progress) FaultDone(structure, workload, mode string, simCycles, exhaus
 // would never read 100%. Totals never drop below the completions already
 // recorded.
 func (p *Progress) SkipFaults(structure, workload, mode string, n int) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pp := p.pair(structure, workload, mode)
@@ -136,8 +152,12 @@ func (p *Progress) SkipFaults(structure, workload, mode string, n int) {
 	p.faultsTotal -= int64(n)
 }
 
-// Snapshot returns the current progress state.
+// Snapshot returns the current progress state, pairs ordered by
+// "structure|workload|mode".
 func (p *Progress) Snapshot() ProgressSnapshot {
+	if p == nil {
+		return ProgressSnapshot{}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	el := p.now().Sub(p.start).Seconds()
@@ -156,11 +176,10 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	if remaining := p.faultsTotal - p.faultsDone; remaining > 0 && s.FaultsPerSec > 0 {
 		s.ETASec = float64(remaining) / s.FaultsPerSec
 	}
-	keys := append([]string(nil), p.order...)
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.Pairs = append(s.Pairs, *p.pairs[k])
+	for _, pp := range p.pairs {
+		s.Pairs = append(s.Pairs, *pp)
 	}
+	sort.Slice(s.Pairs, func(i, j int) bool { return s.Pairs[i].sortKey() < s.Pairs[j].sortKey() })
 	return s
 }
 

@@ -10,6 +10,13 @@
 // families with label sets, cumulative histogram buckets) so the text
 // renderer is scrape-compatible, but it has no dependencies: everything is
 // the standard library.
+//
+// Absent telemetry is a nil handle. Every handle — *Counter, *Gauge,
+// *Histogram, *Registry, *Progress, *Observer and *SpanRef — is nil-safe:
+// a method that records on a nil receiver does nothing, one that reads
+// returns zero, and a nil *Registry hands out nil instruments. Instrumented
+// code therefore calls a handle without a guard; a nil test outside this
+// package decides only whether to do work.
 package obs
 
 import (
@@ -28,22 +35,38 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down, safe for concurrent use.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add increments the gauge by v (may be negative).
 func (g *Gauge) Add(v float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -53,7 +76,12 @@ func (g *Gauge) Add(v float64) {
 }
 
 // Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram is a fixed-bucket cumulative histogram, safe for concurrent
 // use. Bounds are upper bucket bounds in increasing order; an implicit
@@ -73,6 +101,9 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[i].Add(1)
 	h.count.Add(1)
@@ -85,10 +116,20 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sumBits.Load())
+}
 
 // metric kinds
 const (
@@ -194,12 +235,18 @@ func (f *family) seriesFor(labels map[string]string) *series {
 // name and labels. Calling with a name already registered as a different
 // kind panics.
 func (r *Registry) Counter(name, help string, labels map[string]string) *Counter {
+	if r == nil {
+		return nil
+	}
 	return r.familyFor(name, help, kindCounter, nil).seriesFor(labels).ctr
 }
 
 // Gauge returns (registering on first use) the gauge with the given name
 // and labels.
 func (r *Registry) Gauge(name, help string, labels map[string]string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	return r.familyFor(name, help, kindGauge, nil).seriesFor(labels).gauge
 }
 
@@ -207,6 +254,9 @@ func (r *Registry) Gauge(name, help string, labels map[string]string) *Gauge {
 // given name, bucket bounds and labels. The bounds of the first
 // registration win for the whole family.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels map[string]string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	return r.familyFor(name, help, kindHistogram, bounds).seriesFor(labels).hist
 }
 
@@ -237,6 +287,9 @@ type FamilySnapshot struct {
 // Snapshot returns a consistent-enough point-in-time copy of every family,
 // families in registration order, series in first-use order.
 func (r *Registry) Snapshot() []FamilySnapshot {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	names := append([]string(nil), r.order...)
 	fams := make([]*family, 0, len(names))

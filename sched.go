@@ -3,7 +3,6 @@ package avgi
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"avgi/internal/campaign"
 	"avgi/internal/dist"
@@ -38,11 +37,10 @@ import (
 // scheduling order changes — never outcomes.
 
 // schedObs holds the scheduler's telemetry instruments; the zero value
-// (observer absent) disables everything.
+// (observer absent) records nothing.
 type schedObs struct {
 	inflight *obs.Gauge   // campaigns currently executing
 	dedup    *obs.Counter // callers served by an existing flight
-	live     atomic.Int64
 
 	// Journal instruments (registered only when the executor journals).
 	jAppends *obs.Counter // results appended to journal shards
@@ -128,15 +126,13 @@ func (e *executor) init(journalDir string, workers, retain int, budgetPrefix str
 	}
 	e.budget = campaign.NewBudget(workers)
 	e.flights = newFlightMap[assessKey](retain)
-	if o := e.obs; o != nil && o.Metrics != nil {
-		reg := o.Metrics
-		reg.Gauge(budgetPrefix+"_budget_capacity",
-			"worker budget shared by every concurrent campaign", budgetLabels).
-			Set(float64(e.budget.Cap()))
-		e.budget.SetGauge(reg.Gauge(budgetPrefix+"_budget_busy",
-			"campaign workers currently holding a budget slot", budgetLabels))
-		e.sched.register(reg, machine, e.journal != nil)
-	}
+	reg := e.obs.Registry()
+	reg.Gauge(budgetPrefix+"_budget_capacity",
+		"worker budget shared by every concurrent campaign", budgetLabels).
+		Set(float64(e.budget.Cap()))
+	e.budget.SetGauge(reg.Gauge(budgetPrefix+"_budget_busy",
+		"campaign workers currently holding a budget slot", budgetLabels))
+	e.sched.register(reg, machine, e.journal != nil)
 	return nil
 }
 
@@ -148,10 +144,8 @@ func (e *executor) init(journalDir string, workers, retain int, budgetPrefix str
 func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res []CampaignResult, resumed int, how served) {
 	for attempt := 0; ; attempt++ {
 		res, how = e.flights.do(key, func() []CampaignResult {
-			if e.sched.inflight != nil {
-				e.sched.inflight.Set(float64(e.sched.live.Add(1)))
-				defer func() { e.sched.inflight.Set(float64(e.sched.live.Add(-1))) }()
-			}
+			e.sched.inflight.Add(1)
+			defer e.sched.inflight.Add(-1)
 			var sp *obs.SpanRef
 			if key.mode == campaign.ModeAVGI {
 				sp = e.obs.Span("assess "+key.structure+" "+key.workload, "estimator",
@@ -164,7 +158,7 @@ func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res [
 			resumed = re
 			return out
 		})
-		if how != ran && e.sched.dedup != nil {
+		if how != ran {
 			e.sched.dedup.Inc()
 		}
 		if res != nil || how == ran || attempt >= 1 {
@@ -200,9 +194,29 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 		Seed:        key.seed,
 		Faults:      len(faults),
 	}
-	if e.dist != nil && e.dist.Fleet > 0 {
-		if res, resumed, ok := e.runDist(j, r, key, jkey, bind, faults, budget); ok {
-			return res, resumed
+	distributed := e.dist != nil && e.dist.Fleet > 0
+	var prior map[int]CampaignResult
+	if e.resume || distributed {
+		// The canonical shard and every part shard: work a fleet node
+		// journalled before it died is durable here too.
+		var err error
+		prior, err = j.LoadAll(jkey, bind)
+		if err != nil {
+			// Mismatched or corrupt header: the shard belongs to a
+			// different configuration or build. Refuse its records and
+			// re-simulate (the Writer below, or the fleet's merge,
+			// rewrites it).
+			e.obs.Logf("journal: %s/%s %s: %v; re-simulating", key.structure, key.workload, key.mode, err)
+			prior = nil
+		}
+		e.sched.jResumed.Add(uint64(len(prior)))
+		if len(prior) == len(faults) {
+			e.sched.jHits.Inc()
+		}
+	}
+	if distributed {
+		if res, ok := e.runDist(j, r, key, jkey, bind, faults, budget); ok {
+			return res, len(prior)
 		}
 		// A failed distributed run (unwritable part shard, broken lease
 		// transport) degrades to an unjournalled local run: the node stops
@@ -211,39 +225,19 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 		res, _ = r.RunCampaign(spec)
 		return res, 0
 	}
-	var prior map[int]CampaignResult
-	if e.resume {
-		var err error
-		prior, err = j.Load(jkey, bind)
-		if err != nil {
-			// Mismatched or corrupt header: the shard belongs to a
-			// different configuration or build. Refuse its records and
-			// re-simulate (the Writer below truncates it).
-			e.obs.Logf("journal: %s/%s %s: %v; re-simulating", key.structure, key.workload, key.mode, err)
-			prior = nil
+	if len(prior) == len(faults) {
+		// Full hit: the pair is already durable, no simulation at all.
+		out := make([]CampaignResult, len(faults))
+		for i := range out {
+			out[i] = prior[i]
 		}
-		if len(prior) > 0 && e.sched.jResumed != nil {
-			e.sched.jResumed.Add(uint64(len(prior)))
-		}
-		if len(prior) == len(faults) {
-			// Full hit: the pair is already durable, no simulation at all.
-			if e.sched.jHits != nil {
-				e.sched.jHits.Inc()
-			}
-			out := make([]CampaignResult, len(faults))
-			for i := range out {
-				out[i] = prior[i]
-			}
-			return out, len(faults)
-		}
+		return out, len(faults)
 	}
 	spec.Prior = prior
-	w, err := j.Writer(jkey, bind, e.resume && len(prior) > 0)
+	w, err := j.Writer(jkey, bind, len(prior) > 0)
 	if err != nil {
 		e.obs.Logf("journal: %s/%s %s: %v; campaign will run unjournalled", key.structure, key.workload, key.mode, err)
-		if e.sched.jErrors != nil {
-			e.sched.jErrors.Inc()
-		}
+		e.sched.jErrors.Inc()
 		res, _ = r.RunCampaign(spec)
 		return res, len(prior)
 	}
@@ -254,15 +248,9 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 	w.OnError(func(err error) {
 		e.obs.Logf("journal: %s/%s %s: write failed: %v; shard writes disabled, campaign continues unjournalled",
 			key.structure, key.workload, key.mode, err)
-		if e.sched.jErrors != nil {
-			e.sched.jErrors.Inc()
-		}
+		e.sched.jErrors.Inc()
 	})
-	var appended func(uint64)
-	if c := e.sched.jAppends; c != nil {
-		appended = c.Add
-	}
-	spec.Sink = journal.NewChunkSink(w, appended)
+	spec.Sink = journal.NewChunkSink(w, e.sched.jAppends.Add)
 	res, _ = r.RunCampaign(spec)
 	if err := w.Close(); err != nil {
 		e.obs.Logf("journal: %s/%s %s: %v; shard may be incomplete", key.structure, key.workload, key.mode, err)
@@ -273,21 +261,10 @@ func (e *executor) simulate(key assessKey, r *Runner, budget *campaign.Budget) (
 // runDist executes one campaign as this node's share of a distributed
 // fleet (see internal/dist and docs/DISTRIBUTED.md). ok=false means the
 // distributed run failed and the caller should fall back to plain local
-// execution; resumed counts the fault results that were already durable
-// somewhere in the fleet's journal before this run.
+// execution.
 func (e *executor) runDist(j *journal.Journal, r *Runner, key assessKey, jkey journal.Key,
-	bind journal.Binding, faults []Fault, budget *campaign.Budget) (res []CampaignResult, resumed int, ok bool) {
-	prior, err := j.LoadAll(jkey, bind)
-	if err != nil {
-		prior = nil
-	}
-	if len(prior) > 0 && e.sched.jResumed != nil {
-		e.sched.jResumed.Add(uint64(len(prior)))
-	}
-	if len(prior) == len(faults) && e.sched.jHits != nil {
-		e.sched.jHits.Inc()
-	}
-	res, err = dist.Run(dist.Config{
+	bind journal.Binding, faults []Fault, budget *campaign.Budget) (res []CampaignResult, ok bool) {
+	res, err := dist.Run(dist.Config{
 		Journal:      j,
 		Owner:        e.dist.Owner,
 		Fleet:        e.dist.Fleet,
@@ -298,15 +275,13 @@ func (e *executor) runDist(j *journal.Journal, r *Runner, key assessKey, jkey jo
 	}, r, faults, jkey, bind, key.mode, key.window)
 	if err != nil {
 		e.obs.Logf("dist: %s/%s %s: %v; falling back to local execution", key.structure, key.workload, key.mode, err)
-		if e.sched.jErrors != nil {
-			e.sched.jErrors.Inc()
-		}
-		return nil, 0, false
+		e.sched.jErrors.Inc()
+		return nil, false
 	}
 	// Per-node append counts live on avgi_dist_faults_total (this node may
 	// have simulated only part of the missing work; the rest of the fleet
 	// journalled the remainder into its own part shards).
-	return res, len(prior), true
+	return res, true
 }
 
 // Budget returns the study's global worker budget, for callers that run

@@ -28,7 +28,8 @@ import (
 //  2. Journal (durable): a fully journalled shard of the request's
 //     (structure, workload, mode, window) and binding (machine, program,
 //     seed, faults) answers with zero simulation via a strictly read-only
-//     Load — the same shard a Study of that campaign writes.
+//     LoadAll (the canonical shard plus any fleet node's part shards) —
+//     the same shard a Study of that campaign writes.
 //  3. Simulation: the campaign runs under the requesting tenant's carved
 //     budget share and appends to the journal as chunks complete, so the
 //     next identical request is a pure cache hit.
@@ -145,28 +146,12 @@ type RequestInfo struct {
 	Error     string        `json:"error,omitempty"`
 }
 
-// serviceObs holds the avgid-specific instruments (nil-safe when the
-// service has no metrics registry).
+// serviceObs holds the avgid-specific instruments (nil, recording
+// nothing, when the service has no metrics registry).
 type serviceObs struct {
-	reg       *obs.Registry
 	inflight  *obs.Gauge
 	seconds   *obs.Histogram
 	cacheHits *obs.Counter // requests answered by a retained completed flight
-}
-
-func (so *serviceObs) request(tenant, outcome string) {
-	if so.reg == nil {
-		return
-	}
-	so.reg.Counter("avgi_server_requests_total",
-		"assessment requests by tenant and outcome (hit, miss, coalesced, error)",
-		map[string]string{"tenant": tenant, "outcome": outcome}).Inc()
-}
-
-func (so *serviceObs) observe(d time.Duration) {
-	if so.seconds != nil {
-		so.seconds.Observe(d.Seconds())
-	}
 }
 
 // Service is a long-running assessment engine: Assess may be called from
@@ -236,20 +221,17 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err := s.init(cfg.JournalDir, cfg.Workers, retain, "avgi_server", nil, "service"); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	if o := cfg.Obs; o != nil && o.Metrics != nil {
-		reg := o.Metrics
-		s.srv.reg = reg
-		s.srv.inflight = reg.Gauge("avgi_server_inflight_requests",
-			"assessment requests currently being served", nil)
-		s.srv.seconds = reg.Histogram("avgi_server_request_seconds",
-			"assessment request service time",
-			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil)
-		if retain > 0 {
-			s.srv.cacheHits = reg.Counter("avgi_server_shard_cache_hits_total",
-				"assessments served from a retained completed flight (no journal read, no simulation)", nil)
-			s.flights.evictions = reg.Counter("avgi_server_shard_cache_evictions_total",
-				"completed flights evicted from memory to respect ShardCacheEntries", nil)
-		}
+	reg := cfg.Obs.Registry()
+	s.srv.inflight = reg.Gauge("avgi_server_inflight_requests",
+		"assessment requests currently being served", nil)
+	s.srv.seconds = reg.Histogram("avgi_server_request_seconds",
+		"assessment request service time",
+		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil)
+	if retain > 0 {
+		s.srv.cacheHits = reg.Counter("avgi_server_shard_cache_hits_total",
+			"assessments served from a retained completed flight (no journal read, no simulation)", nil)
+		s.flights.evictions = reg.Counter("avgi_server_shard_cache_evictions_total",
+			"completed flights evicted from memory to respect ShardCacheEntries", nil)
 	}
 	return s, nil
 }
@@ -281,10 +263,8 @@ func (s *Service) tenantBudget(tenant string) *campaign.Budget {
 		return nil
 	}
 	b := s.budget.Carve(s.TenantCap())
-	if s.srv.reg != nil {
-		b.SetGauge(s.srv.reg.Gauge("avgi_server_tenant_busy",
-			"workers currently held by one tenant", map[string]string{"tenant": tenant}))
-	}
+	b.SetGauge(s.obs.Registry().Gauge("avgi_server_tenant_busy",
+		"workers currently held by one tenant", map[string]string{"tenant": tenant}))
 	s.tenants[tenant] = b
 	return b
 }
@@ -430,33 +410,36 @@ func (s *Service) Request(id uint64) (RequestInfo, bool) {
 // journal hit, or a simulation under the tenant's budget share — in that
 // order of preference. It is safe for concurrent use.
 func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
+	// Every request is counted once, when it leaves: "error" unless it
+	// returns an answer, under its tenant once the tenant is valid.
+	tenant, outcome := invalidTenant, "error"
+	defer func() {
+		s.obs.Registry().Counter("avgi_server_requests_total",
+			"assessment requests by tenant and outcome (hit, miss, coalesced, error)",
+			map[string]string{"tenant": tenant, "outcome": outcome}).Inc()
+	}()
 	norm, key, err := s.normalize(req)
 	if err != nil {
-		s.srv.request(invalidTenant, "error")
 		return nil, err
 	}
+	tenant = norm.Tenant
 	r, err := s.runner(norm.Machine, norm.Workload)
 	if err != nil {
-		s.srv.request(norm.Tenant, "error")
 		return nil, err
 	}
 
 	info := s.registerRequest(norm)
 	start := time.Now()
-	if s.srv.inflight != nil {
-		s.srv.inflight.Add(1)
-		defer s.srv.inflight.Add(-1)
-	}
+	s.srv.inflight.Add(1)
+	defer s.srv.inflight.Add(-1)
 	defer func() {
-		s.srv.observe(time.Since(start))
+		s.srv.seconds.Observe(time.Since(start).Seconds())
 		if p := recover(); p != nil {
 			s.finishRequest(info, StateFailed, fmt.Sprint(p))
-			s.srv.request(norm.Tenant, "error")
 			panic(p) // let cmd/avgid's handler turn it into a 500
 		}
 		if err != nil {
 			s.finishRequest(info, StateFailed, err.Error())
-			s.srv.request(norm.Tenant, "error")
 		} else {
 			s.finishRequest(info, StateDone, "")
 		}
@@ -469,12 +452,10 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	if how == retained {
 		// The memory tier answers like a journal hit, without the journal.
 		resumed = len(res)
-		if s.srv.cacheHits != nil {
-			s.srv.cacheHits.Inc()
-		}
+		s.srv.cacheHits.Inc()
 	}
 
-	outcome := "miss"
+	outcome = "miss"
 	meta := AssessMeta{Tenant: norm.Tenant}
 	switch {
 	case how == joined:
@@ -488,7 +469,6 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		meta.ResumedFaults = resumed
 		meta.SimulatedFaults = len(res) - resumed
 	}
-	s.srv.request(norm.Tenant, outcome)
 	meta.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 
 	sum := campaign.Summarize(res)
