@@ -1,14 +1,11 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"avgi/internal/isa"
 	"avgi/internal/mem"
 )
-
-// operandReady reports whether an operand's value is available this cycle.
-func (m *Machine) operandReady(op operand) bool {
-	return !op.isReg || m.prfReadyAt[op.phys] <= m.cycle
-}
 
 // operandValue reads an operand (physical register or constant).
 func (m *Machine) operandValue(op operand) uint64 {
@@ -18,49 +15,180 @@ func (m *Machine) operandValue(op operand) uint64 {
 	return op.con & m.Cfg.Variant.Mask()
 }
 
-// issueStage selects up to IssueWidth ready instructions from the issue
-// queue in program order and executes them. Branch mispredictions are
-// resolved here with execute-time recovery.
-func (m *Machine) issueStage() {
-	issued := 0
-	for i := 0; i < len(m.iq) && issued < m.Cfg.IssueWidth; i++ {
-		idx := m.iq[i]
-		e := m.robAt(idx)
-		if !e.used || e.issued {
-			// Stale IQ slot after a squash; drop it.
-			m.iq = append(m.iq[:i], m.iq[i+1:]...)
-			i--
+// iqInsert enters the ROB entry at idx into the issue queue. A source
+// register its producer has not written yet puts the entry on that
+// register's waiter row; a written one folds the cycle it becomes readable
+// into the entry's wake cycle. An entry reading one register twice waits on
+// it once.
+func (m *Machine) iqInsert(idx int, e *robEntry) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	m.iqMask[w] |= bit
+	m.iqCount++
+	for k := range e.src {
+		op := &e.src[k]
+		if !op.isReg || k == 1 && e.src[0].isReg && e.src[0].phys == op.phys { // one register read twice
 			continue
 		}
-		if !m.operandReady(e.src[0]) || !m.operandReady(e.src[1]) {
-			continue
-		}
-		ok, squashed := m.execute(idx, e)
-		if !ok {
-			continue // memory-ordering stall; retry next cycle
-		}
-		e.issued = true
-		issued++
-		m.iq = append(m.iq[:i], m.iq[i+1:]...)
-		i--
-		if squashed {
-			// The IQ was rebuilt; indices beyond this point are
-			// invalid.
-			return
+		if at := m.prfReadyAt[op.phys]; at == readyNever {
+			m.waiters[int(op.phys)*len(m.iqMask)+w] |= bit
+			e.pending++
+		} else if at > e.readyAt {
+			e.readyAt = at
 		}
 	}
+	if e.pending == 0 {
+		m.readyMask[w] |= bit
+	}
+}
+
+// wake tells the entries waiting on register p that it becomes readable at
+// cycle at: each folds the cycle into its wake cycle, one whose last pending
+// source p was enters the ready mask, and p's waiter row empties.
+func (m *Machine) wake(p uint16, at uint64) {
+	n := len(m.iqMask)
+	row := m.waiters[int(p)*n : int(p)*n+n]
+	for w, set := range row {
+		row[w] = 0
+		for ; set != 0; set &= set - 1 {
+			e := &m.rob[w<<6|bits.TrailingZeros64(set)]
+			if at > e.readyAt {
+				e.readyAt = at
+			}
+			if e.pending--; e.pending == 0 {
+				m.readyMask[w] |= set & -set
+			}
+		}
+	}
+}
+
+// iqRemove takes the entry at idx out of the issue queue and its masks: it
+// issued, or a squash discarded it. A discarded entry leaves the waiter
+// rows of the sources it still waits on; a pending source is one still
+// unwritten, since a register's producer wakes its waiters when it writes
+// it.
+func (m *Machine) iqRemove(idx int, e *robEntry) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	m.iqMask[w] &^= bit
+	m.readyMask[w] &^= bit
+	m.parkedMask[w] &^= bit
+	m.iqCount--
+	if e.pending == 0 {
+		return
+	}
+	for k := range e.src {
+		if op := &e.src[k]; op.isReg && m.prfReadyAt[op.phys] == readyNever {
+			m.waiters[int(op.phys)*len(m.iqMask)+w] &^= bit
+		}
+	}
+}
+
+// park moves the load at idx, stalled on the unresolved older store in SQ
+// slot sqWait-1, from the ready mask to the parked mask. Until that store
+// executes, every retry would stall at once on the same store having done
+// nothing else (see executeLoad).
+func (m *Machine) park(idx int) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	m.readyMask[w] &^= bit
+	m.parkedMask[w] |= bit
+}
+
+// unpark returns the loads parked on the store in SQ slot sq, which has just
+// resolved its address, to the ready mask. They are younger than the store,
+// so the select reaches them later in the same cycle, as its retry would.
+func (m *Machine) unpark(sq int) {
+	for w, set := range m.parkedMask {
+		for ; set != 0; set &= set - 1 {
+			if int(m.rob[w<<6|bits.TrailingZeros64(set)].sqWait) == sq+1 {
+				m.parkedMask[w] &^= set & -set
+				m.readyMask[w] |= set & -set
+			}
+		}
+	}
+}
+
+// issueStage selects up to IssueWidth instructions from the issue queue in
+// program order and executes them. Wakeup and select are split: only an
+// entry whose source registers are all written is in the ready mask, and
+// it issues once its wake cycle has come, so the select never looks at an
+// entry still waiting on a producer, nor at a load parked on an unresolved
+// store. The ready mask is walked in ring order from the ROB head, which is
+// program order, and reread after each entry, so a load an older store
+// unparks is reached in the same cycle. Branch mispredictions are resolved
+// here with execute-time recovery.
+//
+// A result written in cycle c is readable no earlier than c+1 (New rejects
+// a zero execute latency), so an entry woken while the walk runs is never
+// due in the same cycle, as with a walk over the whole queue.
+//
+// A parked load's retry only read its base register; with a probe armed the
+// walk takes in the parked loads too and reports that read, in the same
+// order a walk over the whole queue would.
+func (m *Machine) issueStage() {
+	n := len(m.readyMask)
+	first, split := m.robHead>>6, m.robHead&63
+	issued := 0
+	for k := 0; k <= n; k++ {
+		w := first + k
+		if w >= n {
+			w -= n
+		}
+		seg := ^uint64(0)
+		switch k {
+		case 0:
+			seg <<= split
+		case n:
+			seg = 1<<split - 1
+		}
+		var b int
+		for set := m.selectable(w) & seg; set != 0; set = m.selectable(w) & seg &^ (2<<b - 1) {
+			b = bits.TrailingZeros64(set)
+			idx := w<<6 | b
+			e := m.robAt(idx)
+			if m.probe != nil && m.parkedMask[w]&(1<<b) != 0 {
+				m.probe.onOperandRead(e)
+				continue
+			}
+			if e.readyAt > m.cycle {
+				continue
+			}
+			ok, squashed := m.execute(idx, e)
+			if !ok {
+				if e.sqWait != 0 {
+					m.park(idx)
+				}
+				continue // memory-ordering stall; retry next cycle
+			}
+			e.issued = true
+			m.iqRemove(idx, e)
+			if issued++; squashed || issued == m.Cfg.IssueWidth {
+				return
+			}
+		}
+	}
+}
+
+// selectable returns word w of the entries the select visits: the ready
+// ones, and with a probe armed the parked ones.
+func (m *Machine) selectable(w int) uint64 {
+	if m.probe != nil {
+		return m.readyMask[w] | m.parkedMask[w]
+	}
+	return m.readyMask[w]
 }
 
 // execute performs one instruction. It returns ok=false if the instruction
 // must retry later (load blocked by an unresolved older store), and
 // squashed=true if a misprediction rewound the pipeline.
 func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
-	v := m.Cfg.Variant
-	a := m.operandValue(e.src[0])
-	b := m.operandValue(e.src[1])
 	if m.probe != nil {
 		m.probe.onOperandRead(e)
 	}
+	if e.class == isa.ClassLoad {
+		return m.executeLoad(idx, e)
+	}
+	v := m.Cfg.Variant
+	a := m.operandValue(e.src[0])
+	b := m.operandValue(e.src[1])
 	lat := m.Cfg.LatALU
 
 	switch e.class {
@@ -73,15 +201,12 @@ func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
 			lat = m.Cfg.LatDiv
 		}
 
-	case isa.ClassLoad:
-		return m.executeLoad(idx, e)
-
 	case isa.ClassStore:
 		vaddr := (a + uint64(int64(e.inst.Imm))) & v.Mask()
 		size := isa.MemBytes(e.inst.Op)
 		e.effAddr = vaddr
 		e.result = b & sizeMask(size)
-		if vaddr%size != 0 {
+		if vaddr&(size-1) != 0 { // size is 1, 2, 4 or 8
 			e.exc = excAlign
 		} else if _, _, fault := m.Mem.TranslateData(vaddr); fault != mem.FaultNone {
 			e.exc = excPage
@@ -91,6 +216,7 @@ func (m *Machine) execute(idx int, e *robEntry) (ok, squashed bool) {
 		s.size = size
 		s.data = e.result
 		s.known = true
+		m.unpark(e.sq)
 		m.Stats.Stores++
 
 	case isa.ClassBranch:
@@ -155,6 +281,7 @@ func (m *Machine) finishDest(e *robEntry, lat uint64) {
 		}
 		m.prf[e.destPhys] = e.result & m.Cfg.Variant.Mask()
 		m.prfReadyAt[e.destPhys] = m.cycle + lat
+		m.wake(e.destPhys, m.cycle+lat)
 	}
 	e.done = true
 	e.readyAt = m.cycle + lat
@@ -164,24 +291,26 @@ func (m *Machine) finishDest(e *robEntry, lat uint64) {
 // cache access for a load. Conservative memory ordering: a load waits until
 // every older store's address is known.
 func (m *Machine) executeLoad(idx int, e *robEntry) (ok, squashed bool) {
-	v := m.Cfg.Variant
-	base := m.operandValue(e.src[0])
-	vaddr := (base + uint64(int64(e.inst.Imm))) & v.Mask()
-	size := isa.MemBytes(e.inst.Op)
-
 	// A load that stalled on an unresolved older store stalls again, without
 	// re-walking the queue, for as long as that store is unresolved: the
 	// stores between the two were resolved and clear of this load when first
 	// walked, none can join them (later stores are younger than the load),
 	// and the load's address is fixed once its base register is ready. The
 	// age test covers a slot that drained and was handed to a younger store
-	// while older instructions kept this load from retrying.
+	// while older instructions kept this load from retrying. The issue stage
+	// parks such a load until the store executes, so in the pipeline a retry
+	// finds the store resolved; the check keeps a caller that retries every
+	// cycle, like the walk the select is tested against, exact and cheap.
 	if e.sqWait != 0 {
 		if s := &m.sqs[e.sqWait-1]; s.used && !s.known && s.seq <= e.seq {
 			return false, false
 		}
 		e.sqWait = 0
 	}
+
+	v := m.Cfg.Variant
+	vaddr := (m.operandValue(e.src[0]) + uint64(int64(e.inst.Imm))) & v.Mask()
+	size := isa.MemBytes(e.inst.Op)
 
 	// Scan older stores (youngest first) for forwarding or conflicts.
 	var fwd *sqEntry
@@ -213,7 +342,7 @@ func (m *Machine) executeLoad(idx int, e *robEntry) (ok, squashed bool) {
 	l.known = true
 	m.Stats.Loads++
 
-	if vaddr%size != 0 {
+	if vaddr&(size-1) != 0 { // size is 1, 2, 4 or 8
 		e.exc = excAlign
 		e.done = true
 		e.readyAt = m.cycle
@@ -305,20 +434,14 @@ func (m *Machine) squashAfter(idx int, next uint64) {
 			m.sqTail = e.sq
 			m.sqCnt--
 		}
+		if m.iqMask[last>>6]&(1<<(last&63)) != 0 {
+			m.iqRemove(last, e)
+		}
 		e.used = false
 		m.robTail = last
 		m.robCount--
 		m.Stats.Squashed++
 	}
-	// Rebuild the issue queue with surviving entries only.
-	kept := m.iq[:0]
-	for _, i := range m.iq {
-		e := m.robAt(i)
-		if e.used && e.seq <= bound && !e.issued {
-			kept = append(kept, i)
-		}
-	}
-	m.iq = kept
 	// Reset the front end.
 	m.fq = m.fq[:0]
 	m.fetchPC = next

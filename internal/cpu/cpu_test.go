@@ -601,3 +601,29 @@ func TestBTBEntriesMustBePowerOfTwo(t *testing.T) {
 	}()
 	New(cfg, b.MustAssemble())
 }
+
+// TestExecuteLatencyMustBePositive: the issue select reads a register no
+// earlier than the cycle after the one that wrote it, so New rejects a zero
+// execute latency, under which a consumer would issue in its producer's
+// cycle.
+func TestExecuteLatencyMustBePositive(t *testing.T) {
+	for _, zero := range []func(*Config){
+		func(c *Config) { c.LatALU = 0 },
+		func(c *Config) { c.LatMul = 0 },
+		func(c *Config) { c.LatDiv = 0 },
+	} {
+		for _, cfg := range configs() {
+			zero(&cfg)
+			b := asm.NewBuilder("t", cfg.Variant)
+			b.Halt()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: New accepted latencies ALU %d, Mul %d, Div %d", cfg.Name, cfg.LatALU, cfg.LatMul, cfg.LatDiv)
+					}
+				}()
+				New(cfg, b.MustAssemble())
+			}()
+		}
+	}
+}

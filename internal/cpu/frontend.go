@@ -33,16 +33,16 @@ func (m *Machine) fetchStage() {
 	if m.fetchHalted || m.cycle < m.fetchStallUntil {
 		return
 	}
-	hitLat := m.Cfg.Mem.L1I.HitLat
+	hitLat, line := m.Cfg.Mem.L1I.HitLat, uint64(m.Cfg.Mem.L1I.LineBytes)
 	for i := 0; i < m.Cfg.FetchWidth; i++ {
 		if len(m.fq) >= m.Cfg.FetchQueue {
 			return
 		}
 		pc := m.fetchPC
-		if pc%uint64(m.Cfg.Mem.L1I.LineBytes) == 0 {
+		if pc&(line-1) == 0 { // a cache's line size is a power of two
 			// Entering a new line: the next-line prefetcher starts
 			// on the following one.
-			m.Mem.PrefetchI(pc + uint64(m.Cfg.Mem.L1I.LineBytes))
+			m.Mem.PrefetchI(pc + line)
 		}
 		word, lat, fault := m.Mem.FetchWord(pc)
 		if fault != mem.FaultNone {
@@ -113,7 +113,7 @@ func (m *Machine) renameStage() {
 		}
 
 		needsIQ := class != isa.ClassNop && class != isa.ClassHalt && class != isa.ClassIllegal && fe.fetchExc == excNone
-		if needsIQ && len(m.iq) >= m.Cfg.IQSize {
+		if needsIQ && m.iqCount >= m.Cfg.IQSize {
 			break
 		}
 		if class == isa.ClassLoad && m.lqCnt == len(m.lqs) {
@@ -141,16 +141,16 @@ func (m *Machine) renameStage() {
 		if m.probe != nil {
 			m.probe.event(probeROB, idx, mem.ProbeOverwrite)
 		}
-		*e = robEntry{
-			used:  true,
-			seq:   m.seqNext,
-			pc:    fe.pc,
-			word:  fe.word,
-			inst:  inst,
-			class: class,
-			lq:    -1,
-			sq:    -1,
-		}
+		// Clear in place and store the fields: a composite literal is
+		// built aside and copied in whole.
+		*e = robEntry{}
+		e.used = true
+		e.seq = m.seqNext
+		e.pc = fe.pc
+		e.word = fe.word
+		e.inst = inst
+		e.class = class
+		e.lq, e.sq = -1, -1
 		m.seqNext++
 
 		if fe.fetchExc != excNone {
@@ -206,7 +206,7 @@ func (m *Machine) renameStage() {
 		}
 
 		if needsIQ {
-			m.iq = append(m.iq, idx)
+			m.iqInsert(idx, e)
 		}
 
 		m.robTail = ringNext(m.robTail, len(m.rob))

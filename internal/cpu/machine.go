@@ -99,14 +99,17 @@ type operand struct {
 	con   uint64
 }
 
-// robEntry is one reorder-buffer slot with all in-flight state.
+// robEntry is one reorder-buffer slot with all in-flight state. The fields
+// are ordered so that no padding is left: the entry is 128 bytes, two host
+// cache lines (TestROBEntrySize).
 type robEntry struct {
-	used bool
-	seq  uint64
+	seq uint64
 
-	pc    uint64
-	word  uint32
-	inst  isa.Inst
+	pc   uint64
+	word uint32
+	inst isa.Inst
+
+	used  bool
 	class isa.Class
 
 	hasDest  bool
@@ -119,16 +122,27 @@ type robEntry struct {
 	issued bool
 	done   bool
 	// sqWait is 1 + the SQ slot of the unresolved older store this load
-	// last stalled on, 0 for none (see executeLoad). It sits in padding, so
-	// the entry — and every copy of the ROB — is no larger for it.
-	sqWait  uint16
-	readyAt uint64
+	// last stalled on, 0 for none (see executeLoad).
+	sqWait uint16
+	// pending counts the distinct source registers a waiting entry's
+	// producers have not written yet (see iqInsert).
+	pending uint8
 
 	exc excKind
 
 	// Branch state. Mispredict recovery walks the ROB back from the
 	// tail, undoing rename effects, so no checkpoint is stored.
-	predTaken  bool
+	predTaken bool
+
+	// injected marks surface corruption from fault injection; the shadow
+	// integrity check fires when the entry commits.
+	injected bool
+
+	// readyAt is the cycle an issued entry completes. Before issue it is
+	// the entry's wake cycle: the latest cycle at which one of its written
+	// source registers becomes readable.
+	readyAt uint64
+
 	predTarget uint64
 
 	// Memory state.
@@ -137,10 +151,6 @@ type robEntry struct {
 
 	result  uint64
 	effAddr uint64
-
-	// injected marks surface corruption from fault injection; the shadow
-	// integrity check fires when the entry commits.
-	injected bool
 }
 
 type fqEntry struct {
@@ -218,7 +228,18 @@ type Machine struct {
 	robCount int
 	seqNext  uint64
 
-	iq []int // ROB indices waiting to issue, program order
+	// The issue queue, by ROB slot (see issueStage): iqMask holds the
+	// entries waiting to issue and iqCount their number. Those whose source
+	// registers are all written (pending == 0) are in readyMask, or in
+	// parkedMask while a load among them waits for an older store's address
+	// (see park). waiters holds one row of len(iqMask) words per physical
+	// register: the waiting entries whose producer of that register has not
+	// executed yet.
+	iqMask     []uint64
+	readyMask  []uint64
+	parkedMask []uint64
+	waiters    []uint64
+	iqCount    int
 
 	lqs    []lqEntry
 	lqHead int
@@ -293,6 +314,12 @@ func New(cfg Config, prog *asm.Program) *Machine {
 	if cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
 		panic(fmt.Sprintf("cpu: BTBEntries %d is not a power of two", cfg.BTBEntries))
 	}
+	// The select reads a register no earlier than the cycle after the one
+	// that wrote it, as a load's latency already guarantees.
+	if cfg.LatALU == 0 || cfg.LatMul == 0 || cfg.LatDiv == 0 {
+		panic(fmt.Sprintf("cpu: execute latencies ALU %d, Mul %d, Div %d: each must be at least 1",
+			cfg.LatALU, cfg.LatMul, cfg.LatDiv))
+	}
 	m := &Machine{Cfg: cfg, Prog: prog}
 	m.Mem = mem.NewHierarchy(cfg.Mem)
 
@@ -334,7 +361,11 @@ func New(cfg Config, prog *asm.Program) *Machine {
 	m.rob = make([]robEntry, cfg.ROBSize)
 	m.lqs = make([]lqEntry, cfg.LQSize)
 	m.sqs = make([]sqEntry, cfg.SQSize)
-	m.iq = make([]int, 0, cfg.IQSize)
+	words := (cfg.ROBSize + 63) / 64
+	m.iqMask = make([]uint64, words)
+	m.readyMask = make([]uint64, words)
+	m.parkedMask = make([]uint64, words)
+	m.waiters = make([]uint64, cfg.PhysRegs*words)
 	m.fq = make([]fqEntry, 0, cfg.FetchQueue)
 	m.bimodal = make([]uint8, 1<<cfg.BPBits)
 	for i := range m.bimodal {

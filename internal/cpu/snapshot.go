@@ -22,13 +22,13 @@ type Snapshot struct {
 
 // copyCore makes dst's core state equal to src's: a struct copy, so scalar
 // fields added to Machine later travel automatically, with every state
-// slice copied into dst's existing buffer at src's capacity (the two
-// variable-length queues, fq and iq, are born at Cfg.FetchQueue and
-// Cfg.IQSize and never regrow) — a repeated capture or rewind allocates
-// nothing. dst keeps its own Mem and its own delta-tracking lineage (the
-// two dirty sets), which belong to the machine object rather than to the
-// state it holds, and ends with no sink, profile (a golden-run concern) or
-// probe (never outlives its faulty run).
+// slice copied into dst's existing buffer at src's capacity (the one
+// variable-length queue, fq, is born at Cfg.FetchQueue and never regrows)
+// — a repeated capture or rewind allocates nothing. dst keeps its own Mem
+// and its own delta-tracking lineage (the two dirty sets), which belong to
+// the machine object rather than to the state it holds, and ends with no
+// sink, profile (a golden-run concern) or probe (never outlives its faulty
+// run).
 // live is whichever of the two is the running machine. With delta set only
 // the predictor entries live has written since its last sync point move;
 // everything else churns within any fault window and is always copied
@@ -54,7 +54,9 @@ func copyCore(dst, src, live *Machine, delta bool) uint64 {
 	live.btbTouched.Reset()
 	return n + own(&dst.prf, old.prf) + own(&dst.prfReadyAt, old.prfReadyAt) +
 		own(&dst.renameMap, old.renameMap) + own(&dst.committedMap, old.committedMap) +
-		own(&dst.freeList, old.freeList) + own(&dst.rob, old.rob) + own(&dst.iq, old.iq) +
+		own(&dst.freeList, old.freeList) + own(&dst.rob, old.rob) +
+		own(&dst.iqMask, old.iqMask) + own(&dst.readyMask, old.readyMask) + own(&dst.parkedMask, old.parkedMask) +
+		own(&dst.waiters, old.waiters) +
 		own(&dst.lqs, old.lqs) + own(&dst.sqs, old.sqs) + own(&dst.fq, old.fq) +
 		own(&dst.output, old.output)
 }

@@ -301,11 +301,12 @@ func TestCoreCopySharesNoBuffers(t *testing.T) {
 	})
 }
 
-// TestQueueCapacityInvariant: the fetch queue and issue queue are born at
-// Cfg.FetchQueue and Cfg.IQSize and keep exactly that capacity wherever a
-// machine is born, copied, rewound or recycled, so neither ever reallocates
-// (a clone used to come out with capacity equal to its current length, and
-// a snapshot's buffers with whatever the first capture happened to need).
+// TestQueueCapacityInvariant: the fetch queue is born at Cfg.FetchQueue and
+// keeps exactly that capacity wherever a machine is born, copied, rewound or
+// recycled, so it never reallocates (a clone used to come out with capacity
+// equal to its current length, and a snapshot's buffers with whatever the
+// first capture happened to need); the issue queue's masks and waiter rows
+// keep their configured sizes and match their definition (selectState).
 func TestQueueCapacityInvariant(t *testing.T) {
 	cfg := ConfigA72()
 	w, err := prog.ByName("crc32")
@@ -315,8 +316,11 @@ func TestQueueCapacityInvariant(t *testing.T) {
 	p := w.Build(cfg.Variant)
 	check := func(label string, m *Machine) {
 		t.Helper()
-		if cap(m.fq) != cfg.FetchQueue || cap(m.iq) != cfg.IQSize {
-			t.Errorf("%s: cap(fq) %d cap(iq) %d, want %d and %d", label, cap(m.fq), cap(m.iq), cfg.FetchQueue, cfg.IQSize)
+		if cap(m.fq) != cfg.FetchQueue {
+			t.Errorf("%s: cap(fq) %d, want %d", label, cap(m.fq), cfg.FetchQueue)
+		}
+		if err := selectState(m); err != nil {
+			t.Errorf("%s: %v", label, err)
 		}
 	}
 	// Sample the copies at several queue occupancies.
@@ -347,5 +351,14 @@ func TestQueueCapacityInvariant(t *testing.T) {
 		scratch.EndDeltaTracking()
 		scratch.Restore(snap)
 		check("Restore after recycling", scratch)
+	}
+}
+
+// TestROBEntrySize: every copy of the machine moves the whole ROB, and the
+// pipeline reads an entry per stage, so a field added to robEntry goes in
+// without padding or the entry grows past two host cache lines.
+func TestROBEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(robEntry{}); got != 128 {
+		t.Errorf("robEntry is %d bytes, want 128", got)
 	}
 }

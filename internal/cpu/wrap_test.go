@@ -72,7 +72,7 @@ func TestWrapAroundStoreForwarding(t *testing.T) {
 			if load.issued {
 				t.Fatalf("cycle %d: the load issued past an unresolved older store", m.Cycle())
 			}
-			waited = waited || m.operandReady(load.src[0])
+			waited = waited || operandReady(m, load.src[0])
 			continue
 		}
 		if !load.issued {
@@ -131,8 +131,9 @@ func TestLoadStallMemo(t *testing.T) {
 
 // checkRings compares every ring's bookkeeping with the modulo-based
 // definition: the tail is (head + count) mod size, exactly the slots from
-// head up to the tail are in use, and the two variable-length queues still
-// live in their configured buffers.
+// head up to the tail are in use, the fetch queue still lives in its
+// configured buffer, and the issue queue's wakeup/select state matches its
+// definition from the ROB and the register file (selectState).
 func checkRings(t *testing.T, m *Machine) {
 	t.Helper()
 	ring := func(name string, head, tail, cnt, n int, used func(i int) bool) {
@@ -148,8 +149,11 @@ func checkRings(t *testing.T, m *Machine) {
 	ring("rob", m.robHead, m.robTail, m.robCount, len(m.rob), func(i int) bool { return m.rob[i].used })
 	ring("lq", m.lqHead, m.lqTail, m.lqCnt, len(m.lqs), func(i int) bool { return m.lqs[i].used })
 	ring("sq", m.sqHead, m.sqTail, m.sqCnt, len(m.sqs), func(i int) bool { return m.sqs[i].used })
-	if cap(m.fq) != m.Cfg.FetchQueue || cap(m.iq) != m.Cfg.IQSize {
-		t.Fatalf("cycle %d: cap(fq) %d cap(iq) %d, want %d and %d", m.Cycle(), cap(m.fq), cap(m.iq), m.Cfg.FetchQueue, m.Cfg.IQSize)
+	if cap(m.fq) != m.Cfg.FetchQueue {
+		t.Fatalf("cycle %d: cap(fq) %d, want %d", m.Cycle(), cap(m.fq), m.Cfg.FetchQueue)
+	}
+	if err := selectState(m); err != nil {
+		t.Fatalf("cycle %d: %v", m.Cycle(), err)
 	}
 }
 

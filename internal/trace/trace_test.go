@@ -69,13 +69,21 @@ func TestAllocCaptureCopiedOnce(t *testing.T) {
 	if len(c.Records) != 0 || cap(c.Records) != grown {
 		t.Fatalf("Reset left len %d cap %d, want 0 and %d", len(c.Records), cap(c.Records), grown)
 	}
-	runtime.ReadMemStats(&before)
-	for _, rec := range in {
-		c.OnCommit(rec)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got != 0 || !slices.Equal(c.Records, in) {
-		t.Errorf("second capture after Reset allocated %d times (want 0) or differs from the input", got)
+	// The count is process-wide, and reading it stops and restarts the
+	// world: on a loaded host that itself allocated — a sudog while waiting
+	// out a GC cycle the first capture left running, an OS thread's m and g
+	// structs when the restart woke an idle P. Finish that cycle first, and
+	// count under AllocsPerRun, whose one P leaves the restart nothing to
+	// wake. Its warm-up call is a third capture into the same buffer.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() {
+		c.Reset()
+		for _, rec := range in {
+			c.OnCommit(rec)
+		}
+	})
+	if allocs != 0 || !slices.Equal(c.Records, in) {
+		t.Errorf("second capture after Reset allocated %v times (want 0) or differs from the input", allocs)
 	}
 }
 
