@@ -301,7 +301,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 		Cfg:  cfg,
 		Prog: p,
 		Golden: Golden{
-			Trace:   golden.Records,
+			Trace:   golden.Records(),
 			Cycles:  res.Cycles,
 			Commits: res.Commits,
 			Output:  res.Output,

@@ -25,7 +25,7 @@ func goldenTrace(t testing.TB, cfg Config, name string) (*Machine, []trace.Recor
 	if res := m.Run(RunOptions{MaxCycles: snapTestMaxCycles}); res.Status != StatusHalted {
 		t.Fatalf("golden run of %s ended %v", name, res.Status)
 	}
-	return m, golden.Records
+	return m, golden.Records()
 }
 
 // TestAllocStepIsFree: 10 000 cycles of a warmed machine with a comparator

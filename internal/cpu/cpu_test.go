@@ -239,7 +239,7 @@ func TestIllegalInstructionCrash(t *testing.T) {
 		t.Fatalf("status %v crash %v", res.Status, res.Crash)
 	}
 	// The corrupted encoding must appear in the commit trace.
-	last := cap.Records[len(cap.Records)-1]
+	last := cap.Records()[cap.Len()-1]
 	if last.Word != 0xEE<<24 {
 		t.Errorf("trace missing illegal word: %#x", last.Word)
 	}
@@ -351,12 +351,12 @@ func TestTraceCaptureAndCompare(t *testing.T) {
 	if res := m1.Run(RunOptions{}); res.Status != StatusHalted {
 		t.Fatal(res.Status)
 	}
-	if len(cap.Records) == 0 {
+	if cap.Len() == 0 {
 		t.Fatal("no trace records")
 	}
 
 	m2 := New(cfg, p)
-	cmp := &trace.Comparator{Golden: cap.Records}
+	cmp := &trace.Comparator{Golden: cap.Records()}
 	m2.SetSink(cmp)
 	if res := m2.Run(RunOptions{}); res.Status != StatusHalted {
 		t.Fatal(res.Status)

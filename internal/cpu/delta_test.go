@@ -73,10 +73,11 @@ func TestMachineDeltaSyncCursorLifecycle(t *testing.T) {
 			if !bytes.Equal(m.Output(), ref.Output()) {
 				t.Errorf("output diverged (%d vs %d bytes)", len(m.Output()), len(ref.Output()))
 			}
-			for i, rec := range tail.Records {
-				if !rec.Same(refTrace.Records[prefix+i]) {
+			want := refTrace.Records()
+			for i, rec := range tail.Records() {
+				if !rec.Same(want[prefix+i]) {
 					t.Fatalf("trace record %d differs:\n got %+v\nwant %+v",
-						prefix+i, rec, refTrace.Records[prefix+i])
+						prefix+i, rec, want[prefix+i])
 				}
 			}
 		})

@@ -54,7 +54,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				if snap.Bytes() == 0 {
 					t.Error("snapshot reports zero bytes")
 				}
-				prefix := len(mTrace.Records)
+				prefix := mTrace.Len()
 
 				// The source machine keeps running after the capture and
 				// must still match the reference (COW must not corrupt it).
@@ -91,14 +91,15 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 
 				// Full trace = source prefix up to the capture + the
 				// restored machine's tail, bit-identical to the reference.
-				got := append(append([]trace.Record(nil), mTrace.Records[:prefix]...), sTrace.Records...)
-				if len(got) != len(refTrace.Records) {
-					t.Fatalf("trace length %d, want %d", len(got), len(refTrace.Records))
+				got := append(mTrace.Records()[:prefix:prefix], sTrace.Records()...)
+				want := refTrace.Records()
+				if len(got) != len(want) {
+					t.Fatalf("trace length %d, want %d", len(got), len(want))
 				}
 				for i := range got {
-					if !got[i].Same(refTrace.Records[i]) {
+					if !got[i].Same(want[i]) {
 						t.Fatalf("trace record %d differs:\n got %+v\nwant %+v",
-							i, got[i], refTrace.Records[i])
+							i, got[i], want[i])
 					}
 				}
 			})

@@ -194,7 +194,7 @@ func TestWrapAroundSquashAndSnapshot(t *testing.T) {
 		}
 		drained := len(m.fq) > 0 && len(m.fq) < fqBefore
 		if snap == nil && m.Cycle() > 5000 && drained && m.sqCnt > 0 && m.sqTail <= m.sqHead {
-			snap, prefix = m.Snapshot(nil), len(mTrace.Records)
+			snap, prefix = m.Snapshot(nil), mTrace.Len()
 		}
 	}
 	if wrappedSquashes == 0 || snap == nil {
@@ -217,7 +217,7 @@ func TestWrapAroundSquashAndSnapshot(t *testing.T) {
 	if scratch.Cycle() != m.Cycle() || scratch.Stats != m.Stats || !bytes.Equal(scratch.Output(), m.Output()) {
 		t.Errorf("restored run ended at cycle %d with %+v, want %d with %+v", scratch.Cycle(), scratch.Stats, m.Cycle(), m.Stats)
 	}
-	if !reflect.DeepEqual(sTrace.Records, mTrace.Records[prefix:]) {
+	if !reflect.DeepEqual(sTrace.Records(), mTrace.Records()[prefix:]) {
 		t.Error("restored run's commit trace differs from the source's tail")
 	}
 }

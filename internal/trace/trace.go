@@ -11,21 +11,26 @@ package trace
 // parameters the paper's Fig. 2 classifier inspects: committed cycle,
 // program counter, opcode, operand fields (via the raw instruction word),
 // and register/memory contents.
+//
+// The 8-byte fields come first and the sub-word ones last, so the record
+// packs into 40 bytes with no padding between fields; a golden trace holds
+// one record per commit (TestRecordSize).
 type Record struct {
 	Cycle uint64
 	PC    uint64
-	Word  uint32 // raw instruction word as fetched/decoded
 
-	// HasDest marks instructions writing a destination register; Dest
-	// and Value record the architectural register and its new contents.
+	// Value is the new contents of the destination register, or a store's
+	// data; Addr is a store's effective address.
+	Value uint64
+	Addr  uint64
+
+	Word uint32 // raw instruction word as fetched/decoded
+
+	// HasDest marks instructions writing a destination register, Dest
+	// naming it; IsStore marks stores.
 	HasDest bool
 	Dest    uint8
-	Value   uint64
-
-	// IsStore marks stores; Addr and Value record the effective address
-	// and stored data (Value is reused for store data).
 	IsStore bool
-	Addr    uint64
 }
 
 // Same reports whether two records are architecturally identical, including
@@ -75,28 +80,53 @@ type Sink interface {
 }
 
 // Capture is a Sink that records the full commit trace (the golden run).
+// It fills fixed blocks of captureBlock records, so a capture never copies
+// or reallocates what it already holds.
 type Capture struct {
-	Records []Record
+	blocks [][]Record // every block allocated so far, each captureBlock long
+	used   int        // blocks[:used] hold the trace
+	cur    []Record   // blocks[used-1], sliced to the records it holds
 }
 
-// captureFirst is the capacity, in records, of a Capture's first block.
-const captureFirst = 16 << 10
+// captureBlock is the size, in records, of one block of a Capture.
+const captureBlock = 16 << 10
 
-// OnCommit implements Sink. The capture owns its growth — a large first
-// block, then doubling — so a trace is copied less than once its final size
-// in total (append's 1.25x on large slices copies it about five times).
+// OnCommit implements Sink.
 func (c *Capture) OnCommit(r Record) bool {
-	if len(c.Records) == cap(c.Records) {
-		grown := make([]Record, len(c.Records), max(captureFirst, 2*cap(c.Records)))
-		copy(grown, c.Records)
-		c.Records = grown
+	if len(c.cur) == cap(c.cur) {
+		if c.used == len(c.blocks) {
+			c.blocks = append(c.blocks, make([]Record, captureBlock))
+		}
+		c.cur = c.blocks[c.used][:0]
+		c.used++
 	}
-	c.Records = append(c.Records, r)
+	c.cur = append(c.cur, r)
 	return true
 }
 
-// Reset empties the capture for another run, keeping its buffer.
-func (c *Capture) Reset() { c.Records = c.Records[:0] }
+// Len returns the number of records captured.
+func (c *Capture) Len() int {
+	if c.used == 0 {
+		return 0
+	}
+	return (c.used-1)*captureBlock + len(c.cur)
+}
+
+// Records returns the captured trace as one slice, joined into a single
+// allocation of exact size that shares nothing with the capture.
+func (c *Capture) Records() []Record {
+	if c.used == 0 {
+		return nil
+	}
+	out := make([]Record, 0, c.Len())
+	for _, b := range c.blocks[:c.used-1] {
+		out = append(out, b...)
+	}
+	return append(out, c.cur...)
+}
+
+// Reset empties the capture for another run, keeping its blocks.
+func (c *Capture) Reset() { c.used, c.cur = 0, nil }
 
 // DeviationKind describes how a faulty record first diverged from golden.
 type DeviationKind uint8

@@ -31,22 +31,61 @@ func TestRecordSame(t *testing.T) {
 	}
 }
 
-func TestCaptureCollects(t *testing.T) {
-	var c Capture
-	for i := uint64(0); i < 5; i++ {
-		if !c.OnCommit(r(i, 0x1000+4*i, 1, i)) {
-			t.Fatal("capture stopped")
-		}
-	}
-	if len(c.Records) != 5 {
-		t.Fatalf("len = %d", len(c.Records))
+// TestRecordSize: a golden trace holds one record per commit, so a field
+// added to Record goes in without padding or every trace grows by a fifth.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 40 {
+		t.Errorf("Record is %d bytes, want 40", got)
 	}
 }
 
-// TestAllocCaptureCopiedOnce: a capture owns its growth, so a long trace
-// costs a small multiple of its final size in allocation (append's 1.25x
-// growth allocates about five times it), and Reset keeps the buffer for the
-// next run.
+// recordsSink keeps Records' result on the heap in the allocation counts.
+var recordsSink []Record
+
+// TestCaptureCollects: Len and Records return the whole trace in commit
+// order at every block boundary, in one allocation of exact size that a
+// later capture into the same blocks leaves untouched.
+func TestCaptureCollects(t *testing.T) {
+	for _, n := range []int{0, 1, captureBlock - 1, captureBlock, captureBlock + 1, 3*captureBlock + 7} {
+		in := golden(n)
+		var c Capture
+		for round := 0; round < 2; round++ {
+			c.Reset()
+			for _, rec := range in {
+				if !c.OnCommit(rec) {
+					t.Fatal("capture stopped")
+				}
+			}
+			if c.Len() != n {
+				t.Fatalf("%d records, round %d: Len = %d", n, round, c.Len())
+			}
+			got := c.Records()
+			if len(got) != n || cap(got) != n || !slices.Equal(got, in) {
+				t.Fatalf("%d records, round %d: Records has len %d cap %d or differs from the input",
+					n, round, len(got), cap(got))
+			}
+		}
+		want := 0.0
+		if n > 0 {
+			want = 1
+		}
+		if allocs := testing.AllocsPerRun(2, func() { recordsSink = c.Records() }); allocs != want {
+			t.Errorf("%d records: Records allocated %v times, want %v", n, allocs, want)
+		}
+		if got := c.Records(); n > 0 {
+			c.Reset()
+			c.OnCommit(Record{})
+			if got[0] != in[0] {
+				t.Errorf("%d records: Records shares storage with the capture", n)
+			}
+		}
+	}
+	recordsSink = nil
+}
+
+// TestAllocCaptureCopiedOnce: a capture fills fixed blocks, so a long trace
+// allocates its own size plus at most one block (the block list's growth)
+// and copies nothing, and Reset keeps the blocks for the next run.
 func TestAllocCaptureCopiedOnce(t *testing.T) {
 	const n = 1 << 20
 	in := golden(n)
@@ -57,24 +96,20 @@ func TestAllocCaptureCopiedOnce(t *testing.T) {
 		c.OnCommit(rec)
 	}
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, 3*n*uint64(unsafe.Sizeof(Record{})); got > limit {
+	size := uint64(unsafe.Sizeof(Record{}))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, (n+captureBlock)*size; got > limit {
 		t.Errorf("capturing %d records allocated %d bytes, want <= %d", n, got, limit)
 	}
-	if !slices.Equal(c.Records, in) {
+	if c.Len() != n || !slices.Equal(c.Records(), in) {
 		t.Fatal("captured records differ from the input")
 	}
 
-	grown := cap(c.Records)
-	c.Reset()
-	if len(c.Records) != 0 || cap(c.Records) != grown {
-		t.Fatalf("Reset left len %d cap %d, want 0 and %d", len(c.Records), cap(c.Records), grown)
-	}
 	// The count is process-wide, and reading it stops and restarts the
 	// world: on a loaded host that itself allocated — a sudog while waiting
 	// out a GC cycle the first capture left running, an OS thread's m and g
 	// structs when the restart woke an idle P. Finish that cycle first, and
 	// count under AllocsPerRun, whose one P leaves the restart nothing to
-	// wake. Its warm-up call is a third capture into the same buffer.
+	// wake. Its warm-up call is a third capture into the same blocks.
 	runtime.GC()
 	allocs := testing.AllocsPerRun(1, func() {
 		c.Reset()
@@ -82,7 +117,7 @@ func TestAllocCaptureCopiedOnce(t *testing.T) {
 			c.OnCommit(rec)
 		}
 	})
-	if allocs != 0 || !slices.Equal(c.Records, in) {
+	if allocs != 0 || c.Len() != n || !slices.Equal(c.Records(), in) {
 		t.Errorf("second capture after Reset allocated %v times (want 0) or differs from the input", allocs)
 	}
 }
