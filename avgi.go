@@ -153,6 +153,18 @@ func ConfigA72() MachineConfig { return cpu.ConfigA72() }
 // ConfigA15 returns the 32-bit machine model (Armv7 / Cortex-A15-like).
 func ConfigA15() MachineConfig { return cpu.ConfigA15() }
 
+// MachineByName returns the machine model a name denotes, in any case:
+// "a72" (64-bit) or "a15" (32-bit).
+func MachineByName(name string) (MachineConfig, error) {
+	switch strings.ToLower(name) {
+	case "a72":
+		return ConfigA72(), nil
+	case "a15":
+		return ConfigA15(), nil
+	}
+	return MachineConfig{}, fmt.Errorf("unknown machine %q (want a72 or a15)", name)
+}
+
 // Structures lists the twelve fault-target hardware structures in the
 // paper's Table II order.
 func Structures() []string {

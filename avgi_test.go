@@ -11,6 +11,26 @@ import (
 	"avgi/internal/imm"
 )
 
+func TestMachineByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		err        bool
+	}{
+		{"a72", ConfigA72().Name, false},
+		{"A15", ConfigA15().Name, false},
+		{"m1", "", true},
+		{"", "", true},
+	} {
+		cfg, err := MachineByName(tc.name)
+		if (err != nil) != tc.err || cfg.Name != tc.want {
+			t.Errorf("MachineByName(%q) = %q, %v; want %q, error %v", tc.name, cfg.Name, err, tc.want, tc.err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "want a72 or a15") {
+			t.Errorf("MachineByName(%q) error %q does not name the machines", tc.name, err)
+		}
+	}
+}
+
 // smallStudy builds a cached study over a few workloads and structures
 // with small fault counts, shared across tests via a package-level
 // variable (campaigns are the expensive part).

@@ -355,8 +355,27 @@ func feedEntries(t *testing.T, dir string) []dist.FeedEntry {
 // default identity.
 func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	dir := t.TempDir()
-	tsA, _, peerA := newPeerServer(t, dir, "peer-a")
+	tsA, svcA, peerA := newPeerServer(t, dir, "peer-a")
 	tsB, svcB, peerB := newPeerServer(t, dir, "")
+	// Both peers make their golden record first, answering a request a
+	// standalone server journalled, so neither simulates. A cold peer
+	// reads the journal only after both golden passes, and one that
+	// finished them later than the other by more than the short campaign
+	// takes would find it merged already: warm, the two race only for the
+	// campaign's chunks.
+	warm := avgi.AssessRequest{Structure: "RF", Workload: "crc32", Mode: "hvf", Faults: 1, Seed: 99}
+	solo, err := avgi.NewService(avgi.ServiceConfig{Workers: 2, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solo.Assess(warm); err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []*avgi.Service{svcA, svcB} {
+		if resp, err := svc.Assess(warm); err != nil || !resp.Meta.JournalHit {
+			t.Fatalf("warm-up: %v, journal hit %v", err, err == nil && resp.Meta.JournalHit)
+		}
+	}
 	defer peerA.start(time.Second)()
 	defer peerB.start(time.Second)()
 
@@ -384,8 +403,8 @@ func TestServerCoordinatorWorkerFleet(t *testing.T) {
 	// B ran the announced campaign, and the feed holds nothing once it is
 	// done.
 	waitFor(t, "B runs the campaign and the feed empties", func() bool {
-		reqs := svcB.Requests()
-		return len(reqs) == 1 && reqs[0].State == avgi.StateDone && len(feedEntries(t, dir)) == 0
+		reqs := svcB.Requests() // newest first, after the warm-up
+		return len(reqs) == 2 && reqs[0].State == avgi.StateDone && len(feedEntries(t, dir)) == 0
 	})
 	// Its fleet share ran under the default identity: the dist layer
 	// labels the node's series with the owner of its leases and part shard.

@@ -77,18 +77,8 @@ func main() {
 	}
 }
 
-func machineConfig() (avgi.MachineConfig, error) {
-	switch *flagMachine {
-	case "a72":
-		return avgi.ConfigA72(), nil
-	case "a15":
-		return avgi.ConfigA15(), nil
-	}
-	return avgi.MachineConfig{}, fmt.Errorf("unknown machine %q", *flagMachine)
-}
-
 func run(name string) error {
-	cfg, err := machineConfig()
+	cfg, err := avgi.MachineByName(*flagMachine)
 	if err != nil {
 		return err
 	}

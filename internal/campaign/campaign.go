@@ -54,6 +54,7 @@ import (
 	"avgi/internal/fault"
 	"avgi/internal/forensics"
 	"avgi/internal/imm"
+	"avgi/internal/mem"
 	"avgi/internal/obs"
 	"avgi/internal/trace"
 )
@@ -229,12 +230,11 @@ type Runner struct {
 	// and avgid always does.
 	EarlyExit bool
 
-	// ckptOnce lazily records the checkpoint store, and with it the golden
-	// site timeline, on the first campaign, so fault-list-only uses never
-	// pay for it.
-	ckptOnce sync.Once
-	store    *ckpt.Store
-	pool     *ckpt.Pool
+	// store holds the interval checkpoints a fault's fork seeks from, and
+	// with them the golden site timeline; pool recycles the workers'
+	// machines. NewRunner records both, and nothing writes them after.
+	store *ckpt.Store
+	pool  *ckpt.Pool
 }
 
 // RunawayLimit returns the absolute cycle budget for faulty runs (see
@@ -254,41 +254,19 @@ func (r *Runner) horizon(mode Mode, t, ert uint64) uint64 {
 	return r.Golden.Cycles
 }
 
-// checkpoints lazily records the shared checkpoint store (spaced at
-// ckpt.DefaultInterval) and fork pool.
-func (r *Runner) checkpoints() (*ckpt.Store, *ckpt.Pool) {
-	r.ckptOnce.Do(func() {
-		r.store = ckpt.Record(r.Cfg, r.Prog, r.Golden.Cycles, 0)
-		r.pool = ckpt.NewPool(r.Cfg, r.Prog)
-		reg := r.Obs.Registry()
-		lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
-		reg.Gauge("avgi_ckpt_checkpoints",
-			"interval checkpoints recorded along the golden run", lb).
-			Set(float64(r.store.Count()))
-		reg.Gauge("avgi_ckpt_snapshot_bytes",
-			"total bytes captured across the checkpoint store", lb).
-			Set(float64(r.store.Bytes()))
-		reg.Gauge("avgi_ckpt_interval_cycles",
-			"checkpoint spacing in cycles", lb).
-			Set(float64(r.store.Interval()))
-	})
-	return r.store, r.pool
-}
+// Timeline returns the golden site timeline; nil for a golden run too
+// long to index.
+func (r *Runner) Timeline() *cpu.Timeline { return r.store.Timeline() }
 
-// Timeline returns the golden site timeline, recorded with the checkpoint
-// store on first use; nil for a golden run too long to index.
-func (r *Runner) Timeline() *cpu.Timeline {
-	store, _ := r.checkpoints()
-	return store.Timeline()
-}
-
-// NewRunner performs the golden run and prepares the campaign state.
+// NewRunner performs the golden run and records everything a campaign
+// shares: the commit trace, the output exposure, the checkpoint store with
+// the golden site timeline, and the fork pool. The Runner it returns is
+// complete; campaigns only read it.
 func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 	m := cpu.New(cfg, p)
 	var golden trace.Capture
 	m.SetSink(&golden)
-	m.EnableOutputProfiling(p.OutLenAddr, p.RAMSize, 64)
-	res := m.Run(cpu.RunOptions{MaxCycles: 50_000_000})
+	res, samples := runSampled(m, p)
 	if res.Status != cpu.StatusHalted {
 		return nil, fmt.Errorf("campaign: golden run of %s ended %v (crash %v) after %d cycles",
 			p.Name, res.Status, res.Crash, res.Cycles)
@@ -308,8 +286,37 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 		},
 		BitCounts: bits,
 	}
-	r.OutputExposure = r.computeExposure(m)
+	r.OutputExposure = r.computeExposure(m, samples)
+	// Recorded last: the golden machine and its trace blocks are garbage by
+	// then, so the two passes never hold their state at once.
+	r.store = ckpt.Record(cfg, p, res.Cycles, 0)
+	r.pool = ckpt.NewPool(cfg, p)
 	return r, nil
+}
+
+// exposureInterval is the spacing in cycles of the golden run's
+// dirty-output samples.
+const exposureInterval = 64
+
+// outputSamples is the golden run's dirty-output time series of each
+// ESC-capable cache: sample i counts the cache's dirty lines holding output
+// data (OutLenAddr up) as they stand before cycle (i+1)·exposureInterval
+// ticks.
+type outputSamples map[*mem.Cache][]uint32
+
+// runSampled runs m, a fresh machine, to its end in exposureInterval-cycle
+// slices and samples its L1D and L2 between them.
+func runSampled(m *cpu.Machine, p *asm.Program) (cpu.Result, outputSamples) {
+	s := make(outputSamples)
+	for {
+		res := m.Run(cpu.RunOptions{StopAtCycle: (m.Cycle() + 1) | (exposureInterval - 1), MaxCycles: 50_000_000})
+		if res.Status != cpu.StatusRunning {
+			return res, s
+		}
+		for _, c := range [...]*mem.Cache{m.Mem.L1D, m.Mem.L2} {
+			s[c] = append(s[c], uint32(c.DirtyLinesInRange(p.OutLenAddr, p.RAMSize)))
+		}
+	}
 }
 
 // computeExposure folds the golden run's dirty-output time series into one
@@ -318,7 +325,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 // their final state at that cycle — corruption of output data that will
 // still be overwritten cannot escape, which matters for workloads (like
 // qsort) that compute in place inside the output region.
-func (r *Runner) computeExposure(m *cpu.Machine) map[string]float64 {
+func (r *Runner) computeExposure(m *cpu.Machine, s outputSamples) map[string]float64 {
 	// Final-store cycle per output location, from the golden trace.
 	finals := make(map[uint64]uint64)
 	for _, rec := range r.Golden.Trace {
@@ -346,13 +353,13 @@ func (r *Runner) computeExposure(m *cpu.Machine) map[string]float64 {
 		if s, _ := cpu.StructureNamed(name); !s.ESC {
 			continue
 		}
-		cycles, dirty, lines := m.OutputProfile(name)
+		c := m.CacheOf(name)
 		var sum float64
-		for i, t := range cycles {
-			sum += float64(dirty[i]) * w(t)
+		for i, n := range s[c] {
+			sum += float64(n) * w(uint64(i+1)*exposureInterval)
 		}
-		if len(cycles) > 0 {
-			sum = sum / float64(len(cycles)) / float64(lines)
+		if len(s[c]) > 0 {
+			sum = sum / float64(len(s[c])) / float64(c.Lines())
 		}
 		exposure[name] = sum
 	}
@@ -530,10 +537,9 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		plan = workers
 	}
 	ro := r.newRunObs(faults[0].Structure, mode, len(faults)-len(prior))
-	store, pool := r.checkpoints()
 	var tl *cpu.Timeline
 	if r.EarlyExit {
-		tl = store.Timeline()
+		tl = r.Timeline()
 	}
 	// Contiguous chunks keep each worker's cursor advancing monotonically
 	// through its cycle-sorted slice. Chunk geometry depends only on the
@@ -581,7 +587,7 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 		go func(lo, hi int, release func(bool)) {
 			defer wg.Done()
 			defer budget.Release()
-			w := &worker{r: r, mode: mode, ert: ert, ro: ro, store: store, pool: pool, tl: tl}
+			w := &worker{r: r, mode: mode, ert: ert, ro: ro, tl: tl}
 			defer w.close()
 			w.runChunk(faults, lo, hi, ran, results)
 			if sink != nil {
@@ -692,13 +698,11 @@ type forkMeta struct {
 // the next fault. The comparator is allocated once per worker and reset per
 // fault.
 type worker struct {
-	r     *Runner
-	mode  Mode
-	ert   uint64
-	ro    *runObs
-	store *ckpt.Store
-	pool  *ckpt.Pool
-	tl    *cpu.Timeline // nil unless EarlyExit lets faults be resolved by lookup
+	r    *Runner
+	mode Mode
+	ert  uint64
+	ro   *runObs
+	tl   *cpu.Timeline // nil unless EarlyExit lets faults be resolved by lookup
 
 	m     *cpu.Machine  // the pooled golden cursor
 	csnap *cpu.Snapshot // worker-local fault-point snapshot
@@ -709,7 +713,7 @@ type worker struct {
 // quarantine is nil here and never re-enters the pool.
 func (w *worker) close() {
 	if w.m != nil {
-		w.pool.Put(w.m)
+		w.r.pool.Put(w.m)
 		w.m = nil
 	}
 }
@@ -925,14 +929,14 @@ func (w *worker) runCursor(f fault.Fault, at uint64) (Result, cpu.Stats, forkMet
 		// first fault, rewind a pooled machine onto it, and start a fresh
 		// delta-tracking lineage. The local snapshot is captured in full
 		// below (csnap == nil after a discard or on first use).
-		m, reused := w.pool.Get()
+		m, reused := w.r.pool.Get()
 		w.ro.poolGet(reused)
-		snap, _ := w.store.Seek(at)
+		snap, _ := w.r.store.Seek(at)
 		m.Restore(snap)
 		m.BeginDeltaTracking()
 		w.m = m
 		w.csnap = nil
-	} else if snap, _ := w.store.Seek(at); snap.Cycle() > w.m.Cycle()+jumpCycles {
+	} else if snap, _ := w.r.store.Seek(at); snap.Cycle() > w.m.Cycle()+jumpCycles {
 		// With most faults resolved by lookup the forks lie far apart: a
 		// checkpoint between the cursor and the next one is cheaper to
 		// restore than the gap is to replay. The local snapshot is then

@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"avgi/internal/cpu"
+	"avgi/internal/fault"
 	"avgi/internal/imm"
 	"avgi/internal/prog"
 )
@@ -35,6 +38,34 @@ func TestGoldenRun(t *testing.T) {
 	}
 	if len(r.BitCounts) != 12 {
 		t.Errorf("bit counts for %d structures", len(r.BitCounts))
+	}
+}
+
+// TestNewRunnerComplete checks that NewRunner returns with the checkpoint
+// store, the golden site timeline and the fork pool in place, so campaigns
+// only read the runner: two concurrent campaigns on a fresh runner (under
+// -race, the check that nothing is still recorded lazily) equal serial ones.
+func TestNewRunnerComplete(t *testing.T) {
+	r := shaRunner(t)
+	if r.store == nil || r.pool == nil || r.Timeline() == nil {
+		t.Fatalf("fresh runner: store %v, pool %v, timeline %v", r.store, r.pool, r.Timeline())
+	}
+	r.EarlyExit = true
+	faults := [2][]fault.Fault{r.FaultList("RF", 24, 1), r.FaultList("L1D (Data)", 24, 1)}
+	var got [2][]Result
+	var wg sync.WaitGroup
+	for i := range faults {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = r.RunCampaign(RunSpec{Faults: faults[i], Mode: ModeAVGI, Window: 2000, Budget: NewBudget(2)})
+		}()
+	}
+	wg.Wait()
+	for i := range faults {
+		if want := r.Run(faults[i], ModeAVGI, 2000, 1); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s: concurrent campaign differs from a serial one", faults[i][0].Structure)
+		}
 	}
 }
 

@@ -211,10 +211,11 @@ func TestAssertTemporalRejectsOutOfPopulation(t *testing.T) {
 }
 
 // TestCkptMetricsPublished drives an observed campaign and checks the
-// checkpoint-store, pool and copy-on-write telemetry lands in the registry.
+// checkpoint-store gauges Configure publishes, and the pool and
+// copy-on-write telemetry the campaign adds, land in the registry.
 func TestCkptMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
-	r.Obs = obs.New(nil)
+	r.Configure(obs.New(nil), nil, false)
 
 	const n = 32
 	faults := r.FaultList("RF", n, 1)

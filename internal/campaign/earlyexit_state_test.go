@@ -16,14 +16,14 @@ import (
 
 // nonState names the fields a faulty machine and a golden one may differ in
 // where a resolved fault's charge ends without differing in state:
-// configuration and immutable program data, observers (sink, profile,
+// configuration and immutable program data, observers (sink and
 // probes), the delta-tracking lineage (dirty sets, RAM page ownership and its
 // telemetry), pointers that lead back to components the walk reaches by name
 // (lower, ramLevel), the flip counters the injection itself bumped, and
 // status, checked apart.
 var nonState = map[string]bool{
 	"Cfg": true, "Prog": true, "text": true, "name": true, "cfg": true,
-	"sink": true, "profile": true, "probe": true,
+	"sink": true, "probe": true,
 	"bimTouched": true, "btbTouched": true, "touched": true, "owned": true, "cow": true,
 	"lower": true, "ramLevel": true,
 	"FlipsArmed": true, "FlipsMasked": true, "status": true,

@@ -319,12 +319,18 @@ func (r *Runner) Configure(o *obs.Observer, fx *forensics.Explorer, earlyExit bo
 	r.PublishGolden()
 }
 
-// PublishGolden registers the runner's golden-run characteristics as
-// gauges with the observer's registry.
+// PublishGolden registers the runner's golden-run characteristics and its
+// checkpoint store as gauges with the observer's registry.
 func (r *Runner) PublishGolden() {
 	reg := r.Obs.Registry()
 	lb := map[string]string{"workload": r.Prog.Name, "machine": r.Cfg.Name}
 	reg.Gauge("avgi_golden_cycles", "golden run length in cycles", lb).Set(float64(r.Golden.Cycles))
 	reg.Gauge("avgi_golden_commits", "golden run committed instructions", lb).Set(float64(r.Golden.Commits))
 	reg.Gauge("avgi_golden_output_bytes", "golden run output size in bytes", lb).Set(float64(len(r.Golden.Output)))
+	reg.Gauge("avgi_ckpt_checkpoints", "interval checkpoints recorded along the golden run", lb).
+		Set(float64(r.store.Count()))
+	reg.Gauge("avgi_ckpt_snapshot_bytes", "total bytes captured across the checkpoint store", lb).
+		Set(float64(r.store.Bytes()))
+	reg.Gauge("avgi_ckpt_interval_cycles", "checkpoint spacing in cycles", lb).
+		Set(float64(r.store.Interval()))
 }

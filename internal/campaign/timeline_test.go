@@ -69,8 +69,7 @@ func TestTimelineMatchesProbe(t *testing.T) {
 	const ert = 2000
 	for _, workload := range timelineWorkloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
-		store, _ := r.checkpoints()
-		tl := store.Timeline()
+		tl := r.Timeline()
 		// One golden pass serves every list: all the faults, by cycle.
 		var faults []fault.Fault
 		for _, list := range timelineFaults(r) {
@@ -421,8 +420,7 @@ func TestAllocResolvedFault(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	r := newTestRunner(t, cpu.ConfigA72(), "sha")
-	store, _ := r.checkpoints()
-	w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: store.Timeline()}
+	w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: r.Timeline()}
 	for _, st := range cpu.StructureNames {
 		var fates [len(resolvedNames)]int
 		for _, f := range r.FaultList(st, 200, 3) {
@@ -451,9 +449,8 @@ func TestTimelineBytesPerCommit(t *testing.T) {
 	}
 	for _, workload := range []string{"sha", "qsort", "rijndael"} {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
-		store, _ := r.checkpoints()
-		per := float64(store.Timeline().Bytes()) / float64(r.Golden.Commits)
-		t.Logf("%s: %d bytes of timeline for %d commits: %.1f B/commit", workload, store.Timeline().Bytes(), r.Golden.Commits, per)
+		per := float64(r.Timeline().Bytes()) / float64(r.Golden.Commits)
+		t.Logf("%s: %d bytes of timeline for %d commits: %.1f B/commit", workload, r.Timeline().Bytes(), r.Golden.Commits, per)
 		if per > 48 {
 			t.Errorf("%s: the timeline takes %.1f bytes per committed instruction, want <= 48", workload, per)
 		}
@@ -465,8 +462,7 @@ func TestTimelineBytesPerCommit(t *testing.T) {
 // mixed list of every structure's faults.
 func BenchmarkTimelineResolve(b *testing.B) {
 	r := sharedBenchRunner(b)
-	store, _ := r.checkpoints()
-	w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: store.Timeline()}
+	w := &worker{r: r, mode: ModeAVGI, ert: 2000, tl: r.Timeline()}
 	var faults []fault.Fault
 	for _, st := range cpu.StructureNames {
 		faults = append(faults, r.FaultList(st, 64, 1)...)

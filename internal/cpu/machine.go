@@ -280,29 +280,11 @@ type Machine struct {
 
 	output []byte
 
-	// profile, when non-nil, samples the dirty-output-line occupancy of
-	// the data caches during the run (golden runs only; copies drop it).
-	profile *outputProfile
-
 	// probe, when non-nil, observes the fate of an injected fault's
 	// corrupted state (see probe.go). Armed after the flip and cleared
 	// before the faulty machine is rewound; a nil probe keeps every
 	// pipeline stage on the exact pre-forensics code.
 	probe *FaultProbe
-}
-
-// outputProfile records how much of each cache array holds dirty data
-// destined for the program output — the exposure that makes ESC faults
-// possible (Section IV.D). Sampled every interval cycles as a time series
-// so the campaign runner can weight each sample by how much of the output
-// is already in its final state.
-type outputProfile struct {
-	lo, hi   uint64
-	interval uint64
-
-	cycles []uint64
-	l1d    []uint32 // dirty output lines in L1D per sample
-	l2     []uint32
 }
 
 // New builds a machine for cfg and loads the program image.
@@ -393,31 +375,6 @@ func (m *Machine) Crash() CrashKind { return m.crash }
 // otherwise).
 func (m *Machine) Output() []byte { return m.output }
 
-// EnableOutputProfiling turns on dirty-output-exposure sampling over the
-// address range [lo, hi) every interval cycles. Campaign golden runs use
-// it to feed the ESC predictor; it is pure observation and does not change
-// timing or state.
-func (m *Machine) EnableOutputProfiling(lo, hi, interval uint64) {
-	if interval == 0 {
-		interval = 64
-	}
-	m.profile = &outputProfile{lo: lo, hi: hi, interval: interval}
-}
-
-// OutputProfile returns the sampled dirty-output-line time series of an
-// ESC-capable structure: the sample cycles, the dirty output lines of its
-// cache at each, and the cache's size in lines. The campaign runner folds
-// these into the structure's exposure fraction.
-func (m *Machine) OutputProfile(structure string) (cycles []uint64, dirty []uint32, lines int) {
-	p := m.profile
-	if p == nil {
-		return nil, nil, 0
-	}
-	s, _ := StructureNamed(structure)
-	_, caches := m.memArrays()
-	return p.cycles, [3][]uint32{1: p.l1d, 2: p.l2}[s.unit], caches[s.unit].Lines()
-}
-
 // Name implements engine.Ticker.
 func (m *Machine) Name() string { return "core" }
 
@@ -438,11 +395,6 @@ func (m *Machine) Tick(uint64) {
 		return
 	}
 	m.cycle++
-	if p := m.profile; p != nil && m.cycle%p.interval == 0 {
-		p.cycles = append(p.cycles, m.cycle)
-		p.l1d = append(p.l1d, uint32(m.Mem.L1D.DirtyLinesInRange(p.lo, p.hi)))
-		p.l2 = append(p.l2, uint32(m.Mem.L2.DirtyLinesInRange(p.lo, p.hi)))
-	}
 	m.commitStage()
 	if m.status != StatusRunning {
 		return

@@ -12,7 +12,7 @@ import "avgi/internal/mem"
 // machines may Restore from it concurrently.
 type Snapshot struct {
 	// m is a value copy of the source machine with every slice field
-	// replaced by a private deep copy and the Mem/sink/profile pointers
+	// replaced by a private deep copy and the Mem/sink/probe pointers
 	// cleared. Holding the whole struct means scalar fields added to
 	// Machine later are captured automatically.
 	m    Machine
@@ -27,8 +27,7 @@ type Snapshot struct {
 // — a repeated capture or rewind allocates nothing. dst keeps its own Mem
 // and its own delta-tracking lineage (the two dirty sets), which belong to
 // the machine object rather than to the state it holds, and ends with no
-// sink, profile (a golden-run concern) or probe (never outlives its faulty
-// run).
+// sink or probe (never outlives its faulty run).
 // live is whichever of the two is the running machine. With delta set only
 // the predictor entries live has written since its last sync point move;
 // everything else churns within any fault window and is always copied
@@ -41,7 +40,7 @@ func copyCore(dst, src, live *Machine, delta bool) uint64 {
 	old := *dst
 	*dst = *src
 	dst.Mem = old.Mem
-	dst.sink, dst.profile, dst.probe = nil, nil, nil
+	dst.sink, dst.probe = nil, nil
 	dst.bimTouched, dst.btbTouched = old.bimTouched, old.btbTouched
 
 	var bim, btb *mem.DirtySet
@@ -98,8 +97,8 @@ func (m *Machine) Snapshot(s *Snapshot) *Snapshot {
 // Restore rewinds the machine to a snapshot in place. The machine must
 // share the snapshot's configuration (same geometry and program); memory
 // restore panics otherwise. Object identity — the Mem hierarchy and the
-// core's slice buffers — is preserved. The trace sink and output profile
-// are cleared; the caller installs fresh ones as needed.
+// core's slice buffers — is preserved. The trace sink and probe are
+// cleared; the caller installs fresh ones as needed.
 func (m *Machine) Restore(s *Snapshot) {
 	copyCore(m, &s.m, m, false)
 	m.Mem.Restore(&s.mem)
@@ -111,7 +110,7 @@ func (m *Machine) Restore(s *Snapshot) {
 // its next write to it. The capture is also a new sync point for m's delta
 // tracking (its dirty sets restart empty), so a tracking m must not
 // SyncSnapshot or SyncRestore against an older snapshot afterwards. The
-// clone starts untracked, with no trace sink, profile or probe.
+// clone starts untracked, with no trace sink or probe.
 func (m *Machine) Clone() *Machine {
 	c := New(m.Cfg, m.Prog)
 	c.Restore(m.Snapshot(nil))

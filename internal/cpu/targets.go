@@ -111,6 +111,16 @@ func (m *Machine) memArrays() ([2]*mem.TLB, [3]*mem.Cache) {
 	return [2]*mem.TLB{h.ITLB, h.DTLB}, [3]*mem.Cache{h.L1I, h.L1D, h.L2}
 }
 
+// CacheOf returns the cache whose array a cache structure names; nil for
+// any other structure.
+func (m *Machine) CacheOf(name string) *mem.Cache {
+	if s, ok := StructureNamed(name); ok && s.Cache {
+		_, caches := m.memArrays()
+		return caches[s.unit]
+	}
+	return nil
+}
+
 // slot returns the injected flag of slot i of queue kind, nil while the
 // slot is free.
 func (m *Machine) slot(kind probeKind, i int) *bool {

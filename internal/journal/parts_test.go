@@ -15,8 +15,13 @@ import (
 // untorn one. Three invariants per sever point: Load never returns a
 // record that differs from the true result, the resume writer heals the
 // shard completely, and a header tear degrades to a clean from-scratch
-// shard rather than an error.
+// shard rather than an error. The resume runs on the real fsync where the
+// cut falls on a line boundary (the header's end, each record's end) and
+// at the last byte; everywhere else fsync is a counting no-op, which the
+// sweep must still reach.
 func TestSeverAllPointsUnderPolicies(t *testing.T) {
+	realSync := fsync
+	defer func() { fsync = realSync }()
 	results := testResults()
 	for name, policy := range map[string]SyncPolicy{"every": SyncEvery, "chunk": SyncChunk} {
 		t.Run(name, func(t *testing.T) {
@@ -46,6 +51,12 @@ func TestSeverAllPointsUnderPolicies(t *testing.T) {
 			}
 
 			for cut := 1; cut < len(whole); cut++ {
+				synced := 0
+				fake := whole[cut-1] != '\n' && cut != len(whole)-1
+				fsync = realSync
+				if fake {
+					fsync = func(*os.File) error { synced++; return nil }
+				}
 				if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -83,6 +94,9 @@ func TestSeverAllPointsUnderPolicies(t *testing.T) {
 					if !reflect.DeepEqual(healed[i], want) {
 						t.Fatalf("cut=%d: record %d differs after heal", cut, i)
 					}
+				}
+				if fake && synced == 0 {
+					t.Fatalf("cut=%d: the resume never synced", cut)
 				}
 			}
 		})

@@ -281,7 +281,11 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 	}
 	s.mu.Unlock()
 	slot.once.Do(func() {
-		cfg := machineConfig(machine)
+		cfg, err := MachineByName(machine)
+		if err != nil {
+			slot.err = err
+			return
+		}
 		w, err := prog.ByName(workload)
 		if err != nil {
 			slot.err = err
@@ -303,25 +307,17 @@ func (s *Service) runner(machine, workload string) (*Runner, error) {
 	return slot.r, slot.err
 }
 
-func machineConfig(machine string) MachineConfig {
-	if machine == "a15" {
-		return ConfigA15()
-	}
-	return ConfigA72()
-}
-
 // normalize validates a request and fills its defaults; the normalised
 // request is echoed in the response so clients see what actually ran.
 func (s *Service) normalize(req AssessRequest) (AssessRequest, assessKey, error) {
 	var key assessKey
-	switch strings.ToLower(req.Machine) {
-	case "", "a72":
+	if req.Machine == "" {
 		req.Machine = "a72"
-	case "a15":
-		req.Machine = "a15"
-	default:
-		return req, key, fmt.Errorf("unknown machine %q (want a72 or a15)", req.Machine)
 	}
+	if _, err := MachineByName(req.Machine); err != nil {
+		return req, key, err
+	}
+	req.Machine = strings.ToLower(req.Machine)
 	if err := ValidateStructure(req.Structure); err != nil {
 		return req, key, err
 	}

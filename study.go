@@ -3,6 +3,7 @@ package avgi
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"avgi/internal/campaign"
 	"avgi/internal/core"
@@ -108,7 +109,8 @@ type Study struct {
 	runners map[string]*Runner
 }
 
-// NewStudy performs the golden run of every workload.
+// NewStudy performs the golden run of every workload and records what its
+// campaigns share (see campaign.NewRunner).
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	cfg.fill()
 	if cfg.FaultsPerStructure < 0 {
@@ -133,19 +135,33 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		map[string]string{"machine": cfg.Machine.Name}, cfg.Machine.Name); err != nil {
 		return nil, fmt.Errorf("study: %w", err)
 	}
+	// The golden runs go concurrently, each holding a slot of the study's
+	// worker budget; every one has returned before NewStudy does.
 	allGolden := cfg.Obs.Span("golden runs", "golden",
 		map[string]string{"machine": cfg.Machine.Name, "workloads": fmt.Sprint(len(cfg.Workloads))})
-	for _, w := range cfg.Workloads {
-		sp := cfg.Obs.Span("golden "+w.Name, "golden", map[string]string{"workload": w.Name})
-		r, err := campaign.NewRunner(cfg.Machine, w.Build(cfg.Machine.Variant))
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("study: %s: %w", w.Name, err)
-		}
-		r.Configure(cfg.Obs, cfg.Forensics, cfg.EarlyExit)
-		st.runners[w.Name] = r
+	runners := make([]*Runner, len(cfg.Workloads))
+	errs := make([]error, len(cfg.Workloads))
+	var wg sync.WaitGroup
+	for i, w := range cfg.Workloads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.budget.Acquire()
+			defer st.budget.Release()
+			sp := cfg.Obs.Span("golden "+w.Name, "golden", map[string]string{"workload": w.Name})
+			defer sp.End()
+			runners[i], errs[i] = campaign.NewRunner(cfg.Machine, w.Build(cfg.Machine.Variant))
+		}()
 	}
+	wg.Wait()
 	allGolden.End()
+	for i, w := range cfg.Workloads {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("study: %s: %w", w.Name, errs[i])
+		}
+		runners[i].Configure(cfg.Obs, cfg.Forensics, cfg.EarlyExit)
+		st.runners[w.Name] = runners[i]
+	}
 	return st, nil
 }
 

@@ -2,10 +2,15 @@ package avgi
 
 import (
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"avgi/internal/asm"
 	"avgi/internal/campaign"
+	"avgi/internal/isa"
 )
 
 // schedTestConfig is the small overlapping-pair grid the scheduler tests
@@ -68,6 +73,51 @@ func gaugeValue(t *testing.T, reg *MetricsRegistry, name string) float64 {
 	}
 	t.Fatalf("gauge %s not found", name)
 	return 0
+}
+
+// TestNewStudyFanOutFails builds a study over two real workloads and one
+// whose golden run crashes: NewStudy must return the crashing workload's
+// error, and only after every golden run has finished. The tracer's clock
+// jumps an hour the moment NewStudy returns, so a golden span still open
+// then shows an hour-long duration.
+func TestNewStudyFanOutFails(t *testing.T) {
+	crash := Workload{Name: "crash", Suite: "mibench", Build: func(v isa.Variant) *asm.Program {
+		b := asm.NewBuilder("crash", v)
+		b.Li(1, 2<<20) // beyond 1 MiB RAM: a page fault
+		b.Lw(2, 1, 0)
+		b.Halt()
+		return b.MustAssemble()
+	}}
+	o := NewObserver(nil)
+	var returned atomic.Bool
+	o.Trace.SetClock(func() time.Time {
+		if returned.Load() {
+			return time.Unix(3600, 0)
+		}
+		return time.Unix(0, 0)
+	})
+	s, err := NewStudy(StudyConfig{
+		Machine:   ConfigA72(),
+		Workloads: append(pick(t, "sha", "crc32"), crash),
+		Workers:   2,
+		Obs:       o,
+	})
+	returned.Store(true)
+	if s != nil || err == nil || !strings.Contains(err.Error(), "crash: campaign: golden run of crash ended crashed") {
+		t.Fatalf("NewStudy = %v, %v; want the crash workload's error", s, err)
+	}
+	golden := 0
+	for _, sp := range o.Trace.Spans() {
+		if strings.HasPrefix(sp.Name, "golden ") {
+			golden++
+			if sp.DurUS != 0 {
+				t.Errorf("span %q was still open when NewStudy returned", sp.Name)
+			}
+		}
+	}
+	if golden != 4 {
+		t.Errorf("%d golden spans, want one per workload and the one around them", golden)
+	}
 }
 
 // TestConcurrentStudySingleFlight drives one Study from eight concurrent
