@@ -72,21 +72,16 @@ type runObs struct {
 	agg tally
 
 	// Fork-pool accounting: one Get per worker, so contention is nil.
-	poolGets   uint64
-	poolReuses uint64
+	poolGets uint64
 }
 
-// poolGet records one pool checkout and whether it recycled a machine.
-// Nil-safe.
-func (ro *runObs) poolGet(reused bool) {
+// poolGet records one pool checkout. Nil-safe.
+func (ro *runObs) poolGet() {
 	if ro == nil {
 		return
 	}
 	ro.mu.Lock()
 	ro.poolGets++
-	if reused {
-		ro.poolReuses++
-	}
 	ro.mu.Unlock()
 }
 
@@ -305,8 +300,6 @@ func (ro *runObs) finish(results []Result, ran []bool) {
 		pl := map[string]string{"workload": ro.r.Prog.Name, "mode": ro.mode}
 		reg.Counter("avgi_ckpt_pool_gets_total",
 			"scratch machines checked out of the fork pool", pl).Add(ro.poolGets)
-		reg.Counter("avgi_ckpt_pool_reuse_total",
-			"fork-pool checkouts satisfied by a recycled machine", pl).Add(ro.poolReuses)
 	}
 }
 

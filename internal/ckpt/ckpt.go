@@ -26,17 +26,19 @@ import (
 )
 
 // MinInterval is the floor on the checkpoint interval: below this the
-// store's memory footprint grows faster than the re-simulation it saves.
-const MinInterval = 512
+// capture cost grows faster than the re-simulation it saves.
+const MinInterval = 128
 
 // intervalDivisor bounds the number of checkpoints per golden run (at most
-// goldenCycles/DefaultInterval ≈ 64 plus the cycle-0 snapshot).
-const intervalDivisor = 64
+// goldenCycles/DefaultInterval ≈ 256 plus the cycle-0 snapshot).
+const intervalDivisor = 256
 
 // DefaultInterval derives the checkpoint interval from the golden run
-// length: goldenCycles/64, floored at MinInterval. Short programs get a
-// single cycle-0 checkpoint; long ones get at most ~64 evenly spaced ones,
+// length: goldenCycles/256, floored at MinInterval. Short programs get a
+// single cycle-0 checkpoint; long ones get at most ~256 evenly spaced ones,
 // capping both store memory and the worst-case re-simulation distance.
+// Chained captures (Record) share what did not change since the previous
+// one, which is what makes this density affordable.
 func DefaultInterval(goldenCycles uint64) uint64 {
 	if v := goldenCycles / intervalDivisor; v > MinInterval {
 		return v
@@ -59,8 +61,11 @@ type Store struct {
 // Record replays the golden run from cycle 0 and captures a snapshot at
 // cycle 0 and then every interval cycles until the machine halts or
 // goldenCycles is reached. An interval of 0 selects
-// DefaultInterval(goldenCycles). The same pass records the golden site
-// timeline (cpu.Timeline), for which it runs on to the halt.
+// DefaultInterval(goldenCycles). The machine runs with delta tracking, so
+// every capture after the first is chained to the one before it
+// (cpu.Machine.SnapshotAfter) and owns only what changed in between. The
+// same pass records the golden site timeline (cpu.Timeline), for which it
+// runs on to the halt.
 func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Store {
 	if interval == 0 {
 		interval = DefaultInterval(goldenCycles)
@@ -70,7 +75,8 @@ func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Stor
 	if goldenCycles < mem.MaxTimelineCycles {
 		s.timeline = m.RecordTimeline()
 	}
-	s.add(m)
+	m.BeginDeltaTracking()
+	s.add(m.Snapshot(nil))
 	for m.Cycle()+interval <= goldenCycles && m.Status() == cpu.StatusRunning {
 		m.Run(cpu.RunOptions{
 			StopAtCycle: m.Cycle() + interval,
@@ -79,7 +85,7 @@ func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Stor
 		if m.Status() != cpu.StatusRunning {
 			break // halted (or crashed) before the next boundary
 		}
-		s.add(m)
+		s.add(m.SnapshotAfter(s.snaps[len(s.snaps)-1]))
 	}
 	if s.timeline != nil {
 		m.Run(cpu.RunOptions{MaxCycles: goldenCycles + 1})
@@ -92,8 +98,7 @@ func Record(cfg cpu.Config, p *asm.Program, goldenCycles, interval uint64) *Stor
 // nil for a run too long to index.
 func (s *Store) Timeline() *cpu.Timeline { return s.timeline }
 
-func (s *Store) add(m *cpu.Machine) {
-	snap := m.Snapshot(nil)
+func (s *Store) add(snap *cpu.Snapshot) {
 	s.cycles = append(s.cycles, snap.Cycle())
 	s.snaps = append(s.snaps, snap)
 	s.bytes += snap.Bytes()
@@ -115,8 +120,9 @@ func (s *Store) Interval() uint64 { return s.interval }
 // Count returns the number of checkpoints held.
 func (s *Store) Count() int { return len(s.snaps) }
 
-// Bytes returns the total captured bytes across all checkpoints, as
-// reported by each snapshot's own accounting.
+// Bytes returns the storage the store owns: the sum of each checkpoint's
+// own accounting, in which a chained capture counts only what it does not
+// share with its predecessor.
 func (s *Store) Bytes() uint64 { return s.bytes }
 
 // Pool hands out scratch machines for fault runs and recycles them, so a

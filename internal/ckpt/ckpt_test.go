@@ -2,8 +2,13 @@ package ckpt
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"avgi/internal/cpu"
 	"avgi/internal/prog"
@@ -13,8 +18,8 @@ func TestDefaultInterval(t *testing.T) {
 	if got := DefaultInterval(1000); got != MinInterval {
 		t.Errorf("short golden interval = %d, want %d", got, MinInterval)
 	}
-	if got := DefaultInterval(640_000); got != 10_000 {
-		t.Errorf("long golden interval = %d, want 10000", got)
+	if got := DefaultInterval(640_000); got != 2_500 {
+		t.Errorf("long golden interval = %d, want 2500", got)
 	}
 }
 
@@ -155,5 +160,141 @@ func TestPoolReuse(t *testing.T) {
 	m2, reused := pool.Get()
 	if !reused || m2 != m1 {
 		t.Error("Put machine was not recycled")
+	}
+}
+
+// stateDiff names the fields of a and b, two machines, that differ: the
+// Machine's, and for Mem the Hierarchy's.
+func stateDiff(a, b *cpu.Machine) []string {
+	var out []string
+	var walk func(path string, a, b reflect.Value)
+	walk = func(path string, a, b reflect.Value) {
+		for i := 0; i < a.NumField(); i++ {
+			name := path + a.Type().Field(i).Name
+			fa, fb := a.Field(i), b.Field(i)
+			if name == "Mem" {
+				walk("Mem.", fa.Elem(), fb.Elem())
+				continue
+			}
+			fa = reflect.NewAt(fa.Type(), unsafe.Pointer(fa.UnsafeAddr())).Elem()
+			fb = reflect.NewAt(fb.Type(), unsafe.Pointer(fb.UnsafeAddr())).Elem()
+			if !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+				out = append(out, name)
+			}
+		}
+	}
+	walk("", reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem())
+	return out
+}
+
+// TestStoreChainedRestoreMatchesFlat holds the chained store to the flat
+// capture it replaces, on all 13 programs on both machines: restoring from
+// every checkpoint Record chained must give the machine a flat
+// Snapshot(nil), taken at the same cycle of a fresh run without delta
+// tracking, restores, field by field through every cache, TLB and RAM page.
+func TestStoreChainedRestoreMatchesFlat(t *testing.T) {
+	for _, cfg := range []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()} {
+		for _, wl := range prog.All() {
+			cfg, wl := cfg, wl
+			t.Run(wl.Name+"/"+cfg.Name, func(t *testing.T) {
+				t.Parallel()
+				p := wl.Build(cfg.Variant)
+				golden := cpu.New(cfg, p)
+				golden.Run(cpu.RunOptions{})
+				st := Record(cfg, p, golden.Cycle(), 0)
+				if st.Count() < 2 {
+					t.Fatalf("%d checkpoints: nothing chained", st.Count())
+				}
+				fresh := cpu.New(cfg, p)
+				fromChain, fromFlat := cpu.New(cfg, p), cpu.New(cfg, p)
+				for i, snap := range st.snaps {
+					if snap.Cycle() > 0 {
+						fresh.Run(cpu.RunOptions{StopAtCycle: snap.Cycle()})
+					}
+					if fresh.Cycle() != snap.Cycle() {
+						t.Fatalf("fresh run at %d, checkpoint %d at %d", fresh.Cycle(), i, snap.Cycle())
+					}
+					fromChain.Restore(snap)
+					fromFlat.Restore(fresh.Snapshot(nil))
+					if diff := stateDiff(fromChain, fromFlat); len(diff) != 0 {
+						t.Fatalf("checkpoint %d (cycle %d) restores differently from a flat capture in %v", i, snap.Cycle(), diff)
+					}
+				}
+			})
+		}
+	}
+}
+
+// span is a half-open byte range of memory.
+type span struct{ lo, hi uintptr }
+
+// reach appends the memory v leads to: every pointer's target and every
+// slice's elements (by length), recursively, except the program the
+// machine runs (Prog, text) and the RAM pages, which a fork shares with
+// the machine it was taken from. A value of v's own is the caller's.
+func reach(v reflect.Value, spans *[]span) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			*spans = append(*spans, span{v.Pointer(), v.Pointer() + v.Type().Elem().Size()})
+			reach(v.Elem(), spans)
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return
+		}
+		*spans = append(*spans, span{v.Pointer(), v.Pointer() + uintptr(v.Len())*v.Type().Elem().Size()})
+		fallthrough
+	case reflect.Array:
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Struct, reflect.Interface, reflect.Map, reflect.Func, reflect.Chan:
+			for i := 0; i < v.Len(); i++ {
+				reach(v.Index(i), spans)
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); v.Type().Field(i).Name {
+			case "Prog", "text":
+			case "pages":
+				*spans = append(*spans, span{f.Pointer(), f.Pointer() + uintptr(f.Len())*f.Type().Elem().Size()})
+			default:
+				reach(f, spans)
+			}
+		}
+	case reflect.Interface, reflect.Map, reflect.Func, reflect.Chan:
+		if !v.IsNil() {
+			panic(fmt.Sprintf("reach: a snapshot holds a %s", v.Kind()))
+		}
+	}
+}
+
+// TestStoreBytesCountsOwnedBuffers: Store.Bytes() is the memory the chain
+// of checkpoints owns, each buffer counted once however many checkpoints
+// share it — the union of what the snapshots reach.
+func TestStoreBytesCountsOwnedBuffers(t *testing.T) {
+	for _, cfg := range []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()} {
+		golden, wl := goldenFor(t, cfg, "qsort")
+		st := Record(cfg, wl.Build(cfg.Variant), golden.Cycles, 0)
+		var spans []span
+		for _, snap := range st.snaps {
+			reach(reflect.ValueOf(snap), &spans)
+		}
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		var owned uint64
+		end := uintptr(0)
+		for _, s := range spans {
+			lo := max(s.lo, end)
+			if s.hi > lo {
+				owned += uint64(s.hi - lo)
+				end = s.hi
+			}
+		}
+		if st.Bytes() != owned {
+			t.Errorf("%s: Store.Bytes() = %d, the chain owns %d", cfg.Name, st.Bytes(), owned)
+		}
+		if full := st.snaps[0].Bytes(); st.Bytes() > full*uint64(st.Count())/2 {
+			t.Errorf("%s: %d checkpoints own %d bytes, a flat capture is %d: the chain shares little", cfg.Name, st.Count(), st.Bytes(), full)
+		}
 	}
 }

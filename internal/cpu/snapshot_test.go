@@ -221,7 +221,7 @@ func overlaps(a, b reflect.Value) bool {
 }
 
 // TestCoreCopySharesNoBuffers is the guard on the core-state slice list in
-// copyCore. After each of the five copy operations, every
+// copyCore. After each of the six copy operations, every
 // slice field of Machine — found by reflection, so a field added later is
 // included without an edit here — must share no backing array between
 // destination and source, and must either be state (equal after the copy,
@@ -299,6 +299,37 @@ func TestCoreCopySharesNoBuffers(t *testing.T) {
 		m.BeginDeltaTracking()
 		perturbState(m)
 		check(t, m.Clone(), m)
+	})
+	// A chain: mid copies what changed since first; last, taken with
+	// nothing written, shares every array with mid. A machine restored from
+	// the end of the chain shares no buffer with any snapshot in it.
+	t.Run("SnapshotAfter", func(t *testing.T) {
+		m := New(cfg, p)
+		perturbState(m)
+		m.BeginDeltaTracking()
+		first := m.Snapshot(nil)
+		perturbState(m)
+		mid := m.SnapshotAfter(first)
+		last := m.SnapshotAfter(mid)
+		midFields := sliceFields(&mid.m)
+		for name, f := range sliceFields(&last.m) {
+			if isState(name) && f.Len() > 0 && !overlaps(f, midFields[name]) {
+				t.Errorf("%s: a capture with nothing written since its predecessor copied it", name)
+			}
+		}
+		check(t, &last.m, m)
+
+		scratch := New(cfg, p)
+		scratch.Restore(last)
+		for i, snap := range []*Snapshot{first, mid, last} {
+			fields := sliceFields(&snap.m)
+			for name, f := range sliceFields(scratch) {
+				if overlaps(f, fields[name]) {
+					t.Errorf("%s: the restored machine shares snapshot %d's backing array", name, i)
+				}
+			}
+		}
+		check(t, scratch, &last.m)
 	})
 }
 

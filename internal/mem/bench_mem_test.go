@@ -30,7 +30,7 @@ func BenchmarkCacheDeltaSyncPair(b *testing.B) {
 	c := NewCache(CacheConfig{Name: "L1D", Sets: 32, Ways: 2, LineBytes: 64, HitLat: 2, AddrBits: 20}, lower)
 	var buf [8]byte
 	c.BeginDeltaTracking()
-	var snap cacheState
+	var snap cacheSnap
 	c.sync(&snap, true, false)
 	b.ResetTimer()
 	touch := func(base int) {

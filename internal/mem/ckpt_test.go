@@ -121,7 +121,7 @@ func TestCacheSnapshotRestore(t *testing.T) {
 	var buf [1]byte
 	c.Access(0x100, 1, false, buf[:])
 	c.Access(0x200, 1, true, []byte{0x77}) // leave a dirty line
-	var snap cacheState
+	var snap cacheSnap
 	n := c.sync(&snap, true, false)
 	accesses, misses := c.Accesses, c.Misses
 

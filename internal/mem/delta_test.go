@@ -67,7 +67,7 @@ func TestCacheDeltaRestoreEquivalence(t *testing.T) {
 	mutateCache(c, rng, 500) // warm state: valid lines, dirty lines, stats
 
 	c.BeginDeltaTracking()
-	var snap, ref cacheState
+	var snap, ref cacheSnap
 	c.sync(&snap, true, false) // sync point
 	for round := 0; round < 50; round++ {
 		// Re-arm: advance the cache (the "golden advance"), capture the
@@ -82,7 +82,7 @@ func TestCacheDeltaRestoreEquivalence(t *testing.T) {
 		// The "faulty run": arbitrary divergence, then the delta rewind.
 		mutateCache(c, rng, rng.Intn(300))
 		c.sync(&snap, false, true)
-		equalCache(t, "after the delta rewind", &c.cacheState, &ref)
+		equalCache(t, "after the delta rewind", &c.cacheState, flatten(t, c, &ref))
 
 		// The rewound cache must also match the state a full rewind from
 		// the snapshot produces.
@@ -96,7 +96,7 @@ func TestCacheDeltaRestoreEquivalence(t *testing.T) {
 func TestCacheDeltaUntouchedIsFree(t *testing.T) {
 	c, _ := newTestCacheOverRAM(10)
 	c.BeginDeltaTracking()
-	var snap cacheState
+	var snap cacheSnap
 	c.sync(&snap, true, false)
 	if n := c.sync(&snap, true, true); n != 0 {
 		t.Errorf("untouched delta capture copied %d bytes", n)
@@ -109,7 +109,7 @@ func TestCacheDeltaUntouchedIsFree(t *testing.T) {
 // TestCacheDeltaSyncWithoutTrackingPanics pins the misuse guard.
 func TestCacheDeltaSyncWithoutTrackingPanics(t *testing.T) {
 	c, _ := newTestCacheOverRAM(10)
-	var snap cacheState
+	var snap cacheSnap
 	c.sync(&snap, true, false)
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,9 @@
 package mem
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // DirtySet is the dirty-delta tracker of one array (cursor forks): the rows
 // — cache sets, TLB entries, predictor entries — written since the last
@@ -71,7 +74,8 @@ func checkSync(name string, touched *DirtySet, sameGeometry, capture, delta bool
 // CopyRows makes *dst equal src in the rows (stride elements each) only
 // lists, or — only nil — everywhere, resizing *dst to src's length in place
 // when its buffer allows. Returns the bytes moved. Every component's copy
-// routine, here and in cpu, moves its arrays through this one primitive.
+// routine, here and in cpu, moves its arrays through this one primitive,
+// but for the sets a chained cache snapshot holds apart (see cacheSnap).
 func CopyRows[T any](dst *[]T, src []T, only *DirtySet, stride int) uint64 {
 	var elem T
 	size := uint64(unsafe.Sizeof(elem))
@@ -89,4 +93,27 @@ func CopyRows[T any](dst *[]T, src []T, only *DirtySet, stride int) uint64 {
 		copy(d[lo:lo+stride], src[lo:lo+stride])
 	}
 	return uint64(len(only.rows)*stride) * size
+}
+
+// ShareRows is CopyRows for a chained capture into an empty *dst, prev
+// being the capture at the last sync point: *dst is prev's array, shared,
+// when src holds the same rows — only the rows touched lists can differ,
+// or with touched nil any — else a copy of src in fresh storage of src's
+// capacity. touched restarts empty. Returns the bytes copied.
+func ShareRows[T comparable](dst *[]T, src, prev []T, touched *DirtySet) uint64 {
+	same := len(src) == len(prev)
+	if touched == nil {
+		same = same && slices.Equal(src, prev)
+	} else {
+		for _, r := range touched.rows {
+			same = same && src[r] == prev[r]
+		}
+		touched.Reset()
+	}
+	if same {
+		*dst = prev
+		return 0
+	}
+	*dst = make([]T, 0, cap(src))
+	return CopyRows(dst, src, nil, 1)
 }

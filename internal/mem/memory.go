@@ -10,7 +10,10 @@
 // 12-structure fault model.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // PageBytes is the page size used by the TLBs, the page table, and the
 // copy-on-write granularity of RAM forks.
@@ -181,6 +184,26 @@ func (r *RAM) RestoreFrom(snap *RAM) {
 	for i := range r.owned {
 		r.owned[i] = false
 	}
+}
+
+// forkOf reports whether this RAM holds exactly snap's pages, none of them
+// privatized since: a capture now would equal snap.
+func (r *RAM) forkOf(snap *RAM) bool {
+	if r.size != snap.size {
+		return false
+	}
+	for i, p := range r.pages {
+		if r.owned[i] || &p[0] != &snap.pages[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// forkBytes is what a RAM fork owns: the RAM itself and a slice header and
+// an owned flag per page, not the shared page contents.
+func (r *RAM) forkBytes() uint64 {
+	return uint64(unsafe.Sizeof(*r)) + uint64(len(r.pages))*uint64(unsafe.Sizeof(r.pages[0])+unsafe.Sizeof(r.owned[0]))
 }
 
 // CowPrivatized returns the number of pages this RAM has privatized by

@@ -22,7 +22,9 @@ type TLB struct {
 }
 
 // tlbState is everything about a TLB that changes as it runs, and so
-// everything a snapshot holds (see cacheState for the adding-a-field rule).
+// everything a snapshot holds: a scalar added to tlbScalars travels by
+// struct assignment, an array needs a line in copyFrom and in chain
+// (TestMemCopySharesNoBuffers fails without it).
 type tlbState struct {
 	entries []uint64
 	tlbScalars
@@ -37,7 +39,8 @@ type tlbScalars struct {
 	Misses   uint64
 }
 
-// copyFrom is cacheState.copyFrom for a TLB, one row per entry.
+// copyFrom makes dst equal src, each array copied into dst's own buffer —
+// only the entries only lists, if non-nil. Returns the array bytes moved.
 func (dst *tlbState) copyFrom(src *tlbState, only *DirtySet) uint64 {
 	dst.tlbScalars = src.tlbScalars
 	return CopyRows(&dst.entries, src.entries, only, 1)
@@ -151,4 +154,13 @@ func (t *TLB) sync(snap *tlbState, capture, delta bool) uint64 {
 	n := dst.copyFrom(src, only)
 	t.touched.Reset()
 	return n
+}
+
+// chain captures the TLB into the empty snap as the successor of prev, the
+// capture at the last sync point (see Cache.chain): an entry array that
+// holds what prev's does is prev's, shared. Returns the bytes snap owns.
+func (t *TLB) chain(snap, prev *tlbState) uint64 {
+	checkSync(t.name, &t.touched, len(prev.entries) == len(t.entries), true, true)
+	snap.tlbScalars = t.tlbScalars
+	return ShareRows(&snap.entries, t.entries, prev.entries, &t.touched)
 }
