@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -253,12 +254,32 @@ type jsonError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as compact JSON and a newline (pipe it through
+// `jq .` to read it).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// decodeRequest decodes the one JSON object of an assessment body. A field
+// AssessRequest does not have, or anything but white space after the
+// object, is an error: a misspelt "fault" must not silently run the
+// default sample.
+func decodeRequest(body io.Reader) (avgi.AssessRequest, error) {
+	var req avgi.AssessRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
+		return req, err
+	}
+	return req, nil
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -271,8 +292,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 func newHandler(svc *avgi.Service, obsv *avgi.Observer, fleet *peer, logger *slog.Logger) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/assess", func(w http.ResponseWriter, r *http.Request) {
-		var req avgi.AssessRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := decodeRequest(r.Body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
@@ -285,7 +306,12 @@ func newHandler(svc *avgi.Service, obsv *avgi.Observer, fleet *peer, logger *slo
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		// The result part was encoded once for its flight; only the id,
+		// request and meta are encoded here.
+		body := resp.AppendJSON(nil)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
 	})
 	mux.HandleFunc("GET /v1/requests", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Requests())

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,16 +25,18 @@ import (
 
 func newTestServer(t *testing.T, journalDir string) (*httptest.Server, *avgi.Service) {
 	t.Helper()
-	obsv := avgi.NewObserver(nil)
-	svc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers:    4,
-		JournalDir: journalDir,
-		Obs:        obsv,
-	})
+	return newTestServerCfg(t, avgi.ServiceConfig{Workers: 4, JournalDir: journalDir})
+}
+
+// newTestServerCfg serves a Service of cfg, with an observer of its own.
+func newTestServerCfg(t testing.TB, cfg avgi.ServiceConfig) (*httptest.Server, *avgi.Service) {
+	t.Helper()
+	cfg.Obs = avgi.NewObserver(nil)
+	svc, err := avgi.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(svc, obsv, nil, nil))
+	ts := httptest.NewServer(newHandler(svc, cfg.Obs, nil, nil))
 	t.Cleanup(ts.Close)
 	return ts, svc
 }
@@ -172,9 +175,9 @@ func TestServerValidationErrorsAreJSON(t *testing.T) {
 // next request.
 func TestServerOversizedBodyRejected(t *testing.T) {
 	ts, _ := newTestServer(t, "")
-	// The body is a request the endpoint would accept (unknown fields are
-	// ignored), so only the size limit can turn it away.
-	body := strings.TrimSuffix(assessBody, "}") + `,"pad":"` + strings.Repeat("A", maxBodyBytes) + `"}`
+	// The body is a request the endpoint would accept (white space padding
+	// inside the object), so only the size limit can turn it away.
+	body := strings.TrimSuffix(assessBody, "}") + strings.Repeat(" ", maxBodyBytes) + "}"
 	resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +195,165 @@ func TestServerOversizedBodyRejected(t *testing.T) {
 	}
 	if _, code := postAssess(t, ts.URL, assessBody); code != http.StatusOK {
 		t.Errorf("request after the oversized one: status %d, want 200", code)
+	}
+}
+
+// postJSONError posts body to /v1/assess and returns the status and the
+// "error" member of a JSON error body ("" when the body is not one).
+func postJSONError(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/assess", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var je struct {
+		Error string `json:"error"`
+	}
+	json.Unmarshal(raw, &je)
+	return resp.StatusCode, je.Error
+}
+
+// TestServerUnknownFieldRejected: a field AssessRequest does not have is a
+// JSON 400 naming it, not a request run with that field's default — a
+// misspelt "fault" used to run the default 400-fault campaign.
+func TestServerUnknownFieldRejected(t *testing.T) {
+	ts, svc := newTestServer(t, "")
+	for _, body := range []string{
+		`{"structure":"RF","workload":"sha","mode":"hvf","fault":16}`,
+		strings.TrimSuffix(assessBody, "}") + `,"extra":{"nested":[1,2]}}`,
+	} {
+		code, msg := postJSONError(t, ts.URL, body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
+			t.Errorf("POST %s: status %d, error %q; want 400 naming the unknown field", body, code, msg)
+		}
+	}
+	if n := len(svc.Requests()); n != 0 {
+		t.Errorf("rejected bodies reached the service: %d requests registered", n)
+	}
+}
+
+// TestServerTrailingDataRejected: anything but white space after the
+// request object is a JSON 400; trailing white space is not.
+func TestServerTrailingDataRejected(t *testing.T) {
+	ts, svc := newTestServer(t, "")
+	for _, tail := range []string{assessBody, " x", "}", "]", ` "faults"`, "null"} {
+		code, msg := postJSONError(t, ts.URL, assessBody+tail)
+		if code != http.StatusBadRequest || msg == "" {
+			t.Errorf("POST with %q after the object: status %d, error %q; want a JSON 400", tail, code, msg)
+		}
+	}
+	if n := len(svc.Requests()); n != 0 {
+		t.Errorf("rejected bodies reached the service: %d requests registered", n)
+	}
+	if _, code := postAssess(t, ts.URL, assessBody+"\n \t\r\n"); code != http.StatusOK {
+		t.Errorf("request with trailing white space: status %d, want 200", code)
+	}
+}
+
+// cacheHits reads avgi_server_shard_cache_hits_total of svc.
+func cacheHits(svc *avgi.Service) uint64 {
+	return svc.Cfg.Obs.Metrics.Counter("avgi_server_shard_cache_hits_total", "", nil).Value()
+}
+
+// TestServerResultBytesAcrossServePaths: over HTTP, the result bytes are
+// the same whichever of the four ways the request is served — simulated,
+// coalesced onto a running flight, answered by a retained flight, and a
+// journal hit after the flight was evicted (a fresh flight that encodes
+// the decoded shard again).
+func TestServerResultBytesAcrossServePaths(t *testing.T) {
+	ts, svc := newTestServerCfg(t, avgi.ServiceConfig{Workers: 4, JournalDir: t.TempDir(), ShardCacheEntries: 1})
+	const n = 4
+	envs := make([]envelope, n)
+	codes := make([]int, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range envs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			envs[i], codes[i] = postAssess(t, ts.URL, assessBody)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	paths := map[string][]byte{}
+	for i, env := range envs {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("concurrent request %d: status %d", i, codes[i])
+		}
+		switch {
+		case env.Meta.Coalesced:
+			paths["coalesced"] = env.Result
+		case env.Meta.SimulatedFaults == 16:
+			paths["simulated"] = env.Result
+		}
+	}
+	if paths["simulated"] == nil || paths["coalesced"] == nil {
+		t.Fatalf("%d concurrent requests: want one simulated and at least one coalesced, got metas %+v", n, envs)
+	}
+
+	hits := cacheHits(svc)
+	env, _ := postAssess(t, ts.URL, assessBody)
+	if !env.Meta.JournalHit || cacheHits(svc) != hits+1 {
+		t.Fatalf("repeat request meta %+v, cache hits %d → %d; want a retained flight", env.Meta, hits, cacheHits(svc))
+	}
+	paths["retained"] = env.Result
+
+	// Another key takes the only LRU slot; the first key then loads from
+	// the journal into a new flight.
+	if env, _ := postAssess(t, ts.URL, strings.Replace(assessBody, `"seed":7`, `"seed":8`, 1)); env.Meta.SimulatedFaults != 16 {
+		t.Fatalf("second key meta %+v, want a simulation", env.Meta)
+	}
+	hits = cacheHits(svc)
+	env, _ = postAssess(t, ts.URL, assessBody)
+	if !env.Meta.JournalHit || env.Meta.SimulatedFaults != 0 || cacheHits(svc) != hits {
+		t.Fatalf("request after eviction meta %+v, cache hits %d → %d; want a journal hit", env.Meta, hits, cacheHits(svc))
+	}
+	paths["journal"] = env.Result
+
+	for path, b := range paths {
+		if !bytes.Equal(b, paths["simulated"]) {
+			t.Errorf("%s result bytes differ from the simulated ones:\n%s\n%s", path, b, paths["simulated"])
+		}
+	}
+}
+
+// TestServerWritesCompactJSON: every JSON endpoint writes one compact
+// value and a newline — /v1/assess from a simulation and from a retained
+// flight, the registry, and the errors.
+func TestServerWritesCompactJSON(t *testing.T) {
+	ts, _ := newTestServer(t, t.TempDir())
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/assess", assessBody},
+		{"POST", "/v1/assess", assessBody},
+		{"GET", "/v1/requests", ""},
+		{"GET", "/v1/requests/1", ""},
+		{"GET", "/v1/requests/999", ""},
+		{"POST", "/v1/assess", `{"structure":"NOPE","workload":"crc32","mode":"hvf"}`},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q", c.method, c.path, ct)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatalf("%s %s: %v (%s)", c.method, c.path, err, raw)
+		}
+		if string(raw) != compact.String()+"\n" {
+			t.Errorf("%s %s is not compact JSON and a newline:\n%s", c.method, c.path, raw)
+		}
 	}
 }
 
@@ -458,5 +620,68 @@ func TestFeedEntryOutlivesAnnouncer(t *testing.T) {
 	})
 	if req := svcB.Requests()[0].Request; req.Seed != 3 || req.Faults != 4 {
 		t.Errorf("B ran %+v, want A's announced request", req)
+	}
+}
+
+// BenchmarkServerWarmHit is the hand-run profile of a warm /v1/assess hit
+// over HTTP: two closed-loop clients cycle over a 16-key hot set of AVGI
+// requests (4 structures x 2 programs x 2 seeds), every key already held
+// by a retained flight. It reports the response size as resp_B.
+//
+//	go test -run xxx -bench ServerWarmHit -cpuprofile cpu.out ./cmd/avgid
+func BenchmarkServerWarmHit(b *testing.B) {
+	for _, faults := range []int{25, 400} {
+		b.Run(fmt.Sprintf("faults=%d", faults), func(b *testing.B) {
+			ts, _ := newTestServerCfg(b, avgi.ServiceConfig{Workers: 2, JournalDir: b.TempDir()})
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
+			defer client.CloseIdleConnections()
+			var bodies []string
+			for _, structure := range []string{"RF", "L1D (Data)", "L1I (Data)", "L2 (Tag)"} {
+				for _, program := range []string{"sha", "crc32"} {
+					for seed := 1; seed <= 2; seed++ {
+						body, _ := json.Marshal(avgi.AssessRequest{Structure: structure, Workload: program,
+							Mode: "avgi", Window: 2000, Faults: faults, Seed: int64(seed)})
+						bodies = append(bodies, string(body))
+					}
+				}
+			}
+			post := func(body string) (int, error) {
+				resp, err := client.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
+				if err != nil {
+					return 0, err
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+				return int(n), err
+			}
+			size := 0
+			for _, body := range bodies { // fill: every key simulated once
+				n, err := post(body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				size += n
+			}
+			b.ResetTimer()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < 2; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						if _, err := post(bodies[i%int64(len(bodies))]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(size)/float64(len(bodies)), "resp_B")
+		})
 	}
 }

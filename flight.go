@@ -2,8 +2,11 @@ package avgi
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 
+	"avgi/internal/campaign"
+	"avgi/internal/core"
 	"avgi/internal/obs"
 )
 
@@ -11,10 +14,33 @@ import (
 // closed when res is valid; late callers block on it instead of
 // recomputing. el is the flight's place in the retention LRU once it has
 // completed (nil while it runs).
+//
+// A service response also needs res as an AssessResult and that result's
+// JSON encoding; assessment makes both once, on the first response that
+// asks, and they live exactly as long as the flight. Study flights never
+// ask, so they carry neither.
 type flight struct {
 	done chan struct{}
 	res  []CampaignResult
 	el   *list.Element
+
+	assessOnce sync.Once
+	assessed   *AssessResult
+	assessJSON []byte // compact json.Marshal(assessed)
+	assessErr  error
+}
+
+// assessment returns the flight's AssessResult and its compact JSON
+// encoding, building both on the first call. The flight must be done with
+// non-nil results. Both are shared by every response the flight answers,
+// so neither may be modified.
+func (f *flight) assessment() (*AssessResult, []byte, error) {
+	f.assessOnce.Do(func() {
+		sum := campaign.Summarize(f.res)
+		f.assessed = &AssessResult{Results: f.res, Summary: sum, AVF: core.AVFFromEffects(sum)}
+		f.assessJSON, f.assessErr = json.Marshal(f.assessed)
+	})
+	return f.assessed, f.assessJSON, f.assessErr
 }
 
 // served says how a flightMap call was answered.
@@ -57,9 +83,10 @@ func newFlightMap[K comparable](retain int) *flightMap[K] {
 	return &flightMap[K]{flights: make(map[K]*flight), retain: retain}
 }
 
-// do executes exec under single-flight semantics for key and returns its
-// result plus how this caller was served.
-func (m *flightMap[K]) do(key K, exec func() []CampaignResult) ([]CampaignResult, served) {
+// do executes exec under single-flight semantics for key and returns the
+// completed flight plus how this caller was served. The flight's res is
+// nil only when a coalesced caller's leader panicked.
+func (m *flightMap[K]) do(key K, exec func() []CampaignResult) (*flight, served) {
 	m.mu.Lock()
 	if f, ok := m.flights[key]; ok {
 		how := joined
@@ -69,7 +96,7 @@ func (m *flightMap[K]) do(key K, exec func() []CampaignResult) ([]CampaignResult
 		}
 		m.mu.Unlock()
 		<-f.done
-		return f.res, how
+		return f, how
 	}
 	f := &flight{done: make(chan struct{})}
 	m.flights[key] = f
@@ -95,7 +122,7 @@ func (m *flightMap[K]) do(key K, exec func() []CampaignResult) ([]CampaignResult
 	}()
 	f.res = exec()
 	completed = true
-	return f.res, ran
+	return f, ran
 }
 
 // len reports the number of retained or in-flight entries (test hook).

@@ -1,6 +1,7 @@
 package avgi
 
 import (
+	"encoding/json"
 	"slices"
 	"sort"
 	"sync"
@@ -13,19 +14,19 @@ import (
 func TestFlightMapCoalescesAndRetains(t *testing.T) {
 	m := newFlightMap[string](retainAll)
 	var execs int
-	res, how := m.do("k", func() []CampaignResult {
+	first, how := m.do("k", func() []CampaignResult {
 		execs++
 		return make([]CampaignResult, 3)
 	})
-	if how != ran || len(res) != 3 {
-		t.Fatalf("first do: how=%v len=%d", how, len(res))
+	if how != ran || len(first.res) != 3 {
+		t.Fatalf("first do: how=%v len=%d", how, len(first.res))
 	}
-	res, how = m.do("k", func() []CampaignResult {
+	f, how := m.do("k", func() []CampaignResult {
 		execs++
 		return nil
 	})
-	if how != retained || len(res) != 3 || execs != 1 {
-		t.Errorf("retained flight not served: how=%v len=%d execs=%d", how, len(res), execs)
+	if how != retained || f != first || execs != 1 {
+		t.Errorf("retained flight not served: how=%v same flight=%v execs=%d", how, f == first, execs)
 	}
 	if m.len() != 1 {
 		t.Errorf("retained map holds %d entries, want 1", m.len())
@@ -66,9 +67,9 @@ func TestFlightMapRetention(t *testing.T) {
 			m.evictions = obs.NewRegistry().Counter("evictions", "", nil)
 			execs := 0
 			for _, k := range tc.calls {
-				res, _ := m.do(k, func() []CampaignResult { execs++; return make([]CampaignResult, k) })
-				if len(res) != k {
-					t.Fatalf("key %d answered with %d results", k, len(res))
+				f, _ := m.do(k, func() []CampaignResult { execs++; return make([]CampaignResult, k) })
+				if len(f.res) != k {
+					t.Fatalf("key %d answered with %d results", k, len(f.res))
 				}
 			}
 			if execs != tc.execs {
@@ -88,7 +89,7 @@ func TestFlightMapRetention(t *testing.T) {
 		entered, release := make(chan struct{}), make(chan struct{})
 		var wg sync.WaitGroup
 		var leaderHow, waiterHow served
-		var waiterRes []CampaignResult
+		var waiter *flight
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -102,7 +103,7 @@ func TestFlightMapRetention(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			waiterRes, waiterHow = m.do(0, func() []CampaignResult { return nil })
+			waiter, waiterHow = m.do(0, func() []CampaignResult { return nil })
 		}()
 		// Two completions over a bound of one: the first is evicted by the
 		// second, and the running flight must survive both.
@@ -116,8 +117,8 @@ func TestFlightMapRetention(t *testing.T) {
 		wg.Wait()
 		// The waiter either blocked on the running flight or, scheduled
 		// late, found it kept; either way it never re-executed.
-		if leaderHow != ran || waiterHow == ran || len(waiterRes) != 5 {
-			t.Errorf("leader %v, waiter %v with %d results; want ran, not ran with 5", leaderHow, waiterHow, len(waiterRes))
+		if leaderHow != ran || waiterHow == ran || len(waiter.res) != 5 {
+			t.Errorf("leader %v, waiter %v with %d results; want ran, not ran with 5", leaderHow, waiterHow, len(waiter.res))
 		}
 		if got := retainedKeys(m); !slices.Equal(got, []int{0}) {
 			t.Errorf("after 0 completes the map holds %v, want [0]", got)
@@ -148,15 +149,15 @@ func TestFlightMapPanicDoesNotPoison(t *testing.T) {
 	if m.len() != 0 {
 		t.Fatalf("panicked flight still in the map (%d entries)", m.len())
 	}
-	res, how := m.do("k", func() []CampaignResult {
+	f, how := m.do("k", func() []CampaignResult {
 		execs++
 		return make([]CampaignResult, 2)
 	})
 	if how != ran {
 		t.Error("second call coalesced onto the panicked flight")
 	}
-	if len(res) != 2 || execs != 2 {
-		t.Errorf("second call after panic: len=%d execs=%d, want 2/2", len(res), execs)
+	if len(f.res) != 2 || execs != 2 {
+		t.Errorf("second call after panic: len=%d execs=%d, want 2/2", len(f.res), execs)
 	}
 }
 
@@ -181,14 +182,14 @@ func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
 	}()
 	<-entered
 
-	var waiterRes []CampaignResult
+	var waiter *flight
 	var waiterHow served
 	started := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		close(started)
-		waiterRes, waiterHow = m.do("k", func() []CampaignResult {
+		waiter, waiterHow = m.do("k", func() []CampaignResult {
 			// Only reachable if the waiter raced past the leader's eviction
 			// — i.e. it never coalesced. Valid single-flight behaviour, but
 			// not the interleaving this test is about.
@@ -206,10 +207,48 @@ func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
 	if waiterHow != joined {
 		t.Error("waiter did not coalesce onto the leader")
 	}
-	if waiterRes != nil {
-		t.Errorf("waiter got %d results from a panicked leader, want nil", len(waiterRes))
+	if waiter.res != nil {
+		t.Errorf("waiter got %d results from a panicked leader, want nil", len(waiter.res))
 	}
 	if m.len() != 0 {
 		t.Error("panicked flight still in the map")
+	}
+}
+
+// TestFlightMapAssessmentOnce: concurrent responses of one flight share one
+// AssessResult and one encoding, built once from the flight's results.
+func TestFlightMapAssessmentOnce(t *testing.T) {
+	m := newFlightMap[string](retainAll)
+	f, _ := m.do("k", func() []CampaignResult { return make([]CampaignResult, 3) })
+	const n = 8
+	results := make([]*AssessResult, n)
+	encs := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			results[i], encs[i], err = f.assessment()
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if len(results[0].Results) != 3 || results[0].Summary.Total != 3 {
+		t.Fatalf("assessment of 3 results: %d results, summary total %d", len(results[0].Results), results[0].Summary.Total)
+	}
+	want, err := json.Marshal(results[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range results {
+		if results[i] != results[0] || &encs[i][0] != &encs[0][0] {
+			t.Fatalf("call %d built its own assessment", i)
+		}
+	}
+	if string(encs[0]) != string(want) {
+		t.Errorf("encoding %s, want json.Marshal of the result %s", encs[0], want)
 	}
 }

@@ -138,12 +138,13 @@ func (e *executor) init(journalDir string, workers, retain int, budgetPrefix str
 
 // run answers one campaign under single-flight: a retained or running
 // execution of key if there is one, otherwise the journal and then the
-// simulator on r under budget. It returns one result per fault (nil only
-// if the executions it rode panicked), how many of them this call's own
-// execution took from the journal, and how the call was served.
-func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res []CampaignResult, resumed int, how served) {
+// simulator on r under budget. It returns the completed flight, holding
+// one result per fault (nil only if the executions it rode panicked), how
+// many of them this call's own execution took from the journal, and how
+// the call was served.
+func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (f *flight, resumed int, how served) {
 	for attempt := 0; ; attempt++ {
-		res, how = e.flights.do(key, func() []CampaignResult {
+		f, how = e.flights.do(key, func() []CampaignResult {
 			e.sched.inflight.Add(1)
 			defer e.sched.inflight.Add(-1)
 			var sp *obs.SpanRef
@@ -161,8 +162,8 @@ func (e *executor) run(key assessKey, r *Runner, budget *campaign.Budget) (res [
 		if how != ran {
 			e.sched.dedup.Inc()
 		}
-		if res != nil || how == ran || attempt >= 1 {
-			return res, resumed, how
+		if f.res != nil || how == ran || attempt >= 1 {
+			return f, resumed, how
 		}
 		// nil from a coalesced wait means the leader panicked and was
 		// evicted; retry once as (most likely) the new leader so the caller
@@ -297,8 +298,8 @@ func (s *Study) runCampaign(structure, workload string, mode Mode, window uint64
 		machine: s.Cfg.Machine.Name, structure: structure, workload: workload,
 		mode: mode, window: window, faults: s.Cfg.FaultsPerStructure, seed: s.Cfg.SeedBase,
 	}
-	res, _, _ := s.run(key, s.runners[workload], s.budget)
-	return res
+	f, _, _ := s.run(key, s.runners[workload], s.budget)
+	return f.res
 }
 
 // Prefetch dispatches the campaigns of every (structure, workload) pair in

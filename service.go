@@ -1,14 +1,16 @@
 package avgi
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"avgi/internal/campaign"
-	"avgi/internal/core"
 	"avgi/internal/obs"
 	"avgi/internal/prog"
 )
@@ -118,12 +120,16 @@ type AssessMeta struct {
 	ElapsedMS float64 `json:"elapsedMs"`
 }
 
-// AssessResponse is the full answer to one assessment request.
+// AssessResponse is the full answer to one assessment request. Result is
+// shared with every other response its flight answers and must not be
+// modified.
 type AssessResponse struct {
 	ID      uint64        `json:"id"`
 	Request AssessRequest `json:"request"` // normalised (defaults filled)
 	Result  AssessResult  `json:"result"`
 	Meta    AssessMeta    `json:"meta"`
+
+	resultJSON []byte // compact encoding of Result, owned by the flight
 }
 
 // RequestState tracks a request through the service.
@@ -441,14 +447,19 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		}
 	}()
 
-	res, resumed, how := s.run(key, r, s.tenantBudget(norm.Tenant))
-	if res == nil {
+	f, resumed, how := s.run(key, r, s.tenantBudget(norm.Tenant))
+	if f.res == nil {
 		return nil, fmt.Errorf("assessment failed: coalesced execution returned no results")
 	}
+	n := len(f.res)
 	if how == retained {
 		// The memory tier answers like a journal hit, without the journal.
-		resumed = len(res)
+		resumed = n
 		s.srv.cacheHits.Inc()
+	}
+	result, resultJSON, err := f.assessment()
+	if err != nil {
+		return nil, fmt.Errorf("encoding assessment: %w", err)
 	}
 
 	outcome = "miss"
@@ -457,21 +468,53 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 	case how == joined:
 		outcome = "coalesced"
 		meta.Coalesced = true
-	case resumed == len(res) && resumed > 0:
+	case resumed == n && resumed > 0:
 		outcome = "hit"
 		meta.JournalHit = true
 		meta.ResumedFaults = resumed
 	default:
 		meta.ResumedFaults = resumed
-		meta.SimulatedFaults = len(res) - resumed
+		meta.SimulatedFaults = n - resumed
 	}
 	meta.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 
-	sum := campaign.Summarize(res)
 	return &AssessResponse{
-		ID:      info.ID,
-		Request: norm,
-		Result:  AssessResult{Results: res, Summary: sum, AVF: core.AVFFromEffects(sum)},
-		Meta:    meta,
+		ID:         info.ID,
+		Request:    norm,
+		Result:     *result,
+		Meta:       meta,
+		resultJSON: resultJSON,
 	}, nil
+}
+
+// AppendJSON appends the response's JSON encoding and a newline to dst —
+// the bytes json.Marshal(r) plus "\n" would give — and returns the
+// extended slice. A response from Service.Assess carries its result
+// already encoded, once per retained flight, so a hit encodes only its
+// id, request and meta.
+func (r *AssessResponse) AppendJSON(dst []byte) []byte {
+	result := r.resultJSON
+	if result == nil {
+		result = mustMarshal(r.Result) // not made by Service.Assess
+	}
+	req, meta := mustMarshal(r.Request), mustMarshal(r.Meta)
+	dst = slices.Grow(dst, len(req)+len(result)+len(meta)+64)
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, r.ID, 10)
+	dst = append(dst, `,"request":`...)
+	dst = append(dst, req...)
+	dst = append(dst, `,"result":`...)
+	dst = append(dst, result...)
+	dst = append(dst, `,"meta":`...)
+	dst = append(dst, meta...)
+	return append(dst, "}\n"...)
+}
+
+// mustMarshal encodes a value whose encoding cannot fail.
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic("avgi: " + err.Error())
+	}
+	return b
 }

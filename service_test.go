@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 const svcFaults = 16
@@ -610,6 +612,101 @@ func TestServiceShardCacheEviction(t *testing.T) {
 	ev := s.Cfg.Obs.Metrics.Counter("avgi_server_shard_cache_evictions_total", "", nil).Value()
 	if ev != 1 {
 		t.Errorf("avgi_server_shard_cache_evictions_total = %d, want 1", ev)
+	}
+}
+
+// TestServiceAppendJSONMatchesMarshal: AppendJSON writes what
+// json.Marshal of the response writes, plus a newline, after whatever dst
+// held — for a simulated response, one from a retained flight (whose
+// result bytes were encoded for the first), and one not made by Assess.
+func TestServiceAppendJSONMatchesMarshal(t *testing.T) {
+	s := newTestService(t, t.TempDir())
+	simulated, err := s.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained, err := s.Assess(svcRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !retained.Meta.JournalHit {
+		t.Fatalf("repeat request meta %+v, want a hit", retained.Meta)
+	}
+	handMade := &AssessResponse{ID: 3, Request: svcRequest(), Result: simulated.Result,
+		Meta: AssessMeta{Tenant: "a<b>&c", ElapsedMS: 1.5}}
+	for name, resp := range map[string]*AssessResponse{"simulated": simulated, "retained": retained, "hand-made": handMade} {
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.AppendJSON(nil); string(got) != string(want)+"\n" {
+			t.Errorf("%s: AppendJSON\n%s\nwant json.Marshal plus a newline\n%s", name, got, want)
+		}
+		if got := resp.AppendJSON([]byte("prefix")); string(got) != "prefix"+string(want)+"\n" {
+			t.Errorf("%s: AppendJSON did not append to dst", name)
+		}
+	}
+}
+
+// TestServiceShardCacheEvictionDropsEncoding: a flight keeps its
+// assessment's encoding while it is retained, and a flight evicted past
+// ShardCacheEntries takes its encoding with it — nothing else holds it.
+func TestServiceShardCacheEvictionDropsEncoding(t *testing.T) {
+	s, err := NewService(ServiceConfig{
+		Workers: 2, JournalDir: t.TempDir(), ShardCacheEntries: 1,
+		Obs: NewObserver(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := svcRequest()
+	resp, err := s.Assess(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultBytes(t, resp)
+	resp = nil
+	s.flights.mu.Lock()
+	if len(s.flights.flights) != 1 {
+		t.Fatalf("flight map holds %d flights, want 1", len(s.flights.flights))
+	}
+	gone := make(chan struct{})
+	for _, f := range s.flights.flights {
+		if string(f.assessJSON) != want {
+			t.Errorf("retained flight holds %d encoded bytes, want the response's %d", len(f.assessJSON), len(want))
+		}
+		runtime.SetFinalizer(f, func(*flight) { close(gone) })
+	}
+	s.flights.mu.Unlock()
+
+	second := svcRequest()
+	second.Seed++
+	if _, err := s.Assess(second); err != nil {
+		t.Fatal(err)
+	}
+	if s.flights.len() != 1 {
+		t.Fatalf("flight map holds %d flights after an eviction, want 1", s.flights.len())
+	}
+	collected := false
+	for i := 0; i < 100 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-gone:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Error("the evicted flight, and with it its encoding, is still reachable")
+	}
+
+	// The evicted key is a journal hit again, encoded to the same bytes.
+	resp, err = s.Assess(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Meta.JournalHit || resultBytes(t, resp) != want {
+		t.Errorf("evicted key answered with meta %+v and different bytes", resp.Meta)
 	}
 }
 
