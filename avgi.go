@@ -140,7 +140,6 @@ func MaskingSources(ex *Explorer) *Table { return report.MaskingSources(ex.Snaps
 // Re-exported constants.
 const (
 	ModeExhaustive = campaign.ModeExhaustive
-	ModeHVF        = campaign.ModeHVF
 	ModeAVGI       = campaign.ModeAVGI
 
 	// RawFITPerBit is the raw failure rate used for FIT derating.
@@ -271,27 +270,29 @@ func NewObserver(log *slog.Logger) *Observer { return obs.New(log) }
 // are not one of the twelve Table II fault targets.
 func ValidateStructure(name string) error { return cpu.ValidateStructure(name) }
 
-// ParseMode resolves a campaign mode name (exhaustive, hvf or avgi, any
-// case) and checks the window rule that goes with it: an ERT stop window is
-// required in avgi mode and meaningless in the other two. The avgi CLI and
-// the assessment service both validate through here.
-func ParseMode(name string, window uint64) (Mode, error) {
-	var mode Mode
+// ParseMode resolves a request mode name (exhaustive, hvf or avgi, any
+// case) to the campaign mode that answers it, and checks the window rule
+// that goes with it: an ERT stop window is required in avgi mode and
+// meaningless in the other two. hvf is not a campaign of its own: it is
+// answered by the exhaustive campaign, read through campaign.HVFView, and
+// hvf reports that. The avgi CLI and the assessment service both validate
+// through here.
+func ParseMode(name string, window uint64) (mode Mode, hvf bool, err error) {
 	switch strings.ToLower(name) {
 	case "exhaustive":
 		mode = ModeExhaustive
 	case "hvf":
-		mode = ModeHVF
+		mode, hvf = ModeExhaustive, true
 	case "avgi":
 		mode = ModeAVGI
 	default:
-		return 0, fmt.Errorf("unknown mode %q (want exhaustive, hvf or avgi)", name)
+		return 0, false, fmt.Errorf("unknown mode %q (want exhaustive, hvf or avgi)", name)
 	}
 	if mode == ModeAVGI && window == 0 {
-		return 0, fmt.Errorf("mode avgi requires a nonzero window")
+		return 0, false, fmt.Errorf("mode avgi requires a nonzero window")
 	}
 	if mode != ModeAVGI && window != 0 {
-		return 0, fmt.Errorf("window is only meaningful in mode avgi")
+		return 0, false, fmt.Errorf("window is only meaningful in mode avgi")
 	}
-	return mode, nil
+	return mode, hvf, nil
 }

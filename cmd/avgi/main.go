@@ -21,9 +21,10 @@
 // proves golden — every site it covers dead, erased unread or untouched in
 // its window — and fork the others at their sites' first use (see
 // docs/PERFORMANCE.md); the classification is identical to a full run, only
-// faster, and exhaustive and HVF results are identical down to the cycles
-// charged. -early-exit=false simulates every fault in full, e.g. to compare
-// AVGI simulated-cycle costs against the paper's full-window accounting.
+// faster, and exhaustive results (and so their HVF view) are identical down
+// to the cycles charged. -early-exit=false simulates every fault in full,
+// e.g. to compare AVGI simulated-cycle costs against the paper's
+// full-window accounting.
 package main
 
 import (
@@ -393,7 +394,7 @@ func run(cmd string, w io.Writer, obsv *avgi.Observer) error {
 // journal; whichever chunks each one simulates, the merged results and the
 // printed table are byte-identical.
 func runCampaignCmd(x *session, st *avgi.Study) error {
-	mode, err := avgi.ParseMode(*flagMode, *flagWindow)
+	mode, hvf, err := avgi.ParseMode(*flagMode, *flagWindow)
 	if err != nil {
 		return fmt.Errorf("-mode/-window: %w", err)
 	}
@@ -401,17 +402,21 @@ func runCampaignCmd(x *session, st *avgi.Study) error {
 	workloads := st.WorkloadNames()
 	// Overlap the grid under the budget; pairs load for free afterwards.
 	st.Prefetch(structures, workloads, mode, *flagWindow)
-	// HVF campaigns stop at the first architectural corruption, so they
-	// carry no end-to-end effect split; exhaustive/avgi campaigns do.
+	// The HVF view reads each run up to its first architectural corruption,
+	// so it carries no end-to-end effect split; exhaustive/avgi campaigns do.
 	t := &avgi.Table{
 		Title:   fmt.Sprintf("campaign summaries (%s mode, %d faults/pair)", *flagMode, st.Cfg.FaultsPerStructure),
 		Columns: []string{"structure", "workload", "faults", "benign", "corrupted", "masked", "sdc", "crash", "vuln"},
 	}
 	for _, structure := range structures {
 		for _, wl := range workloads {
-			sum := campaign.Summarize(st.Campaign(structure, wl, mode, *flagWindow))
+			res := st.Campaign(structure, wl, mode, *flagWindow)
+			if hvf {
+				res = campaign.HVFView(res)
+			}
+			sum := campaign.Summarize(res)
 			masked, sdc, crash, vuln := "-", "-", "-", float64(sum.Corruptions)/float64(max(sum.Total, 1))
-			if mode != avgi.ModeHVF {
+			if !hvf {
 				masked = fmt.Sprint(sum.ByEffect[imm.Masked])
 				sdc = fmt.Sprint(sum.ByEffect[imm.SDC])
 				crash = fmt.Sprint(sum.ByEffect[imm.Crash])

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,8 +20,11 @@ import (
 	"time"
 
 	"avgi"
+	"avgi/internal/campaign"
 	"avgi/internal/cliflags"
 	"avgi/internal/dist"
+	"avgi/internal/imm"
+	"avgi/internal/journal"
 )
 
 func newTestServer(t *testing.T, journalDir string) (*httptest.Server, *avgi.Service) {
@@ -318,6 +322,82 @@ func TestServerResultBytesAcrossServePaths(t *testing.T) {
 		if !bytes.Equal(b, paths["simulated"]) {
 			t.Errorf("%s result bytes differ from the simulated ones:\n%s\n%s", path, b, paths["simulated"])
 		}
+	}
+}
+
+// TestServerHVFSharesExhaustive: an hvf request is the HVF view of the
+// exhaustive campaign of the same key, so whichever of the two comes second
+// is answered without simulating, and the hvf answer is the view of the
+// exhaustive one.
+func TestServerHVFSharesExhaustive(t *testing.T) {
+	exhaustiveBody := strings.Replace(assessBody, `"mode":"hvf"`, `"mode":"exhaustive"`, 1)
+	for _, order := range [][2]string{{exhaustiveBody, assessBody}, {assessBody, exhaustiveBody}} {
+		ts, _ := newTestServer(t, t.TempDir())
+		first, code := postAssess(t, ts.URL, order[0])
+		if code != http.StatusOK || first.Meta.SimulatedFaults != 16 {
+			t.Fatalf("first POST %s: status %d, meta %+v; want a 16-fault simulation", order[0], code, first.Meta)
+		}
+		second, code := postAssess(t, ts.URL, order[1])
+		if code != http.StatusOK || !second.Meta.JournalHit || second.Meta.SimulatedFaults != 0 {
+			t.Errorf("%s after %s: status %d, meta %+v; want an answer without simulating", order[1], order[0], code, second.Meta)
+		}
+		exhaustive, hvf := first.Result, second.Result
+		if order[0] == assessBody {
+			exhaustive, hvf = hvf, exhaustive
+		}
+		var ex, view avgi.AssessResult
+		if err := json.Unmarshal(exhaustive, &ex); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(hvf, &view); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(view.Results, campaign.HVFView(ex.Results)) {
+			t.Error("hvf results are not the HVF view of the exhaustive ones")
+		}
+	}
+}
+
+// TestServerIgnoresHVFShard: a journal shard under the hvf mode label, as
+// builds that ran HVF as a campaign of its own wrote, is not read. A
+// planted one of wrong results leaves the answer the view of a fresh
+// exhaustive run, the same bytes a server over an empty journal gives.
+func TestServerIgnoresHVFShard(t *testing.T) {
+	r, err := avgi.NewRunner(avgi.ConfigA72(), "crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := journal.Key{Structure: "RF", Workload: "crc32", Mode: "hvf"}
+	bind := journal.Binding{Machine: r.Cfg.Name, Variant: r.Cfg.Variant.String(),
+		ProgramHash: journal.HashProgram(r.Prog), Seed: 7, Faults: 16}
+	w, err := j.Writer(key, bind, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range r.FaultList("RF", 16, 7) {
+		w.Append(i, campaign.Result{Fault: f, IMM: imm.PRE, Manifested: true, ManifestLatency: 1, SimCycles: 1})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if planted, err := j.LoadAll(key, bind); err != nil || len(planted) != 16 {
+		t.Fatalf("planted shard loads %d results, %v; want all 16", len(planted), err)
+	}
+
+	ts, _ := newTestServer(t, dir)
+	got, code := postAssess(t, ts.URL, assessBody)
+	if code != http.StatusOK || got.Meta.JournalHit || got.Meta.SimulatedFaults != 16 {
+		t.Fatalf("status %d, meta %+v; want a fresh 16-fault exhaustive run", code, got.Meta)
+	}
+	ref, _ := newTestServer(t, t.TempDir())
+	want, _ := postAssess(t, ref.URL, assessBody)
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Errorf("answer over the planted hvf shard differs from a clean server's:\n%s\n%s", got.Result, want.Result)
 	}
 }
 

@@ -37,16 +37,16 @@ func distStudy(t *testing.T, journalDir, owner string) *Study {
 	return s
 }
 
-// hvfShard locates the canonical shard the RF/crc32 HVF campaign of r's
+// exhaustiveShard locates the canonical shard the RF/crc32 exhaustive campaign of r's
 // machine at (seed, faults) journals to under dir — whether a Study or a
 // Service runs it — for byte-level and layout checks.
-func hvfShard(t *testing.T, dir string, r *Runner, seed int64, faults int) (journal.Key, journal.Binding, string) {
+func exhaustiveShard(t *testing.T, dir string, r *Runner, seed int64, faults int) (journal.Key, journal.Binding, string) {
 	t.Helper()
 	j, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := journal.Key{Structure: "RF", Workload: "crc32", Mode: ModeHVF.String()}
+	key := journal.Key{Structure: "RF", Workload: "crc32", Mode: ModeExhaustive.String()}
 	bind := journal.Binding{
 		Machine:     r.Cfg.Name,
 		Variant:     r.Cfg.Variant.String(),
@@ -57,10 +57,10 @@ func hvfShard(t *testing.T, dir string, r *Runner, seed int64, faults int) (jour
 	return key, bind, filepath.Join(dir, filepath.FromSlash(j.ShardID(key, bind)))
 }
 
-// distShard is hvfShard for a study built by distStudy.
+// distShard is exhaustiveShard for a study built by distStudy.
 func distShard(t *testing.T, s *Study, dir string) (journal.Key, journal.Binding, string) {
 	t.Helper()
-	return hvfShard(t, dir, s.Runner("crc32"), s.Cfg.SeedBase, s.Cfg.FaultsPerStructure)
+	return exhaustiveShard(t, dir, s.Runner("crc32"), s.Cfg.SeedBase, s.Cfg.FaultsPerStructure)
 }
 
 // TestStudyDistTwoNodes drives the distributed layer through the public
@@ -73,12 +73,12 @@ func TestStudyDistTwoNodes(t *testing.T) {
 	// shard bytes are NOT the byte-identity reference — a live journal
 	// appends chunks in completion order, which is timing-dependent; only
 	// merged canonical shards are canonicalised into fault-index order.
-	want := distStudy(t, t.TempDir(), "").Campaign("RF", "crc32", ModeHVF, 0)
+	want := distStudy(t, t.TempDir(), "").Campaign("RF", "crc32", ModeExhaustive, 0)
 
 	// Byte reference: a single-node fleet over its own journal directory.
 	refDir := t.TempDir()
 	ref := distStudy(t, refDir, "ref-node")
-	if res := ref.Campaign("RF", "crc32", ModeHVF, 0); !reflect.DeepEqual(res, want) {
+	if res := ref.Campaign("RF", "crc32", ModeExhaustive, 0); !reflect.DeepEqual(res, want) {
 		t.Fatal("single-node fleet diverges from the plain study")
 	}
 	_, _, refShard := distShard(t, ref, refDir)
@@ -96,7 +96,7 @@ func TestStudyDistTwoNodes(t *testing.T) {
 		wg.Add(1)
 		go func(i int, s *Study) {
 			defer wg.Done()
-			got[i] = s.Campaign("RF", "crc32", ModeHVF, 0)
+			got[i] = s.Campaign("RF", "crc32", ModeExhaustive, 0)
 		}(i, s)
 	}
 	wg.Wait()
@@ -122,7 +122,7 @@ func TestStudyDistTwoNodes(t *testing.T) {
 
 	// A third node arriving late finds everything journalled: pure load.
 	late := distStudy(t, dir, "node-late")
-	if res := late.Campaign("RF", "crc32", ModeHVF, 0); !reflect.DeepEqual(res, want) {
+	if res := late.Campaign("RF", "crc32", ModeExhaustive, 0); !reflect.DeepEqual(res, want) {
 		t.Error("late node: journal-served distributed results diverge")
 	}
 }
@@ -175,7 +175,7 @@ func TestServiceDistAssess(t *testing.T) {
 // unjournalled local run. It must not open a writer on the canonical shard,
 // which another node may be merging at that moment.
 func TestStudyDistFailureLeavesCanonicalShard(t *testing.T) {
-	want := distStudy(t, t.TempDir(), "").Campaign("RF", "crc32", ModeHVF, 0)
+	want := distStudy(t, t.TempDir(), "").Campaign("RF", "crc32", ModeExhaustive, 0)
 
 	dir := t.TempDir()
 	node := distStudy(t, dir, "node-0")
@@ -184,7 +184,7 @@ func TestStudyDistFailureLeavesCanonicalShard(t *testing.T) {
 	if err := os.MkdirAll(canonical+".part-node-0", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if got := node.Campaign("RF", "crc32", ModeHVF, 0); !reflect.DeepEqual(got, want) {
+	if got := node.Campaign("RF", "crc32", ModeExhaustive, 0); !reflect.DeepEqual(got, want) {
 		t.Error("fallback results diverge from a plain study's")
 	}
 	if _, err := os.Stat(canonical); !os.IsNotExist(err) {

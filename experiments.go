@@ -301,15 +301,14 @@ func ratio64(a, b uint64) float64 {
 }
 
 // TimingRows computes the per-structure Table II cost rows (in simulated
-// cycles), sorted by descending full speedup as in the paper. All three
-// flows are dispatched together up front so the short HVF/AVGI campaigns
-// fill worker slots the long exhaustive campaigns leave idle in their
-// tails.
+// cycles), sorted by descending full speedup as in the paper. The two
+// campaign flows are dispatched together up front so the short AVGI
+// campaigns fill worker slots the long exhaustive campaigns leave idle in
+// their tails; the HVF cycles are the exhaustive runs' HVF view.
 func (s *Study) TimingRows(est *Estimator) []core.TimingRow {
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(2)
 	go func() { defer wg.Done(); s.RunAll(campaign.ModeExhaustive) }()
-	go func() { defer wg.Done(); s.RunAll(campaign.ModeHVF) }()
 	go func() { defer wg.Done(); s.PrefetchAVGI(est, s.Cfg.Structures, s.WorkloadNames()) }()
 	wg.Wait()
 	var rows []core.TimingRow

@@ -17,30 +17,43 @@ import (
 //
 // A service response also needs res as an AssessResult and that result's
 // JSON encoding; assessment makes both once, on the first response that
-// asks, and they live exactly as long as the flight. Study flights never
-// ask, so they carry neither.
+// asks, and they live exactly as long as the flight. An exhaustive flight
+// also answers hvf requests, through a second pair made from res's HVF
+// view. Study flights never ask, so they carry none.
 type flight struct {
 	done chan struct{}
 	res  []CampaignResult
 	el   *list.Element
 
-	assessOnce sync.Once
-	assessed   *AssessResult
-	assessJSON []byte // compact json.Marshal(assessed)
-	assessErr  error
+	full, hvf assessment
 }
 
-// assessment returns the flight's AssessResult and its compact JSON
-// encoding, building both on the first call. The flight must be done with
-// non-nil results. Both are shared by every response the flight answers,
-// so neither may be modified.
-func (f *flight) assessment() (*AssessResult, []byte, error) {
-	f.assessOnce.Do(func() {
-		sum := campaign.Summarize(f.res)
-		f.assessed = &AssessResult{Results: f.res, Summary: sum, AVF: core.AVFFromEffects(sum)}
-		f.assessJSON, f.assessErr = json.Marshal(f.assessed)
+// assessment is one AssessResult of a flight and its compact encoding.
+type assessment struct {
+	once   sync.Once
+	result *AssessResult
+	json   []byte // compact json.Marshal(result)
+	err    error
+}
+
+// assessment returns the flight's AssessResult — of res, or of its HVF
+// view when hvf — and its compact JSON encoding, building both on the
+// first call. The flight must be done with non-nil results. Both are
+// shared by every response the flight answers, so neither may be modified.
+func (f *flight) assessment(hvf bool) (*AssessResult, []byte, error) {
+	a, res := &f.full, f.res
+	if hvf {
+		a = &f.hvf
+	}
+	a.once.Do(func() {
+		if hvf {
+			res = campaign.HVFView(res)
+		}
+		sum := campaign.Summarize(res)
+		a.result = &AssessResult{Results: res, Summary: sum, AVF: core.AVFFromEffects(sum)}
+		a.json, a.err = json.Marshal(a.result)
 	})
-	return f.assessed, f.assessJSON, f.assessErr
+	return a.result, a.json, a.err
 }
 
 // served says how a flightMap call was answered.

@@ -2,12 +2,14 @@ package avgi
 
 import (
 	"encoding/json"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"avgi/internal/campaign"
 	"avgi/internal/obs"
 )
 
@@ -216,10 +218,13 @@ func TestFlightMapPanicUnblocksWaiters(t *testing.T) {
 }
 
 // TestFlightMapAssessmentOnce: concurrent responses of one flight share one
-// AssessResult and one encoding, built once from the flight's results.
+// AssessResult and one encoding, built once from the flight's results, and
+// so do its hvf responses, from the results' HVF view.
 func TestFlightMapAssessmentOnce(t *testing.T) {
 	m := newFlightMap[string](retainAll)
-	f, _ := m.do("k", func() []CampaignResult { return make([]CampaignResult, 3) })
+	f, _ := m.do("k", func() []CampaignResult {
+		return []CampaignResult{{SimCycles: 9}, {Manifested: true, ManifestLatency: 2, SimCycles: 9}, {}}
+	})
 	const n = 8
 	results := make([]*AssessResult, n)
 	encs := make([][]byte, n)
@@ -229,13 +234,16 @@ func TestFlightMapAssessmentOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			results[i], encs[i], err = f.assessment()
+			results[i], encs[i], err = f.assessment(i%2 == 1)
 			if err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
+	if !reflect.DeepEqual(results[1].Results, campaign.HVFView(f.res)) || results[0].Summary.SimCycles != 18 || results[1].Summary.SimCycles != 11 {
+		t.Fatalf("assessments of %+v: %+v and hvf %+v", f.res, results[0], results[1])
+	}
 	if len(results[0].Results) != 3 || results[0].Summary.Total != 3 {
 		t.Fatalf("assessment of 3 results: %d results, summary total %d", len(results[0].Results), results[0].Summary.Total)
 	}
@@ -244,7 +252,7 @@ func TestFlightMapAssessmentOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range results {
-		if results[i] != results[0] || &encs[i][0] != &encs[0][0] {
+		if results[i] != results[i%2] || &encs[i][0] != &encs[i%2][0] {
 			t.Fatalf("call %d built its own assessment", i)
 		}
 	}

@@ -1,17 +1,17 @@
 // Package campaign executes statistical fault-injection campaigns over the
 // machine model: the golden (fault-free) reference run, and per-fault runs
-// in the three observation modes the paper compares —
+// in the two observation modes the paper compares —
 //
 //   - ModeExhaustive: the traditional accelerated SFI flow; every run
 //     continues to the end of the program so Masked/SDC/Crash can be
 //     decided from the output (Section IV.B baseline).
-//   - ModeHVF: stop at the first commit-trace deviation (the HVF
-//     measurement of Section III used to extract IMM distributions —
-//     the paper's Insights 1&2).
 //   - ModeAVGI: stop at the first deviation or at the structure's
 //     effective-residency-time window, whichever is first (Insight 3).
 //
-// All modes share one fault path, and there is one way a faulty run is
+// Section III's HVF (Insights 1&2) is not a mode: HVFView reads it off
+// exhaustive Results.
+//
+// Both modes share one fault path, and there is one way a faulty run is
 // forked off the golden prefix: a campaign exploits the cycle-sorted fault
 // list and contiguous worker chunks — each worker's pooled machine is a
 // golden cursor advancing monotonically once through its chunk's cycle span,
@@ -30,7 +30,7 @@
 // the others fork one cycle before their sites' first event. A resolved
 // fault is charged 1 cycle when no site was live, up to the latest erase
 // when every live one was erased, and the whole window when one stays
-// untouched; outside ModeAVGI the run to the halt, so an exhaustive or HVF
+// untouched; in ModeExhaustive the run to the halt, so an exhaustive
 // Result, SimCycles included, is the full run's. A fault on one queue slot
 // whose first event is its commit is read only by the shadow integrity
 // check there, and resolve settles it as the machine-check crash that
@@ -65,8 +65,6 @@ type Mode uint8
 const (
 	// ModeExhaustive runs to the end of the program (traditional SFI).
 	ModeExhaustive Mode = iota
-	// ModeHVF stops at the first commit-trace deviation.
-	ModeHVF
 	// ModeAVGI stops at the first deviation or the ERT window.
 	ModeAVGI
 )
@@ -75,8 +73,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeExhaustive:
 		return "exhaustive"
-	case ModeHVF:
-		return "hvf"
 	case ModeAVGI:
 		return "avgi"
 	}
@@ -144,8 +140,8 @@ type Result struct {
 	// ModeAVGI fault the golden site timeline resolves is charged 1 cycle
 	// when no site it covers was live, up to the latest erase when every
 	// live site was erased unread, and the whole window when one stays
-	// untouched; an exhaustive or HVF fault it resolves the run to the
-	// golden halt, the traditional cost. A queue fault it resolves as a
+	// untouched; an exhaustive fault it resolves the run to the golden
+	// halt, the traditional cost. A queue fault it resolves as a
 	// machine check is charged, in every mode, up to the commit where the
 	// run it stands for crashes. Speedups derived from it
 	// (study.sim_speedup_x) compare methodologies, not host time, and do not
@@ -213,12 +209,12 @@ type Runner struct {
 	// each dead, erased by golden-valued writes before anything read it, or
 	// untouched — the Result is written without a faulty cycle, charged 1
 	// cycle for a dead fault, up to the latest erase for an erased one, the
-	// whole window for an untouched one, and outside ModeAVGI the run to
+	// whole window for an untouched one, and in ModeExhaustive the run to
 	// the halt. So is the machine-check crash of a fault on one queue slot
 	// that commits inside the window, charged to that commit. Otherwise the
 	// fork waits for the sites' first event. Results
 	// are identical to the full run's; in ModeAVGI only SimCycles shrinks,
-	// and in the other modes not even that (TestEarlyExitDifferential
+	// and in ModeExhaustive not even that (TestEarlyExitDifferential
 	// compares the outcomes, TestEarlyExitStateGolden the machines where a
 	// charge ends, TestTimelineDifferential and
 	// TestTimelineDifferentialModes every Result field against the full
@@ -246,7 +242,7 @@ func (r *Runner) RunawayLimit() uint64 {
 // horizon is where a faulty run injected at t would end if nothing
 // deviated: the ERT horizon in ModeAVGI, capped at the golden halt (a
 // machine equal to golden replays the golden run, so it could never run
-// further), and the halt itself in the other modes.
+// further), and the halt itself in ModeExhaustive.
 func (r *Runner) horizon(mode Mode, t, ert uint64) uint64 {
 	if mode == ModeAVGI {
 		return min(t+ert, r.Golden.Cycles)
@@ -783,16 +779,16 @@ func (w *worker) runChunk(faults []fault.Fault, lo, hi int, ran []bool, results 
 // resolve is the one place a campaign decides that a fault is golden. It asks
 // the golden site timeline what becomes of f, injected at f.Cycle with the
 // window its mode gives it: in ModeAVGI to the first golden commit beyond
-// f.Cycle+ert, or to the program's end; in the other modes to the program's
+// f.Cycle+ert, or to the program's end; in ModeExhaustive to the program's
 // end. A flip covers one site, or two when a multi-bit flip straddles a
 // register's or queue slot's boundary, and each site held nothing reachable
 // (dead), is erased before anything reads it, meets no event in the window
 // (untouched), or is read. With no live site read the fault is settled
 // here, and fm.resolved says why: dead when no site was live, charged 1
 // cycle; erased when every live site was, charged up to the latest erase;
-// untouched when one live site stays so, charged the whole window. Outside
-// ModeAVGI the charge is the run to the golden halt, which a machine equal
-// to golden reaches with it. A queue slot's one read is its commit, where
+// untouched when one live site stays so, charged the whole window. In
+// ModeExhaustive the charge is the run to the golden halt, which a machine
+// equal to golden reaches with it. A queue slot's one read is its commit, where
 // the shadow integrity check fires: a fault on one live slot that commits
 // at a cycle before end resolves as that machine check, in every mode
 // charged at the commit. At end itself the commit may lie behind the one
@@ -1027,10 +1023,7 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 	cmp.Golden = r.Golden.Trace
 	cmp.Reset()
 	cmp.StartAt(int(m.Stats.Commits))
-	switch mode {
-	case ModeHVF:
-		cmp.StopAtFirst = true
-	case ModeAVGI:
+	if mode == ModeAVGI {
 		cmp.StopAtFirst = true
 		cmp.StopCycle = f.Cycle + ert
 	}
@@ -1127,6 +1120,24 @@ func statsDelta(after, before cpu.Stats) cpu.Stats {
 		FlipsArmed:  after.FlipsArmed - before.FlipsArmed,
 		FlipsMasked: after.FlipsMasked - before.FlipsMasked,
 	}
+}
+
+// HVFView returns the HVF measurement of Section III, each exhaustive run
+// observed up to its first commit-trace deviation: a copy of results
+// without effects or forensics records, where a run that went on past its
+// deviation is charged the cycles up to it and forgets how it died. A
+// pre-software crash is its own deviation and keeps its crash.
+func HVFView(results []Result) []Result {
+	out := slices.Clone(results)
+	for i := range out {
+		r := &out[i]
+		r.Effect, r.HasEffect, r.Forensics = 0, false, nil
+		if r.Manifested && r.ManifestLatency < r.SimCycles {
+			r.SimCycles = r.ManifestLatency
+			r.Crash, r.Runaway = cpu.CrashNone, false
+		}
+	}
+	return out
 }
 
 // Summary aggregates a campaign's results.

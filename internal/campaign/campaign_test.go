@@ -132,15 +132,18 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 func TestHVFStopsEarlierThanExhaustive(t *testing.T) {
 	r := shaRunner(t)
 	fs := r.FaultList("RF", 40, 3)
-	ex := Summarize(r.Run(fs, ModeExhaustive, 0, 0))
-	hv := Summarize(r.Run(fs, ModeHVF, 0, 0))
-	if hv.SimCycles > ex.SimCycles {
-		t.Errorf("HVF simulated more cycles (%d) than exhaustive (%d)", hv.SimCycles, ex.SimCycles)
+	exhaustive := r.Run(fs, ModeExhaustive, 0, 0)
+	ex, hv := Summarize(exhaustive), Summarize(HVFView(exhaustive))
+	if hv.SimCycles >= ex.SimCycles {
+		t.Errorf("HVF charged %d cycles, exhaustive %d: the view cut no run at its deviation", hv.SimCycles, ex.SimCycles)
 	}
-	// The IMM distribution over corruptions must be identical: stopping
-	// at the first deviation does not change what the deviation was.
+	if len(hv.ByEffect) != 0 {
+		t.Errorf("HVF view carries end-to-end effects %v", hv.ByEffect)
+	}
+	// The IMM distribution must be identical: stopping at the first
+	// deviation does not change what the deviation was.
 	for _, c := range imm.Classes {
-		if hv.ByIMM[c] != ex.ByIMM[c] && c != imm.ESC && c != imm.Benign {
+		if hv.ByIMM[c] != ex.ByIMM[c] {
 			t.Errorf("IMM %v differs: hvf %d vs exhaustive %d", c, hv.ByIMM[c], ex.ByIMM[c])
 		}
 	}
@@ -149,7 +152,7 @@ func TestHVFStopsEarlierThanExhaustive(t *testing.T) {
 func TestAVGIWindowCutsBenignCost(t *testing.T) {
 	r := shaRunner(t)
 	fs := r.FaultList("RF", 40, 4)
-	hv := Summarize(r.Run(fs, ModeHVF, 0, 0))
+	hv := Summarize(HVFView(r.Run(fs, ModeExhaustive, 0, 0)))
 	av := Summarize(r.Run(fs, ModeAVGI, 2000, 0))
 	if av.SimCycles >= hv.SimCycles {
 		t.Errorf("AVGI (%d cycles) should be cheaper than HVF (%d)", av.SimCycles, hv.SimCycles)
@@ -203,7 +206,7 @@ func TestSummaryFractions(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeExhaustive.String() != "exhaustive" || ModeHVF.String() != "hvf" || ModeAVGI.String() != "avgi" {
+	if ModeExhaustive.String() != "exhaustive" || ModeAVGI.String() != "avgi" {
 		t.Error("mode strings")
 	}
 	if Mode(9).String() == "" {

@@ -63,8 +63,8 @@ func TestCursorDifferential(t *testing.T) {
 
 // TestCursorDifferentialAVGIMode repeats the differential check under the
 // windowed AVGI mode, whose early stops are the most timing-sensitive
-// consumers of the restored state, and under HVF mode, whose
-// stop-at-first-deviation exits mid-window.
+// consumers of the restored state, and under exhaustive mode on the same
+// faults.
 func TestCursorDifferentialAVGIMode(t *testing.T) {
 	r := shaRunner(t)
 	for _, tc := range []struct {
@@ -72,7 +72,7 @@ func TestCursorDifferentialAVGIMode(t *testing.T) {
 		ert  uint64
 	}{
 		{ModeAVGI, 2000},
-		{ModeHVF, 0},
+		{ModeExhaustive, 0},
 	} {
 		faults := r.FaultList("RF", 60, 3)
 		want := referenceRun(r, faults, tc.mode, tc.ert)

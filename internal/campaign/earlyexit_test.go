@@ -128,19 +128,19 @@ func TestAVGIWindowBoundary(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			r := newTestRunner(t, cfg, "sha")
 			faults := r.FaultList("RF", 200, 3)
-			hvf := r.Run(faults, ModeHVF, 0, 4)
+			ex := r.Run(faults, ModeExhaustive, 0, 4)
 			pick := -1
-			for i, res := range hvf {
+			for i, res := range ex {
 				if res.Manifested && res.ManifestLatency >= 2 {
 					pick = i
 					break
 				}
 			}
 			if pick < 0 {
-				t.Fatal("no RF fault manifested with latency >= 2 under HVF")
+				t.Fatal("no RF fault manifested with latency >= 2")
 			}
 			one := []fault.Fault{faults[pick]}
-			lat := hvf[pick].ManifestLatency
+			lat := ex[pick].ManifestLatency
 			for _, ee := range []bool{false, true} {
 				r.EarlyExit = ee
 				// ert = latency: the deviating commit lands exactly on the

@@ -96,10 +96,10 @@ func TestRunWithObserver(t *testing.T) {
 func TestRunObservedMatchesUnobserved(t *testing.T) {
 	r := shaRunner(t)
 	faults := r.FaultList("ROB", 30, 1)
-	plain := r.Run(faults, ModeHVF, 0, 2)
+	plain := r.Run(faults, ModeExhaustive, 0, 2)
 
 	r.Obs = obs.New(nil)
-	observed := r.Run(faults, ModeHVF, 0, 2)
+	observed := r.Run(faults, ModeExhaustive, 0, 2)
 	for i := range plain {
 		if plain[i] != observed[i] {
 			t.Fatalf("result %d diverged: %+v vs %+v", i, plain[i], observed[i])

@@ -33,7 +33,7 @@ func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
 	t.Run("cursor", func(t *testing.T) {
 		r := shaRunner(t)
 		faults := r.FaultList("RF", 30, 5)
-		clean := r.Run(faults, ModeHVF, 0, 2)
+		clean := r.Run(faults, ModeExhaustive, 0, 2)
 
 		// Insert the poison mid-list so the same worker chunk
 		// continues past the panic.
@@ -43,7 +43,7 @@ func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
 		mixed = append(mixed, poison)
 		mixed = append(mixed, faults[15:]...)
 
-		res := r.Run(mixed, ModeHVF, 0, 2)
+		res := r.Run(mixed, ModeExhaustive, 0, 2)
 		if len(res) != len(mixed) {
 			t.Fatalf("campaign returned %d results for %d faults", len(res), len(mixed))
 		}
@@ -75,7 +75,7 @@ func TestQuarantineTelemetry(t *testing.T) {
 	r.Obs = o
 	faults := r.FaultList("RF", 10, 5)
 	faults = append(faults, poisonFault(r, "RF", r.Golden.Cycles/2))
-	res := r.Run(faults, ModeHVF, 0, 2)
+	res := r.Run(faults, ModeExhaustive, 0, 2)
 	sum := Summarize(res)
 	if sum.Quarantined != 1 || sum.Total != 10 {
 		t.Fatalf("summary: %+v", sum)
@@ -112,7 +112,7 @@ func TestQuarantineLimitAborts(t *testing.T) {
 			t.Errorf("aggregated error %v must name the quarantine count and a sample cause", p)
 		}
 	}()
-	r.Run(faults, ModeHVF, 0, 2)
+	r.Run(faults, ModeExhaustive, 0, 2)
 }
 
 // TestRunNoObserverRace drives the fully uninstrumented campaign path (nil

@@ -82,7 +82,7 @@ func (c *stripeClaimer) Claim(lo, hi int) (func(bool), bool) {
 func TestRunCampaignClaimerStripes(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
 	faults := r.FaultList("RF", 24, 5)
-	serial := r.Run(faults, ModeHVF, 0, 1)
+	serial := r.Run(faults, ModeExhaustive, 0, 1)
 
 	const plan = 4
 	chunk := ChunkSize(len(faults), plan)
@@ -94,7 +94,7 @@ func TestRunCampaignClaimerStripes(t *testing.T) {
 	}
 	for p := 0; p < 2; p++ {
 		got[p], skipped[p] = r.RunCampaign(RunSpec{
-			Faults: faults, Mode: ModeHVF,
+			Faults: faults, Mode: ModeExhaustive,
 			Budget: NewBudget(2), PlanWorkers: plan,
 			Claimer: claimers[p],
 		})
@@ -142,7 +142,7 @@ func TestRunCampaignPlanWorkersGeometry(t *testing.T) {
 	chunk := ChunkSize(len(faults), plan)
 	c := &stripeClaimer{chunk: chunk, stride: 1, phase: 0} // claim everything
 	res, skipped := r.RunCampaign(RunSpec{
-		Faults: faults, Mode: ModeHVF,
+		Faults: faults, Mode: ModeExhaustive,
 		Budget: NewBudget(1), PlanWorkers: plan, Claimer: c,
 	})
 	if skipped != 0 {
@@ -160,7 +160,7 @@ func TestRunCampaignPlanWorkersGeometry(t *testing.T) {
 		t.Errorf("claimed chunks %v, want plan-derived %v (budget cap must not shape geometry)",
 			c.claimed, want)
 	}
-	if !reflect.DeepEqual(res, r.Run(faults, ModeHVF, 0, 1)) {
+	if !reflect.DeepEqual(res, r.Run(faults, ModeExhaustive, 0, 1)) {
 		t.Error("plan-worker results diverge from serial run")
 	}
 }
@@ -171,7 +171,7 @@ func TestRunCampaignPlanWorkersGeometry(t *testing.T) {
 func TestRunCampaignPriorChunksBypassClaimer(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
 	faults := r.FaultList("RF", 24, 5)
-	serial := r.Run(faults, ModeHVF, 0, 1)
+	serial := r.Run(faults, ModeExhaustive, 0, 1)
 	const plan = 4
 	chunk := ChunkSize(len(faults), plan)
 	prior := make(map[int]Result)
@@ -180,7 +180,7 @@ func TestRunCampaignPriorChunksBypassClaimer(t *testing.T) {
 	}
 	c := &stripeClaimer{chunk: chunk, stride: 1, phase: 0}
 	res, skipped := r.RunCampaign(RunSpec{
-		Faults: faults, Mode: ModeHVF,
+		Faults: faults, Mode: ModeExhaustive,
 		Budget: NewBudget(2), Prior: prior, PlanWorkers: plan, Claimer: c,
 	})
 	if skipped != 0 {

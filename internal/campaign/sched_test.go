@@ -163,10 +163,10 @@ func TestBudgetCarveNoStarvation(t *testing.T) {
 func TestRunCampaignCarvedByteIdentical(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "crc32")
 	faults := r.FaultList("RF", 24, 5)
-	serial := r.Run(faults, ModeHVF, 0, 1)
+	serial := r.Run(faults, ModeExhaustive, 0, 1)
 	global := NewBudget(4)
 	carved := global.Carve(2)
-	got, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: ModeHVF, Budget: carved})
+	got, _ := r.RunCampaign(RunSpec{Faults: faults, Mode: ModeExhaustive, Budget: carved})
 	if !reflect.DeepEqual(serial, got) {
 		t.Error("carved-budget results diverge from serial execution")
 	}
@@ -186,15 +186,21 @@ func TestRunCampaignSharedBudget(t *testing.T) {
 	rf := r.FaultList("RF", 40, 3)
 	rob := r.FaultList("ROB", 40, 3)
 
-	serialRF := r.Run(rf, ModeHVF, 0, 2)
-	serialROB := r.Run(rob, ModeHVF, 0, 2)
+	serialRF := r.Run(rf, ModeExhaustive, 0, 2)
+	serialROB := r.Run(rob, ModeExhaustive, 0, 2)
 
 	b := NewBudget(2)
 	var concRF, concROB []Result
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); concRF, _ = r.RunCampaign(RunSpec{Faults: rf, Mode: ModeHVF, Budget: b}) }()
-	go func() { defer wg.Done(); concROB, _ = r.RunCampaign(RunSpec{Faults: rob, Mode: ModeHVF, Budget: b}) }()
+	go func() {
+		defer wg.Done()
+		concRF, _ = r.RunCampaign(RunSpec{Faults: rf, Mode: ModeExhaustive, Budget: b})
+	}()
+	go func() {
+		defer wg.Done()
+		concROB, _ = r.RunCampaign(RunSpec{Faults: rob, Mode: ModeExhaustive, Budget: b})
+	}()
 	wg.Wait()
 
 	if b.InUse() != 0 {
@@ -232,7 +238,7 @@ func TestMultiBitBoundaryNoWrap(t *testing.T) {
 				Cycle:     r.Golden.Cycles / 2,
 				Width:     width,
 			}
-			res := r.Run([]fault.Fault{top}, ModeHVF, 0, 1)
+			res := r.Run([]fault.Fault{top}, ModeExhaustive, 0, 1)
 			if len(res) != 1 {
 				t.Fatalf("%s/%s: boundary fault produced %d results", cfg.Name, structure, len(res))
 			}
@@ -253,5 +259,5 @@ func TestInjectWrappingFaultPanics(t *testing.T) {
 		}
 	}()
 	var cmp trace.Comparator
-	r.injectAndObserve(m, wrap, ModeHVF, 0, &cmp)
+	r.injectAndObserve(m, wrap, ModeExhaustive, 0, &cmp)
 }

@@ -26,13 +26,13 @@ func windowsRunner(t *testing.T, workload string) *campaign.Runner {
 
 // TestTimelineDifferentialWindows repeats TestTimelineDifferential with the
 // windows the methodology itself uses: an Estimator's effective residency
-// times, derived from HVF campaigns on two programs — a few hundred cycles
+// times, derived from exhaustive campaigns on two programs — a few hundred cycles
 // for the register file, thousands for the caches, a share of the whole run
 // for the queues — instead of the fixed 2000 cycles of the grid, so that
 // windows which end with the program meet the timeline too.
 func TestTimelineDifferentialWindows(t *testing.T) {
 	if campaign.RaceEnabled {
-		t.Skip("the HVF training campaigns take minutes under the race detector; TestTimelineDifferential runs there")
+		t.Skip("the exhaustive training campaigns take minutes under the race detector; TestTimelineDifferential runs there")
 	}
 	n := 72
 	if testing.Short() {
@@ -47,7 +47,7 @@ func TestTimelineDifferentialWindows(t *testing.T) {
 			if data[st] == nil {
 				data[st] = map[string][]campaign.Result{}
 			}
-			data[st][workload] = r.Run(r.FaultList(st, n, 5), campaign.ModeHVF, 0, 2)
+			data[st][workload] = r.Run(r.FaultList(st, n, 5), campaign.ModeExhaustive, 0, 2)
 		}
 	}
 	est := &core.Estimator{ERT: core.DeriveERT(data, cycles)}

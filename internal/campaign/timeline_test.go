@@ -264,15 +264,15 @@ func TestTimelineHaltWindow(t *testing.T) {
 	}
 }
 
-// TestTimelineDifferentialModes is TestTimelineDifferential for the modes
-// whose window is the rest of the program. An exhaustive or HVF campaign
+// TestTimelineDifferentialModes is TestTimelineDifferential for the mode
+// whose window is the rest of the program. An exhaustive campaign
 // with EarlyExit on — faults resolved by lookup, the rest forked at their
 // sites' first use — must write every Result exactly as the full runs with
 // EarlyExit off do, cycles charged and forensics record included, for one
 // worker and for two. Besides the single-bit matrix it runs width-2 and
 // width-4 faults on the core arrays, and the same moved onto entry
-// boundaries, where a fault can straddle a live and a born-dead site. Each
-// mode must resolve a multi-bit fault, or the test proves nothing about
+// boundaries, where a fault can straddle a live and a born-dead site. The
+// campaign must resolve a multi-bit fault, or the test proves nothing about
 // that path. Width-2 straddlers on a cache's data and tag arrays and on the
 // DTLB must match too: resolve forks those at injection, since per-bit Fate
 // does not describe the byte ranges and entries their probe watches (a
@@ -290,8 +290,7 @@ func TestTimelineDifferentialModes(t *testing.T) {
 		// single-bit lists on two workers do not.
 		counts, multi, uncore = []int{2}, nil, nil
 	}
-	modes := []Mode{ModeExhaustive, ModeHVF}
-	resolved, multiResolved := map[Mode]int{}, map[Mode]int{}
+	resolved, multiResolved := 0, 0
 	for _, workload := range workloads {
 		r := newTestRunner(t, cpu.ConfigA72(), workload)
 		r.Forensics = forensics.NewExplorer()
@@ -314,30 +313,26 @@ func TestTimelineDifferentialModes(t *testing.T) {
 				faults[i] = list[i*len(list)/len(faults)]
 			}
 			what := fmt.Sprintf("%s/%s x%d", workload, faults[0].Structure, faults[0].Bits())
-			for _, mode := range modes {
-				r.EarlyExit = false
-				full := r.Run(faults, mode, 0, 2)
-				r.EarlyExit = true
-				for _, workers := range counts {
-					requireCharged(t, what+" "+mode.String(), r, mode, 0, faults, full, r.Run(faults, mode, 0, workers))
-				}
-				w := &worker{r: r, mode: mode, tl: r.Timeline()}
-				for _, f := range faults {
-					if _, _, _, fm := w.resolve(f); fm.resolved != 0 {
-						resolved[mode]++
-						if f.Bits() > 1 {
-							multiResolved[mode]++
-						}
+			r.EarlyExit = false
+			full := r.Run(faults, ModeExhaustive, 0, 2)
+			r.EarlyExit = true
+			for _, workers := range counts {
+				requireCharged(t, what, r, ModeExhaustive, 0, faults, full, r.Run(faults, ModeExhaustive, 0, workers))
+			}
+			w := &worker{r: r, mode: ModeExhaustive, tl: r.Timeline()}
+			for _, f := range faults {
+				if _, _, _, fm := w.resolve(f); fm.resolved != 0 {
+					resolved++
+					if f.Bits() > 1 {
+						multiResolved++
 					}
 				}
 			}
 		}
 	}
-	for _, mode := range modes {
-		t.Logf("%s: %d faults resolved by lookup, %d of them multi-bit", mode, resolved[mode], multiResolved[mode])
-		if resolved[mode] == 0 || multi != nil && multiResolved[mode] == 0 {
-			t.Errorf("%s: %d faults resolved, %d of them multi-bit: a path went untested", mode, resolved[mode], multiResolved[mode])
-		}
+	t.Logf("%d faults resolved by lookup, %d of them multi-bit", resolved, multiResolved)
+	if resolved == 0 || multi != nil && multiResolved == 0 {
+		t.Errorf("%d faults resolved, %d of them multi-bit: a path went untested", resolved, multiResolved)
 	}
 }
 

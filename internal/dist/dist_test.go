@@ -263,7 +263,7 @@ func newDistRunner(t *testing.T) *campaign.Runner {
 }
 
 func distKey() journal.Key {
-	return journal.Key{Structure: "RF", Workload: "crc32", Mode: "hvf"}
+	return journal.Key{Structure: "RF", Workload: "crc32", Mode: "exhaustive"}
 }
 
 func distBind(faults int) journal.Binding {
@@ -298,7 +298,7 @@ func runFleet(t *testing.T, r *campaign.Runner, n int) ([]byte, [][]campaign.Res
 				TTL:          2 * time.Second,
 				Poll:         10 * time.Millisecond,
 				Sync:         journal.SyncEvery,
-			}, r, faults, key, bind, campaign.ModeHVF, 0)
+			}, r, faults, key, bind, campaign.ModeExhaustive, 0)
 		}(node)
 	}
 	wg.Wait()
@@ -327,7 +327,7 @@ func runFleet(t *testing.T, r *campaign.Runner, n int) ([]byte, [][]campaign.Res
 func TestDistRunByteIdentity(t *testing.T) {
 	r := newDistRunner(t)
 	faults := r.FaultList("RF", 24, 5)
-	serial := r.Run(faults, campaign.ModeHVF, 0, 2)
+	serial := r.Run(faults, campaign.ModeExhaustive, 0, 2)
 
 	var ref []byte
 	for _, nodes := range []int{1, 2, 4} {
@@ -354,7 +354,7 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 	r := newDistRunner(t)
 	faults := r.FaultList("RF", 24, 5)
 	key, bind := distKey(), distBind(len(faults))
-	serial := r.Run(faults, campaign.ModeHVF, 0, 2)
+	serial := r.Run(faults, campaign.ModeExhaustive, 0, 2)
 
 	dir := t.TempDir()
 	j, err := journal.Open(dir)
@@ -394,7 +394,7 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 		LocalWorkers: 2,
 		TTL:          time.Second,
 		Poll:         10 * time.Millisecond,
-	}, r, faults, key, bind, campaign.ModeHVF, 0)
+	}, r, faults, key, bind, campaign.ModeExhaustive, 0)
 	if err != nil {
 		t.Fatalf("survivor run: %v", err)
 	}
@@ -441,7 +441,7 @@ func TestDistRunRecordsForensicsOnce(t *testing.T) {
 		TTL:          time.Second,
 		Poll:         50 * time.Millisecond,
 		Obs:          o,
-	}, r, faults, key, bind, campaign.ModeHVF, 0)
+	}, r, faults, key, bind, campaign.ModeExhaustive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

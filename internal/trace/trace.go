@@ -74,7 +74,7 @@ func (r *Record) same8(g *Record) bool {
 // Sink receives commit records during simulation.
 type Sink interface {
 	// OnCommit is called for every committed instruction in order. If it
-	// returns false the machine stops simulating (used by HVF runs that
+	// returns false the machine stops simulating (used by AVGI runs that
 	// only need the first deviation).
 	OnCommit(Record) bool
 }
@@ -157,7 +157,7 @@ type Deviation struct {
 
 // Comparator is a Sink that compares a faulty run's commits against a
 // golden trace on the fly. It records the first deviation; Stop controls
-// whether simulation halts at that point (HVF mode) or continues to the end
+// whether simulation halts at that point (AVGI mode) or continues to the end
 // of the program (AVF mode, where the final output comparison still needs
 // the run to finish).
 type Comparator struct {

@@ -29,7 +29,7 @@ func TestStudyPartialObservers(t *testing.T) {
 		for _, resume := range []bool{false, true} {
 			s := newJournalStudy(t, dir, resume, o)
 			for _, structure := range schedStructures {
-				out = append(out, s.Campaign(structure, "crc32", ModeHVF, 0))
+				out = append(out, s.Campaign(structure, "crc32", ModeExhaustive, 0))
 			}
 		}
 		return out
@@ -97,7 +97,7 @@ func TestServiceResumesDeadNodePartShard(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	key, bind, _ := hvfShard(t, dir, r, 7, svcFaults)
+	key, bind, _ := exhaustiveShard(t, dir, r, 7, svcFaults)
 	j, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -71,9 +71,10 @@ func (so *schedObs) register(reg *obs.Registry, machine string, journaled bool) 
 
 // assessKey identifies one deduplicated campaign execution. The window
 // is part of the key because AVGI-mode campaigns with different ERT
-// windows simulate different amounts of the program (exhaustive and HVF
-// runs use window 0); machine, sample size and seed are fixed for a study
-// but vary per service request.
+// windows simulate different amounts of the program (exhaustive runs use
+// window 0, and an hvf request is answered by the exhaustive key's flight);
+// machine, sample size and seed are fixed for a study but vary per service
+// request.
 type assessKey struct {
 	machine   string
 	structure string
@@ -310,7 +311,7 @@ func (s *Study) runCampaign(structure, workload string, mode Mode, window uint64
 // ModeAVGI and 0 otherwise, as ParseMode requires; PrefetchAVGI derives a
 // window per structure instead.
 func (s *Study) Prefetch(structures, workloads []string, mode Mode, window uint64) {
-	if _, err := ParseMode(mode.String(), window); err != nil {
+	if _, _, err := ParseMode(mode.String(), window); err != nil {
 		panic("avgi: Prefetch: " + err.Error())
 	}
 	var wg sync.WaitGroup

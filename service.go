@@ -77,7 +77,9 @@ type AssessRequest struct {
 	Structure string `json:"structure"`
 	// Workload is the benchmark name (e.g. "sha").
 	Workload string `json:"workload"`
-	// Mode is "exhaustive", "hvf" or "avgi".
+	// Mode is "exhaustive", "hvf" or "avgi". An hvf answer is the HVF view
+	// of the exhaustive campaign (campaign.HVFView): the two modes share
+	// one flight and one journal shard.
 	Mode string `json:"mode"`
 	// Window is the ERT stop window in cycles; required for mode "avgi",
 	// forbidden otherwise.
@@ -330,11 +332,14 @@ func (s *Service) normalize(req AssessRequest) (AssessRequest, assessKey, error)
 	if _, err := prog.ByName(req.Workload); err != nil {
 		return req, key, err
 	}
-	mode, err := ParseMode(req.Mode, req.Window)
+	mode, hvf, err := ParseMode(req.Mode, req.Window)
 	if err != nil {
 		return req, key, err
 	}
 	req.Mode = mode.String()
+	if hvf {
+		req.Mode = "hvf"
+	}
 	if req.Faults == 0 {
 		req.Faults = 400
 	}
@@ -457,7 +462,7 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		resumed = n
 		s.srv.cacheHits.Inc()
 	}
-	result, resultJSON, err := f.assessment()
+	result, resultJSON, err := f.assessment(norm.Mode == "hvf")
 	if err != nil {
 		return nil, fmt.Errorf("encoding assessment: %w", err)
 	}

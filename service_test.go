@@ -20,7 +20,7 @@ func svcRequest() AssessRequest {
 	return AssessRequest{
 		Structure: "RF",
 		Workload:  "crc32",
-		Mode:      "hvf",
+		Mode:      "exhaustive",
 		Faults:    svcFaults,
 		Seed:      7,
 	}
@@ -242,7 +242,7 @@ func TestServiceJournalSeedsDistinct(t *testing.T) {
 	}
 	machineDir := filepath.Join(dir, r.Cfg.Name+"-"+r.Cfg.Variant.String())
 	for _, seed := range []int64{reqA.Seed, reqB.Seed} {
-		_, _, shard := hvfShard(t, dir, r, seed, svcFaults)
+		_, _, shard := exhaustiveShard(t, dir, r, seed, svcFaults)
 		if filepath.Dir(shard) != machineDir {
 			t.Errorf("seed %d shard %s is not directly under %s", seed, shard, machineDir)
 		}
@@ -254,17 +254,18 @@ func TestServiceJournalSeedsDistinct(t *testing.T) {
 
 // TestServiceAnswersStudyJournal: Study and Service share one shard
 // layout, so a service over a study's journal answers the study's campaign
-// as a journal hit, with the study's exact results.
+// as a journal hit, with the study's exact results — here through the HVF
+// view, which an hvf request reads off the exhaustive shard.
 func TestServiceAnswersStudyJournal(t *testing.T) {
 	dir := t.TempDir()
-	want := distStudy(t, dir, "").Campaign("RF", "crc32", ModeHVF, 0)
+	want := distStudy(t, dir, "").HVF("RF", "crc32")
 
 	s, err := NewService(ServiceConfig{Workers: 4, JournalDir: dir, ShardCacheEntries: -1, Obs: NewObserver(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := svcRequest()
-	req.Seed = 1
+	req.Seed, req.Mode = 1, "hvf"
 	resp, err := s.Assess(req)
 	if err != nil {
 		t.Fatal(err)
@@ -672,8 +673,8 @@ func TestServiceShardCacheEvictionDropsEncoding(t *testing.T) {
 	}
 	gone := make(chan struct{})
 	for _, f := range s.flights.flights {
-		if string(f.assessJSON) != want {
-			t.Errorf("retained flight holds %d encoded bytes, want the response's %d", len(f.assessJSON), len(want))
+		if string(f.full.json) != want {
+			t.Errorf("retained flight holds %d encoded bytes, want the response's %d", len(f.full.json), len(want))
 		}
 		runtime.SetFinalizer(f, func(*flight) { close(gone) })
 	}

@@ -70,10 +70,10 @@ type StudyConfig struct {
 	// at their sites' first use, so the training campaigns cost a fraction
 	// of their host time. A settled AVGI fault is charged 1 cycle when
 	// dead, up to the latest erase when erased, and its whole window when
-	// untouched; an exhaustive or HVF one the run to the halt.
-	// Classifications and summaries are identical either way, and
-	// exhaustive and HVF Results byte-identical; only AVGI per-fault
-	// SimCycles shrink, so an AVGI campaign run without it journals under a
+	// untouched; an exhaustive one the run to the halt. Classifications
+	// and summaries are identical either way, and exhaustive Results (and
+	// so their HVF view) byte-identical; only AVGI per-fault SimCycles
+	// shrink, so an AVGI campaign run without it journals under a
 	// key of its own (docs/ROBUSTNESS.md). Shards journaled by a binary
 	// from before the early exit covered TLB entries and free registers
 	// keep full-window SimCycles for those faults (same classification).
@@ -182,8 +182,12 @@ func (s *Study) WorkloadNames() []string {
 // the study scheduler — the public entry point for driving a single
 // (structure, workload) pair, e.g. a distributed worker's share of a
 // fleet-wide campaign (cmd/avgi campaign). Window is the AVGI ERT stop
-// window in cycles and must be zero for the other modes.
+// window in cycles and must be zero in ModeExhaustive; Campaign panics, as
+// Prefetch does, on a window ParseMode refuses.
 func (s *Study) Campaign(structure, workload string, mode Mode, window uint64) []CampaignResult {
+	if _, _, err := ParseMode(mode.String(), window); err != nil {
+		panic("avgi: Campaign: " + err.Error())
+	}
 	return s.runCampaign(structure, workload, mode, window)
 }
 
@@ -195,9 +199,10 @@ func (s *Study) Exhaustive(structure, workload string) []CampaignResult {
 	return s.runCampaign(structure, workload, campaign.ModeExhaustive, 0)
 }
 
-// HVF returns the stop-at-first-deviation results for one pair.
+// HVF returns the stop-at-first-deviation results for one pair: the HVF
+// view of its exhaustive campaign (campaign.HVFView), which it shares.
 func (s *Study) HVF(structure, workload string) []CampaignResult {
-	return s.runCampaign(structure, workload, campaign.ModeHVF, 0)
+	return campaign.HVFView(s.Exhaustive(structure, workload))
 }
 
 // AVGIRun executes the short AVGI-mode campaign for one pair under the

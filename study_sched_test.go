@@ -121,8 +121,9 @@ func TestNewStudyFanOutFails(t *testing.T) {
 }
 
 // TestConcurrentStudySingleFlight drives one Study from eight concurrent
-// goroutines over overlapping (structure, workload) pairs in two modes and
-// proves, under -race:
+// goroutines over overlapping (structure, workload) pairs in two modes (and
+// the HVF view, which reads the exhaustive campaign) and proves, under
+// -race:
 //
 //   - each (structure, workload, mode, window) campaign executed exactly
 //     once (obs fault counters equal the fault-list size, never a multiple),
@@ -131,6 +132,7 @@ func TestNewStudyFanOutFails(t *testing.T) {
 //   - per-pair progress totals never exceeded the fault-list size, and
 //   - results are byte-identical to a serial run of the same study config.
 func TestConcurrentStudySingleFlight(t *testing.T) {
+	const window = 1500
 	if testing.Short() {
 		t.Skip("concurrent + serial campaign grids in -short mode")
 	}
@@ -153,6 +155,7 @@ func TestConcurrentStudySingleFlight(t *testing.T) {
 				structure := schedStructures[j%len(schedStructures)]
 				workload := schedWorkloads[j/len(schedStructures)]
 				mine[key{structure, workload, "exhaustive"}] = s.Exhaustive(structure, workload)
+				mine[key{structure, workload, "avgi"}] = s.Campaign(structure, workload, ModeAVGI, window)
 				mine[key{structure, workload, "hvf"}] = s.HVF(structure, workload)
 			}
 			results[g] = mine
@@ -160,21 +163,27 @@ func TestConcurrentStudySingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 
-	// All goroutines must have observed the same slices.
+	// All goroutines must have observed the same slices of each campaign,
+	// and the same HVF view (a copy per call) of the exhaustive one.
 	for g := 1; g < goroutines; g++ {
 		for k, res := range results[0] {
 			got := results[g][k]
-			if len(got) != len(res) || &got[0] != &res[0] {
+			if k.mode == "hvf" {
+				if !reflect.DeepEqual(got, res) {
+					t.Fatalf("goroutine %d got a different HVF view for %v", g, k)
+				}
+			} else if len(got) != len(res) || &got[0] != &res[0] {
 				t.Fatalf("goroutine %d got a different result slice for %v", g, k)
 			}
 		}
 	}
 
-	// Exactly-once execution: the campaign layer counted each fault once.
+	// Exactly-once execution: the campaign layer counted each fault once,
+	// and the HVF view ran no campaign of its own.
 	reg := obsv.Metrics
 	for _, structure := range schedStructures {
 		for _, workload := range schedWorkloads {
-			for _, mode := range []string{"exhaustive", "hvf"} {
+			for _, mode := range []string{"exhaustive", "avgi"} {
 				n := counterValue(t, reg, "avgi_campaign_faults_total",
 					map[string]string{"structure": structure, "workload": workload, "mode": mode})
 				if n != schedFaults {
@@ -184,10 +193,18 @@ func TestConcurrentStudySingleFlight(t *testing.T) {
 			}
 		}
 	}
+	for _, fam := range reg.Snapshot() {
+		for _, series := range fam.Series {
+			if series.Labels["mode"] == "hvf" {
+				t.Errorf("%s%v: the HVF view ran a campaign", fam.Name, series.Labels)
+			}
+		}
+	}
 
-	// The other 7 callers of each of the 8 campaigns coalesced.
+	// The other calls of each of the 8 campaigns coalesced: every
+	// goroutine asks for the exhaustive campaign twice (once through HVF).
 	campaigns := uint64(len(schedStructures) * len(schedWorkloads) * 2)
-	calls := uint64(goroutines) * campaigns
+	calls := uint64(goroutines) * campaigns * 3 / 2
 	if hits := counterValue(t, reg, "avgi_sched_dedup_hits_total", nil); hits != calls-campaigns {
 		t.Errorf("dedup hits = %d, want %d", hits, calls-campaigns)
 	}
@@ -227,9 +244,13 @@ func TestConcurrentStudySingleFlight(t *testing.T) {
 			if !reflect.DeepEqual(results[0][k], want) {
 				t.Errorf("%s/%s exhaustive results diverge from serial execution", structure, workload)
 			}
+			k = key{structure, workload, "avgi"}
+			if !reflect.DeepEqual(results[0][k], serial.Campaign(structure, workload, ModeAVGI, window)) {
+				t.Errorf("%s/%s avgi results diverge from serial execution", structure, workload)
+			}
 			k = key{structure, workload, "hvf"}
-			if !reflect.DeepEqual(results[0][k], serial.HVF(structure, workload)) {
-				t.Errorf("%s/%s hvf results diverge from serial execution", structure, workload)
+			if !reflect.DeepEqual(results[0][k], campaign.HVFView(want)) {
+				t.Errorf("%s/%s hvf results are not the view of the exhaustive ones", structure, workload)
 			}
 			a := campaign.Summarize(results[0][key{structure, workload, "exhaustive"}])
 			b := campaign.Summarize(want)
@@ -305,6 +326,39 @@ func TestPrefetchAVGIWindow(t *testing.T) {
 			}()
 			s.Prefetch(schedStructures, schedWorkloads, bad.mode, bad.window)
 		}()
+	}
+}
+
+// TestStudyCampaignChecksWindow: Campaign refuses a window its mode forbids
+// with ParseMode's message, as Prefetch does, before it runs anything. An
+// exhaustive campaign with a window would otherwise re-simulate under a
+// flight and a journal shard of its own, and an AVGI one without a window
+// would run zero-cycle windows.
+func TestStudyCampaignChecksWindow(t *testing.T) {
+	obsv := NewObserver(nil)
+	s := newSchedStudy(t, obsv)
+	for _, bad := range []struct {
+		mode   Mode
+		window uint64
+	}{{ModeExhaustive, 5}, {ModeAVGI, 0}} {
+		_, _, want := ParseMode(bad.mode.String(), bad.window)
+		if want == nil {
+			t.Fatalf("ParseMode accepts %v with window %d", bad.mode, bad.window)
+		}
+		func() {
+			defer func() {
+				p := recover()
+				if msg, _ := p.(string); !strings.Contains(msg, "Campaign: "+want.Error()) {
+					t.Errorf("Campaign(%v, window %d) panicked with %v, want ParseMode's %q", bad.mode, bad.window, p, want)
+				}
+			}()
+			s.Campaign("RF", "sha", bad.mode, bad.window)
+		}()
+	}
+	for _, fam := range obsv.Metrics.Snapshot() {
+		if fam.Name == "avgi_campaign_faults_total" && len(fam.Series) > 0 {
+			t.Errorf("a refused Campaign ran faults: %v", fam.Series)
+		}
 	}
 }
 
